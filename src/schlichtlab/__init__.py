@@ -14,6 +14,9 @@ Layers, bottom up:
 * :mod:`~schlichtlab.lab`      -- scenario runner and report export
 """
 
+# defined before the submodule imports, because lab reads it at import time
+__version__ = "0.1.0"
+
 from . import errors
 from .families import (
     SchlichtFunction,
@@ -72,8 +75,6 @@ from .tauber import (
     uniform_gap,
     weighted_mean,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ComplexSeries", "compose", "eval_partial",

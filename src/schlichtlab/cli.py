@@ -10,8 +10,7 @@ Subcommands:
       build the Grunsky section of the inverted member, print the norm
       and the fullness diagnostics at z.
 
-Exit code 0 iff every pass/fail flag is ok.  SCHLICHT_LAB_THREADS
-overrides grid parallelism.
+Exit code 0 iff every pass/fail flag is ok.
 """
 
 from __future__ import annotations

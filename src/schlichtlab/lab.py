@@ -18,10 +18,17 @@ for free-form input, so presets keep every reported claim honest.
                     (n-1)^2 ceiling.
   inequality_audit  every scalar inequality check over the whole corpus.
 
+A ScenarioReport keeps its rows as columns (see COLUMNS): ``m`` and ``n``
+are int64 arrays, ``value``, ``alpha_m`` and ``deviation`` float64 arrays,
+``flag`` and ``check`` lists of str.  The grid scenarios fill them with
+whole-array operations; the scan and the audit append one row at a time.
+
 Reports are deterministic: identical config (including seed) yields
 byte-identical CSV/JSON.  CSV rows use fixed 8-decimal formatting under
 the header ``scenario,m,n,value,alpha_m,deviation,flag``; JSON mirrors
-the full report, provenance included.
+the full report, provenance included, as
+``json.dumps(report.to_dict(), sort_keys=True, indent=2)`` writes it.  Both
+writers format whole columns in one pass instead of one record per row.
 """
 
 from __future__ import annotations
@@ -29,21 +36,25 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from . import errors as errors_mod
 from . import families, grunsky, hayman, logmilin, tauber
 from .errors import ConfigError, SchlichtLabError
 
 SCENARIOS = ("counterexample", "theorem1", "theorem2", "zalcman_scan", "inequality_audit")
 
-_VERSION = "0.1.0"
+# report columns, in CSV order with the scenario name first and check last
+COLUMNS = ("m", "n", "value", "alpha_m", "deviation", "flag", "check")
+
+# the counterexample's diagonal flag reads only the cells (m, m) with m >= this
+DIAGONAL_MIN_M = 8
 
 DEFAULT_TOLERANCES = {
     "row_vanish": 0.05,
@@ -95,6 +106,21 @@ class ScenarioConfig:
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(self.tolerances or {})
         object.__setattr__(self, "tolerances", tol)
+        self._check_cutoffs_on_grid()
+
+    def _check_cutoffs_on_grid(self):
+        """Reject a config whose flag could only read False for lack of grid cells."""
+        (m_lo, m_hi), (n_lo, n_hi) = self.m_range, self.n_range
+        diagonal_lo = max(m_lo, n_lo, DIAGONAL_MIN_M)
+        if self.scenario == "counterexample" and diagonal_lo > min(m_hi, n_hi):
+            raise ConfigError(f"counterexample needs a diagonal cell (m, m) with "
+                              f"m >= {DIAGONAL_MIN_M} inside both m_range and n_range")
+        key = {"theorem1": "tail_n", "theorem2": "simultaneous_tail_n"}.get(self.scenario)
+        if key is not None:
+            last = max(m_hi, n_hi - n_lo) - 1  # the cutoff grid of tauber.tail_supremum
+            cut = int(self.tolerances[key])
+            if not 0 <= cut <= last:
+                raise ConfigError(f"tolerance {key}={cut} lies off the tail grid 0..{last}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -119,20 +145,15 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    m: int
-    n: int
-    value: float
-    alpha_m: float
-    deviation: float
-    flag: str
-    check: str
-
-
-@dataclass(frozen=True)
 class ScenarioReport:
+    """A scenario's result; ``rows`` maps each name in COLUMNS to one column.
+
+    ``m`` and ``n`` are int64 arrays, ``value``, ``alpha_m`` and ``deviation``
+    float64 arrays, ``flag`` and ``check`` lists of str, all of one length.
+    """
+
     scenario: str
-    rows: list
+    rows: dict
     summary: dict
     provenance: dict
 
@@ -140,29 +161,23 @@ class ScenarioReport:
         return all(self.summary["flags"].values())
 
     def to_dict(self) -> dict:
+        cols = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+                for c in (self.rows[k] for k in COLUMNS)]
         return {
             "scenario": self.scenario,
-            "rows": [asdict(r) for r in self.rows],
+            "rows": [dict(zip(COLUMNS, row)) for row in zip(*cols)],
             "summary": self.summary,
             "provenance": self.provenance,
         }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SCHLICHT_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_members(fn, items):
-    """Order-preserving map, threaded when SCHLICHT_LAB_THREADS > 1."""
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _columns(m, n, value, alpha_m, deviation, flag, check) -> dict:
+    """Report columns from equally long sequences, typed as ScenarioReport documents."""
+    return {"m": np.asarray(m, dtype=np.int64), "n": np.asarray(n, dtype=np.int64),
+            "value": np.asarray(value, dtype=np.float64),
+            "alpha_m": np.asarray(alpha_m, dtype=np.float64),
+            "deviation": np.asarray(deviation, dtype=np.float64),
+            "flag": list(flag), "check": list(check)}
 
 
 def _annotate(exc: SchlichtLabError, m: int, n: Optional[int] = None):
@@ -170,11 +185,16 @@ def _annotate(exc: SchlichtLabError, m: int, n: Optional[int] = None):
     raise type(exc)(f"{where} {exc}") from exc
 
 
+def _append_row(cols: dict, m, n, value, alpha_m, deviation, ok, check):
+    row = (m, n, float(value), float(alpha_m), float(deviation), "ok" if ok else "fail", check)
+    for key, x in zip(COLUMNS, row):
+        cols[key].append(x)
+
+
 def _provenance(cfg: ScenarioConfig) -> dict:
-    d = asdict(cfg)
-    d["m_range"] = list(cfg.m_range)
-    d["n_range"] = list(cfg.n_range)
-    return {"config": d, "version": _VERSION}
+    d = dict(vars(cfg), m_range=list(cfg.m_range), n_range=list(cfg.n_range),
+             tolerances=dict(cfg.tolerances))
+    return {"config": d, "version": __version__}
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
@@ -201,26 +221,19 @@ def _ratio_scenario(cfg, build_member, estimate_alpha, flag_fn):
     def one_member(m):
         try:
             f = build_member(m)
-            est = estimate_alpha(f)
-            ratios = np.abs(f.series.coeffs[ns]) / ns
-            return f, est, ratios
+            return estimate_alpha(f), np.abs(f.series.coeffs[ns]) / ns
         except SchlichtLabError as exc:
             _annotate(exc, m)
 
-    computed = _map_members(one_member, ms)
-    rows = []
-    d = np.empty((len(ms), len(ns)))
-    alphas, widths = [], []
-    for i, (m, (f, est, ratios)) in enumerate(zip(ms, computed)):
-        alpha_m, width = est
-        alphas.append(alpha_m)
-        widths.append(width)
-        devs = np.abs(ratios - alpha_m)
-        d[i] = devs
-        for j, n in enumerate(ns):
-            rows.append(ReportRow(m=int(m), n=int(n), value=float(ratios[j]),
-                                  alpha_m=float(alpha_m), deviation=float(devs[j]),
-                                  flag="ok", check="coefficient_ratio_deviation"))
+    computed = [one_member(m) for m in ms]
+    alphas = np.array([est[0] for est, _ in computed], dtype=np.float64)
+    widths = [est[1] for est, _ in computed]
+    ratios = np.array([r for _, r in computed])
+    d = np.abs(ratios - alphas[:, None])
+    size = d.size
+    rows = _columns(np.repeat(ms, len(ns)), np.tile(ns, len(ms)), ratios.ravel(),
+                    np.repeat(alphas, len(ns)), d.ravel(), ["ok"] * size,
+                    ["coefficient_ratio_deviation"] * size)
     tail_n, tail_sup = tauber.tail_supremum(d, np.asarray(ms))
     summary = {
         "alpha": [float(a) for a in alphas],
@@ -229,7 +242,7 @@ def _ratio_scenario(cfg, build_member, estimate_alpha, flag_fn):
         "tail_sup": tail_sup.tolist(),
         "flags": {},
     }
-    flag_fn(cfg, np.asarray(ms), ns, d, np.asarray(alphas), np.asarray(widths), summary)
+    flag_fn(cfg, np.asarray(ms), ns, d, alphas, np.asarray(widths), summary)
     return rows, summary
 
 
@@ -252,8 +265,8 @@ def _run_counterexample(cfg: ScenarioConfig) -> ScenarioReport:
                 diag[int(m)] = float(d[i, j[0]])
         summary["diagonal"] = diag
         floor = tol["diagonal_floor"]
-        big_m = [v for m, v in diag.items() if m >= 8]
-        fl["diagonal_above_e_inv_floor"] = bool(big_m) and min(big_m) > floor
+        big_m = [v for m, v in diag.items() if m >= DIAGONAL_MIN_M]
+        fl["diagonal_above_e_inv_floor"] = min(big_m) > floor
         fl["rows_vanish_in_n"] = float(np.max(d[:, -1])) <= tol["row_vanish"]
         fl["corner_m_dominates_near_one"] = float(d[-1, 0]) >= 0.9
         fl["corner_n_dominates_near_zero"] = float(d[0, -1]) <= tol["row_vanish"]
@@ -277,15 +290,14 @@ def _run_theorem1(cfg: ScenarioConfig) -> ScenarioReport:
         cut = int(tol["tail_n"])
         tail_n = np.asarray(summary["tail_n"])
         tail_sup = np.asarray(summary["tail_sup"])
-        j = np.flatnonzero(tail_n == cut)
-        fl["uniform_tail_bound"] = bool(len(j)) and float(tail_sup[j[0]]) <= tol["tail_bound"]
+        fl["uniform_tail_bound"] = float(tail_sup[tail_n == cut][0]) <= tol["tail_bound"]
         fl["tail_sup_non_increasing"] = bool(np.all(np.diff(tail_sup) <= 1e-12))
 
     rows, summary = _ratio_scenario(cfg, build, est, flags)
 
     # deeper machinery: the weighted-mean harness over the boundary-mean rows
     ms = np.arange(cfg.m_range[0], cfg.m_range[1] + 1)
-    ledgers = _map_members(lambda m: logmilin.log_data(build(int(m))), list(ms))
+    ledgers = [logmilin.log_data(build(int(m))) for m in ms]
     rows_b = np.array([ld.f_coeffs.real for ld in ledgers])
     fam = tauber.DoubleFamily(m_values=ms, coeff_rows=rows_b,
                               alpha=np.zeros(len(ms)))
@@ -319,9 +331,8 @@ def _run_theorem2(cfg: ScenarioConfig) -> ScenarioReport:
         tail_sup = np.asarray(summary["tail_sup"])
         fl["tail_sup_non_increasing"] = bool(np.all(np.diff(tail_sup) <= 1e-12))
         cut = int(tol["simultaneous_tail_n"])
-        j = np.flatnonzero(tail_n == cut)
         allowance = tol["simultaneous_tail_bound"] + float(np.max(widths))
-        fl["simultaneous_tail_bound"] = bool(len(j)) and float(tail_sup[j[0]]) <= allowance
+        fl["simultaneous_tail_bound"] = float(tail_sup[tail_n == cut][0]) <= allowance
         summary["tail_allowance"] = allowance
 
     rows, summary = _ratio_scenario(cfg, build, est, flags)
@@ -340,7 +351,7 @@ def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
     tol = cfg.tolerances
     members, labels = _corpus_with_labels(cfg.series_order)
     n_lo, n_hi = cfg.n_range
-    rows = []
+    cols = {k: [] for k in COLUMNS}
     worst_slack = -math.inf
     max_ratio = 0.0
     per_n_max = {}
@@ -354,10 +365,7 @@ def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
             worst_slack = max(worst_slack, slack)
             max_ratio = max(max_ratio, ratio)
             ok = slack <= tol["zalcman_slack"]
-            rows.append(ReportRow(m=m, n=n, value=float(zal), alpha_m=0.0,
-                                  deviation=float(slack),
-                                  flag="ok" if ok else "fail",
-                                  check="zalcman_ceiling"))
+            _append_row(cols, m, n, zal, 0.0, slack, ok, "zalcman_ceiling")
             key = per_n_max.get(n)
             if key is None or zal > key[0] + 1e-12:
                 per_n_max[n] = (zal, f.kind)
@@ -373,7 +381,7 @@ def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
             "bieberbach_ratio_bound": max_ratio <= 1.0 + 1e-12,
         },
     }
-    return ScenarioReport("zalcman_scan", rows, summary, _provenance(cfg))
+    return ScenarioReport("zalcman_scan", _columns(**cols), summary, _provenance(cfg))
 
 
 def _audit_member(args):
@@ -453,27 +461,57 @@ def _audit_member(args):
 
 def _run_audit(cfg: ScenarioConfig) -> ScenarioReport:
     members, labels = _corpus_with_labels(cfg.series_order)
-    results = _map_members(_audit_member, [(m, f, cfg) for m, f in members])
-    rows = []
+    results = [_audit_member((m, f, cfg)) for m, f in members]
+    cols = {k: [] for k in COLUMNS}
     flags = {}
     for m, label, alpha_val, checks in results:
         for idx, (name, value, margin, ok) in enumerate(checks, start=1):
-            rows.append(ReportRow(m=m, n=idx, value=float(value),
-                                  alpha_m=float(alpha_val),
-                                  deviation=float(margin),
-                                  flag="ok" if ok else "fail", check=name))
+            _append_row(cols, m, idx, value, alpha_val, margin, ok, name)
             key = f"{name}:{label}"
             flags[key] = bool(ok)
     summary = {"labels": labels, "flags": flags}
-    return ScenarioReport("inequality_audit", rows, summary, _provenance(cfg))
+    return ScenarioReport("inequality_audit", _columns(**cols), summary, _provenance(cfg))
 
 
 # -- export -----------------------------------------------------------------
 
+CSV_HEADER = "scenario,m,n,value,alpha_m,deviation,flag"
 
-def _fmt(x: float) -> str:
-    x = 0.0 if x == 0.0 else float(x)  # normalize -0.0
-    return f"{x:.8f}"
+# one row of the report JSON, keys sorted and indented as json.dumps(indent=2) does
+_ROW_JSON = "{\n" + ",\n".join(f'      "{k}": %s' for k in sorted(COLUMNS)) + "\n    }"
+
+
+def _csv_text(rep: ScenarioReport) -> str:
+    c = rep.rows
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    floats = [(c[k] + 0.0).tolist() for k in ("value", "alpha_m", "deviation")]
+    lines = ["%s,%d,%d,%.8f,%.8f,%.8f,%s" % row for row in
+             zip(repeat(rep.scenario), c["m"].tolist(), c["n"].tolist(), *floats, c["flag"])]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
+
+
+def _json_column(col) -> list:
+    """The JSON text of each entry of one report column."""
+    if isinstance(col, list):
+        text = {s: json.dumps(s) for s in set(col)}
+        return [text[s] for s in col]
+    if col.dtype.kind == "f" and len(col):
+        # one C-encoder call; it spells floats (NaN and Infinity too) as the
+        # pure-Python encoder behind indent=2 does, and no float contains ", "
+        return json.dumps(col.tolist())[1:-1].split(", ")
+    return col.tolist()
+
+
+def _json_text(rep: ScenarioReport) -> str:
+    """The text of ``json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\\n"``."""
+    # each top-level value sits one level deep, so its inner lines move two
+    # spaces right; JSON strings escape newlines, so every "\n" is layout
+    parts = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+             for key, value in (("provenance", rep.provenance), ("scenario", rep.scenario),
+                                ("summary", rep.summary))}
+    rows = [_ROW_JSON % row for row in zip(*(_json_column(rep.rows[k]) for k in sorted(COLUMNS)))]
+    parts["rows"] = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    return "{\n  " + ",\n  ".join(f'"{key}": {parts[key]}' for key in sorted(parts)) + "\n}\n"
 
 
 def export_report(rep: ScenarioReport, fmt: str = "both",
@@ -490,17 +528,10 @@ def export_report(rep: ScenarioReport, fmt: str = "both",
     paths = []
     if fmt in ("csv", "both"):
         path = out / f"{rep.scenario}.csv"
-        lines = ["scenario,m,n,value,alpha_m,deviation,flag"]
-        for r in rep.rows:
-            lines.append(
-                f"{rep.scenario},{r.m},{r.n},{_fmt(r.value)},{_fmt(r.alpha_m)},"
-                f"{_fmt(r.deviation)},{r.flag}"
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(_csv_text(rep), encoding="utf-8")
         paths.append(path)
     if fmt in ("json", "both"):
         path = out / f"{rep.scenario}.json"
-        path.write_text(json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n",
-                        encoding="utf-8")
+        path.write_text(_json_text(rep), encoding="utf-8")
         paths.append(path)
     return paths

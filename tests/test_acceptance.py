@@ -202,7 +202,8 @@ def test_08_counterexample_scenario(tmp_path):
     cfg = ScenarioConfig(scenario="counterexample", m_range=(2, 64),
                          n_range=(1, 256), series_order=256, out_dir=str(tmp_path))
     rep = run_scenario(cfg)
-    by_key = {(r.m, r.n): r.value for r in rep.rows}
+    c = rep.rows
+    by_key = dict(zip(zip(c["m"].tolist(), c["n"].tolist()), c["value"].tolist()))
     worst_closed = max(abs(by_key[(m, m)] - (1 - 1 / m) ** (m - 1))
                        for m in range(2, 65))
     diag_min = min(by_key[(m, m)] for m in range(8, 65))
