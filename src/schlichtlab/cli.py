@@ -7,8 +7,9 @@ Subcommands:
   schlicht-lab audit --function koebe --order 128
       run the inequality audit for one corpus member, print the checks.
   schlicht-lab grunsky --function koebe --order 32 --z 0.5,0.0
-      build the Grunsky section of the inverted member, print the norm
-      and the fullness diagnostics at z.
+      build the Grunsky section of the inverted member, print its norm
+      (dense SVD, which also works on the clustered spectra of full
+      mappings) and the fullness diagnostics at z.
 
 Exit code 0 iff every pass/fail flag is ok.
 """
@@ -104,7 +105,7 @@ def grunsky_cmd(tag, order, z_str):
         f = _member(tag, 2 * order + 2)
         g = families.invert_to_sigma(f, 2 * order)
         table = grunsky.grunsky_matrix(g, order)
-        norm = grunsky.strong_grunsky_norm(table)
+        norm = grunsky.grunsky_norm_dense(table)
         ld = logmilin.log_data(f)
         defect, identity = grunsky.full_mapping_defect(table, ld, f, z)
     except SchlichtLabError as exc:

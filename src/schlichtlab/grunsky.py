@@ -15,6 +15,13 @@ and ``gamma_{nk}`` is the coefficient of ``w^{-k}`` in ``E_n / n``.  A
 direct bivariate-logarithm expansion exists as an independent small-order
 oracle (:func:`grunsky_matrix_direct`).
 
+The product ``(g - b0) E_n`` is evaluated in blocks of ``_BLOCK`` nonzero
+``b_m`` (ascending ``m``) rather than one slice-axpy per ``m``.  Its
+summation order is pinned for byte identity: each entry is accumulated as
+the shift plus ``b_m E_n[j + m]`` in ascending ``m``, exactly as a per-``m``
+loop adds them, so the tables match that loop bit for bit, signed zeros
+included.
+
 Entries with ``n + k - 1`` beyond ``g.order`` implicitly use a zero tail;
 supply ``g.order >= 2N - 1`` when the full N x N section must be faithful.
 
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     InvalidAlpha,
@@ -40,6 +48,12 @@ from .errors import (
 from .families import SchlichtFunction, SigmaFunction
 from .logmilin import LogData, direction_weighted_sum
 from .series import ComplexSeries
+
+# m values per block in the Faber row product; bounds the block buffer to
+# (_BLOCK + 1) x (3N + 1) entries
+_BLOCK = 32
+# x + (-0.0 - 0.0j) == x bit for bit for every x, signed zeros included
+_NEG_ZERO = complex(-0.0, -0.0)
 
 
 @dataclass(frozen=True)
@@ -75,23 +89,39 @@ def grunsky_matrix(g: SigmaFunction, n_order: int) -> GrunskyTable:
     tail = np.zeros(size, dtype=np.complex128)
     avail = min(g.order, depth)  # powers below -depth are never consulted
     tail[:avail] = g.tail[:avail]  # tail[m-1] = b_m
+    # the m with b_m != 0 in ascending order, in blocks: the block's m, their
+    # b_m, and which entries of the block buffer enter the sum (row 0 holds
+    # the running sum; row i reads e[j + m_i] only while j + m_i < size)
+    ms = np.flatnonzero(tail[:avail]) + 1
+    cols = np.arange(size)
+    blocks = []
+    for lo in range(0, len(ms), _BLOCK):
+        m_blk = ms[lo : lo + _BLOCK]
+        keep = np.ones((len(m_blk) + 1, size), dtype=bool)
+        keep[1:] = cols + m_blk[:, None] < size
+        blocks.append((m_blk, tail[m_blk - 1, None], keep))
+    padded = np.zeros(2 * size, dtype=np.complex128)
+    windows = sliding_window_view(padded, size)  # windows[m, j] = e[j + m], 0 past the end
+    buf = np.empty((_BLOCK + 1, size), dtype=np.complex128)
 
     def mult_g(e: np.ndarray) -> np.ndarray:
         # multiply a Laurent expansion by (g - b0) = w + sum b_m w^{-m}
+        padded[:size] = e
         out = np.zeros(size, dtype=np.complex128)
         out[1:] = e[:-1]  # the `w *` shift
-        for m in range(1, avail + 1):
-            bm = tail[m - 1]
-            if bm != 0.0:
-                out[: size - m] += bm * e[m:]
+        for m_blk, b_blk, keep in blocks:
+            k = len(m_blk)
+            buf[0] = out
+            np.multiply(b_blk, windows[m_blk], out=buf[1 : k + 1])
+            # an axis-0 reduce adds the kept rows in order; starting it from
+            # -0.0, the exact additive identity, keeps signed zeros, so out[j]
+            # is ((shift + b_m1 e[j+m1]) + b_m2 e[j+m2]) + ... bit for bit
+            out = np.add.reduce(buf[: k + 1], axis=0, where=keep, initial=_NEG_ZERO)
         return out
 
     rows = np.zeros((n_order + 1, size), dtype=np.complex128)
-    e1 = np.zeros(size, dtype=np.complex128)
-    e1[idx(1)] = 1.0
-    for m in range(1, avail + 1):
-        e1[idx(-m)] = tail[m - 1]
-    rows[1] = e1
+    rows[1, idx(1)] = 1.0
+    rows[1, idx(-avail) : idx(0)] = tail[:avail][::-1]  # E_1 = w + sum b_m w^{-m}
     for n in range(1, n_order):
         nxt = mult_g(rows[n])
         if n >= 2:
@@ -101,11 +131,11 @@ def grunsky_matrix(g: SigmaFunction, n_order: int) -> GrunskyTable:
         nxt[idx(0)] -= (n + 1) * bn
         rows[n + 1] = nxt
 
+    # gamma_{nk}: coefficient of w^{-k} in E_n, divided by n
+    ks = np.arange(1, n_order + 1)
+    ns = ks[:, None]
     table = np.zeros((n_order + 1, n_order + 1), dtype=np.complex128)
-    for n in range(1, n_order + 1):
-        # coefficient of w^{-k} in E_n, divided by n
-        ks = np.arange(1, n_order + 1)
-        table[n, 1:] = rows[n][idx(0) - ks] / n
+    table[1:, 1:] = rows[1:, idx(0) - ks] / ns
     return GrunskyTable(order=n_order, gamma_nk=table)
 
 
@@ -117,6 +147,8 @@ def grunsky_matrix_direct(g: SigmaFunction, n_order: int) -> GrunskyTable:
     array of -log(1 - B).  O(N^4) per product, so keep n_order small
     (the tests use 8).
     """
+    if n_order < 1:
+        raise InvalidParameter("table order must be positive")
     if n_order > g.order:
         raise InvalidParameter("table order exceeds the stored exterior order")
     size = n_order + 1
@@ -150,6 +182,10 @@ def strong_grunsky_norm(t: GrunskyTable, tol: float = 1e-10,
     singular-value estimate is stable to ``tol`` (relative).  Univalence
     certifies the result stays <= 1 up to rounding.
     """
+    if not tol > 0.0:
+        raise InvalidParameter("tolerance must be positive")
+    if max_iter is not None and max_iter < 1:
+        raise InvalidParameter("iteration budget must be at least 1")
     b = t.weighted()
     if not np.any(b):
         return 0.0
@@ -158,13 +194,14 @@ def strong_grunsky_norm(t: GrunskyTable, tol: float = 1e-10,
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    b_adj = b.conj().T
     sigma_prev = 0.0
     for _ in range(budget):
         u = b @ v
         sigma = float(np.linalg.norm(u))
         if sigma == 0.0:
             return 0.0
-        v = b.conj().T @ u
+        v = b_adj @ u
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return sigma

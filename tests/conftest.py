@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from schlichtlab import (
     hayman_index,
@@ -27,6 +28,27 @@ def transform_alpha(w: complex) -> float:
 
 def transform_theta(w: complex) -> float:
     return cmath.phase((1.0 - w) / (1.0 - w.conjugate()))
+
+
+@st.composite
+def inverted_members(draw, max_order: int):
+    """(label, exterior map of order 2N, N) over the corpus parameters.
+
+    koebe_transform at |w| <= 0.6, rotation at any theta, dilation at any
+    r in (0, 1); the map is inverted to exterior order 2N, which keeps the
+    whole N x N Grunsky section faithful.
+    """
+    n_order = draw(st.integers(1, max_order))
+    kind = draw(st.sampled_from(["koebe_transform", "rotation", "dilation"]))
+    if kind == "koebe_transform":
+        w = cmath.rect(draw(st.floats(0.0, 0.6)), draw(st.floats(-math.pi, math.pi)))
+        params = {"w": w}
+    elif kind == "rotation":
+        params = {"theta": draw(st.floats(-math.pi, math.pi))}
+    else:
+        params = {"r": draw(st.floats(0.01, 0.99))}
+    f = make_schlicht(kind, params, order=2 * n_order + 2)
+    return f.label(), invert_to_sigma(f, 2 * n_order), n_order
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from schlichtlab.errors import (
     InvalidAlpha,
@@ -20,7 +21,7 @@ from schlichtlab.grunsky import (
 )
 from schlichtlab.logmilin import log_data
 
-from conftest import TRANSFORM_W
+from conftest import TRANSFORM_W, inverted_members
 
 MINUS_LOG_3_4 = -math.log(0.75)  # 0.2876820724517809
 
@@ -82,6 +83,22 @@ class TestMatrix:
         with pytest.raises(InvalidParameter):
             grunsky_matrix(g, 131)
 
+    @pytest.mark.parametrize("n_order", [0, -3])
+    def test_direct_rejects_nonpositive_order(self, koebe_table64, n_order):
+        _, g = koebe_table64
+        with pytest.raises(InvalidParameter, match="table order must be positive"):
+            grunsky_matrix_direct(g, n_order)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=40, deadline=None)
+    @given(member=inverted_members(max_order=8))
+    def test_faber_matches_bivariate_oracle_property(self, member):
+        label, g, n_order = member
+        t = grunsky_matrix(g, n_order)
+        oracle = grunsky_matrix_direct(g, n_order)
+        np.testing.assert_allclose(t.gamma_nk, oracle.gamma_nk, rtol=0, atol=1e-12,
+                                   err_msg=label)
+
 
 class TestNorm:
     def test_inverted_koebe_norm_one(self, koebe_table64):
@@ -116,6 +133,21 @@ class TestNorm:
         t = grunsky_matrix(transform_sigma260, 8)
         with pytest.raises(PowerIterationStalled):
             strong_grunsky_norm(t)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=40, deadline=None)
+    @given(member=inverted_members(max_order=24))
+    def test_dense_norm_univalence_bound_property(self, member):
+        label, g, n_order = member
+        assert grunsky_norm_dense(grunsky_matrix(g, n_order)) <= 1 + 1e-9, label
+
+    @pytest.mark.parametrize("kwargs", [{"max_iter": -5}, {"max_iter": 0},
+                                        {"tol": 0.0}, {"tol": -1e-10},
+                                        {"tol": float("nan")}])
+    def test_rejects_bad_iteration_parameters(self, koebe_table64, kwargs):
+        _, g = koebe_table64
+        with pytest.raises(InvalidParameter):
+            strong_grunsky_norm(grunsky_matrix(g, 16), **kwargs)
 
     def test_budget_exhaustion_raises(self, koebe_table64):
         f, g = koebe_table64

@@ -244,6 +244,17 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "strong norm" in result.output
 
+    @pytest.mark.parametrize("tag", ["koebe", "halfplane", "rotation", "dilation",
+                                     "koebe_transform"])
+    def test_grunsky_subcommand_every_member(self, tag):
+        # koebe_transform's section clusters its singular values at 1, where
+        # power iteration stalls; the command's dense norm must not
+        result = CliRunner().invoke(
+            cli_main, ["grunsky", "--function", tag, "--order", "32",
+                       "--z", "0.5,0.0"])
+        assert result.exit_code == 0, result.output
+        assert "(ok)" in result.output
+
     def test_grunsky_bad_point(self):
         result = CliRunner().invoke(
             cli_main, ["grunsky", "--function", "koebe", "--order", "16",
