@@ -21,7 +21,9 @@ import numpy as np
 
 from schlichtlab import ScenarioConfig, export_report, run_scenario
 
-out_dir = tempfile.mkdtemp(prefix="schlicht-lab-")
+# the reports go to a temporary directory that is removed on exit
+tmp = tempfile.TemporaryDirectory(prefix="schlicht-lab-")
+out_dir = tmp.name
 
 print("counterexample: diagonal refuses to vanish")
 print("-" * 64)
@@ -60,8 +62,9 @@ print(f"  index range across members: [{min(rep.summary['alpha']):.6f}, "
       f"{max(rep.summary['alpha']):.6f}]")
 print(f"  worst estimator bracket: {max(rep.summary['bracket_widths']):.1e}")
 
-paths = export_report(rep)
-print()
-print("reports written (8-decimal CSV plus full-precision JSON):")
-for p in paths:
-    print(" ", p)
+with tmp:
+    paths = export_report(rep)
+    print()
+    print("reports written (8-decimal CSV plus full-precision JSON):")
+    for p in paths:
+        print(" ", p)

@@ -33,6 +33,7 @@ _COEFF_SLACK = 1e-9  # |a_n| <= n + slack, used as a corpus sanity gate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_ANGLE_TOL = 1e-10  # golden-section bracket width that ends the angle search
 
 
 @dataclass(frozen=True)
@@ -340,57 +341,60 @@ def deriv_certified(f: SchlichtFunction, z: complex):
 # -- maximum modulus on circles ----------------------------------------
 
 
-def _golden_max(fn, a: float, b: float, tol: float = 1e-10) -> float:
-    """Abscissa of the maximum of a unimodal fn on [a, b], to width tol."""
-    h = b - a
-    if h <= tol:
-        return 0.5 * (a + b)
-    steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc, yd = fn(c), fn(d)
-    for _ in range(steps):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h *= _INV_PHI
-            c = a + _INV_PHI2 * h
-            yc = fn(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= _INV_PHI
-            d = a + _INV_PHI * h
-            yd = fn(d)
-    return 0.5 * (a + b)
+def max_modulus(f: SchlichtFunction, r, grid: int = 512):
+    """Maximum of |f| on the circles |z| = r and the maximizing angles.
 
+    ``r`` is one radius or a 1-D array of radii.  A uniform grid of
+    ``grid`` (>= 64) angles locates the best cell on every circle in one
+    array evaluation; golden-section refinement then pins each angle to
+    1e-10, all circles in lockstep, with ``np.where`` choosing each
+    circle's side.  |f| on a circle can have several local maxima, so
+    ``grid`` is the density knob.  Every evaluation goes through the same
+    array arithmetic, so a circle's result does not depend on the other
+    radii in the call.
 
-def _circle_abs(f: SchlichtFunction, r: float):
-    """Return theta -> |f(r e^{i theta})| as a vectorizable callable."""
-    if f.has_closed_form:
-        fn = f.value_fn
-    else:
-        fn = f.series
-    return lambda theta: np.abs(fn(r * np.exp(1j * np.asarray(theta))))
-
-
-def max_modulus(f: SchlichtFunction, r: float, grid: int = 512):
-    """Maximum of |f| on the circle |z| = r and the maximizing angle.
-
-    A uniform grid locates the best cell; golden-section refinement then
-    pins the angle to 1e-10.  |f| on a circle can have several local
-    maxima, so ``grid`` (>= 64) is the density knob.
+    Returns ``(M, theta)``: floats for a scalar ``r``, arrays otherwise,
+    with each angle wrapped to (-pi, pi].
     """
-    if not 0.0 < r < 1.0:
+    radii = np.asarray(r)
+    if radii.dtype.kind not in "iuf" or radii.ndim > 1 or radii.size == 0:
+        raise InvalidParameter("radii must be one real number or a non-empty 1-D array")
+    radii = radii.astype(float)
+    if not np.all((radii > 0.0) & (radii < 1.0)):  # NaN fails here too
         raise OutsideDisk(f"radius {r!r} is not inside (0, 1)")
     if grid < 64:
         raise InvalidParameter("grid must be at least 64")
-    g = _circle_abs(f, r)
+    fn = f.value_fn if f.has_closed_form else f.series
+    lanes = np.atleast_1d(radii)
+
+    def circle_abs(rad, theta):
+        return np.abs(fn(rad * np.exp(1j * theta)))
+
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    vals = g(thetas)
-    j = int(np.argmax(vals))
+    j = np.argmax(circle_abs(lanes[:, None], thetas), axis=1)
     h = 2.0 * np.pi / grid
-    theta = _golden_max(lambda t: float(g(t)), thetas[j] - h, thetas[j] + h)
-    theta = math.remainder(theta, 2.0 * math.pi)  # wrap to (-pi, pi]
-    return float(g(theta)), theta
+    a, b = thetas[j] - h, thetas[j] + h
+    # one step count for every lane, from the nominal bracket width 2h
+    steps = int(math.ceil(math.log(_ANGLE_TOL / (2.0 * h)) / math.log(_INV_PHI)))
+    width = b - a
+    c, d = a + _INV_PHI2 * width, a + _INV_PHI * width
+    yc, yd = circle_abs(lanes, c), circle_abs(lanes, d)
+    for _ in range(steps):
+        # left lanes keep [a, d] and probe a new c; the others keep [c, b]
+        left = yc > yd
+        kept, y_kept = np.where(left, c, d), np.where(left, yc, yd)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        width = width * _INV_PHI
+        t = a + np.where(left, _INV_PHI2, _INV_PHI) * width
+        y = circle_abs(lanes, t)
+        c, yc = np.where(left, t, kept), np.where(left, y, y_kept)
+        d, yd = np.where(left, kept, t), np.where(left, y_kept, y)
+    # wrap to (-pi, pi]
+    theta = np.array([math.remainder(t, 2.0 * math.pi) for t in (0.5 * (a + b)).tolist()])
+    vals = circle_abs(lanes, theta)
+    if radii.ndim == 0:
+        return float(vals[0]), float(theta[0])
+    return vals, theta
 
 
 def standard_corpus(order: int = 128):

@@ -36,11 +36,16 @@ _MONOTONE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class GrowthProfile:
-    """Profile values over an increasing radius grid."""
+    """Profile values over an increasing radius grid.
+
+    ``angles`` holds the maximizing angle on each circle for the growth
+    estimator (None for the derivative estimator, which follows one ray).
+    """
 
     radii: np.ndarray
     values: np.ndarray
     estimator: str  # "growth" | "derivative"
+    angles: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,9 @@ def growth_profile(
 ) -> GrowthProfile:
     """Evaluate one of the two monotone growth profiles on a radius grid.
 
+    The growth estimator takes every circle maximum in one lockstep
+    :func:`max_modulus` call over the whole grid.
+
     Raises :class:`NonMonotoneProfile` if the values increase beyond 1e-6
     between consecutive radii (evaluation-error signal), or if a
     series-only function is pushed past ``SERIES_RADIUS_LIMIT`` where its
@@ -94,10 +102,10 @@ def growth_profile(
             "uncontrolled truncation tail; supply a closed form"
         )
 
+    angles = None
     if estimator == "growth":
-        vals = np.array([
-            (1.0 - r) ** 2 / r * max_modulus(f, r, grid=grid)[0] for r in radii
-        ])
+        peaks, angles = max_modulus(f, radii, grid=grid)
+        vals = (1.0 - radii) ** 2 / radii * peaks
     elif estimator == "derivative":
         if theta is None:
             raise InvalidParameter("derivative estimator needs the growth-ray angle theta")
@@ -115,7 +123,26 @@ def growth_profile(
             f"{estimator} profile increased by {worst:.3g}; "
             "insufficient truncation or grid density"
         )
-    return GrowthProfile(radii=radii, values=vals, estimator=estimator)
+    return GrowthProfile(radii=radii, values=vals, estimator=estimator, angles=angles)
+
+
+def _check_single_direction(f: SchlichtFunction, r_probe: float, grid: int) -> None:
+    """Raise :class:`AmbiguousDirection` unless one grid maximum dominates."""
+    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    fn = f.value_fn if f.has_closed_form else f.series
+    vals = np.abs(fn(r_probe * np.exp(1j * thetas)))
+    local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+    peaks = np.flatnonzero(local)
+    if len(peaks) > 1:
+        order = peaks[np.argsort(vals[peaks])[::-1]]
+        best, second = order[0], order[1]
+        sep = abs(math.remainder(thetas[best] - thetas[second], 2.0 * math.pi))
+        window = 4.0 * np.pi / grid
+        if vals[best] - vals[second] <= 1e-6 and sep > window:
+            raise AmbiguousDirection(
+                f"circle maxima at angles {thetas[best]:.4f} and {thetas[second]:.4f} "
+                "agree in modulus; no single growth direction"
+            )
 
 
 def growth_direction(f: SchlichtFunction, r_probe: float, grid: int = 512) -> float:
@@ -129,23 +156,7 @@ def growth_direction(f: SchlichtFunction, r_probe: float, grid: int = 512) -> fl
         raise InvalidParameter("r_probe must lie in [0.9, 1)")
     if grid < 64:
         raise InvalidParameter("grid must be at least 64")
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    if f.has_closed_form:
-        vals = np.abs(f.value_fn(r_probe * np.exp(1j * thetas)))
-    else:
-        vals = np.abs(f.series(r_probe * np.exp(1j * thetas)))
-    local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
-    peaks = np.flatnonzero(local)
-    if len(peaks) > 1:
-        order = peaks[np.argsort(vals[peaks])[::-1]]
-        best, second = order[0], order[1]
-        sep = abs(math.remainder(thetas[best] - thetas[second], 2.0 * math.pi))
-        window = 4.0 * np.pi / grid
-        if vals[best] - vals[second] <= 1e-6 and sep > window:
-            raise AmbiguousDirection(
-                f"circle maxima at angles {thetas[best]:.4f} and {thetas[second]:.4f} "
-                "agree in modulus; no single growth direction"
-            )
+    _check_single_direction(f, r_probe, grid)
     _, theta_star = max_modulus(f, r_probe, grid=grid)
     return theta_star
 
@@ -161,7 +172,10 @@ def hayman_index(
     The growth profile always runs; when a growth direction is known (or
     found by probing), the derivative profile runs too and the pair forms
     the reported bracket.  Both final values are certified upper bounds
-    for the true index.
+    for the true index.  When the probe radius is the schedule's last
+    radius (both default schedules), the direction is the angle the growth
+    profile already found on that circle, so every circle is searched in
+    one :func:`max_modulus` call.
     """
     radii = np.asarray(schedule, dtype=float) if schedule is not None else default_schedule(f)
     prof = growth_profile(f, radii, estimator="growth", grid=grid)
@@ -173,7 +187,12 @@ def hayman_index(
             # from the limiting direction by O(1-r), which only stays harmless
             # relative to the evaluation radius if both shrink together
             r_probe = max(0.9, float(radii[-1]))
-            theta = growth_direction(f, r_probe, grid=grid)
+            if r_probe == radii[-1]:
+                # the growth profile has already searched this circle
+                _check_single_direction(f, r_probe, grid)
+                theta = float(prof.angles[-1])
+            else:
+                theta = growth_direction(f, r_probe, grid=grid)
         except AmbiguousDirection:
             theta = None
 

@@ -240,8 +240,11 @@ def prawitz_check(f: SchlichtFunction, radii, quad_points: int = 1024, grid: int
         )
     means = fine
     violations = 0
-    for i, r0 in enumerate(radii[:-1]):
-        g0 = (1.0 - r0) ** 2 / r0 * max_modulus(f, r0, grid=grid)[0]
+    if len(radii) < 2:
+        return means, violations
+    inner = radii[:-1]
+    growth = (1.0 - inner) ** 2 / inner * max_modulus(f, inner, grid=grid)[0]
+    for i, g0 in enumerate(growth):
         for j in range(i + 1, len(radii)):
             r = radii[j]
             lhs = (1.0 - r) * means[j]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,29 @@ class TestMaxModulus:
             max_modulus(f, 0.5, grid=32)
         with pytest.raises(OutsideDisk):
             max_modulus(f, 1.2)
+
+    @pytest.mark.parametrize("radii, error", [
+        ([], InvalidParameter),
+        ([[0.5, 0.6]], InvalidParameter),
+        (np.array([[0.5]]), InvalidParameter),
+        (0.5j, InvalidParameter),
+        ("0.5", InvalidParameter),
+        (math.nan, OutsideDisk),
+        (math.inf, OutsideDisk),
+        (-math.inf, OutsideDisk),
+        (0.0, OutsideDisk),
+        (1.0, OutsideDisk),
+        ([0.5, math.nan], OutsideDisk),
+        ([0.5, -math.inf], OutsideDisk),
+        ([0.2, 1.0], OutsideDisk),
+        (np.array([-0.1, 0.5]), OutsideDisk),
+    ])
+    def test_radius_validation(self, radii, error):
+        f = make_schlicht("koebe", order=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                max_modulus(f, radii)
 
 
 class TestInvariants:
