@@ -110,7 +110,7 @@ def grunsky_cmd(tag, order, z_str):
         defect, identity = grunsky.full_mapping_defect(table, ld, f, z)
     except SchlichtLabError as exc:
         raise click.ClickException(str(exc)) from exc
-    ok = norm <= 1.0 + 1e-9
+    ok = norm <= 1.0 + lab.DEFAULT_TOLERANCES["norm_slack"]
     click.echo(f"function           {f.label()}")
     click.echo(f"table order        {order}")
     click.echo(f"strong norm        {norm:.12f}  ({'ok' if ok else 'FAIL'})")

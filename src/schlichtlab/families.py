@@ -341,6 +341,22 @@ def deriv_certified(f: SchlichtFunction, z: complex):
 # -- maximum modulus on circles ----------------------------------------
 
 
+def radius_grid(radii) -> np.ndarray:
+    """``radii`` as a float array, checked to be a grid of circles.
+
+    Raises :class:`InvalidParameter` unless ``radii`` is a non-empty 1-D
+    real array, strictly increasing inside (0, 1); NaN and infinities fail.
+    """
+    grid = np.asarray(radii)
+    if grid.dtype.kind not in "iuf" or grid.ndim != 1 or grid.size == 0:
+        raise InvalidParameter("radii must be a non-empty 1-D grid")
+    grid = grid.astype(float)
+    # the range test goes first: NaN fails it, and np.diff never meets an inf
+    if not np.all((grid > 0.0) & (grid < 1.0)) or np.any(np.diff(grid) <= 0.0):
+        raise InvalidParameter("radii must be strictly increasing inside (0, 1)")
+    return grid
+
+
 def max_modulus(f: SchlichtFunction, r, grid: int = 512):
     """Maximum of |f| on the circles |z| = r and the maximizing angles.
 

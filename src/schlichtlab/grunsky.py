@@ -5,22 +5,19 @@ coefficients ``gamma_{nk}`` are defined by
 
     log((g(z) - g(w)) / (z - w)) = - sum_{n,k >= 1} gamma_{nk} z^{-n} w^{-k}.
 
-The production path builds them row by row from the Faber-polynomial
-recurrence: with ``E_n(w) = Phi_n(g(w))`` expanded as a Laurent series,
+The production path builds them row by row from the two-index recurrence
+(Pommerenke, *Univalent Functions*, 1975, ch. 3): with ``b_0 = 0`` and
+``gamma_{1k} = b_k``,
 
-    E_1 = g - b0,
-    E_{n+1} = (g - b0) E_n - sum_{m=1}^{n-1} b_m E_{n-m} - (n+1) b_n,
+    (n+1) gamma_{n+1,k} = b_{n+k} + n gamma_{n,k+1}
+                          + n sum_{j<k} b_{k-j} gamma_{nj}
+                          - sum_{m<n} (n-m) b_m gamma_{n-m,k},
 
-and ``gamma_{nk}`` is the coefficient of ``w^{-k}`` in ``E_n / n``.  A
-direct bivariate-logarithm expansion exists as an independent small-order
-oracle (:func:`grunsky_matrix_direct`).
-
-The product ``(g - b0) E_n`` is evaluated in blocks of ``_BLOCK`` nonzero
-``b_m`` (ascending ``m``) rather than one slice-axpy per ``m``.  Its
-summation order is pinned for byte identity: each entry is accumulated as
-the shift plus ``b_m E_n[j + m]`` in ascending ``m``, exactly as a per-``m``
-loop adds them, so the tables match that loop bit for bit, signed zeros
-included.
+which is the Faber-polynomial recurrence
+``E_{n+1} = (g - b0) E_n - sum_{m<n} b_m E_{n-m} - (n+1) b_n`` read off
+coefficient by coefficient in ``E_n(w) = Phi_n(g(w)) = w^n +
+n sum_k gamma_{nk} w^{-k}``.  A direct bivariate-logarithm expansion
+exists as an independent small-order oracle (:func:`grunsky_matrix_direct`).
 
 Entries with ``n + k - 1`` beyond ``g.order`` implicitly use a zero tail;
 supply ``g.order >= 2N - 1`` when the full N x N section must be faithful.
@@ -37,7 +34,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     InvalidAlpha,
@@ -47,13 +43,6 @@ from .errors import (
 )
 from .families import SchlichtFunction, SigmaFunction
 from .logmilin import LogData, direction_weighted_sum
-from .series import ComplexSeries
-
-# m values per block in the Faber row product; bounds the block buffer to
-# (_BLOCK + 1) x (3N + 1) entries
-_BLOCK = 32
-# x + (-0.0 - 0.0j) == x bit for bit for every x, signed zeros included
-_NEG_ZERO = complex(-0.0, -0.0)
 
 
 @dataclass(frozen=True)
@@ -75,68 +64,39 @@ class GrunskyTable:
 
 
 def grunsky_matrix(g: SigmaFunction, n_order: int) -> GrunskyTable:
-    """Grunsky section of ``g`` via the Faber recurrence."""
+    """Grunsky section of ``g`` via the two-index gamma recurrence.
+
+    With ``b_0 = 0`` and ``gamma_{1k} = b_k``, each row follows from the
+    rows above it:
+
+        (n+1) gamma_{n+1,k} = b_{n+k} + n gamma_{n,k+1}
+                              + n sum_{j<k} b_{k-j} gamma_{nj}
+                              - sum_{m<n} (n-m) b_m gamma_{n-m,k}.
+
+    Row n is needed through column 2N - n, so the rows are kept in one
+    (N+1) x 2N array; each new row costs one convolution and one
+    vector-matrix product.
+    """
     if n_order < 1:
         raise InvalidParameter("table order must be positive")
     if n_order > g.order:
         raise InvalidParameter("table order exceeds the stored exterior order")
-    depth = 2 * n_order  # powers kept: w^{n} .. w^{-depth}
-    size = n_order + depth + 1
-
-    def idx(power: int) -> int:
-        return power + depth  # index 0 <-> power -depth
-
-    tail = np.zeros(size, dtype=np.complex128)
-    avail = min(g.order, depth)  # powers below -depth are never consulted
-    tail[:avail] = g.tail[:avail]  # tail[m-1] = b_m
-    # the m with b_m != 0 in ascending order, in blocks: the block's m, their
-    # b_m, and which entries of the block buffer enter the sum (row 0 holds
-    # the running sum; row i reads e[j + m_i] only while j + m_i < size)
-    ms = np.flatnonzero(tail[:avail]) + 1
-    cols = np.arange(size)
-    blocks = []
-    for lo in range(0, len(ms), _BLOCK):
-        m_blk = ms[lo : lo + _BLOCK]
-        keep = np.ones((len(m_blk) + 1, size), dtype=bool)
-        keep[1:] = cols + m_blk[:, None] < size
-        blocks.append((m_blk, tail[m_blk - 1, None], keep))
-    padded = np.zeros(2 * size, dtype=np.complex128)
-    windows = sliding_window_view(padded, size)  # windows[m, j] = e[j + m], 0 past the end
-    buf = np.empty((_BLOCK + 1, size), dtype=np.complex128)
-
-    def mult_g(e: np.ndarray) -> np.ndarray:
-        # multiply a Laurent expansion by (g - b0) = w + sum b_m w^{-m}
-        padded[:size] = e
-        out = np.zeros(size, dtype=np.complex128)
-        out[1:] = e[:-1]  # the `w *` shift
-        for m_blk, b_blk, keep in blocks:
-            k = len(m_blk)
-            buf[0] = out
-            np.multiply(b_blk, windows[m_blk], out=buf[1 : k + 1])
-            # an axis-0 reduce adds the kept rows in order; starting it from
-            # -0.0, the exact additive identity, keeps signed zeros, so out[j]
-            # is ((shift + b_m1 e[j+m1]) + b_m2 e[j+m2]) + ... bit for bit
-            out = np.add.reduce(buf[: k + 1], axis=0, where=keep, initial=_NEG_ZERO)
-        return out
-
-    rows = np.zeros((n_order + 1, size), dtype=np.complex128)
-    rows[1, idx(1)] = 1.0
-    rows[1, idx(-avail) : idx(0)] = tail[:avail][::-1]  # E_1 = w + sum b_m w^{-m}
+    width = 2 * n_order
+    b = np.zeros(width, dtype=np.complex128)  # b[m] = b_m, zero past g.order
+    avail = min(g.order, width - 1)
+    b[1 : avail + 1] = g.tail[:avail]
+    gam = np.zeros((n_order + 1, width), dtype=np.complex128)
+    gam[1, 1:] = b[1:]
     for n in range(1, n_order):
-        nxt = mult_g(rows[n])
-        if n >= 2:
-            bs = tail[: n - 1]  # b_1 .. b_{n-1}
-            nxt -= bs @ rows[n - 1 : 0 : -1]
-        bn = tail[n - 1] if n <= avail else 0.0
-        nxt[idx(0)] -= (n + 1) * bn
-        rows[n + 1] = nxt
-
-    # gamma_{nk}: coefficient of w^{-k} in E_n, divided by n
-    ks = np.arange(1, n_order + 1)
-    ns = ks[:, None]
-    table = np.zeros((n_order + 1, n_order + 1), dtype=np.complex128)
-    table[1:, 1:] = rows[1:, idx(0) - ks] / ns
-    return GrunskyTable(order=n_order, gamma_nk=table)
+        top = width - n  # row n + 1 is needed through column top - 1
+        weights = np.arange(1, n) * b[n - 1 : 0 : -1]  # (n-m) b_m for m = n-1 .. 1
+        gam[n + 1, 1:top] = (
+            b[n + 1 : width]
+            + n * gam[n, 2 : top + 1]
+            + n * np.convolve(b[:top], gam[n, :top])[1:top]
+            - weights @ gam[1:n, 1:top]
+        ) / (n + 1)
+    return GrunskyTable(order=n_order, gamma_nk=gam[:, : n_order + 1].copy())
 
 
 def grunsky_matrix_direct(g: SigmaFunction, n_order: int) -> GrunskyTable:

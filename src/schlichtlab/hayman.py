@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AmbiguousDirection, InvalidParameter, NonMonotoneProfile
-from .families import SchlichtFunction, deriv_certified, max_modulus
+from .families import SchlichtFunction, deriv_certified, max_modulus, radius_grid
 
 #: beyond this radius pure-series evaluation is refused: at order 256 the
 #: universal coefficient-bound tail already exceeds the profile tolerance.
@@ -91,11 +91,7 @@ def growth_profile(
     series-only function is pushed past ``SERIES_RADIUS_LIMIT`` where its
     truncation tail can no longer be kept inside the tolerance.
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or len(radii) == 0:
-        raise InvalidParameter("radii must be a non-empty 1-D grid")
-    if np.any(radii <= 0.0) or np.any(radii >= 1.0) or np.any(np.diff(radii) <= 0):
-        raise InvalidParameter("radii must be strictly increasing inside (0, 1)")
+    radii = radius_grid(radii)
     if not f.has_closed_form and radii[-1] > SERIES_RADIUS_LIMIT + 1e-15:
         raise NonMonotoneProfile(
             f"series-only evaluation beyond r = {SERIES_RADIUS_LIMIT:.6f} has an "

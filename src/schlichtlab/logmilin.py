@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAlpha, InvalidParameter, QuadratureUnconverged
-from .families import SchlichtFunction, max_modulus
+from .families import SchlichtFunction, max_modulus, radius_grid
 from .series import ComplexSeries
 
 #: numeric bound for Milin's constant used by the partial-sum check
@@ -226,9 +226,7 @@ def prawitz_check(f: SchlichtFunction, radii, quad_points: int = 1024, grid: int
     pairs failing by more than 1e-8.  Raises QuadratureUnconverged if
     doubling ``quad_points`` still moves any mean by more than 1e-9.
     """
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0.0) or np.any(radii >= 1.0) or np.any(np.diff(radii) <= 0):
-        raise InvalidParameter("radii must be strictly increasing inside (0, 1)")
+    radii = radius_grid(radii)
     if quad_points < 256:
         raise InvalidParameter("quad_points must be at least 256")
     coarse = np.array([circle_mean(f, r, quad_points) for r in radii])

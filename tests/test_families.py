@@ -15,6 +15,8 @@ from schlichtlab.families import (
     max_modulus,
     rotated,
 )
+from schlichtlab.hayman import growth_profile
+from schlichtlab.logmilin import prawitz_check
 from schlichtlab.series import ComplexSeries
 
 from conftest import TRANSFORM_W
@@ -201,6 +203,38 @@ class TestMaxModulus:
             warnings.simplefilter("error")
             with pytest.raises(error):
                 max_modulus(f, radii)
+
+
+class TestRadiusGrid:
+    """growth_profile and prawitz_check share one check of their radius grid."""
+
+    CALLERS = {
+        "growth": lambda f, radii: growth_profile(f, radii),
+        "derivative": lambda f, radii: growth_profile(f, radii, estimator="derivative",
+                                                      theta=0.0),
+        "prawitz": lambda f, radii: prawitz_check(f, radii),
+    }
+
+    @pytest.mark.parametrize("radii", [
+        [0.5, math.nan],
+        [math.nan],
+        [0.5, math.inf],
+        [-math.inf, 0.5],
+        [],
+        0.5,
+        [[0.3, 0.5]],
+        [0.5, 0.5],
+        [0.0, 0.5],
+        [0.5, 1.0],
+        [0.5j, 0.6],
+    ], ids=repr)
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_bad_radii_rejected(self, caller, radii):
+        f = make_schlicht("koebe", order=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter):
+                self.CALLERS[caller](f, radii)
 
 
 class TestInvariants:

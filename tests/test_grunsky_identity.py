@@ -1,10 +1,12 @@
-"""Bit identity of grunsky_matrix with the per-m Faber loop it replaced.
+"""grunsky_matrix against the per-m Faber loop, an independent reference.
 
-The reference builder below multiplies by ``g - b0`` with one slice-axpy
-per nonzero ``b_m``, exactly as the production builder did before its
-row product was evaluated in blocks.  The blocked builder keeps the same
-products and the same summation order, so every table must match the
-reference byte for byte, not merely to rounding.
+The reference builder below expands ``E_n = Phi_n(g)`` as Laurent series
+and multiplies by ``g - b0`` with one slice-axpy per nonzero ``b_m``; the
+production builder runs the two-index gamma recurrence on table entries
+instead.  The two sum in different orders, so the weighted matrices
+``sqrt(nk) gamma_{nk}`` must agree to rounding: within
+``1e-13 * max(1, max |ref|)``.  The test ids keep the ``bit_identical``
+suffix from an earlier builder that matched the reference byte for byte.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from schlichtlab.families import SigmaFunction, invert_to_sigma, make_schlicht
-from schlichtlab.grunsky import grunsky_matrix
+from schlichtlab.grunsky import GrunskyTable, grunsky_matrix
 
 from conftest import TRANSFORM_W, inverted_members
 
@@ -61,9 +63,11 @@ def reference_grunsky_matrix(g: SigmaFunction, n_order: int) -> np.ndarray:
     return table
 
 
-def assert_bit_identical(g: SigmaFunction, n_order: int):
-    got = grunsky_matrix(g, n_order).gamma_nk
-    assert got.tobytes() == reference_grunsky_matrix(g, n_order).tobytes()
+def assert_agrees(g: SigmaFunction, n_order: int):
+    got = grunsky_matrix(g, n_order).weighted()
+    ref = GrunskyTable(n_order, reference_grunsky_matrix(g, n_order)).weighted()
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
 
 CORPUS = [
@@ -79,28 +83,28 @@ CORPUS = [
 @pytest.mark.parametrize("kind,params", CORPUS, ids=[k for k, _ in CORPUS])
 def test_corpus_tables_bit_identical(kind, params, n_order):
     f = make_schlicht(kind, params, order=2 * n_order + 2)
-    assert_bit_identical(invert_to_sigma(f, 2 * n_order), n_order)
+    assert_agrees(invert_to_sigma(f, 2 * n_order), n_order)
 
 
 @pytest.mark.parametrize("kind,params", CORPUS, ids=[k for k, _ in CORPUS])
 def test_short_exterior_order_bit_identical(kind, params):
     # g.order < 2N: the entries past the stored tail read a zero tail
     g = invert_to_sigma(make_schlicht(kind, params, order=30), 28)
-    assert_bit_identical(g, 20)
+    assert_agrees(g, 20)
 
 
 def test_sparse_tail_bit_identical():
     tail = np.zeros(20, complex)
     tail[0], tail[1], tail[2], tail[9] = 0.1, 0.05 + 0.02j, -0.02, -0.0
-    assert_bit_identical(SigmaFunction(b0=0.3, tail=tail, order=20), 8)
+    assert_agrees(SigmaFunction(b0=0.3, tail=tail, order=20), 8)
 
 
 def test_signed_zero_running_sum_bit_identical():
     # b_2 = -0.0 - 0.0j is skipped as a multiplier but shifts into the
     # running sum, and b_4 reaches past the top of the expansion there; the
-    # per-m loop leaves that entry at -0.0 - 0.0j
+    # per-m loop leaves that entry at -0.0 - 0.0j, an exact zero all the same
     tail = np.array([0.0, complex(-0.0, -0.0), 0.0, 1.0])
-    assert_bit_identical(SigmaFunction(b0=0.0, tail=tail, order=4), 2)
+    assert_agrees(SigmaFunction(b0=0.0, tail=tail, order=4), 2)
 
 
 @pytest.mark.parametrize("n_order", [2, 3, 5, 8, 17])
@@ -114,11 +118,11 @@ def test_signed_zero_tails_bit_identical(n_order):
         for part in (tail.real, tail.imag):
             part[:] = np.where(rng.random(size) < 0.8, rng.choice([0.0, -0.0], size),
                                rng.standard_normal(size))
-        assert_bit_identical(SigmaFunction(b0=0.0, tail=tail, order=size), n_order)
+        assert_agrees(SigmaFunction(b0=0.0, tail=tail, order=size), n_order)
 
 
 @settings(max_examples=40, deadline=None)
 @given(member=inverted_members(max_order=40))
 def test_parameter_sweep_bit_identical(member):
     _, g, n_order = member
-    assert_bit_identical(g, n_order)
+    assert_agrees(g, n_order)

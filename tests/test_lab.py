@@ -172,6 +172,17 @@ class TestAudit:
         assert "grunsky_norm_bound" in checks
         assert "tauber_split_identity" in checks
 
+    def test_order_128_flags(self, tmp_path):
+        # the audit_grunsky benchmark's scale; its one false flag is the dense
+        # norm of koebe_transform, 1+1.86e-9 against the 1e-9 norm_slack, see
+        # ROADMAP item 2
+        cfg = ScenarioConfig(scenario="inequality_audit", m_range=(1, 1),
+                             n_range=(1, 1), series_order=258, grunsky_order=128,
+                             out_dir=str(tmp_path))
+        flags = run_scenario(cfg).summary["flags"]
+        assert {k for k, ok in flags.items() if not ok} == {
+            "grunsky_norm_bound:koebe_transform(w=0.2121+0.2121j)"}
+
 
 class TestExport:
     def test_csv_format(self, tmp_path):
