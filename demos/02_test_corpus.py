@@ -20,6 +20,13 @@ for f in standard_corpus(order=64):
     print(f"{f.label():42s} a_0..a_4 = {head}")
 
 print()
+print("every closed-form member is z(1 - rho z)/(1 - beta z)^2")
+print("-" * 64)
+for f in standard_corpus(order=64):
+    beta, rho = (complex(c) for c in f.beta_rho)
+    print(f"{f.label():42s} beta = {beta:.4f}  rho = {rho:.4f}")
+
+print()
 print("certified evaluation: closed forms are exact, series carry a tail bound")
 print("-" * 64)
 koebe = make_schlicht("koebe", order=64)

@@ -61,7 +61,7 @@ from .logmilin import (
     milin_check,
     prawitz_check,
 )
-from .series import ComplexSeries, compose, eval_partial
+from .series import ComplexSeries, compose
 from .tauber import (
     DeviationSurface,
     DoubleFamily,
@@ -69,7 +69,6 @@ from .tauber import (
     abel_mean,
     cesaro_mean,
     euler_bracket,
-    mean,
     simultaneous_tauber_harness,
     tauber_decomposition_check,
     uniform_gap,
@@ -77,7 +76,7 @@ from .tauber import (
 )
 
 __all__ = [
-    "ComplexSeries", "compose", "eval_partial",
+    "ComplexSeries", "compose",
     "SchlichtFunction", "SigmaFunction", "make_schlicht", "rotated", "dilated",
     "invert_to_sigma", "eval_certified", "deriv_certified", "max_modulus",
     "standard_corpus",
@@ -88,7 +87,7 @@ __all__ = [
     "GrunskyTable", "grunsky_matrix", "grunsky_matrix_direct",
     "strong_grunsky_norm", "full_mapping_defect", "bazilevich_equality_residual",
     "DoubleFamily", "DeviationSurface", "TauberHarnessReport",
-    "mean", "cesaro_mean", "weighted_mean", "abel_mean",
+    "cesaro_mean", "weighted_mean", "abel_mean",
     "simultaneous_tauber_harness", "tauber_decomposition_check", "uniform_gap",
     "euler_bracket",
     "ScenarioConfig", "ScenarioReport", "run_scenario", "export_report",

@@ -3,20 +3,30 @@
 The corpus members are classical: the Koebe map ``k(z) = z/(1-z)^2``, its
 rotations ``e^{-it} k(e^{it} z)`` and dilations ``f(rz)/r``, the half-plane
 map ``z/(1-z)``, and disk-automorphism transforms of the Koebe map.  Each
-carries its truncated coefficient series plus, where one exists, a closed
-form for values and derivatives so boundary-near evaluation stays honest.
+carries its truncated coefficient series.
+
+Every one of them, and every rotation or dilation of one, is the rational
+map ``f(z) = z(1 - rho z)/(1 - beta z)^2`` for a pair (beta, rho)
+(Pommerenke, *Univalent Functions*, 1975, ch. 1): a rotation by ``phi``
+multiplies the pair by ``e^{i phi}``, a dilation by ``r`` multiplies it by
+``r``.  A closed-form member stores its pair, and one evaluator gives its
+values and derivatives, so boundary-near evaluation stays honest.
+Series-only maps (``custom``) carry no pair and are evaluated from their
+partial sums.
 
 ``invert_to_sigma`` passes from a normalized map ``f`` on the disk to the
-exterior map ``g(z) = 1/f(1/z) = z + b0 + b1/z + ...`` via a series
-reciprocal; the exterior coefficients feed the Grunsky machinery.
+exterior map ``g(z) = 1/f(1/z) = z + b0 + b1/z + ...``; the exterior
+coefficients feed the Grunsky machinery.  For a pair they are exact,
+``b0 = rho - 2 beta`` and ``b_m = rho^{m-1} (rho - beta)^2``; series-only
+maps go through a series reciprocal.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -40,20 +50,34 @@ _ANGLE_TOL = 1e-10  # golden-section bracket width that ends the angle search
 class SchlichtFunction:
     """A normalized univalent function: a_0 = 0, a_1 = 1.
 
-    ``series`` is the truncated coefficient series.  ``value_fn`` and
-    ``deriv_fn`` are closed-form evaluators (None for series-only
-    functions); both accept scalars or numpy arrays.
+    ``series`` is the truncated coefficient series.  ``beta_rho`` is the
+    pair (beta, rho) of the closed form ``z(1 - rho z)/(1 - beta z)^2``, or
+    None for a series-only function.  :meth:`value` and :meth:`deriv`
+    accept scalars or numpy arrays.
     """
 
     series: ComplexSeries
     kind: str
     params: dict
-    value_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
-    deriv_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
+    beta_rho: Optional[tuple] = None
 
     @property
     def has_closed_form(self) -> bool:
-        return self.value_fn is not None
+        return self.beta_rho is not None
+
+    def value(self, z):
+        """f(z): the closed form, or the partial sum of a series-only map."""
+        if self.beta_rho is None:
+            return self.series(z)
+        beta, rho = self.beta_rho
+        return z * (1.0 - rho * z) / (1.0 - beta * z) ** 2
+
+    def deriv(self, z):
+        """f'(z): the closed form, or the derivative's partial sum."""
+        if self.beta_rho is None:
+            return self.series.deriv()(z)
+        beta, rho = self.beta_rho
+        return (1.0 + (beta - 2.0 * rho) * z) / (1.0 - beta * z) ** 3
 
     @property
     def order(self) -> int:
@@ -113,27 +137,38 @@ def _check_class_s(coeffs: np.ndarray, what: str) -> None:
         )
 
 
-def _koebe_value(z):
-    return z / (1.0 - z) ** 2
+def finite_parameter(value, name: str, kind=float):
+    """``value`` converted by ``kind`` (float or complex), checked to be finite.
 
-
-def _koebe_deriv(z):
-    return (1.0 + z) / (1.0 - z) ** 3
+    Raises :class:`InvalidParameter` for values ``kind`` cannot convert
+    and for NaN or infinite results.
+    """
+    try:
+        out = kind(value)
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"{name} must be a number, got {value!r}") from None
+    if not cmath.isfinite(out):
+        raise InvalidParameter(f"{name} must be finite, got {value!r}")
+    return out
 
 
 def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) -> SchlichtFunction:
     """Construct a corpus member by family tag.
 
     kind:
-      * ``koebe``           -- a_n = n
-      * ``rotation``        -- ``theta``: e^{-it} k(e^{it} z), a_n = n e^{i(n-1)t}
+      * ``koebe``           -- a_n = n; (beta, rho) = (1, 0)
+      * ``rotation``        -- ``theta``: e^{-it} k(e^{it} z), a_n = n e^{i(n-1)t};
+                               (beta, rho) = (e^{it}, 0)
       * ``dilation``        -- ``r`` in (0,1), optional ``base`` (default Koebe):
-                               base(r z)/r, a_n -> a_n r^{n-1}
-      * ``halfplane``       -- z/(1-z), a_n = 1
+                               base(r z)/r, a_n -> a_n r^{n-1}; the base's pair
+                               times r
+      * ``halfplane``       -- z/(1-z), a_n = 1; (beta, rho) = (1, 1)
       * ``koebe_transform`` -- ``w`` with |w| < 1: the renormalized composite
                                (k((z+w)/(1+conj(w) z)) - k(w)) / ((1-|w|^2) k'(w)),
-                               built by truncated series algebra
-      * ``custom``          -- ``coeffs``: explicit coefficient array
+                               with beta = (1-conj(w))/(1-w),
+                               rho = (w-conj(w))/(1-w^2) and
+                               a_n = n beta^{n-1} - (n-1) rho beta^{n-2}
+      * ``custom``          -- ``coeffs``: explicit coefficient array (series only)
     """
     params = dict(params or {})
     if order < 2:
@@ -141,44 +176,31 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
 
     if kind == "koebe":
         coeffs = np.arange(order + 1, dtype=np.complex128)
-        return SchlichtFunction(ComplexSeries(coeffs), kind, params,
-                                _koebe_value, _koebe_deriv)
+        return SchlichtFunction(ComplexSeries(coeffs), kind, params, (1.0, 0.0))
 
     if kind == "halfplane":
         coeffs = np.ones(order + 1, dtype=np.complex128)
         coeffs[0] = 0.0
-        return SchlichtFunction(
-            ComplexSeries(coeffs), kind, params,
-            lambda z: z / (1.0 - z),
-            lambda z: 1.0 / (1.0 - z) ** 2,
-        )
+        return SchlichtFunction(ComplexSeries(coeffs), kind, params, (1.0, 1.0))
 
     if kind == "rotation":
-        theta = float(params.get("theta", 0.0))
+        theta = finite_parameter(params.get("theta", 0.0), "rotation theta")
         n = np.arange(order + 1)
         coeffs = n * np.exp(1j * (n - 1) * theta)
         coeffs[0] = 0.0
-        rot = cmath.exp(1j * theta)
-        return SchlichtFunction(
-            ComplexSeries(coeffs), kind, {"theta": theta},
-            lambda z, _r=rot: _koebe_value(_r * z) / _r,
-            lambda z, _r=rot: _koebe_deriv(_r * z),
-        )
+        return SchlichtFunction(ComplexSeries(coeffs), kind, {"theta": theta},
+                                (cmath.exp(1j * theta), 0.0))
 
     if kind == "dilation":
-        r = params.get("r")
-        if r is None or not 0.0 < float(r) < 1.0:
-            raise InvalidParameter("dilation needs r in (0, 1)")
-        r = float(r)
         base = params.get("base")
         if base is None:
             base = make_schlicht("koebe", order=order)
         if base.order < order:
             raise InvalidParameter("dilation base series is shorter than the requested order")
-        return dilated(base, r, order=order)
+        return dilated(base, params.get("r"), order=order)
 
     if kind == "koebe_transform":
-        w = complex(params.get("w", 0.0))
+        w = finite_parameter(params.get("w", 0.0), "koebe_transform w", complex)
         if abs(w) >= 1.0:
             raise InvalidParameter("koebe_transform needs |w| < 1")
         return _koebe_transform(w, order)
@@ -188,70 +210,48 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
         if coeffs.ndim != 1 or len(coeffs) != order + 1:
             raise InvalidParameter("custom needs a coefficient array of length order+1")
         _check_class_s(coeffs, "custom")
-        return SchlichtFunction(ComplexSeries(coeffs), kind, {}, None, None)
+        return SchlichtFunction(ComplexSeries(coeffs), kind, {})
 
     raise InvalidParameter(f"unknown family kind {kind!r}")
 
 
 def _koebe_transform(w: complex, order: int) -> SchlichtFunction:
-    # Series algebra throughout: phi = (z+w)/(1+conj(w) z) as a truncated
-    # series, then k(phi) = phi/(1-phi)^2 via series reciprocal.  Expanding
-    # the Koebe map around w and composing would be equivalent but loses
-    # precision geometrically in |1-w|^{-order}.
+    # (k(phi) - k(w)) / ((1-|w|^2) k'(w)) with phi = (z+w)/(1+conj(w) z)
+    # is z(1 - rho z)/(1 - beta z)^2, and |beta| = 1
     wc = w.conjugate()
-    num = np.zeros(order + 1, dtype=np.complex128)
-    num[0], num[1] = w, 1.0
-    den = np.zeros(order + 1, dtype=np.complex128)
-    den[0], den[1] = 1.0, wc
-    phi = ComplexSeries(num) / ComplexSeries(den)
-    inv = 1.0 / (1.0 - phi)
-    kphi = phi * inv * inv
-    kw = _koebe_value(w)
-    scale = (1.0 - abs(w) ** 2) * _koebe_deriv(w)
-    fser = (kphi - kw) / scale
-    coeffs = fser.coeffs.copy()
-    if abs(coeffs[0]) > 1e-10 or abs(coeffs[1] - 1.0) > 1e-10:
-        raise InvalidParameter(
-            "koebe_transform lost its normalization; parameters are too "
-            "close to the boundary for this order"
-        )
-    # the constant and linear terms are 0 and 1 up to rounding; pin them
-    coeffs[0] = 0.0
-    coeffs[1] = 1.0
+    beta = (1.0 - wc) / (1.0 - w)
+    rho = (w - wc) / (1.0 - w * w)
+    n = np.arange(1, order + 1)
+    coeffs = np.zeros(order + 1, dtype=np.complex128)
+    coeffs[1:] = beta ** (n - 2.0) * (n * beta - (n - 1.0) * rho)
+    coeffs[1] = 1.0  # beta^{-1} beta, up to rounding
     _check_class_s(coeffs, "koebe_transform")
-
-    def value(z, _w=w, _wc=wc, _kw=kw, _scale=scale):
-        phi_z = (z + _w) / (1.0 + _wc * z)
-        return (_koebe_value(phi_z) - _kw) / _scale
-
-    def deriv(z, _w=w, _wc=wc, _scale=scale):
-        phi_z = (z + _w) / (1.0 + _wc * z)
-        dphi = (1.0 - abs(_w) ** 2) / (1.0 + _wc * z) ** 2
-        return _koebe_deriv(phi_z) * dphi / _scale
-
     return SchlichtFunction(ComplexSeries(coeffs), "koebe_transform", {"w": w},
-                            value, deriv)
+                            (beta, rho))
+
+
+def _scaled_pair(f: SchlichtFunction, c):
+    """The pair of ``f(c z)/c``: (c beta, c rho), or None for a series-only map."""
+    if f.beta_rho is None:
+        return None
+    beta, rho = f.beta_rho
+    return beta * c, rho * c
 
 
 def rotated(f: SchlichtFunction, phi: float) -> SchlichtFunction:
     """Rotate any corpus member: ``e^{-i phi} f(e^{i phi} z)`` (stays normalized)."""
+    phi = finite_parameter(phi, "rotation angle phi")
     n = np.arange(f.order + 1)
     coeffs = f.series.coeffs * np.exp(1j * (n - 1) * phi)
-    coeffs = coeffs.copy()
     coeffs[0] = 0.0
-    rot = cmath.exp(1j * phi)
-    value_fn = deriv_fn = None
-    if f.has_closed_form:
-        base_v, base_d = f.value_fn, f.deriv_fn
-        value_fn = lambda z, _r=rot: base_v(_r * z) / _r  # noqa: E731
-        deriv_fn = lambda z, _r=rot: base_d(_r * z)  # noqa: E731
     return SchlichtFunction(ComplexSeries(coeffs), "custom",
                             {"rotated_from": f.kind, "phi": phi},
-                            value_fn, deriv_fn)
+                            _scaled_pair(f, cmath.exp(1j * phi)))
 
 
 def dilated(f: SchlichtFunction, r: float, order: Optional[int] = None) -> SchlichtFunction:
     """Dilate any corpus member: ``f(r z)/r`` (stays normalized)."""
+    r = finite_parameter(r, "dilation r")
     if not 0.0 < r < 1.0:
         raise InvalidParameter("dilation needs r in (0, 1)")
     order = f.order if order is None else order
@@ -259,30 +259,30 @@ def dilated(f: SchlichtFunction, r: float, order: Optional[int] = None) -> Schli
         raise InvalidParameter("dilation cannot extend the base series")
     n = np.arange(order + 1)
     coeffs = f.series.coeffs[: order + 1] * r ** (n - 1.0)
-    coeffs = coeffs.copy()
     coeffs[0] = 0.0
-    value_fn = deriv_fn = None
-    if f.has_closed_form:
-        base_v, base_d = f.value_fn, f.deriv_fn
-        value_fn = lambda z, _r=r: base_v(_r * z) / _r  # noqa: E731
-        deriv_fn = lambda z, _r=r: base_d(_r * z)  # noqa: E731
     return SchlichtFunction(ComplexSeries(coeffs), "dilation",
-                            {"r": r, "base": f.kind},
-                            value_fn, deriv_fn)
+                            {"r": r, "base": f.kind}, _scaled_pair(f, r))
 
 
 def invert_to_sigma(f: SchlichtFunction, order: int) -> SigmaFunction:
     """Exterior coefficients of ``g(z) = 1/f(1/z)``.
 
-    With ``P(u) = f(u)/u`` (constant term 1), the reciprocal ``Q = 1/P``
-    gives ``g(z) = z * Q(1/z) = z + q_1 + q_2/z + ...``, so ``b_n = q_{n+1}``.
-    Needs ``f.order >= order + 2`` so the reciprocal is exact through the
-    requested exterior order.
+    For a closed form, ``g(z) = (z - beta)^2 sum_j rho^j z^{-j-1}``, so
+    ``b0 = rho - 2 beta`` and ``b_m = rho^{m-1} (rho - beta)^2`` exactly.
+    For a series-only map, with ``P(u) = f(u)/u`` (constant term 1), the
+    reciprocal ``Q = 1/P`` gives ``g(z) = z * Q(1/z) = z + q_1 + q_2/z + ...``,
+    so ``b_n = q_{n+1}``.  Either way the series must reach ``order + 2``,
+    which the reciprocal needs to be exact through the exterior order.
     """
     if f.order < order + 2:
         raise InvalidParameter(
             f"inversion to exterior order {order} needs a series of order >= {order + 2}"
         )
+    if f.has_closed_form:
+        beta, rho = f.beta_rho
+        return SigmaFunction(b0=complex(rho - 2.0 * beta),
+                             tail=rho ** np.arange(order) * (rho - beta) ** 2,
+                             order=order)
     p = ComplexSeries(f.series.coeffs[1:])  # f(u)/u
     q = 1.0 / p
     return SigmaFunction(b0=complex(q.coeffs[1]),
@@ -317,11 +317,10 @@ def eval_certified(f: SchlichtFunction, z: complex):
     partial sum plus the tail bound sum_{n>N} n |z|^n, valid for every
     normalized univalent function by the coefficient bound |a_n| <= n.
     """
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # NaN fails here too
         raise OutsideDisk(f"|z| = {abs(z):.6g} is not inside the unit disk")
-    if f.has_closed_form:
-        return f.value_fn(z), 0.0
-    return f.series(z), _tail_linear(f.order, abs(z))
+    bound = 0.0 if f.has_closed_form else _tail_linear(f.order, abs(z))
+    return f.value(z), bound
 
 
 def deriv_certified(f: SchlichtFunction, z: complex):
@@ -329,13 +328,11 @@ def deriv_certified(f: SchlichtFunction, z: complex):
 
     The series tail bound is sum_{n>N} n^2 |z|^{n-1}, again from |a_n| <= n.
     """
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # NaN fails here too
         raise OutsideDisk(f"|z| = {abs(z):.6g} is not inside the unit disk")
-    if f.deriv_fn is not None:
-        return f.deriv_fn(z), 0.0
     x = abs(z)
-    bound = 0.0 if x == 0.0 else _tail_quadratic(f.order, x) / x
-    return f.series.deriv()(z), bound
+    bound = 0.0 if f.has_closed_form or x == 0.0 else _tail_quadratic(f.order, x) / x
+    return f.deriv(z), bound
 
 
 # -- maximum modulus on circles ----------------------------------------
@@ -380,11 +377,10 @@ def max_modulus(f: SchlichtFunction, r, grid: int = 512):
         raise OutsideDisk(f"radius {r!r} is not inside (0, 1)")
     if grid < 64:
         raise InvalidParameter("grid must be at least 64")
-    fn = f.value_fn if f.has_closed_form else f.series
     lanes = np.atleast_1d(radii)
 
     def circle_abs(rad, theta):
-        return np.abs(fn(rad * np.exp(1j * theta)))
+        return np.abs(f.value(rad * np.exp(1j * theta)))
 
     thetas = 2.0 * np.pi * np.arange(grid) / grid
     j = np.argmax(circle_abs(lanes[:, None], thetas), axis=1)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AmbiguousDirection, InvalidParameter, NonMonotoneProfile
-from .families import SchlichtFunction, deriv_certified, max_modulus, radius_grid
+from .families import SchlichtFunction, finite_parameter, max_modulus, radius_grid
 
 #: beyond this radius pure-series evaluation is refused: at order 256 the
 #: universal coefficient-bound tail already exceeds the profile tolerance.
@@ -84,7 +84,8 @@ def growth_profile(
     """Evaluate one of the two monotone growth profiles on a radius grid.
 
     The growth estimator takes every circle maximum in one lockstep
-    :func:`max_modulus` call over the whole grid.
+    :func:`max_modulus` call over the whole grid; the derivative estimator
+    evaluates f' on the whole ray in one array evaluation.
 
     Raises :class:`NonMonotoneProfile` if the values increase beyond 1e-6
     between consecutive radii (evaluation-error signal), or if a
@@ -105,11 +106,8 @@ def growth_profile(
     elif estimator == "derivative":
         if theta is None:
             raise InvalidParameter("derivative estimator needs the growth-ray angle theta")
-        ray = np.exp(1j * theta)
-        vals = np.array([
-            (1.0 - r) ** 3 * abs(deriv_certified(f, r * ray)[0]) / (1.0 + r)
-            for r in radii
-        ])
+        ray = np.exp(1j * finite_parameter(theta, "growth-ray angle theta"))
+        vals = (1.0 - radii) ** 3 * np.abs(f.deriv(radii * ray)) / (1.0 + radii)
     else:
         raise InvalidParameter(f"unknown estimator {estimator!r}")
 
@@ -125,8 +123,7 @@ def growth_profile(
 def _check_single_direction(f: SchlichtFunction, r_probe: float, grid: int) -> None:
     """Raise :class:`AmbiguousDirection` unless one grid maximum dominates."""
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    fn = f.value_fn if f.has_closed_form else f.series
-    vals = np.abs(fn(r_probe * np.exp(1j * thetas)))
+    vals = np.abs(f.value(r_probe * np.exp(1j * thetas)))
     local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
     peaks = np.flatnonzero(local)
     if len(peaks) > 1:

@@ -213,8 +213,7 @@ def circle_mean(f: SchlichtFunction, r: float, quad_points: int) -> float:
     """(1/2pi) integral of |f(r e^{it})| dt by the periodic trapezoid rule."""
     t = 2.0 * np.pi * np.arange(quad_points) / quad_points
     z = r * np.exp(1j * t)
-    vals = np.abs(f.value_fn(z)) if f.has_closed_form else np.abs(f.series(z))
-    return float(np.mean(vals))
+    return float(np.mean(np.abs(f.value(z))))
 
 
 def prawitz_check(f: SchlichtFunction, radii, quad_points: int = 1024, grid: int = 512):

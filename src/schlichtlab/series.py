@@ -203,8 +203,3 @@ def compose(outer: ComplexSeries, inner: ComplexSeries) -> ComplexSeries:
         acc = np.convolve(acc, g)[: n + 1]
         acc[0] += c
     return ComplexSeries(acc)
-
-
-def eval_partial(s: ComplexSeries, z) -> complex:
-    """Exact partial sum of ``s`` at ``z`` (alias for calling the series)."""
-    return s(z)

@@ -15,7 +15,8 @@ t-grid (a declared config knob, with t = 1 filled by the target values).
 splitting the boundary-mean series minus a Cesaro mean into weighted
 delta-tails; ``uniform_gap`` is the monotone-family uniform-convergence
 gap estimator; ``euler_bracket`` is the elementary bracket
-(1 - 1/(n+1))^{n+1} < 1/e < (1 - 1/(n+1))^n used by radius schedules.
+(1 - 1/(n+1))^{n+1} < 1/e < (1 - 1/(n+1))^n, whose upper end is the
+counterexample's diagonal value (1 - 1/m)^{m-1} at m = n + 1.
 """
 
 from __future__ import annotations
@@ -67,17 +68,6 @@ def abel_mean(coeffs, t: float):
     if not 0.0 <= t < 1.0:
         raise InvalidParameter("abel mean needs 0 <= t < 1")
     return np.polyval(coeffs[::-1], t)
-
-
-def mean(kind: str, coeffs, param):
-    """Dispatch on kind in {cesaro, weighted, abel}."""
-    if kind == "cesaro":
-        return cesaro_mean(coeffs, int(param))
-    if kind == "weighted":
-        return weighted_mean(coeffs, int(param))
-    if kind == "abel":
-        return abel_mean(coeffs, float(param))
-    raise InvalidParameter(f"unknown mean kind {kind!r}")
 
 
 # -- double-indexed family harness ---------------------------------------

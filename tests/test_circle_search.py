@@ -50,10 +50,8 @@ def _golden_max(fn, a, b, tol=1e-10):
 
 
 def reference_max_modulus(f, r, grid=512):
-    fn = f.value_fn if f.has_closed_form else f.series
-
     def g(theta):
-        return np.abs(fn(r * np.exp(1j * np.asarray(theta))))
+        return np.abs(f.value(r * np.exp(1j * np.asarray(theta))))
 
     thetas = 2.0 * np.pi * np.arange(grid) / grid
     j = int(np.argmax(g(thetas)))

@@ -1,0 +1,201 @@
+"""The two-parameter closed form z(1 - rho z)/(1 - beta z)^2 of the corpus.
+
+The series-algebra construction of ``koebe_transform`` and the series
+reciprocal of ``invert_to_sigma`` are kept here as references, together
+with the coefficient formulas of koebe, halfplane and dilation, which the
+closed-form route must reproduce bit for bit.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schlichtlab.families import (
+    deriv_certified,
+    dilated,
+    eval_certified,
+    invert_to_sigma,
+    make_schlicht,
+    rotated,
+)
+from schlichtlab.series import ComplexSeries
+
+EPS = np.finfo(float).eps
+
+
+def reference_koebe_transform(w, order):
+    """(k(phi) - k(w)) / ((1-|w|^2) k'(w)) by truncated series algebra."""
+    wc = w.conjugate()
+    num = np.zeros(order + 1, dtype=np.complex128)
+    num[0], num[1] = w, 1.0
+    den = np.zeros(order + 1, dtype=np.complex128)
+    den[0], den[1] = 1.0, wc
+    phi = ComplexSeries(num) / ComplexSeries(den)
+    inv = 1.0 / (1.0 - phi)
+    kphi = phi * inv * inv
+    kw = w / (1.0 - w) ** 2
+    scale = (1.0 - abs(w) ** 2) * (1.0 + w) / (1.0 - w) ** 3
+    coeffs = ((kphi - kw) / scale).coeffs.copy()
+    coeffs[0], coeffs[1] = 0.0, 1.0
+    return coeffs
+
+
+def reference_inversion(coeffs, order):
+    """(b0, b_1 .. b_order) of 1/f(1/z) by the series reciprocal of f(u)/u."""
+    q = (1.0 / ComplexSeries(coeffs[1:])).coeffs
+    return complex(q[1]), q[2 : order + 2]
+
+
+def reference_rotated(coeffs, phi):
+    n = np.arange(len(coeffs))
+    out = coeffs * np.exp(1j * (n - 1) * phi)
+    out[0] = 0.0
+    return out
+
+
+def reference_dilated(coeffs, r):
+    n = np.arange(len(coeffs))
+    out = coeffs * r ** (n - 1.0)
+    out[0] = 0.0
+    return out
+
+
+angles = st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi)
+radii = st.floats(min_value=0.05, max_value=0.99)
+
+
+@st.composite
+def transform_points(draw):
+    rad = draw(st.floats(min_value=0.0, max_value=0.6))
+    return rad * cmath.exp(1j * draw(angles))
+
+
+@st.composite
+def members_with_references(draw, max_order=128):
+    """A closed-form member, optionally rotated and dilated, with its reference coefficients."""
+    order = draw(st.integers(min_value=2, max_value=max_order))
+    kind = draw(st.sampled_from(["koebe_transform", "rotation", "dilation",
+                                 "koebe", "halfplane"]))
+    if kind == "koebe_transform":
+        w = draw(transform_points())
+        f = make_schlicht(kind, {"w": w}, order)
+        ref = reference_koebe_transform(w, order)
+    elif kind == "rotation":
+        theta = draw(angles)
+        f = make_schlicht(kind, {"theta": theta}, order)
+        n = np.arange(order + 1)
+        ref = n * np.exp(1j * (n - 1) * theta)
+        ref[0] = 0.0
+    elif kind == "dilation":
+        r = draw(radii)
+        f = make_schlicht(kind, {"r": r}, order)
+        ref = reference_dilated(np.arange(order + 1, dtype=np.complex128), r)
+    else:
+        f = make_schlicht(kind, order=order)
+        ref = f.series.coeffs.copy()
+    if draw(st.booleans()):
+        phi = draw(angles)
+        f, ref = rotated(f, phi), reference_rotated(ref, phi)
+    if draw(st.booleans()):
+        r = draw(radii)
+        f, ref = dilated(f, r), reference_dilated(ref, r)
+    return f, ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(members_with_references())
+def test_coefficients_match_the_series_algebra(member):
+    f, ref = member
+    assert f.has_closed_form
+    n = np.arange(f.order + 1)
+    assert np.all(np.abs(f.series.coeffs - ref) <= 1e-13 * n), f.label()
+
+
+@settings(max_examples=150, deadline=None)
+@given(members_with_references(max_order=66))
+def test_exterior_coefficients_match_the_series_reciprocal(member):
+    # the reciprocal is a triangular solve whose rounding grows like N^2 eps
+    f, _ = member
+    order = f.order - 2
+    g = invert_to_sigma(f, order)
+    b0, tail = reference_inversion(f.series.coeffs, order)
+    tol = 100.0 * EPS * max(order, 1) ** 2
+    assert abs(g.b0 - b0) <= tol
+    assert np.max(np.abs(g.tail - tail), initial=0.0) <= tol, f.label()
+
+
+@pytest.mark.parametrize("order", [2, 17, 256])
+def test_koebe_and_halfplane_coefficients_bit_identical(order):
+    koebe = np.arange(order + 1, dtype=np.complex128)
+    halfplane = np.ones(order + 1, dtype=np.complex128)
+    halfplane[0] = 0.0
+    assert make_schlicht("koebe", order=order).series.coeffs.tobytes() == koebe.tobytes()
+    assert make_schlicht("halfplane", order=order).series.coeffs.tobytes() == halfplane.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["koebe", "halfplane"]), radii,
+       st.integers(min_value=2, max_value=256))
+def test_dilation_coefficients_bit_identical(base_kind, r, order):
+    base = make_schlicht(base_kind, order=order)
+    expect = reference_dilated(base.series.coeffs, r)
+    assert dilated(base, r).series.coeffs.tobytes() == expect.tobytes()
+    if base_kind == "koebe":
+        f = make_schlicht("dilation", {"r": r}, order)
+        assert f.series.coeffs.tobytes() == expect.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(members_with_references(), st.floats(min_value=0.0, max_value=0.5), angles)
+def test_value_and_derivative_match_partial_sums(member, rad, t):
+    # a partial sum misses the tail beyond the order, which |a_n| <= n bounds
+    # by sum_{n>N} n |z|^n (and n^2 |z|^{n-1} for f'); past 400 more terms
+    # the bound is below 1e-100 at |z| <= 1/2
+    f, _ = member
+    z = rad * cmath.exp(1j * t)
+    val, _ = eval_certified(f, z)
+    der, _ = deriv_certified(f, z)
+    val_tail = sum(n * rad ** n for n in range(f.order + 1, f.order + 400))
+    der_tail = sum(n * n * rad ** (n - 1) for n in range(f.order + 1, f.order + 400))
+    assert abs(val - f.series(z)) <= val_tail + 1e-13 * max(1.0, abs(val))
+    assert abs(der - f.series.deriv()(z)) <= der_tail + 1e-13 * max(1.0, abs(der))
+
+
+def test_pairs_of_the_corpus():
+    w = 0.3 * cmath.exp(0.25j * math.pi)
+    assert make_schlicht("koebe", order=8).beta_rho == (1.0, 0.0)
+    assert make_schlicht("halfplane", order=8).beta_rho == (1.0, 1.0)
+    assert make_schlicht("rotation", {"theta": 0.7}, order=8).beta_rho == (cmath.exp(0.7j), 0.0)
+    beta, rho = make_schlicht("koebe_transform", {"w": w}, order=8).beta_rho
+    assert beta == (1.0 - w.conjugate()) / (1.0 - w)
+    assert rho == (w - w.conjugate()) / (1.0 - w * w)
+    assert dilated(make_schlicht("halfplane", order=8), 0.5).beta_rho == (0.5, 0.5)
+    assert rotated(make_schlicht("koebe", order=8), 0.3).beta_rho == (cmath.exp(0.3j), 0.0)
+    series_only = make_schlicht("custom", {"coeffs": np.arange(9)}, order=8)
+    assert series_only.beta_rho is None
+    assert dilated(series_only, 0.5).beta_rho is None
+    assert rotated(series_only, 0.5).beta_rho is None
+
+
+def test_exterior_coefficients_exact_for_rotation():
+    # g(z) = z - 2 e^{it} + e^{2it}/z: every b_m with m >= 2 is exactly zero
+    f = make_schlicht("rotation", {"theta": math.pi / 3.0}, order=258)
+    g = invert_to_sigma(f, 256)
+    beta = cmath.exp(1j * math.pi / 3.0)
+    assert g.b0 == -2.0 * beta
+    assert g.tail[0] == beta * beta
+    assert not np.any(g.tail[1:])
+
+
+def test_series_only_dilation_stays_on_the_series_route():
+    coeffs = np.zeros(41, dtype=np.complex128)
+    coeffs[1], coeffs[2] = 1.0, 0.5
+    f = dilated(make_schlicht("custom", {"coeffs": coeffs}, order=40), 0.8)
+    g = invert_to_sigma(f, 38)
+    b0, tail = reference_inversion(f.series.coeffs, 38)
+    assert g.b0 == b0
+    assert g.tail.tobytes() == tail.tobytes()

@@ -15,7 +15,7 @@ from schlichtlab.families import (
     max_modulus,
     rotated,
 )
-from schlichtlab.hayman import growth_profile
+from schlichtlab.hayman import growth_profile, hayman_index
 from schlichtlab.logmilin import prawitz_check
 from schlichtlab.series import ComplexSeries
 
@@ -235,6 +235,56 @@ class TestRadiusGrid:
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameter):
                 self.CALLERS[caller](f, radii)
+
+
+def _koebe16():
+    return make_schlicht("koebe", order=16)
+
+
+def _series_only16():
+    return make_schlicht("custom", {"coeffs": np.arange(17)}, order=16)
+
+
+class TestBadInputs:
+    """Bad parameters and points raise a SchlichtLabError, never a warning or NaN."""
+
+    CASES = {
+        "rotation theta inf": (InvalidParameter,
+                               lambda: make_schlicht("rotation", {"theta": math.inf}, 16)),
+        "rotation theta nan": (InvalidParameter,
+                               lambda: make_schlicht("rotation", {"theta": math.nan}, 16)),
+        "rotation theta str": (InvalidParameter,
+                               lambda: make_schlicht("rotation", {"theta": "x"}, 16)),
+        "rotated phi inf": (InvalidParameter, lambda: rotated(_koebe16(), math.inf)),
+        "rotated phi nan": (InvalidParameter, lambda: rotated(_series_only16(), math.nan)),
+        "dilation r str": (InvalidParameter,
+                           lambda: make_schlicht("dilation", {"r": "x"}, 16)),
+        "dilation r missing": (InvalidParameter, lambda: make_schlicht("dilation", {}, 16)),
+        "dilation r nan": (InvalidParameter,
+                           lambda: make_schlicht("dilation", {"r": math.nan}, 16)),
+        "dilated r None": (InvalidParameter, lambda: dilated(_koebe16(), None)),
+        "transform w nan": (InvalidParameter,
+                            lambda: make_schlicht("koebe_transform", {"w": complex(math.nan, 0)}, 16)),
+        "transform w str": (InvalidParameter,
+                            lambda: make_schlicht("koebe_transform", {"w": "x"}, 16)),
+        "eval nan": (OutsideDisk, lambda: eval_certified(_koebe16(), math.nan)),
+        "eval nan series-only": (OutsideDisk, lambda: eval_certified(_series_only16(), math.nan)),
+        "eval complex inf": (OutsideDisk, lambda: eval_certified(_koebe16(), complex(0, math.inf))),
+        "deriv nan": (OutsideDisk, lambda: deriv_certified(_koebe16(), math.nan)),
+        "deriv nan series-only": (OutsideDisk,
+                                  lambda: deriv_certified(_series_only16(), complex(math.nan, 0))),
+        "hayman theta nan": (InvalidParameter, lambda: hayman_index(_koebe16(), theta=math.nan)),
+        "hayman theta inf": (InvalidParameter, lambda: hayman_index(_koebe16(), theta=math.inf)),
+        "derivative profile theta nan": (InvalidParameter, lambda: growth_profile(
+            _koebe16(), [0.5, 0.75], estimator="derivative", theta=math.nan)),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_lab_error(self, case):
+        error, call = self.CASES[case]
+        with pytest.raises(error):
+            call()
 
 
 class TestInvariants:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schlichtlab.errors import AmbiguousDirection, InvalidParameter, NonMonotoneProfile
-from schlichtlab.families import make_schlicht
+from schlichtlab.families import deriv_certified, make_schlicht
 from schlichtlab.hayman import (
     SERIES_RADIUS_LIMIT,
     default_schedule,
@@ -49,6 +49,22 @@ class TestGrowthProfile:
         f = make_schlicht("custom", {"coeffs": np.arange(257)}, order=256)
         prof = growth_profile(f, [0.5, 0.9, SERIES_RADIUS_LIMIT])
         assert np.all(np.diff(prof.values) <= 1e-6)
+
+    @pytest.mark.parametrize("f", [
+        make_schlicht("koebe_transform", {"w": TRANSFORM_W}, order=64),
+        make_schlicht("dilation", {"r": 0.9}, order=64),
+        make_schlicht("custom", {"coeffs": np.r_[0.0, 1.0, np.arange(2, 65) * 0.5 ** np.arange(2, 65)]},
+                      order=64),
+    ], ids=lambda f: f.kind)
+    def test_derivative_profile_matches_pointwise_derivatives(self, f):
+        # one array evaluation of f' along the ray, against one
+        # deriv_certified call per radius
+        radii = default_schedule(f)
+        theta = 0.3
+        prof = growth_profile(f, radii, estimator="derivative", theta=theta)
+        ref = [(1.0 - r) ** 3 * abs(deriv_certified(f, r * np.exp(1j * theta))[0]) / (1.0 + r)
+               for r in radii]
+        np.testing.assert_allclose(prof.values, ref, rtol=1e-13, atol=0.0)
 
     def test_derivative_needs_theta(self):
         f = make_schlicht("koebe", order=16)

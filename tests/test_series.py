@@ -10,7 +10,7 @@ from schlichtlab.errors import (
     InnerConstantTermNonzero,
     UnnormalizedConstantTerm,
 )
-from schlichtlab.series import ComplexSeries, compose, eval_partial
+from schlichtlab.series import ComplexSeries, compose
 
 
 def geometric_ones(order):
@@ -121,10 +121,6 @@ class TestEval:
         tail = 0.9 ** (n + 1) / ((n + 1) * 0.1)
         assert abs(val - (-math.log(0.1))) <= tail + 1e-12
         assert abs(val - (-math.log(0.1))) < 1e-4
-
-    def test_eval_partial_alias(self):
-        s = ComplexSeries([1, 2, 3])
-        assert eval_partial(s, 0.5) == s(0.5)
 
 
 # -- randomized algebra laws ------------------------------------------------

@@ -18,7 +18,6 @@ from schlichtlab.tauber import (
     abel_mean,
     cesaro_mean,
     euler_bracket,
-    mean,
     simultaneous_tauber_harness,
     tail_supremum,
     tauber_decomposition_check,
@@ -44,13 +43,6 @@ class TestMeans:
         ld = log_data(make_schlicht("koebe", order=66))
         rows = 2.0 * (ld.gamma[1:].real - 1.0 / np.arange(1, 66))
         assert abs(weighted_mean(rows, 60)) < 1e-12
-
-    def test_dispatch(self):
-        coeffs = np.ones(8)
-        assert mean("cesaro", coeffs, 3) == mean("weighted", coeffs, 3)
-        assert abs(mean("abel", coeffs, 0.5) - sum(0.5 ** k for k in range(8))) < 1e-15
-        with pytest.raises(InvalidParameter):
-            mean("median", coeffs, 3)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
