@@ -66,12 +66,10 @@ from .tauber import (
     DeviationSurface,
     DoubleFamily,
     TauberHarnessReport,
-    abel_mean,
     cesaro_mean,
     euler_bracket,
     simultaneous_tauber_harness,
     tauber_decomposition_check,
-    uniform_gap,
     weighted_mean,
 )
 
@@ -87,8 +85,8 @@ __all__ = [
     "GrunskyTable", "grunsky_matrix", "grunsky_matrix_direct",
     "strong_grunsky_norm", "full_mapping_defect", "bazilevich_equality_residual",
     "DoubleFamily", "DeviationSurface", "TauberHarnessReport",
-    "cesaro_mean", "weighted_mean", "abel_mean",
-    "simultaneous_tauber_harness", "tauber_decomposition_check", "uniform_gap",
+    "cesaro_mean", "weighted_mean",
+    "simultaneous_tauber_harness", "tauber_decomposition_check",
     "euler_bracket",
     "ScenarioConfig", "ScenarioReport", "run_scenario", "export_report",
     "errors",

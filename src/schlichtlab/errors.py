@@ -66,9 +66,5 @@ class ComplexCoefficients(SchlichtLabError, TypeError):
     """Real-only machinery was fed genuinely complex coefficients."""
 
 
-class NotMonotone(SchlichtLabError, ValueError):
-    """A sample array violated its declared monotonicity."""
-
-
 class ConfigError(SchlichtLabError, ValueError):
     """Invalid scenario configuration."""

@@ -12,7 +12,9 @@ multiplies the pair by ``e^{i phi}``, a dilation by ``r`` multiplies it by
 ``r``.  A closed-form member stores its pair, and one evaluator gives its
 values and derivatives, so boundary-near evaluation stays honest.
 Series-only maps (``custom``) carry no pair and are evaluated from their
-partial sums.
+partial sums.  ``max_modulus`` searches the circles of a whole batch of
+members at once, each lane evaluating its own pair through that same
+evaluator.
 
 ``invert_to_sigma`` passes from a normalized map ``f`` on the disk to the
 exterior map ``g(z) = 1/f(1/z) = z + b0 + b1/z + ...``; the exterior
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,6 +47,16 @@ _COEFF_SLACK = 1e-9  # |a_n| <= n + slack, used as a corpus sanity gate
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _ANGLE_TOL = 1e-10  # golden-section bracket width that ends the angle search
+
+
+def closed_form_value(z, beta, rho):
+    """``z(1 - rho z)/(1 - beta z)^2``; the pair may be scalars or arrays."""
+    return z * (1.0 - rho * z) / (1.0 - beta * z) ** 2
+
+
+def closed_form_deriv(z, beta, rho):
+    """``(1 + (beta - 2 rho) z)/(1 - beta z)^3``, the derivative of the closed form."""
+    return (1.0 + (beta - 2.0 * rho) * z) / (1.0 - beta * z) ** 3
 
 
 @dataclass(frozen=True)
@@ -69,15 +82,13 @@ class SchlichtFunction:
         """f(z): the closed form, or the partial sum of a series-only map."""
         if self.beta_rho is None:
             return self.series(z)
-        beta, rho = self.beta_rho
-        return z * (1.0 - rho * z) / (1.0 - beta * z) ** 2
+        return closed_form_value(z, *self.beta_rho)
 
     def deriv(self, z):
         """f'(z): the closed form, or the derivative's partial sum."""
         if self.beta_rho is None:
             return self.series.deriv()(z)
-        beta, rho = self.beta_rho
-        return (1.0 + (beta - 2.0 * rho) * z) / (1.0 - beta * z) ** 3
+        return closed_form_deriv(z, *self.beta_rho)
 
     @property
     def order(self) -> int:
@@ -152,6 +163,23 @@ def finite_parameter(value, name: str, kind=float):
     return out
 
 
+def integer_parameter(value, name: str, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``.
+
+    Raises :class:`InvalidParameter` for bools, for floats (fractional,
+    NaN or not), for strings and for anything else that is not an integer.
+    """
+    if isinstance(value, bool):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    try:
+        out = operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+    if out < minimum:
+        raise InvalidParameter(f"{name} must be at least {minimum}")
+    return out
+
+
 def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) -> SchlichtFunction:
     """Construct a corpus member by family tag.
 
@@ -171,8 +199,7 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
       * ``custom``          -- ``coeffs``: explicit coefficient array (series only)
     """
     params = dict(params or {})
-    if order < 2:
-        raise InvalidParameter("order must be at least 2")
+    order = integer_parameter(order, "order", 2)
 
     if kind == "koebe":
         coeffs = np.arange(order + 1, dtype=np.complex128)
@@ -254,7 +281,7 @@ def dilated(f: SchlichtFunction, r: float, order: Optional[int] = None) -> Schli
     r = finite_parameter(r, "dilation r")
     if not 0.0 < r < 1.0:
         raise InvalidParameter("dilation needs r in (0, 1)")
-    order = f.order if order is None else order
+    order = f.order if order is None else integer_parameter(order, "order", 2)
     if order > f.order:
         raise InvalidParameter("dilation cannot extend the base series")
     n = np.arange(order + 1)
@@ -310,6 +337,17 @@ def _tail_quadratic(n_order: int, x: float) -> float:
     return u - _tail_linear(n, x)
 
 
+def _disk_modulus(z) -> float:
+    """|z| of one point, checked to lie inside the unit disk."""
+    try:
+        x = float(abs(z))
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"the point must be one number, got {z!r}") from None
+    if not x < 1.0:  # NaN fails here too
+        raise OutsideDisk(f"|z| = {x:.6g} is not inside the unit disk")
+    return x
+
+
 def eval_certified(f: SchlichtFunction, z: complex):
     """Value of ``f`` at ``z`` with a rigorous error bound.
 
@@ -317,9 +355,8 @@ def eval_certified(f: SchlichtFunction, z: complex):
     partial sum plus the tail bound sum_{n>N} n |z|^n, valid for every
     normalized univalent function by the coefficient bound |a_n| <= n.
     """
-    if not abs(z) < 1.0:  # NaN fails here too
-        raise OutsideDisk(f"|z| = {abs(z):.6g} is not inside the unit disk")
-    bound = 0.0 if f.has_closed_form else _tail_linear(f.order, abs(z))
+    x = _disk_modulus(z)
+    bound = 0.0 if f.has_closed_form else _tail_linear(f.order, x)
     return f.value(z), bound
 
 
@@ -328,9 +365,7 @@ def deriv_certified(f: SchlichtFunction, z: complex):
 
     The series tail bound is sum_{n>N} n^2 |z|^{n-1}, again from |a_n| <= n.
     """
-    if not abs(z) < 1.0:  # NaN fails here too
-        raise OutsideDisk(f"|z| = {abs(z):.6g} is not inside the unit disk")
-    x = abs(z)
+    x = _disk_modulus(z)
     bound = 0.0 if f.has_closed_form or x == 0.0 else _tail_quadratic(f.order, x) / x
     return f.deriv(z), bound
 
@@ -354,43 +389,93 @@ def radius_grid(radii) -> np.ndarray:
     return grid
 
 
-def max_modulus(f: SchlichtFunction, r, grid: int = 512):
+def batch(f) -> list:
+    """``f``, one member or a sequence of members, as the list of one batch.
+
+    One array evaluation serves a batch, so it holds closed-form members
+    only, or exactly one series-only member; anything else raises
+    :class:`InvalidParameter`.
+    """
+    members = [f] if isinstance(f, SchlichtFunction) else list(f)
+    if not members or not all(isinstance(g, SchlichtFunction) for g in members):
+        raise InvalidParameter("a batch needs one or more SchlichtFunction members")
+    if len(members) > 1 and not all(g.has_closed_form for g in members):
+        raise InvalidParameter("a batch holds closed-form members only, "
+                               "or exactly one series-only member")
+    return members
+
+
+def batch_evaluator(members, lanes: int, derivative: bool = False):
+    """The function giving f(z), or f'(z), on a flat array ``z`` that holds
+    ``lanes`` points of each member in turn.
+
+    Closed-form members evaluate their pairs, repeated ``lanes`` times, as
+    arrays through the same expression as :meth:`SchlichtFunction.value`
+    and :meth:`SchlichtFunction.deriv`; a series-only member (a batch of
+    one) uses its partial sums.
+    """
+    if not members[0].has_closed_form:
+        return members[0].deriv if derivative else members[0].value
+    pairs = np.array([g.beta_rho for g in members], dtype=np.complex128)
+    beta, rho = np.repeat(pairs[:, 0], lanes), np.repeat(pairs[:, 1], lanes)
+    closed_form = closed_form_deriv if derivative else closed_form_value
+    return lambda z: closed_form(z, beta, rho)
+
+
+def max_modulus(f, r, grid: int = 512):
     """Maximum of |f| on the circles |z| = r and the maximizing angles.
 
-    ``r`` is one radius or a 1-D array of radii.  A uniform grid of
-    ``grid`` (>= 64) angles locates the best cell on every circle in one
-    array evaluation; golden-section refinement then pins each angle to
-    1e-10, all circles in lockstep, with ``np.where`` choosing each
-    circle's side.  |f| on a circle can have several local maxima, so
-    ``grid`` is the density knob.  Every evaluation goes through the same
-    array arithmetic, so a circle's result does not depend on the other
-    radii in the call.
+    ``f`` is one member or a sequence of members (see :func:`batch`); ``r``
+    is one radius or a 1-D array of radii, shared by every member.  The
+    search has two stages.  The grid stage evaluates |f| at ``grid``
+    (>= 64) uniform angles on every circle, one array evaluation per
+    member with its own pair, and keeps each circle's best cell.
+    Golden-section refinement then pins every angle of every member to
+    1e-10 in lockstep, with ``np.where`` choosing each lane's side and each
+    lane evaluating its member's pair.  |f| on a circle can have several
+    local maxima, so ``grid`` is the density knob.  Every evaluation goes
+    through the same array arithmetic, so a lane's result depends neither
+    on the other radii nor on the other members in the call.
 
-    Returns ``(M, theta)``: floats for a scalar ``r``, arrays otherwise,
-    with each angle wrapped to (-pi, pi].
+    For one member, returns ``(M, theta)``: floats for a scalar ``r``,
+    arrays otherwise, with each angle wrapped to (-pi, pi].  For a
+    sequence, both gain a leading member axis, and a third array holds the
+    grid stage's |f| on each member's last circle, shape ``(members, grid)``.
     """
+    members = batch(f)
     radii = np.asarray(r)
     if radii.dtype.kind not in "iuf" or radii.ndim > 1 or radii.size == 0:
         raise InvalidParameter("radii must be one real number or a non-empty 1-D array")
     radii = radii.astype(float)
     if not np.all((radii > 0.0) & (radii < 1.0)):  # NaN fails here too
         raise OutsideDisk(f"radius {r!r} is not inside (0, 1)")
-    if grid < 64:
-        raise InvalidParameter("grid must be at least 64")
+    grid = integer_parameter(grid, "grid", 64)
     lanes = np.atleast_1d(radii)
 
-    def circle_abs(rad, theta):
-        return np.abs(f.value(rad * np.exp(1j * theta)))
-
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    j = np.argmax(circle_abs(lanes[:, None], thetas), axis=1)
+    ray = np.exp(1j * thetas)
+    best = np.empty((len(members), len(lanes)))
+    last = np.empty((len(members), grid))
+    for i, g in enumerate(members):
+        # one (radii, grid) evaluation per member, with its own pair
+        cells = np.abs(g.value(lanes[:, None] * ray))
+        best[i] = thetas[np.argmax(cells, axis=1)]
+        last[i] = cells[-1]
     h = 2.0 * np.pi / grid
-    a, b = thetas[j] - h, thetas[j] + h
+    # the lanes: every radius of each member in turn
+    a, b = best.ravel() - h, best.ravel() + h
+
+    rad = np.tile(lanes, len(members))
+    value = batch_evaluator(members, len(lanes))
+
+    def circle_abs(theta):
+        return np.abs(value(rad * np.exp(1j * theta)))
+
     # one step count for every lane, from the nominal bracket width 2h
     steps = int(math.ceil(math.log(_ANGLE_TOL / (2.0 * h)) / math.log(_INV_PHI)))
     width = b - a
     c, d = a + _INV_PHI2 * width, a + _INV_PHI * width
-    yc, yd = circle_abs(lanes, c), circle_abs(lanes, d)
+    yc, yd = circle_abs(c), circle_abs(d)
     for _ in range(steps):
         # left lanes keep [a, d] and probe a new c; the others keep [c, b]
         left = yc > yd
@@ -398,15 +483,20 @@ def max_modulus(f: SchlichtFunction, r, grid: int = 512):
         a, b = np.where(left, a, c), np.where(left, d, b)
         width = width * _INV_PHI
         t = a + np.where(left, _INV_PHI2, _INV_PHI) * width
-        y = circle_abs(lanes, t)
+        y = circle_abs(t)
         c, yc = np.where(left, t, kept), np.where(left, y, y_kept)
         d, yd = np.where(left, kept, t), np.where(left, y_kept, y)
     # wrap to (-pi, pi]
     theta = np.array([math.remainder(t, 2.0 * math.pi) for t in (0.5 * (a + b)).tolist()])
-    vals = circle_abs(lanes, theta)
+    vals = circle_abs(theta).reshape(len(members), -1)
+    theta = theta.reshape(vals.shape)
+    if radii.ndim == 0:
+        vals, theta = vals[:, 0], theta[:, 0]
+    if not isinstance(f, SchlichtFunction):
+        return vals, theta, last
     if radii.ndim == 0:
         return float(vals[0]), float(theta[0])
-    return vals, theta
+    return vals[0], theta[0]
 
 
 def standard_corpus(order: int = 128):

@@ -14,6 +14,12 @@ index is the profile value at the largest scheduled radius together with
 that upper-bound status; no extrapolation is performed because no
 convergence rate is available.  The lower end of the bracket is left
 open (zero) unless a closed form pins it.
+
+``hayman_index`` estimates a whole batch of members at once (see
+:func:`~schlichtlab.families.batch`): one :func:`max_modulus` call searches
+every member's circles, and one array evaluation gives every derivative
+profile.  A single member is a batch of one, and a member's estimate does
+not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -25,7 +31,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AmbiguousDirection, InvalidParameter, NonMonotoneProfile
-from .families import SchlichtFunction, finite_parameter, max_modulus, radius_grid
+from .families import (
+    SchlichtFunction,
+    batch,
+    batch_evaluator,
+    finite_parameter,
+    max_modulus,
+    radius_grid,
+)
 
 #: beyond this radius pure-series evaluation is refused: at order 256 the
 #: universal coefficient-bound tail already exceeds the profile tolerance.
@@ -74,6 +87,45 @@ def default_schedule(f: SchlichtFunction) -> np.ndarray:
     return 1.0 - 2.0 ** -np.arange(1, jmax + 1)
 
 
+def _check_series_reach(members, radii: np.ndarray) -> None:
+    if radii[-1] > SERIES_RADIUS_LIMIT + 1e-15 and not all(g.has_closed_form for g in members):
+        raise NonMonotoneProfile(
+            f"series-only evaluation beyond r = {SERIES_RADIUS_LIMIT:.6f} has an "
+            "uncontrolled truncation tail; supply a closed form"
+        )
+
+
+def _monotone(members, vals: np.ndarray, estimator: str) -> np.ndarray:
+    """``vals``, one profile row per member, checked to be non-increasing."""
+    if vals.shape[1] > 1:
+        for g, worst in zip(members, np.max(np.diff(vals, axis=1), axis=1).tolist()):
+            if worst > _MONOTONE_TOL:
+                raise NonMonotoneProfile(
+                    f"{estimator} profile of {g.label()} increased by {worst:.3g}; "
+                    "insufficient truncation or grid density"
+                )
+    return vals
+
+
+def _growth_rows(members, radii: np.ndarray, grid):
+    """Growth profiles of a batch from one :func:`max_modulus` call.
+
+    Returns the ``(members, radii)`` profile values and angles, and the
+    grid stage's |f| on each member's last circle.
+    """
+    peaks, angles, last = max_modulus(members, radii, grid=grid)
+    return _monotone(members, (1.0 - radii) ** 2 / radii * peaks, "growth"), angles, last
+
+
+def _derivative_rows(members, radii: np.ndarray, thetas) -> np.ndarray:
+    """Derivative profiles of a batch along the rays ``thetas``, one array evaluation."""
+    thetas = [finite_parameter(t, "growth-ray angle theta") for t in thetas]
+    rays = np.exp(1j * np.array(thetas))[:, None]
+    deriv = batch_evaluator(members, len(radii), derivative=True)
+    slopes = np.abs(deriv((radii * rays).ravel())).reshape(len(members), -1)
+    return _monotone(members, (1.0 - radii) ** 3 * slopes / (1.0 + radii), "derivative")
+
+
 def growth_profile(
     f: SchlichtFunction,
     radii: Sequence[float],
@@ -92,38 +144,27 @@ def growth_profile(
     series-only function is pushed past ``SERIES_RADIUS_LIMIT`` where its
     truncation tail can no longer be kept inside the tolerance.
     """
+    members = [f]
     radii = radius_grid(radii)
-    if not f.has_closed_form and radii[-1] > SERIES_RADIUS_LIMIT + 1e-15:
-        raise NonMonotoneProfile(
-            f"series-only evaluation beyond r = {SERIES_RADIUS_LIMIT:.6f} has an "
-            "uncontrolled truncation tail; supply a closed form"
-        )
-
+    _check_series_reach(members, radii)
     angles = None
     if estimator == "growth":
-        peaks, angles = max_modulus(f, radii, grid=grid)
-        vals = (1.0 - radii) ** 2 / radii * peaks
+        vals, angles, _ = _growth_rows(members, radii, grid)
+        angles = angles[0]
     elif estimator == "derivative":
         if theta is None:
             raise InvalidParameter("derivative estimator needs the growth-ray angle theta")
-        ray = np.exp(1j * finite_parameter(theta, "growth-ray angle theta"))
-        vals = (1.0 - radii) ** 3 * np.abs(f.deriv(radii * ray)) / (1.0 + radii)
+        vals = _derivative_rows(members, radii, [theta])
     else:
         raise InvalidParameter(f"unknown estimator {estimator!r}")
-
-    worst = float(np.max(np.diff(vals))) if len(vals) > 1 else 0.0
-    if worst > _MONOTONE_TOL:
-        raise NonMonotoneProfile(
-            f"{estimator} profile increased by {worst:.3g}; "
-            "insufficient truncation or grid density"
-        )
-    return GrowthProfile(radii=radii, values=vals, estimator=estimator, angles=angles)
+    return GrowthProfile(radii=radii, values=vals[0], estimator=estimator, angles=angles)
 
 
-def _check_single_direction(f: SchlichtFunction, r_probe: float, grid: int) -> None:
-    """Raise :class:`AmbiguousDirection` unless one grid maximum dominates."""
+def _check_single_direction(vals: np.ndarray) -> None:
+    """Raise :class:`AmbiguousDirection` unless one maximum of the grid
+    values ``vals`` of |f| on a circle dominates."""
+    grid = len(vals)
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    vals = np.abs(f.value(r_probe * np.exp(1j * thetas)))
     local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
     peaks = np.flatnonzero(local)
     if len(peaks) > 1:
@@ -143,58 +184,70 @@ def growth_direction(f: SchlichtFunction, r_probe: float, grid: int = 512) -> fl
 
     Raises :class:`AmbiguousDirection` when two local grid maxima agree in
     modulus to 1e-6 but sit further apart than the refinement window:
-    either the function is symmetric or it has no dominant direction.
+    either the function is symmetric or it has no dominant direction.  The
+    check reads the grid stage of the same :func:`max_modulus` call.
     """
     if not 0.9 <= r_probe < 1.0:
         raise InvalidParameter("r_probe must lie in [0.9, 1)")
-    if grid < 64:
-        raise InvalidParameter("grid must be at least 64")
-    _check_single_direction(f, r_probe, grid)
-    _, theta_star = max_modulus(f, r_probe, grid=grid)
-    return theta_star
+    _, angles, last = max_modulus([f], r_probe, grid=grid)
+    _check_single_direction(last[0])
+    return float(angles[0])
 
 
 def hayman_index(
-    f: SchlichtFunction,
+    f,
     schedule: Optional[Sequence[float]] = None,
     theta: Optional[float] = None,
     grid: int = 512,
-) -> HaymanEstimate:
+):
     """Estimate the growth index from the monotone profiles.
+
+    ``f`` is one member or a sequence of members (see
+    :func:`~schlichtlab.families.batch`), which share the schedule (by
+    default, the first member's), ``theta`` and ``grid``.  Returns one
+    :class:`HaymanEstimate`, or a list of them for a sequence; a member's
+    estimate does not depend on the other members of its batch.
 
     The growth profile always runs; when a growth direction is known (or
     found by probing), the derivative profile runs too and the pair forms
     the reported bracket.  Both final values are certified upper bounds
-    for the true index.  When the probe radius is the schedule's last
-    radius (both default schedules), the direction is the angle the growth
-    profile already found on that circle, so every circle is searched in
-    one :func:`max_modulus` call.
+    for the true index.  All members' circles are searched in one
+    :func:`max_modulus` call, and all derivative profiles are one array
+    evaluation.  When the probe radius is the schedule's last radius (both
+    default schedules), the direction is the angle the growth profile
+    already found on that circle, and the direction check reads that
+    circle's grid values from the same call.
     """
-    radii = np.asarray(schedule, dtype=float) if schedule is not None else default_schedule(f)
-    prof = growth_profile(f, radii, estimator="growth", grid=grid)
-    upper = float(prof.values[-1])
+    members = batch(f)
+    radii = radius_grid(default_schedule(members[0]) if schedule is None else schedule)
+    _check_series_reach(members, radii)
+    growth, angles, last = _growth_rows(members, radii, grid)
+    upper = growth[:, -1]
 
+    thetas = [theta] * len(members)
     if theta is None:
-        try:
-            # probe at the largest scheduled radius: the circle maximum drifts
-            # from the limiting direction by O(1-r), which only stays harmless
-            # relative to the evaluation radius if both shrink together
-            r_probe = max(0.9, float(radii[-1]))
-            if r_probe == radii[-1]:
-                # the growth profile has already searched this circle
-                _check_single_direction(f, r_probe, grid)
-                theta = float(prof.angles[-1])
-            else:
-                theta = growth_direction(f, r_probe, grid=grid)
-        except AmbiguousDirection:
-            theta = None
+        # probe at the largest scheduled radius: the circle maximum drifts
+        # from the limiting direction by O(1-r), which only stays harmless
+        # relative to the evaluation radius if both shrink together
+        r_probe = max(0.9, float(radii[-1]))
+        if r_probe != radii[-1]:
+            _, angles, last = max_modulus(members, [r_probe], grid=grid)
+        for i, circle in enumerate(last):
+            try:
+                _check_single_direction(circle)
+                thetas[i] = float(angles[i, -1])
+            except AmbiguousDirection:
+                pass
 
-    alpha = upper
-    if theta is not None:
-        dprof = growth_profile(f, radii, estimator="derivative", theta=theta, grid=grid)
-        alpha = float(dprof.values[-1])
+    alpha = upper.copy()
+    found = [i for i, t in enumerate(thetas) if t is not None]
+    if found:
+        dvals = _derivative_rows([members[i] for i in found], radii,
+                                 [thetas[i] for i in found])
+        alpha[found] = dvals[:, -1]
+    estimates = []
+    for a, u, t in zip(alpha.tolist(), upper.tolist(), thetas):
         # the derivative bound never exceeds the growth bound; float guard only
-        if alpha > upper:
-            alpha, upper = upper, alpha
-    return HaymanEstimate(alpha=alpha, upper=upper,
-                          radius_used=float(radii[-1]), theta=theta)
+        estimates.append(HaymanEstimate(alpha=min(a, u), upper=max(a, u),
+                                        radius_used=float(radii[-1]), theta=t))
+    return estimates[0] if isinstance(f, SchlichtFunction) else estimates

@@ -13,7 +13,8 @@ for free-form input, so presets keep every reported claim honest.
   theorem2          Koebe transforms w_m = 0.3 e^{i/m} (maximal growth,
                     full-mapping limit): | |a_n^(m)|/n - alpha_m | has a
                     decreasing joint tail, with the growth-index bracket
-                    width folded into the tolerance.
+                    width folded into the tolerance.  All members' growth
+                    indexes come from one batched hayman_index call.
   zalcman_scan      coefficient functionals over the corpus against the
                     (n-1)^2 ceiling.
   inequality_audit  every scalar inequality check over the whole corpus.
@@ -91,8 +92,12 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be a non-empty [lo, hi] pair")
         object.__setattr__(self, "m_range", (int(self.m_range[0]), int(self.m_range[1])))
         object.__setattr__(self, "n_range", (int(self.n_range[0]), int(self.n_range[1])))
-        if self.series_order < 8 or self.grunsky_order < 8:
-            raise ConfigError("orders must be at least 8")
+        for key in ("series_order", "grunsky_order"):
+            try:
+                order = families.integer_parameter(getattr(self, key), key, 8)
+            except SchlichtLabError as exc:
+                raise ConfigError(str(exc)) from exc
+            object.__setattr__(self, key, order)
         if self.scenario in ("counterexample", "theorem1") and self.m_range[0] < 2:
             raise ConfigError(f"{self.scenario} needs m >= 2 (dilation radius 1 - 1/m)")
         if self.scenario == "theorem2" and self.m_range[0] < 1:
@@ -180,7 +185,7 @@ def _columns(m, n, value, alpha_m, deviation, flag, check) -> dict:
             "flag": list(flag), "check": list(check)}
 
 
-def _annotate(exc: SchlichtLabError, m: int, n: Optional[int] = None):
+def _annotate(exc: SchlichtLabError, m, n: Optional[int] = None):
     where = f"(m={m})" if n is None else f"(m={m}, n={n})"
     raise type(exc)(f"{where} {exc}") from exc
 
@@ -212,7 +217,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
 
 
 def _ratio_scenario(cfg, build_member, estimate_alpha, flag_fn):
-    """Shared grid machinery: value = |a_n^(m)|/n, deviation = |value - alpha_m|."""
+    """Shared grid machinery: value = |a_n^(m)|/n, deviation = |value - alpha_m|.
+
+    ``build_member(m)`` builds one member; ``estimate_alpha(members)`` takes
+    them all in one call and returns their indexes and bracket widths.
+    """
     m_lo, m_hi = cfg.m_range
     n_lo, n_hi = cfg.n_range
     ms = list(range(m_lo, m_hi + 1))
@@ -220,15 +229,17 @@ def _ratio_scenario(cfg, build_member, estimate_alpha, flag_fn):
 
     def one_member(m):
         try:
-            f = build_member(m)
-            return estimate_alpha(f), np.abs(f.series.coeffs[ns]) / ns
+            return build_member(m)
         except SchlichtLabError as exc:
             _annotate(exc, m)
 
-    computed = [one_member(m) for m in ms]
-    alphas = np.array([est[0] for est, _ in computed], dtype=np.float64)
-    widths = [est[1] for est, _ in computed]
-    ratios = np.array([r for _, r in computed])
+    members = [one_member(m) for m in ms]
+    try:
+        alphas, widths = estimate_alpha(members)
+    except SchlichtLabError as exc:
+        _annotate(exc, f"{m_lo}..{m_hi}")
+    alphas = np.asarray(alphas, dtype=np.float64)
+    ratios = np.array([np.abs(f.series.coeffs[ns]) / ns for f in members])
     d = np.abs(ratios - alphas[:, None])
     size = d.size
     rows = _columns(np.repeat(ms, len(ns)), np.tile(ns, len(ms)), ratios.ravel(),
@@ -252,8 +263,8 @@ def _run_counterexample(cfg: ScenarioConfig) -> ScenarioReport:
     def build(m):
         return families.make_schlicht("dilation", {"r": 1.0 - 1.0 / m}, cfg.series_order)
 
-    def est(_f):
-        return 0.0, 0.0  # every dilation of a bounded-coefficient map: index 0
+    def est(fs):
+        return [0.0] * len(fs), [0.0] * len(fs)  # dilations of bounded-coefficient maps
 
     def flags(cfg, ms, ns, d, alphas, widths, summary):
         fl = summary["flags"]
@@ -282,8 +293,8 @@ def _run_theorem1(cfg: ScenarioConfig) -> ScenarioReport:
     def build(m):
         return families.dilated(base, 1.0 - 1.0 / m)
 
-    def est(_f):
-        return 0.0, 0.0  # bounded image: slow growth
+    def est(fs):
+        return [0.0] * len(fs), [0.0] * len(fs)  # bounded image: slow growth
 
     def flags(cfg, ms, ns, d, alphas, widths, summary):
         fl = summary["flags"]
@@ -321,9 +332,10 @@ def _run_theorem2(cfg: ScenarioConfig) -> ScenarioReport:
         w = 0.3 * cmath.exp(1j / m)
         return families.make_schlicht("koebe_transform", {"w": w}, cfg.series_order)
 
-    def est(f):
-        h = hayman.hayman_index(f)
-        return h.alpha, h.bracket_width
+    def est(fs):
+        # one batched search over every member's circles
+        ests = hayman.hayman_index(fs)
+        return [h.alpha for h in ests], [h.bracket_width for h in ests]
 
     def flags(cfg, ms, ns, d, alphas, widths, summary):
         fl = summary["flags"]

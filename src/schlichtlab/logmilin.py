@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAlpha, InvalidParameter, QuadratureUnconverged
-from .families import SchlichtFunction, max_modulus, radius_grid
+from .families import SchlichtFunction, integer_parameter, max_modulus, radius_grid
 from .series import ComplexSeries
 
 #: numeric bound for Milin's constant used by the partial-sum check
@@ -226,8 +226,8 @@ def prawitz_check(f: SchlichtFunction, radii, quad_points: int = 1024, grid: int
     doubling ``quad_points`` still moves any mean by more than 1e-9.
     """
     radii = radius_grid(radii)
-    if quad_points < 256:
-        raise InvalidParameter("quad_points must be at least 256")
+    quad_points = integer_parameter(quad_points, "quad_points", 256)
+    grid = integer_parameter(grid, "grid", 64)
     coarse = np.array([circle_mean(f, r, quad_points) for r in radii])
     fine = np.array([circle_mean(f, r, 2 * quad_points) for r in radii])
     drift = float(np.max(np.abs(fine - coarse)))

@@ -1,4 +1,4 @@
-"""Summability engine: Cesaro, weighted, and Abel means plus harnesses.
+"""Summability engine: Cesaro and weighted means plus harnesses.
 
 The double-indexed harness takes a family of real coefficient rows
 ``a_k^{(m)}`` with Abel targets ``alpha_m`` and measures how fast the
@@ -13,8 +13,7 @@ t-grid (a declared config knob, with t = 1 filled by the target values).
 
 ``tauber_decomposition_check`` verifies the exact finite-ledger identity
 splitting the boundary-mean series minus a Cesaro mean into weighted
-delta-tails; ``uniform_gap`` is the monotone-family uniform-convergence
-gap estimator; ``euler_bracket`` is the elementary bracket
+delta-tails; ``euler_bracket`` is the elementary bracket
 (1 - 1/(n+1))^{n+1} < 1/e < (1 - 1/(n+1))^n, whose upper end is the
 counterexample's diagonal value (1 - 1/m)^{m-1} at m = n + 1.
 """
@@ -29,7 +28,6 @@ from .errors import (
     ComplexCoefficients,
     IndexOutOfRange,
     InvalidParameter,
-    NotMonotone,
 )
 from .logmilin import LogData
 
@@ -60,14 +58,6 @@ def weighted_mean(coeffs, n: int):
     coeffs = _check_index(coeffs, n)
     w = (n + 1) - np.arange(n + 1)
     return np.dot(w, coeffs[: n + 1]) / (n + 1)
-
-
-def abel_mean(coeffs, t: float):
-    """Power-series value sum a_k t^k on 0 <= t < 1."""
-    coeffs = np.asarray(coeffs)
-    if not 0.0 <= t < 1.0:
-        raise InvalidParameter("abel mean needs 0 <= t < 1")
-    return np.polyval(coeffs[::-1], t)
 
 
 # -- double-indexed family harness ---------------------------------------
@@ -250,44 +240,6 @@ def tauber_decomposition_check(ld: LogData, n: int, r: float) -> float:
     rhs -= delta[n] / n
     rhs += delta[k_top] * r ** (k_top + 1)
     return float(abs(lhs - rhs))
-
-
-# -- uniform-convergence gap estimator ------------------------------------
-
-
-@dataclass(frozen=True)
-class UniformGapReport:
-    sup_gaps: np.ndarray
-    dini_ok: bool
-    limit_max_jump: float
-
-
-def uniform_gap(samples, limit) -> UniformGapReport:
-    """Sup-norm gaps of monotone sample rows against a candidate limit.
-
-    Each row must be non-increasing along the shared grid (1e-9 slack);
-    ``dini_ok`` records whether the gaps are eventually decreasing (the
-    trailing half is non-increasing).  The limit's largest adjacent jump
-    is reported as its continuity proxy.
-    """
-    samples = np.asarray(samples, dtype=float)
-    limit = np.asarray(limit, dtype=float)
-    if samples.ndim != 2 or limit.ndim != 1 or samples.shape[1] != len(limit):
-        raise InvalidParameter("samples must be rows over the limit's grid")
-    rises = np.diff(samples, axis=1)
-    worst = float(np.max(rises)) if rises.size else 0.0
-    if worst > 1e-9:
-        m_bad = int(np.argmax(np.max(rises, axis=1)))
-        raise NotMonotone(
-            f"sample row {m_bad} increases by {worst:.3g} along the grid"
-        )
-    sup_gaps = np.max(np.abs(samples - limit[None, :]), axis=1)
-    half = len(sup_gaps) // 2
-    trailing = sup_gaps[half:]
-    dini_ok = bool(np.all(np.diff(trailing) <= 1e-12))
-    limit_max_jump = float(np.max(np.abs(np.diff(limit)))) if len(limit) > 1 else 0.0
-    return UniformGapReport(sup_gaps=sup_gaps, dini_ok=dini_ok,
-                            limit_max_jump=limit_max_jump)
 
 
 def euler_bracket(n: int):

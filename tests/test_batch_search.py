@@ -1,0 +1,178 @@
+"""One circle search for a whole batch of members.
+
+``hayman_index`` and ``max_modulus`` take a sequence of members and search
+all their circles in one lockstep golden-section pass.  A member's result
+must not depend on its batch: every field equals the batch-of-one call bit
+for bit.  ``parent_hayman_index`` keeps the earlier single-member pipeline
+(a lockstep search over one member's radii with its scalar pair, the
+direction check evaluating the last circle again, one derivative profile
+per member) as the reference the theorem2 reports are pinned to.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schlichtlab import hayman, lab
+from schlichtlab.errors import AmbiguousDirection, InvalidParameter
+from schlichtlab.families import dilated, make_schlicht, max_modulus, rotated
+from schlichtlab.hayman import HaymanEstimate, default_schedule, hayman_index
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def parent_max_modulus(f, radii, grid=512):
+    """The single-member lockstep search: every radius of one member, its own pair."""
+    def circle_abs(rad, theta):
+        return np.abs(f.value(rad * np.exp(1j * theta)))
+
+    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    j = np.argmax(circle_abs(radii[:, None], thetas), axis=1)
+    h = 2.0 * np.pi / grid
+    a, b = thetas[j] - h, thetas[j] + h
+    steps = int(math.ceil(math.log(1e-10 / (2.0 * h)) / math.log(_INV_PHI)))
+    width = b - a
+    c, d = a + _INV_PHI2 * width, a + _INV_PHI * width
+    yc, yd = circle_abs(radii, c), circle_abs(radii, d)
+    for _ in range(steps):
+        left = yc > yd
+        kept, y_kept = np.where(left, c, d), np.where(left, yc, yd)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        width = width * _INV_PHI
+        t = a + np.where(left, _INV_PHI2, _INV_PHI) * width
+        y = circle_abs(radii, t)
+        c, yc = np.where(left, t, kept), np.where(left, y, y_kept)
+        d, yd = np.where(left, kept, t), np.where(left, y_kept, y)
+    theta = np.array([math.remainder(t, 2.0 * math.pi) for t in (0.5 * (a + b)).tolist()])
+    return circle_abs(radii, theta), theta
+
+
+def parent_hayman_index(f, grid=512):
+    radii = default_schedule(f)
+    peaks, angles = parent_max_modulus(f, radii, grid)
+    upper = float(((1.0 - radii) ** 2 / radii * peaks)[-1])
+    # the direction check evaluates the last circle's grid a second time
+    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    vals = np.abs(f.value(radii[-1] * np.exp(1j * thetas)))
+    try:
+        hayman._check_single_direction(vals)
+        theta = float(angles[-1])
+    except AmbiguousDirection:
+        return HaymanEstimate(alpha=upper, upper=upper, radius_used=float(radii[-1]), theta=None)
+    ray = np.exp(1j * theta)
+    alpha = float(((1.0 - radii) ** 3 * np.abs(f.deriv(radii * ray)) / (1.0 + radii))[-1])
+    return HaymanEstimate(alpha=min(alpha, upper), upper=max(alpha, upper),
+                          radius_used=float(radii[-1]), theta=theta)
+
+
+@st.composite
+def closed_form_members(draw):
+    """koebe_transform at |w| <= 0.6, rotation and dilation, each optionally
+    rotated by theta and dilated by r, at mixed orders."""
+    order = draw(st.sampled_from([16, 64, 130]))
+    kind = draw(st.sampled_from(["koebe_transform", "rotation", "dilation"]))
+    if kind == "koebe_transform":
+        w = cmath.rect(draw(st.floats(0.0, 0.6)), draw(st.floats(-math.pi, math.pi)))
+        f = make_schlicht(kind, {"w": w}, order=order)
+    elif kind == "rotation":
+        f = make_schlicht(kind, {"theta": draw(st.floats(-math.pi, math.pi))}, order=order)
+    else:
+        f = make_schlicht(kind, {"r": draw(st.floats(0.1, 0.99))}, order=order)
+    if draw(st.booleans()):
+        f = rotated(f, draw(st.floats(-math.pi, math.pi)))
+    if draw(st.booleans()):
+        f = dilated(f, draw(st.floats(0.5, 0.999)))
+    return f
+
+
+batches = st.lists(closed_form_members(), min_size=1, max_size=6)
+
+
+def _bits(est):
+    """An estimate's fields, floats spelled exactly (signed zeros included)."""
+    return tuple(None if v is None else float(v).hex()
+                 for v in (est.alpha, est.upper, est.radius_used, est.theta))
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches)
+def test_batch_members_equal_batch_of_one(members):
+    radii = default_schedule(members[0])
+    peaks, angles, last = max_modulus(members, radii)
+    estimates = hayman_index(members)
+    assert len(estimates) == len(members)
+    thetas = 2.0 * np.pi * np.arange(512) / 512
+    for i, f in enumerate(members):
+        m1, t1 = max_modulus(f, radii)
+        assert m1.tobytes() == peaks[i].tobytes(), f.label()
+        assert t1.tobytes() == angles[i].tobytes(), f.label()
+        # the grid stage's last circle, as the direction check evaluated it alone
+        circle = np.abs(f.value(radii[-1] * np.exp(1j * thetas)))
+        assert circle.tobytes() == last[i].tobytes(), f.label()
+        assert _bits(hayman_index(f)) == _bits(estimates[i]), f.label()
+
+
+@pytest.mark.parametrize("m", [1, 7, 64])
+def test_theorem2_member_matches_parent_pipeline(m):
+    f = make_schlicht("koebe_transform", {"w": 0.3 * cmath.exp(1j / m)}, order=256)
+    assert _bits(hayman_index(f)) == _bits(parent_hayman_index(f))
+
+
+def test_scalar_radius_batch_shapes():
+    members = [make_schlicht("koebe", order=16), make_schlicht("halfplane", order=16)]
+    peaks, angles, last = max_modulus(members, 0.5, grid=64)
+    assert peaks.shape == angles.shape == (2,) and last.shape == (2, 64)
+    assert abs(peaks[0] - 2.0) < 1e-12 and abs(peaks[1] - 1.0) < 1e-12
+
+
+def test_series_only_member_is_a_batch_of_one():
+    k = make_schlicht("koebe", order=64)
+    series_only = make_schlicht("custom", {"coeffs": k.series.coeffs}, order=64)
+    (est,) = hayman_index([series_only])
+    assert est == hayman_index(series_only)
+    with pytest.raises(InvalidParameter):
+        hayman_index([k, series_only])
+    with pytest.raises(InvalidParameter):
+        max_modulus([series_only, series_only], 0.5)
+
+
+@pytest.mark.parametrize("bad", [[], [None], ["koebe"]])
+def test_malformed_batches_rejected(bad):
+    with pytest.raises(InvalidParameter):
+        max_modulus(bad, 0.5)
+
+
+THEOREM2 = {"scenario": "theorem2", "m_range": [1, 16], "n_range": [1, 256],
+            "series_order": 256}
+
+
+def test_theorem2_reports_equal_per_member_reference(tmp_path, monkeypatch):
+    cfg = lab.ScenarioConfig.from_dict(dict(THEOREM2, out_dir=str(tmp_path / "batch")))
+    batched = lab.export_report(lab.run_scenario(cfg))
+    monkeypatch.setattr(hayman, "hayman_index",
+                        lambda members: [parent_hayman_index(f) for f in members])
+    ref = lab.export_report(lab.run_scenario(cfg), out_dir=str(tmp_path / "ref"))
+    assert [p.name for p in batched] == ["theorem2.csv", "theorem2.json"]
+    for p, q in zip(batched, ref):
+        assert p.read_bytes() == q.read_bytes(), p.name
+
+
+def test_theorem2_makes_one_batched_search(monkeypatch):
+    calls = {"max_modulus": 0, "hayman_index": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hayman, "max_modulus", counted("max_modulus", hayman.max_modulus))
+    monkeypatch.setattr(hayman, "hayman_index", counted("hayman_index", hayman.hayman_index))
+    rep = lab.run_scenario(lab.ScenarioConfig.from_dict(THEOREM2))
+    assert len(rep.summary["alpha"]) == 16
+    assert calls == {"max_modulus": 1, "hayman_index": 1}

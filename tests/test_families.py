@@ -15,7 +15,7 @@ from schlichtlab.families import (
     max_modulus,
     rotated,
 )
-from schlichtlab.hayman import growth_profile, hayman_index
+from schlichtlab.hayman import growth_direction, growth_profile, hayman_index
 from schlichtlab.logmilin import prawitz_check
 from schlichtlab.series import ComplexSeries
 
@@ -273,6 +273,11 @@ class TestBadInputs:
         "deriv nan": (OutsideDisk, lambda: deriv_certified(_koebe16(), math.nan)),
         "deriv nan series-only": (OutsideDisk,
                                   lambda: deriv_certified(_series_only16(), complex(math.nan, 0))),
+        "eval point str": (InvalidParameter, lambda: eval_certified(_koebe16(), "x")),
+        "eval point None": (InvalidParameter, lambda: eval_certified(_series_only16(), None)),
+        "deriv point str": (InvalidParameter, lambda: deriv_certified(_koebe16(), "x")),
+        "deriv point None": (InvalidParameter,
+                             lambda: deriv_certified(_series_only16(), None)),
         "hayman theta nan": (InvalidParameter, lambda: hayman_index(_koebe16(), theta=math.nan)),
         "hayman theta inf": (InvalidParameter, lambda: hayman_index(_koebe16(), theta=math.inf)),
         "derivative profile theta nan": (InvalidParameter, lambda: growth_profile(
@@ -285,6 +290,45 @@ class TestBadInputs:
         error, call = self.CASES[case]
         with pytest.raises(error):
             call()
+
+
+class TestIntegerParameters:
+    """Grid sizes, quadrature sizes and series orders share one integer check."""
+
+    CASES = {
+        "max_modulus grid nan": lambda: max_modulus(_koebe16(), 0.5, grid=math.nan),
+        "max_modulus grid fractional": lambda: max_modulus(_koebe16(), 0.5, grid=100.5),
+        "max_modulus grid str": lambda: max_modulus(_koebe16(), 0.5, grid="512"),
+        "max_modulus grid bool": lambda: max_modulus(_koebe16(), 0.5, grid=True),
+        "hayman_index grid fractional": lambda: hayman_index(_koebe16(), grid=100.5),
+        "hayman_index grid nan": lambda: hayman_index(_koebe16(), grid=math.nan),
+        "growth_direction grid nan": lambda: growth_direction(_koebe16(), 0.95, grid=math.nan),
+        "growth_direction grid fractional": lambda: growth_direction(_koebe16(), 0.95,
+                                                                     grid=100.5),
+        "prawitz quad_points nan": lambda: prawitz_check(_koebe16(), [0.3, 0.5],
+                                                         quad_points=math.nan),
+        "prawitz quad_points fractional": lambda: prawitz_check(_koebe16(), [0.3, 0.5],
+                                                                quad_points=300.5),
+        "prawitz grid nan": lambda: prawitz_check(_koebe16(), [0.3, 0.5], grid=math.nan),
+        "prawitz grid one radius": lambda: prawitz_check(_koebe16(), [0.3], grid=100.5),
+        "order fractional": lambda: make_schlicht("koebe", order=8.5),
+        "order str": lambda: make_schlicht("koebe", order="8"),
+        "order true": lambda: make_schlicht("koebe", order=True),
+        "order false": lambda: make_schlicht("halfplane", order=False),
+        "order nan": lambda: make_schlicht("koebe_transform", {"w": 0.3}, order=math.nan),
+        "dilated order fractional": lambda: dilated(_koebe16(), 0.5, order=8.5),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_invalid_parameter(self, case):
+        with pytest.raises(InvalidParameter):
+            self.CASES[case]()
+
+    def test_numpy_integers_accepted(self):
+        f = make_schlicht("koebe", order=np.int64(16))
+        assert f.order == 16
+        assert max_modulus(f, 0.5, grid=np.int32(64)) == max_modulus(f, 0.5, grid=64)
 
 
 class TestInvariants:

@@ -33,6 +33,13 @@ class TestConfig:
             ScenarioConfig(scenario="theorem1", m_range=(2, 4), n_range=(1, 4),
                            series_order=4)
 
+    @pytest.mark.parametrize("key", ["series_order", "grunsky_order"])
+    @pytest.mark.parametrize("order", [32.0, 32.5, "32", True, None])
+    def test_orders_must_be_integers(self, key, order):
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig.from_dict({"scenario": "theorem1", "m_range": [2, 4],
+                                      "n_range": [1, 4], key: order})
+
     def test_n_range_must_fit_series_order(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="theorem1", m_range=(2, 4), n_range=(1, 64),

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,19 +7,16 @@ from schlichtlab.errors import (
     ComplexCoefficients,
     IndexOutOfRange,
     InvalidParameter,
-    NotMonotone,
 )
 from schlichtlab.families import dilated, make_schlicht
 from schlichtlab.logmilin import log_data
 from schlichtlab.tauber import (
     DoubleFamily,
-    abel_mean,
     cesaro_mean,
     euler_bracket,
     simultaneous_tauber_harness,
     tail_supremum,
     tauber_decomposition_check,
-    uniform_gap,
     weighted_mean,
 )
 
@@ -47,20 +42,6 @@ class TestMeans:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             cesaro_mean(np.ones(4), 4)
-        with pytest.raises(InvalidParameter):
-            abel_mean(np.ones(4), 1.0)
-
-    def test_abel_of_halfplane_lambda_rows(self):
-        # sum 2(g_k - 1/k) r^k = log((1-r)^2 h(r)/r) = log(1 - r)
-        ld = log_data(make_schlicht("halfplane", order=258))
-        rows = ld.lam.real  # index 0 entry is zero
-        for r in (0.3, 0.6, 0.9):
-            target = math.log(1.0 - r)
-            assert abs(abel_mean(rows, r) - target) < 1e-10
-        # for the koebe ledger the same series is identically zero
-        ld_k = log_data(make_schlicht("koebe", order=258))
-        for r in (0.3, 0.6, 0.9):
-            assert abs(abel_mean(ld_k.lam.real, r)) < 1e-10
 
     def test_weighted_mean_of_lambda_rows_vs_direct_summation(self):
         # the weighted mean of 2(Re g_k - 1/k) recomputed by a plain loop
@@ -176,49 +157,6 @@ class TestDecomposition:
             tauber_decomposition_check(ld, 1, 0.5)
         with pytest.raises(InvalidParameter):
             tauber_decomposition_check(ld, 4, 1.0)
-
-
-class TestUniformGap:
-    @staticmethod
-    def _profiles(ms, grid):
-        # growth profiles of half-plane dilations: (1-r)^2/(1-r_m r),
-        # converging uniformly to the half-plane profile 1-r
-        out = []
-        for m in ms:
-            r_m = 1.0 - 1.0 / m
-            out.append((1 - grid) ** 2 / (1 - r_m * grid))
-        return np.array(out)
-
-    def test_halfplane_dilations_converge_uniformly(self):
-        grid = np.linspace(0.0, 1.0, 201)
-        samples = self._profiles(range(2, 30), grid)
-        rep = uniform_gap(samples, 1.0 - grid)
-        assert rep.dini_ok
-        assert rep.sup_gaps[-1] < rep.sup_gaps[0]
-        assert rep.sup_gaps[-1] < 0.05
-        assert rep.limit_max_jump < 0.01
-
-    def test_equal_samples_have_zero_gap(self):
-        grid = np.linspace(0.0, 1.0, 32)
-        limit = 1.0 - grid
-        rep = uniform_gap(np.tile(limit, (4, 1)), limit)
-        assert np.max(rep.sup_gaps) == 0.0
-
-    def test_koebe_dilations_fail_against_constant_limit(self):
-        # profiles (1-r)^2/(1-r_m r)^2 die at r=1 while the candidate limit
-        # is identically 1: the endpoint gap never closes
-        grid = np.linspace(0.0, 1.0, 201)
-        ms = range(2, 30)
-        samples = np.array([(1 - grid) ** 2 / (1 - (1 - 1 / m) * grid) ** 2
-                            for m in ms])
-        rep = uniform_gap(samples, np.ones_like(grid))
-        assert np.all(rep.sup_gaps >= 1.0 - 1e-12)
-
-    def test_not_monotone_rejected(self):
-        grid = np.linspace(0.0, 1.0, 16)
-        bad = np.vstack([1 - grid, grid])  # second row increases
-        with pytest.raises(NotMonotone):
-            uniform_gap(bad, 1 - grid)
 
 
 class TestEulerBracket:
