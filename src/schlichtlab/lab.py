@@ -9,7 +9,9 @@ for free-form input, so presets keep every reported claim honest.
                     above 1/e -- simultaneous convergence fails when the
                     growth indexes do not converge to the limit's.
   theorem1          half-plane dilations (slow growth): the joint tail of
-                    |a_n^(m)|/n collapses to zero.
+                    |a_n^(m)|/n collapses to zero.  The weighted-mean
+                    harness runs on the members' boundary-mean rows
+                    (1-z)^2 f(z)/z, taken without a log_data ledger.
   theorem2          Koebe transforms w_m = 0.3 e^{i/m} (maximal growth,
                     full-mapping limit): | |a_n^(m)|/n - alpha_m | has a
                     decreasing joint tail, with the growth-index bracket
@@ -29,7 +31,9 @@ byte-identical CSV/JSON.  CSV rows use fixed 8-decimal formatting under
 the header ``scenario,m,n,value,alpha_m,deviation,flag``; JSON mirrors
 the full report, provenance included, as
 ``json.dumps(report.to_dict(), sort_keys=True, indent=2)`` writes it.  Both
-writers format whole columns in one pass instead of one record per row.
+writers format whole columns in one pass instead of one record per row, and
+the JSON writer spells a column only once when another is bitwise equal to
+it (``deviation`` is ``value`` whenever every alpha is 0).
 """
 
 from __future__ import annotations
@@ -56,6 +60,9 @@ COLUMNS = ("m", "n", "value", "alpha_m", "deviation", "flag", "check")
 
 # the counterexample's diagonal flag reads only the cells (m, m) with m >= this
 DIAGONAL_MIN_M = 8
+
+# the tolerances that name a cutoff on the tail grid, so must be whole numbers
+CUTOFF_TOLERANCES = ("tail_n", "simultaneous_tail_n")
 
 DEFAULT_TOLERANCES = {
     "row_vanish": 0.05,
@@ -109,9 +116,28 @@ class ScenarioConfig:
             if self.n_range[0] < 2 or 2 * self.n_range[1] - 1 > self.series_order:
                 raise ConfigError("zalcman_scan needs 2n-1 within the series order")
         tol = dict(DEFAULT_TOLERANCES)
-        tol.update(self.tolerances or {})
+        tol.update(self._checked_tolerances())
         object.__setattr__(self, "tolerances", tol)
         self._check_cutoffs_on_grid()
+
+    def _checked_tolerances(self) -> dict:
+        """The tolerance overrides, each a known key with a finite real value.
+
+        Values are checked, not converted, so the provenance echoes them as given.
+        """
+        overrides = {} if self.tolerances is None else self.tolerances
+        if not isinstance(overrides, dict):
+            raise ConfigError("tolerances must map names to numbers")
+        unknown = set(overrides) - set(DEFAULT_TOLERANCES)
+        if unknown:
+            raise ConfigError(f"unknown tolerance keys: {sorted(unknown, key=str)}")
+        for key, value in overrides.items():
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ConfigError(f"tolerance {key} must be a finite number, got {value!r}")
+            if key in CUTOFF_TOLERANCES and value != int(value):
+                raise ConfigError(f"tolerance {key} must be a whole number, got {value!r}")
+        return overrides
 
     def _check_cutoffs_on_grid(self):
         """Reject a config whose flag could only read False for lack of grid cells."""
@@ -221,6 +247,7 @@ def _ratio_scenario(cfg, build_member, estimate_alpha, flag_fn):
 
     ``build_member(m)`` builds one member; ``estimate_alpha(members)`` takes
     them all in one call and returns their indexes and bracket widths.
+    Returns the rows, the summary and the members, in m order.
     """
     m_lo, m_hi = cfg.m_range
     n_lo, n_hi = cfg.n_range
@@ -254,7 +281,7 @@ def _ratio_scenario(cfg, build_member, estimate_alpha, flag_fn):
         "flags": {},
     }
     flag_fn(cfg, np.asarray(ms), ns, d, alphas, np.asarray(widths), summary)
-    return rows, summary
+    return rows, summary, members
 
 
 def _run_counterexample(cfg: ScenarioConfig) -> ScenarioReport:
@@ -282,7 +309,7 @@ def _run_counterexample(cfg: ScenarioConfig) -> ScenarioReport:
         fl["corner_m_dominates_near_one"] = float(d[-1, 0]) >= 0.9
         fl["corner_n_dominates_near_zero"] = float(d[0, -1]) <= tol["row_vanish"]
 
-    rows, summary = _ratio_scenario(cfg, build, est, flags)
+    rows, summary, _ = _ratio_scenario(cfg, build, est, flags)
     return ScenarioReport("counterexample", rows, summary, _provenance(cfg))
 
 
@@ -304,12 +331,11 @@ def _run_theorem1(cfg: ScenarioConfig) -> ScenarioReport:
         fl["uniform_tail_bound"] = float(tail_sup[tail_n == cut][0]) <= tol["tail_bound"]
         fl["tail_sup_non_increasing"] = bool(np.all(np.diff(tail_sup) <= 1e-12))
 
-    rows, summary = _ratio_scenario(cfg, build, est, flags)
+    rows, summary, members = _ratio_scenario(cfg, build, est, flags)
 
     # deeper machinery: the weighted-mean harness over the boundary-mean rows
     ms = np.arange(cfg.m_range[0], cfg.m_range[1] + 1)
-    ledgers = [logmilin.log_data(build(int(m))) for m in ms]
-    rows_b = np.array([ld.f_coeffs.real for ld in ledgers])
+    rows_b = np.array([logmilin.boundary_mean_coeffs(f).real for f in members])
     fam = tauber.DoubleFamily(m_values=ms, coeff_rows=rows_b,
                               alpha=np.zeros(len(ms)))
     harness = tauber.simultaneous_tauber_harness(fam)
@@ -347,7 +373,7 @@ def _run_theorem2(cfg: ScenarioConfig) -> ScenarioReport:
         fl["simultaneous_tail_bound"] = float(tail_sup[tail_n == cut][0]) <= allowance
         summary["tail_allowance"] = allowance
 
-    rows, summary = _ratio_scenario(cfg, build, est, flags)
+    rows, summary, _ = _ratio_scenario(cfg, build, est, flags)
     return ScenarioReport("theorem2", rows, summary, _provenance(cfg))
 
 
@@ -502,16 +528,23 @@ def _csv_text(rep: ScenarioReport) -> str:
     return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
-def _json_column(col) -> list:
-    """The JSON text of each entry of one report column."""
+def _json_column(col, spelled: dict) -> list:
+    """The JSON text of each entry of one report column.
+
+    ``spelled`` maps the (dtype, bytes) of each array column already spelled
+    to its text, which a bitwise equal column reuses (deviation is value when
+    every alpha is 0); bits, not ==, tell -0.0 from 0.0 and NaN from NaN.
+    """
     if isinstance(col, list):
         text = {s: json.dumps(s) for s in set(col)}
         return [text[s] for s in col]
-    if col.dtype.kind == "f" and len(col):
+    bits = (col.dtype.str, col.tobytes())
+    if bits not in spelled:
         # one C-encoder call; it spells floats (NaN and Infinity too) as the
         # pure-Python encoder behind indent=2 does, and no float contains ", "
-        return json.dumps(col.tolist())[1:-1].split(", ")
-    return col.tolist()
+        spelled[bits] = (json.dumps(col.tolist())[1:-1].split(", ")
+                         if col.dtype.kind == "f" and len(col) else col.tolist())
+    return spelled[bits]
 
 
 def _json_text(rep: ScenarioReport) -> str:
@@ -521,7 +554,9 @@ def _json_text(rep: ScenarioReport) -> str:
     parts = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
              for key, value in (("provenance", rep.provenance), ("scenario", rep.scenario),
                                 ("summary", rep.summary))}
-    rows = [_ROW_JSON % row for row in zip(*(_json_column(rep.rows[k]) for k in sorted(COLUMNS)))]
+    spelled = {}
+    rows = [_ROW_JSON % row
+            for row in zip(*(_json_column(rep.rows[k], spelled) for k in sorted(COLUMNS)))]
     parts["rows"] = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
     return "{\n  " + ",\n  ".join(f'"{key}": {parts[key]}' for key in sorted(parts)) + "\n}\n"
 

@@ -5,7 +5,9 @@ For a normalized univalent ``f`` the ledger collects, in one pass:
 * ``gamma``        -- logarithmic coefficients, log(f(z)/z) = 2 sum gamma_n z^n
 * ``sqrt_coeffs``  -- coefficients of sqrt(f(z)/z)
 * ``lam``          -- lam_n = 2 (gamma_n - 1/n)
-* ``f_coeffs``     -- coefficients of (1-z)^2 f(z)/z (the boundary-mean series)
+* ``f_coeffs``     -- coefficients of (1-z)^2 f(z)/z (the boundary-mean series),
+                      from :func:`boundary_mean_coeffs`, which also serves
+                      callers that need these rows and nothing else
 * ``s``            -- s_n = a_{n+1} - a_n (partial sums of ``f_coeffs``)
 * ``sigma``        -- sigma_n = a_{n+1}/(n+1) (Cesaro means of ``s``)
 * ``delta``        -- delta_n = s_n - sigma_n
@@ -76,19 +78,31 @@ def log_data(f: SchlichtFunction) -> LogData:
     lam = np.zeros(m + 1, dtype=np.complex128)
     lam[1:] = 2.0 * (gamma[1:] - 1.0 / n[1:])
 
-    square = np.zeros(m + 1, dtype=np.complex128)
-    square[0] = 1.0
-    if m >= 1:
-        square[1] = -2.0
-    if m >= 2:
-        square[2] = 1.0
-    f_coeffs = (ComplexSeries(square) * p).coeffs
+    f_coeffs = boundary_mean_coeffs(f)
 
     s = a[1:] - a[:-1]  # s_k = a_{k+1} - a_k, k = 0..m
     sigma = a[1:] / np.arange(1, m + 2)
     delta = s - sigma
     return LogData(gamma=gamma, sqrt_coeffs=sqrt_coeffs, lam=lam,
                    f_coeffs=f_coeffs, s=s, sigma=sigma, delta=delta)
+
+
+def boundary_mean_coeffs(f: SchlichtFunction) -> np.ndarray:
+    """Coefficients 0..N-1 of (1-z)^2 f(z)/z, N the series order of ``f``.
+
+    The one place the ledger's ``f_coeffs`` are computed; it runs neither
+    the logarithm nor the square root, so a caller that reads only these
+    rows needs no ledger.
+    """
+    p = ComplexSeries(f.series.coeffs[1:])  # f(z)/z, constant term 1
+    m = p.order
+    square = np.zeros(m + 1, dtype=np.complex128)
+    square[0] = 1.0
+    if m >= 1:
+        square[1] = -2.0
+    if m >= 2:
+        square[2] = 1.0
+    return (ComplexSeries(square) * p).coeffs
 
 
 # -- recurrence adjudication -------------------------------------------
@@ -209,11 +223,15 @@ def lebedev_milin_check(f: SchlichtFunction, ld: LogData, n: int):
     return float(a_abs), b_sum, rhs
 
 
+def _circle_moduli(f: SchlichtFunction, r: float, quad_points: int) -> np.ndarray:
+    """|f| at the ``quad_points`` equispaced nodes of the circle of radius r."""
+    t = 2.0 * np.pi * np.arange(quad_points) / quad_points
+    return np.abs(f.value(r * np.exp(1j * t)))
+
+
 def circle_mean(f: SchlichtFunction, r: float, quad_points: int) -> float:
     """(1/2pi) integral of |f(r e^{it})| dt by the periodic trapezoid rule."""
-    t = 2.0 * np.pi * np.arange(quad_points) / quad_points
-    z = r * np.exp(1j * t)
-    return float(np.mean(np.abs(f.value(z))))
+    return float(np.mean(_circle_moduli(f, r, quad_points)))
 
 
 def prawitz_check(f: SchlichtFunction, radii, quad_points: int = 1024, grid: int = 512):
@@ -228,8 +246,11 @@ def prawitz_check(f: SchlichtFunction, radii, quad_points: int = 1024, grid: int
     radii = radius_grid(radii)
     quad_points = integer_parameter(quad_points, "quad_points", 256)
     grid = integer_parameter(grid, "grid", 64)
-    coarse = np.array([circle_mean(f, r, quad_points) for r in radii])
-    fine = np.array([circle_mean(f, r, 2 * quad_points) for r in radii])
+    # the q-point rule's nodes are the even nodes of the 2q-point rule, so
+    # one evaluation per circle serves both
+    moduli = [_circle_moduli(f, r, 2 * quad_points) for r in radii]
+    coarse = np.array([float(np.mean(v[::2])) for v in moduli])
+    fine = np.array([float(np.mean(v)) for v in moduli])
     drift = float(np.max(np.abs(fine - coarse)))
     if drift > 1e-9:
         raise QuadratureUnconverged(

@@ -133,21 +133,27 @@ class TauberHarnessReport:
 def tail_supremum(d: np.ndarray, m_values: np.ndarray):
     """Clamped joint tail suprema of a non-negative surface.
 
-    Returns (N_grid, sup array); see :class:`TauberHarnessReport`.
+    ``d`` has one row per entry of ``m_values``, which must increase
+    strictly (the rule :class:`DoubleFamily` enforces).  Returns
+    (N_grid, sup array); see :class:`TauberHarnessReport`.
     """
+    d = np.asarray(d)
     m_values = np.asarray(m_values, dtype=int)
-    n_cols = d.shape[1]
+    if d.ndim != 2 or d.size == 0:
+        raise InvalidParameter("the surface must be a non-empty 2-D array")
+    if m_values.shape != (d.shape[0],):
+        raise InvalidParameter("need one m value per surface row")
+    if np.any(np.diff(m_values) <= 0):
+        raise InvalidParameter("m_values must be strictly increasing")
     max_m = int(m_values[-1])
-    max_n = n_cols - 1
-    # suffix maxima along n for every row
-    suffix = np.maximum.accumulate(d[:, ::-1], axis=1)[:, ::-1]
+    max_n = d.shape[1] - 1
+    # suffix maxima along n, then along m: corner[i, j] = max d[i:, j:]
+    corner = np.maximum.accumulate(d[::-1, ::-1], axis=1)
+    corner = np.maximum.accumulate(corner, axis=0)[::-1, ::-1]
     n_grid = np.arange(max(max_m, max_n))
-    sup = np.empty(len(n_grid))
-    for i, n_cut in enumerate(n_grid):
-        row_cut = min(n_cut, max_m - 1)
-        col_cut = min(n_cut, max_n - 1)
-        rows = m_values > row_cut
-        sup[i] = float(np.max(suffix[rows, col_cut + 1]))
+    # the first row with m > row cut; the clamp keeps it inside the surface
+    first_row = np.searchsorted(m_values, np.minimum(n_grid, max_m - 1), side="right")
+    sup = np.asarray(corner[first_row, np.minimum(n_grid, max_n - 1) + 1], dtype=float)
     return n_grid, sup
 
 

@@ -89,6 +89,28 @@ def test_edge_values_match_reference(tmp_path):
     assert "NaN" in (tmp_path / "edge_case.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.filterwarnings("error")
+def test_equal_but_not_bitwise_equal_columns_match_reference(tmp_path):
+    # value and deviation compare equal under == yet differ in their bits, so
+    # each keeps its own spelling; alpha_m is bitwise value and reuses its text
+    value = np.array([0.0, -0.0, 2.5, -0.0])
+    rep = hand_built([0.0] * 4, ["ok"] * 4, ["c"] * 4)
+    rep.rows.update(value=value, alpha_m=value.copy(), deviation=np.abs(value))
+    assert np.array_equal(rep.rows["value"], rep.rows["deviation"])
+    assert_matches_reference(rep, tmp_path)
+    rows = json.loads((tmp_path / "edge_case.json").read_text(encoding="utf-8"))["rows"]
+    assert [math.copysign(1.0, r["value"]) for r in rows] == [1.0, -1.0, 1.0, -1.0]
+    assert [math.copysign(1.0, r["deviation"]) for r in rows] == [1.0] * 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_columns_match_reference(tmp_path):
+    nan = np.full(4, math.nan)
+    rep = hand_built([0.0] * 4, ["fail"] * 4, ["c"] * 4)
+    rep.rows.update(value=nan, alpha_m=-nan, deviation=nan.copy())
+    assert_matches_reference(rep, tmp_path)
+
+
 def test_empty_report_matches_reference(tmp_path):
     rep = hand_built([], [], [])
     assert_matches_reference(rep, tmp_path)

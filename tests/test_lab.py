@@ -1,13 +1,17 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from schlichtlab import logmilin
 from schlichtlab.cli import main as cli_main
 from schlichtlab.errors import ConfigError
+from schlichtlab.families import make_schlicht
 from schlichtlab.lab import ScenarioConfig, export_report, run_scenario
+from schlichtlab.series import ComplexSeries
 
 
 def small_cfg(scenario, tmp_path, **kw):
@@ -56,6 +60,38 @@ class TestConfig:
                              tolerances={"row_vanish": 0.2})
         assert cfg.tolerances["row_vanish"] == 0.2
         assert cfg.tolerances["diagonal_floor"] == 0.36
+
+    # the theorem1 grid whose tail grid 0..127 holds the default cutoff 100
+    THEOREM1 = {"scenario": "theorem1", "m_range": [2, 128], "n_range": [1, 128],
+                "series_order": 128}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tolerances, match", [
+        ({"tail_bund": 0.01}, "unknown tolerance"),
+        ({"tail_bound": "x"}, "tail_bound"),
+        ({"tail_bound": None}, "tail_bound"),
+        ({"tail_bound": [0.01]}, "tail_bound"),
+        ({"tail_bound": math.nan}, "tail_bound"),
+        ({"tail_bound": math.inf}, "tail_bound"),
+        ({"tail_n": 100.7}, "tail_n"),
+        ({"tail_n": True}, "tail_n"),
+        ({"simultaneous_tail_n": 64.5}, "simultaneous_tail_n"),
+        ([["tail_n", 100]], "tolerances"),
+    ], ids=["typo", "string", "null", "list", "nan", "inf", "fractional cutoff",
+            "bool cutoff", "fractional other cutoff", "not a mapping"])
+    def test_bad_tolerances_rejected(self, tolerances, match):
+        with pytest.raises(ConfigError, match=match):
+            ScenarioConfig.from_dict(dict(self.THEOREM1, tolerances=tolerances))
+
+    @pytest.mark.filterwarnings("error")
+    def test_valid_tolerances_are_echoed_as_given(self, tmp_path):
+        cfg = ScenarioConfig.from_dict(dict(self.THEOREM1, out_dir=str(tmp_path),
+                                            tolerances={"tail_n": 100, "tail_bound": 1}))
+        assert cfg.tolerances["tail_n"] == 100 and type(cfg.tolerances["tail_n"]) is int
+        _, json_path = export_report(run_scenario(cfg))
+        echoed = json.loads(json_path.read_text())["provenance"]["config"]["tolerances"]
+        assert echoed["tail_n"] == 100 and type(echoed["tail_n"]) is int
+        assert ScenarioConfig.from_dict(dict(self.THEOREM1, tolerances={"tail_n": 100.0}))
 
     # A flag must not read False only because its cutoff lies off the grid
     # of tauber.tail_supremum, 0 .. max(m_hi, n_count - 1) - 1.
@@ -138,6 +174,27 @@ class TestTheorem1:
         assert rep.summary["flags"]["uniform_tail_bound"]
         assert rep.summary["flags"]["tauber_hypothesis_iii"]
         assert rep.all_ok()
+
+    @pytest.mark.filterwarnings("error")
+    def test_builds_no_ledger(self, tmp_path, monkeypatch):
+        # the harness reads only the boundary-mean rows, which need neither
+        # the series logarithm nor the square root
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(logmilin, "log_data", counting("log_data", logmilin.log_data))
+        monkeypatch.setattr(ComplexSeries, "log", counting("log", ComplexSeries.log))
+        monkeypatch.setattr(ComplexSeries, "sqrt", counting("sqrt", ComplexSeries.sqrt))
+        rep = run_scenario(small_cfg("theorem1", tmp_path, tolerances={"tail_n": 40.0}))
+        assert "tauber_harness" in rep.summary
+        assert calls == Counter()
+        logmilin.log_data(make_schlicht("halfplane", order=16))  # the counters count
+        assert calls == Counter(log_data=1, log=1, sqrt=1)
 
 
 class TestTheorem2:

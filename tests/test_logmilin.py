@@ -1,14 +1,25 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schlichtlab.errors import InvalidAlpha, QuadratureUnconverged
-from schlichtlab.families import MAXIMAL_GROWTH_KINDS, make_schlicht, rotated
+from schlichtlab.families import (
+    MAXIMAL_GROWTH_KINDS,
+    dilated,
+    make_schlicht,
+    rotated,
+    standard_corpus,
+)
 from schlichtlab.hayman import hayman_index
 from schlichtlab.logmilin import (
     MILIN_CONSTANT_BOUND,
+    _circle_moduli,
     bazilevich_gap,
+    boundary_mean_coeffs,
     circle_mean,
     coefficient_functionals,
     direction_weighted_sum,
@@ -87,6 +98,47 @@ class TestLedger:
         for label, ld in ledgers130.items():
             np.testing.assert_allclose(np.cumsum(ld.f_coeffs), ld.s, atol=1e-12,
                                        err_msg=label)
+
+
+@st.composite
+def ledger_members(draw):
+    """Closed-form and series-only members, optionally dilated or rotated."""
+    order = draw(st.integers(8, 64))
+    kind = draw(st.sampled_from(["koebe", "halfplane", "rotation", "koebe_transform",
+                                 "custom"]))
+    if kind == "rotation":
+        f = make_schlicht(kind, {"theta": draw(st.floats(-math.pi, math.pi))}, order)
+    elif kind == "koebe_transform":
+        w = cmath.rect(draw(st.floats(0.0, 0.9)), draw(st.floats(-math.pi, math.pi)))
+        f = make_schlicht(kind, {"w": w}, order)
+    elif kind == "custom":
+        # z + c z^2 + d z^3 with small c, d: f(z)/z has no zero near the disc
+        coeffs = np.zeros(order + 1, dtype=complex)
+        coeffs[1] = 1.0
+        coeffs[2] = cmath.rect(draw(st.floats(0.0, 0.25)), draw(st.floats(-3.0, 3.0)))
+        coeffs[3] = cmath.rect(draw(st.floats(0.0, 0.05)), draw(st.floats(-3.0, 3.0)))
+        f = make_schlicht(kind, {"coeffs": coeffs}, order)
+    else:
+        f = make_schlicht(kind, order=order)
+    if draw(st.booleans()):
+        f = dilated(f, draw(st.floats(0.01, 0.99)))
+    if draw(st.booleans()):
+        f = rotated(f, draw(st.floats(-math.pi, math.pi)))
+    return f
+
+
+class TestBoundaryMeanCoeffs:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(f=ledger_members())
+    def test_matches_ledger_and_exp_recurrence(self, f):
+        fast = boundary_mean_coeffs(f)
+        ld = log_data(f)
+        assert fast.dtype == ld.f_coeffs.dtype
+        assert fast.tobytes() == ld.f_coeffs.tobytes()
+        scale = max(1.0, float(np.max(np.abs(f.series.coeffs))))
+        np.testing.assert_allclose(f_coeffs_via_exp_recurrence(ld), fast, rtol=0,
+                                   atol=1e-10 * scale, err_msg=f.label())
 
 
 class TestRecurrenceAdjudication:
@@ -236,6 +288,28 @@ class TestPrawitz:
         for f in corpus130:
             _, violations = prawitz_check(f, (0.3, 0.5, 0.7, 0.9), quad_points=1024)
             assert violations == 0, f.label()
+
+    @pytest.mark.filterwarnings("error")
+    def test_even_nodes_give_the_half_rule_bit_for_bit(self):
+        # prawitz_check evaluates each circle once at 2q nodes and takes the
+        # q-point rule from the even ones; that must be circle_mean(f, r, q)
+        radii = (0.05, 0.3, 0.5, 0.7, 0.9, 0.99)
+        members = standard_corpus(258) + [make_schlicht(
+            "custom", {"coeffs": np.r_[0.0, 1.0, 0.25j, np.zeros(256)]}, 258)]
+        for f in members:
+            for q in (256, 512, 1024, 2048):
+                for r in radii:
+                    values = _circle_moduli(f, r, 2 * q)
+                    assert float(np.mean(values[::2])) == circle_mean(f, r, q), (
+                        f.label(), q, r)
+                    assert float(np.mean(values)) == circle_mean(f, r, 2 * q)
+
+    @pytest.mark.filterwarnings("error")
+    def test_means_are_the_doubled_rule(self):
+        f = make_schlicht("koebe_transform", {"w": 0.3j}, order=64)
+        radii = (0.3, 0.5, 0.7)
+        means, _ = prawitz_check(f, radii, quad_points=512)
+        assert means.tolist() == [circle_mean(f, r, 1024) for r in radii]
 
     def test_unconverged_quadrature_detected(self):
         # 256 points cannot resolve the koebe peak at r = 0.99

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schlichtlab.errors import (
@@ -117,6 +117,63 @@ class TestHarness:
         n_grid, sup = tail_supremum(d, np.arange(5, 11))
         assert len(n_grid) == 39  # 0 .. max(max_m, max_n) - 1
         assert np.all(np.diff(sup) <= 0.0)
+
+
+def tail_supremum_loop(d, m_values):
+    """The cutoff-by-cutoff loop tail_supremum replaced, kept as its reference."""
+    m_values = np.asarray(m_values, dtype=int)
+    max_m = int(m_values[-1])
+    max_n = d.shape[1] - 1
+    suffix = np.maximum.accumulate(d[:, ::-1], axis=1)[:, ::-1]
+    n_grid = np.arange(max(max_m, max_n))
+    sup = np.empty(len(n_grid))
+    for i, n_cut in enumerate(n_grid):
+        rows = m_values > min(n_cut, max_m - 1)
+        sup[i] = float(np.max(suffix[rows, min(n_cut, max_n - 1) + 1]))
+    return n_grid, sup
+
+
+@st.composite
+def surfaces(draw):
+    """Non-negative surfaces with ties, over m windows that need not start at 1."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 40))
+    # a few distinct levels make ties common; free floats cover the rest
+    level = st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 10.0)
+    d = np.array(draw(st.lists(level, min_size=rows * cols, max_size=rows * cols)))
+    first = draw(st.integers(-3, 50))
+    steps = draw(st.lists(st.integers(1, 4), min_size=rows - 1, max_size=rows - 1))
+    return d.reshape(rows, cols), first + np.cumsum([0] + steps)
+
+
+class TestTailSupremum:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None)
+    @given(surface=surfaces())
+    @example(surface=(np.array([[3.0, 1.0, 1.0, 0.0]]), np.array([7])))  # one row
+    @example(surface=(np.array([[2.0], [2.0], [0.5]]), np.array([2, 3, 9])))  # one column
+    def test_matches_cutoff_loop_bitwise(self, surface):
+        d, m_values = surface
+        n_grid, sup = tail_supremum(d, m_values)
+        ref_grid, ref_sup = tail_supremum_loop(d, m_values)
+        assert np.array_equal(n_grid, ref_grid)
+        assert sup.dtype == ref_sup.dtype
+        assert sup.tobytes() == ref_sup.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d, m_values", [
+        (np.zeros((0, 5)), []),
+        (np.zeros((2, 0)), [1, 2]),
+        (np.zeros(5), [1]),
+        (np.ones((3, 4)), [1, 2]),
+        (np.ones((3, 4)), [1, 2, 3, 4]),
+        (np.ones((3, 4)), [1, 3, 3]),
+        (np.ones((3, 4)), [4, 2, 1]),
+    ], ids=["no rows", "no columns", "1-D", "short m", "long m", "repeated m",
+            "decreasing m"])
+    def test_rejects_bad_input(self, d, m_values):
+        with pytest.raises(InvalidParameter):
+            tail_supremum(d, m_values)
 
 
 class TestDecomposition:
