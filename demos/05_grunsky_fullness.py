@@ -12,14 +12,13 @@ import numpy as np
 
 from schlichtlab import (
     full_mapping_defect,
+    fullness_defect,
     grunsky_matrix,
     invert_to_sigma,
     log_data,
     standard_corpus,
     strong_grunsky_norm,
 )
-from schlichtlab.errors import PowerIterationStalled
-from schlichtlab.grunsky import grunsky_norm_dense
 
 corpus = standard_corpus(order=130)
 
@@ -27,25 +26,16 @@ print("weighted operator norms (univalence keeps them <= 1)")
 print("-" * 70)
 for f in corpus:
     g = invert_to_sigma(f, 128)
-    table = grunsky_matrix(g, 32)
-    try:
-        norm, how = strong_grunsky_norm(table), "power iteration"
-    except PowerIterationStalled:
-        # full-mapping sections pile singular values at 1, which plain
-        # power iteration cannot mix through; the dense route still works
-        norm, how = grunsky_norm_dense(table), "dense (clustered spectrum)"
-    print(f"{f.label():34s} norm = {norm:.12f}   [{how}]")
+    # dense: full-mapping sections pile their singular values up at 1
+    norm = strong_grunsky_norm(grunsky_matrix(g, 32))
+    print(f"{f.label():34s} norm = {norm:.12f}")
 
 print()
 print("fullness defect at z = 0.5, section order doubling")
 print("-" * 70)
 for f in corpus:
-    g = invert_to_sigma(f, 128)
-    ld = log_data(f)
-    defects = []
-    for n in (16, 32, 64):
-        table = grunsky_matrix(g, n)
-        defects.append(full_mapping_defect(table, ld, f, 0.5)[0])
+    table = grunsky_matrix(invert_to_sigma(f, 128), 64)
+    defects = [fullness_defect(table.section(n), 0.5) for n in (16, 32, 64)]
     trend = " -> ".join(f"{d:.3e}" for d in defects)
     print(f"{f.label():34s} {trend}")
 print()

@@ -34,6 +34,7 @@ from .grunsky import (
     GrunskyTable,
     bazilevich_equality_residual,
     full_mapping_defect,
+    fullness_defect,
     grunsky_matrix,
     grunsky_matrix_direct,
     strong_grunsky_norm,
@@ -83,7 +84,8 @@ __all__ = [
     "LogData", "log_data", "milin_check", "bazilevich_gap",
     "lebedev_milin_check", "prawitz_check", "coefficient_functionals",
     "GrunskyTable", "grunsky_matrix", "grunsky_matrix_direct",
-    "strong_grunsky_norm", "full_mapping_defect", "bazilevich_equality_residual",
+    "strong_grunsky_norm", "fullness_defect", "full_mapping_defect",
+    "bazilevich_equality_residual",
     "DoubleFamily", "DeviationSurface", "TauberHarnessReport",
     "cesaro_mean", "weighted_mean",
     "simultaneous_tauber_harness", "tauber_decomposition_check",

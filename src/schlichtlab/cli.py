@@ -8,8 +8,8 @@ Subcommands:
       run the inequality audit for one corpus member, print the checks.
   schlicht-lab grunsky --function koebe --order 32 --z 0.5,0.0
       build the Grunsky section of the inverted member, print its norm
-      (dense SVD, which also works on the clustered spectra of full
-      mappings) and the fullness diagnostics at z.
+      (dense, which also works on the clustered spectra of full mappings)
+      and the fullness diagnostics at z.
 
 Exit code 0 iff every pass/fail flag is ok.
 """
@@ -75,7 +75,7 @@ def audit_cmd(tag, order):
         f = _member(tag, order)
         cfg = lab.ScenarioConfig(scenario="inequality_audit", m_range=(1, 1),
                                  n_range=(1, 1), series_order=order)
-        _m, label, alpha_val, checks = lab._audit_member((1, f, cfg))
+        _m, label, alpha_val, checks = lab._audit_members([(1, f)], cfg)[0]
     except SchlichtLabError as exc:
         raise click.ClickException(str(exc)) from exc
     payload = {"function": label, "alpha": alpha_val, "checks": {}}
@@ -105,7 +105,7 @@ def grunsky_cmd(tag, order, z_str):
         f = _member(tag, 2 * order + 2)
         g = families.invert_to_sigma(f, 2 * order)
         table = grunsky.grunsky_matrix(g, order)
-        norm = grunsky.grunsky_norm_dense(table)
+        norm = grunsky.strong_grunsky_norm(table)
         ld = logmilin.log_data(f)
         defect, identity = grunsky.full_mapping_defect(table, ld, f, z)
     except SchlichtLabError as exc:

@@ -54,10 +54,6 @@ class QuadratureUnconverged(SchlichtLabError, ArithmeticError):
     """Doubling the quadrature rule still moved the result."""
 
 
-class PowerIterationStalled(SchlichtLabError, ArithmeticError):
-    """Power iteration failed to converge within its iteration budget."""
-
-
 class IndexOutOfRange(SchlichtLabError, IndexError):
     """Mean/decomposition index beyond the stored coefficient range."""
 

@@ -163,8 +163,8 @@ def finite_parameter(value, name: str, kind=float):
     return out
 
 
-def integer_parameter(value, name: str, minimum: int) -> int:
-    """``value`` as an int of at least ``minimum``.
+def integer_parameter(value, name: str, minimum: Optional[int] = None) -> int:
+    """``value`` as an int, of at least ``minimum`` when one is given.
 
     Raises :class:`InvalidParameter` for bools, for floats (fractional,
     NaN or not), for strings and for anything else that is not an integer.
@@ -175,7 +175,7 @@ def integer_parameter(value, name: str, minimum: int) -> int:
         out = operator.index(value)
     except TypeError:
         raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
-    if out < minimum:
+    if minimum is not None and out < minimum:
         raise InvalidParameter(f"{name} must be at least {minimum}")
     return out
 

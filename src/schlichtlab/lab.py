@@ -20,6 +20,11 @@ for free-form input, so presets keep every reported claim honest.
   zalcman_scan      coefficient functionals over the corpus against the
                     (n-1)^2 ceiling.
   inequality_audit  every scalar inequality check over the whole corpus.
+                    One Grunsky table, one ledger and one identity
+                    logarithm per member; the fullness comparison reads a
+                    leading section of that table, and the maximal
+                    members' growth indexes come from one batched
+                    hayman_index call.
 
 A ScenarioReport keeps its rows as columns (see COLUMNS): ``m`` and ``n``
 are int64 arrays, ``value``, ``alpha_m`` and ``deviation`` float64 arrays,
@@ -49,7 +54,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from . import errors as errors_mod
 from . import families, grunsky, hayman, logmilin, tauber
 from .errors import ConfigError, SchlichtLabError
 
@@ -80,6 +84,18 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# the audit compares its Grunsky section, of order (series_order - 2) // 2,
+# against a leading section of order at least 8
+AUDIT_MIN_ORDER = 18
+
+
+def _config_integer(value, name: str, minimum: Optional[int] = None) -> int:
+    try:
+        return families.integer_parameter(value, name, minimum)
+    except SchlichtLabError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
@@ -94,17 +110,18 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        for name, rng in (("m_range", self.m_range), ("n_range", self.n_range)):
-            if len(rng) != 2 or int(rng[0]) > int(rng[1]):
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        for name in ("m_range", "n_range"):
+            rng = getattr(self, name)
+            if not isinstance(rng, (list, tuple)) or len(rng) != 2:
                 raise ConfigError(f"{name} must be a non-empty [lo, hi] pair")
-        object.__setattr__(self, "m_range", (int(self.m_range[0]), int(self.m_range[1])))
-        object.__setattr__(self, "n_range", (int(self.n_range[0]), int(self.n_range[1])))
+            lo, hi = (_config_integer(x, name) for x in rng)
+            if lo > hi:
+                raise ConfigError(f"{name} must be a non-empty [lo, hi] pair")
+            object.__setattr__(self, name, (lo, hi))
         for key in ("series_order", "grunsky_order"):
-            try:
-                order = families.integer_parameter(getattr(self, key), key, 8)
-            except SchlichtLabError as exc:
-                raise ConfigError(str(exc)) from exc
-            object.__setattr__(self, key, order)
+            object.__setattr__(self, key, _config_integer(getattr(self, key), key, 8))
         if self.scenario in ("counterexample", "theorem1") and self.m_range[0] < 2:
             raise ConfigError(f"{self.scenario} needs m >= 2 (dilation radius 1 - 1/m)")
         if self.scenario == "theorem2" and self.m_range[0] < 1:
@@ -112,6 +129,9 @@ class ScenarioConfig:
         if self.scenario in ("counterexample", "theorem1", "theorem2"):
             if self.n_range[0] < 1 or self.n_range[1] > self.series_order:
                 raise ConfigError("n_range must fit inside the series order")
+        if self.scenario == "inequality_audit" and self.series_order < AUDIT_MIN_ORDER:
+            raise ConfigError(f"inequality_audit needs series_order >= {AUDIT_MIN_ORDER}, so "
+                              f"that its Grunsky section holds the order-8 comparison section")
         if self.scenario == "zalcman_scan":
             if self.n_range[0] < 2 or 2 * self.n_range[1] - 1 > self.series_order:
                 raise ConfigError("zalcman_scan needs 2n-1 within the series order")
@@ -422,13 +442,13 @@ def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
     return ScenarioReport("zalcman_scan", _columns(**cols), summary, _provenance(cfg))
 
 
-def _audit_member(args):
-    m, f, cfg = args
+def _audit_member(m, f, cfg: ScenarioConfig, est):
+    """The audit rows of one member; ``est`` is its growth-index estimate
+    (None unless the member is of maximal growth)."""
     tol = cfg.tolerances
     order = cfg.series_order
     gN = min(cfg.grunsky_order, (order - 2) // 2)
     ld = logmilin.log_data(f)
-    maximal = f.kind in families.MAXIMAL_GROWTH_KINDS
     checks = []  # (check_name, value, alpha, deviation, ok)
 
     _, max_partial, passes = logmilin.milin_check(ld)
@@ -448,12 +468,7 @@ def _audit_member(args):
 
     g = families.invert_to_sigma(f, order - 2)
     table = grunsky.grunsky_matrix(g, gN)
-    try:
-        norm = grunsky.strong_grunsky_norm(table)
-    except errors_mod.PowerIterationStalled:
-        # full-mapping sections cluster their singular values at 1; the
-        # iterative route stalls there by design, the dense route does not
-        norm = grunsky.grunsky_norm_dense(table)
+    norm = grunsky.strong_grunsky_norm(table)
     checks.append(("grunsky_norm_bound", norm, 1.0 + tol["norm_slack"] - norm,
                    norm <= 1.0 + tol["norm_slack"]))
 
@@ -461,18 +476,14 @@ def _audit_member(args):
     checks.append(("log_identity_link", identity, tol["identity_tol"] - identity,
                    identity <= tol["identity_tol"]))
 
-    if maximal:
-        small = grunsky.grunsky_matrix(g, max(8, gN // 2))
-        defect_small, _ = grunsky.full_mapping_defect(small, ld, f, 0.5)
-        checks.append(("fullness_defect_decreasing", defect,
-                       defect_small - defect, defect <= defect_small + 1e-9))
-    else:
+    alpha_val = 0.0
+    if est is None:
         checks.append(("non_full_defect_positive", defect, defect - 0.01,
                        defect > 0.01))
-
-    alpha_val = 0.0
-    if maximal:
-        est = hayman.hayman_index(f)
+    else:
+        defect_small = grunsky.fullness_defect(table.section(max(8, gN // 2)), 0.5)
+        checks.append(("fullness_defect_decreasing", defect,
+                       defect_small - defect, defect <= defect_small + 1e-9))
         alpha_val = est.alpha
         theta = est.theta if est.theta is not None else 0.0
         n_terms = min(128, ld.top_index)
@@ -484,8 +495,8 @@ def _audit_member(args):
                        tol["direction_tol"] - residual,
                        residual <= tol["direction_tol"]))
         aligned = families.rotated(f, theta) if abs(theta) > 1e-12 else f
-        ld_aligned = logmilin.log_data(aligned)
-        s_sq = float(np.max(np.abs(ld_aligned.s) ** 2))
+        a = aligned.series.coeffs
+        s_sq = float(np.max(np.abs(a[1:] - a[:-1]) ** 2))  # the ledger's s_n = a_{n+1} - a_n
         ceiling = math.exp(2.0 * logmilin.MILIN_CONSTANT_BOUND) / est.alpha
         checks.append(("increment_square_bound", s_sq, ceiling - s_sq,
                        s_sq <= ceiling + 1e-9))
@@ -497,12 +508,24 @@ def _audit_member(args):
     return m, f.label(), alpha_val, checks
 
 
+def _audit_members(members, cfg: ScenarioConfig) -> list:
+    """``(m, label, alpha, checks)`` for each ``(m, f)`` in ``members``.
+
+    The members of maximal growth get their growth indexes from one batched
+    :func:`hayman.hayman_index` call.
+    """
+    maximal = [f for _, f in members if f.kind in families.MAXIMAL_GROWTH_KINDS]
+    ests = iter(hayman.hayman_index(maximal) if maximal else [])
+    return [_audit_member(m, f, cfg,
+                          next(ests) if f.kind in families.MAXIMAL_GROWTH_KINDS else None)
+            for m, f in members]
+
+
 def _run_audit(cfg: ScenarioConfig) -> ScenarioReport:
     members, labels = _corpus_with_labels(cfg.series_order)
-    results = [_audit_member((m, f, cfg)) for m, f in members]
     cols = {k: [] for k in COLUMNS}
     flags = {}
-    for m, label, alpha_val, checks in results:
+    for m, label, alpha_val, checks in _audit_members(members, cfg):
         for idx, (name, value, margin, ok) in enumerate(checks, start=1):
             _append_row(cols, m, idx, value, alpha_val, margin, ok, name)
             key = f"{name}:{label}"

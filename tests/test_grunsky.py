@@ -3,20 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schlichtlab.errors import (
-    InvalidAlpha,
-    InvalidParameter,
-    OutsideDisk,
-    PowerIterationStalled,
-)
+from schlichtlab import grunsky
+from schlichtlab.errors import InvalidAlpha, InvalidParameter, OutsideDisk
 from schlichtlab.families import SigmaFunction, invert_to_sigma, make_schlicht
 from schlichtlab.grunsky import (
     bazilevich_equality_residual,
     full_mapping_defect,
+    fullness_defect,
     grunsky_matrix,
     grunsky_matrix_direct,
-    grunsky_norm_dense,
     strong_grunsky_norm,
 )
 from schlichtlab.logmilin import log_data
@@ -111,49 +108,61 @@ class TestNorm:
         assert strong_grunsky_norm(grunsky_matrix(g, 64)) == 0.0
 
     def test_univalence_bound_small_sections(self, corpus130):
-        # dense decomposition is the oracle at small order
+        # the largest singular value by SVD is the independent oracle
         for f in corpus130:
             g = invert_to_sigma(f, 128)
             t = grunsky_matrix(g, 16)
-            dense = grunsky_norm_dense(t)
-            assert dense <= 1 + 1e-9, f.label()
-            try:
-                iterative = strong_grunsky_norm(t)
-            except PowerIterationStalled:
-                continue  # clustered spectrum: the dense bound above stands
-            assert abs(iterative - dense) <= 1e-8, f.label()
+            norm = strong_grunsky_norm(t)
+            oracle = np.linalg.svd(t.weighted(), compute_uv=False)[0]
+            assert norm <= 1 + 1e-9, f.label()
+            assert abs(norm - oracle) <= 1e-13 * max(1.0, oracle), f.label()
 
     def test_univalence_bound_larger_sections(self, transform_sigma260):
         t = grunsky_matrix(transform_sigma260, 64)
-        assert grunsky_norm_dense(t) <= 1 + 1e-9
+        assert strong_grunsky_norm(t) <= 1 + 1e-9
 
-    def test_power_iteration_stalls_on_full_mapping_cluster(self, transform_sigma260):
-        # sections of full mappings pile singular values at 1; the plain
-        # iteration cannot mix through the ladder and must say so
-        t = grunsky_matrix(transform_sigma260, 8)
-        with pytest.raises(PowerIterationStalled):
-            strong_grunsky_norm(t)
+    def test_dense_name_is_the_one_routine(self):
+        assert grunsky.grunsky_norm_dense is strong_grunsky_norm
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=40, deadline=None)
     @given(member=inverted_members(max_order=24))
     def test_dense_norm_univalence_bound_property(self, member):
         label, g, n_order = member
-        assert grunsky_norm_dense(grunsky_matrix(g, n_order)) <= 1 + 1e-9, label
+        t = grunsky_matrix(g, n_order)
+        norm = strong_grunsky_norm(t)
+        oracle = np.linalg.svd(t.weighted(), compute_uv=False)[0]
+        assert abs(norm - oracle) <= 1e-13 * max(1.0, oracle), label
+        assert norm <= 1 + 1e-9, label
 
-    @pytest.mark.parametrize("kwargs", [{"max_iter": -5}, {"max_iter": 0},
-                                        {"tol": 0.0}, {"tol": -1e-10},
-                                        {"tol": float("nan")}])
-    def test_rejects_bad_iteration_parameters(self, koebe_table64, kwargs):
+
+class TestSection:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=30, deadline=None)
+    @given(member=inverted_members(max_order=24), data=st.data())
+    def test_section_equals_smaller_table_property(self, member, data):
+        label, g, n_order = member
+        n = data.draw(st.integers(1, n_order))
+        section = grunsky_matrix(g, n_order).section(n)
+        direct = grunsky_matrix(g, n)
+        assert section.order == n
+        scale = max(1.0, float(np.max(np.abs(direct.gamma_nk))))
+        np.testing.assert_allclose(section.gamma_nk, direct.gamma_nk,
+                                   rtol=0, atol=1e-13 * scale, err_msg=label)
+
+    def test_transform_section_of_order_128(self, transform_sigma260):
+        big = grunsky_matrix(transform_sigma260, 128)
+        for n in (8, 64):
+            direct = grunsky_matrix(transform_sigma260, n).gamma_nk
+            scale = float(np.max(np.abs(direct)))
+            np.testing.assert_allclose(big.section(n).gamma_nk, direct,
+                                       rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [0, -1, 17])
+    def test_rejects_order_outside_table(self, koebe_table64, n):
         _, g = koebe_table64
-        with pytest.raises(InvalidParameter):
-            strong_grunsky_norm(grunsky_matrix(g, 16), **kwargs)
-
-    def test_budget_exhaustion_raises(self, koebe_table64):
-        f, g = koebe_table64
-        t = grunsky_matrix(g, 16)
-        with pytest.raises(PowerIterationStalled):
-            strong_grunsky_norm(t, max_iter=1)
+        with pytest.raises(InvalidParameter, match="section order"):
+            grunsky_matrix(g, 16).section(n)
 
 
 class TestDefect:
@@ -196,11 +205,24 @@ class TestDefect:
                 _, identity = full_mapping_defect(t, ld, f, z)
                 assert identity <= 1e-8, (f.label(), z)
 
+    @pytest.mark.filterwarnings("error")
+    def test_fullness_defect_is_the_defect_of_full_mapping_defect(self, corpus130,
+                                                                  ledgers130):
+        for f in corpus130:
+            g = invert_to_sigma(f, 128)
+            for n in (8, 32, 64):
+                t = grunsky_matrix(g, n)
+                for z in (0.5, 0.25 + 0.35j, -0.4j, 0.0):
+                    full = full_mapping_defect(t, ledgers130[f.label()], f, z)
+                    assert fullness_defect(t, z) == full[0], (f.label(), n, z)
+
     def test_outside_disk(self, koebe_table64):
         f, g = koebe_table64
         t = grunsky_matrix(g, 16)
         with pytest.raises(OutsideDisk):
             full_mapping_defect(t, log_data(f), f, 1.0 + 0j)
+        with pytest.raises(OutsideDisk):
+            fullness_defect(t, 0.6 + 0.8j)
 
 
 class TestEqualityResidual:

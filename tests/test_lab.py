@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from schlichtlab import logmilin
+from schlichtlab import families, grunsky, hayman, lab, logmilin
 from schlichtlab.cli import main as cli_main
 from schlichtlab.errors import ConfigError
 from schlichtlab.families import make_schlicht
@@ -53,6 +53,59 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"scenario": "theorem1", "m_range": [2, 4],
                                       "n_range": [1, 8], "bogus": 1})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key", ["m_range", "n_range"])
+    @pytest.mark.parametrize("bounds", [[2.7, 12], [2, 12.9], [2.0, 12], ["2", "12"],
+                                        [True, 12], [2, None]],
+                             ids=["fractional lo", "fractional hi", "whole float",
+                                  "strings", "bool", "null"])
+    def test_ranges_must_be_integers(self, key, bounds):
+        data = {"scenario": "counterexample", "m_range": [2, 12], "n_range": [1, 12],
+                "series_order": 16}
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig.from_dict(dict(data, **{key: bounds}))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bounds", [5, "28", [1, 2, 3], None])
+    def test_ranges_must_be_pairs(self, bounds):
+        with pytest.raises(ConfigError, match="m_range"):
+            ScenarioConfig.from_dict({"scenario": "zalcman_scan", "m_range": bounds,
+                                      "n_range": [2, 8], "series_order": 32})
+
+    @pytest.mark.filterwarnings("error")
+    def test_valid_ranges_are_echoed_as_ints(self, tmp_path):
+        cfg = ScenarioConfig.from_dict({"scenario": "zalcman_scan",
+                                        "m_range": [np.int64(1), 5], "n_range": (2, 8),
+                                        "series_order": 32, "out_dir": str(tmp_path)})
+        assert cfg.m_range == (1, 5) and cfg.n_range == (2, 8)
+        assert all(type(x) is int for x in cfg.m_range + cfg.n_range)
+        _, json_path = export_report(run_scenario(cfg))
+        echoed = json.loads(json_path.read_text())["provenance"]["config"]
+        assert echoed["m_range"] == [1, 5] and echoed["n_range"] == [2, 8]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("out_dir", [5, None, ["reports"], 2.5])
+    def test_out_dir_must_be_a_string(self, tmp_path, out_dir, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match="out_dir"):
+            ScenarioConfig.from_dict({"scenario": "counterexample", "m_range": [2, 12],
+                                      "n_range": [1, 12], "series_order": 16,
+                                      "out_dir": out_dir})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order, ok", [(8, False), (17, False), (18, True)])
+    def test_audit_order_holds_the_comparison_section(self, order, ok):
+        # the audit's Grunsky section, of order (series_order - 2) // 2, must
+        # hold the order-8 section its fullness_defect_decreasing flag reads
+        data = {"scenario": "inequality_audit", "m_range": [1, 1], "n_range": [1, 1],
+                "series_order": order}
+        if ok:
+            assert ScenarioConfig.from_dict(data).series_order == order
+        else:
+            with pytest.raises(ConfigError, match="series_order >= 18"):
+                ScenarioConfig.from_dict(data)
 
     def test_tolerance_overrides_merge(self):
         cfg = ScenarioConfig(scenario="counterexample", m_range=(2, 8),
@@ -244,6 +297,79 @@ class TestAudit:
                              out_dir=str(tmp_path))
         flags = run_scenario(cfg).summary["flags"]
         assert {k for k, ok in flags.items() if not ok} == set()
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_order_18_compares_sections(self, tmp_path):
+        # the smallest order the config accepts: the comparison section is
+        # the whole order-8 table, so each maximal member's defect flag holds
+        cfg = ScenarioConfig(scenario="inequality_audit", m_range=(1, 1),
+                             n_range=(1, 1), series_order=18, out_dir=str(tmp_path))
+        flags = run_scenario(cfg).summary["flags"]
+        fullness = [ok for k, ok in flags.items() if k.startswith("fullness_defect")]
+        assert fullness == [True] * 3
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_pass_computes_only_what_it_reads(self, tmp_path, monkeypatch):
+        # one table, one ledger and one identity logarithm per member: the
+        # comparison section is a slice, the increment bound reads the
+        # coefficients, and the growth indexes come from one batched call
+        calls = Counter()
+        in_defect = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        def defect_frame(*args, **kwargs):
+            in_defect.append(True)
+            try:
+                return full_mapping_defect(*args, **kwargs)
+            finally:
+                in_defect.pop()
+
+        def series_log(self):
+            if in_defect:
+                calls["log_in_defect"] += 1
+            return complex_log(self)
+
+        full_mapping_defect, complex_log = grunsky.full_mapping_defect, ComplexSeries.log
+        monkeypatch.setattr(grunsky, "grunsky_matrix",
+                            counting("grunsky_matrix", grunsky.grunsky_matrix))
+        monkeypatch.setattr(logmilin, "log_data", counting("log_data", logmilin.log_data))
+        monkeypatch.setattr(hayman, "hayman_index",
+                            counting("hayman_index", hayman.hayman_index))
+        monkeypatch.setattr(grunsky, "full_mapping_defect", defect_frame)
+        monkeypatch.setattr(ComplexSeries, "log", series_log)
+        cfg = ScenarioConfig(scenario="inequality_audit", m_range=(1, 1), n_range=(1, 1),
+                             series_order=130, grunsky_order=64, out_dir=str(tmp_path))
+        assert run_scenario(cfg).all_ok()
+        assert calls == Counter(grunsky_matrix=5, log_data=5, log_in_defect=5,
+                                hayman_index=1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_batched_estimates_equal_single_member_calls(self, corpus130):
+        cfg = ScenarioConfig(scenario="inequality_audit", m_range=(1, 1), n_range=(1, 1),
+                             series_order=130, grunsky_order=32)
+        maximal = [f for f in corpus130 if f.kind in families.MAXIMAL_GROWTH_KINDS]
+        assert len(maximal) == 3
+        batched = hayman.hayman_index(maximal)
+        assert batched == [hayman.hayman_index(f) for f in maximal]
+        results = lab._audit_members(list(enumerate(corpus130, start=1)), cfg)
+        alphas = {label: alpha for _m, label, alpha, _checks in results}
+        for f, est in zip(maximal, batched):
+            assert alphas[f.label()] == hayman.hayman_index(f).alpha == est.alpha
+        assert alphas["halfplane"] == alphas["dilation(r=0.9)"] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_increment_bound_reads_the_ledger_increments(self, corpus130):
+        # the audit takes s_n = a_{n+1} - a_n from the coefficients; the
+        # ledger's s is the same expression, bit for bit
+        for f in corpus130:
+            a = f.series.coeffs
+            assert np.array_equal(a[1:] - a[:-1], logmilin.log_data(f).s)
 
 
 class TestExport:
