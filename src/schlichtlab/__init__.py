@@ -64,7 +64,6 @@ from .logmilin import (
 )
 from .series import ComplexSeries, compose
 from .tauber import (
-    DeviationSurface,
     DoubleFamily,
     TauberHarnessReport,
     cesaro_mean,
@@ -86,7 +85,7 @@ __all__ = [
     "GrunskyTable", "grunsky_matrix", "grunsky_matrix_direct",
     "strong_grunsky_norm", "fullness_defect", "full_mapping_defect",
     "bazilevich_equality_residual",
-    "DoubleFamily", "DeviationSurface", "TauberHarnessReport",
+    "DoubleFamily", "TauberHarnessReport",
     "cesaro_mean", "weighted_mean",
     "simultaneous_tauber_harness", "tauber_decomposition_check",
     "euler_bracket",

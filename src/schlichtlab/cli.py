@@ -16,9 +16,7 @@ Exit code 0 iff every pass/fail flag is ok.
 
 from __future__ import annotations
 
-import cmath
 import json
-import math
 import sys
 
 import click
@@ -30,14 +28,8 @@ _FUNCTION_TAGS = ("koebe", "halfplane", "rotation", "dilation", "koebe_transform
 
 
 def _member(tag: str, order: int) -> families.SchlichtFunction:
-    params = {
-        "koebe": {},
-        "halfplane": {},
-        "rotation": {"theta": math.pi / 3.0},
-        "dilation": {"r": 0.9},
-        "koebe_transform": {"w": 0.3 * cmath.exp(1j * math.pi / 4.0)},
-    }[tag]
-    return families.make_schlicht(tag, params, order)
+    """The member of :func:`families.standard_corpus` of kind ``tag``."""
+    return next(f for f in families.standard_corpus(order) if f.kind == tag)
 
 
 @click.group()

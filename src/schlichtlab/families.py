@@ -94,11 +94,6 @@ class SchlichtFunction:
     def order(self) -> int:
         return self.series.order
 
-    def coefficient(self, n: int) -> complex:
-        if not 0 <= n <= self.order:
-            raise InvalidParameter(f"coefficient index {n} beyond order {self.order}")
-        return complex(self.series.coeffs[n])
-
     def label(self) -> str:
         def short(v):
             if isinstance(v, complex):
@@ -128,12 +123,6 @@ class SigmaFunction:
             raise InvalidParameter("exterior coefficients must be finite")
         tail.setflags(write=False)
         object.__setattr__(self, "tail", tail)
-
-    def b(self, n: int) -> complex:
-        """Coefficient of z^{-n}; zero beyond the stored order."""
-        if n == 0:
-            return complex(self.b0)
-        return complex(self.tail[n - 1]) if n <= self.order else 0.0
 
 
 def _check_class_s(coeffs: np.ndarray, what: str) -> None:

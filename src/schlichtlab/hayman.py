@@ -49,16 +49,11 @@ _MONOTONE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class GrowthProfile:
-    """Profile values over an increasing radius grid.
-
-    ``angles`` holds the maximizing angle on each circle for the growth
-    estimator (None for the derivative estimator, which follows one ray).
-    """
+    """Profile values over an increasing radius grid."""
 
     radii: np.ndarray
     values: np.ndarray
     estimator: str  # "growth" | "derivative"
-    angles: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -147,17 +142,15 @@ def growth_profile(
     members = [f]
     radii = radius_grid(radii)
     _check_series_reach(members, radii)
-    angles = None
     if estimator == "growth":
-        vals, angles, _ = _growth_rows(members, radii, grid)
-        angles = angles[0]
+        vals, _, _ = _growth_rows(members, radii, grid)
     elif estimator == "derivative":
         if theta is None:
             raise InvalidParameter("derivative estimator needs the growth-ray angle theta")
         vals = _derivative_rows(members, radii, [theta])
     else:
         raise InvalidParameter(f"unknown estimator {estimator!r}")
-    return GrowthProfile(radii=radii, values=vals[0], estimator=estimator, angles=angles)
+    return GrowthProfile(radii=radii, values=vals[0], estimator=estimator)
 
 
 def _check_single_direction(vals: np.ndarray) -> None:
@@ -194,50 +187,42 @@ def growth_direction(f: SchlichtFunction, r_probe: float, grid: int = 512) -> fl
     return float(angles[0])
 
 
-def hayman_index(
-    f,
-    schedule: Optional[Sequence[float]] = None,
-    theta: Optional[float] = None,
-    grid: int = 512,
-):
+def hayman_index(f, grid: int = 512):
     """Estimate the growth index from the monotone profiles.
 
     ``f`` is one member or a sequence of members (see
-    :func:`~schlichtlab.families.batch`), which share the schedule (by
-    default, the first member's), ``theta`` and ``grid``.  Returns one
+    :func:`~schlichtlab.families.batch`), which share the first member's
+    :func:`default_schedule` and ``grid``.  Returns one
     :class:`HaymanEstimate`, or a list of them for a sequence; a member's
     estimate does not depend on the other members of its batch.
 
-    The growth profile always runs; when a growth direction is known (or
-    found by probing), the derivative profile runs too and the pair forms
-    the reported bracket.  Both final values are certified upper bounds
-    for the true index.  All members' circles are searched in one
-    :func:`max_modulus` call, and all derivative profiles are one array
-    evaluation.  When the probe radius is the schedule's last radius (both
-    default schedules), the direction is the angle the growth profile
-    already found on that circle, and the direction check reads that
-    circle's grid values from the same call.
+    The growth profile always runs; when the schedule's last circle shows
+    one dominant maximum, its angle is the growth direction, and the
+    derivative profile along that ray runs too and the pair forms the
+    reported bracket.  Both final values are certified upper bounds for
+    the true index.  All members' circles are searched in one
+    :func:`max_modulus` call, whose grid stage on the last circle also
+    feeds the direction check, and all derivative profiles are one array
+    evaluation.
     """
     members = batch(f)
-    radii = radius_grid(default_schedule(members[0]) if schedule is None else schedule)
-    _check_series_reach(members, radii)
+    # no series-reach check: a batch holds closed forms only, or one
+    # series-only member, whose schedule stops at SERIES_RADIUS_LIMIT
+    radii = default_schedule(members[0])
     growth, angles, last = _growth_rows(members, radii, grid)
     upper = growth[:, -1]
 
-    thetas = [theta] * len(members)
-    if theta is None:
-        # probe at the largest scheduled radius: the circle maximum drifts
-        # from the limiting direction by O(1-r), which only stays harmless
-        # relative to the evaluation radius if both shrink together
-        r_probe = max(0.9, float(radii[-1]))
-        if r_probe != radii[-1]:
-            _, angles, last = max_modulus(members, [r_probe], grid=grid)
-        for i, circle in enumerate(last):
-            try:
-                _check_single_direction(circle)
-                thetas[i] = float(angles[i, -1])
-            except AmbiguousDirection:
-                pass
+    # the direction is read on the last circle, of radius at least 1 - 2^-8:
+    # the circle maximum drifts from the limiting direction by O(1-r), which
+    # only stays harmless relative to the evaluation radius if both shrink
+    # together
+    thetas = []
+    for i, circle in enumerate(last):
+        try:
+            _check_single_direction(circle)
+            thetas.append(float(angles[i, -1]))
+        except AmbiguousDirection:
+            thetas.append(None)
 
     alpha = upper.copy()
     found = [i for i, t in enumerate(thetas) if t is not None]

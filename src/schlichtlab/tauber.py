@@ -8,8 +8,8 @@ weighted means
 
 approach the targets simultaneously in (m, n).  Its hypotheses are
 checked by finite proxies only: the one-sided partial-sum bound by an
-observed constant, and uniform convergence by Abel evaluation on a fixed
-t-grid (a declared config knob, with t = 1 filled by the target values).
+observed constant, and uniform convergence by Abel evaluation on the
+fixed t-grid ``T_GRID`` (with t = 1 filled by the target values).
 
 ``tauber_decomposition_check`` verifies the exact finite-ledger identity
 splitting the boundary-mean series minus a Cesaro mean into weighted
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .logmilin import LogData
 
-DEFAULT_T_GRID = (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
+T_GRID = (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
 
 
 # -- means ---------------------------------------------------------------
@@ -67,8 +67,7 @@ def weighted_mean(coeffs, n: int):
 class DoubleFamily:
     """Coefficient rows a_k^{(m)} with their Abel targets alpha_m.
 
-    All rows share one truncation order; ``alpha_bound`` records the
-    observed ceiling on |alpha_m|.
+    All rows share one truncation order.
     """
 
     m_values: np.ndarray
@@ -91,43 +90,28 @@ class DoubleFamily:
         object.__setattr__(self, "coeff_rows", rows)
         object.__setattr__(self, "alpha", alpha)
 
-    @property
-    def alpha_bound(self) -> float:
-        return float(np.max(np.abs(self.alpha)))
-
-
-@dataclass(frozen=True)
-class DeviationSurface:
-    """|alpha_m - weighted mean at n| over the (m, n) grid."""
-
-    m_values: np.ndarray
-    d: np.ndarray  # shape (len(m_values), order+1), non-negative
-
-    @property
-    def n_count(self) -> int:
-        return self.d.shape[1]
-
 
 @dataclass(frozen=True)
 class TauberHarnessReport:
     """Observables of one harness run.
 
-    ``tail_sup[N]`` is the supremum of the deviation surface over
+    ``deviation`` holds |alpha_m - weighted mean at n|, one row per m and
+    one column per n.  ``tail_sup[N]`` is its supremum over
     m > min(N, max m - 1) and n > min(N, max n - 1); the clamping keeps
     the window non-empty on a finite grid, and the array is non-increasing
-    by construction.  ``iii_bounded`` is the doubling heuristic for the
-    one-sided partial-sum bound: the observed constant over the full
-    range must not materially exceed the half-range one.
+    by construction.  ``uniform_gap`` is the largest difference between
+    the Abel values of the last two rows over ``T_GRID`` (0 for one row).
+    ``iii_bounded`` is the doubling heuristic for the one-sided
+    partial-sum bound: the observed constant over the full range must not
+    materially exceed the half-range one.
     """
 
     l_observed: float
     uniform_gap: float
-    deviation: DeviationSurface
+    deviation: np.ndarray
     tail_n: np.ndarray
     tail_sup: np.ndarray
     iii_bounded: bool
-    abel_values: np.ndarray  # per (m, t-grid point)
-    t_grid: np.ndarray
 
 
 def tail_supremum(d: np.ndarray, m_values: np.ndarray):
@@ -157,7 +141,7 @@ def tail_supremum(d: np.ndarray, m_values: np.ndarray):
     return n_grid, sup
 
 
-def simultaneous_tauber_harness(fam: DoubleFamily, t_grid=DEFAULT_T_GRID) -> TauberHarnessReport:
+def simultaneous_tauber_harness(fam: DoubleFamily) -> TauberHarnessReport:
     """Run the double-indexed weighted-mean experiment on real rows.
 
     Complex rows are rejected outright (imaginary parts above 1e-14)
@@ -181,9 +165,8 @@ def simultaneous_tauber_harness(fam: DoubleFamily, t_grid=DEFAULT_T_GRID) -> Tau
     l_half = float(np.max(partial[:, : half + 1] - alpha[:, None]))
     iii_bounded = l_observed <= max(1.25 * l_half, l_half + 1e-9) + 1e-9
 
-    t_grid = np.asarray(t_grid, dtype=float)
-    abel_vals = np.empty((rows.shape[0], len(t_grid)))
-    for j, t in enumerate(t_grid):
+    abel_vals = np.empty((rows.shape[0], len(T_GRID)))
+    for j, t in enumerate(T_GRID):
         if t >= 1.0:
             abel_vals[:, j] = alpha  # continuity extension at the endpoint
         else:
@@ -195,17 +178,14 @@ def simultaneous_tauber_harness(fam: DoubleFamily, t_grid=DEFAULT_T_GRID) -> Tau
 
     weighted = np.cumsum(partial, axis=1) / np.arange(1, rows.shape[1] + 1)
     d = np.abs(alpha[:, None] - weighted)
-    surface = DeviationSurface(m_values=fam.m_values, d=d)
     tail_n, tail_sup_vals = tail_supremum(d, fam.m_values)
     return TauberHarnessReport(
         l_observed=l_observed,
         uniform_gap=uniform_gap,
-        deviation=surface,
+        deviation=d,
         tail_n=tail_n,
         tail_sup=tail_sup_vals,
         iii_bounded=iii_bounded,
-        abel_values=abel_vals,
-        t_grid=t_grid,
     )
 
 

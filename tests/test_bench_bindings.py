@@ -13,14 +13,20 @@ from pathlib import Path
 
 import pytest
 
+from schlichtlab import families, grunsky
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _tracer_layers() -> dict:
+def _tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.LAYERS
+    return tracer
+
+
+def _tracer_layers() -> dict:
+    return _tracer().LAYERS
 
 
 def _resolve(module: str, path: str):
@@ -47,3 +53,14 @@ def test_probed_names_resolve():
     assert ("grunsky", "grunsky_norm_dense") in names
     for module, attr in sorted(names):
         assert callable(_resolve(module, attr)), f"{module}.{attr}"
+
+
+def test_tracer_records_one_span_per_norm_call():
+    # a name bound to the very function another layer wraps is wrapped twice,
+    # and one call of the norm would then record two nested spans
+    f = families.make_schlicht("koebe", order=18)
+    table = grunsky.grunsky_matrix(families.invert_to_sigma(f, 16), 8)
+    tracer = _tracer().Tracer()
+    with tracer.installed():
+        grunsky.strong_grunsky_norm(table)
+    assert [span[3] for span in tracer.spans] == ["grunsky.strong_grunsky_norm"]

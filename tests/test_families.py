@@ -278,8 +278,6 @@ class TestBadInputs:
         "deriv point str": (InvalidParameter, lambda: deriv_certified(_koebe16(), "x")),
         "deriv point None": (InvalidParameter,
                              lambda: deriv_certified(_series_only16(), None)),
-        "hayman theta nan": (InvalidParameter, lambda: hayman_index(_koebe16(), theta=math.nan)),
-        "hayman theta inf": (InvalidParameter, lambda: hayman_index(_koebe16(), theta=math.inf)),
         "derivative profile theta nan": (InvalidParameter, lambda: growth_profile(
             _koebe16(), [0.5, 0.75], estimator="derivative", theta=math.nan)),
     }

@@ -95,16 +95,19 @@ class TestConfig:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("order, ok", [(8, False), (17, False), (18, True)])
+    @pytest.mark.parametrize("order, ok", [(8, False), (17, False), (18, False),
+                                           (31, False), (32, True)])
     def test_audit_order_holds_the_comparison_section(self, order, ok):
         # the audit's Grunsky section, of order (series_order - 2) // 2, must
         # hold the order-8 section its fullness_defect_decreasing flag reads
+        # (order 18), and its log_identity_link residual at z = 0.5 must meet
+        # identity_tol (order 30, with margin from 32)
         data = {"scenario": "inequality_audit", "m_range": [1, 1], "n_range": [1, 1],
                 "series_order": order}
         if ok:
             assert ScenarioConfig.from_dict(data).series_order == order
         else:
-            with pytest.raises(ConfigError, match="series_order >= 18"):
+            with pytest.raises(ConfigError, match="series_order >= 32"):
                 ScenarioConfig.from_dict(data)
 
     def test_tolerance_overrides_merge(self):
@@ -300,14 +303,27 @@ class TestAudit:
 
 
     @pytest.mark.filterwarnings("error")
-    def test_order_18_compares_sections(self, tmp_path):
-        # the smallest order the config accepts: the comparison section is
-        # the whole order-8 table, so each maximal member's defect flag holds
+    def test_order_32_compares_sections(self, tmp_path):
+        # the smallest order the config accepts: the order-15 section holds
+        # the order-8 comparison section, and every flag holds
         cfg = ScenarioConfig(scenario="inequality_audit", m_range=(1, 1),
-                             n_range=(1, 1), series_order=18, out_dir=str(tmp_path))
+                             n_range=(1, 1), series_order=32, out_dir=str(tmp_path))
         flags = run_scenario(cfg).summary["flags"]
-        fullness = [ok for k, ok in flags.items() if k.startswith("fullness_defect")]
-        assert fullness == [True] * 3
+        assert len([k for k in flags if k.startswith("fullness_defect")]) == 3
+        assert {k for k, ok in flags.items() if not ok} == set()
+
+    @pytest.mark.filterwarnings("error")
+    def test_milin_flag_reads_its_tolerance(self, tmp_path):
+        # the flag and the margin compare against the same milin_bound
+        cfg = ScenarioConfig(scenario="inequality_audit", m_range=(1, 1), n_range=(1, 1),
+                             series_order=64, tolerances={"milin_bound": -0.5},
+                             out_dir=str(tmp_path))
+        rows = run_scenario(cfg).rows
+        milin = [i for i, c in enumerate(rows["check"]) if c == "milin_bound"]
+        assert len(milin) == 5
+        for i in milin:
+            assert (rows["flag"][i] == "ok") == (rows["deviation"][i] >= 0.0)
+        assert [rows["flag"][i] for i in milin].count("fail") == 3
 
     @pytest.mark.filterwarnings("error")
     def test_one_pass_computes_only_what_it_reads(self, tmp_path, monkeypatch):

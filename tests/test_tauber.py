@@ -69,7 +69,7 @@ class TestHarness:
                            coeff_rows=np.tile(row, (5, 1)),
                            alpha=np.zeros(5))
         rep = simultaneous_tauber_harness(fam)
-        assert np.max(rep.deviation.d) < 1e-12
+        assert np.max(rep.deviation) < 1e-12
         assert np.max(rep.tail_sup) < 1e-12
         assert rep.iii_bounded
 
@@ -88,9 +88,9 @@ class TestHarness:
         rep = simultaneous_tauber_harness(fam)
         for i, m in enumerate(ms):
             r_m = 1.0 - 1.0 / m
-            n = np.arange(rep.deviation.d.shape[1])
+            n = np.arange(rep.deviation.shape[1])
             expect = r_m ** n / (n + 1)
-            np.testing.assert_allclose(rep.deviation.d[i], expect, atol=1e-12)
+            np.testing.assert_allclose(rep.deviation[i], expect, atol=1e-12)
         assert np.all(np.diff(rep.tail_sup) <= 0.0)
         assert rep.tail_sup[-1] < rep.tail_sup[0]
         assert rep.iii_bounded
