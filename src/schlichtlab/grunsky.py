@@ -21,8 +21,11 @@ exists as an independent small-order oracle (:func:`grunsky_matrix_direct`).
 
 Entries with ``n + k - 1`` beyond ``g.order`` implicitly use a zero tail;
 supply ``g.order >= 2N - 1`` when the full N x N section must be faithful.
-A smaller section of the same map is a slice of a larger table
-(:meth:`GrunskyTable.section`), not a second recurrence.
+The recurrence convolves and sums over b's nonzero span only (the b_m up
+to the last nonzero one), which is 1 for every pair with rho = 0, and an
+all-zero tail gives the zero table at once.  A smaller section of the same
+map is a slice of a larger table (:meth:`GrunskyTable.section`), not a
+second recurrence.
 
 The weighted matrix ``sqrt(nk) gamma_{nk}`` has operator norm at most 1
 for univalent ``g`` (strong Grunsky inequality); equality together with a
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAlpha, InvalidParameter, OutsideDisk
-from .families import SchlichtFunction, SigmaFunction
+from .families import SchlichtFunction, SigmaFunction, closed_form_log_deriv, finite_parameter
 from .logmilin import LogData, direction_weighted_sum
 
 
@@ -88,7 +91,12 @@ def grunsky_matrix(g: SigmaFunction, n_order: int) -> GrunskyTable:
 
     Row n is needed through column 2N - n, so the rows are kept in one
     (N+1) x 2N array; each new row costs one convolution and one
-    vector-matrix product.
+    vector-matrix product, both taken over b's nonzero span only: the
+    b_m with m <= s, s the last index of a nonzero b_m (within the 2N - 1
+    the section reads).  A pair has b_m = rho^{m-1} (rho - beta)^2, so
+    s = 1 whenever rho = 0 (Koebe, rotations, their dilations) and each
+    row then costs O(N).  An all-zero tail (s = 0, the half-plane map)
+    gives the zero table without running the recurrence.
     """
     if n_order < 1:
         raise InvalidParameter("table order must be positive")
@@ -98,16 +106,21 @@ def grunsky_matrix(g: SigmaFunction, n_order: int) -> GrunskyTable:
     b = np.zeros(width, dtype=np.complex128)  # b[m] = b_m, zero past g.order
     avail = min(g.order, width - 1)
     b[1 : avail + 1] = g.tail[:avail]
+    nonzero = np.flatnonzero(b)
     gam = np.zeros((n_order + 1, width), dtype=np.complex128)
+    if not len(nonzero):
+        return GrunskyTable(order=n_order, gamma_nk=gam[:, : n_order + 1].copy())
+    span = int(nonzero[-1])  # b_m = 0 for every m > span
     gam[1, 1:] = b[1:]
     for n in range(1, n_order):
         top = width - n  # row n + 1 is needed through column top - 1
-        weights = np.arange(1, n) * b[n - 1 : 0 : -1]  # (n-m) b_m for m = n-1 .. 1
+        low = n - min(n - 1, span)  # rows n - m for the m <= span below n
+        weights = np.arange(low, n) * b[n - low : 0 : -1]  # (n-m) b_m, m = n-low .. 1
         gam[n + 1, 1:top] = (
             b[n + 1 : width]
             + n * gam[n, 2 : top + 1]
-            + n * np.convolve(b[:top], gam[n, :top])[1:top]
-            - weights @ gam[1:n, 1:top]
+            + n * np.convolve(b[: min(span, top - 1) + 1], gam[n, :top])[1:top]
+            - weights @ gam[low:n, 1:top]
         ) / (n + 1)
     return GrunskyTable(order=n_order, gamma_nk=gam[:, : n_order + 1].copy())
 
@@ -195,15 +208,20 @@ def full_mapping_defect(t: GrunskyTable, ld: LogData, f: SchlichtFunction, z: co
     regardless of fullness.  (Both sides equal -log g'(1/z) with
     g(z) = 1/f(1/z); a weighted variant sum_n n A_n(z) z^n sometimes seen
     in print equals z g''(1/z) / (2 g'(1/z)) instead and fails already on
-    the Koebe map.)  A caller that needs only the defect calls
-    :func:`fullness_defect`, which takes no series logarithm.
+    the Koebe map.)  log f'(z) comes from the pair (beta, rho) of a
+    closed form (:func:`families.closed_form_log_deriv`) and from the
+    series logarithm of f' for a series-only map.  A caller that needs only
+    the defect calls :func:`fullness_defect`.
     """
     defect = fullness_defect(t, z)
     zn = z ** np.arange(t.order + 1)
     lhs = np.sum(row_polynomials(t, z) * zn)
     m = min(ld.top_index, f.order - 1)
     log_fz = 2.0 * np.polyval(ld.gamma[m::-1], z)  # log(f/z) partial sum
-    log_fp = f.series.deriv().log()(z)
+    if f.has_closed_form:
+        log_fp = closed_form_log_deriv(z, *f.beta_rho)
+    else:
+        log_fp = f.series.deriv().log()(z)
     rhs = 2.0 * log_fz - log_fp
     return defect, float(abs(lhs - rhs))
 
@@ -218,7 +236,10 @@ def bazilevich_equality_residual(ld: LogData, alpha: float, theta: float,
         | sum_{k<=n} k |gamma_k - e^{-ik theta}/k|^2 + log(alpha)/2 |
 
     must tend to zero as n grows, and stays strictly positive otherwise.
+    A NaN or infinite ``alpha`` or ``theta`` raises :class:`InvalidParameter`.
     """
+    alpha = finite_parameter(alpha, "alpha")
+    theta = finite_parameter(theta, "theta")
     if alpha <= 0.0:
         raise InvalidAlpha("the equality residual needs alpha > 0")
     partial = direction_weighted_sum(ld.gamma, theta, n_terms)

@@ -21,12 +21,14 @@ claim honest.
   zalcman_scan      coefficient functionals over the corpus against the
                     (n-1)^2 ceiling.
   inequality_audit  every scalar inequality check over the whole corpus.
-                    One Grunsky table, one ledger and one identity
-                    logarithm per member; the fullness comparison reads a
-                    leading section of that table, and the maximal
-                    members' growth indexes come from one batched
-                    hayman_index call.  It needs series_order >= 32
-                    (AUDIT_MIN_ORDER).
+                    One Grunsky table and one ledger per member; the
+                    identity link takes log f' from the member's pair,
+                    not from a series logarithm, and the fullness
+                    comparison reads a leading section of the table.
+                    One batched prawitz_check call searches every
+                    member's circles, and one batched hayman_index call
+                    gives the maximal members' growth indexes.  It needs
+                    series_order >= 32 (AUDIT_MIN_ORDER).
 
 The three grid scenarios build one member per m, an error naming its m,
 and share the coefficient-ratio grid (rows, deviations and joint tail
@@ -40,11 +42,12 @@ whole-array operations; the scan and the audit append one row at a time.
 Reports are deterministic: identical config (including seed) yields
 byte-identical CSV/JSON.  CSV rows use fixed 8-decimal formatting under
 the header ``scenario,m,n,value,alpha_m,deviation,flag``; JSON mirrors
-the full report, provenance included, as
-``json.dumps(report.to_dict(), sort_keys=True, indent=2)`` writes it.  Both
-writers format whole columns in one pass instead of one record per row, and
-the JSON writer spells a column only once when another is bitwise equal to
-it (``deviation`` is ``value`` whenever every alpha is 0).
+the full report, provenance included, as ``json.dumps(..., sort_keys=True,
+indent=2)`` writes an object with the keys ``scenario``, ``summary``,
+``provenance`` and ``rows``, one dict per row with the keys of COLUMNS.
+Both writers format whole columns in one pass instead of one record per
+row, and the JSON writer spells a column only once when another is
+bitwise equal to it (``deviation`` is ``value`` whenever every alpha is 0).
 """
 
 from __future__ import annotations
@@ -219,16 +222,6 @@ class ScenarioReport:
 
     def all_ok(self) -> bool:
         return all(self.summary["flags"].values())
-
-    def to_dict(self) -> dict:
-        cols = [c.tolist() if isinstance(c, np.ndarray) else list(c)
-                for c in (self.rows[k] for k in COLUMNS)]
-        return {
-            "scenario": self.scenario,
-            "rows": [dict(zip(COLUMNS, row)) for row in zip(*cols)],
-            "summary": self.summary,
-            "provenance": self.provenance,
-        }
 
 
 def _columns(m, n, value, alpha_m, deviation, flag, check) -> dict:
@@ -426,9 +419,10 @@ def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
     return ScenarioReport("zalcman_scan", _columns(**cols), summary, _provenance(cfg))
 
 
-def _audit_member(m, f, cfg: ScenarioConfig, est):
+def _audit_member(m, f, cfg: ScenarioConfig, est, violations: int):
     """The audit rows of one member; ``est`` is its growth-index estimate
-    (None unless the member is of maximal growth)."""
+    (None unless the member is of maximal growth), ``violations`` its
+    Prawitz violation count."""
     tol = cfg.tolerances
     order = cfg.series_order
     gN = min(cfg.grunsky_order, (order - 2) // 2)
@@ -446,7 +440,6 @@ def _audit_member(m, f, cfg: ScenarioConfig, est):
     checks.append(("lebedev_milin_chain", rhs - a_abs,
                    min(b_sum - a_abs, rhs - b_sum), ok))
 
-    _, violations = logmilin.prawitz_check(f, (0.3, 0.5, 0.7, 0.9), quad_points=1024)
     checks.append(("prawitz_integral", float(violations), -float(violations),
                    violations == 0))
 
@@ -495,14 +488,18 @@ def _audit_member(m, f, cfg: ScenarioConfig, est):
 def _audit_members(members, cfg: ScenarioConfig) -> list:
     """``(m, label, alpha, checks)`` for each ``(m, f)`` in ``members``.
 
-    The members of maximal growth get their growth indexes from one batched
+    One batched :func:`logmilin.prawitz_check` call covers every member, and
+    the members of maximal growth get their growth indexes from one batched
     :func:`hayman.hayman_index` call.
     """
+    prawitz = logmilin.prawitz_check([f for _, f in members], (0.3, 0.5, 0.7, 0.9),
+                                     quad_points=1024)
     maximal = [f for _, f in members if f.kind in families.MAXIMAL_GROWTH_KINDS]
     ests = iter(hayman.hayman_index(maximal) if maximal else [])
     return [_audit_member(m, f, cfg,
-                          next(ests) if f.kind in families.MAXIMAL_GROWTH_KINDS else None)
-            for m, f in members]
+                          next(ests) if f.kind in families.MAXIMAL_GROWTH_KINDS else None,
+                          violations)
+            for (m, f), (_, violations) in zip(members, prawitz)]
 
 
 def _run_audit(cfg: ScenarioConfig) -> ScenarioReport:
@@ -555,7 +552,9 @@ def _json_column(col, spelled: dict) -> list:
 
 
 def _json_text(rep: ScenarioReport) -> str:
-    """The text of ``json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\\n"``."""
+    """The text of ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, where
+    ``report`` is the dict of ``rep``'s scenario, summary and provenance with
+    ``rows`` as a list of one dict per row (keys COLUMNS)."""
     # each top-level value sits one level deep, so its inner lines move two
     # spaces right; JSON strings escape newlines, so every "\n" is layout
     parts = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")

@@ -3,7 +3,6 @@
 For a normalized univalent ``f`` the ledger collects, in one pass:
 
 * ``gamma``        -- logarithmic coefficients, log(f(z)/z) = 2 sum gamma_n z^n
-* ``sqrt_coeffs``  -- coefficients of sqrt(f(z)/z)
 * ``lam``          -- lam_n = 2 (gamma_n - 1/n)
 * ``f_coeffs``     -- coefficients of (1-z)^2 f(z)/z (the boundary-mean series),
                       from :func:`boundary_mean_coeffs`, which also serves
@@ -19,6 +18,10 @@ recurrence (`gamma_via_derivative_recurrence`) is the independent
 cross-check that agrees with the series logarithm.  The same pattern
 repeats for the ``f_coeffs`` exponential recurrence.
 
+The ledger holds what more than one check reads.  The square-root
+coefficients of sqrt(f(z)/z) are not in it: :func:`lebedev_milin_check`,
+their one reader, takes the root itself, only to the order it sums.
+
 The checks cover Milin's partial-sum bound (constant 0.312), Bazilevich's
 direction-weighted sum against -log(alpha)/2, the second Lebedev-Milin
 chain, Prawitz's integrated circle-mean inequality, and the Bieberbach /
@@ -32,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAlpha, InvalidParameter, QuadratureUnconverged
-from .families import SchlichtFunction, integer_parameter, max_modulus, radius_grid
+from .families import (SchlichtFunction, batch, finite_parameter, integer_parameter,
+                       max_modulus, radius_grid)
 from .series import ComplexSeries
 
 #: numeric bound for Milin's constant used by the partial-sum check
@@ -44,13 +48,13 @@ class LogData:
     """Derived coefficient ledger of one normalized univalent function.
 
     Arrays are indexed by the natural subscript: ``gamma[n]`` is gamma_n
-    (entry 0 unused, kept zero), ``sqrt_coeffs[k]`` is the k-th root
-    coefficient, and ``s``/``sigma``/``delta`` run over 0..N-1 where N is
-    the source series order.
+    (entry 0 unused, kept zero), ``lam`` runs like ``gamma``, and
+    ``f_coeffs``/``s``/``sigma``/``delta`` run over 0..N-1 where N is the
+    source series order.  One series logarithm fills ``gamma`` and
+    ``lam``; the other rows are coefficient arithmetic.
     """
 
     gamma: np.ndarray
-    sqrt_coeffs: np.ndarray
     lam: np.ndarray
     f_coeffs: np.ndarray
     s: np.ndarray
@@ -72,8 +76,6 @@ def log_data(f: SchlichtFunction) -> LogData:
     gamma = half_log.copy()
     gamma[0] = 0.0
 
-    sqrt_coeffs = p.sqrt().coeffs
-
     n = np.arange(m + 1, dtype=float)
     lam = np.zeros(m + 1, dtype=np.complex128)
     lam[1:] = 2.0 * (gamma[1:] - 1.0 / n[1:])
@@ -83,16 +85,15 @@ def log_data(f: SchlichtFunction) -> LogData:
     s = a[1:] - a[:-1]  # s_k = a_{k+1} - a_k, k = 0..m
     sigma = a[1:] / np.arange(1, m + 2)
     delta = s - sigma
-    return LogData(gamma=gamma, sqrt_coeffs=sqrt_coeffs, lam=lam,
-                   f_coeffs=f_coeffs, s=s, sigma=sigma, delta=delta)
+    return LogData(gamma=gamma, lam=lam, f_coeffs=f_coeffs, s=s, sigma=sigma, delta=delta)
 
 
 def boundary_mean_coeffs(f: SchlichtFunction) -> np.ndarray:
     """Coefficients 0..N-1 of (1-z)^2 f(z)/z, N the series order of ``f``.
 
-    The one place the ledger's ``f_coeffs`` are computed; it runs neither
-    the logarithm nor the square root, so a caller that reads only these
-    rows needs no ledger.
+    The one place the ledger's ``f_coeffs`` are computed; it runs no
+    series logarithm, so a caller that reads only these rows needs no
+    ledger.
     """
     p = ComplexSeries(f.series.coeffs[1:])  # f(z)/z, constant term 1
     m = p.order
@@ -184,7 +185,8 @@ def milin_check(ld: LogData):
 
 def direction_weighted_sum(gamma: np.ndarray, theta: float, n_terms: int) -> float:
     """sum_{k<=n} k |gamma_k - e^{-ik theta}/k|^2 (shared by several checks)."""
-    if n_terms < 1 or n_terms > len(gamma) - 1:
+    n_terms = integer_parameter(n_terms, "n_terms", 1)
+    if n_terms > len(gamma) - 1:
         raise InvalidParameter("n_terms outside the ledger range")
     k = np.arange(1, n_terms + 1, dtype=float)
     target = np.exp(-1j * k * theta) / k
@@ -196,8 +198,11 @@ def bazilevich_gap(ld: LogData, alpha: float, theta: float, n_terms: int):
 
     Returns (lhs, rhs, gap) with gap = rhs - lhs; the inequality demands
     gap >= 0 for every truncation since the summands are non-negative.
-    Only meaningful for maximal growth, hence alpha > 0.
+    Only meaningful for maximal growth, hence alpha > 0; a NaN or infinite
+    ``alpha`` or ``theta`` raises :class:`InvalidParameter`.
     """
+    alpha = finite_parameter(alpha, "alpha")
+    theta = finite_parameter(theta, "theta")
     if alpha <= 0.0:
         raise InvalidAlpha("the direction-weighted bound needs alpha > 0")
     lhs = direction_weighted_sum(ld.gamma, theta, n_terms)
@@ -208,14 +213,20 @@ def bazilevich_gap(ld: LogData, alpha: float, theta: float, n_terms: int):
 def lebedev_milin_check(f: SchlichtFunction, ld: LogData, n: int):
     """The chain |a_{n+1}| <= sum_{k<=n} |b_k|^2 <= (n+1) exp{...}.
 
-    ``b_k`` are the square-root coefficients; the exponent is the
-    (n+1-k)-weighted sum of k|gamma_k|^2 - 1/k.  Returns
-    (a_abs, b_sum, rhs).
+    ``b_k`` are the coefficients of sqrt(f(z)/z), taken here from
+    a_1 .. a_{n+1} alone: the root's recurrence gives b_k from the first
+    k + 1 coefficients, so this is bit for bit the prefix of the full
+    root.  The exponent is the (n+1-k)-weighted sum of k|gamma_k|^2 - 1/k.
+    ``n`` is an integer >= 0 with n + 1 within the series order and n
+    within the ledger.  Returns (a_abs, b_sum, rhs).
     """
-    if n + 1 > f.order:
-        raise InvalidParameter("need n + 1 within the series order")
-    a_abs = abs(f.series.coeffs[n + 1])
-    b_sum = float(np.sum(np.abs(ld.sqrt_coeffs[: n + 1]) ** 2))
+    n = integer_parameter(n, "n", 0)
+    if n + 1 > f.order or n > ld.top_index:
+        raise InvalidParameter("need n + 1 within the series order and n within the ledger")
+    a = f.series.coeffs
+    a_abs = abs(a[n + 1])
+    root = ComplexSeries(a[1 : n + 2]).sqrt().coeffs  # b_0 .. b_n
+    b_sum = float(np.sum(np.abs(root) ** 2))
     k = np.arange(1, n + 1, dtype=float)
     weights = (n + 1) - k
     expo = np.sum(weights * (k * np.abs(ld.gamma[1 : n + 1]) ** 2 - 1.0 / k))
@@ -229,55 +240,58 @@ def _circle_moduli(f: SchlichtFunction, r: float, quad_points: int) -> np.ndarra
     return np.abs(f.value(r * np.exp(1j * t)))
 
 
-def circle_mean(f: SchlichtFunction, r: float, quad_points: int) -> float:
-    """(1/2pi) integral of |f(r e^{it})| dt by the periodic trapezoid rule."""
-    return float(np.mean(_circle_moduli(f, r, quad_points)))
-
-
-def prawitz_check(f: SchlichtFunction, radii, quad_points: int = 1024, grid: int = 512):
+def prawitz_check(f, radii, quad_points: int = 1024, grid: int = 512):
     """Integrated circle-mean inequality over all radius pairs.
 
     For r > r0 the means must satisfy
     (1-r) mean(r) <= (1-r) mean(r0) + g(r0), with g the growth profile
-    value at r0.  Returns (means, violations); ``violations`` counts
-    pairs failing by more than 1e-8.  Raises QuadratureUnconverged if
-    doubling ``quad_points`` still moves any mean by more than 1e-9.
+    value at r0.  Each mean is the periodic trapezoid rule of |f| on its
+    circle.  Returns (means, violations); ``violations`` counts pairs
+    failing by more than 1e-8.  Raises QuadratureUnconverged if doubling
+    ``quad_points`` still moves any mean by more than 1e-9.
+
+    ``f`` is one member or a sequence of members sharing ``radii`` (see
+    :func:`families.batch`); a sequence returns a list with one
+    (means, violations) per member.  The growth values at the inner radii
+    of every member come from one lockstep :func:`max_modulus` search,
+    whose lanes are independent, so a member's result does not depend on
+    its batch.
     """
+    members = batch(f)
     radii = radius_grid(radii)
     quad_points = integer_parameter(quad_points, "quad_points", 256)
     grid = integer_parameter(grid, "grid", 64)
-    # the q-point rule's nodes are the even nodes of the 2q-point rule, so
-    # one evaluation per circle serves both
-    moduli = [_circle_moduli(f, r, 2 * quad_points) for r in radii]
-    coarse = np.array([float(np.mean(v[::2])) for v in moduli])
-    fine = np.array([float(np.mean(v)) for v in moduli])
-    drift = float(np.max(np.abs(fine - coarse)))
-    if drift > 1e-9:
-        raise QuadratureUnconverged(
-            f"circle means moved by {drift:.3g} when the rule was doubled"
-        )
-    means = fine
-    violations = 0
-    if len(radii) < 2:
-        return means, violations
     inner = radii[:-1]
-    growth = (1.0 - inner) ** 2 / inner * max_modulus(f, inner, grid=grid)[0]
-    for i, g0 in enumerate(growth):
-        for j in range(i + 1, len(radii)):
-            r = radii[j]
-            lhs = (1.0 - r) * means[j]
-            rhs = (1.0 - r) * means[i] + g0
-            if lhs > rhs + 1e-8:
-                violations += 1
-    return means, violations
+    maxima = (max_modulus(members, inner, grid=grid)[0] if len(inner)
+              else np.empty((len(members), 0)))
+    later = np.arange(len(radii)) > np.arange(len(inner))[:, None]  # the pairs j > i
+    results = []
+    for g, peaks in zip(members, maxima):
+        # the q-point rule's nodes are the even nodes of the 2q-point rule, so
+        # one evaluation per circle serves both
+        moduli = [_circle_moduli(g, r, 2 * quad_points) for r in radii]
+        coarse = np.array([float(np.mean(v[::2])) for v in moduli])
+        means = np.array([float(np.mean(v)) for v in moduli])
+        drift = float(np.max(np.abs(means - coarse)))
+        if drift > 1e-9:
+            raise QuadratureUnconverged(
+                f"circle means moved by {drift:.3g} when the rule was doubled"
+            )
+        growth = (1.0 - inner) ** 2 / inner * peaks
+        lhs = (1.0 - radii) * means
+        rhs = (1.0 - radii) * means[:-1, None] + growth[:, None]
+        results.append((means, int(np.count_nonzero(later & (lhs > rhs + 1e-8)))))
+    return results[0] if isinstance(f, SchlichtFunction) else results
 
 
 def coefficient_functionals(f: SchlichtFunction, n: int):
     """Bieberbach ratio |a_n|/n and the Zalcman functional |a_n^2 - a_{2n-1}|.
 
     Returns (bieberbach_ratio, zalcman, zalcman_bound) where the bound is
-    the conjectured ceiling (n-1)^2, attained by the Koebe map.
+    the conjectured ceiling (n-1)^2, attained by the Koebe map.  ``n`` is
+    an integer >= 1 with 2n - 1 within the series order.
     """
+    n = integer_parameter(n, "n", 1)
     if 2 * n - 1 > f.order:
         raise InvalidParameter("need 2n - 1 within the series order")
     a = f.series.coeffs

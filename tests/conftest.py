@@ -12,8 +12,25 @@ from schlichtlab import (
     make_schlicht,
     standard_corpus,
 )
+from schlichtlab.lab import COLUMNS
 
 TRANSFORM_W = 0.3 * cmath.exp(1j * math.pi / 4.0)
+
+
+def report_dict(rep) -> dict:
+    """The report JSON's shape: scenario, summary, provenance and one dict per row.
+
+    The reference the JSON writer is checked against; ``json.dumps`` of this
+    dict with ``sort_keys=True, indent=2`` is the report JSON.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+            for c in (rep.rows[k] for k in COLUMNS)]
+    return {
+        "scenario": rep.scenario,
+        "rows": [dict(zip(COLUMNS, row)) for row in zip(*cols)],
+        "summary": rep.summary,
+        "provenance": rep.provenance,
+    }
 
 
 def transform_alpha(w: complex) -> float:

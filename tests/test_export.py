@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from schlichtlab.lab import COLUMNS, ScenarioConfig, ScenarioReport, export_report, run_scenario
 
+from conftest import report_dict
+
 
 def _fmt(x: float) -> str:
     x = 0.0 if x == 0.0 else float(x)  # normalize -0.0
@@ -23,7 +25,7 @@ def _fmt(x: float) -> str:
 
 def reference_csv(rep: ScenarioReport) -> str:
     lines = ["scenario,m,n,value,alpha_m,deviation,flag"]
-    for r in rep.to_dict()["rows"]:
+    for r in report_dict(rep)["rows"]:
         lines.append(
             f"{rep.scenario},{r['m']},{r['n']},{_fmt(r['value'])},{_fmt(r['alpha_m'])},"
             f"{_fmt(r['deviation'])},{r['flag']}"
@@ -32,7 +34,7 @@ def reference_csv(rep: ScenarioReport) -> str:
 
 
 def reference_json(rep: ScenarioReport) -> str:
-    return json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report_dict(rep), sort_keys=True, indent=2) + "\n"
 
 
 def assert_matches_reference(rep: ScenarioReport, out_dir):
@@ -114,7 +116,7 @@ def test_nan_columns_match_reference(tmp_path):
 def test_empty_report_matches_reference(tmp_path):
     rep = hand_built([], [], [])
     assert_matches_reference(rep, tmp_path)
-    assert rep.to_dict()["rows"] == []
+    assert report_dict(rep)["rows"] == []
 
 
 @st.composite

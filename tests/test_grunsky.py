@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,15 @@ from hypothesis import strategies as st
 
 from schlichtlab import grunsky
 from schlichtlab.errors import InvalidAlpha, InvalidParameter, OutsideDisk
-from schlichtlab.families import SigmaFunction, invert_to_sigma, make_schlicht
+from schlichtlab.families import (
+    SigmaFunction,
+    closed_form_log_deriv,
+    dilated,
+    invert_to_sigma,
+    make_schlicht,
+    rotated,
+    standard_corpus,
+)
 from schlichtlab.grunsky import (
     bazilevich_equality_residual,
     full_mapping_defect,
@@ -253,3 +262,147 @@ class TestEqualityResidual:
     def test_invalid_alpha(self, ledgers130):
         with pytest.raises(InvalidAlpha):
             bazilevich_equality_residual(ledgers130["koebe"], 0.0, 0.0, 8)
+
+
+def parent_grunsky_matrix(g: SigmaFunction, n_order: int) -> np.ndarray:
+    """The recurrence convolved and summed over the full width 2N, zeros included.
+
+    The reference for the builder, which runs the same recurrence over b's
+    nonzero span only.
+    """
+    width = 2 * n_order
+    b = np.zeros(width, dtype=np.complex128)
+    avail = min(g.order, width - 1)
+    b[1 : avail + 1] = g.tail[:avail]
+    gam = np.zeros((n_order + 1, width), dtype=np.complex128)
+    gam[1, 1:] = b[1:]
+    for n in range(1, n_order):
+        top = width - n
+        weights = np.arange(1, n) * b[n - 1 : 0 : -1]
+        gam[n + 1, 1:top] = (
+            b[n + 1 : width]
+            + n * gam[n, 2 : top + 1]
+            + n * np.convolve(b[:top], gam[n, :top])[1:top]
+            - weights @ gam[1:n, 1:top]
+        ) / (n + 1)
+    return gam[:, : n_order + 1]
+
+
+@st.composite
+def exterior_maps(draw, max_order: int):
+    """(label, exterior map of order 2N, N): an inverted pair, or a random tail.
+
+    Pairs are the corpus kinds, optionally rotated or dilated; a random
+    tail has a span s in 0..2N, with either b_s alone nonzero or every
+    b_m, m <= s, drawn with |b_m| <= 1/m.
+    """
+    n_order = draw(st.integers(1, max_order))
+    order = 2 * n_order
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["koebe", "halfplane", "rotation", "dilation",
+                                     "koebe_transform"]))
+        params = None
+        if kind == "rotation":
+            params = {"theta": draw(st.floats(-math.pi, math.pi))}
+        elif kind == "dilation":
+            params = {"r": draw(st.floats(0.01, 0.99))}
+        elif kind == "koebe_transform":
+            params = {"w": cmath.rect(draw(st.floats(0.0, 0.8)), draw(st.floats(-math.pi, math.pi)))}
+        f = make_schlicht(kind, params, order + 2)
+        if draw(st.booleans()):
+            f = rotated(f, draw(st.floats(-math.pi, math.pi)))
+        if draw(st.booleans()):
+            f = dilated(f, draw(st.floats(0.05, 0.99)))
+        return f.label(), invert_to_sigma(f, order), n_order
+    span = draw(st.integers(0, order))
+    real = draw(st.booleans())
+
+    def coefficient(m):
+        x = draw(st.floats(-1.0, 1.0)) / m
+        return complex(x, 0.0 if real else draw(st.floats(-1.0, 1.0)) / m)
+
+    tail = np.zeros(order, dtype=np.complex128)
+    if span:
+        lone = draw(st.booleans())
+        for m in ([span] if lone else range(1, span + 1)):
+            tail[m - 1] = coefficient(m)
+        tail[span - 1] = tail[span - 1] or 1.0 / span
+    return f"tail span {span}", SigmaFunction(b0=0.0, tail=tail, order=order), n_order
+
+
+class TestNonzeroSpan:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=150, deadline=None)
+    @given(member=exterior_maps(max_order=24))
+    def test_matches_full_width_loop(self, member):
+        label, g, n_order = member
+        ref = parent_grunsky_matrix(g, n_order)
+        table = grunsky_matrix(g, n_order).gamma_nk
+        read = g.tail[: 2 * n_order - 1]  # the b_m the section reads
+        nonzero = read[read != 0]
+        if len(nonzero) == 1 and nonzero[0].imag == 0.0:
+            # one real b_m: every product the two loops differ by is a zero
+            np.testing.assert_array_equal(table, ref, err_msg=label)
+        else:
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            np.testing.assert_allclose(table, ref, rtol=1e-13, atol=1e-13 * scale,
+                                       err_msg=label)
+        if not len(nonzero):
+            assert not np.any(table) and table.shape == (n_order + 1, n_order + 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_corpus_at_the_audit_orders(self):
+        # Koebe and the dilation have one real b_m, so they match bit for bit;
+        # the rotation's one b_m is complex, where the matrix-vector product
+        # over n - 1 rows may fuse its one nonzero product differently from a
+        # product over one row, so it matches to rounding
+        for order, n_order in ((34, 16), (130, 64), (258, 128)):
+            for f in standard_corpus(order):
+                g = invert_to_sigma(f, order - 2)
+                ref = parent_grunsky_matrix(g, n_order)
+                table = grunsky_matrix(g, n_order).gamma_nk
+                if f.kind in ("koebe", "halfplane", "dilation"):
+                    assert table.tobytes() == ref.tobytes(), (order, f.label())
+                np.testing.assert_allclose(table, ref, rtol=1e-13, atol=1e-15,
+                                           err_msg=f.label())
+
+    def test_zero_tail_skips_the_recurrence(self, monkeypatch):
+        g = invert_to_sigma(make_schlicht("halfplane", order=66), 64)
+        monkeypatch.setattr(np, "convolve", None)  # any row built would fail
+        t = grunsky_matrix(g, 32)
+        assert t.order == 32 and t.gamma_nk.shape == (33, 33) and not np.any(t.gamma_nk)
+
+
+class TestPairLogDerivative:
+    @staticmethod
+    def _members(order):
+        return standard_corpus(order) + [
+            rotated(make_schlicht("koebe", order=order), 2.5),
+            dilated(rotated(make_schlicht("koebe_transform", {"w": -0.5 + 0.3j}, order),
+                            -1.0), 0.97)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [0.5, 0.95 * cmath.exp(1.2j)])
+    def test_equals_order_2048_series_log(self, z):
+        for f in self._members(2049):
+            series = f.series.deriv().log()(z)
+            pair = closed_form_log_deriv(z, *f.beta_rho)
+            assert abs(pair - series) <= 1e-10 * max(1.0, abs(series)), (f.label(), pair, series)
+
+    def test_principal_log_of_f_prime_leaves_the_branch(self):
+        f = make_schlicht("koebe", order=16)
+        z = 0.95 * cmath.exp(1.2j)
+        jump = cmath.log(f.deriv(z)) - closed_form_log_deriv(z, *f.beta_rho)
+        assert abs(abs(jump) - 2.0 * math.pi) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_series_only_map_keeps_the_series_log(self, corpus130, ledgers130):
+        # a custom map with a pair's coefficients has no pair, so the defect
+        # takes the series log; the identity residual stays at rounding level
+        for f in corpus130:
+            custom = make_schlicht("custom", {"coeffs": f.series.coeffs}, 130)
+            t = grunsky_matrix(invert_to_sigma(custom, 128), 64)
+            _, identity = full_mapping_defect(t, ledgers130[f.label()], custom, 0.5)
+            _, pair_identity = full_mapping_defect(t, ledgers130[f.label()], f, 0.5)
+            assert identity <= 1e-8 and pair_identity <= 1e-8, f.label()
+            assert abs(identity - pair_identity) <= 1e-13, f.label()

@@ -13,6 +13,8 @@ from schlichtlab.families import make_schlicht
 from schlichtlab.lab import ScenarioConfig, export_report, run_scenario
 from schlichtlab.series import ComplexSeries
 
+from conftest import report_dict
+
 
 def small_cfg(scenario, tmp_path, **kw):
     base = dict(scenario=scenario, m_range=(2, 12), n_range=(1, 48),
@@ -249,8 +251,9 @@ class TestTheorem1:
         rep = run_scenario(small_cfg("theorem1", tmp_path, tolerances={"tail_n": 40.0}))
         assert "tauber_harness" in rep.summary
         assert calls == Counter()
-        logmilin.log_data(make_schlicht("halfplane", order=16))  # the counters count
-        assert calls == Counter(log_data=1, log=1, sqrt=1)
+        # the counters count; the ledger itself takes no square root
+        logmilin.log_data(make_schlicht("halfplane", order=16))
+        assert calls == Counter(log_data=1, log=1)
 
 
 class TestTheorem2:
@@ -327,9 +330,10 @@ class TestAudit:
 
     @pytest.mark.filterwarnings("error")
     def test_one_pass_computes_only_what_it_reads(self, tmp_path, monkeypatch):
-        # one table, one ledger and one identity logarithm per member: the
-        # comparison section is a slice, the increment bound reads the
-        # coefficients, and the growth indexes come from one batched call
+        # one table and one ledger per member, and no series logarithm in the
+        # identity link (log f' comes from each pair): the comparison section
+        # is a slice, the increment bound reads the coefficients, and the
+        # Prawitz search and the growth indexes come from one batched call each
         calls = Counter()
         in_defect = []
 
@@ -357,13 +361,18 @@ class TestAudit:
         monkeypatch.setattr(logmilin, "log_data", counting("log_data", logmilin.log_data))
         monkeypatch.setattr(hayman, "hayman_index",
                             counting("hayman_index", hayman.hayman_index))
+        monkeypatch.setattr(logmilin, "prawitz_check",
+                            counting("prawitz_check", logmilin.prawitz_check))
+        monkeypatch.setattr(logmilin, "max_modulus",
+                            counting("prawitz_search", logmilin.max_modulus))
         monkeypatch.setattr(grunsky, "full_mapping_defect", defect_frame)
         monkeypatch.setattr(ComplexSeries, "log", series_log)
         cfg = ScenarioConfig(scenario="inequality_audit", m_range=(1, 1), n_range=(1, 1),
                              series_order=130, grunsky_order=64, out_dir=str(tmp_path))
         assert run_scenario(cfg).all_ok()
-        assert calls == Counter(grunsky_matrix=5, log_data=5, log_in_defect=5,
-                                hayman_index=1)
+        assert calls == Counter(grunsky_matrix=5, log_data=5, hayman_index=1,
+                                prawitz_check=1, prawitz_search=1)
+        assert calls["log_in_defect"] == 0
 
     @pytest.mark.filterwarnings("error")
     def test_batched_estimates_equal_single_member_calls(self, corpus130):
@@ -406,7 +415,7 @@ class TestExport:
         rep = run_scenario(cfg)
         paths = export_report(rep, fmt="json")
         loaded = json.loads(paths[0].read_text())
-        assert loaded == json.loads(json.dumps(rep.to_dict()))
+        assert loaded == json.loads(json.dumps(report_dict(rep)))
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

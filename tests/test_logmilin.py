@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schlichtlab.errors import InvalidAlpha, QuadratureUnconverged
+from schlichtlab.errors import InvalidAlpha, QuadratureUnconverged, SchlichtLabError
+from schlichtlab import logmilin
 from schlichtlab.families import (
     MAXIMAL_GROWTH_KINDS,
     dilated,
@@ -14,13 +15,13 @@ from schlichtlab.families import (
     rotated,
     standard_corpus,
 )
+from schlichtlab.grunsky import bazilevich_equality_residual
 from schlichtlab.hayman import hayman_index
 from schlichtlab.logmilin import (
     MILIN_CONSTANT_BOUND,
     _circle_moduli,
     bazilevich_gap,
     boundary_mean_coeffs,
-    circle_mean,
     coefficient_functionals,
     direction_weighted_sum,
     f_coeffs_recurrence_unweighted,
@@ -32,6 +33,21 @@ from schlichtlab.logmilin import (
     milin_check,
     prawitz_check,
 )
+from schlichtlab.series import ComplexSeries
+
+
+def circle_mean(f, r: float, quad_points: int) -> float:
+    """(1/2pi) integral of |f(r e^{it})| dt by the periodic trapezoid rule.
+
+    The reference for prawitz_check's means, which take the rule from one
+    evaluation of each circle at twice the nodes.
+    """
+    return float(np.mean(_circle_moduli(f, r, quad_points)))
+
+
+def sqrt_coeffs(f) -> np.ndarray:
+    """The full root sqrt(f(z)/z), the reference for lebedev_milin_check's prefix."""
+    return ComplexSeries(f.series.coeffs[1:]).sqrt().coeffs
 
 
 class TestLedger:
@@ -40,7 +56,7 @@ class TestLedger:
         ld = log_data(f)
         n = np.arange(1, 129)
         np.testing.assert_allclose(ld.gamma[1:129], 1.0 / n, atol=1e-12)
-        np.testing.assert_allclose(ld.sqrt_coeffs, 1.0, atol=1e-12)
+        np.testing.assert_allclose(sqrt_coeffs(f), 1.0, atol=1e-12)
         np.testing.assert_allclose(ld.lam, 0.0, atol=1e-12)
         assert abs(ld.f_coeffs[0] - 1.0) < 1e-14
         assert np.max(np.abs(ld.f_coeffs[1:])) < 1e-14
@@ -67,10 +83,10 @@ class TestLedger:
             np.testing.assert_allclose(back.coeffs, f.series.coeffs[1:],
                                        atol=1e-12, err_msg=f.label())
 
-    def test_sqrt_consistency(self, corpus130, ledgers130):
+    def test_sqrt_consistency(self, corpus130):
         for f in corpus130:
-            ld = ledgers130[f.label()]
-            sq = np.convolve(ld.sqrt_coeffs, ld.sqrt_coeffs)[: len(ld.sqrt_coeffs)]
+            root = sqrt_coeffs(f)
+            sq = np.convolve(root, root)[: len(root)]
             np.testing.assert_allclose(sq, f.series.coeffs[1:], atol=1e-12,
                                        err_msg=f.label())
 
@@ -243,7 +259,7 @@ class TestLebedevMilin:
         ld = log_data(f)
         # sqrt(z/(1-z)/z) = (1-z)^{-1/2}: b_k = C(2k, k) / 4^k
         expect = np.array([math.comb(2 * k, k) / 4.0 ** k for k in range(10)])
-        np.testing.assert_allclose(ld.sqrt_coeffs[:10], expect, atol=1e-12)
+        np.testing.assert_allclose(sqrt_coeffs(f)[:10], expect, atol=1e-12)
         a_abs, b_sum, rhs = lebedev_milin_check(f, ld, 9)
         assert abs(a_abs - 1.0) < 1e-14
         assert abs(b_sum - np.sum(expect ** 2)) < 1e-12
@@ -262,6 +278,26 @@ class TestLebedevMilin:
         f = make_schlicht("dilation", {"r": 0.9}, order=64)
         a_abs, b_sum, rhs = lebedev_milin_check(f, log_data(f), 9)
         assert a_abs < b_sum < rhs
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order", [34, 130, 258])
+    def test_root_prefix_equals_full_root(self, order):
+        # the check roots only a_1 .. a_{n+1}; the recurrence's prefix property
+        # makes that the first n + 1 terms of the full root, bit for bit
+        members = standard_corpus(order) + [rotated(dilated(
+            make_schlicht("koebe_transform", {"w": 0.5 - 0.2j}, order), 0.7), 1.1)]
+        for f in members:
+            ld = log_data(f)
+            full = sqrt_coeffs(f)
+            k = np.arange(1, order, dtype=float)
+            for n in sorted({0, 1, 5, 32, order // 2, order - 1}):
+                a_abs, b_sum, rhs = lebedev_milin_check(f, ld, n)
+                assert b_sum.hex() == float(np.sum(np.abs(full[: n + 1]) ** 2)).hex(), (
+                    f.label(), n)
+                assert a_abs == abs(f.series.coeffs[n + 1])
+                weights = (n + 1) - k[:n]
+                expo = np.sum(weights * (k[:n] * np.abs(ld.gamma[1 : n + 1]) ** 2 - 1.0 / k[:n]))
+                assert rhs == (n + 1) * float(np.exp(expo / (n + 1)))
 
 
 class TestPrawitz:
@@ -316,6 +352,48 @@ class TestPrawitz:
         f = make_schlicht("koebe", order=64)
         with pytest.raises(QuadratureUnconverged):
             prawitz_check(f, (0.99,), quad_points=256)
+        with pytest.raises(QuadratureUnconverged):
+            prawitz_check([make_schlicht("halfplane", order=64), f], (0.5, 0.99),
+                          quad_points=256)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radii", [(0.3, 0.5, 0.7, 0.9), (0.5,), (0.2, 0.95)])
+    def test_batch_equals_per_member_calls(self, radii):
+        # one lockstep search over every member's inner radii; its lanes are
+        # independent, so each member's result is its own call's, bit for bit
+        members = standard_corpus(130) + [
+            rotated(dilated(make_schlicht("koebe_transform", {"w": 0.4j}, 130), 0.8), -2.0)]
+        batched = prawitz_check(members, radii, quad_points=1024, grid=256)
+        assert isinstance(batched, list) and len(batched) == len(members)
+        for f, (means, violations) in zip(members, batched):
+            one_means, one_violations = prawitz_check(f, radii, quad_points=1024, grid=256)
+            assert means.tobytes() == one_means.tobytes(), f.label()
+            assert violations == one_violations and type(violations) is int
+
+    def test_batch_of_one_is_a_list(self):
+        f = make_schlicht("custom", {"coeffs": np.r_[0.0, 1.0, 0.25j, np.zeros(30)]}, 32)
+        [(means, violations)] = prawitz_check([f], (0.3, 0.6))
+        one_means, one_violations = prawitz_check(f, (0.3, 0.6))
+        assert means.tobytes() == one_means.tobytes() and violations == one_violations
+
+    def test_violations_count_failing_pairs(self, monkeypatch):
+        # a growth value of 0 makes every pair with a larger outer mean fail;
+        # zero the first member's row only, and each member must read its own
+        koebe, halfplane = (make_schlicht(k, order=64) for k in ("koebe", "halfplane"))
+        radii = np.array([0.3, 0.5, 0.7])
+        means, _ = prawitz_check(koebe, radii)
+        expect = sum((1 - radii[j]) * means[j] > (1 - radii[j]) * means[i] + 1e-8
+                     for i in range(2) for j in range(i + 1, 3))
+        search = logmilin.max_modulus
+
+        def first_row_zero(members, r, grid):
+            maxima = search(members, r, grid=grid)[0].copy()
+            maxima[0] = 0.0
+            return (maxima,)
+
+        monkeypatch.setattr(logmilin, "max_modulus", first_row_zero)
+        assert [v for _, v in prawitz_check([koebe, halfplane], radii)] == [expect, 0]
+        assert expect == 3
 
 
 class TestCoefficientFunctionals:
@@ -352,3 +430,45 @@ def test_increment_bound_on_growth_aligned_members(corpus130):
         ld = log_data(aligned)
         ceiling = math.exp(2 * MILIN_CONSTANT_BOUND) / est.alpha
         assert float(np.max(np.abs(ld.s) ** 2)) <= ceiling + 1e-9, f.label()
+
+
+class TestBadInputs:
+    """Indexes and angles that once wrapped, gave NaN or an IndexError."""
+
+    @staticmethod
+    def _koebe():
+        f = make_schlicht("koebe", order=16)
+        return f, log_data(f)
+
+    CASES = {
+        "functionals n negative": lambda f, ld: coefficient_functionals(f, -3),
+        "functionals n zero": lambda f, ld: coefficient_functionals(f, 0),
+        "functionals n fractional": lambda f, ld: coefficient_functionals(f, 1.5),
+        "functionals n too large": lambda f, ld: coefficient_functionals(f, 9),
+        "lebedev n negative": lambda f, ld: lebedev_milin_check(f, ld, -1),
+        "lebedev n fractional": lambda f, ld: lebedev_milin_check(f, ld, 2.5),
+        "lebedev n too large": lambda f, ld: lebedev_milin_check(f, ld, 16),
+        "bazilevich alpha nan": lambda f, ld: bazilevich_gap(ld, math.nan, 0.0, 8),
+        "bazilevich alpha inf": lambda f, ld: bazilevich_gap(ld, math.inf, 0.0, 8),
+        "bazilevich theta nan": lambda f, ld: bazilevich_gap(ld, 1.0, math.nan, 8),
+        "bazilevich n_terms fractional": lambda f, ld: bazilevich_gap(ld, 1.0, 0.0, 2.5),
+        "equality residual alpha nan": lambda f, ld: bazilevich_equality_residual(
+            ld, math.nan, 0.0, 8),
+        "equality residual theta nan": lambda f, ld: bazilevich_equality_residual(
+            ld, 1.0, math.nan, 8),
+        "equality residual theta inf": lambda f, ld: bazilevich_equality_residual(
+            ld, 1.0, -math.inf, 8),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_lab_error(self, case):
+        with pytest.raises(SchlichtLabError):
+            self.CASES[case](*self._koebe())
+
+    @pytest.mark.filterwarnings("error")
+    def test_smallest_indexes_accepted(self):
+        f, ld = self._koebe()
+        assert coefficient_functionals(f, 1) == (1.0, 0.0, 0.0)
+        assert coefficient_functionals(f, np.int64(5)) == coefficient_functionals(f, 5)
+        assert lebedev_milin_check(f, ld, 0) == (1.0, 1.0, 1.0)

@@ -1,0 +1,130 @@
+"""SHA-256 digests of a fixed set of reports, so a moved report fails tier-1.
+
+The set is 42 files, every report written as CSV and JSON:
+
+* the five scenarios at the README config: counterexample, theorem1,
+  theorem2 and inequality_audit at m 2..64, n 1..256, orders 256/32, and
+  zalcman_scan at m 1..5, n 2..128, order 256;
+* the audit at orders 258/128;
+* the configs of the benchmark's three workloads at seeds 1-3, read from
+  ``bench/workloads.py`` (which this test never changes).
+
+Each config names the one relative ``out_dir`` below, because the report's
+provenance echoes it; the files themselves go under ``tmp_path``.  A change
+that moves a report updates ``DIGESTS`` in the same change and says which
+files moved, and why, in CHANGES.md.
+
+The digests pin the numeric stack they were taken on (STACK): the last
+bits of the reports depend on numpy's loops and on the LAPACK behind
+``eigvalsh``.
+"""
+
+import hashlib
+import importlib.util
+import platform
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from schlichtlab.lab import ScenarioConfig, export_report, run_scenario
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+OUT_DIR = "reports"
+STACK = "Python 3.11.7, numpy 2.4.6"
+SEEDS = (1, 2, 3)
+
+README = {"m_range": [2, 64], "n_range": [1, 256], "series_order": 256,
+          "grunsky_order": 32}
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def report_set() -> dict:
+    """Group name -> the scenario config dicts whose reports it writes."""
+    groups = {
+        "readme": [dict(README, scenario=s) for s in
+                   ("counterexample", "theorem1", "theorem2", "inequality_audit")]
+                  + [dict(README, scenario="zalcman_scan", m_range=[1, 5], n_range=[2, 128])],
+        "audit258": [{"scenario": "inequality_audit", "m_range": [1, 1], "n_range": [1, 1],
+                      "series_order": 258, "grunsky_order": 128}],
+    }
+    workloads = _workloads()
+    for name in workloads.NAMES:
+        for seed in SEEDS:
+            groups[f"{name}-{seed}"] = workloads.scenario_configs(name, seed)
+    return groups
+
+
+DIGESTS = {
+    "audit258/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
+    "audit258/inequality_audit.json": "68801504056d46c3af546beebf35bc3b9297303a0aabaf02244fe1bfc551ec71",
+    "audit_grunsky-1/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
+    "audit_grunsky-1/inequality_audit.json": "68801504056d46c3af546beebf35bc3b9297303a0aabaf02244fe1bfc551ec71",
+    "audit_grunsky-1/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
+    "audit_grunsky-1/zalcman_scan.json": "4b83f7b563f934489dfce0492b1cb216ec1faeb78d85d967eece081a2045ed37",
+    "audit_grunsky-2/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
+    "audit_grunsky-2/inequality_audit.json": "68801504056d46c3af546beebf35bc3b9297303a0aabaf02244fe1bfc551ec71",
+    "audit_grunsky-2/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
+    "audit_grunsky-2/zalcman_scan.json": "4b83f7b563f934489dfce0492b1cb216ec1faeb78d85d967eece081a2045ed37",
+    "audit_grunsky-3/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
+    "audit_grunsky-3/inequality_audit.json": "68801504056d46c3af546beebf35bc3b9297303a0aabaf02244fe1bfc551ec71",
+    "audit_grunsky-3/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
+    "audit_grunsky-3/zalcman_scan.json": "4b83f7b563f934489dfce0492b1cb216ec1faeb78d85d967eece081a2045ed37",
+    "growth_index-1/theorem2.csv": "ac811e38c4ad3f8486bae67f749479d65345379e0bc687991fd5975295e9003d",
+    "growth_index-1/theorem2.json": "6ad453fcf37938a09f22cfcf23fb017ed7f9ae0f08b877f00033839ded815f1c",
+    "growth_index-2/theorem2.csv": "924980045476136e87ec9a750a9a77bbc6f2cb75609cccbdd43dea39eec403a8",
+    "growth_index-2/theorem2.json": "95456713a9129f6bf51e6f840f77f8b3d76f6d272beda14cad0acb7375e0040d",
+    "growth_index-3/theorem2.csv": "869390ccf3a3393e02c9699dd3751492c0a8b1f4931be8bb255998704e9c069c",
+    "growth_index-3/theorem2.json": "1990ba2e48192a310a0bb724dfe9dcb5e93c17466c0e11b9514f9a9e769aa687",
+    "readme/counterexample.csv": "404e4a459dc2a1f0ea2c86295dcf9466aa4b97df1e5a9ea6d69a70b60b36e853",
+    "readme/counterexample.json": "32f923013059b263f3db213cca3d267407c9e7177a2f6f2cb8330a66ac599eb2",
+    "readme/inequality_audit.csv": "cfaf7519b34660887a352153f42d1a785059f10cf9520f16a0e43708fcd1c131",
+    "readme/inequality_audit.json": "5ad01a8061fed605b338bd13ef134e999ed81d0571dcfb048fc4baa865a9fdab",
+    "readme/theorem1.csv": "5243e58b45071e040328ce61f37edfa85fddf9c070c7489df03490a896766ca2",
+    "readme/theorem1.json": "c8ab336019ae3cdabca1221b54c52556dfd32ed42da73f28e736f55759060c2c",
+    "readme/theorem2.csv": "33f4df1a28d62a491adb1a712759b5ceeb34757bb3b24ba93036744135b1ec6f",
+    "readme/theorem2.json": "5b09d3d6ff293828fdfd21b68bb4f4b51c1ef8c8f1f3603fd06d8b9812ef9ca8",
+    "readme/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
+    "readme/zalcman_scan.json": "4b83f7b563f934489dfce0492b1cb216ec1faeb78d85d967eece081a2045ed37",
+    "report_grid-1/counterexample.csv": "91d993cff0c8cbbe3efdbd8c6199a329f16e32b5a9aef6cdc217c7f14537e40e",
+    "report_grid-1/counterexample.json": "5cc8e32294cbbb2d118acee43b38b7d5b09fd16953faed211c818b5f8a01e3da",
+    "report_grid-1/theorem1.csv": "1bcdd3b1984598d5a2ae7dffeae5bdcfc71933ed466ab9e6cdbca2c7a65e9efe",
+    "report_grid-1/theorem1.json": "f0d0bd027d306ea48ff77d1af5029a51d7588260db9fd2ad067069eb201df9a1",
+    "report_grid-2/counterexample.csv": "5c74664759d3783f0f3c6588b28c9373562978563a276f3d5a22ca75121bca15",
+    "report_grid-2/counterexample.json": "bf721e571205ac67eddec673cac602b1efee4c7cbe12afd873756a88a76b0d7f",
+    "report_grid-2/theorem1.csv": "ea1e03d121d255c74482a9f3bc8ba7f7e7a72dc9af291905f549fbdf9466eb4c",
+    "report_grid-2/theorem1.json": "edefe02158c25a4de9d16ab1c1a90f69198a76fdba0cab54bc44a6ae3410c168",
+    "report_grid-3/counterexample.csv": "da288ed6c805b9be09ee686ca3455b43fb9e133974ca2861f6add3ad8f702bc3",
+    "report_grid-3/counterexample.json": "ca2ee4fcda368f0ffcd41c2620e8f65d6b71889f46fcac6cbab47af763578169",
+    "report_grid-3/theorem1.csv": "d9bef195a07cdcdebaf7e672bcd3425a4dd5eafc47712bb18fb41b9119d9791b",
+    "report_grid-3/theorem1.json": "f0712272564a54252b2469d0b2f3997d9190408a478c1a8ffe211d076b6789ea",
+}
+
+
+def _stack() -> str:
+    return f"Python {platform.python_version()}, numpy {np.__version__}"
+
+
+@pytest.mark.parametrize("group, configs", sorted(report_set().items()))
+def test_reports_match_digests(group, configs, tmp_path):
+    out = tmp_path / group
+    for data in configs:
+        cfg = ScenarioConfig.from_dict(dict(data, out_dir=OUT_DIR))
+        export_report(run_scenario(cfg), fmt="both", out_dir=str(out))
+    digests = {f"{group}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+    expected = {k: v for k, v in DIGESTS.items() if k.startswith(f"{group}/")}
+    moved = sorted(k for k in expected.keys() | digests.keys()
+                   if expected.get(k) != digests.get(k))
+    assert not moved, (f"reports moved: {moved}; the digests were taken on {STACK}, "
+                       f"this run is on {_stack()}")
+
+
+def test_set_holds_42_files():
+    assert sum(2 * len(configs) for configs in report_set().values()) == len(DIGESTS) == 42
