@@ -234,7 +234,10 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
         return _koebe_transform(w, order)
 
     if kind == "custom":
-        coeffs = np.asarray(params.get("coeffs"), dtype=np.complex128)
+        try:
+            coeffs = np.asarray(params.get("coeffs"), dtype=np.complex128)
+        except (TypeError, ValueError):
+            raise InvalidParameter("custom needs an array of numbers as coeffs") from None
         if coeffs.ndim != 1 or len(coeffs) != order + 1:
             raise InvalidParameter("custom needs a coefficient array of length order+1")
         _check_class_s(coeffs, "custom")

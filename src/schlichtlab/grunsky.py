@@ -44,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAlpha, InvalidParameter, OutsideDisk
-from .families import SchlichtFunction, SigmaFunction, closed_form_log_deriv, finite_parameter
+from .errors import InvalidAlpha, InvalidParameter
+from .families import (SchlichtFunction, SigmaFunction, _disk_modulus, closed_form_log_deriv,
+                       finite_parameter, integer_parameter)
 from .logmilin import LogData, direction_weighted_sum
 
 
@@ -73,10 +74,21 @@ class GrunskyTable:
         only the b_m with m <= 2 n_order - 1, which the larger table used
         too.
         """
+        n_order = integer_parameter(n_order, "section order")
         if not 1 <= n_order <= self.order:
             raise InvalidParameter("section order must lie in 1..table order")
         return GrunskyTable(order=n_order,
                             gamma_nk=self.gamma_nk[: n_order + 1, : n_order + 1].copy())
+
+
+def _table_order(g: SigmaFunction, n_order) -> int:
+    """``n_order`` checked to be an integer in 1..g.order."""
+    n_order = integer_parameter(n_order, "table order")
+    if n_order < 1:
+        raise InvalidParameter("table order must be positive")
+    if n_order > g.order:
+        raise InvalidParameter("table order exceeds the stored exterior order")
+    return n_order
 
 
 def grunsky_matrix(g: SigmaFunction, n_order: int) -> GrunskyTable:
@@ -98,10 +110,7 @@ def grunsky_matrix(g: SigmaFunction, n_order: int) -> GrunskyTable:
     row then costs O(N).  An all-zero tail (s = 0, the half-plane map)
     gives the zero table without running the recurrence.
     """
-    if n_order < 1:
-        raise InvalidParameter("table order must be positive")
-    if n_order > g.order:
-        raise InvalidParameter("table order exceeds the stored exterior order")
+    n_order = _table_order(g, n_order)
     width = 2 * n_order
     b = np.zeros(width, dtype=np.complex128)  # b[m] = b_m, zero past g.order
     avail = min(g.order, width - 1)
@@ -133,10 +142,7 @@ def grunsky_matrix_direct(g: SigmaFunction, n_order: int) -> GrunskyTable:
     array of -log(1 - B).  O(N^4) per product, so keep n_order small
     (the tests use 8).
     """
-    if n_order < 1:
-        raise InvalidParameter("table order must be positive")
-    if n_order > g.order:
-        raise InvalidParameter("table order exceeds the stored exterior order")
+    n_order = _table_order(g, n_order)
     size = n_order + 1
     b_mat = np.zeros((size, size), dtype=np.complex128)
     for i in range(1, size):
@@ -191,12 +197,15 @@ def row_polynomials(t: GrunskyTable, z: complex) -> np.ndarray:
 
 
 def fullness_defect(t: GrunskyTable, z: complex) -> float:
-    """| sum_n n |A_n(z)|^2 + log(1 - |z|^2) |, which tends to 0 iff g is full."""
-    if abs(z) >= 1.0:
-        raise OutsideDisk(f"|z| = {abs(z):.6g} is not inside the unit disk")
+    """| sum_n n |A_n(z)|^2 + log(1 - |z|^2) |, which tends to 0 iff g is full.
+
+    A point that is not one number inside the unit disk (NaN included)
+    raises :class:`InvalidParameter` or :class:`OutsideDisk`.
+    """
+    x = _disk_modulus(z)
     n = np.arange(t.order + 1, dtype=float)
     a_vals = row_polynomials(t, z)
-    return float(abs(float(np.sum(n * np.abs(a_vals) ** 2)) + np.log1p(-abs(z) ** 2)))
+    return float(abs(float(np.sum(n * np.abs(a_vals) ** 2)) + np.log1p(-x ** 2)))
 
 
 def full_mapping_defect(t: GrunskyTable, ld: LogData, f: SchlichtFunction, z: complex):
@@ -211,13 +220,13 @@ def full_mapping_defect(t: GrunskyTable, ld: LogData, f: SchlichtFunction, z: co
     the Koebe map.)  log f'(z) comes from the pair (beta, rho) of a
     closed form (:func:`families.closed_form_log_deriv`) and from the
     series logarithm of f' for a series-only map.  A caller that needs only
-    the defect calls :func:`fullness_defect`.
+    the defect calls :func:`fullness_defect`, which checks ``z``.
     """
     defect = fullness_defect(t, z)
     zn = z ** np.arange(t.order + 1)
     lhs = np.sum(row_polynomials(t, z) * zn)
     m = min(ld.top_index, f.order - 1)
-    log_fz = 2.0 * np.polyval(ld.gamma[m::-1], z)  # log(f/z) partial sum
+    log_fz = 2.0 * np.dot(ld.gamma[: m + 1], z ** np.arange(m + 1))  # log(f/z) partial sum
     if f.has_closed_form:
         log_fp = closed_form_log_deriv(z, *f.beta_rho)
     else:

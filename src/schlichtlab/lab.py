@@ -19,7 +19,8 @@ claim honest.
                     width folded into the tolerance.  All members' growth
                     indexes come from one batched hayman_index call.
   zalcman_scan      coefficient functionals over the corpus against the
-                    (n-1)^2 ceiling.
+                    (n-1)^2 ceiling, every member and n in one pass of
+                    array arithmetic.
   inequality_audit  every scalar inequality check over the whole corpus.
                     One Grunsky table and one ledger per member; the
                     identity link takes log f' from the member's pair,
@@ -36,8 +37,8 @@ suprema); each runner then sets its own flags.
 
 A ScenarioReport keeps its rows as columns (see COLUMNS): ``m`` and ``n``
 are int64 arrays, ``value``, ``alpha_m`` and ``deviation`` float64 arrays,
-``flag`` and ``check`` lists of str.  The grid scenarios fill them with
-whole-array operations; the scan and the audit append one row at a time.
+``flag`` and ``check`` lists of str.  The grid scenarios and the scan fill
+them with whole-array operations; the audit appends one row at a time.
 
 Reports are deterministic: identical config (including seed) yields
 byte-identical CSV/JSON.  CSV rows use fixed 8-decimal formatting under
@@ -45,9 +46,13 @@ the header ``scenario,m,n,value,alpha_m,deviation,flag``; JSON mirrors
 the full report, provenance included, as ``json.dumps(..., sort_keys=True,
 indent=2)`` writes an object with the keys ``scenario``, ``summary``,
 ``provenance`` and ``rows``, one dict per row with the keys of COLUMNS.
-Both writers format whole columns in one pass instead of one record per
-row, and the JSON writer spells a column only once when another is
-bitwise equal to it (``deviation`` is ``value`` whenever every alpha is 0).
+Both writers stream the rows to disk in blocks of BLOCK_ROWS rows: each
+block's column slices are formatted in one pass instead of one record per
+row, written, and dropped, so the memory an export holds does not grow with
+the row count.  Within a block the JSON writer spells a column only once
+when another is bitwise equal to it (``deviation`` is ``value`` whenever
+every alpha is 0).  Each file is written under a temporary name beside it
+and moved into place, so an export cut short leaves no partial report.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -233,9 +239,8 @@ def _columns(m, n, value, alpha_m, deviation, flag, check) -> dict:
             "flag": list(flag), "check": list(check)}
 
 
-def _annotate(exc: SchlichtLabError, m, n: Optional[int] = None):
-    where = f"(m={m})" if n is None else f"(m={m}, n={n})"
-    raise type(exc)(f"{where} {exc}") from exc
+def _annotate(exc: SchlichtLabError, m):
+    raise type(exc)(f"(m={m}) {exc}") from exc
 
 
 def _append_row(cols: dict, m, n, value, alpha_m, deviation, ok, check):
@@ -385,38 +390,39 @@ def _corpus_with_labels(order: int):
 def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
     tol = cfg.tolerances
     members, labels = _corpus_with_labels(cfg.series_order)
-    n_lo, n_hi = cfg.n_range
-    cols = {k: [] for k in COLUMNS}
-    worst_slack = -math.inf
-    max_ratio = 0.0
-    per_n_max = {}
-    for m, f in members:
-        for n in range(n_lo, n_hi + 1):
-            try:
-                ratio, zal, bound = logmilin.coefficient_functionals(f, n)
-            except SchlichtLabError as exc:
-                _annotate(exc, m, n)
-            slack = zal - bound
-            worst_slack = max(worst_slack, slack)
-            max_ratio = max(max_ratio, ratio)
-            ok = slack <= tol["zalcman_slack"]
-            _append_row(cols, m, n, zal, 0.0, slack, ok, "zalcman_ceiling")
-            key = per_n_max.get(n)
-            if key is None or zal > key[0] + 1e-12:
-                per_n_max[n] = (zal, f.kind)
-    extremal_ok = all(kind in ("koebe", "rotation")
-                      for _v, kind in per_n_max.values())
+    ns = np.arange(cfg.n_range[0], cfg.n_range[1] + 1)
+    a = np.array([f.series.coeffs for _, f in members])
+    # |a_n^2 - a_{2n-1}| and |a_n| / n, one row per member, spelled in real
+    # arithmetic as numpy's complex scalars do it (a^2 as a*a, abs as hypot),
+    # so the values match logmilin.coefficient_functionals bit for bit
+    x, y = a[:, ns].real, a[:, ns].imag
+    b = a[:, 2 * ns - 1]
+    zal = np.hypot(x * x - y * y - b.real, x * y + y * x - b.imag)
+    ratio = np.hypot(x, y) / ns
+    slack = zal - ((ns - 1) ** 2).astype(np.float64)
+    # the extremal member at each n: the first, unless a later one exceeds it by 1e-12
+    best, kind = zal[0].copy(), np.zeros(len(ns), dtype=int)
+    for i in range(1, len(members)):
+        wins = zal[i] > best + 1e-12
+        best[wins], kind[wins] = zal[i, wins], i
+    extremal_ok = all(members[i][1].kind in ("koebe", "rotation") for i in set(kind.tolist()))
+    worst_slack, max_ratio = float(np.max(slack)), max(0.0, float(np.max(ratio)))
+    size = slack.size
+    rows = _columns(np.repeat([m for m, _ in members], len(ns)), np.tile(ns, len(members)),
+                    zal.ravel(), np.zeros(size), slack.ravel(),
+                    np.where(slack.ravel() <= tol["zalcman_slack"], "ok", "fail").tolist(),
+                    ["zalcman_ceiling"] * size)
     summary = {
         "labels": labels,
-        "worst_zalcman_slack": float(worst_slack),
-        "max_bieberbach_ratio": float(max_ratio),
+        "worst_zalcman_slack": worst_slack,
+        "max_bieberbach_ratio": max_ratio,
         "flags": {
             "zalcman_ceiling": worst_slack <= tol["zalcman_slack"],
             "extremal_at_koebe_or_rotation": extremal_ok,
             "bieberbach_ratio_bound": max_ratio <= 1.0 + 1e-12,
         },
     }
-    return ScenarioReport("zalcman_scan", _columns(**cols), summary, _provenance(cfg))
+    return ScenarioReport("zalcman_scan", rows, summary, _provenance(cfg))
 
 
 def _audit_member(m, f, cfg: ScenarioConfig, est, violations: int):
@@ -522,14 +528,26 @@ CSV_HEADER = "scenario,m,n,value,alpha_m,deviation,flag"
 # one row of the report JSON, keys sorted and indented as json.dumps(indent=2) does
 _ROW_JSON = "{\n" + ",\n".join(f'      "{k}": %s' for k in sorted(COLUMNS)) + "\n    }"
 
+# the writers format and write this many rows at a time, so the memory an
+# export holds does not grow with the report
+BLOCK_ROWS = 2048
 
-def _csv_text(rep: ScenarioReport) -> str:
-    c = rep.rows
-    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
-    floats = [(c[k] + 0.0).tolist() for k in ("value", "alpha_m", "deviation")]
-    lines = ["%s,%d,%d,%.8f,%.8f,%.8f,%s" % row for row in
-             zip(repeat(rep.scenario), c["m"].tolist(), c["n"].tolist(), *floats, c["flag"])]
-    return "\n".join([CSV_HEADER, *lines]) + "\n"
+
+def _row_blocks(rows: dict):
+    """The report columns ``rows`` cut into consecutive blocks of BLOCK_ROWS rows
+    (the last one shorter), each a dict of column slices."""
+    for lo in range(0, len(rows["m"]), BLOCK_ROWS):
+        yield {k: col[lo : lo + BLOCK_ROWS] for k, col in rows.items()}
+
+
+def _write_csv(rep: ScenarioReport, fh):
+    fh.write(CSV_HEADER + "\n")
+    for c in _row_blocks(rep.rows):
+        # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+        floats = [(c[k] + 0.0).tolist() for k in ("value", "alpha_m", "deviation")]
+        fh.write("".join("%s,%d,%d,%.8f,%.8f,%.8f,%s\n" % row for row in
+                         zip(repeat(rep.scenario), c["m"].tolist(), c["n"].tolist(),
+                             *floats, c["flag"])))
 
 
 def _json_column(col, spelled: dict) -> list:
@@ -551,20 +569,40 @@ def _json_column(col, spelled: dict) -> list:
     return spelled[bits]
 
 
-def _json_text(rep: ScenarioReport) -> str:
-    """The text of ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, where
+def _write_json(rep: ScenarioReport, fh):
+    """Write ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, where
     ``report`` is the dict of ``rep``'s scenario, summary and provenance with
-    ``rows`` as a list of one dict per row (keys COLUMNS)."""
-    # each top-level value sits one level deep, so its inner lines move two
-    # spaces right; JSON strings escape newlines, so every "\n" is layout
-    parts = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-             for key, value in (("provenance", rep.provenance), ("scenario", rep.scenario),
-                                ("summary", rep.summary))}
-    spelled = {}
-    rows = [_ROW_JSON % row
-            for row in zip(*(_json_column(rep.rows[k], spelled) for k in sorted(COLUMNS)))]
-    parts["rows"] = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-    return "{\n  " + ",\n  ".join(f'"{key}": {parts[key]}' for key in sorted(parts)) + "\n}\n"
+    ``rows`` as a list of one dict per row (keys COLUMNS).
+
+    The top-level keys come in sorted order, ``rows`` one block at a time;
+    a column spelled bitwise equal to another in the same block reuses its text.
+    """
+    def part(value) -> str:
+        # each top-level value sits one level deep, so its inner lines move two
+        # spaces right; JSON strings escape newlines, so every "\n" is layout
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+    fh.write('{\n  "provenance": ' + part(rep.provenance) + ',\n  "rows": [')
+    sep = "\n    "
+    for c in _row_blocks(rep.rows):
+        spelled = {}
+        cols = [_json_column(c[k], spelled) for k in sorted(COLUMNS)]
+        fh.write(sep + ",\n    ".join(_ROW_JSON % row for row in zip(*cols)))
+        sep = ",\n    "
+    fh.write(("\n  ]" if len(rep.rows["m"]) else "]") + ',\n  "scenario": '
+             + part(rep.scenario) + ',\n  "summary": ' + part(rep.summary) + "\n}\n")
+
+
+def _write_file(path: Path, write, rep: ScenarioReport):
+    """``write(rep, fh)`` into a temporary file beside ``path``, then moved onto
+    ``path``: a write cut short leaves no partial report under its name."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(rep, fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # a no-op once replaced
 
 
 def export_report(rep: ScenarioReport, fmt: str = "both",
@@ -573,18 +611,20 @@ def export_report(rep: ScenarioReport, fmt: str = "both",
 
     Output is byte-identical for identical config and seed: CSV uses
     fixed 8-decimal floats, JSON uses sorted keys and full precision.
+    Each file is opened once and its rows written BLOCK_ROWS at a time, so
+    the memory held does not grow with the report; the file goes under a
+    temporary name in the output directory and is moved onto its report
+    name (``<scenario>.csv`` or ``.json``) only when complete, so an error
+    mid-write leaves any earlier report there as it was.
     """
     if fmt not in ("csv", "json", "both"):
         raise ConfigError(f"unknown export format {fmt!r}")
     out = Path(out_dir if out_dir is not None else rep.provenance["config"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    if fmt in ("csv", "both"):
-        path = out / f"{rep.scenario}.csv"
-        path.write_text(_csv_text(rep), encoding="utf-8")
-        paths.append(path)
-    if fmt in ("json", "both"):
-        path = out / f"{rep.scenario}.json"
-        path.write_text(_json_text(rep), encoding="utf-8")
-        paths.append(path)
+    for ext, write in (("csv", _write_csv), ("json", _write_json)):
+        if fmt in (ext, "both"):
+            path = out / f"{rep.scenario}.{ext}"
+            _write_file(path, write, rep)
+            paths.append(path)
     return paths

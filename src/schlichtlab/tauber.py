@@ -29,6 +29,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
 )
+from .families import finite_parameter, integer_parameter
 from .logmilin import LogData
 
 T_GRID = (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
@@ -37,25 +38,27 @@ T_GRID = (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
 # -- means ---------------------------------------------------------------
 
 
-def _check_index(coeffs, n: int) -> np.ndarray:
+def _check_index(coeffs, n: int):
+    """``coeffs`` as a 1-D array and ``n`` as an integer index into it."""
     coeffs = np.asarray(coeffs)
     if coeffs.ndim != 1:
         raise InvalidParameter("coefficients must be 1-D")
+    n = integer_parameter(n, "mean index")
     if not 0 <= n < len(coeffs):
         raise IndexOutOfRange(f"mean index {n} outside 0..{len(coeffs) - 1}")
-    return coeffs
+    return coeffs, n
 
 
 def cesaro_mean(coeffs, n: int):
     """Average of the partial sums s_0..s_n."""
-    coeffs = _check_index(coeffs, n)
+    coeffs, n = _check_index(coeffs, n)
     s = np.cumsum(coeffs[: n + 1])
     return s.sum() / (n + 1)
 
 
 def weighted_mean(coeffs, n: int):
     """(n+1)^{-1} sum_{k<=n} (n+1-k) a_k; identical to the Cesaro mean."""
-    coeffs = _check_index(coeffs, n)
+    coeffs, n = _check_index(coeffs, n)
     w = (n + 1) - np.arange(n + 1)
     return np.dot(w, coeffs[: n + 1]) / (n + 1)
 
@@ -207,10 +210,13 @@ def tauber_decomposition_check(ld: LogData, n: int, r: float) -> float:
 
     The last term closes the truncation of the two telescoping formulas
     at order K, making the identity exact up to rounding; it vanishes as
-    K grows.  Tests algebra, not analysis.
+    K grows.  Tests algebra, not analysis.  ``n`` is an integer and ``r``
+    a number; anything else raises :class:`InvalidParameter`.
     """
+    r = finite_parameter(r, "r")
     if not 0.0 < r < 1.0:
         raise InvalidParameter("r must lie in (0, 1)")
+    n = integer_parameter(n, "n")
     k_top = ld.top_index
     if not 2 <= n <= k_top:
         raise IndexOutOfRange(f"n must lie in 2..{k_top}")

@@ -2,18 +2,28 @@
 
 The reference writers below format one row dict at a time, exactly as the
 report writers did when a report held one record per (m, n) cell.  The
-columnar writers must produce the same bytes for every report.
+block writers must produce the same bytes for every report, whatever the
+row count's place relative to the block size, and must leave no partial
+file under a report's name.
 """
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from schlichtlab.lab import COLUMNS, ScenarioConfig, ScenarioReport, export_report, run_scenario
+from schlichtlab.lab import (
+    BLOCK_ROWS,
+    COLUMNS,
+    ScenarioConfig,
+    ScenarioReport,
+    export_report,
+    run_scenario,
+)
 
 from conftest import report_dict
 
@@ -145,3 +155,90 @@ def grid_configs(draw):
 @given(cfg=grid_configs())
 def test_grid_reports_match_reference(cfg, tmp_path):
     assert_matches_reference(run_scenario(cfg), tmp_path)
+
+
+B = BLOCK_ROWS
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_row_counts_around_the_block_size_match_reference(size, tmp_path):
+    values = np.random.default_rng(size).standard_normal(size).tolist()
+    flags = ["ok" if i % 3 else "fail" for i in range(size)]
+    checks = [f"check_{i % 5}" for i in range(size)]
+    assert_matches_reference(hand_built(values, flags, checks), tmp_path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_signed_zero_and_nan_across_a_block_boundary_match_reference(tmp_path):
+    size = 2 * B + 1
+    value = np.linspace(-1.0, 1.0, size)
+    value[[B - 2, B + 1]] = math.nan
+    value[[B - 1, B + 2]] = -0.0
+    rep = hand_built([0.0] * size, ["ok"] * size, ["c"] * size)
+    rep.rows.update(value=value, alpha_m=value[::-1].copy(), deviation=np.abs(value))
+    assert_matches_reference(rep, tmp_path)
+    rows = json.loads((tmp_path / "edge_case.json").read_text(encoding="utf-8"))["rows"]
+    assert [math.copysign(1.0, rows[i]["value"]) for i in (B - 1, B + 2)] == [-1.0, -1.0]
+    assert all(math.isnan(rows[i]["value"]) for i in (B - 2, B + 1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("equal_block", [0, 1])
+def test_column_equal_to_value_in_one_block_only_matches_reference(equal_block, tmp_path):
+    # deviation is bitwise value in one block and differs from it in the other,
+    # so one block reuses value's text and the other spells its own
+    size = 2 * B
+    value = np.random.default_rng(7).standard_normal(size)
+    deviation = value + 1.0
+    block = slice(equal_block * B, (equal_block + 1) * B)
+    deviation[block] = value[block]
+    rep = hand_built([0.0] * size, ["ok"] * size, ["c"] * size)
+    rep.rows.update(value=value, alpha_m=np.zeros(size), deviation=deviation)
+    assert_matches_reference(rep, tmp_path)
+
+
+def _export_peak(rep: ScenarioReport, out_dir) -> int:
+    """tracemalloc's peak, in bytes, while ``rep`` is exported as CSV and JSON."""
+    export_report(rep, out_dir=str(out_dir))  # warm: the measured call overwrites
+    tracemalloc.start()
+    try:
+        export_report(rep, out_dir=str(out_dir))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_memory_does_not_grow_with_the_row_count(tmp_path):
+    peaks = {}
+    for m_hi in (16, 64):  # 4,096 and 16,384 rows
+        rep = run_scenario(ScenarioConfig(scenario="theorem2", m_range=(1, m_hi),
+                                          n_range=(1, 256), series_order=256))
+        peaks[m_hi] = _export_peak(rep, tmp_path / str(m_hi))
+    assert peaks[64] < 1.5 * peaks[16], peaks
+
+
+class _Unprintable:
+    """A flag no writer can spell: str() raises, and json.dumps refuses it."""
+
+    def __str__(self):
+        raise RuntimeError("unprintable flag")
+
+
+@pytest.mark.parametrize("fmt, error", [("csv", RuntimeError), ("json", TypeError)])
+@pytest.mark.parametrize("earlier", [False, True])
+def test_failure_in_a_later_block_leaves_no_partial_report(fmt, error, earlier, tmp_path):
+    size = 2 * B + 1
+    path = tmp_path / f"edge_case.{fmt}"
+    if earlier:
+        export_report(hand_built([0.5] * size, ["ok"] * size, ["c"] * size), fmt=fmt,
+                      out_dir=str(tmp_path))
+        before = path.read_bytes()
+    flags = ["ok"] * size
+    flags[B + 1] = _Unprintable()  # the first block formats and writes cleanly
+    with pytest.raises(error):
+        export_report(hand_built([0.25] * size, flags, ["c"] * size), fmt=fmt,
+                      out_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == ([path] if earlier else [])
+    if earlier:
+        assert path.read_bytes() == before

@@ -278,6 +278,11 @@ class TestBadInputs:
         "deriv point str": (InvalidParameter, lambda: deriv_certified(_koebe16(), "x")),
         "deriv point None": (InvalidParameter,
                              lambda: deriv_certified(_series_only16(), None)),
+        "custom coeffs str": (InvalidParameter,
+                              lambda: make_schlicht("custom", {"coeffs": "abc"}, 16)),
+        "custom coeffs missing": (InvalidParameter, lambda: make_schlicht("custom", {}, 16)),
+        "custom coeffs ragged": (InvalidParameter,
+                                 lambda: make_schlicht("custom", {"coeffs": [[0, 1], [2]]}, 16)),
         "derivative profile theta nan": (InvalidParameter, lambda: growth_profile(
             _koebe16(), [0.5, 0.75], estimator="derivative", theta=math.nan)),
     }

@@ -406,3 +406,41 @@ class TestPairLogDerivative:
             _, pair_identity = full_mapping_defect(t, ledgers130[f.label()], f, 0.5)
             assert identity <= 1e-8 and pair_identity <= 1e-8, f.label()
             assert abs(identity - pair_identity) <= 1e-13, f.label()
+
+
+@pytest.fixture(scope="module")
+def koebe_table16():
+    f = make_schlicht("koebe", order=34)
+    return f, invert_to_sigma(f, 32), log_data(f)
+
+
+class TestBadInputs:
+    """Bad points and orders raise a SchlichtLabError, never a bare error or NaN."""
+
+    CASES = {
+        "fullness point nan": (OutsideDisk, lambda f, g, ld: fullness_defect(
+            grunsky_matrix(g, 16), math.nan)),
+        "fullness point str": (InvalidParameter, lambda f, g, ld: fullness_defect(
+            grunsky_matrix(g, 16), "x")),
+        "full mapping point nan": (OutsideDisk, lambda f, g, ld: full_mapping_defect(
+            grunsky_matrix(g, 16), ld, f, math.nan)),
+        "full mapping point complex nan": (OutsideDisk, lambda f, g, ld: full_mapping_defect(
+            grunsky_matrix(g, 16), ld, f, complex(0.0, math.nan))),
+        "full mapping point str": (InvalidParameter, lambda f, g, ld: full_mapping_defect(
+            grunsky_matrix(g, 16), ld, f, "x")),
+        "section fractional": (InvalidParameter,
+                               lambda f, g, ld: grunsky_matrix(g, 16).section(1.5)),
+        "section str": (InvalidParameter, lambda f, g, ld: grunsky_matrix(g, 16).section("3")),
+        "matrix order fractional": (InvalidParameter, lambda f, g, ld: grunsky_matrix(g, 2.5)),
+        "matrix order str": (InvalidParameter, lambda f, g, ld: grunsky_matrix(g, "3")),
+        "direct order fractional": (InvalidParameter,
+                                    lambda f, g, ld: grunsky_matrix_direct(g, 2.5)),
+        "direct order str": (InvalidParameter, lambda f, g, ld: grunsky_matrix_direct(g, "3")),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_lab_error(self, case, koebe_table16):
+        error, call = self.CASES[case]
+        with pytest.raises(error):
+            call(*koebe_table16)

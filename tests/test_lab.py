@@ -283,6 +283,31 @@ class TestZalcman:
         assert rep.summary["flags"]["bieberbach_ratio_bound"]
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_columns_equal_the_per_cell_functionals(self):
+        # the scan's whole-array columns against one coefficient_functionals
+        # call per (member, n), bit for bit, at the README's scan config
+        cfg = ScenarioConfig(scenario="zalcman_scan", m_range=(1, 5), n_range=(2, 128),
+                             series_order=256)
+        rep = run_scenario(cfg)
+        values, slacks, ratios, best = [], [], [], {}
+        for f in families.standard_corpus(256):
+            for n in range(2, 129):
+                ratio, zal, bound = logmilin.coefficient_functionals(f, n)
+                values.append(zal)
+                slacks.append(zal - bound)
+                ratios.append(ratio)
+                if n not in best or zal > best[n][0] + 1e-12:
+                    best[n] = (zal, f.kind)
+        assert rep.rows["value"].tobytes() == np.array(values).tobytes()
+        assert rep.rows["deviation"].tobytes() == np.array(slacks).tobytes()
+        assert rep.rows["flag"] == ["ok" if s <= 1e-9 else "fail" for s in slacks]
+        assert rep.summary["worst_zalcman_slack"] == max(slacks)
+        assert rep.summary["max_bieberbach_ratio"] == max(ratios)
+        assert rep.summary["flags"]["extremal_at_koebe_or_rotation"] == all(
+            kind in ("koebe", "rotation") for _, kind in best.values())
+
+
 class TestAudit:
     def test_corpus_audit_all_ok(self, tmp_path):
         cfg = ScenarioConfig(scenario="inequality_audit", m_range=(1, 5),

@@ -63,17 +63,17 @@ def report_set() -> dict:
 
 DIGESTS = {
     "audit258/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit258/inequality_audit.json": "68801504056d46c3af546beebf35bc3b9297303a0aabaf02244fe1bfc551ec71",
+    "audit258/inequality_audit.json": "514ba43626b6044e139313cd09b7d73cdcc1c4df6edffd939b338217d379cc39",
     "audit_grunsky-1/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit_grunsky-1/inequality_audit.json": "68801504056d46c3af546beebf35bc3b9297303a0aabaf02244fe1bfc551ec71",
+    "audit_grunsky-1/inequality_audit.json": "514ba43626b6044e139313cd09b7d73cdcc1c4df6edffd939b338217d379cc39",
     "audit_grunsky-1/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-1/zalcman_scan.json": "4b83f7b563f934489dfce0492b1cb216ec1faeb78d85d967eece081a2045ed37",
     "audit_grunsky-2/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit_grunsky-2/inequality_audit.json": "68801504056d46c3af546beebf35bc3b9297303a0aabaf02244fe1bfc551ec71",
+    "audit_grunsky-2/inequality_audit.json": "514ba43626b6044e139313cd09b7d73cdcc1c4df6edffd939b338217d379cc39",
     "audit_grunsky-2/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-2/zalcman_scan.json": "4b83f7b563f934489dfce0492b1cb216ec1faeb78d85d967eece081a2045ed37",
     "audit_grunsky-3/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit_grunsky-3/inequality_audit.json": "68801504056d46c3af546beebf35bc3b9297303a0aabaf02244fe1bfc551ec71",
+    "audit_grunsky-3/inequality_audit.json": "514ba43626b6044e139313cd09b7d73cdcc1c4df6edffd939b338217d379cc39",
     "audit_grunsky-3/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-3/zalcman_scan.json": "4b83f7b563f934489dfce0492b1cb216ec1faeb78d85d967eece081a2045ed37",
     "growth_index-1/theorem2.csv": "ac811e38c4ad3f8486bae67f749479d65345379e0bc687991fd5975295e9003d",
@@ -85,7 +85,7 @@ DIGESTS = {
     "readme/counterexample.csv": "404e4a459dc2a1f0ea2c86295dcf9466aa4b97df1e5a9ea6d69a70b60b36e853",
     "readme/counterexample.json": "32f923013059b263f3db213cca3d267407c9e7177a2f6f2cb8330a66ac599eb2",
     "readme/inequality_audit.csv": "cfaf7519b34660887a352153f42d1a785059f10cf9520f16a0e43708fcd1c131",
-    "readme/inequality_audit.json": "5ad01a8061fed605b338bd13ef134e999ed81d0571dcfb048fc4baa865a9fdab",
+    "readme/inequality_audit.json": "208015c6a34c05449cfdfaf7fc7077ea1b690e183c0b0729299c93514385c669",
     "readme/theorem1.csv": "5243e58b45071e040328ce61f37edfa85fddf9c070c7489df03490a896766ca2",
     "readme/theorem1.json": "c8ab336019ae3cdabca1221b54c52556dfd32ed42da73f28e736f55759060c2c",
     "readme/theorem2.csv": "33f4df1a28d62a491adb1a712759b5ceeb34757bb3b24ba93036744135b1ec6f",

@@ -236,3 +236,30 @@ class TestEulerBracket:
     def test_validation(self):
         with pytest.raises(InvalidParameter):
             euler_bracket(0)
+
+
+class TestBadInputs:
+    """Bad indexes and radii raise a SchlichtLabError, never a bare error."""
+
+    CASES = {
+        "cesaro index fractional": (InvalidParameter, lambda ld: cesaro_mean(np.ones(4), 2.5)),
+        "cesaro index str": (InvalidParameter, lambda ld: cesaro_mean(np.ones(4), "2")),
+        "weighted index fractional": (InvalidParameter,
+                                      lambda ld: weighted_mean(np.ones(4), 2.5)),
+        "weighted index nan": (InvalidParameter, lambda ld: weighted_mean(np.ones(4), np.nan)),
+        "decomposition n fractional": (InvalidParameter,
+                                       lambda ld: tauber_decomposition_check(ld, 2.5, 0.5)),
+        "decomposition n str": (InvalidParameter,
+                                lambda ld: tauber_decomposition_check(ld, "4", 0.5)),
+        "decomposition r str": (InvalidParameter,
+                                lambda ld: tauber_decomposition_check(ld, 4, "x")),
+        "decomposition r nan": (InvalidParameter,
+                                lambda ld: tauber_decomposition_check(ld, 4, np.nan)),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_lab_error(self, case, ledgers130):
+        error, call = self.CASES[case]
+        with pytest.raises(error):
+            call(ledgers130["koebe"])
