@@ -21,7 +21,7 @@ print("-" * 64)
 for tag, params in (("koebe", {}), ("halfplane", {}), ("dilation", {"r": 0.9})):
     f = make_schlicht(tag, params, order=64)
     prof = growth_profile(f, radii)
-    print(f"{f.label():24s} first {prof.values[0]:.6f}  last {prof.values[-1]:.2e}")
+    print(f"{f.label():24s} first {prof[0]:.6f}  last {prof[-1]:.2e}")
 
 print()
 print("index estimates with both estimators")

@@ -51,7 +51,7 @@ print()
 print("prawitz: integrated circle-mean inequality over radius pairs")
 print("-" * 70)
 for f in corpus:
-    means, violations = prawitz_check(f, (0.3, 0.5, 0.7, 0.9), quad_points=1024)
+    means, violations = prawitz_check(f, (0.3, 0.5, 0.7, 0.9))
     print(f"{f.label():34s} means = {np.round(means, 4)}  violations = {violations}")
 
 print()

@@ -40,7 +40,6 @@ from .grunsky import (
     strong_grunsky_norm,
 )
 from .hayman import (
-    GrowthProfile,
     HaymanEstimate,
     default_schedule,
     growth_direction,
@@ -78,7 +77,7 @@ __all__ = [
     "SchlichtFunction", "SigmaFunction", "make_schlicht", "rotated", "dilated",
     "invert_to_sigma", "eval_certified", "deriv_certified", "max_modulus",
     "standard_corpus",
-    "GrowthProfile", "HaymanEstimate", "growth_profile", "hayman_index",
+    "HaymanEstimate", "growth_profile", "hayman_index",
     "growth_direction", "default_schedule",
     "LogData", "log_data", "milin_check", "bazilevich_gap",
     "lebedev_milin_check", "prawitz_check", "coefficient_functionals",

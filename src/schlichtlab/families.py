@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidParameter, OutsideDisk
-from .series import ComplexSeries
+from .series import ComplexSeries, integer_parameter
 
 KINDS = ("koebe", "rotation", "dilation", "halfplane", "koebe_transform", "custom")
 
@@ -47,6 +46,14 @@ _COEFF_SLACK = 1e-9  # |a_n| <= n + slack, used as a corpus sanity gate
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _ANGLE_TOL = 1e-10  # golden-section bracket width that ends the angle search
+
+#: uniform angles of the circle search's grid stage, the same for every caller
+CIRCLE_GRID = 512
+CIRCLE_ANGLES = 2.0 * np.pi * np.arange(CIRCLE_GRID) / CIRCLE_GRID
+_CIRCLE_RAY = np.exp(1j * CIRCLE_ANGLES)
+_GRID_STEP = 2.0 * np.pi / CIRCLE_GRID
+# one golden-section step count for every lane, from the nominal bracket width 2h
+_GOLDEN_STEPS = int(math.ceil(math.log(_ANGLE_TOL / (2.0 * _GRID_STEP)) / math.log(_INV_PHI)))
 
 
 def closed_form_value(z, beta, rho):
@@ -161,23 +168,6 @@ def finite_parameter(value, name: str, kind=float):
         raise InvalidParameter(f"{name} must be a number, got {value!r}") from None
     if not cmath.isfinite(out):
         raise InvalidParameter(f"{name} must be finite, got {value!r}")
-    return out
-
-
-def integer_parameter(value, name: str, minimum: Optional[int] = None) -> int:
-    """``value`` as an int, of at least ``minimum`` when one is given.
-
-    Raises :class:`InvalidParameter` for bools, for floats (fractional,
-    NaN or not), for strings and for anything else that is not an integer.
-    """
-    if isinstance(value, bool):
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-    try:
-        out = operator.index(value)
-    except TypeError:
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
-    if minimum is not None and out < minimum:
-        raise InvalidParameter(f"{name} must be at least {minimum}")
     return out
 
 
@@ -305,6 +295,7 @@ def invert_to_sigma(f: SchlichtFunction, order: int) -> SigmaFunction:
     so ``b_n = q_{n+1}``.  Either way the series must reach ``order + 2``,
     which the reciprocal needs to be exact through the exterior order.
     """
+    order = integer_parameter(order, "exterior order", 0)
     if f.order < order + 2:
         raise InvalidParameter(
             f"inversion to exterior order {order} needs a series of order >= {order + 2}"
@@ -426,25 +417,25 @@ def batch_evaluator(members, lanes: int, derivative: bool = False):
     return lambda z: closed_form(z, beta, rho)
 
 
-def max_modulus(f, r, grid: int = 512):
+def max_modulus(f, r):
     """Maximum of |f| on the circles |z| = r and the maximizing angles.
 
     ``f`` is one member or a sequence of members (see :func:`batch`); ``r``
     is one radius or a 1-D array of radii, shared by every member.  The
-    search has two stages.  The grid stage evaluates |f| at ``grid``
-    (>= 64) uniform angles on every circle, one array evaluation per
-    member with its own pair, and keeps each circle's best cell.
-    Golden-section refinement then pins every angle of every member to
-    1e-10 in lockstep, with ``np.where`` choosing each lane's side and each
-    lane evaluating its member's pair.  |f| on a circle can have several
-    local maxima, so ``grid`` is the density knob.  Every evaluation goes
+    search has two stages.  The grid stage evaluates |f| at the
+    CIRCLE_GRID (512) uniform angles CIRCLE_ANGLES on every circle, one
+    array evaluation per member with its own pair, and keeps each circle's
+    best cell.  Golden-section refinement then pins every angle of every
+    member to 1e-10 in lockstep, with ``np.where`` choosing each lane's
+    side and each lane evaluating its member's pair.  Every evaluation goes
     through the same array arithmetic, so a lane's result depends neither
     on the other radii nor on the other members in the call.
 
     For one member, returns ``(M, theta)``: floats for a scalar ``r``,
     arrays otherwise, with each angle wrapped to (-pi, pi].  For a
     sequence, both gain a leading member axis, and a third array holds the
-    grid stage's |f| on each member's last circle, shape ``(members, grid)``.
+    grid stage's |f| on each member's last circle, shape
+    ``(members, CIRCLE_GRID)``.
     """
     members = batch(f)
     radii = np.asarray(r)
@@ -453,21 +444,17 @@ def max_modulus(f, r, grid: int = 512):
     radii = radii.astype(float)
     if not np.all((radii > 0.0) & (radii < 1.0)):  # NaN fails here too
         raise OutsideDisk(f"radius {r!r} is not inside (0, 1)")
-    grid = integer_parameter(grid, "grid", 64)
     lanes = np.atleast_1d(radii)
 
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    ray = np.exp(1j * thetas)
     best = np.empty((len(members), len(lanes)))
-    last = np.empty((len(members), grid))
+    last = np.empty((len(members), CIRCLE_GRID))
     for i, g in enumerate(members):
         # one (radii, grid) evaluation per member, with its own pair
-        cells = np.abs(g.value(lanes[:, None] * ray))
-        best[i] = thetas[np.argmax(cells, axis=1)]
+        cells = np.abs(g.value(lanes[:, None] * _CIRCLE_RAY))
+        best[i] = CIRCLE_ANGLES[np.argmax(cells, axis=1)]
         last[i] = cells[-1]
-    h = 2.0 * np.pi / grid
     # the lanes: every radius of each member in turn
-    a, b = best.ravel() - h, best.ravel() + h
+    a, b = best.ravel() - _GRID_STEP, best.ravel() + _GRID_STEP
 
     rad = np.tile(lanes, len(members))
     value = batch_evaluator(members, len(lanes))
@@ -475,12 +462,10 @@ def max_modulus(f, r, grid: int = 512):
     def circle_abs(theta):
         return np.abs(value(rad * np.exp(1j * theta)))
 
-    # one step count for every lane, from the nominal bracket width 2h
-    steps = int(math.ceil(math.log(_ANGLE_TOL / (2.0 * h)) / math.log(_INV_PHI)))
     width = b - a
     c, d = a + _INV_PHI2 * width, a + _INV_PHI * width
     yc, yd = circle_abs(c), circle_abs(d)
-    for _ in range(steps):
+    for _ in range(_GOLDEN_STEPS):
         # left lanes keep [a, d] and probe a new c; the others keep [c, b]
         left = yc > yd
         kept, y_kept = np.where(left, c, d), np.where(left, yc, yd)

@@ -32,6 +32,8 @@ import numpy as np
 
 from .errors import AmbiguousDirection, InvalidParameter, NonMonotoneProfile
 from .families import (
+    CIRCLE_ANGLES,
+    CIRCLE_GRID,
     SchlichtFunction,
     batch,
     batch_evaluator,
@@ -48,27 +50,18 @@ _MONOTONE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class GrowthProfile:
-    """Profile values over an increasing radius grid."""
-
-    radii: np.ndarray
-    values: np.ndarray
-    estimator: str  # "growth" | "derivative"
-
-
-@dataclass(frozen=True)
 class HaymanEstimate:
     """Bracketed growth index.
 
     ``alpha`` is the best (smallest) certified upper bound seen, ``upper``
     the growth-profile bound; ``upper - alpha`` is the bracket width from
     running both estimators.  ``theta`` is the direction of greatest
-    growth when one was identified.
+    growth when one was identified.  Both bounds are read at the last
+    radius of the member's :func:`default_schedule`.
     """
 
     alpha: float
     upper: float
-    radius_used: float
     theta: Optional[float]
 
     @property
@@ -102,13 +95,13 @@ def _monotone(members, vals: np.ndarray, estimator: str) -> np.ndarray:
     return vals
 
 
-def _growth_rows(members, radii: np.ndarray, grid):
+def _growth_rows(members, radii: np.ndarray):
     """Growth profiles of a batch from one :func:`max_modulus` call.
 
     Returns the ``(members, radii)`` profile values and angles, and the
     grid stage's |f| on each member's last circle.
     """
-    peaks, angles, last = max_modulus(members, radii, grid=grid)
+    peaks, angles, last = max_modulus(members, radii)
     return _monotone(members, (1.0 - radii) ** 2 / radii * peaks, "growth"), angles, last
 
 
@@ -126,13 +119,13 @@ def growth_profile(
     radii: Sequence[float],
     estimator: str = "growth",
     theta: Optional[float] = None,
-    grid: int = 512,
-) -> GrowthProfile:
-    """Evaluate one of the two monotone growth profiles on a radius grid.
+) -> np.ndarray:
+    """The values of one of the two monotone growth profiles on a radius grid.
 
     The growth estimator takes every circle maximum in one lockstep
     :func:`max_modulus` call over the whole grid; the derivative estimator
-    evaluates f' on the whole ray in one array evaluation.
+    evaluates f' on the whole ray in one array evaluation.  Returns one
+    value per radius of ``radii``.
 
     Raises :class:`NonMonotoneProfile` if the values increase beyond 1e-6
     between consecutive radii (evaluation-error signal), or if a
@@ -143,36 +136,34 @@ def growth_profile(
     radii = radius_grid(radii)
     _check_series_reach(members, radii)
     if estimator == "growth":
-        vals, _, _ = _growth_rows(members, radii, grid)
+        vals, _, _ = _growth_rows(members, radii)
     elif estimator == "derivative":
         if theta is None:
             raise InvalidParameter("derivative estimator needs the growth-ray angle theta")
         vals = _derivative_rows(members, radii, [theta])
     else:
         raise InvalidParameter(f"unknown estimator {estimator!r}")
-    return GrowthProfile(radii=radii, values=vals[0], estimator=estimator)
+    return vals[0]
 
 
 def _check_single_direction(vals: np.ndarray) -> None:
-    """Raise :class:`AmbiguousDirection` unless one maximum of the grid
-    values ``vals`` of |f| on a circle dominates."""
-    grid = len(vals)
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    """Raise :class:`AmbiguousDirection` unless one maximum of ``vals``, |f|
+    at the CIRCLE_ANGLES of one circle, dominates."""
     local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
     peaks = np.flatnonzero(local)
     if len(peaks) > 1:
         order = peaks[np.argsort(vals[peaks])[::-1]]
         best, second = order[0], order[1]
-        sep = abs(math.remainder(thetas[best] - thetas[second], 2.0 * math.pi))
-        window = 4.0 * np.pi / grid
+        sep = abs(math.remainder(CIRCLE_ANGLES[best] - CIRCLE_ANGLES[second], 2.0 * math.pi))
+        window = 4.0 * np.pi / CIRCLE_GRID
         if vals[best] - vals[second] <= 1e-6 and sep > window:
             raise AmbiguousDirection(
-                f"circle maxima at angles {thetas[best]:.4f} and {thetas[second]:.4f} "
-                "agree in modulus; no single growth direction"
+                f"circle maxima at angles {CIRCLE_ANGLES[best]:.4f} and "
+                f"{CIRCLE_ANGLES[second]:.4f} agree in modulus; no single growth direction"
             )
 
 
-def growth_direction(f: SchlichtFunction, r_probe: float, grid: int = 512) -> float:
+def growth_direction(f: SchlichtFunction, r_probe: float) -> float:
     """Angle of the circle maximum of |f| near the boundary.
 
     Raises :class:`AmbiguousDirection` when two local grid maxima agree in
@@ -180,19 +171,19 @@ def growth_direction(f: SchlichtFunction, r_probe: float, grid: int = 512) -> fl
     either the function is symmetric or it has no dominant direction.  The
     check reads the grid stage of the same :func:`max_modulus` call.
     """
-    if not 0.9 <= r_probe < 1.0:
+    if not 0.9 <= finite_parameter(r_probe, "r_probe") < 1.0:
         raise InvalidParameter("r_probe must lie in [0.9, 1)")
-    _, angles, last = max_modulus([f], r_probe, grid=grid)
+    _, angles, last = max_modulus([f], r_probe)
     _check_single_direction(last[0])
     return float(angles[0])
 
 
-def hayman_index(f, grid: int = 512):
+def hayman_index(f):
     """Estimate the growth index from the monotone profiles.
 
     ``f`` is one member or a sequence of members (see
     :func:`~schlichtlab.families.batch`), which share the first member's
-    :func:`default_schedule` and ``grid``.  Returns one
+    :func:`default_schedule`.  Returns one
     :class:`HaymanEstimate`, or a list of them for a sequence; a member's
     estimate does not depend on the other members of its batch.
 
@@ -209,7 +200,7 @@ def hayman_index(f, grid: int = 512):
     # no series-reach check: a batch holds closed forms only, or one
     # series-only member, whose schedule stops at SERIES_RADIUS_LIMIT
     radii = default_schedule(members[0])
-    growth, angles, last = _growth_rows(members, radii, grid)
+    growth, angles, last = _growth_rows(members, radii)
     upper = growth[:, -1]
 
     # the direction is read on the last circle, of radius at least 1 - 2^-8:
@@ -233,6 +224,5 @@ def hayman_index(f, grid: int = 512):
     estimates = []
     for a, u, t in zip(alpha.tolist(), upper.tolist(), thetas):
         # the derivative bound never exceeds the growth bound; float guard only
-        estimates.append(HaymanEstimate(alpha=min(a, u), upper=max(a, u),
-                                        radius_used=float(radii[-1]), theta=t))
+        estimates.append(HaymanEstimate(alpha=min(a, u), upper=max(a, u), theta=t))
     return estimates[0] if isinstance(f, SchlichtFunction) else estimates

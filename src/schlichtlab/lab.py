@@ -40,10 +40,11 @@ are int64 arrays, ``value``, ``alpha_m`` and ``deviation`` float64 arrays,
 ``flag`` and ``check`` lists of str.  The grid scenarios and the scan fill
 them with whole-array operations; the audit appends one row at a time.
 
-Reports are deterministic: identical config (including seed) yields
-byte-identical CSV/JSON.  CSV rows use fixed 8-decimal formatting under
-the header ``scenario,m,n,value,alpha_m,deviation,flag``; JSON mirrors
-the full report, provenance included, as ``json.dumps(..., sort_keys=True,
+Reports are deterministic: identical config yields byte-identical CSV/JSON
+on one Python and numpy, whose versions the provenance records.  CSV rows
+use fixed 8-decimal formatting under the header
+``scenario,m,n,value,alpha_m,deviation,flag``; JSON mirrors the full
+report, provenance included, as ``json.dumps(..., sort_keys=True,
 indent=2)`` writes an object with the keys ``scenario``, ``summary``,
 ``provenance`` and ``rows``, one dict per row with the keys of COLUMNS.
 Both writers stream the rows to disk in blocks of BLOCK_ROWS rows: each
@@ -51,8 +52,10 @@ block's column slices are formatted in one pass instead of one record per
 row, written, and dropped, so the memory an export holds does not grow with
 the row count.  Within a block the JSON writer spells a column only once
 when another is bitwise equal to it (``deviation`` is ``value`` whenever
-every alpha is 0).  Each file is written under a temporary name beside it
-and moved into place, so an export cut short leaves no partial report.
+every alpha is 0).  Every file of one export is written under a temporary
+name beside it, and all are moved into place only once all are complete, so
+an export cut short leaves no partial report and no report newer than its
+sibling.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ import cmath
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Optional
@@ -106,6 +110,16 @@ DEFAULT_TOLERANCES = {
 AUDIT_MIN_ORDER = 32
 
 
+def _finite_number(value) -> bool:
+    """True for an int or float, not a bool, that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _config_integer(value, name: str, minimum: Optional[int] = None) -> int:
     try:
         return families.integer_parameter(value, name, minimum)
@@ -121,7 +135,6 @@ class ScenarioConfig:
     series_order: int = 128
     grunsky_order: int = 32
     tolerances: dict = field(default_factory=dict)
-    seed: int = 0
     out_dir: str = "reports"
 
     def __post_init__(self):
@@ -170,8 +183,7 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown tolerance keys: {sorted(unknown, key=str)}")
         for key, value in overrides.items():
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
+            if not _finite_number(value):
                 raise ConfigError(f"tolerance {key} must be a finite number, got {value!r}")
             if key in CUTOFF_TOLERANCES and value != int(value):
                 raise ConfigError(f"tolerance {key} must be a whole number, got {value!r}")
@@ -193,9 +205,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {"scenario", "m_range", "n_range", "series_order",
-                 "grunsky_order", "tolerances", "seed", "out_dir"}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be an object of keys, got {type(data).__name__}")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "scenario" not in data or "m_range" not in data or "n_range" not in data:
@@ -209,8 +221,14 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The config in the UTF-8 JSON file ``path``; a file that does not
+        decode or parse raises :class:`ConfigError`."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path} is not a UTF-8 JSON file: {exc}") from exc
+        return cls.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -252,7 +270,8 @@ def _append_row(cols: dict, m, n, value, alpha_m, deviation, ok, check):
 def _provenance(cfg: ScenarioConfig) -> dict:
     d = dict(vars(cfg), m_range=list(cfg.m_range), n_range=list(cfg.n_range),
              tolerances=dict(cfg.tolerances))
-    return {"config": d, "version": __version__}
+    return {"config": d, "numpy": np.__version__,
+            "python": "%d.%d.%d" % sys.version_info[:3], "version": __version__}
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
@@ -498,8 +517,7 @@ def _audit_members(members, cfg: ScenarioConfig) -> list:
     the members of maximal growth get their growth indexes from one batched
     :func:`hayman.hayman_index` call.
     """
-    prawitz = logmilin.prawitz_check([f for _, f in members], (0.3, 0.5, 0.7, 0.9),
-                                     quad_points=1024)
+    prawitz = logmilin.prawitz_check([f for _, f in members], (0.3, 0.5, 0.7, 0.9))
     maximal = [f for _, f in members if f.kind in families.MAXIMAL_GROWTH_KINDS]
     ests = iter(hayman.hayman_index(maximal) if maximal else [])
     return [_audit_member(m, f, cfg,
@@ -593,38 +611,34 @@ def _write_json(rep: ScenarioReport, fh):
              + part(rep.scenario) + ',\n  "summary": ' + part(rep.summary) + "\n}\n")
 
 
-def _write_file(path: Path, write, rep: ScenarioReport):
-    """``write(rep, fh)`` into a temporary file beside ``path``, then moved onto
-    ``path``: a write cut short leaves no partial report under its name."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            write(rep, fh)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # a no-op once replaced
-
-
 def export_report(rep: ScenarioReport, fmt: str = "both",
                   out_dir: Optional[str] = None):
     """Write the report as CSV and/or JSON; returns the written paths.
 
-    Output is byte-identical for identical config and seed: CSV uses
-    fixed 8-decimal floats, JSON uses sorted keys and full precision.
-    Each file is opened once and its rows written BLOCK_ROWS at a time, so
-    the memory held does not grow with the report; the file goes under a
-    temporary name in the output directory and is moved onto its report
-    name (``<scenario>.csv`` or ``.json``) only when complete, so an error
-    mid-write leaves any earlier report there as it was.
+    Output is byte-identical for identical config: CSV uses fixed
+    8-decimal floats, JSON uses sorted keys and full precision.  Each file
+    is opened once and its rows written BLOCK_ROWS at a time, so the memory
+    held does not grow with the report.  Every file goes under a temporary
+    name in the output directory, and the files are moved onto their report
+    names (``<scenario>.csv`` and ``.json``) only once all are complete: an
+    error mid-write removes the temporaries and leaves every earlier report
+    there as it was.
     """
     if fmt not in ("csv", "json", "both"):
         raise ConfigError(f"unknown export format {fmt!r}")
     out = Path(out_dir if out_dir is not None else rep.provenance["config"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for ext, write in (("csv", _write_csv), ("json", _write_json)):
-        if fmt in (ext, "both"):
-            path = out / f"{rep.scenario}.{ext}"
-            _write_file(path, write, rep)
-            paths.append(path)
-    return paths
+    writers = {out / f"{rep.scenario}.{ext}": write
+               for ext, write in (("csv", _write_csv), ("json", _write_json))
+               if fmt in (ext, "both")}
+    tmps = {path: path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in writers}
+    try:
+        for path, write in writers.items():
+            with open(tmps[path], "w", encoding="utf-8") as fh:
+                write(rep, fh)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)  # a no-op once replaced
+    return list(writers)

@@ -234,21 +234,22 @@ def lebedev_milin_check(f: SchlichtFunction, ld: LogData, n: int):
     return float(a_abs), b_sum, rhs
 
 
-def _circle_moduli(f: SchlichtFunction, r: float, quad_points: int) -> np.ndarray:
-    """|f| at the ``quad_points`` equispaced nodes of the circle of radius r."""
-    t = 2.0 * np.pi * np.arange(quad_points) / quad_points
-    return np.abs(f.value(r * np.exp(1j * t)))
+#: nodes of the trapezoid rule behind each Prawitz circle mean
+PRAWITZ_NODES = 1024
+# the doubled rule's nodes on the unit circle; its even nodes are the rule's own
+_DOUBLED_RAY = np.exp(1j * (2.0 * np.pi * np.arange(2 * PRAWITZ_NODES) / (2 * PRAWITZ_NODES)))
 
 
-def prawitz_check(f, radii, quad_points: int = 1024, grid: int = 512):
+def prawitz_check(f, radii):
     """Integrated circle-mean inequality over all radius pairs.
 
     For r > r0 the means must satisfy
     (1-r) mean(r) <= (1-r) mean(r0) + g(r0), with g the growth profile
     value at r0.  Each mean is the periodic trapezoid rule of |f| on its
-    circle.  Returns (means, violations); ``violations`` counts pairs
-    failing by more than 1e-8.  Raises QuadratureUnconverged if doubling
-    ``quad_points`` still moves any mean by more than 1e-9.
+    circle at 2 * PRAWITZ_NODES (2048) nodes.  Returns (means, violations);
+    ``violations`` counts pairs failing by more than 1e-8.  Raises
+    QuadratureUnconverged if the PRAWITZ_NODES-point rule and its doubling
+    differ by more than 1e-9 on any circle.
 
     ``f`` is one member or a sequence of members sharing ``radii`` (see
     :func:`families.batch`); a sequence returns a list with one
@@ -259,17 +260,14 @@ def prawitz_check(f, radii, quad_points: int = 1024, grid: int = 512):
     """
     members = batch(f)
     radii = radius_grid(radii)
-    quad_points = integer_parameter(quad_points, "quad_points", 256)
-    grid = integer_parameter(grid, "grid", 64)
     inner = radii[:-1]
-    maxima = (max_modulus(members, inner, grid=grid)[0] if len(inner)
+    maxima = (max_modulus(members, inner)[0] if len(inner)
               else np.empty((len(members), 0)))
     later = np.arange(len(radii)) > np.arange(len(inner))[:, None]  # the pairs j > i
     results = []
     for g, peaks in zip(members, maxima):
-        # the q-point rule's nodes are the even nodes of the 2q-point rule, so
-        # one evaluation per circle serves both
-        moduli = [_circle_moduli(g, r, 2 * quad_points) for r in radii]
+        # one evaluation per circle serves both rules
+        moduli = [np.abs(g.value(r * _DOUBLED_RAY)) for r in radii]
         coarse = np.array([float(np.mean(v[::2])) for v in moduli])
         means = np.array([float(np.mean(v)) for v in moduli])
         drift = float(np.max(np.abs(means - coarse)))

@@ -14,6 +14,9 @@ immutable after construction; every operation is a pure function.
 
 from __future__ import annotations
 
+import operator
+from typing import Optional
+
 import numpy as np
 
 from .errors import (
@@ -27,6 +30,23 @@ from .errors import (
 NORMALIZED_TOL = 1e-12
 # constant terms below this are treated as exactly zero by compose().
 _ZERO_TOL = 1e-14
+
+
+def integer_parameter(value, name: str, minimum: Optional[int] = None) -> int:
+    """``value`` as an int, of at least ``minimum`` when one is given.
+
+    Raises :class:`InvalidParameter` for bools, for floats (fractional,
+    NaN or not), for strings and for anything else that is not an integer.
+    """
+    if isinstance(value, bool):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    try:
+        out = operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and out < minimum:
+        raise InvalidParameter(f"{name} must be at least {minimum}")
+    return out
 
 
 class ComplexSeries:
@@ -57,22 +77,9 @@ class ComplexSeries:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, order: int) -> "ComplexSeries":
-        return cls(np.zeros(order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "ComplexSeries":
-        c = np.zeros(order + 1, dtype=np.complex128)
+        c = np.zeros(integer_parameter(order, "order", 0) + 1, dtype=np.complex128)
         c[0] = 1.0
-        return cls(c)
-
-    @classmethod
-    def identity(cls, order: int) -> "ComplexSeries":
-        """The series of ``z`` itself."""
-        if order < 1:
-            raise InvalidParameter("identity needs order >= 1")
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[1] = 1.0
         return cls(c)
 
     # -- ring operations -------------------------------------------------

@@ -112,7 +112,6 @@ class TauberHarnessReport:
     l_observed: float
     uniform_gap: float
     deviation: np.ndarray
-    tail_n: np.ndarray
     tail_sup: np.ndarray
     iii_bounded: bool
 
@@ -181,13 +180,11 @@ def simultaneous_tauber_harness(fam: DoubleFamily) -> TauberHarnessReport:
 
     weighted = np.cumsum(partial, axis=1) / np.arange(1, rows.shape[1] + 1)
     d = np.abs(alpha[:, None] - weighted)
-    tail_n, tail_sup_vals = tail_supremum(d, fam.m_values)
     return TauberHarnessReport(
         l_observed=l_observed,
         uniform_gap=uniform_gap,
         deviation=d,
-        tail_n=tail_n,
-        tail_sup=tail_sup_vals,
+        tail_sup=tail_supremum(d, fam.m_values)[1],
         iii_bounded=iii_bounded,
     )
 
@@ -235,9 +232,11 @@ def tauber_decomposition_check(ld: LogData, n: int, r: float) -> float:
 
 
 def euler_bracket(n: int):
-    """((1 - 1/(n+1))^{n+1}, (1 - 1/(n+1))^n) and whether 1/e sits inside."""
-    if n < 1:
-        raise InvalidParameter("n must be at least 1")
+    """((1 - 1/(n+1))^{n+1}, (1 - 1/(n+1))^n) and whether 1/e sits inside.
+
+    ``n`` is an integer >= 1; anything else raises :class:`InvalidParameter`.
+    """
+    n = integer_parameter(n, "n", 1)
     base = 1.0 - 1.0 / (n + 1)
     lower = base ** (n + 1)
     upper = base ** n

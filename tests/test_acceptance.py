@@ -149,7 +149,7 @@ def test_05_inequality_audit(corpus130, ledgers130):
             ok &= abs(a_abs - 33.0) <= 1e-9 and abs(b_sum - 33.0) <= 1e-9 \
                 and abs(rhs - 33.0) <= 1e-9 * 33
 
-        _, violations = prawitz_check(f, (0.3, 0.5, 0.7, 0.9), quad_points=1024)
+        _, violations = prawitz_check(f, (0.3, 0.5, 0.7, 0.9))
         ok &= violations == 0
 
         if f.kind in MAXIMAL_GROWTH_KINDS:
@@ -240,7 +240,7 @@ def test_10_functional_scan_and_determinism(corpus130, tmp_path):
 
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     cfg = ScenarioConfig(scenario="zalcman_scan", m_range=(1, 5), n_range=(2, 32),
-                         series_order=128, seed=3, out_dir="reports")
+                         series_order=128, out_dir="reports")
     for out in (out_a, out_b):
         export_report(run_scenario(cfg), out_dir=str(out))
     identical = all(

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from schlichtlab import hayman, lab
 from schlichtlab.errors import AmbiguousDirection, InvalidParameter
-from schlichtlab.families import dilated, make_schlicht, max_modulus, rotated
+from schlichtlab.families import CIRCLE_GRID, dilated, make_schlicht, max_modulus, rotated
 from schlichtlab.hayman import HaymanEstimate, default_schedule, hayman_index
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -63,11 +63,10 @@ def parent_hayman_index(f, grid=512):
         hayman._check_single_direction(vals)
         theta = float(angles[-1])
     except AmbiguousDirection:
-        return HaymanEstimate(alpha=upper, upper=upper, radius_used=float(radii[-1]), theta=None)
+        return HaymanEstimate(alpha=upper, upper=upper, theta=None)
     ray = np.exp(1j * theta)
     alpha = float(((1.0 - radii) ** 3 * np.abs(f.deriv(radii * ray)) / (1.0 + radii))[-1])
-    return HaymanEstimate(alpha=min(alpha, upper), upper=max(alpha, upper),
-                          radius_used=float(radii[-1]), theta=theta)
+    return HaymanEstimate(alpha=min(alpha, upper), upper=max(alpha, upper), theta=theta)
 
 
 @st.composite
@@ -96,7 +95,7 @@ batches = st.lists(closed_form_members(), min_size=1, max_size=6)
 def _bits(est):
     """An estimate's fields, floats spelled exactly (signed zeros included)."""
     return tuple(None if v is None else float(v).hex()
-                 for v in (est.alpha, est.upper, est.radius_used, est.theta))
+                 for v in (est.alpha, est.upper, est.theta))
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,8 +124,8 @@ def test_theorem2_member_matches_parent_pipeline(m):
 
 def test_scalar_radius_batch_shapes():
     members = [make_schlicht("koebe", order=16), make_schlicht("halfplane", order=16)]
-    peaks, angles, last = max_modulus(members, 0.5, grid=64)
-    assert peaks.shape == angles.shape == (2,) and last.shape == (2, 64)
+    peaks, angles, last = max_modulus(members, 0.5)
+    assert peaks.shape == angles.shape == (2,) and last.shape == (2, CIRCLE_GRID)
     assert abs(peaks[0] - 2.0) < 1e-12 and abs(peaks[1] - 1.0) < 1e-12
 
 

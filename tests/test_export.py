@@ -7,6 +7,7 @@ row count's place relative to the block size, and must leave no partial
 file under a report's name.
 """
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -242,3 +243,20 @@ def test_failure_in_a_later_block_leaves_no_partial_report(fmt, error, earlier, 
     assert list(tmp_path.iterdir()) == ([path] if earlier else [])
     if earlier:
         assert path.read_bytes() == before
+
+
+def test_failed_json_leaves_both_earlier_reports(tmp_path):
+    # the check column is JSON only: its CSV writes cleanly, so a CSV moved into
+    # place before the JSON failed would stand beside the earlier JSON
+    size = 2 * B + 1
+    export_report(hand_built([0.5] * size, ["ok"] * size, ["c"] * size), fmt="both",
+                  out_dir=str(tmp_path))
+    paths = [tmp_path / "edge_case.csv", tmp_path / "edge_case.json"]
+    before = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
+    checks = ["c"] * size
+    checks[B] = object()  # row 2,049: the first row of the second block
+    with pytest.raises(TypeError):
+        export_report(hand_built([0.25] * size, ["ok"] * size, checks), fmt="both",
+                      out_dir=str(tmp_path))
+    assert sorted(tmp_path.iterdir()) == paths  # no *.tmp left
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == before

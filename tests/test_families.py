@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 
 from schlichtlab.errors import InvalidParameter, OutsideDisk
 from schlichtlab.families import (
+    CIRCLE_GRID,
     dilated,
     eval_certified,
     deriv_certified,
@@ -16,7 +18,7 @@ from schlichtlab.families import (
     rotated,
 )
 from schlichtlab.hayman import growth_direction, growth_profile, hayman_index
-from schlichtlab.logmilin import prawitz_check
+from schlichtlab.logmilin import PRAWITZ_NODES, prawitz_check
 from schlichtlab.series import ComplexSeries
 
 from conftest import TRANSFORM_W
@@ -176,8 +178,6 @@ class TestMaxModulus:
 
     def test_grid_validation(self):
         f = make_schlicht("koebe", order=16)
-        with pytest.raises(InvalidParameter):
-            max_modulus(f, 0.5, grid=32)
         with pytest.raises(OutsideDisk):
             max_modulus(f, 1.2)
 
@@ -294,26 +294,33 @@ class TestBadInputs:
         with pytest.raises(error):
             call()
 
+    # numbers that once escaped as a bare TypeError or with a message naming
+    # another parameter; each now goes through the shared checks
+    PARAMETER_CASES = {
+        "invert_to_sigma order str": ("exterior order must be an integer",
+                                      lambda: invert_to_sigma(_koebe16(), "4")),
+        "invert_to_sigma order fractional": ("exterior order must be an integer",
+                                             lambda: invert_to_sigma(_koebe16(), 2.5)),
+        "invert_to_sigma order negative": ("exterior order must be at least 0",
+                                           lambda: invert_to_sigma(_koebe16(), -1)),
+        "growth_direction r_probe str": ("r_probe must be a number",
+                                         lambda: growth_direction(_koebe16(), "x")),
+        "series one order nan": ("order must be an integer",
+                                 lambda: ComplexSeries.one(math.nan)),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(PARAMETER_CASES))
+    def test_number_checks_name_the_parameter(self, case):
+        message, call = self.PARAMETER_CASES[case]
+        with pytest.raises(InvalidParameter, match=message):
+            call()
+
 
 class TestIntegerParameters:
-    """Grid sizes, quadrature sizes and series orders share one integer check."""
+    """Series orders share one integer check."""
 
     CASES = {
-        "max_modulus grid nan": lambda: max_modulus(_koebe16(), 0.5, grid=math.nan),
-        "max_modulus grid fractional": lambda: max_modulus(_koebe16(), 0.5, grid=100.5),
-        "max_modulus grid str": lambda: max_modulus(_koebe16(), 0.5, grid="512"),
-        "max_modulus grid bool": lambda: max_modulus(_koebe16(), 0.5, grid=True),
-        "hayman_index grid fractional": lambda: hayman_index(_koebe16(), grid=100.5),
-        "hayman_index grid nan": lambda: hayman_index(_koebe16(), grid=math.nan),
-        "growth_direction grid nan": lambda: growth_direction(_koebe16(), 0.95, grid=math.nan),
-        "growth_direction grid fractional": lambda: growth_direction(_koebe16(), 0.95,
-                                                                     grid=100.5),
-        "prawitz quad_points nan": lambda: prawitz_check(_koebe16(), [0.3, 0.5],
-                                                         quad_points=math.nan),
-        "prawitz quad_points fractional": lambda: prawitz_check(_koebe16(), [0.3, 0.5],
-                                                                quad_points=300.5),
-        "prawitz grid nan": lambda: prawitz_check(_koebe16(), [0.3, 0.5], grid=math.nan),
-        "prawitz grid one radius": lambda: prawitz_check(_koebe16(), [0.3], grid=100.5),
         "order fractional": lambda: make_schlicht("koebe", order=8.5),
         "order str": lambda: make_schlicht("koebe", order="8"),
         "order true": lambda: make_schlicht("koebe", order=True),
@@ -331,7 +338,15 @@ class TestIntegerParameters:
     def test_numpy_integers_accepted(self):
         f = make_schlicht("koebe", order=np.int64(16))
         assert f.order == 16
-        assert max_modulus(f, 0.5, grid=np.int32(64)) == max_modulus(f, 0.5, grid=64)
+        np.testing.assert_array_equal(dilated(f, 0.5, order=np.int32(8)).series.coeffs,
+                                      dilated(f, 0.5, order=8).series.coeffs)
+
+
+def test_circle_rules_are_constants():
+    # the circle search's grid and the Prawitz rule are fixed, not parameters
+    for fn in (max_modulus, hayman_index, growth_profile, growth_direction, prawitz_check):
+        assert not {"grid", "quad_points"} & set(inspect.signature(fn).parameters), fn
+    assert (CIRCLE_GRID, PRAWITZ_NODES) == (512, 1024)
 
 
 class TestInvariants:

@@ -20,25 +20,25 @@ class TestGrowthProfile:
     def test_koebe_profile_is_one(self):
         f = make_schlicht("koebe", order=16)
         prof = growth_profile(f, [0.5, 0.9, 0.99])
-        np.testing.assert_allclose(prof.values, 1.0, atol=1e-10)
+        np.testing.assert_allclose(prof, 1.0, atol=1e-10)
 
     def test_koebe_derivative_profile_is_one(self):
         # k'(r) = (1+r)/(1-r)^3 makes (1-r)^3 k'(r)/(1+r) identically 1
         f = make_schlicht("koebe", order=16)
         prof = growth_profile(f, [0.5, 0.9], estimator="derivative", theta=0.0)
-        np.testing.assert_allclose(prof.values, 1.0, atol=1e-12)
+        np.testing.assert_allclose(prof, 1.0, atol=1e-12)
 
     def test_dilated_koebe_vanishes_near_boundary(self):
         f = make_schlicht("dilation", {"r": 0.9}, order=64)
         prof = growth_profile(f, [1 - 2.0 ** -j for j in range(1, 15)])
-        assert prof.values[-1] < 1e-5  # slow growth: the profile dies
+        assert prof[-1] < 1e-5  # slow growth: the profile dies
 
     def test_profiles_non_increasing_corpus_wide(self, corpus130):
         radii = [1 - 2.0 ** -j for j in range(1, 15)]
         for f in corpus130:
             prof = growth_profile(f, radii)
-            assert np.all(np.diff(prof.values) <= 1e-9), f.label()
-            assert np.all(prof.values <= 1.0 + 1e-9), f.label()
+            assert np.all(np.diff(prof) <= 1e-9), f.label()
+            assert np.all(prof <= 1.0 + 1e-9), f.label()
 
     def test_series_only_refuses_deep_radii(self):
         f = make_schlicht("custom", {"coeffs": np.arange(65)}, order=64)
@@ -48,7 +48,7 @@ class TestGrowthProfile:
     def test_series_only_ok_inside_limit(self):
         f = make_schlicht("custom", {"coeffs": np.arange(257)}, order=256)
         prof = growth_profile(f, [0.5, 0.9, SERIES_RADIUS_LIMIT])
-        assert np.all(np.diff(prof.values) <= 1e-6)
+        assert np.all(np.diff(prof) <= 1e-6)
 
     @pytest.mark.parametrize("f", [
         make_schlicht("koebe_transform", {"w": TRANSFORM_W}, order=64),
@@ -64,7 +64,7 @@ class TestGrowthProfile:
         prof = growth_profile(f, radii, estimator="derivative", theta=theta)
         ref = [(1.0 - r) ** 3 * abs(deriv_certified(f, r * np.exp(1j * theta))[0]) / (1.0 + r)
                for r in radii]
-        np.testing.assert_allclose(prof.values, ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(prof, ref, rtol=1e-13, atol=0.0)
 
     def test_derivative_needs_theta(self):
         f = make_schlicht("koebe", order=16)

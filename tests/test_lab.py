@@ -56,6 +56,16 @@ class TestConfig:
             ScenarioConfig.from_dict({"scenario": "theorem1", "m_range": [2, 4],
                                       "n_range": [1, 8], "bogus": 1})
 
+    def test_seed_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['seed'\]"):
+            ScenarioConfig.from_dict({"scenario": "theorem1", "m_range": [2, 4],
+                                      "n_range": [1, 8], "seed": 0})
+
+    @pytest.mark.parametrize("data", ["abc", [["scenario", "theorem1"]], None, 3])
+    def test_top_level_must_be_an_object(self, data):
+        with pytest.raises(ConfigError, match="must be an object"):
+            ScenarioConfig.from_dict(data)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("key", ["m_range", "n_range"])
     @pytest.mark.parametrize("bounds", [[2.7, 12], [2, 12.9], [2.0, 12], ["2", "12"],
@@ -197,6 +207,38 @@ class TestConfig:
         else:
             with pytest.raises(ConfigError, match="diagonal"):
                 ScenarioConfig(**kw)
+
+
+# config files that once escaped ScenarioConfig.from_json as a bare Python
+# error, and as a traceback from `schlicht-lab run --config`
+_ZALCMAN = '"scenario": "zalcman_scan", "m_range": [1, 5], "n_range": [2, 8], "series_order": 32'
+MALFORMED_CONFIGS = {
+    "truncated json": ("{" + _ZALCMAN[:40]).encode(),
+    "not utf-8": ("{" + _ZALCMAN + ', "out_dir": "r').encode() + b'\xe9"}',  # a latin-1 byte
+    "array of pairs": b'[["scenario", "zalcman_scan"], ["m_range", [1, 5]]]',
+    "tolerance beyond float range": (
+        "{" + _ZALCMAN + ', "tolerances": {"zalcman_slack": 1' + "0" * 400 + "}}").encode(),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+class TestMalformedConfigFile:
+    def _path(self, case, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(MALFORMED_CONFIGS[case])
+        return path
+
+    def test_from_json_raises_config_error(self, case, tmp_path):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_json(self._path(case, tmp_path))
+
+    def test_cli_prints_an_error_line(self, case, tmp_path):
+        result = CliRunner().invoke(cli_main, ["run", "--config",
+                                               str(self._path(case, tmp_path))])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: "), result.output
+        assert "Traceback" not in result.output
 
 
 class TestCounterexample:
@@ -446,8 +488,7 @@ class TestExport:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             cfg = ScenarioConfig(scenario="zalcman_scan", m_range=(1, 5),
-                                 n_range=(2, 16), series_order=64, seed=7,
-                                 out_dir="reports")
+                                 n_range=(2, 16), series_order=64, out_dir="reports")
             export_report(run_scenario(cfg), out_dir=str(out))
         for name in ("zalcman_scan.csv", "zalcman_scan.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()

@@ -19,7 +19,7 @@ from schlichtlab.grunsky import bazilevich_equality_residual
 from schlichtlab.hayman import hayman_index
 from schlichtlab.logmilin import (
     MILIN_CONSTANT_BOUND,
-    _circle_moduli,
+    PRAWITZ_NODES,
     bazilevich_gap,
     boundary_mean_coeffs,
     coefficient_functionals,
@@ -36,13 +36,19 @@ from schlichtlab.logmilin import (
 from schlichtlab.series import ComplexSeries
 
 
-def circle_mean(f, r: float, quad_points: int) -> float:
+def _circle_moduli(f, r: float, nodes: int) -> np.ndarray:
+    """|f| at the ``nodes`` equispaced points of the circle of radius r."""
+    t = 2.0 * np.pi * np.arange(nodes) / nodes
+    return np.abs(f.value(r * np.exp(1j * t)))
+
+
+def circle_mean(f, r: float, nodes: int) -> float:
     """(1/2pi) integral of |f(r e^{it})| dt by the periodic trapezoid rule.
 
     The reference for prawitz_check's means, which take the rule from one
     evaluation of each circle at twice the nodes.
     """
-    return float(np.mean(_circle_moduli(f, r, quad_points)))
+    return float(np.mean(_circle_moduli(f, r, nodes)))
 
 
 def sqrt_coeffs(f) -> np.ndarray:
@@ -304,31 +310,32 @@ class TestPrawitz:
     def test_koebe_means_match_poisson_closed_form(self):
         # circle mean of |k(r e^{it})| = r/(1 - r^2)
         f = make_schlicht("koebe", order=64)
-        means, violations = prawitz_check(f, (0.5, 0.8), quad_points=1024)
+        means, violations = prawitz_check(f, (0.5, 0.8))
         np.testing.assert_allclose(means, [0.5 / 0.75, 0.8 / 0.36], atol=1e-9)
         assert violations == 0
 
     def test_high_resolution_oracle(self):
         f = make_schlicht("halfplane", order=64)
-        means, violations = prawitz_check(f, (0.3, 0.6, 0.9), quad_points=2048)
+        means, violations = prawitz_check(f, (0.3, 0.6, 0.9))
         oracle = [circle_mean(f, r, 16384) for r in (0.3, 0.6, 0.9)]
         np.testing.assert_allclose(means, oracle, atol=1e-9)
         assert violations == 0
 
     def test_single_radius_vacuous(self):
         f = make_schlicht("koebe", order=64)
-        _, violations = prawitz_check(f, (0.5,), quad_points=512)
+        _, violations = prawitz_check(f, (0.5,))
         assert violations == 0
 
     def test_corpus_wide_no_violations(self, corpus130):
         for f in corpus130:
-            _, violations = prawitz_check(f, (0.3, 0.5, 0.7, 0.9), quad_points=1024)
+            _, violations = prawitz_check(f, (0.3, 0.5, 0.7, 0.9))
             assert violations == 0, f.label()
 
     @pytest.mark.filterwarnings("error")
     def test_even_nodes_give_the_half_rule_bit_for_bit(self):
         # prawitz_check evaluates each circle once at 2q nodes and takes the
-        # q-point rule from the even ones; that must be circle_mean(f, r, q)
+        # q-point rule from the even ones; that must be circle_mean(f, r, q),
+        # at its own q = PRAWITZ_NODES and at the others around it
         radii = (0.05, 0.3, 0.5, 0.7, 0.9, 0.99)
         members = standard_corpus(258) + [make_schlicht(
             "custom", {"coeffs": np.r_[0.0, 1.0, 0.25j, np.zeros(256)]}, 258)]
@@ -344,17 +351,17 @@ class TestPrawitz:
     def test_means_are_the_doubled_rule(self):
         f = make_schlicht("koebe_transform", {"w": 0.3j}, order=64)
         radii = (0.3, 0.5, 0.7)
-        means, _ = prawitz_check(f, radii, quad_points=512)
-        assert means.tolist() == [circle_mean(f, r, 1024) for r in radii]
+        means, _ = prawitz_check(f, radii)
+        assert means.tolist() == [circle_mean(f, r, 2 * PRAWITZ_NODES) for r in radii]
 
     def test_unconverged_quadrature_detected(self):
-        # 256 points cannot resolve the koebe peak at r = 0.99
+        # 1024 points cannot resolve the koebe peak at r = 0.99: doubling
+        # them moves the mean by about 3e-3
         f = make_schlicht("koebe", order=64)
         with pytest.raises(QuadratureUnconverged):
-            prawitz_check(f, (0.99,), quad_points=256)
+            prawitz_check(f, (0.99,))
         with pytest.raises(QuadratureUnconverged):
-            prawitz_check([make_schlicht("halfplane", order=64), f], (0.5, 0.99),
-                          quad_points=256)
+            prawitz_check([make_schlicht("halfplane", order=64), f], (0.5, 0.99))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("radii", [(0.3, 0.5, 0.7, 0.9), (0.5,), (0.2, 0.95)])
@@ -363,10 +370,10 @@ class TestPrawitz:
         # independent, so each member's result is its own call's, bit for bit
         members = standard_corpus(130) + [
             rotated(dilated(make_schlicht("koebe_transform", {"w": 0.4j}, 130), 0.8), -2.0)]
-        batched = prawitz_check(members, radii, quad_points=1024, grid=256)
+        batched = prawitz_check(members, radii)
         assert isinstance(batched, list) and len(batched) == len(members)
         for f, (means, violations) in zip(members, batched):
-            one_means, one_violations = prawitz_check(f, radii, quad_points=1024, grid=256)
+            one_means, one_violations = prawitz_check(f, radii)
             assert means.tobytes() == one_means.tobytes(), f.label()
             assert violations == one_violations and type(violations) is int
 
@@ -386,8 +393,8 @@ class TestPrawitz:
                      for i in range(2) for j in range(i + 1, 3))
         search = logmilin.max_modulus
 
-        def first_row_zero(members, r, grid):
-            maxima = search(members, r, grid=grid)[0].copy()
+        def first_row_zero(members, r):
+            maxima = search(members, r)[0].copy()
             maxima[0] = 0.0
             return (maxima,)
 

@@ -63,47 +63,47 @@ def report_set() -> dict:
 
 DIGESTS = {
     "audit258/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit258/inequality_audit.json": "514ba43626b6044e139313cd09b7d73cdcc1c4df6edffd939b338217d379cc39",
+    "audit258/inequality_audit.json": "602e0268d33248d9234888daa4e449a0f3bc862e5377ea7eaade09d08532217d",
     "audit_grunsky-1/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit_grunsky-1/inequality_audit.json": "514ba43626b6044e139313cd09b7d73cdcc1c4df6edffd939b338217d379cc39",
+    "audit_grunsky-1/inequality_audit.json": "602e0268d33248d9234888daa4e449a0f3bc862e5377ea7eaade09d08532217d",
     "audit_grunsky-1/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "audit_grunsky-1/zalcman_scan.json": "4b83f7b563f934489dfce0492b1cb216ec1faeb78d85d967eece081a2045ed37",
+    "audit_grunsky-1/zalcman_scan.json": "d260b2650a49b6375ee75dbd794417f8a69f55b5f6ed3cb26141072378fd4b09",
     "audit_grunsky-2/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit_grunsky-2/inequality_audit.json": "514ba43626b6044e139313cd09b7d73cdcc1c4df6edffd939b338217d379cc39",
+    "audit_grunsky-2/inequality_audit.json": "602e0268d33248d9234888daa4e449a0f3bc862e5377ea7eaade09d08532217d",
     "audit_grunsky-2/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "audit_grunsky-2/zalcman_scan.json": "4b83f7b563f934489dfce0492b1cb216ec1faeb78d85d967eece081a2045ed37",
+    "audit_grunsky-2/zalcman_scan.json": "d260b2650a49b6375ee75dbd794417f8a69f55b5f6ed3cb26141072378fd4b09",
     "audit_grunsky-3/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit_grunsky-3/inequality_audit.json": "514ba43626b6044e139313cd09b7d73cdcc1c4df6edffd939b338217d379cc39",
+    "audit_grunsky-3/inequality_audit.json": "602e0268d33248d9234888daa4e449a0f3bc862e5377ea7eaade09d08532217d",
     "audit_grunsky-3/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "audit_grunsky-3/zalcman_scan.json": "4b83f7b563f934489dfce0492b1cb216ec1faeb78d85d967eece081a2045ed37",
+    "audit_grunsky-3/zalcman_scan.json": "d260b2650a49b6375ee75dbd794417f8a69f55b5f6ed3cb26141072378fd4b09",
     "growth_index-1/theorem2.csv": "ac811e38c4ad3f8486bae67f749479d65345379e0bc687991fd5975295e9003d",
-    "growth_index-1/theorem2.json": "6ad453fcf37938a09f22cfcf23fb017ed7f9ae0f08b877f00033839ded815f1c",
+    "growth_index-1/theorem2.json": "243130748833f4dc78d1423232df6b68e8c2875c2d673585f5843cc696219b14",
     "growth_index-2/theorem2.csv": "924980045476136e87ec9a750a9a77bbc6f2cb75609cccbdd43dea39eec403a8",
-    "growth_index-2/theorem2.json": "95456713a9129f6bf51e6f840f77f8b3d76f6d272beda14cad0acb7375e0040d",
+    "growth_index-2/theorem2.json": "a09e84e0e0cda02c1a4aacb69024dbd15fcade8896132a41608b391451ec7e49",
     "growth_index-3/theorem2.csv": "869390ccf3a3393e02c9699dd3751492c0a8b1f4931be8bb255998704e9c069c",
-    "growth_index-3/theorem2.json": "1990ba2e48192a310a0bb724dfe9dcb5e93c17466c0e11b9514f9a9e769aa687",
+    "growth_index-3/theorem2.json": "b979c07eb8c8dcaa3adc3b2772ee0f3c3053df4fc09b947af5ac7edc0db3530d",
     "readme/counterexample.csv": "404e4a459dc2a1f0ea2c86295dcf9466aa4b97df1e5a9ea6d69a70b60b36e853",
-    "readme/counterexample.json": "32f923013059b263f3db213cca3d267407c9e7177a2f6f2cb8330a66ac599eb2",
+    "readme/counterexample.json": "a2c3719776767680e923f3c468bbe0901e0dd304c972b4951c9773a34f3becbc",
     "readme/inequality_audit.csv": "cfaf7519b34660887a352153f42d1a785059f10cf9520f16a0e43708fcd1c131",
-    "readme/inequality_audit.json": "208015c6a34c05449cfdfaf7fc7077ea1b690e183c0b0729299c93514385c669",
+    "readme/inequality_audit.json": "a445e95f0b237216cefb45aabf256d4d37595df21b015e3981ff4a5a42e77448",
     "readme/theorem1.csv": "5243e58b45071e040328ce61f37edfa85fddf9c070c7489df03490a896766ca2",
-    "readme/theorem1.json": "c8ab336019ae3cdabca1221b54c52556dfd32ed42da73f28e736f55759060c2c",
+    "readme/theorem1.json": "4b32af8d9ed4c2f5609e350f72a0d0634a236323d1af598543b5abfd83d5d162",
     "readme/theorem2.csv": "33f4df1a28d62a491adb1a712759b5ceeb34757bb3b24ba93036744135b1ec6f",
-    "readme/theorem2.json": "5b09d3d6ff293828fdfd21b68bb4f4b51c1ef8c8f1f3603fd06d8b9812ef9ca8",
+    "readme/theorem2.json": "c73d30e9cf2f6a717989abb1d07b2ef5e1848af4faf0fc664f2f59c3efc847ab",
     "readme/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "readme/zalcman_scan.json": "4b83f7b563f934489dfce0492b1cb216ec1faeb78d85d967eece081a2045ed37",
+    "readme/zalcman_scan.json": "d260b2650a49b6375ee75dbd794417f8a69f55b5f6ed3cb26141072378fd4b09",
     "report_grid-1/counterexample.csv": "91d993cff0c8cbbe3efdbd8c6199a329f16e32b5a9aef6cdc217c7f14537e40e",
-    "report_grid-1/counterexample.json": "5cc8e32294cbbb2d118acee43b38b7d5b09fd16953faed211c818b5f8a01e3da",
+    "report_grid-1/counterexample.json": "2006ecf04fa0871aa275864b30ef27b63f45036043861bf22bc5d4531cd65e3c",
     "report_grid-1/theorem1.csv": "1bcdd3b1984598d5a2ae7dffeae5bdcfc71933ed466ab9e6cdbca2c7a65e9efe",
-    "report_grid-1/theorem1.json": "f0d0bd027d306ea48ff77d1af5029a51d7588260db9fd2ad067069eb201df9a1",
+    "report_grid-1/theorem1.json": "eef01fb66ef098bdafd2400b228cb2ad3b42aa0a896d5d22433cbdf66a4e56b9",
     "report_grid-2/counterexample.csv": "5c74664759d3783f0f3c6588b28c9373562978563a276f3d5a22ca75121bca15",
-    "report_grid-2/counterexample.json": "bf721e571205ac67eddec673cac602b1efee4c7cbe12afd873756a88a76b0d7f",
+    "report_grid-2/counterexample.json": "bd9a2cf4ae19c8d5ee6dab1e4a6c35289f84d6cd649e6d4548366489eb8b04be",
     "report_grid-2/theorem1.csv": "ea1e03d121d255c74482a9f3bc8ba7f7e7a72dc9af291905f549fbdf9466eb4c",
-    "report_grid-2/theorem1.json": "edefe02158c25a4de9d16ab1c1a90f69198a76fdba0cab54bc44a6ae3410c168",
+    "report_grid-2/theorem1.json": "b95555508644c49048423f5bd94dbdfb42cbe916db2b6f156859d6c3245de88b",
     "report_grid-3/counterexample.csv": "da288ed6c805b9be09ee686ca3455b43fb9e133974ca2861f6add3ad8f702bc3",
-    "report_grid-3/counterexample.json": "ca2ee4fcda368f0ffcd41c2620e8f65d6b71889f46fcac6cbab47af763578169",
+    "report_grid-3/counterexample.json": "082ee393c65a0868ec647ae00ceef8d381a55442f8c23fcce2a4ff486b2ee52a",
     "report_grid-3/theorem1.csv": "d9bef195a07cdcdebaf7e672bcd3425a4dd5eafc47712bb18fb41b9119d9791b",
-    "report_grid-3/theorem1.json": "f0712272564a54252b2469d0b2f3997d9190408a478c1a8ffe211d076b6789ea",
+    "report_grid-3/theorem1.json": "7a23b34c33222b0897e9c9bab4883d9ec28553be891cd803654fb59f2cc96d70",
 }
 
 

@@ -255,6 +255,9 @@ class TestBadInputs:
                                 lambda ld: tauber_decomposition_check(ld, 4, "x")),
         "decomposition r nan": (InvalidParameter,
                                 lambda ld: tauber_decomposition_check(ld, 4, np.nan)),
+        "euler n nan": (InvalidParameter, lambda ld: euler_bracket(np.nan)),
+        "euler n str": (InvalidParameter, lambda ld: euler_bracket("3")),
+        "euler n fractional": (InvalidParameter, lambda ld: euler_bracket(2.5)),
     }
 
     @pytest.mark.filterwarnings("error")
