@@ -35,7 +35,11 @@ import numpy as np
 from .errors import InvalidParameter, OutsideDisk
 from .series import ComplexSeries, integer_parameter
 
-KINDS = ("koebe", "rotation", "dilation", "halfplane", "koebe_transform", "custom")
+#: the largest series order a member may have.  Each order-N member feeds
+#: O(N^2) work and memory (series log and sqrt, the audit's Grunsky table of
+#: (N/2 + 1) x N complex entries, 134 MB at N = 4096), so a larger order is
+#: refused up front instead of failing inside numpy's allocator.
+MAX_ORDER = 4096
 
 #: members whose growth index is 1 or sits strictly inside (0, 1)
 MAXIMAL_GROWTH_KINDS = frozenset({"koebe", "rotation", "koebe_transform"})
@@ -188,9 +192,12 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
                                rho = (w-conj(w))/(1-w^2) and
                                a_n = n beta^{n-1} - (n-1) rho beta^{n-2}
       * ``custom``          -- ``coeffs``: explicit coefficient array (series only)
+
+    ``order`` must be an integer from 2 to MAX_ORDER; anything else raises
+    :class:`InvalidParameter`.
     """
     params = dict(params or {})
-    order = integer_parameter(order, "order", 2)
+    order = integer_parameter(order, "order", 2, MAX_ORDER)
 
     if kind == "koebe":
         coeffs = np.arange(order + 1, dtype=np.complex128)

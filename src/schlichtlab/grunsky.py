@@ -196,16 +196,21 @@ def row_polynomials(t: GrunskyTable, z: complex) -> np.ndarray:
     return t.gamma_nk @ zpow
 
 
+def _rows_and_defect(t: GrunskyTable, z: complex):
+    """The row polynomials A_n(z) and the fullness defect they give."""
+    x = _disk_modulus(z)
+    n = np.arange(t.order + 1, dtype=float)
+    a_vals = row_polynomials(t, z)
+    return a_vals, float(abs(float(np.sum(n * np.abs(a_vals) ** 2)) + np.log1p(-x ** 2)))
+
+
 def fullness_defect(t: GrunskyTable, z: complex) -> float:
     """| sum_n n |A_n(z)|^2 + log(1 - |z|^2) |, which tends to 0 iff g is full.
 
     A point that is not one number inside the unit disk (NaN included)
     raises :class:`InvalidParameter` or :class:`OutsideDisk`.
     """
-    x = _disk_modulus(z)
-    n = np.arange(t.order + 1, dtype=float)
-    a_vals = row_polynomials(t, z)
-    return float(abs(float(np.sum(n * np.abs(a_vals) ** 2)) + np.log1p(-x ** 2)))
+    return _rows_and_defect(t, z)[1]
 
 
 def full_mapping_defect(t: GrunskyTable, ld: LogData, f: SchlichtFunction, z: complex):
@@ -219,12 +224,13 @@ def full_mapping_defect(t: GrunskyTable, ld: LogData, f: SchlichtFunction, z: co
     in print equals z g''(1/z) / (2 g'(1/z)) instead and fails already on
     the Koebe map.)  log f'(z) comes from the pair (beta, rho) of a
     closed form (:func:`families.closed_form_log_deriv`) and from the
-    series logarithm of f' for a series-only map.  A caller that needs only
-    the defect calls :func:`fullness_defect`, which checks ``z``.
+    series logarithm of f' for a series-only map.  The row polynomials are
+    evaluated once and serve both; a caller that needs only the defect calls
+    :func:`fullness_defect`.  Both check ``z``.
     """
-    defect = fullness_defect(t, z)
+    a_vals, defect = _rows_and_defect(t, z)
     zn = z ** np.arange(t.order + 1)
-    lhs = np.sum(row_polynomials(t, z) * zn)
+    lhs = np.sum(a_vals * zn)
     m = min(ld.top_index, f.order - 1)
     log_fz = 2.0 * np.dot(ld.gamma[: m + 1], z ** np.arange(m + 1))  # log(f/z) partial sum
     if f.has_closed_form:

@@ -31,6 +31,15 @@ claim honest.
                     gives the maximal members' growth indexes.  It needs
                     series_order >= 32 (AUDIT_MIN_ORDER).
 
+A ScenarioConfig holds only what its scenario's flags read.  The
+tolerances come from one table, TOLERANCES[scenario], and each of the
+twelve keys sits under the one scenario whose flags read it; a config that
+overrides a key outside its scenario's entry, or a scenario other than
+inequality_audit that moves grunsky_order off GRUNSKY_ORDER, raises
+ConfigError at load.  series_order and grunsky_order run from 8 to
+families.MAX_ORDER.  The provenance still echoes every scenario's defaults
+as one dict, the config's overrides in place.
+
 The three grid scenarios build one member per m, an error naming its m,
 and share the coefficient-ratio grid (rows, deviations and joint tail
 suprema); each runner then sets its own flags.
@@ -84,23 +93,19 @@ COLUMNS = ("m", "n", "value", "alpha_m", "deviation", "flag", "check")
 # the counterexample's diagonal flag reads only the cells (m, m) with m >= this
 DIAGONAL_MIN_M = 8
 
-# the tolerances that name a cutoff on the tail grid, so must be whole numbers
-CUTOFF_TOLERANCES = ("tail_n", "simultaneous_tail_n")
-
-DEFAULT_TOLERANCES = {
-    "row_vanish": 0.05,
-    "tail_n": 100.0,
-    "tail_bound": 0.01,
-    "diagonal_floor": 0.36,
-    "simultaneous_tail_n": 128.0,
-    "simultaneous_tail_bound": 0.05,
-    "zalcman_slack": 1e-9,
-    "milin_bound": logmilin.MILIN_CONSTANT_BOUND,
-    "direction_tol": 5e-3,
-    "identity_tol": 1e-8,
-    "split_tol": 1e-10,
-    "norm_slack": 1e-9,
+# each scenario's tolerances, the only ones its flags read, with their
+# defaults; a config may override only the keys of its own scenario
+TOLERANCES = {
+    "counterexample": {"row_vanish": 0.05, "diagonal_floor": 0.36},
+    "theorem1": {"tail_n": 100.0, "tail_bound": 0.01},
+    "theorem2": {"simultaneous_tail_n": 128.0, "simultaneous_tail_bound": 0.05},
+    "zalcman_scan": {"zalcman_slack": 1e-9},
+    "inequality_audit": {"milin_bound": logmilin.MILIN_CONSTANT_BOUND, "direction_tol": 5e-3,
+                         "identity_tol": 1e-8, "split_tol": 1e-10, "norm_slack": 1e-9},
 }
+
+# the grid scenarios' tolerance that names a cutoff on the tail grid, so must be whole
+CUTOFF_TOLERANCES = {"theorem1": "tail_n", "theorem2": "simultaneous_tail_n"}
 
 
 # the audit compares its Grunsky section, of order (series_order - 2) // 2,
@@ -108,6 +113,10 @@ DEFAULT_TOLERANCES = {
 # log_identity_link check evaluates that section at z = 0.5, where the
 # truncation decays like 0.5^order and first meets identity_tol at order 30
 AUDIT_MIN_ORDER = 32
+
+# the audit's default Grunsky table order; no other scenario reads grunsky_order,
+# so no other config may move it
+GRUNSKY_ORDER = 32
 
 
 def _finite_number(value) -> bool:
@@ -120,9 +129,10 @@ def _finite_number(value) -> bool:
         return False
 
 
-def _config_integer(value, name: str, minimum: Optional[int] = None) -> int:
+def _config_integer(value, name: str, *bounds) -> int:
+    """``families.integer_parameter(value, name, *bounds)``, raising ConfigError."""
     try:
-        return families.integer_parameter(value, name, minimum)
+        return families.integer_parameter(value, name, *bounds)
     except SchlichtLabError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -133,7 +143,7 @@ class ScenarioConfig:
     m_range: tuple
     n_range: tuple
     series_order: int = 128
-    grunsky_order: int = 32
+    grunsky_order: int = GRUNSKY_ORDER
     tolerances: dict = field(default_factory=dict)
     out_dir: str = "reports"
 
@@ -151,7 +161,11 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be a non-empty [lo, hi] pair")
             object.__setattr__(self, name, (lo, hi))
         for key in ("series_order", "grunsky_order"):
-            object.__setattr__(self, key, _config_integer(getattr(self, key), key, 8))
+            object.__setattr__(self, key, _config_integer(getattr(self, key), key, 8,
+                                                          families.MAX_ORDER))
+        if self.scenario != "inequality_audit" and self.grunsky_order != GRUNSKY_ORDER:
+            raise ConfigError(f"grunsky_order is read by inequality_audit only, "
+                              f"so {self.scenario} keeps {GRUNSKY_ORDER}")
         if self.scenario in ("counterexample", "theorem1") and self.m_range[0] < 2:
             raise ConfigError(f"{self.scenario} needs m >= 2 (dilation radius 1 - 1/m)")
         if self.scenario == "theorem2" and self.m_range[0] < 1:
@@ -166,26 +180,30 @@ class ScenarioConfig:
         if self.scenario == "zalcman_scan":
             if self.n_range[0] < 2 or 2 * self.n_range[1] - 1 > self.series_order:
                 raise ConfigError("zalcman_scan needs 2n-1 within the series order")
-        tol = dict(DEFAULT_TOLERANCES)
+        # every scenario's defaults, so the provenance echoes one 12-key dict
+        tol = {k: v for entry in TOLERANCES.values() for k, v in entry.items()}
         tol.update(self._checked_tolerances())
         object.__setattr__(self, "tolerances", tol)
         self._check_cutoffs_on_grid()
 
     def _checked_tolerances(self) -> dict:
-        """The tolerance overrides, each a known key with a finite real value.
+        """The tolerance overrides, each a key of this scenario's TOLERANCES
+        entry with a finite real value.
 
         Values are checked, not converted, so the provenance echoes them as given.
         """
         overrides = {} if self.tolerances is None else self.tolerances
         if not isinstance(overrides, dict):
             raise ConfigError("tolerances must map names to numbers")
-        unknown = set(overrides) - set(DEFAULT_TOLERANCES)
+        entry = TOLERANCES[self.scenario]
+        unknown = set(overrides) - set(entry)
         if unknown:
-            raise ConfigError(f"unknown tolerance keys: {sorted(unknown, key=str)}")
+            raise ConfigError(f"unknown tolerance keys for {self.scenario}: "
+                              f"{sorted(unknown, key=str)}; it reads {list(entry)}")
         for key, value in overrides.items():
             if not _finite_number(value):
                 raise ConfigError(f"tolerance {key} must be a finite number, got {value!r}")
-            if key in CUTOFF_TOLERANCES and value != int(value):
+            if key == CUTOFF_TOLERANCES.get(self.scenario) and value != int(value):
                 raise ConfigError(f"tolerance {key} must be a whole number, got {value!r}")
         return overrides
 
@@ -196,7 +214,7 @@ class ScenarioConfig:
         if self.scenario == "counterexample" and diagonal_lo > min(m_hi, n_hi):
             raise ConfigError(f"counterexample needs a diagonal cell (m, m) with "
                               f"m >= {DIAGONAL_MIN_M} inside both m_range and n_range")
-        key = {"theorem1": "tail_n", "theorem2": "simultaneous_tail_n"}.get(self.scenario)
+        key = CUTOFF_TOLERANCES.get(self.scenario)
         if key is not None:
             last = max(m_hi, n_hi - n_lo) - 1  # the cutoff grid of tauber.tail_supremum
             cut = int(self.tolerances[key])

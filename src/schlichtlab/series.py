@@ -32,8 +32,9 @@ NORMALIZED_TOL = 1e-12
 _ZERO_TOL = 1e-14
 
 
-def integer_parameter(value, name: str, minimum: Optional[int] = None) -> int:
-    """``value`` as an int, of at least ``minimum`` when one is given.
+def integer_parameter(value, name: str, minimum: Optional[int] = None,
+                      maximum: Optional[int] = None) -> int:
+    """``value`` as an int, within ``minimum`` and ``maximum`` when given.
 
     Raises :class:`InvalidParameter` for bools, for floats (fractional,
     NaN or not), for strings and for anything else that is not an integer.
@@ -46,6 +47,8 @@ def integer_parameter(value, name: str, minimum: Optional[int] = None) -> int:
         raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and out < minimum:
         raise InvalidParameter(f"{name} must be at least {minimum}")
+    if maximum is not None and out > maximum:
+        raise InvalidParameter(f"{name} must be at most {maximum}, got {out}")
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 from schlichtlab.errors import InvalidParameter, OutsideDisk
 from schlichtlab.families import (
     CIRCLE_GRID,
+    MAX_ORDER,
     dilated,
     eval_certified,
     deriv_certified,
@@ -327,6 +328,8 @@ class TestIntegerParameters:
         "order false": lambda: make_schlicht("halfplane", order=False),
         "order nan": lambda: make_schlicht("koebe_transform", {"w": 0.3}, order=math.nan),
         "dilated order fractional": lambda: dilated(_koebe16(), 0.5, order=8.5),
+        "order past the ceiling": lambda: make_schlicht("koebe", order=MAX_ORDER + 1),
+        "order 1e30": lambda: make_schlicht("rotation", {"theta": 0.5}, order=10**30),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -334,6 +337,12 @@ class TestIntegerParameters:
     def test_raises_invalid_parameter(self, case):
         with pytest.raises(InvalidParameter):
             self.CASES[case]()
+
+    @pytest.mark.filterwarnings("error")
+    def test_order_ceiling_is_inclusive(self):
+        assert make_schlicht("halfplane", order=MAX_ORDER).order == MAX_ORDER
+        with pytest.raises(InvalidParameter, match=f"order must be at most {MAX_ORDER}"):
+            make_schlicht("halfplane", order=MAX_ORDER + 1)
 
     def test_numpy_integers_accepted(self):
         f = make_schlicht("koebe", order=np.int64(16))

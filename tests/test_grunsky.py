@@ -228,6 +228,36 @@ class TestDefect:
                     full = full_mapping_defect(t, ledgers130[f.label()], f, z)
                     assert fullness_defect(t, z) == full[0], (f.label(), n, z)
 
+    @pytest.mark.filterwarnings("error")
+    def test_row_polynomials_evaluated_once(self, corpus130, ledgers130, monkeypatch):
+        # the defect and the identity sum share one evaluation of A_n(z), and
+        # both numbers equal the earlier two-evaluation route bit for bit
+        def two_evaluations(t, ld, f, z):
+            defect = fullness_defect(t, z)
+            lhs = np.sum(grunsky.row_polynomials(t, z) * z ** np.arange(t.order + 1))
+            m = min(ld.top_index, f.order - 1)
+            log_fz = 2.0 * np.dot(ld.gamma[: m + 1], z ** np.arange(m + 1))
+            if f.has_closed_form:
+                log_fp = closed_form_log_deriv(z, *f.beta_rho)
+            else:
+                log_fp = f.series.deriv().log()(z)
+            return defect, float(abs(lhs - (2.0 * log_fz - log_fp)))
+
+        custom = make_schlicht("custom", {"coeffs": corpus130[4].series.coeffs}, 130)
+        cases = [(f, ledgers130[f.label()]) for f in corpus130] + [(custom, log_data(custom))]
+        calls = []
+        row_polynomials = grunsky.row_polynomials
+        for f, ld in cases:
+            t = grunsky_matrix(invert_to_sigma(f, 128), 32)
+            for z in (0.5, 0.25 + 0.35j, -0.4j, 0.0):
+                expected = two_evaluations(t, ld, f, z)
+                monkeypatch.setattr(grunsky, "row_polynomials",
+                                    lambda *a: calls.append(1) or row_polynomials(*a))
+                got = full_mapping_defect(t, ld, f, z)
+                monkeypatch.setattr(grunsky, "row_polynomials", row_polynomials)
+                assert [x.hex() for x in got] == [x.hex() for x in expected], (f.label(), z)
+        assert len(calls) == 4 * len(cases)
+
     def test_outside_disk(self, koebe_table64):
         f, g = koebe_table64
         t = grunsky_matrix(g, 16)

@@ -18,7 +18,9 @@ from conftest import report_dict
 
 def small_cfg(scenario, tmp_path, **kw):
     base = dict(scenario=scenario, m_range=(2, 12), n_range=(1, 48),
-                series_order=48, grunsky_order=12, out_dir=str(tmp_path))
+                series_order=48, out_dir=str(tmp_path))
+    if scenario == "inequality_audit":  # no other scenario reads grunsky_order
+        base["grunsky_order"] = 12
     base.update(kw)
     return ScenarioConfig(**base)
 
@@ -208,16 +210,171 @@ class TestConfig:
             with pytest.raises(ConfigError, match="diagonal"):
                 ScenarioConfig(**kw)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key", ["series_order", "grunsky_order"])
+    def test_orders_have_a_ceiling(self, key, tmp_path):
+        data = {"scenario": "inequality_audit", "m_range": [1, 1], "n_range": [1, 1],
+                "out_dir": str(tmp_path / "out")}
+        for order in (families.MAX_ORDER + 1, 10**30):
+            with pytest.raises(ConfigError, match=f"{key} must be at most {families.MAX_ORDER}"):
+                ScenarioConfig.from_dict(dict(data, **{key: order}))
+        assert getattr(ScenarioConfig.from_dict(dict(data, **{key: families.MAX_ORDER})),
+                       key) == families.MAX_ORDER
+        assert not (tmp_path / "out").exists()
+
+
+# The tolerances each scenario's flags read, with the defaults the flat table
+# of earlier versions gave them; every key belongs to exactly one scenario.
+SCENARIO_TOLERANCES = {
+    "counterexample": {"row_vanish": 0.05, "diagonal_floor": 0.36},
+    "theorem1": {"tail_n": 100.0, "tail_bound": 0.01},
+    "theorem2": {"simultaneous_tail_n": 128.0, "simultaneous_tail_bound": 0.05},
+    "zalcman_scan": {"zalcman_slack": 1e-9},
+    "inequality_audit": {"milin_bound": logmilin.MILIN_CONSTANT_BOUND, "direction_tol": 5e-3,
+                         "identity_tol": 1e-8, "split_tol": 1e-10, "norm_slack": 1e-9},
+}
+ALL_KEYS = sorted(k for entry in SCENARIO_TOLERANCES.values() for k in entry)
+
+# a small config per scenario whose flags all hold at its defaults; theorem2's
+# tail bound is tightened so that its cutoff decides a flag (at the default
+# 0.05 every cutoff of this family passes, from 0 on)
+FLAG_CONFIGS = {
+    "counterexample": dict(m_range=(2, 12), n_range=(1, 64), series_order=64),
+    "theorem1": dict(m_range=(2, 12), n_range=(1, 128), series_order=128),
+    "theorem2": dict(m_range=(1, 4), n_range=(1, 130), series_order=130,
+                     tolerances={"simultaneous_tail_bound": 0.01}),
+    "zalcman_scan": dict(m_range=(1, 5), n_range=(2, 16), series_order=32),
+    "inequality_audit": dict(m_range=(1, 1), n_range=(1, 1), series_order=34,
+                             grunsky_order=16),
+}
+
+
+def _below(x: float) -> float:
+    return float(np.nextafter(x, -math.inf))
+
+
+def _at_cut(rep, cut) -> float:
+    tail_n, tail_sup = np.asarray(rep.summary["tail_n"]), np.asarray(rep.summary["tail_sup"])
+    return float(tail_sup[tail_n == int(cut)][0])
+
+
+def _last_cut_above(rep, bound) -> int:
+    """The last cutoff, before every one whose tail supremum is within ``bound``."""
+    tail_n, tail_sup = rep.summary["tail_n"], rep.summary["tail_sup"]
+    return next(n for n, s in zip(tail_n, tail_sup) if s <= bound) - 1
+
+
+def _checked(rep, check) -> list:
+    return [v for v, c in zip(rep.rows["value"].tolist(), rep.rows["check"]) if c == check]
+
+
+# For each key: the override that crosses, in the failing direction, the value
+# its check observed in the default run ``rep`` of the scenario's FLAG_CONFIGS.
+CROSSINGS = {
+    # rows_vanish_in_n: the last column's largest deviation <= row_vanish
+    "row_vanish": lambda rep, tol: _below(float(np.max(
+        rep.rows["deviation"][rep.rows["n"] == rep.rows["n"].max()]))),
+    # diagonal_above_e_inv_floor: min over m >= 8 of the diagonal > diagonal_floor
+    "diagonal_floor": lambda rep, tol: min(v for m, v in rep.summary["diagonal"].items()
+                                           if m >= lab.DIAGONAL_MIN_M),
+    # uniform_tail_bound: the tail supremum at tail_n <= tail_bound
+    "tail_n": lambda rep, tol: _last_cut_above(rep, tol["tail_bound"]),
+    "tail_bound": lambda rep, tol: _below(_at_cut(rep, tol["tail_n"])),
+    # simultaneous_tail_bound: the tail supremum at the cutoff <= the allowance
+    "simultaneous_tail_n": lambda rep, tol: _last_cut_above(rep, rep.summary["tail_allowance"]),
+    "simultaneous_tail_bound": lambda rep, tol: 0.5 * (
+        _at_cut(rep, tol["simultaneous_tail_n"]) - max(rep.summary["bracket_widths"])),
+    # zalcman_ceiling: the worst slack <= zalcman_slack
+    "zalcman_slack": lambda rep, tol: _below(rep.summary["worst_zalcman_slack"]),
+    # the audit's checks, each against its own row values
+    "milin_bound": lambda rep, tol: _below(max(_checked(rep, "milin_bound"))),
+    "direction_tol": lambda rep, tol: _below(max(_checked(rep, "bazilevich_equality_residual"))),
+    "identity_tol": lambda rep, tol: _below(max(_checked(rep, "log_identity_link"))),
+    "split_tol": lambda rep, tol: _below(max(_checked(rep, "tauber_split_identity"))),
+    # grunsky_norm_bound: norm <= 1 + norm_slack; half the excess still rounds above 1
+    "norm_slack": lambda rep, tol: 0.5 * (max(_checked(rep, "grunsky_norm_bound")) - 1.0),
+}
+
+
+class TestScenarioTolerances:
+    def test_each_key_sits_in_one_scenario(self):
+        assert len(ALL_KEYS) == len(set(ALL_KEYS)) == 12 == len(CROSSINGS)
+        assert lab.TOLERANCES == SCENARIO_TOLERANCES
+        assert set(lab.TOLERANCES) == set(lab.SCENARIOS)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scenario, key", [
+        (s, k) for s in lab.SCENARIOS for k in ALL_KEYS if k not in SCENARIO_TOLERANCES[s]])
+    def test_key_outside_the_entry_is_rejected(self, scenario, key):
+        data = dict(FLAG_CONFIGS[scenario], scenario=scenario)
+        data["tolerances"] = dict(data.get("tolerances", {}), **{key: 1.0})
+        with pytest.raises(ConfigError, match=rf"unknown tolerance keys for {scenario}: "
+                                              rf"\['{key}'\]"):
+            ScenarioConfig.from_dict(data)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scenario, key", [
+        (s, k) for s in lab.SCENARIOS for k in ALL_KEYS if k in SCENARIO_TOLERANCES[s]])
+    def test_key_inside_the_entry_flips_a_flag(self, scenario, key):
+        data = dict(FLAG_CONFIGS[scenario], scenario=scenario)
+        default = ScenarioConfig.from_dict(data)
+        rep = run_scenario(default)
+        assert rep.all_ok(), rep.summary["flags"]
+        crossing = CROSSINGS[key](rep, default.tolerances)
+        tolerances = dict(data.get("tolerances", {}), **{key: crossing})
+        crossed = run_scenario(ScenarioConfig.from_dict(dict(data, tolerances=tolerances)))
+        assert crossed.summary["flags"] != rep.summary["flags"], (key, crossing)
+        assert not crossed.all_ok()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scenario", [s for s in lab.SCENARIOS if s != "inequality_audit"])
+    @pytest.mark.parametrize("order", [8, 31, 33, 128])
+    def test_grunsky_order_is_the_audits_alone(self, scenario, order):
+        data = dict(FLAG_CONFIGS[scenario], scenario=scenario)
+        assert ScenarioConfig.from_dict(dict(data, grunsky_order=lab.GRUNSKY_ORDER))
+        with pytest.raises(ConfigError, match=f"grunsky_order .* {scenario}"):
+            ScenarioConfig.from_dict(dict(data, grunsky_order=order))
+        audit = dict(FLAG_CONFIGS["inequality_audit"], scenario="inequality_audit")
+        assert ScenarioConfig.from_dict(dict(audit, grunsky_order=order)).grunsky_order == order
+
+    @pytest.mark.filterwarnings("error")
+    def test_fractional_theorem2_cutoff_rejected(self):
+        data = dict(FLAG_CONFIGS["theorem2"], scenario="theorem2",
+                    tolerances={"simultaneous_tail_n": 64.5})
+        with pytest.raises(ConfigError, match="simultaneous_tail_n must be a whole number"):
+            ScenarioConfig.from_dict(data)
+
+    @pytest.mark.filterwarnings("error")
+    def test_provenance_echoes_every_default(self, tmp_path):
+        # the echo stays one 12-key dict, overrides included as given
+        cfg = ScenarioConfig.from_dict({"scenario": "zalcman_scan", "m_range": [1, 5],
+                                        "n_range": [2, 8], "series_order": 32,
+                                        "tolerances": {"zalcman_slack": 1},
+                                        "out_dir": str(tmp_path)})
+        _, json_path = export_report(run_scenario(cfg))
+        echoed = json.loads(json_path.read_text())["provenance"]["config"]["tolerances"]
+        expected = {k: v for entry in SCENARIO_TOLERANCES.values() for k, v in entry.items()}
+        assert echoed == dict(expected, zalcman_slack=1)
+        assert type(echoed["zalcman_slack"]) is int
+
 
 # config files that once escaped ScenarioConfig.from_json as a bare Python
-# error, and as a traceback from `schlicht-lab run --config`
+# error, and as a traceback from `schlicht-lab run --config`, or loaded a
+# setting that no flag of their scenario reads
 _ZALCMAN = '"scenario": "zalcman_scan", "m_range": [1, 5], "n_range": [2, 8], "series_order": 32'
+_COUNTEREXAMPLE = '"scenario": "counterexample", "m_range": [2, 12], "n_range": [1, 12]'
 MALFORMED_CONFIGS = {
     "truncated json": ("{" + _ZALCMAN[:40]).encode(),
     "not utf-8": ("{" + _ZALCMAN + ', "out_dir": "r').encode() + b'\xe9"}',  # a latin-1 byte
     "array of pairs": b'[["scenario", "zalcman_scan"], ["m_range", [1, 5]]]',
     "tolerance beyond float range": (
         "{" + _ZALCMAN + ', "tolerances": {"zalcman_slack": 1' + "0" * 400 + "}}").encode(),
+    "series_order beyond the ceiling": (
+        "{" + _ZALCMAN.replace(": 32", ": 1" + "0" * 30) + "}").encode(),
+    "tolerances of other scenarios": (
+        "{" + _COUNTEREXAMPLE + ', "tolerances": {"tail_n": 5, "zalcman_slack": 3}}').encode(),
+    "grunsky_order outside the audit": (
+        "{" + _COUNTEREXAMPLE + ', "grunsky_order": 9}').encode(),
 }
 
 
@@ -238,7 +395,7 @@ class TestMalformedConfigFile:
                                                str(self._path(case, tmp_path))])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert result.output.startswith("Error: "), result.output
-        assert "Traceback" not in result.output
+        assert "Traceback" not in result.output and result.output.count("\n") == 1
 
 
 class TestCounterexample:
@@ -548,6 +705,19 @@ class TestCli:
                        "--z", "0.5,0.0"])
         assert result.exit_code == 0, result.output
         assert "(ok)" in result.output
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [
+        ["grunsky", "--function", "koebe", "--order", str(10**17)],
+        ["grunsky", "--function", "rotation", "--order", str(families.MAX_ORDER)],
+        ["audit", "--function", "koebe", "--order", str(10**20)],
+        ["audit", "--function", "koebe_transform", "--order", str(families.MAX_ORDER + 1)],
+    ], ids=["grunsky-1e17", "grunsky-ceiling", "audit-1e20", "audit-ceiling"])
+    def test_orders_past_the_ceiling_print_one_error_line(self, args):
+        result = CliRunner().invoke(cli_main, args)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+        assert f"at most {families.MAX_ORDER}" in result.output
 
     def test_grunsky_bad_point(self):
         result = CliRunner().invoke(
