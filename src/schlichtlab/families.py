@@ -41,6 +41,10 @@ from .series import ComplexSeries, integer_parameter
 #: refused up front instead of failing inside numpy's allocator.
 MAX_ORDER = 4096
 
+#: the parameter names each kind of make_schlicht reads; any other key is refused
+KIND_PARAMETERS = {"koebe": (), "halfplane": (), "rotation": ("theta",), "dilation": ("r",),
+                   "koebe_transform": ("w",), "custom": ("coeffs",)}
+
 #: members whose growth index is 1 or sits strictly inside (0, 1)
 MAXIMAL_GROWTH_KINDS = frozenset({"koebe", "rotation", "koebe_transform"})
 
@@ -125,8 +129,7 @@ class SchlichtFunction:
                 return f"{v:.4g}"
             return str(v)
 
-        bits = ",".join(f"{k}={short(v)}" for k, v in sorted(self.params.items())
-                        if k != "base")
+        bits = ",".join(f"{k}={short(v)}" for k, v in sorted(self.params.items()))
         return f"{self.kind}({bits})" if bits else self.kind
 
 
@@ -178,35 +181,45 @@ def finite_parameter(value, name: str, kind=float):
 def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) -> SchlichtFunction:
     """Construct a corpus member by family tag.
 
-    kind:
-      * ``koebe``           -- a_n = n; (beta, rho) = (1, 0)
-      * ``rotation``        -- ``theta``: e^{-it} k(e^{it} z), a_n = n e^{i(n-1)t};
-                               (beta, rho) = (e^{it}, 0)
-      * ``dilation``        -- ``r`` in (0,1), optional ``base`` (default Koebe):
-                               base(r z)/r, a_n -> a_n r^{n-1}; the base's pair
-                               times r
-      * ``halfplane``       -- z/(1-z), a_n = 1; (beta, rho) = (1, 1)
-      * ``koebe_transform`` -- ``w`` with |w| < 1: the renormalized composite
+    kind, and the parameter names it reads (``KIND_PARAMETERS[kind]``):
+      * ``koebe``           -- none: a_n = n; (beta, rho) = (1, 0)
+      * ``rotation``        -- ``theta`` (default 0): e^{-it} k(e^{it} z),
+                               a_n = n e^{i(n-1)t}; (beta, rho) = (e^{it}, 0)
+      * ``dilation``        -- ``r`` in (0,1): the Koebe map's ``dilated(k, r)``,
+                               a_n = n r^{n-1}; (beta, rho) = (r, 0)
+      * ``halfplane``       -- none: z/(1-z), a_n = 1; (beta, rho) = (1, 1)
+      * ``koebe_transform`` -- ``w`` with |w| < 1 (default 0): the renormalized
+                               composite
                                (k((z+w)/(1+conj(w) z)) - k(w)) / ((1-|w|^2) k'(w)),
                                with beta = (1-conj(w))/(1-w),
                                rho = (w-conj(w))/(1-w^2) and
                                a_n = n beta^{n-1} - (n-1) rho beta^{n-2}
       * ``custom``          -- ``coeffs``: explicit coefficient array (series only)
 
-    ``order`` must be an integer from 2 to MAX_ORDER; anything else raises
+    An unknown kind, or a key of ``params`` the kind does not read, raises
+    :class:`InvalidParameter` before anything is built.  ``order`` must be
+    an integer from 2 to MAX_ORDER; anything else raises
     :class:`InvalidParameter`.
     """
-    params = dict(params or {})
+    if not isinstance(kind, str) or kind not in KIND_PARAMETERS:
+        raise InvalidParameter(f"unknown family kind {kind!r}")
+    if not isinstance(params, (dict, type(None))):
+        raise InvalidParameter(f"params must be a dict of parameter values, got {params!r}")
+    params = params or {}
+    unknown = set(params) - set(KIND_PARAMETERS[kind])
+    if unknown:
+        raise InvalidParameter(f"unknown parameter keys for {kind}: {sorted(unknown, key=str)}; "
+                               f"it reads {list(KIND_PARAMETERS[kind])}")
     order = integer_parameter(order, "order", 2, MAX_ORDER)
 
     if kind == "koebe":
         coeffs = np.arange(order + 1, dtype=np.complex128)
-        return SchlichtFunction(ComplexSeries(coeffs), kind, params, (1.0, 0.0))
+        return SchlichtFunction(ComplexSeries(coeffs), kind, {}, (1.0, 0.0))
 
     if kind == "halfplane":
         coeffs = np.ones(order + 1, dtype=np.complex128)
         coeffs[0] = 0.0
-        return SchlichtFunction(ComplexSeries(coeffs), kind, params, (1.0, 1.0))
+        return SchlichtFunction(ComplexSeries(coeffs), kind, {}, (1.0, 1.0))
 
     if kind == "rotation":
         theta = finite_parameter(params.get("theta", 0.0), "rotation theta")
@@ -217,12 +230,7 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
                                 (cmath.exp(1j * theta), 0.0))
 
     if kind == "dilation":
-        base = params.get("base")
-        if base is None:
-            base = make_schlicht("koebe", order=order)
-        if base.order < order:
-            raise InvalidParameter("dilation base series is shorter than the requested order")
-        return dilated(base, params.get("r"), order=order)
+        return dilated(make_schlicht("koebe", order=order), params.get("r"))
 
     if kind == "koebe_transform":
         w = finite_parameter(params.get("w", 0.0), "koebe_transform w", complex)
@@ -230,17 +238,14 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
             raise InvalidParameter("koebe_transform needs |w| < 1")
         return _koebe_transform(w, order)
 
-    if kind == "custom":
-        try:
-            coeffs = np.asarray(params.get("coeffs"), dtype=np.complex128)
-        except (TypeError, ValueError):
-            raise InvalidParameter("custom needs an array of numbers as coeffs") from None
-        if coeffs.ndim != 1 or len(coeffs) != order + 1:
-            raise InvalidParameter("custom needs a coefficient array of length order+1")
-        _check_class_s(coeffs, "custom")
-        return SchlichtFunction(ComplexSeries(coeffs), kind, {})
-
-    raise InvalidParameter(f"unknown family kind {kind!r}")
+    try:
+        coeffs = np.asarray(params.get("coeffs"), dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise InvalidParameter("custom needs an array of numbers as coeffs") from None
+    if coeffs.ndim != 1 or len(coeffs) != order + 1:
+        raise InvalidParameter("custom needs a coefficient array of length order+1")
+    _check_class_s(coeffs, "custom")
+    return SchlichtFunction(ComplexSeries(coeffs), kind, {})
 
 
 def _koebe_transform(w: complex, order: int) -> SchlichtFunction:
@@ -277,19 +282,19 @@ def rotated(f: SchlichtFunction, phi: float) -> SchlichtFunction:
                             _scaled_pair(f, cmath.exp(1j * phi)))
 
 
-def dilated(f: SchlichtFunction, r: float, order: Optional[int] = None) -> SchlichtFunction:
-    """Dilate any corpus member: ``f(r z)/r`` (stays normalized)."""
+def dilated(f: SchlichtFunction, r: float) -> SchlichtFunction:
+    """Dilate any corpus member: ``f(r z)/r``, a_n -> a_n r^{n-1} (stays normalized).
+
+    ``r`` must be a number in (0, 1); anything else raises
+    :class:`InvalidParameter`.  The powers r^{n-1} are taken for n >= 1 only,
+    so a tiny ``r`` underflows them quietly instead of overflowing r^{-1}.
+    """
     r = finite_parameter(r, "dilation r")
     if not 0.0 < r < 1.0:
         raise InvalidParameter("dilation needs r in (0, 1)")
-    order = f.order if order is None else integer_parameter(order, "order", 2)
-    if order > f.order:
-        raise InvalidParameter("dilation cannot extend the base series")
-    n = np.arange(order + 1)
-    coeffs = f.series.coeffs[: order + 1] * r ** (n - 1.0)
-    coeffs[0] = 0.0
-    return SchlichtFunction(ComplexSeries(coeffs), "dilation",
-                            {"r": r, "base": f.kind}, _scaled_pair(f, r))
+    coeffs = np.zeros(f.order + 1, dtype=np.complex128)
+    coeffs[1:] = f.series.coeffs[1:] * r ** np.arange(f.order, dtype=float)
+    return SchlichtFunction(ComplexSeries(coeffs), "dilation", {"r": r}, _scaled_pair(f, r))
 
 
 def invert_to_sigma(f: SchlichtFunction, order: int) -> SigmaFunction:

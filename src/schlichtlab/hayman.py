@@ -114,36 +114,21 @@ def _derivative_rows(members, radii: np.ndarray, thetas) -> np.ndarray:
     return _monotone(members, (1.0 - radii) ** 3 * slopes / (1.0 + radii), "derivative")
 
 
-def growth_profile(
-    f: SchlichtFunction,
-    radii: Sequence[float],
-    estimator: str = "growth",
-    theta: Optional[float] = None,
-) -> np.ndarray:
-    """The values of one of the two monotone growth profiles on a radius grid.
+def growth_profile(f: SchlichtFunction, radii: Sequence[float]) -> np.ndarray:
+    """The growth profile ``(1-r)^2 M(r) / r`` of ``f``, one value per radius of ``radii``.
 
-    The growth estimator takes every circle maximum in one lockstep
-    :func:`max_modulus` call over the whole grid; the derivative estimator
-    evaluates f' on the whole ray in one array evaluation.  Returns one
-    value per radius of ``radii``.
+    Every circle maximum comes from one lockstep :func:`max_modulus` call
+    over the whole grid.  The derivative profile is read by
+    :func:`hayman_index` only, along the growth direction it finds.
 
     Raises :class:`NonMonotoneProfile` if the values increase beyond 1e-6
     between consecutive radii (evaluation-error signal), or if a
     series-only function is pushed past ``SERIES_RADIUS_LIMIT`` where its
     truncation tail can no longer be kept inside the tolerance.
     """
-    members = [f]
     radii = radius_grid(radii)
-    _check_series_reach(members, radii)
-    if estimator == "growth":
-        vals, _, _ = _growth_rows(members, radii)
-    elif estimator == "derivative":
-        if theta is None:
-            raise InvalidParameter("derivative estimator needs the growth-ray angle theta")
-        vals = _derivative_rows(members, radii, [theta])
-    else:
-        raise InvalidParameter(f"unknown estimator {estimator!r}")
-    return vals[0]
+    _check_series_reach([f], radii)
+    return _growth_rows([f], radii)[0][0]
 
 
 def _check_single_direction(vals: np.ndarray) -> None:

@@ -37,8 +37,9 @@ twelve keys sits under the one scenario whose flags read it; a config that
 overrides a key outside its scenario's entry, or a scenario other than
 inequality_audit that moves grunsky_order off GRUNSKY_ORDER, raises
 ConfigError at load.  series_order and grunsky_order run from 8 to
-families.MAX_ORDER.  The provenance still echoes every scenario's defaults
-as one dict, the config's overrides in place.
+families.MAX_ORDER, and m_range ends at or below it.  The provenance still
+echoes every scenario's defaults as one dict, the config's overrides in
+place.
 
 The three grid scenarios build one member per m, an error naming its m,
 and share the coefficient-ratio grid (rows, deviations and joint tail
@@ -160,6 +161,9 @@ class ScenarioConfig:
             if lo > hi:
                 raise ConfigError(f"{name} must be a non-empty [lo, hi] pair")
             object.__setattr__(self, name, (lo, hi))
+        if self.m_range[1] > families.MAX_ORDER:
+            raise ConfigError(f"m_range must end at or below families.MAX_ORDER "
+                              f"({families.MAX_ORDER}), got {self.m_range[1]}")
         for key in ("series_order", "grunsky_order"):
             object.__setattr__(self, key, _config_integer(getattr(self, key), key, 8,
                                                           families.MAX_ORDER))
@@ -216,7 +220,7 @@ class ScenarioConfig:
                               f"m >= {DIAGONAL_MIN_M} inside both m_range and n_range")
         key = CUTOFF_TOLERANCES.get(self.scenario)
         if key is not None:
-            last = max(m_hi, n_hi - n_lo) - 1  # the cutoff grid of tauber.tail_supremum
+            last = tauber.tail_cutoffs(m_hi, n_hi - n_lo + 1) - 1
             cut = int(self.tolerances[key])
             if not 0 <= cut <= last:
                 raise ConfigError(f"tolerance {key}={cut} lies off the tail grid 0..{last}")

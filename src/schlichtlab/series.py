@@ -10,10 +10,17 @@ order (up to rounding).
 (convolutions of the form ``f' = g' * f``), which are O(N^2) and stable in
 double precision for the orders used here (N <= 256).  All values are
 immutable after construction; every operation is a pure function.
+
+An overflow, a division by zero or an invalid value leaves a non-finite
+coefficient, which the constructor rejects.  Every operation in which numpy
+could warn of one runs with its floating-point warnings off, so a result
+beyond double range raises :class:`~schlichtlab.errors.InvalidParameter`
+and never a numpy warning.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Optional
 
@@ -52,6 +59,15 @@ def integer_parameter(value, name: str, minimum: Optional[int] = None,
     return out
 
 
+def _quiet(op):
+    """``op`` with numpy's floating-point warnings off, entered once per call."""
+    @functools.wraps(op)
+    def quiet(*args):
+        with np.errstate(all="ignore"):
+            return op(*args)
+    return quiet
+
+
 class ComplexSeries:
     """Power series ``c[0] + c[1] z + ... + c[N] z^N`` truncated at order N.
 
@@ -87,6 +103,7 @@ class ComplexSeries:
 
     # -- ring operations -------------------------------------------------
 
+    @_quiet
     def __add__(self, other):
         if isinstance(other, ComplexSeries):
             n = min(self.order, other.order)
@@ -106,6 +123,7 @@ class ComplexSeries:
     def __rsub__(self, other):
         return (-self) + other
 
+    @_quiet
     def __mul__(self, other):
         if isinstance(other, ComplexSeries):
             n = min(self.order, other.order)
@@ -114,6 +132,7 @@ class ComplexSeries:
 
     __rmul__ = __mul__
 
+    @_quiet
     def __truediv__(self, other):
         if not isinstance(other, ComplexSeries):
             return ComplexSeries(self.coeffs / other)
@@ -133,6 +152,7 @@ class ComplexSeries:
 
     # -- transcendental maps ---------------------------------------------
 
+    @_quiet
     def log(self) -> "ComplexSeries":
         """Formal logarithm; requires constant term 1 (normalized branch)."""
         f = self.coeffs
@@ -150,6 +170,7 @@ class ComplexSeries:
             kout[k] = k * out[k]
         return ComplexSeries(out)
 
+    @_quiet
     def exp(self) -> "ComplexSeries":
         """Formal exponential (any constant term)."""
         f = self.coeffs
@@ -161,6 +182,7 @@ class ComplexSeries:
             out[k] = np.dot(kf[1 : k + 1], out[k - 1 :: -1][:k]) / k
         return ComplexSeries(out)
 
+    @_quiet
     def sqrt(self) -> "ComplexSeries":
         """Formal square root with constant term 1; requires c[0] = 1."""
         f = self.coeffs
@@ -178,14 +200,22 @@ class ComplexSeries:
 
     # -- calculus and evaluation -----------------------------------------
 
+    @_quiet
     def deriv(self) -> "ComplexSeries":
         if self.order == 0:
             return ComplexSeries([0.0])
         return ComplexSeries(self.coeffs[1:] * np.arange(1, self.order + 1))
 
+    @_quiet
     def __call__(self, z):
-        """Partial sum at ``z`` (scalar or array), by Horner's rule."""
-        return np.polyval(self.coeffs[::-1], z)
+        """Partial sum at ``z`` (scalar or array), by Horner's rule.
+
+        Raises :class:`InvalidParameter` where the sum is not finite.
+        """
+        out = np.polyval(self.coeffs[::-1], z)
+        if not np.all(np.isfinite(out)):
+            raise InvalidParameter("the partial sum is not finite at the given point")
+        return out
 
     def __repr__(self):
         head = np.array2string(self.coeffs[:4], precision=6, separator=", ")

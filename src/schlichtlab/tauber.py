@@ -116,6 +116,16 @@ class TauberHarnessReport:
     iii_bounded: bool
 
 
+def tail_cutoffs(max_m: int, n_count: int) -> int:
+    """How many cutoffs N = 0, 1, ... the tail grid of :func:`tail_supremum`
+    holds for a surface with ``n_count`` columns whose last row is ``m = max_m``.
+
+    The config check of :mod:`~schlichtlab.lab` reads the same count, so a
+    cutoff it accepts always lies on the grid.
+    """
+    return max(max_m, n_count - 1)
+
+
 def tail_supremum(d: np.ndarray, m_values: np.ndarray):
     """Clamped joint tail suprema of a non-negative surface.
 
@@ -136,7 +146,7 @@ def tail_supremum(d: np.ndarray, m_values: np.ndarray):
     # suffix maxima along n, then along m: corner[i, j] = max d[i:, j:]
     corner = np.maximum.accumulate(d[::-1, ::-1], axis=1)
     corner = np.maximum.accumulate(corner, axis=0)[::-1, ::-1]
-    n_grid = np.arange(max(max_m, max_n))
+    n_grid = np.arange(tail_cutoffs(max_m, d.shape[1]))
     # the first row with m > row cut; the clamp keeps it inside the surface
     first_row = np.searchsorted(m_values, np.minimum(n_grid, max_m - 1), side="right")
     sup = np.asarray(corner[first_row, np.minimum(n_grid, max_n - 1) + 1], dtype=float)

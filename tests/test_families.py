@@ -1,6 +1,7 @@
 import cmath
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from schlichtlab.errors import InvalidParameter, OutsideDisk
 from schlichtlab.families import (
     CIRCLE_GRID,
+    KIND_PARAMETERS,
     MAX_ORDER,
     dilated,
     eval_certified,
@@ -18,7 +20,7 @@ from schlichtlab.families import (
     max_modulus,
     rotated,
 )
-from schlichtlab.hayman import growth_direction, growth_profile, hayman_index
+from schlichtlab.hayman import _derivative_rows, growth_direction, growth_profile, hayman_index
 from schlichtlab.logmilin import PRAWITZ_NODES, prawitz_check
 from schlichtlab.series import ComplexSeries
 
@@ -83,6 +85,46 @@ class TestConstruction:
             make_schlicht("koebe_transform", {"w": 1.0 + 0j}, order=8)
         with pytest.raises(InvalidParameter):
             make_schlicht("custom", {"coeffs": [0, 2, 0]}, order=2)  # a1 != 1
+
+    def test_kind_table(self):
+        assert KIND_PARAMETERS == {"koebe": (), "halfplane": (), "rotation": ("theta",),
+                                   "dilation": ("r",), "koebe_transform": ("w",),
+                                   "custom": ("coeffs",)}
+
+    # one key outside each kind's entry: a misspelling, another kind's key,
+    # or the dilation base that kind no longer reads
+    OUTSIDE_KEYS = {
+        "koebe": {"r": 0.5},
+        "halfplane": {"theta": 1.0},
+        "rotation": {"thetaa": 1.0},
+        "dilation": {"r": 0.5, "base": "halfplane"},
+        "koebe_transform": {"W": 0.3j},
+        "custom": {"coeffs": np.arange(9), "w": 0.3},
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", sorted(OUTSIDE_KEYS))
+    def test_key_outside_the_kind_is_refused(self, kind):
+        reads = re.escape(str(list(KIND_PARAMETERS[kind])))
+        with pytest.raises(InvalidParameter, match=f"keys for {kind}: .*; it reads {reads}"):
+            make_schlicht(kind, self.OUTSIDE_KEYS[kind], order=8)
+
+    def test_own_keys_accepted_and_labelled(self):
+        assert make_schlicht("koebe", {}, 8).label() == "koebe"
+        assert make_schlicht("rotation", {"theta": 1.0}, 8).label() == "rotation(theta=1)"
+        assert make_schlicht("dilation", {"r": 0.5}, 8).label() == "dilation(r=0.5)"
+        assert make_schlicht("koebe_transform", {"w": 0.3j}, 8).label() == \
+            "koebe_transform(w=0+0.3j)"
+
+    @pytest.mark.parametrize("params", [5, "theta", [("theta", 1.0)]], ids=repr)
+    def test_params_must_be_a_dict(self, params):
+        with pytest.raises(InvalidParameter, match="params must be a dict"):
+            make_schlicht("rotation", params, order=8)
+
+    @pytest.mark.parametrize("kind", ["koebe2", "", None, ["koebe"]], ids=repr)
+    def test_unknown_kind_is_refused(self, kind):
+        with pytest.raises(InvalidParameter, match="unknown family kind"):
+            make_schlicht(kind, order=8)
 
     def test_custom_rejects_coefficient_bound_violation(self):
         bad = np.zeros(9)
@@ -211,8 +253,6 @@ class TestRadiusGrid:
 
     CALLERS = {
         "growth": lambda f, radii: growth_profile(f, radii),
-        "derivative": lambda f, radii: growth_profile(f, radii, estimator="derivative",
-                                                      theta=0.0),
         "prawitz": lambda f, radii: prawitz_check(f, radii),
     }
 
@@ -284,8 +324,8 @@ class TestBadInputs:
         "custom coeffs missing": (InvalidParameter, lambda: make_schlicht("custom", {}, 16)),
         "custom coeffs ragged": (InvalidParameter,
                                  lambda: make_schlicht("custom", {"coeffs": [[0, 1], [2]]}, 16)),
-        "derivative profile theta nan": (InvalidParameter, lambda: growth_profile(
-            _koebe16(), [0.5, 0.75], estimator="derivative", theta=math.nan)),
+        "derivative profile theta nan": (InvalidParameter, lambda: _derivative_rows(
+            [_koebe16()], np.array([0.5, 0.75]), [math.nan])),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -327,7 +367,6 @@ class TestIntegerParameters:
         "order true": lambda: make_schlicht("koebe", order=True),
         "order false": lambda: make_schlicht("halfplane", order=False),
         "order nan": lambda: make_schlicht("koebe_transform", {"w": 0.3}, order=math.nan),
-        "dilated order fractional": lambda: dilated(_koebe16(), 0.5, order=8.5),
         "order past the ceiling": lambda: make_schlicht("koebe", order=MAX_ORDER + 1),
         "order 1e30": lambda: make_schlicht("rotation", {"theta": 0.5}, order=10**30),
     }
@@ -347,8 +386,9 @@ class TestIntegerParameters:
     def test_numpy_integers_accepted(self):
         f = make_schlicht("koebe", order=np.int64(16))
         assert f.order == 16
-        np.testing.assert_array_equal(dilated(f, 0.5, order=np.int32(8)).series.coeffs,
-                                      dilated(f, 0.5, order=8).series.coeffs)
+        np.testing.assert_array_equal(
+            make_schlicht("dilation", {"r": 0.5}, order=np.int32(8)).series.coeffs,
+            make_schlicht("dilation", {"r": 0.5}, order=8).series.coeffs)
 
 
 def test_circle_rules_are_constants():
@@ -374,6 +414,21 @@ class TestInvariants:
             rot = rotated(f, 0.83)
             np.testing.assert_allclose(np.abs(rot.series.coeffs),
                                        np.abs(f.series.coeffs), atol=1e-12)
+
+    def test_dilated_takes_only_f_and_r(self):
+        assert list(inspect.signature(dilated).parameters) == ["f", "r"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [5e-324, 1e-320, 1e-200, 1e-30])
+    def test_tiny_dilation_keeps_its_bits_without_a_warning(self, r):
+        # r^{n-1} for n >= 1 only: r^{-1} would overflow, and a_0 is 0 anyway
+        f = make_schlicht("dilation", {"r": r}, order=64)
+        with np.errstate(all="ignore"):
+            n = np.arange(65)
+            expect = np.arange(65, dtype=np.complex128) * r ** (n - 1.0)
+        assert f.series.coeffs[0] == 0
+        assert f.series.coeffs[1:].tobytes() == expect[1:].tobytes()
+        assert f.beta_rho == (r, 0.0)
 
     def test_dilation_composition_law(self):
         f = make_schlicht("koebe", order=40)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from schlichtlab.errors import AmbiguousDirection, InvalidParameter, NonMonotone
 from schlichtlab.families import deriv_certified, make_schlicht
 from schlichtlab.hayman import (
     SERIES_RADIUS_LIMIT,
+    _derivative_rows,
     default_schedule,
     growth_direction,
     growth_profile,
@@ -14,6 +16,20 @@ from schlichtlab.hayman import (
 )
 
 from conftest import TRANSFORM_W, transform_alpha, transform_theta
+
+
+def derivative_profile(f, radii, theta):
+    """The derivative profile of one member along the ray ``theta``, as
+    hayman_index computes it once it has found the growth direction."""
+    return _derivative_rows([f], np.asarray(radii, dtype=float), [theta])[0]
+
+
+def spiked(order):
+    """z + N z^N at order N: |a_N| = N meets the coefficient bound, and the
+    spike makes both profiles rise between r = 0.95 and 0.98 at N = 128."""
+    coeffs = np.zeros(order + 1)
+    coeffs[1], coeffs[order] = 1.0, order
+    return make_schlicht("custom", {"coeffs": coeffs}, order=order)
 
 
 class TestGrowthProfile:
@@ -25,8 +41,20 @@ class TestGrowthProfile:
     def test_koebe_derivative_profile_is_one(self):
         # k'(r) = (1+r)/(1-r)^3 makes (1-r)^3 k'(r)/(1+r) identically 1
         f = make_schlicht("koebe", order=16)
-        prof = growth_profile(f, [0.5, 0.9], estimator="derivative", theta=0.0)
+        prof = derivative_profile(f, [0.5, 0.9], 0.0)
         np.testing.assert_allclose(prof, 1.0, atol=1e-12)
+
+    def test_takes_only_f_and_radii(self):
+        assert list(inspect.signature(growth_profile).parameters) == ["f", "radii"]
+
+    @pytest.mark.parametrize("profile", ["growth", "derivative"])
+    def test_rising_profile_is_refused(self, profile):
+        f, radii = spiked(128), [0.95, 0.98]
+        with pytest.raises(NonMonotoneProfile, match=f"{profile} profile of custom increased"):
+            if profile == "growth":
+                growth_profile(f, radii)
+            else:
+                derivative_profile(f, radii, 0.0)
 
     def test_dilated_koebe_vanishes_near_boundary(self):
         f = make_schlicht("dilation", {"r": 0.9}, order=64)
@@ -61,15 +89,15 @@ class TestGrowthProfile:
         # deriv_certified call per radius
         radii = default_schedule(f)
         theta = 0.3
-        prof = growth_profile(f, radii, estimator="derivative", theta=theta)
+        prof = derivative_profile(f, radii, theta)
         ref = [(1.0 - r) ** 3 * abs(deriv_certified(f, r * np.exp(1j * theta))[0]) / (1.0 + r)
                for r in radii]
         np.testing.assert_allclose(prof, ref, rtol=1e-13, atol=0.0)
 
     def test_derivative_needs_theta(self):
         f = make_schlicht("koebe", order=16)
-        with pytest.raises(InvalidParameter):
-            growth_profile(f, [0.5], estimator="derivative")
+        with pytest.raises(InvalidParameter, match="growth-ray angle theta"):
+            derivative_profile(f, [0.5], None)
 
 
 class TestHaymanIndex:

@@ -5,8 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schlichtlab import families, grunsky, hayman, lab, logmilin
+from schlichtlab import families, grunsky, hayman, lab, logmilin, tauber
 from schlichtlab.cli import main as cli_main
 from schlichtlab.errors import ConfigError
 from schlichtlab.families import make_schlicht
@@ -35,6 +37,26 @@ class TestConfig:
             ScenarioConfig(scenario="counterexample", m_range=(2, 4),
                            n_range=(5, 4), out_dir=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
+
+    # each m of the window builds one member and adds one tail cutoff, so the
+    # window ends at the order ceiling; these configs are only ever loaded
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scenario, m_range, n_range", [
+        ("theorem1", [10**6, 10**6], [1, 8]),
+        ("counterexample", [2, families.MAX_ORDER + 1], [1, 8]),
+        ("theorem2", [1, families.MAX_ORDER + 1], [1, 8]),
+        ("zalcman_scan", [2, 10**12], [2, 8]),
+        ("inequality_audit", [1, 10**6], [1, 1]),
+    ])
+    def test_m_range_has_a_ceiling(self, scenario, m_range, n_range):
+        data = {"scenario": scenario, "m_range": m_range, "n_range": n_range,
+                "series_order": 32}
+        with pytest.raises(ConfigError, match=f"m_range must end at or below "
+                                              f"families.MAX_ORDER \\({families.MAX_ORDER}\\)"):
+            ScenarioConfig.from_dict(data)
+        m_range = [min(m_range[0], families.MAX_ORDER), families.MAX_ORDER]
+        assert ScenarioConfig.from_dict(dict(data, m_range=m_range)).m_range[1] == \
+            families.MAX_ORDER
 
     def test_orders_must_be_at_least_eight(self):
         with pytest.raises(ConfigError):
@@ -179,6 +201,19 @@ class TestConfig:
         else:
             with pytest.raises(ConfigError, match="simultaneous_tail_n"):
                 ScenarioConfig(**kw)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m_lo=st.integers(2, 40), m_count=st.integers(1, 30),
+           n_lo=st.integers(1, 40), n_count=st.integers(1, 30))
+    def test_cutoff_check_reads_the_grid_tail_supremum_builds(self, m_lo, m_count,
+                                                              n_lo, n_count):
+        m_range, n_range = (m_lo, m_lo + m_count - 1), (n_lo, n_lo + n_count - 1)
+        n_grid, _ = tauber.tail_supremum(np.zeros((m_count, n_count)),
+                                         np.arange(m_lo, m_range[1] + 1))
+        kw = dict(scenario="theorem1", m_range=m_range, n_range=n_range, series_order=72)
+        assert ScenarioConfig(**kw, tolerances={"tail_n": int(n_grid[-1])})
+        with pytest.raises(ConfigError, match="lies off the tail grid"):
+            ScenarioConfig(**kw, tolerances={"tail_n": int(n_grid[-1]) + 1})
 
     @pytest.mark.parametrize("m_range, n_range, cut, ok", [
         ((2, 40), (1, 64), 100.0, False),
@@ -375,6 +410,9 @@ MALFORMED_CONFIGS = {
         "{" + _COUNTEREXAMPLE + ', "tolerances": {"tail_n": 5, "zalcman_slack": 3}}').encode(),
     "grunsky_order outside the audit": (
         "{" + _COUNTEREXAMPLE + ', "grunsky_order": 9}').encode(),
+    "m_range beyond the ceiling": (
+        b'{"scenario": "theorem1", "m_range": [1000000, 1000000], "n_range": [1, 8], '
+        b'"series_order": 8}'),
 }
 
 

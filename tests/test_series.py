@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from schlichtlab.errors import (
     DivisionByZeroConstantTerm,
     InnerConstantTermNonzero,
+    InvalidParameter,
+    SchlichtLabError,
     UnnormalizedConstantTerm,
 )
 from schlichtlab.series import ComplexSeries, compose
@@ -169,3 +171,66 @@ def test_exp_log_round_trip(s):
 def test_sqrt_squares_back(s):
     r = s.sqrt()
     np.testing.assert_allclose((r * r).coeffs, s.coeffs, atol=1e-12)
+
+
+# -- arithmetic beyond double range: an error, never a warning ---------------
+
+OVERFLOWING = {
+    "log": lambda: ComplexSeries([1, 1e200, 1e200]).log(),
+    "divide by a tiny constant term": lambda: ComplexSeries([1, 1]) / ComplexSeries([1e-320, 1]),
+    "exp": lambda: ComplexSeries([800, 1]).exp(),
+    "times inf": lambda: ComplexSeries([1, 1]) * float("inf"),
+    "divide by 0.0": lambda: ComplexSeries([1, 1]) / 0.0,
+    "evaluate": lambda: ComplexSeries([1, 1e300])(1e10),
+    "sqrt": lambda: ComplexSeries([1, 1e200, 1e200]).sqrt(),
+    "deriv": lambda: ComplexSeries([0, 1, 1.5e308]).deriv(),
+    "add": lambda: ComplexSeries([1e308, 1]) + ComplexSeries([1e308, 1]),
+    "compose": lambda: compose(ComplexSeries([0, 1, 1]), ComplexSeries([0, 1e200, 1])),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_overflow_raises_without_a_warning(case):
+    with pytest.raises(InvalidParameter):
+        OVERFLOWING[case]()
+
+
+# magnitudes from the subnormal 1e-320 to 1e300, either sign, or zero
+wide_floats = st.one_of(st.just(0.0),
+                        st.floats(min_value=1e-320, max_value=1e300),
+                        st.floats(min_value=-1e300, max_value=-1e-320))
+wide_complex = st.builds(complex, wide_floats, wide_floats)
+
+
+@st.composite
+def wide_pairs(draw, max_order=6):
+    n = draw(st.integers(min_value=0, max_value=max_order))
+    a = draw(st.lists(wide_complex, min_size=n + 1, max_size=n + 1))
+    b = draw(st.lists(wide_complex, min_size=n + 1, max_size=n + 1))
+    return a, b
+
+
+OPERATIONS = {
+    "mul": lambda a, b, z: ComplexSeries(a) * ComplexSeries(b),
+    "mul scalar": lambda a, b, z: ComplexSeries(a) * z,
+    "div": lambda a, b, z: ComplexSeries(a) / ComplexSeries(b),
+    "div scalar": lambda a, b, z: ComplexSeries(a) / z,
+    "log": lambda a, b, z: ComplexSeries([1.0] + a[1:]).log(),
+    "exp": lambda a, b, z: ComplexSeries(a).exp(),
+    "sqrt": lambda a, b, z: ComplexSeries([1.0] + a[1:]).sqrt(),
+    "evaluate": lambda a, b, z: ComplexSeries(a)(z),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("op", sorted(OPERATIONS))
+@given(pair=wide_pairs(), z=wide_complex)
+@settings(max_examples=60, deadline=None)
+def test_wide_coefficients_give_a_finite_result_or_a_lab_error(op, pair, z):
+    try:
+        out = OPERATIONS[op](*pair, z)
+    except SchlichtLabError:
+        return
+    values = out.coeffs if isinstance(out, ComplexSeries) else out
+    assert np.all(np.isfinite(values))

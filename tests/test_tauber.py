@@ -15,6 +15,7 @@ from schlichtlab.tauber import (
     cesaro_mean,
     euler_bracket,
     simultaneous_tauber_harness,
+    tail_cutoffs,
     tail_supremum,
     tauber_decomposition_check,
     weighted_mean,
@@ -159,6 +160,16 @@ class TestTailSupremum:
         assert np.array_equal(n_grid, ref_grid)
         assert sup.dtype == ref_sup.dtype
         assert sup.tobytes() == ref_sup.tobytes()
+
+    @pytest.mark.parametrize("shape, m_values, count", [
+        ((3, 4), [5, 6, 7], 7),  # the last m sets the grid
+        ((2, 40), [1, 2], 39),  # the n count does
+        ((1, 1), [1], 1),
+    ])
+    def test_grid_has_tail_cutoffs_entries(self, shape, m_values, count):
+        assert tail_cutoffs(m_values[-1], shape[1]) == count
+        n_grid, _ = tail_supremum(np.ones(shape), m_values)
+        assert np.array_equal(n_grid, np.arange(count))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("d, m_values", [
