@@ -60,12 +60,16 @@ indent=2)`` writes an object with the keys ``scenario``, ``summary``,
 Both writers stream the rows to disk in blocks of BLOCK_ROWS rows: each
 block's column slices are formatted in one pass instead of one record per
 row, written, and dropped, so the memory an export holds does not grow with
-the row count.  Within a block the JSON writer spells a column only once
-when another is bitwise equal to it (``deviation`` is ``value`` whenever
-every alpha is 0).  Every file of one export is written under a temporary
-name beside it, and all are moved into place only once all are complete, so
-an export cut short leaves no partial report and no report newer than its
-sibling.
+the row count.  Within a block, a column whose entries are all equal (a
+float or int column: equal bits, after the CSV's normalisation of -0.0; a
+str column: ==) is spelled once and put into the block's row format as
+literal text, so each row formats only the columns that vary there: the
+scenario name, ``alpha_m``, ``flag`` and ``check`` mostly repeat over a
+grid's rows.  The JSON writer also spells a column only once when another
+is bitwise equal to it (``deviation`` is ``value`` whenever every alpha is
+0).  Every file of one export is written under a temporary name beside it,
+and all are moved into place only once all are complete, so an export cut
+short leaves no partial report and no report newer than its sibling.
 """
 
 from __future__ import annotations
@@ -76,7 +80,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -565,8 +568,13 @@ def _run_audit(cfg: ScenarioConfig) -> ScenarioReport:
 
 CSV_HEADER = "scenario,m,n,value,alpha_m,deviation,flag"
 
+# a CSV row, one %s slot per field, and the spec that formats each field
+_ROW_CSV = ",".join(["%s"] * 7) + "\n"
+_CSV_SPECS = ("%s", "%d", "%d", "%.8f", "%.8f", "%.8f", "%s")
+
 # one row of the report JSON, keys sorted and indented as json.dumps(indent=2) does
 _ROW_JSON = "{\n" + ",\n".join(f'      "{k}": %s' for k in sorted(COLUMNS)) + "\n    }"
+_JSON_SPECS = ("%s",) * len(COLUMNS)
 
 # the writers format and write this many rows at a time, so the memory an
 # export holds does not grow with the report
@@ -580,14 +588,45 @@ def _row_blocks(rows: dict):
         yield {k: col[lo : lo + BLOCK_ROWS] for k, col in rows.items()}
 
 
+def _constant(col) -> bool:
+    """True when every entry of the block column ``col`` equals its first: a
+    list by ==, an array by its bits (so -0.0 is not 0.0, and NaN is NaN only
+    with the same payload)."""
+    if isinstance(col, list):
+        return col.count(col[0]) == len(col)
+    bits = col.view(f"u{col.itemsize}")
+    return bool((bits == bits[0]).all())
+
+
+def _format_block(layout: str, specs, cells, size: int) -> list:
+    """The text of each of the ``size`` rows of one block.
+
+    ``layout`` is a row with one ``%s`` slot per field and no other ``%``,
+    ``specs`` the format spec of each field.  ``cells`` holds each field's
+    entries over the block, a list, or its text, a str, when the field is
+    constant over the block.  A text fills its slot as literal text, every
+    ``%`` doubled, so each row formats only the fields that vary.
+    """
+    fmt = layout % tuple(cell.replace("%", "%%") if isinstance(cell, str) else spec
+                         for spec, cell in zip(specs, cells))
+    varying = [cell for cell in cells if not isinstance(cell, str)]
+    if not varying:
+        return [fmt % ()] * size
+    return [fmt % row for row in zip(*varying)]
+
+
 def _write_csv(rep: ScenarioReport, fh):
     fh.write(CSV_HEADER + "\n")
     for c in _row_blocks(rep.rows):
         # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
-        floats = [(c[k] + 0.0).tolist() for k in ("value", "alpha_m", "deviation")]
-        fh.write("".join("%s,%d,%d,%.8f,%.8f,%.8f,%s\n" % row for row in
-                         zip(repeat(rep.scenario), c["m"].tolist(), c["n"].tolist(),
-                             *floats, c["flag"])))
+        floats = [c[k] + 0.0 for k in ("value", "alpha_m", "deviation")]
+        cells = [rep.scenario]
+        for spec, col in zip(_CSV_SPECS[1:], [c["m"], c["n"], *floats, c["flag"]]):
+            if _constant(col):
+                cells.append(spec % (col[0],))
+            else:
+                cells.append(col if isinstance(col, list) else col.tolist())
+        fh.write("".join(_format_block(_ROW_CSV, _CSV_SPECS, cells, len(c["m"]))))
 
 
 def _json_column(col, spelled: dict) -> list:
@@ -614,8 +653,10 @@ def _write_json(rep: ScenarioReport, fh):
     ``report`` is the dict of ``rep``'s scenario, summary and provenance with
     ``rows`` as a list of one dict per row (keys COLUMNS).
 
-    The top-level keys come in sorted order, ``rows`` one block at a time;
-    a column spelled bitwise equal to another in the same block reuses its text.
+    The top-level keys come in sorted order, ``rows`` one block at a time.
+    Within a block, a column whose entries all have the same bits (a list:
+    all compare equal) is spelled once, as literal text of the block's row
+    format; a column spelled bitwise equal to another reuses its text.
     """
     def part(value) -> str:
         # each top-level value sits one level deep, so its inner lines move two
@@ -626,8 +667,11 @@ def _write_json(rep: ScenarioReport, fh):
     sep = "\n    "
     for c in _row_blocks(rep.rows):
         spelled = {}
-        cols = [_json_column(c[k], spelled) for k in sorted(COLUMNS)]
-        fh.write(sep + ",\n    ".join(_ROW_JSON % row for row in zip(*cols)))
+        cells = [json.dumps(col[0] if isinstance(col, list) else col[0].item())
+                 if _constant(col) else _json_column(col, spelled)
+                 for col in (c[k] for k in sorted(COLUMNS))]
+        fh.write(sep + ",\n    ".join(_format_block(_ROW_JSON, _JSON_SPECS, cells,
+                                                     len(c["m"]))))
         sep = ",\n    "
     fh.write(("\n  ]" if len(rep.rows["m"]) else "]") + ',\n  "scenario": '
              + part(rep.scenario) + ',\n  "summary": ' + part(rep.summary) + "\n}\n")
@@ -640,11 +684,13 @@ def export_report(rep: ScenarioReport, fmt: str = "both",
     Output is byte-identical for identical config: CSV uses fixed
     8-decimal floats, JSON uses sorted keys and full precision.  Each file
     is opened once and its rows written BLOCK_ROWS at a time, so the memory
-    held does not grow with the report.  Every file goes under a temporary
-    name in the output directory, and the files are moved onto their report
-    names (``<scenario>.csv`` and ``.json``) only once all are complete: an
-    error mid-write removes the temporaries and leaves every earlier report
-    there as it was.
+    held does not grow with the report; a column constant over a block is
+    spelled once there, as literal text of the block's row format, with the
+    same bytes as row-by-row formatting gives.  Every file goes under a
+    temporary name in the output directory, and the files are moved onto
+    their report names (``<scenario>.csv`` and ``.json``) only once all are
+    complete: an error mid-write removes the temporaries and leaves every
+    earlier report there as it was.
     """
     if fmt not in ("csv", "json", "both"):
         raise ConfigError(f"unknown export format {fmt!r}")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,22 @@ from schlichtlab import (
 from schlichtlab.lab import COLUMNS
 
 TRANSFORM_W = 0.3 * cmath.exp(1j * math.pi / 4.0)
+
+
+@pytest.hookimpl(wrapper=True, tryfirst=True)
+def pytest_runtest_makereport():
+    """Report a failing property test instead of ending the session.
+
+    On failure hypothesis's plugin imports libcst while it makes the report,
+    and libcst warns that mypy_extensions.TypedDict is deprecated; under
+    filterwarnings = ["error"] or a test's filterwarnings("error") mark that
+    warning became an INTERNALERROR that hid every later test.  Only that
+    warning, and only while the report is made, is ignored.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                                DeprecationWarning)
+        return (yield)
 
 
 def report_dict(rep) -> dict:

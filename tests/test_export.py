@@ -7,6 +7,7 @@ row count's place relative to the block size, and must leave no partial
 file under a report's name.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from schlichtlab import lab
 from schlichtlab.lab import (
     BLOCK_ROWS,
     COLUMNS,
@@ -199,6 +201,118 @@ def test_column_equal_to_value_in_one_block_only_matches_reference(equal_block, 
     assert_matches_reference(rep, tmp_path)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("constant_block", [0, 1])
+@pytest.mark.parametrize("column", ["flag", "check", "alpha_m"])
+def test_column_constant_in_one_block_only_matches_reference(column, constant_block, tmp_path):
+    # the constant block spells the column once in its row format, the other
+    # formats it row by row
+    size = 2 * B
+    rng = np.random.default_rng(11)
+    rep = hand_built(rng.standard_normal(size).tolist(),
+                     ["ok" if i % 3 else "fail" for i in range(size)],
+                     [f"check_{i % 5}" for i in range(size)])
+    block = slice(constant_block * B, (constant_block + 1) * B)
+    if column == "alpha_m":
+        rep.rows["alpha_m"][block] = 0.25
+    else:
+        rep.rows[column][block] = [rep.rows[column][block.start]] * B
+    assert_matches_reference(rep, tmp_path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_constant_text_with_percent_signs_matches_reference(tmp_path):
+    # constant text goes into a % format, so each of its % must print as given
+    size = B + 2
+    rep = dataclasses.replace(hand_built([0.5] * size, ["ok%"] * size,
+                                         ["100% of %(x)s %d %%"] * B + ["5%s", "5%s"]),
+                              scenario="edge%s_%d%%")
+    assert_matches_reference(rep, tmp_path)
+    line = (tmp_path / "edge%s_%d%%.csv").read_text(encoding="utf-8").splitlines()[1]
+    assert line == "edge%s_%d%%,-1,0,0.50000000,0.50000000,-0.50000000,ok%"
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_of_constant_columns_matches_reference(tmp_path):
+    # the first block has every column constant, m and n included; the second
+    # varies; the last holds one row
+    size = 2 * B + 1
+    values = np.random.default_rng(5).standard_normal(size)
+    values[:B] = 1.5
+    flags = ["ok"] * B + ["ok" if i % 3 else "fail" for i in range(B + 1)]
+    rep = hand_built(values.tolist(), flags, ["c"] * size)
+    rep.rows["m"][:B] = 7
+    rep.rows["n"][:B] = 9
+    rep.rows["deviation"][:B] = -0.0
+    assert_matches_reference(rep, tmp_path)
+    assert len((tmp_path / "edge_case.csv").read_text(encoding="utf-8").splitlines()) == size + 1
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fill", [-0.0, _NAN_PAYLOAD, -math.inf], ids=["neg_zero", "nan", "inf"])
+def test_constant_special_value_columns_match_reference(fill, tmp_path):
+    # value is constant; alpha_m holds the same value with its sign bit flipped
+    # in the second block only; deviation mixes NaN payloads or signed zeros
+    size = B + 3
+    value = np.full(size, fill)
+    alpha = value.copy()
+    alpha[B:] = -alpha[B:]
+    deviation = value.copy()
+    deviation[1::2] = np.abs(fill) if not math.isnan(fill) else math.nan
+    rep = hand_built([0.0] * size, ["ok"] * size, ["c"] * size)
+    rep.rows.update(value=value, alpha_m=alpha, deviation=deviation)
+    assert_matches_reference(rep, tmp_path)
+
+
+_PRINTABLE_FLOATS = [0.0, -0.0, math.nan, _NAN_PAYLOAD, math.inf, -math.inf, 5e-324, 1e300,
+                     -2.5, 0.1, 1e-9]
+_TEXTS = ["ok", "fail", "50%", "%s", "%%d", "%(x)s", 'q"', "é", ""]
+
+
+@st.composite
+def runs(draw, values, size):
+    """``size`` entries drawn as runs of one repeated value from ``values``."""
+    out = []
+    while len(out) < size:
+        out += [draw(values)] * draw(st.integers(1, 12))
+    return out[:size]
+
+
+@st.composite
+def run_reports(draw):
+    """A report whose every column is made of random runs of repeated values."""
+    size = draw(st.integers(1, 40))
+    floats = st.sampled_from(_PRINTABLE_FLOATS)
+    ints = st.integers(-3, 3)
+    rows = {
+        "m": np.array(draw(runs(ints, size)), dtype=np.int64),
+        "n": np.array(draw(runs(ints, size)), dtype=np.int64),
+        "value": np.array(draw(runs(floats, size))),
+        "alpha_m": np.array(draw(runs(floats, size))),
+        "deviation": np.array(draw(runs(floats, size))),
+        "flag": draw(runs(st.sampled_from(_TEXTS), size)),
+        "check": draw(runs(st.sampled_from(_TEXTS), size)),
+    }
+    rep = hand_built([], [], [])
+    return dataclasses.replace(rep, scenario=draw(st.sampled_from(["edge_case", "run%s"])),
+                               rows=rows)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rep=run_reports(), block=st.integers(1, 8))
+def test_runs_of_repeated_values_match_reference(rep, block, tmp_path):
+    # small blocks put many runs across block boundaries; the writers read
+    # BLOCK_ROWS at call time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lab, "BLOCK_ROWS", block)
+        assert_matches_reference(rep, tmp_path)
+
+
 def _export_peak(rep: ScenarioReport, out_dir) -> int:
     """tracemalloc's peak, in bytes, while ``rep`` is exported as CSV and JSON."""
     export_report(rep, out_dir=str(out_dir))  # warm: the measured call overwrites
@@ -243,6 +357,27 @@ def test_failure_in_a_later_block_leaves_no_partial_report(fmt, error, earlier, 
     assert list(tmp_path.iterdir()) == ([path] if earlier else [])
     if earlier:
         assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("fmt, column, bad, error", [
+    ("csv", "flag", _Unprintable(), RuntimeError),
+    ("json", "flag", _Unprintable(), TypeError),
+    ("both", "check", object(), TypeError),
+])
+def test_unprintable_entry_constant_over_its_block_raises(fmt, column, bad, error, tmp_path):
+    # the second block spells its one entry once, as literal text, and that
+    # must fail as a row-by-row spelling does and leave the earlier reports
+    size = 2 * B + 1
+    export_report(hand_built([0.5] * size, ["ok"] * size, ["c"] * size), fmt=fmt,
+                  out_dir=str(tmp_path))
+    paths = sorted(tmp_path.iterdir())
+    before = [p.read_bytes() for p in paths]
+    rep = hand_built([0.25] * size, ["ok"] * size, ["c"] * size)
+    rep.rows[column][B : 2 * B] = [bad] * B
+    with pytest.raises(error):
+        export_report(rep, fmt=fmt, out_dir=str(tmp_path))
+    assert sorted(tmp_path.iterdir()) == paths  # no *.tmp left
+    assert [p.read_bytes() for p in paths] == before
 
 
 def test_failed_json_leaves_both_earlier_reports(tmp_path):

@@ -18,6 +18,7 @@ from schlichtlab.families import (
     standard_corpus,
 )
 from schlichtlab.grunsky import (
+    NEGLIGIBLE_B,
     bazilevich_equality_residual,
     full_mapping_defect,
     fullness_defect,
@@ -370,8 +371,10 @@ class TestNonzeroSpan:
         table = grunsky_matrix(g, n_order).gamma_nk
         read = g.tail[: 2 * n_order - 1]  # the b_m the section reads
         nonzero = read[read != 0]
-        if len(nonzero) == 1 and nonzero[0].imag == 0.0:
-            # one real b_m: every product the two loops differ by is a zero
+        lone = len(nonzero) == 1 and abs(nonzero[0]) > NEGLIGIBLE_B
+        if lone and nonzero[0].imag == 0.0:
+            # one real b_m the builder keeps: every product the two loops
+            # differ by is a zero
             np.testing.assert_array_equal(table, ref, err_msg=label)
         else:
             scale = max(1.0, float(np.max(np.abs(ref))))
@@ -401,6 +404,53 @@ class TestNonzeroSpan:
         monkeypatch.setattr(np, "convolve", None)  # any row built would fail
         t = grunsky_matrix(g, 32)
         assert t.order == 32 and t.gamma_nk.shape == (33, 33) and not np.any(t.gamma_nk)
+
+
+@st.composite
+def negligible_tails(draw):
+    """(label, exterior map of order 2N, N), N in 2..8: a Koebe transform with
+    Im w = 10^-e, so rho ~ 2 * 10^-e, whose b_m fall below NEGLIGIBLE_B
+    before b_{2N-1}, optionally dilated."""
+    n_order = draw(st.integers(2, 8))
+    e = draw(st.floats(200.0 / (2 * n_order - 2) + 1.0, 199.0))
+    w = complex(draw(st.floats(-0.6, 0.6)), draw(st.sampled_from([1.0, -1.0])) * 10.0 ** -e)
+    f = make_schlicht("koebe_transform", {"w": w}, 2 * n_order + 2)
+    if draw(st.booleans()):
+        f = dilated(f, draw(st.floats(0.05, 0.99)))
+    return f.label(), invert_to_sigma(f, 2 * n_order), n_order
+
+
+class TestNegligibleCut:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(member=negligible_tails())
+    def test_cut_table_matches_bivariate_oracle(self, member):
+        label, g, n_order = member
+        assert abs(g.tail[2 * n_order - 2]) <= NEGLIGIBLE_B, label  # the cut is inside
+        oracle = grunsky_matrix_direct(g, n_order)
+        # as in test_faber_matches_bivariate_oracle_property: the recurrence
+        # is faithful to rounding of its entries of size 1, not relative to
+        # each tiny entry, and the cut moves no entry by more than 20 eps N^3
+        np.testing.assert_allclose(grunsky_matrix(g, n_order).gamma_nk, oracle.gamma_nk,
+                                   rtol=0, atol=1e-12, err_msg=label)
+
+    def test_cut_table_at_order_512_is_within_the_bound_of_the_uncut(self, monkeypatch):
+        # b_m = rho^{m-1} (rho - beta)^2 falls below 1e-200 near m = 500 and
+        # underflows past m ~ 750; the section reads b_1 .. b_1023
+        n = 512
+        f = make_schlicht("koebe_transform", {"w": 0.2 + 0.2j}, 2 * n + 2)
+        g = invert_to_sigma(f, 2 * n)
+        read = np.abs(g.tail[: 2 * n - 1])
+        assert np.sum(read > NEGLIGIBLE_B) < np.sum(read > 0)  # the cut drops some b_m
+        cut = grunsky_matrix(g, n)
+        monkeypatch.setattr(grunsky, "NEGLIGIBLE_B", 0.0)
+        uncut = grunsky_matrix(g, n)
+        # the docstring's 20 eps N^3 for the cut, and rounding: the shorter
+        # span sums the same products in another order
+        bound = 20 * NEGLIGIBLE_B * n ** 3 + 1e-13
+        assert np.max(np.abs(cut.gamma_nk - uncut.gamma_nk)) <= bound
+        assert abs(strong_grunsky_norm(cut) - strong_grunsky_norm(uncut)) <= 1e-12
+        assert abs(fullness_defect(cut, 0.5) - fullness_defect(uncut, 0.5)) <= 1e-12
 
 
 class TestPairLogDerivative:
