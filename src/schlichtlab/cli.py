@@ -5,11 +5,13 @@ Subcommands:
   schlicht-lab run --config cfg.json [--format both]
       run a scenario and write its CSV/JSON reports.
   schlicht-lab audit --function koebe --order 128
-      run the inequality audit for one corpus member, print the checks.
+      run the inequality audit (lab.audit_members) for one corpus member
+      at the audit's default grunsky_order and tolerances, print the checks.
   schlicht-lab grunsky --function koebe --order 32 --z 0.5,0.0
       build the Grunsky section of the inverted member, print its norm
       (dense, which also works on the clustered spectra of full mappings)
-      and the fullness diagnostics at z.
+      and the fullness diagnostics at z; the norm passes within the
+      audit's default norm_slack.
 
 Exit code 0 iff every pass/fail flag is ok.
 """
@@ -65,9 +67,8 @@ def audit_cmd(tag, order):
     """Inequality audit of a single corpus member."""
     try:
         f = _member(tag, order)
-        cfg = lab.ScenarioConfig(scenario="inequality_audit", m_range=(1, 1),
-                                 n_range=(1, 1), series_order=order)
-        _m, label, alpha_val, checks = lab._audit_members([(1, f)], cfg)[0]
+        cfg = lab.ScenarioConfig(scenario="inequality_audit", series_order=order)
+        label, alpha_val, checks = lab.audit_members([f], cfg)[0]
     except SchlichtLabError as exc:
         raise click.ClickException(str(exc)) from exc
     payload = {"function": label, "alpha": alpha_val, "checks": {}}
@@ -102,7 +103,7 @@ def grunsky_cmd(tag, order, z_str):
         defect, identity = grunsky.full_mapping_defect(table, ld, f, z)
     except SchlichtLabError as exc:
         raise click.ClickException(str(exc)) from exc
-    ok = norm <= 1.0 + lab.TOLERANCES["inequality_audit"]["norm_slack"]
+    ok = norm <= 1.0 + lab.SCENARIOS["inequality_audit"].tolerances["norm_slack"]
     click.echo(f"function           {f.label()}")
     click.echo(f"table order        {order}")
     click.echo(f"strong norm        {norm:.12f}  ({'ok' if ok else 'FAIL'})")

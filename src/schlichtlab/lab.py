@@ -28,18 +28,13 @@ claim honest.
                     comparison reads a leading section of the table.
                     One batched prawitz_check call searches every
                     member's circles, and one batched hayman_index call
-                    gives the maximal members' growth indexes.  It needs
-                    series_order >= 32 (AUDIT_MIN_ORDER).
+                    gives the maximal members' growth indexes
+                    (audit_members, which the CLI also calls).
 
-A ScenarioConfig holds only what its scenario's flags read.  The
-tolerances come from one table, TOLERANCES[scenario], and each of the
-twelve keys sits under the one scenario whose flags read it; a config that
-overrides a key outside its scenario's entry, or a scenario other than
-inequality_audit that moves grunsky_order off GRUNSKY_ORDER, raises
-ConfigError at load.  series_order and grunsky_order run from 8 to
-families.MAX_ORDER, and m_range ends at or below it.  The provenance still
-echoes every scenario's defaults as one dict, the config's overrides in
-place.
+One table, SCENARIOS, holds each scenario's rules as a Scenario row.
+ScenarioConfig checks a config against its scenario's row only, raising
+ConfigError, and run_scenario calls the row's runner.  The provenance
+echoes the config's own fields and tolerances, overrides as given.
 
 The three grid scenarios build one member per m, an error naming its m,
 and share the coefficient-ratio grid (rows, deviations and joint tail
@@ -81,7 +76,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -89,38 +84,31 @@ from . import __version__
 from . import families, grunsky, hayman, logmilin, tauber
 from .errors import ConfigError, SchlichtLabError
 
-SCENARIOS = ("counterexample", "theorem1", "theorem2", "zalcman_scan", "inequality_audit")
-
 # report columns, in CSV order with the scenario name first and check last
 COLUMNS = ("m", "n", "value", "alpha_m", "deviation", "flag", "check")
 
-# the counterexample's diagonal flag reads only the cells (m, m) with m >= this
-DIAGONAL_MIN_M = 8
 
-# each scenario's tolerances, the only ones its flags read, with their
-# defaults; a config may override only the keys of its own scenario
-TOLERANCES = {
-    "counterexample": {"row_vanish": 0.05, "diagonal_floor": 0.36},
-    "theorem1": {"tail_n": 100.0, "tail_bound": 0.01},
-    "theorem2": {"simultaneous_tail_n": 128.0, "simultaneous_tail_bound": 0.05},
-    "zalcman_scan": {"zalcman_slack": 1e-9},
-    "inequality_audit": {"milin_bound": logmilin.MILIN_CONSTANT_BOUND, "direction_tol": 5e-3,
-                         "identity_tol": 1e-8, "split_tol": 1e-10, "norm_slack": 1e-9},
-}
+@dataclass(frozen=True)
+class Scenario:
+    """A row of SCENARIOS: a scenario's config rules and its runner ``run``.
 
-# the grid scenarios' tolerance that names a cutoff on the tail grid, so must be whole
-CUTOFF_TOLERANCES = {"theorem1": "tail_n", "theorem2": "simultaneous_tail_n"}
+    ``reads``: which of m_range, n_range and grunsky_order it reads; a range
+    read is required, and grunsky_order keeps 32 unless read.  ``tolerances``:
+    its keys and defaults; ``cutoff``: the one that is whole, on the tail
+    grid.  Each m >= ``m_floor`` and n >= ``n_floor`` reads
+    ``a_{n_reach (n-1) + 1}``, held by ``series_order`` >= ``min_order``.
+    ``check``: any other rule.
+    """
 
-
-# the audit compares its Grunsky section, of order (series_order - 2) // 2,
-# against a leading section of order at least 8, which needs order 18; its
-# log_identity_link check evaluates that section at z = 0.5, where the
-# truncation decays like 0.5^order and first meets identity_tol at order 30
-AUDIT_MIN_ORDER = 32
-
-# the audit's default Grunsky table order; no other scenario reads grunsky_order,
-# so no other config may move it
-GRUNSKY_ORDER = 32
+    reads: tuple
+    tolerances: dict
+    run: Callable
+    cutoff: Optional[str] = None
+    m_floor: int = 1
+    n_floor: int = 1
+    n_reach: int = 1
+    min_order: int = 8
+    check: Callable = lambda cfg: None
 
 
 def _finite_number(value) -> bool:
@@ -143,90 +131,76 @@ def _config_integer(value, name: str, *bounds) -> int:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario's settings, checked at load against its SCENARIOS row."""
+
     scenario: str
-    m_range: tuple
-    n_range: tuple
+    m_range: tuple = ()
+    n_range: tuple = ()
     series_order: int = 128
-    grunsky_order: int = GRUNSKY_ORDER
+    grunsky_order: int = 32
     tolerances: dict = field(default_factory=dict)
     out_dir: str = "reports"
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        row = SCENARIOS[self.scenario]
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         for name in ("m_range", "n_range"):
             rng = getattr(self, name)
+            if isinstance(rng, tuple) and not rng and name not in row.reads:
+                continue  # a range the scenario does not read may be left out
             if not isinstance(rng, (list, tuple)) or len(rng) != 2:
                 raise ConfigError(f"{name} must be a non-empty [lo, hi] pair")
             lo, hi = (_config_integer(x, name) for x in rng)
             if lo > hi:
                 raise ConfigError(f"{name} must be a non-empty [lo, hi] pair")
             object.__setattr__(self, name, (lo, hi))
-        if self.m_range[1] > families.MAX_ORDER:
+        if self.m_range and self.m_range[1] > families.MAX_ORDER:
             raise ConfigError(f"m_range must end at or below families.MAX_ORDER "
                               f"({families.MAX_ORDER}), got {self.m_range[1]}")
-        for key in ("series_order", "grunsky_order"):
-            object.__setattr__(self, key, _config_integer(getattr(self, key), key, 8,
+        for key, floor in (("series_order", None), ("grunsky_order", 8)):
+            object.__setattr__(self, key, _config_integer(getattr(self, key), key, floor,
                                                           families.MAX_ORDER))
-        if self.scenario != "inequality_audit" and self.grunsky_order != GRUNSKY_ORDER:
-            raise ConfigError(f"grunsky_order is read by inequality_audit only, "
-                              f"so {self.scenario} keeps {GRUNSKY_ORDER}")
-        if self.scenario in ("counterexample", "theorem1") and self.m_range[0] < 2:
-            raise ConfigError(f"{self.scenario} needs m >= 2 (dilation radius 1 - 1/m)")
-        if self.scenario == "theorem2" and self.m_range[0] < 1:
-            raise ConfigError("theorem2 needs m >= 1 (transform parameter 0.3 e^{i/m})")
-        if self.scenario in ("counterexample", "theorem1", "theorem2"):
-            if self.n_range[0] < 1 or self.n_range[1] > self.series_order:
-                raise ConfigError("n_range must fit inside the series order")
-        if self.scenario == "inequality_audit" and self.series_order < AUDIT_MIN_ORDER:
-            raise ConfigError(f"inequality_audit needs series_order >= {AUDIT_MIN_ORDER}, so "
-                              f"that its Grunsky section holds the order-8 comparison section "
-                              f"and meets identity_tol at z = 0.5")
-        if self.scenario == "zalcman_scan":
-            if self.n_range[0] < 2 or 2 * self.n_range[1] - 1 > self.series_order:
-                raise ConfigError("zalcman_scan needs 2n-1 within the series order")
-        # every scenario's defaults, so the provenance echoes one 12-key dict
-        tol = {k: v for entry in TOLERANCES.values() for k, v in entry.items()}
-        tol.update(self._checked_tolerances())
-        object.__setattr__(self, "tolerances", tol)
-        self._check_cutoffs_on_grid()
+        if self.series_order < row.min_order:
+            raise ConfigError(f"{self.scenario} needs series_order >= {row.min_order}")
+        if "grunsky_order" not in row.reads and self.grunsky_order != 32:
+            raise ConfigError(f"grunsky_order is not read by {self.scenario}, so it keeps 32")
+        if "m_range" in row.reads and self.m_range[0] < row.m_floor:
+            raise ConfigError(f"{self.scenario} needs m >= {row.m_floor}")
+        top = (self.series_order - 1) // row.n_reach + 1
+        if "n_range" in row.reads and not (row.n_floor <= self.n_range[0]
+                                           and self.n_range[1] <= top):
+            raise ConfigError(f"{self.scenario} needs n_range inside [{row.n_floor}, {top}] "
+                              f"at series_order {self.series_order}")
+        object.__setattr__(self, "tolerances", dict(row.tolerances, **self._overrides(row)))
+        row.check(self)
+        if row.cutoff is not None:
+            cut = self.tolerances[row.cutoff]
+            if cut != int(cut):
+                raise ConfigError(f"tolerance {row.cutoff} must be a whole number, "
+                                  f"got {cut!r}")
+            (_, m_hi), (n_lo, n_hi) = self.m_range, self.n_range
+            last = tauber.tail_cutoffs(m_hi, n_hi - n_lo + 1) - 1
+            if not 0 <= cut <= last:
+                raise ConfigError(f"tolerance {row.cutoff}={int(cut)} lies off the tail grid "
+                                  f"0..{last}")
 
-    def _checked_tolerances(self) -> dict:
-        """The tolerance overrides, each a key of this scenario's TOLERANCES
-        entry with a finite real value.
-
-        Values are checked, not converted, so the provenance echoes them as given.
-        """
+    def _overrides(self, row: Scenario) -> dict:
+        """The tolerance overrides, keys of ``row.tolerances`` with finite real
+        values: checked, not converted, so the provenance echoes them as given."""
         overrides = {} if self.tolerances is None else self.tolerances
         if not isinstance(overrides, dict):
             raise ConfigError("tolerances must map names to numbers")
-        entry = TOLERANCES[self.scenario]
-        unknown = set(overrides) - set(entry)
+        unknown = set(overrides) - set(row.tolerances)
         if unknown:
             raise ConfigError(f"unknown tolerance keys for {self.scenario}: "
-                              f"{sorted(unknown, key=str)}; it reads {list(entry)}")
+                              f"{sorted(unknown, key=str)}; it reads {list(row.tolerances)}")
         for key, value in overrides.items():
             if not _finite_number(value):
                 raise ConfigError(f"tolerance {key} must be a finite number, got {value!r}")
-            if key == CUTOFF_TOLERANCES.get(self.scenario) and value != int(value):
-                raise ConfigError(f"tolerance {key} must be a whole number, got {value!r}")
         return overrides
-
-    def _check_cutoffs_on_grid(self):
-        """Reject a config whose flag could only read False for lack of grid cells."""
-        (m_lo, m_hi), (n_lo, n_hi) = self.m_range, self.n_range
-        diagonal_lo = max(m_lo, n_lo, DIAGONAL_MIN_M)
-        if self.scenario == "counterexample" and diagonal_lo > min(m_hi, n_hi):
-            raise ConfigError(f"counterexample needs a diagonal cell (m, m) with "
-                              f"m >= {DIAGONAL_MIN_M} inside both m_range and n_range")
-        key = CUTOFF_TOLERANCES.get(self.scenario)
-        if key is not None:
-            last = tauber.tail_cutoffs(m_hi, n_hi - n_lo + 1) - 1
-            cut = int(self.tolerances[key])
-            if not 0 <= cut <= last:
-                raise ConfigError(f"tolerance {key}={cut} lies off the tail grid 0..{last}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -235,8 +209,6 @@ class ScenarioConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "scenario" not in data or "m_range" not in data or "n_range" not in data:
-            raise ConfigError("config needs scenario, m_range and n_range")
         try:
             return cls(**data)
         except (TypeError, ValueError) as exc:
@@ -293,21 +265,17 @@ def _append_row(cols: dict, m, n, value, alpha_m, deviation, ok, check):
 
 
 def _provenance(cfg: ScenarioConfig) -> dict:
-    d = dict(vars(cfg), m_range=list(cfg.m_range), n_range=list(cfg.n_range),
-             tolerances=dict(cfg.tolerances))
-    return {"config": d, "numpy": np.__version__,
+    """The config's own fields (ranges as lists) and the versions that ran it."""
+    own = ("scenario", "series_order", "out_dir", *SCENARIOS[cfg.scenario].reads)
+    config = {k: list(getattr(cfg, k)) if k.endswith("_range") else getattr(cfg, k)
+              for k in own}
+    config["tolerances"] = dict(cfg.tolerances)
+    return {"config": config, "numpy": np.__version__,
             "python": "%d.%d.%d" % sys.version_info[:3], "version": __version__}
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
-    runner = {
-        "counterexample": _run_counterexample,
-        "theorem1": _run_theorem1,
-        "theorem2": _run_theorem2,
-        "zalcman_scan": _run_zalcman,
-        "inequality_audit": _run_audit,
-    }[cfg.scenario]
-    return runner(cfg)
+    return SCENARIOS[cfg.scenario].run(cfg)
 
 
 # -- coefficient-ratio scenarios ------------------------------------------
@@ -328,9 +296,9 @@ def _ratio_grid(cfg: ScenarioConfig, members, alphas, widths):
     """Shared grid machinery: value = |a_n^(m)|/n, deviation = |value - alpha_m|.
 
     ``members`` holds one member per m of ``cfg.m_range``, ``alphas`` and
-    ``widths`` their growth indexes and bracket widths.  Returns ``ms``,
-    ``ns``, the deviations ``d`` (one row per m), the report rows and the
-    summary, to which the runner adds its flags.
+    ``widths`` their growth indexes and bracket widths.  Returns ``ms``, the
+    deviations ``d`` (one row per m), the report rows, the summary, to which
+    the runner adds its flags, and the tail suprema ``(tail_n, tail_sup)``.
     """
     ms = np.arange(cfg.m_range[0], cfg.m_range[1] + 1)
     ns = np.arange(cfg.n_range[0], cfg.n_range[1] + 1)
@@ -348,7 +316,22 @@ def _ratio_grid(cfg: ScenarioConfig, members, alphas, widths):
         "tail_n": tail_n.tolist(),
         "tail_sup": tail_sup.tolist(),
     }
-    return ms, ns, d, rows, summary
+    return ms, d, rows, summary, (tail_n, tail_sup)
+
+
+def _tail_at_cutoff(cfg: ScenarioConfig, tail_n, tail_sup) -> tuple:
+    """The tail supremum at the scenario's cutoff, and tail_sup_non_increasing."""
+    cut = int(cfg.tolerances[SCENARIOS[cfg.scenario].cutoff])
+    return float(tail_sup[tail_n == cut][0]), bool(np.all(np.diff(tail_sup) <= 1e-12))
+
+
+def _diagonal_cells(cfg: ScenarioConfig) -> range:
+    """The m >= 8 of the cells (m, m) the diagonal flag reads; raises if none."""
+    (m_lo, m_hi), (n_lo, n_hi) = cfg.m_range, cfg.n_range
+    cells = range(max(m_lo, n_lo, 8), min(m_hi, n_hi) + 1)
+    if not cells:
+        raise ConfigError("counterexample needs a diagonal cell (m, m) with m >= 8")
+    return cells
 
 
 def _run_counterexample(cfg: ScenarioConfig) -> ScenarioReport:
@@ -356,16 +339,14 @@ def _run_counterexample(cfg: ScenarioConfig) -> ScenarioReport:
     members = _build_members(cfg, lambda m: families.make_schlicht(
         "dilation", {"r": 1.0 - 1.0 / m}, cfg.series_order))
     zeros = [0.0] * len(members)  # dilations of bounded-coefficient maps
-    ms, ns, d, rows, summary = _ratio_grid(cfg, members, zeros, zeros)
-    diag = {}
-    for i, m in enumerate(ms.tolist()):
-        j = np.flatnonzero(ns == m)
-        if len(j):
-            diag[m] = float(d[i, j[0]])
+    _, d, rows, summary, _ = _ratio_grid(cfg, members, zeros, zeros)
+    (m_lo, m_hi), (n_lo, n_hi) = cfg.m_range, cfg.n_range
+    diag = {m: float(d[m - m_lo, m - n_lo])
+            for m in range(max(m_lo, n_lo), min(m_hi, n_hi) + 1)}
     summary["diagonal"] = diag
-    big_m = [v for m, v in diag.items() if m >= DIAGONAL_MIN_M]
     summary["flags"] = {
-        "diagonal_above_e_inv_floor": min(big_m) > tol["diagonal_floor"],
+        "diagonal_above_e_inv_floor": min(diag[m] for m in _diagonal_cells(cfg))
+                                      > tol["diagonal_floor"],
         "rows_vanish_in_n": float(np.max(d[:, -1])) <= tol["row_vanish"],
         "corner_m_dominates_near_one": float(d[-1, 0]) >= 0.9,
         "corner_n_dominates_near_zero": float(d[0, -1]) <= tol["row_vanish"],
@@ -378,9 +359,8 @@ def _run_theorem1(cfg: ScenarioConfig) -> ScenarioReport:
     base = families.make_schlicht("halfplane", order=cfg.series_order)
     members = _build_members(cfg, lambda m: families.dilated(base, 1.0 - 1.0 / m))
     zeros = [0.0] * len(members)  # bounded image: slow growth
-    ms, _, _, rows, summary = _ratio_grid(cfg, members, zeros, zeros)
-    tail_n, tail_sup = np.asarray(summary["tail_n"]), np.asarray(summary["tail_sup"])
-    at_cut = float(tail_sup[tail_n == int(tol["tail_n"])][0])
+    ms, _, rows, summary, tail = _ratio_grid(cfg, members, zeros, zeros)
+    at_cut, non_increasing = _tail_at_cutoff(cfg, *tail)
 
     # deeper machinery: the weighted-mean harness over the boundary-mean rows
     rows_b = np.array([logmilin.boundary_mean_coeffs(f).real for f in members])
@@ -395,7 +375,7 @@ def _run_theorem1(cfg: ScenarioConfig) -> ScenarioReport:
     }
     summary["flags"] = {
         "uniform_tail_bound": at_cut <= tol["tail_bound"],
-        "tail_sup_non_increasing": bool(np.all(np.diff(tail_sup) <= 1e-12)),
+        "tail_sup_non_increasing": non_increasing,
         "tauber_hypothesis_iii": harness.iii_bounded,
         "abel_uniform_gap_small": harness.uniform_gap <= 0.02,
     }
@@ -411,13 +391,12 @@ def _run_theorem2(cfg: ScenarioConfig) -> ScenarioReport:
     except SchlichtLabError as exc:
         _annotate(exc, f"{cfg.m_range[0]}..{cfg.m_range[1]}")
     widths = [h.bracket_width for h in ests]
-    _, _, _, rows, summary = _ratio_grid(cfg, members, [h.alpha for h in ests], widths)
-    tail_n, tail_sup = np.asarray(summary["tail_n"]), np.asarray(summary["tail_sup"])
-    at_cut = float(tail_sup[tail_n == int(tol["simultaneous_tail_n"])][0])
+    _, _, rows, summary, tail = _ratio_grid(cfg, members, [h.alpha for h in ests], widths)
+    at_cut, non_increasing = _tail_at_cutoff(cfg, *tail)
     allowance = tol["simultaneous_tail_bound"] + max(widths)
     summary["tail_allowance"] = allowance
     summary["flags"] = {
-        "tail_sup_non_increasing": bool(np.all(np.diff(tail_sup) <= 1e-12)),
+        "tail_sup_non_increasing": non_increasing,
         "simultaneous_tail_bound": at_cut <= allowance,
     }
     return ScenarioReport("theorem2", rows, summary, _provenance(cfg))
@@ -426,16 +405,11 @@ def _run_theorem2(cfg: ScenarioConfig) -> ScenarioReport:
 # -- functional scan and inequality audit ----------------------------------
 
 
-def _corpus_with_labels(order: int):
-    corpus = families.standard_corpus(order)
-    return list(enumerate(corpus, start=1)), [f.label() for f in corpus]
-
-
 def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
     tol = cfg.tolerances
-    members, labels = _corpus_with_labels(cfg.series_order)
+    corpus = families.standard_corpus(cfg.series_order)
     ns = np.arange(cfg.n_range[0], cfg.n_range[1] + 1)
-    a = np.array([f.series.coeffs for _, f in members])
+    a = np.array([f.series.coeffs for f in corpus])
     # |a_n^2 - a_{2n-1}| and |a_n| / n, one row per member, spelled in real
     # arithmetic as numpy's complex scalars do it (a^2 as a*a, abs as hypot),
     # so the values match logmilin.coefficient_functionals bit for bit
@@ -446,18 +420,18 @@ def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
     slack = zal - ((ns - 1) ** 2).astype(np.float64)
     # the extremal member at each n: the first, unless a later one exceeds it by 1e-12
     best, kind = zal[0].copy(), np.zeros(len(ns), dtype=int)
-    for i in range(1, len(members)):
+    for i in range(1, len(corpus)):
         wins = zal[i] > best + 1e-12
         best[wins], kind[wins] = zal[i, wins], i
-    extremal_ok = all(members[i][1].kind in ("koebe", "rotation") for i in set(kind.tolist()))
+    extremal_ok = all(corpus[i].kind in ("koebe", "rotation") for i in set(kind.tolist()))
     worst_slack, max_ratio = float(np.max(slack)), max(0.0, float(np.max(ratio)))
     size = slack.size
-    rows = _columns(np.repeat([m for m, _ in members], len(ns)), np.tile(ns, len(members)),
+    rows = _columns(np.repeat(np.arange(len(corpus)) + 1, len(ns)), np.tile(ns, len(corpus)),
                     zal.ravel(), np.zeros(size), slack.ravel(),
                     np.where(slack.ravel() <= tol["zalcman_slack"], "ok", "fail").tolist(),
                     ["zalcman_ceiling"] * size)
     summary = {
-        "labels": labels,
+        "labels": [f.label() for f in corpus],
         "worst_zalcman_slack": worst_slack,
         "max_bieberbach_ratio": max_ratio,
         "flags": {
@@ -469,8 +443,8 @@ def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
     return ScenarioReport("zalcman_scan", rows, summary, _provenance(cfg))
 
 
-def _audit_member(m, f, cfg: ScenarioConfig, est, violations: int):
-    """The audit rows of one member; ``est`` is its growth-index estimate
+def _audit_member(f, cfg: ScenarioConfig, est, violations: int):
+    """The audit checks of one member; ``est`` is its growth-index estimate
     (None unless the member is of maximal growth), ``violations`` its
     Prawitz violation count."""
     tol = cfg.tolerances
@@ -490,7 +464,7 @@ def _audit_member(m, f, cfg: ScenarioConfig, est, violations: int):
     checks.append(("lebedev_milin_chain", rhs - a_abs,
                    min(b_sum - a_abs, rhs - b_sum), ok))
 
-    checks.append(("prawitz_integral", float(violations), -float(violations),
+    checks.append(("prawitz_integral", float(violations), float(-violations),
                    violations == 0))
 
     g = families.invert_to_sigma(f, order - 2)
@@ -532,36 +506,60 @@ def _audit_member(m, f, cfg: ScenarioConfig, est, violations: int):
     residual = tauber.tauber_decomposition_check(ld, n_split, 1.0 - 1.0 / n_split)
     checks.append(("tauber_split_identity", residual, tol["split_tol"] - residual,
                    residual <= tol["split_tol"]))
-    return m, f.label(), alpha_val, checks
+    return f.label(), alpha_val, checks
 
 
-def _audit_members(members, cfg: ScenarioConfig) -> list:
-    """``(m, label, alpha, checks)`` for each ``(m, f)`` in ``members``.
-
-    One batched :func:`logmilin.prawitz_check` call covers every member, and
-    the members of maximal growth get their growth indexes from one batched
-    :func:`hayman.hayman_index` call.
+def audit_members(members, cfg: ScenarioConfig) -> list:
+    """``(label, alpha, checks)`` per member of the list ``members``, at the
+    settings of the inequality_audit config ``cfg``: ``checks`` lists
+    ``(name, value, margin, ok)``, and ``alpha`` is 0.0 below maximal growth.
+    One batched :func:`logmilin.prawitz_check` call covers every member, one
+    :func:`hayman.hayman_index` call the maximal ones.
     """
-    prawitz = logmilin.prawitz_check([f for _, f in members], (0.3, 0.5, 0.7, 0.9))
-    maximal = [f for _, f in members if f.kind in families.MAXIMAL_GROWTH_KINDS]
+    if cfg.scenario != "inequality_audit":
+        raise ConfigError("audit_members needs an inequality_audit config")
+    prawitz = logmilin.prawitz_check(members, (0.3, 0.5, 0.7, 0.9))
+    maximal = [f for f in members if f.kind in families.MAXIMAL_GROWTH_KINDS]
     ests = iter(hayman.hayman_index(maximal) if maximal else [])
-    return [_audit_member(m, f, cfg,
-                          next(ests) if f.kind in families.MAXIMAL_GROWTH_KINDS else None,
-                          violations)
-            for (m, f), (_, violations) in zip(members, prawitz)]
+    return [_audit_member(f, cfg, next(ests) if f.kind in families.MAXIMAL_GROWTH_KINDS
+                          else None, violations)
+            for f, (_, violations) in zip(members, prawitz)]
 
 
 def _run_audit(cfg: ScenarioConfig) -> ScenarioReport:
-    members, labels = _corpus_with_labels(cfg.series_order)
+    corpus = families.standard_corpus(cfg.series_order)
     cols = {k: [] for k in COLUMNS}
     flags = {}
-    for m, label, alpha_val, checks in _audit_members(members, cfg):
+    for m, (label, alpha_val, checks) in enumerate(audit_members(corpus, cfg), start=1):
         for idx, (name, value, margin, ok) in enumerate(checks, start=1):
             _append_row(cols, m, idx, value, alpha_val, margin, ok, name)
-            key = f"{name}:{label}"
-            flags[key] = bool(ok)
-    summary = {"labels": labels, "flags": flags}
+            flags[f"{name}:{label}"] = bool(ok)
+    summary = {"labels": [f.label() for f in corpus], "flags": flags}
     return ScenarioReport("inequality_audit", _columns(**cols), summary, _provenance(cfg))
+
+
+# -- the scenario table -------------------------------------------------------
+
+# m floors: dilation radii 1 - 1/m > 0, transforms 0.3 e^{i/m}.  The audit's Grunsky
+# section, of order (series_order - 2) // 2, must hold its order-8 comparison section
+# (order 18), and its truncation at z = 0.5, about 0.5^order, meets identity_tol from 30
+SCENARIOS = {
+    "counterexample": Scenario(("m_range", "n_range"),
+                               {"row_vanish": 0.05, "diagonal_floor": 0.36},
+                               _run_counterexample, m_floor=2, check=_diagonal_cells),
+    "theorem1": Scenario(("m_range", "n_range"), {"tail_n": 100.0, "tail_bound": 0.01},
+                         _run_theorem1, cutoff="tail_n", m_floor=2),
+    "theorem2": Scenario(("m_range", "n_range"),
+                         {"simultaneous_tail_n": 128.0, "simultaneous_tail_bound": 0.05},
+                         _run_theorem2, cutoff="simultaneous_tail_n"),
+    "zalcman_scan": Scenario(("n_range",), {"zalcman_slack": 1e-9}, _run_zalcman,
+                             n_floor=2, n_reach=2),
+    "inequality_audit": Scenario(("grunsky_order",),
+                                 {"milin_bound": logmilin.MILIN_CONSTANT_BOUND,
+                                  "direction_tol": 5e-3, "identity_tol": 1e-8,
+                                  "split_tol": 1e-10, "norm_slack": 1e-9},
+                                 _run_audit, min_order=32),
+}
 
 
 # -- export -----------------------------------------------------------------

@@ -111,9 +111,10 @@ class TestConfig:
 
     @pytest.mark.filterwarnings("error")
     def test_valid_ranges_are_echoed_as_ints(self, tmp_path):
-        cfg = ScenarioConfig.from_dict({"scenario": "zalcman_scan",
+        cfg = ScenarioConfig.from_dict({"scenario": "theorem2",
                                         "m_range": [np.int64(1), 5], "n_range": (2, 8),
-                                        "series_order": 32, "out_dir": str(tmp_path)})
+                                        "series_order": 32, "out_dir": str(tmp_path),
+                                        "tolerances": {"simultaneous_tail_n": 4}})
         assert cfg.m_range == (1, 5) and cfg.n_range == (2, 8)
         assert all(type(x) is int for x in cfg.m_range + cfg.n_range)
         _, json_path = export_report(run_scenario(cfg))
@@ -145,6 +146,11 @@ class TestConfig:
         else:
             with pytest.raises(ConfigError, match="series_order >= 32"):
                 ScenarioConfig.from_dict(data)
+
+    @pytest.mark.filterwarnings("error")
+    def test_audit_loads_without_ranges(self):
+        cfg = ScenarioConfig(scenario="inequality_audit", series_order=32)
+        assert cfg.m_range == cfg.n_range == ()
 
     def test_tolerance_overrides_merge(self):
         cfg = ScenarioConfig(scenario="counterexample", m_range=(2, 8),
@@ -258,17 +264,9 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
 
-# The tolerances each scenario's flags read, with the defaults the flat table
-# of earlier versions gave them; every key belongs to exactly one scenario.
-SCENARIO_TOLERANCES = {
-    "counterexample": {"row_vanish": 0.05, "diagonal_floor": 0.36},
-    "theorem1": {"tail_n": 100.0, "tail_bound": 0.01},
-    "theorem2": {"simultaneous_tail_n": 128.0, "simultaneous_tail_bound": 0.05},
-    "zalcman_scan": {"zalcman_slack": 1e-9},
-    "inequality_audit": {"milin_bound": logmilin.MILIN_CONSTANT_BOUND, "direction_tol": 5e-3,
-                         "identity_tol": 1e-8, "split_tol": 1e-10, "norm_slack": 1e-9},
-}
-ALL_KEYS = sorted(k for entry in SCENARIO_TOLERANCES.values() for k in entry)
+# every tolerance key of the scenario table; tests/test_readme.py checks the
+# defaults against the README's table
+ALL_KEYS = sorted(k for row in lab.SCENARIOS.values() for k in row.tolerances)
 
 # a small config per scenario whose flags all hold at its defaults; theorem2's
 # tail bound is tightened so that its cutoff decides a flag (at the default
@@ -311,7 +309,7 @@ CROSSINGS = {
         rep.rows["deviation"][rep.rows["n"] == rep.rows["n"].max()]))),
     # diagonal_above_e_inv_floor: min over m >= 8 of the diagonal > diagonal_floor
     "diagonal_floor": lambda rep, tol: min(v for m, v in rep.summary["diagonal"].items()
-                                           if m >= lab.DIAGONAL_MIN_M),
+                                           if m >= 8),
     # uniform_tail_bound: the tail supremum at tail_n <= tail_bound
     "tail_n": lambda rep, tol: _last_cut_above(rep, tol["tail_bound"]),
     "tail_bound": lambda rep, tol: _below(_at_cut(rep, tol["tail_n"])),
@@ -333,13 +331,13 @@ CROSSINGS = {
 
 class TestScenarioTolerances:
     def test_each_key_sits_in_one_scenario(self):
-        assert len(ALL_KEYS) == len(set(ALL_KEYS)) == 12 == len(CROSSINGS)
-        assert lab.TOLERANCES == SCENARIO_TOLERANCES
-        assert set(lab.TOLERANCES) == set(lab.SCENARIOS)
+        assert len(ALL_KEYS) == len(set(ALL_KEYS)) == 12
+        assert sorted(CROSSINGS) == ALL_KEYS
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scenario, key", [
-        (s, k) for s in lab.SCENARIOS for k in ALL_KEYS if k not in SCENARIO_TOLERANCES[s]])
+        (s, k) for s, row in lab.SCENARIOS.items() for k in ALL_KEYS
+        if k not in row.tolerances])
     def test_key_outside_the_entry_is_rejected(self, scenario, key):
         data = dict(FLAG_CONFIGS[scenario], scenario=scenario)
         data["tolerances"] = dict(data.get("tolerances", {}), **{key: 1.0})
@@ -349,7 +347,7 @@ class TestScenarioTolerances:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scenario, key", [
-        (s, k) for s in lab.SCENARIOS for k in ALL_KEYS if k in SCENARIO_TOLERANCES[s]])
+        (s, k) for s, row in lab.SCENARIOS.items() for k in ALL_KEYS if k in row.tolerances])
     def test_key_inside_the_entry_flips_a_flag(self, scenario, key):
         data = dict(FLAG_CONFIGS[scenario], scenario=scenario)
         default = ScenarioConfig.from_dict(data)
@@ -366,7 +364,7 @@ class TestScenarioTolerances:
     @pytest.mark.parametrize("order", [8, 31, 33, 128])
     def test_grunsky_order_is_the_audits_alone(self, scenario, order):
         data = dict(FLAG_CONFIGS[scenario], scenario=scenario)
-        assert ScenarioConfig.from_dict(dict(data, grunsky_order=lab.GRUNSKY_ORDER))
+        assert ScenarioConfig.from_dict(dict(data, grunsky_order=32))
         with pytest.raises(ConfigError, match=f"grunsky_order .* {scenario}"):
             ScenarioConfig.from_dict(dict(data, grunsky_order=order))
         audit = dict(FLAG_CONFIGS["inequality_audit"], scenario="inequality_audit")
@@ -380,17 +378,115 @@ class TestScenarioTolerances:
             ScenarioConfig.from_dict(data)
 
     @pytest.mark.filterwarnings("error")
-    def test_provenance_echoes_every_default(self, tmp_path):
-        # the echo stays one 12-key dict, overrides included as given
-        cfg = ScenarioConfig.from_dict({"scenario": "zalcman_scan", "m_range": [1, 5],
-                                        "n_range": [2, 8], "series_order": 32,
+    def test_provenance_echoes_the_scenarios_own_keys(self, tmp_path):
+        # the fields each scenario reads besides scenario, series_order and
+        # out_dir; the zalcman and audit FLAG_CONFIGS give ranges they do not
+        # read, which are not echoed
+        own = {"counterexample": ["m_range", "n_range"], "theorem1": ["m_range", "n_range"],
+               "theorem2": ["m_range", "n_range"], "zalcman_scan": ["n_range"],
+               "inequality_audit": ["grunsky_order"]}
+        for scenario, fields in own.items():
+            data = dict(FLAG_CONFIGS[scenario], scenario=scenario)
+            echoed = run_scenario(ScenarioConfig.from_dict(data)).provenance["config"]
+            assert sorted(echoed) == sorted(["scenario", "series_order", "out_dir",
+                                             "tolerances", *fields])
+            assert echoed["tolerances"] == dict(lab.SCENARIOS[scenario].tolerances,
+                                                **data.get("tolerances", {}))
+        # overrides are echoed as given
+        cfg = ScenarioConfig.from_dict({"scenario": "zalcman_scan", "n_range": [2, 8],
+                                        "series_order": 32,
                                         "tolerances": {"zalcman_slack": 1},
                                         "out_dir": str(tmp_path)})
         _, json_path = export_report(run_scenario(cfg))
-        echoed = json.loads(json_path.read_text())["provenance"]["config"]["tolerances"]
-        expected = {k: v for entry in SCENARIO_TOLERANCES.values() for k, v in entry.items()}
-        assert echoed == dict(expected, zalcman_slack=1)
-        assert type(echoed["zalcman_slack"]) is int
+        echoed = json.loads(json_path.read_text())["provenance"]["config"]
+        assert echoed == {"scenario": "zalcman_scan", "n_range": [2, 8], "series_order": 32,
+                          "tolerances": {"zalcman_slack": 1}, "out_dir": str(tmp_path)}
+        assert type(echoed["tolerances"]["zalcman_slack"]) is int
+
+
+# a config per scenario that loads, from which each load rule of the scenario's
+# row moves one setting to the rule's edge; every cutoff sits on every grid used
+LOAD_BASE = {
+    "counterexample": dict(m_range=[2, 12], n_range=[1, 16], series_order=16),
+    "theorem1": dict(m_range=[2, 12], n_range=[1, 16], series_order=16,
+                     tolerances={"tail_n": 4}),
+    "theorem2": dict(m_range=[1, 12], n_range=[1, 16], series_order=16,
+                     tolerances={"simultaneous_tail_n": 4}),
+    "zalcman_scan": dict(n_range=[2, 8], series_order=16),
+    "inequality_audit": dict(series_order=32),
+}
+LEFT_OUT = object()  # a setting removed from the config
+
+# the rules of a row's own check, as _load_rules gives them
+CHECK_RULES = {
+    "counterexample": {"diagonal cell": ({"m_range": [2, 8]}, {"m_range": [2, 7]},
+                                         "diagonal cell")},
+}
+
+
+def _load_rules(scenario) -> dict:
+    """Each load rule of the scenario's SCENARIOS row: the settings at its edge,
+    which load, those just past it (None: nothing to refuse), and the error."""
+    row, base = lab.SCENARIOS[scenario], LOAD_BASE[scenario]
+    rules = dict(CHECK_RULES.get(scenario, {}))
+    for key in ("m_range", "n_range"):
+        if key in row.reads:
+            rules[f"{key} required"] = ({}, {key: LEFT_OUT}, f"{key} must be a non-empty")
+        else:
+            rules[f"{key} left out"] = ({key: LEFT_OUT}, None, None)
+    if "m_range" in row.reads:
+        m_hi = base["m_range"][1]
+        rules["m floor"] = ({"m_range": [row.m_floor, m_hi]},
+                            {"m_range": [row.m_floor - 1, m_hi]}, "needs m >=")
+    if "n_range" in row.reads:
+        (n_lo, n_hi), order = base["n_range"], base["series_order"]
+        top = (order - 1) // row.n_reach + 1  # the last n whose a_{n_reach (n-1) + 1} it holds
+        rules["n floor"] = ({"n_range": [row.n_floor, n_hi]},
+                           {"n_range": [row.n_floor - 1, n_hi]}, "needs n_range inside")
+        rules["n top"] = ({"n_range": [n_lo, top]}, {"n_range": [n_lo, top + 1]},
+                          "needs n_range inside")
+        n_at_min = [row.n_floor, (row.min_order - 1) // row.n_reach + 1]
+        rules["min order"] = ({"series_order": row.min_order, "n_range": n_at_min},
+                              {"series_order": row.min_order - 1, "n_range": n_at_min},
+                              "needs series_order >=")
+    else:
+        rules["min order"] = ({"series_order": row.min_order},
+                              {"series_order": row.min_order - 1}, "needs series_order >=")
+    if row.cutoff is not None:
+        (m_lo, m_hi), (n_lo, n_hi) = base["m_range"], base["n_range"]
+        last = tauber.tail_cutoffs(m_hi, n_hi - n_lo + 1) - 1
+        for name, edge, past in (("cutoff last", last, last + 1), ("cutoff first", 0, -1)):
+            rules[name] = ({"tolerances": {row.cutoff: edge}},
+                           {"tolerances": {row.cutoff: past}}, "lies off the tail grid")
+        rules["cutoff whole"] = ({"tolerances": {row.cutoff: 4.0}},
+                                 {"tolerances": {row.cutoff: 4.5}}, "must be a whole number")
+    if "grunsky_order" in row.reads:
+        rules["grunsky_order owner"] = ({"grunsky_order": 8}, {"grunsky_order": 7},
+                                        "grunsky_order must be at least 8")
+    else:
+        rules["grunsky_order default"] = ({"grunsky_order": 32}, {"grunsky_order": 33},
+                                          f"grunsky_order is not read by {scenario}")
+    return rules
+
+
+def _with(data: dict, changes: dict) -> dict:
+    out = dict(data, **changes)
+    return {k: v for k, v in out.items() if v is not LEFT_OUT}
+
+
+class TestScenarioTable:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scenario, rule", [
+        (s, r) for s in lab.SCENARIOS for r in _load_rules(s)])
+    def test_load_rule_edges(self, scenario, rule):
+        # each rule of the row loads a config at its edge and refuses one just
+        # past it, so a row value that stops being read fails here
+        edge, past, match = _load_rules(scenario)[rule]
+        data = dict(LOAD_BASE[scenario], scenario=scenario)
+        assert ScenarioConfig.from_dict(_with(data, edge)).scenario == scenario
+        if past is not None:
+            with pytest.raises(ConfigError, match=match):
+                ScenarioConfig.from_dict(_with(data, past))
 
 
 # config files that once escaped ScenarioConfig.from_json as a bare Python
@@ -578,6 +674,17 @@ class TestAudit:
         assert {k for k, ok in flags.items() if not ok} == set()
 
     @pytest.mark.filterwarnings("error")
+    def test_prawitz_margin_is_positive_zero(self):
+        # no pair fails, so each margin -violations is 0.0 with its sign bit clear
+        rows = run_scenario(ScenarioConfig(scenario="inequality_audit",
+                                           series_order=32)).rows
+        prawitz = [i for i, c in enumerate(rows["check"]) if c == "prawitz_integral"]
+        assert len(prawitz) == 5
+        for i in prawitz:
+            assert rows["flag"][i] == "ok"
+            assert math.copysign(1.0, rows["deviation"][i]) == 1.0
+
+    @pytest.mark.filterwarnings("error")
     def test_milin_flag_reads_its_tolerance(self, tmp_path):
         # the flag and the margin compare against the same milin_bound
         cfg = ScenarioConfig(scenario="inequality_audit", m_range=(1, 1), n_range=(1, 1),
@@ -638,17 +745,22 @@ class TestAudit:
 
     @pytest.mark.filterwarnings("error")
     def test_batched_estimates_equal_single_member_calls(self, corpus130):
-        cfg = ScenarioConfig(scenario="inequality_audit", m_range=(1, 1), n_range=(1, 1),
-                             series_order=130, grunsky_order=32)
+        cfg = ScenarioConfig(scenario="inequality_audit", series_order=130, grunsky_order=32)
         maximal = [f for f in corpus130 if f.kind in families.MAXIMAL_GROWTH_KINDS]
         assert len(maximal) == 3
         batched = hayman.hayman_index(maximal)
         assert batched == [hayman.hayman_index(f) for f in maximal]
-        results = lab._audit_members(list(enumerate(corpus130, start=1)), cfg)
-        alphas = {label: alpha for _m, label, alpha, _checks in results}
+        results = lab.audit_members(corpus130, cfg)
+        alphas = {label: alpha for label, alpha, _checks in results}
         for f, est in zip(maximal, batched):
             assert alphas[f.label()] == hayman.hayman_index(f).alpha == est.alpha
         assert alphas["halfplane"] == alphas["dilation(r=0.9)"] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_audit_members_needs_an_audit_config(self, corpus130):
+        cfg = ScenarioConfig(scenario="zalcman_scan", n_range=(2, 8), series_order=130)
+        with pytest.raises(ConfigError, match="inequality_audit config"):
+            lab.audit_members(corpus130, cfg)
 
     @pytest.mark.filterwarnings("error")
     def test_increment_bound_reads_the_ledger_increments(self, corpus130):

@@ -5,6 +5,9 @@ passed by at least one call in ``src/``, ``demos/``, ``bench/`` or the
 acceptance suite; a parameter that no caller sets is a knob that changes
 nothing, so it goes or becomes a constant.  Call sites are found by name in
 each file's syntax tree.  The benchmark files are read here, never changed.
+
+The CLI reaches no underscore-prefixed name of another module: what it runs
+is the public surface too.
 """
 
 import ast
@@ -62,3 +65,27 @@ def test_every_optional_parameter_is_passed(name):
              and p.name not in KEYWORDS[name]
              and not (p.kind is not p.KEYWORD_ONLY and i < POSITIONAL[name])]
     assert unset == [], f"no caller passes {name}({', '.join(unset)})"
+
+
+def _private_reaches(path: Path) -> list:
+    """The ``module._name`` attributes and ``from module import _name`` imports
+    in ``path`` that reach an underscore-prefixed name of another module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    reaches = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and isinstance(node.value, ast.Name) and node.value.id in imported]
+    reaches += [f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names
+                if alias.name.startswith("_")]
+    return sorted(reaches)
+
+
+def test_cli_stays_on_the_public_surface(tmp_path):
+    assert _private_reaches(ROOT / "src" / "schlichtlab" / "cli.py") == []
+    # the scan finds both spellings
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import lab\nfrom .lab import _run_audit\nlab._audit_members([], None)\n")
+    assert _private_reaches(probe) == ["from .lab import _run_audit", "lab._audit_members"]

@@ -63,47 +63,47 @@ def report_set() -> dict:
 
 DIGESTS = {
     "audit258/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit258/inequality_audit.json": "602e0268d33248d9234888daa4e449a0f3bc862e5377ea7eaade09d08532217d",
+    "audit258/inequality_audit.json": "33e73669167c50d7c8622be6099ed0f0a304f9624b33682599e90fe08156066d",
     "audit_grunsky-1/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit_grunsky-1/inequality_audit.json": "602e0268d33248d9234888daa4e449a0f3bc862e5377ea7eaade09d08532217d",
+    "audit_grunsky-1/inequality_audit.json": "33e73669167c50d7c8622be6099ed0f0a304f9624b33682599e90fe08156066d",
     "audit_grunsky-1/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "audit_grunsky-1/zalcman_scan.json": "d260b2650a49b6375ee75dbd794417f8a69f55b5f6ed3cb26141072378fd4b09",
+    "audit_grunsky-1/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
     "audit_grunsky-2/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit_grunsky-2/inequality_audit.json": "602e0268d33248d9234888daa4e449a0f3bc862e5377ea7eaade09d08532217d",
+    "audit_grunsky-2/inequality_audit.json": "33e73669167c50d7c8622be6099ed0f0a304f9624b33682599e90fe08156066d",
     "audit_grunsky-2/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "audit_grunsky-2/zalcman_scan.json": "d260b2650a49b6375ee75dbd794417f8a69f55b5f6ed3cb26141072378fd4b09",
+    "audit_grunsky-2/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
     "audit_grunsky-3/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit_grunsky-3/inequality_audit.json": "602e0268d33248d9234888daa4e449a0f3bc862e5377ea7eaade09d08532217d",
+    "audit_grunsky-3/inequality_audit.json": "33e73669167c50d7c8622be6099ed0f0a304f9624b33682599e90fe08156066d",
     "audit_grunsky-3/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "audit_grunsky-3/zalcman_scan.json": "d260b2650a49b6375ee75dbd794417f8a69f55b5f6ed3cb26141072378fd4b09",
+    "audit_grunsky-3/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
     "growth_index-1/theorem2.csv": "ac811e38c4ad3f8486bae67f749479d65345379e0bc687991fd5975295e9003d",
-    "growth_index-1/theorem2.json": "243130748833f4dc78d1423232df6b68e8c2875c2d673585f5843cc696219b14",
+    "growth_index-1/theorem2.json": "665c093630a5dc72ba465da5aced317c6782e9e8b65e5e7a6c485685ddee0339",
     "growth_index-2/theorem2.csv": "924980045476136e87ec9a750a9a77bbc6f2cb75609cccbdd43dea39eec403a8",
-    "growth_index-2/theorem2.json": "a09e84e0e0cda02c1a4aacb69024dbd15fcade8896132a41608b391451ec7e49",
+    "growth_index-2/theorem2.json": "4610215cac6ae37c1dadc9029e8757f7109209386eee96c0af29e9c9b4137b9f",
     "growth_index-3/theorem2.csv": "869390ccf3a3393e02c9699dd3751492c0a8b1f4931be8bb255998704e9c069c",
-    "growth_index-3/theorem2.json": "b979c07eb8c8dcaa3adc3b2772ee0f3c3053df4fc09b947af5ac7edc0db3530d",
+    "growth_index-3/theorem2.json": "1363ca1d2008038c6ad77941d64c0c9e74295efaaf226e5a575b1c2c0e436ae8",
     "readme/counterexample.csv": "404e4a459dc2a1f0ea2c86295dcf9466aa4b97df1e5a9ea6d69a70b60b36e853",
-    "readme/counterexample.json": "a2c3719776767680e923f3c468bbe0901e0dd304c972b4951c9773a34f3becbc",
+    "readme/counterexample.json": "2b2bcfb32bd90791904cf5c9c1e294edcb7267a7848034e56e5f2cc319b7bb53",
     "readme/inequality_audit.csv": "cfaf7519b34660887a352153f42d1a785059f10cf9520f16a0e43708fcd1c131",
-    "readme/inequality_audit.json": "a445e95f0b237216cefb45aabf256d4d37595df21b015e3981ff4a5a42e77448",
+    "readme/inequality_audit.json": "b68800bed5f874a3a871edb89da40f94aaffc807bd627fbed5ae20695e854116",
     "readme/theorem1.csv": "5243e58b45071e040328ce61f37edfa85fddf9c070c7489df03490a896766ca2",
-    "readme/theorem1.json": "4b32af8d9ed4c2f5609e350f72a0d0634a236323d1af598543b5abfd83d5d162",
+    "readme/theorem1.json": "1a7df35d9c0ef15806dccba8c66186cd372f83cd5bf5028a587d06eabc487272",
     "readme/theorem2.csv": "33f4df1a28d62a491adb1a712759b5ceeb34757bb3b24ba93036744135b1ec6f",
-    "readme/theorem2.json": "c73d30e9cf2f6a717989abb1d07b2ef5e1848af4faf0fc664f2f59c3efc847ab",
+    "readme/theorem2.json": "24246e1f6dda06ec3f819c1f90b67f38450287928fcf7a10405f4eb7518e74ff",
     "readme/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "readme/zalcman_scan.json": "d260b2650a49b6375ee75dbd794417f8a69f55b5f6ed3cb26141072378fd4b09",
+    "readme/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
     "report_grid-1/counterexample.csv": "91d993cff0c8cbbe3efdbd8c6199a329f16e32b5a9aef6cdc217c7f14537e40e",
-    "report_grid-1/counterexample.json": "2006ecf04fa0871aa275864b30ef27b63f45036043861bf22bc5d4531cd65e3c",
+    "report_grid-1/counterexample.json": "808d79587231da3018da611ccfd82e7f87b21bd68168240eac9f983200cb57e6",
     "report_grid-1/theorem1.csv": "1bcdd3b1984598d5a2ae7dffeae5bdcfc71933ed466ab9e6cdbca2c7a65e9efe",
-    "report_grid-1/theorem1.json": "eef01fb66ef098bdafd2400b228cb2ad3b42aa0a896d5d22433cbdf66a4e56b9",
+    "report_grid-1/theorem1.json": "85e5dd039ea97ffb0259f748e822684b1ffda84ec6ca3fa6dc62b2afe5e89a33",
     "report_grid-2/counterexample.csv": "5c74664759d3783f0f3c6588b28c9373562978563a276f3d5a22ca75121bca15",
-    "report_grid-2/counterexample.json": "bd9a2cf4ae19c8d5ee6dab1e4a6c35289f84d6cd649e6d4548366489eb8b04be",
+    "report_grid-2/counterexample.json": "d493263d73bb63d7e118f186f5b89d8fb9fa0c15521fa147f607afa99ffc5fd3",
     "report_grid-2/theorem1.csv": "ea1e03d121d255c74482a9f3bc8ba7f7e7a72dc9af291905f549fbdf9466eb4c",
-    "report_grid-2/theorem1.json": "b95555508644c49048423f5bd94dbdfb42cbe916db2b6f156859d6c3245de88b",
+    "report_grid-2/theorem1.json": "c6792257167750b15bf0db27cd16a079a73826300b92f92f76973d770d12e196",
     "report_grid-3/counterexample.csv": "da288ed6c805b9be09ee686ca3455b43fb9e133974ca2861f6add3ad8f702bc3",
-    "report_grid-3/counterexample.json": "082ee393c65a0868ec647ae00ceef8d381a55442f8c23fcce2a4ff486b2ee52a",
+    "report_grid-3/counterexample.json": "14d7360bb31d5ca030b0e690ee752cedd21a6865507e03c99b673b06014ec023",
     "report_grid-3/theorem1.csv": "d9bef195a07cdcdebaf7e672bcd3425a4dd5eafc47712bb18fb41b9119d9791b",
-    "report_grid-3/theorem1.json": "7a23b34c33222b0897e9c9bab4883d9ec28553be891cd803654fb59f2cc96d70",
+    "report_grid-3/theorem1.json": "7559e8267944fb2c967602bc989fa9e790f2451cbb766ea4b229aa9f26538584",
 }
 
 
