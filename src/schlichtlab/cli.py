@@ -6,7 +6,9 @@ Subcommands:
       run a scenario and write its CSV/JSON reports.
   schlicht-lab audit --function koebe --order 128
       run the inequality audit (lab.audit_members) for one corpus member
-      at the audit's default grunsky_order and tolerances, print the checks.
+      at the audit's default grunsky_order and tolerances, print the checks:
+      each check's value, its margin (the bound, every allowance inside it,
+      minus the value), and ok exactly when the margin is >= 0.
   schlicht-lab grunsky --function koebe --order 32 --z 0.5,0.0
       build the Grunsky section of the inverted member, print its norm
       (dense, which also works on the clustered spectra of full mappings)

@@ -49,10 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAlpha, InvalidParameter
+from .errors import InvalidParameter
 from .families import (SchlichtFunction, SigmaFunction, _disk_modulus, closed_form_log_deriv,
-                       finite_parameter, integer_parameter)
-from .logmilin import LogData, direction_weighted_sum
+                       integer_parameter)
+from .logmilin import LogData, bazilevich_gap
 
 # grunsky_matrix reads every b_m of modulus at most this as zero
 NEGLIGIBLE_B = 1e-200
@@ -290,11 +290,8 @@ def bazilevich_equality_residual(ld: LogData, alpha: float, theta: float,
         | sum_{k<=n} k |gamma_k - e^{-ik theta}/k|^2 + log(alpha)/2 |
 
     must tend to zero as n grows, and stays strictly positive otherwise.
-    A NaN or infinite ``alpha`` or ``theta`` raises :class:`InvalidParameter`.
+    It is ``abs(gap)`` of :func:`logmilin.bazilevich_gap`, bit for bit, and
+    raises what that raises: :class:`InvalidAlpha` for alpha <= 0 and
+    :class:`InvalidParameter` for a NaN or infinite ``alpha`` or ``theta``.
     """
-    alpha = finite_parameter(alpha, "alpha")
-    theta = finite_parameter(theta, "theta")
-    if alpha <= 0.0:
-        raise InvalidAlpha("the equality residual needs alpha > 0")
-    partial = direction_weighted_sum(ld.gamma, theta, n_terms)
-    return float(abs(partial + 0.5 * np.log(alpha)))
+    return abs(bazilevich_gap(ld, alpha, theta, n_terms)[2])

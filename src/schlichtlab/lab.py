@@ -29,7 +29,12 @@ claim honest.
                     One batched prawitz_check call searches every
                     member's circles, and one batched hayman_index call
                     gives the maximal members' growth indexes
-                    (audit_members, which the CLI also calls).
+                    (audit_members, which the CLI also calls).  Each check
+                    is one (name, value, margin): value is what it
+                    measures, margin its bound, with every allowance
+                    inside it, minus value, written as the row's
+                    deviation.  Its flag is ok exactly when margin >= 0,
+                    decided in audit_members for every check alike.
 
 One table, SCENARIOS, holds each scenario's rules as a Scenario row.
 ScenarioConfig checks a config against its scenario's row only, raising
@@ -43,7 +48,7 @@ suprema); each runner then sets its own flags.
 A ScenarioReport keeps its rows as columns (see COLUMNS): ``m`` and ``n``
 are int64 arrays, ``value``, ``alpha_m`` and ``deviation`` float64 arrays,
 ``flag`` and ``check`` lists of str.  The grid scenarios and the scan fill
-them with whole-array operations; the audit appends one row at a time.
+them with whole-array operations; the audit builds them from its rows.
 
 Reports are deterministic: identical config yields byte-identical CSV/JSON
 on one Python and numpy, whose versions the provenance records.  CSV rows
@@ -190,7 +195,7 @@ class ScenarioConfig:
     def _overrides(self, row: Scenario) -> dict:
         """The tolerance overrides, keys of ``row.tolerances`` with finite real
         values: checked, not converted, so the provenance echoes them as given."""
-        overrides = {} if self.tolerances is None else self.tolerances
+        overrides = self.tolerances
         if not isinstance(overrides, dict):
             raise ConfigError("tolerances must map names to numbers")
         unknown = set(overrides) - set(row.tolerances)
@@ -256,12 +261,6 @@ def _columns(m, n, value, alpha_m, deviation, flag, check) -> dict:
 
 def _annotate(exc: SchlichtLabError, m):
     raise type(exc)(f"(m={m}) {exc}") from exc
-
-
-def _append_row(cols: dict, m, n, value, alpha_m, deviation, ok, check):
-    row = (m, n, float(value), float(alpha_m), float(deviation), "ok" if ok else "fail", check)
-    for key, x in zip(COLUMNS, row):
-        cols[key].append(x)
 
 
 def _provenance(cfg: ScenarioConfig) -> dict:
@@ -444,75 +443,59 @@ def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
 
 
 def _audit_member(f, cfg: ScenarioConfig, est, violations: int):
-    """The audit checks of one member; ``est`` is its growth-index estimate
+    """``(label, alpha, checks)`` of one member, ``checks`` listing each
+    check's ``(name, value, margin)``; ``est`` is its growth-index estimate
     (None unless the member is of maximal growth), ``violations`` its
     Prawitz violation count."""
     tol = cfg.tolerances
     order = cfg.series_order
     gN = min(cfg.grunsky_order, (order - 2) // 2)
     ld = logmilin.log_data(f)
-    checks = []  # (check_name, value, alpha, deviation, ok)
-
     _, max_partial, _ = logmilin.milin_check(ld)
-    checks.append(("milin_bound", max_partial, tol["milin_bound"] - max_partial,
-                   max_partial <= tol["milin_bound"]))
-
-    n_lm = min(32, order - 2)
-    a_abs, b_sum, rhs = logmilin.lebedev_milin_check(f, ld, n_lm)
-    scale = 1e-9 * max(1.0, rhs)
-    ok = (a_abs <= b_sum + scale) and (b_sum <= rhs + scale)
-    checks.append(("lebedev_milin_chain", rhs - a_abs,
-                   min(b_sum - a_abs, rhs - b_sum), ok))
-
-    checks.append(("prawitz_integral", float(violations), float(-violations),
-                   violations == 0))
-
-    g = families.invert_to_sigma(f, order - 2)
-    table = grunsky.grunsky_matrix(g, gN)
+    a_abs, b_sum, rhs = logmilin.lebedev_milin_check(f, ld, min(32, order - 2))
+    table = grunsky.grunsky_matrix(families.invert_to_sigma(f, order - 2), gN)
     norm = grunsky.strong_grunsky_norm(table)
-    checks.append(("grunsky_norm_bound", norm, 1.0 + tol["norm_slack"] - norm,
-                   norm <= 1.0 + tol["norm_slack"]))
-
     defect, identity = grunsky.full_mapping_defect(table, ld, f, 0.5)
-    checks.append(("log_identity_link", identity, tol["identity_tol"] - identity,
-                   identity <= tol["identity_tol"]))
+    checks = [
+        ("milin_bound", max_partial, tol["milin_bound"] - max_partial),
+        ("lebedev_milin_chain", rhs - a_abs,
+         min(b_sum - a_abs, rhs - b_sum) + 1e-9 * max(1.0, rhs)),
+        ("prawitz_integral", float(violations), float(-violations)),
+        ("grunsky_norm_bound", norm, 1.0 + tol["norm_slack"] - norm),
+        ("log_identity_link", identity, tol["identity_tol"] - identity),
+    ]
 
     alpha_val = 0.0
     if est is None:
-        checks.append(("non_full_defect_positive", defect, defect - 0.01,
-                       defect > 0.01))
+        checks.append(("non_full_defect_positive", defect, defect - 0.01))
     else:
         defect_small = grunsky.fullness_defect(table.section(max(8, gN // 2)), 0.5)
-        checks.append(("fullness_defect_decreasing", defect,
-                       defect_small - defect, defect <= defect_small + 1e-9))
-        alpha_val = est.alpha
-        theta = est.theta if est.theta is not None else 0.0
-        n_terms = min(128, ld.top_index)
-        _, _, gap = logmilin.bazilevich_gap(ld, est.alpha, theta, n_terms)
-        checks.append(("bazilevich_nonnegative_gap", gap, gap + tol["direction_tol"],
-                       gap >= -tol["direction_tol"]))
-        residual = grunsky.bazilevich_equality_residual(ld, est.alpha, theta, n_terms)
-        checks.append(("bazilevich_equality_residual", residual,
-                       tol["direction_tol"] - residual,
-                       residual <= tol["direction_tol"]))
+        alpha_val, theta = est.alpha, est.theta
+        _, _, gap = logmilin.bazilevich_gap(ld, alpha_val, theta, min(128, ld.top_index))
         aligned = families.rotated(f, theta) if abs(theta) > 1e-12 else f
         a = aligned.series.coeffs
         s_sq = float(np.max(np.abs(a[1:] - a[:-1]) ** 2))  # the ledger's s_n = a_{n+1} - a_n
-        ceiling = math.exp(2.0 * logmilin.MILIN_CONSTANT_BOUND) / est.alpha
-        checks.append(("increment_square_bound", s_sq, ceiling - s_sq,
-                       s_sq <= ceiling + 1e-9))
+        ceiling = math.exp(2.0 * logmilin.MILIN_CONSTANT_BOUND) / alpha_val
+        checks += [
+            ("fullness_defect_decreasing", defect, defect_small - defect + 1e-9),
+            ("bazilevich_nonnegative_gap", gap, gap + tol["direction_tol"]),
+            # the equality residual is |gap|: grunsky.bazilevich_equality_residual
+            ("bazilevich_equality_residual", abs(gap), tol["direction_tol"] - abs(gap)),
+            ("increment_square_bound", s_sq, ceiling - s_sq + 1e-9),
+        ]
 
     n_split = min(16, ld.top_index)
     residual = tauber.tauber_decomposition_check(ld, n_split, 1.0 - 1.0 / n_split)
-    checks.append(("tauber_split_identity", residual, tol["split_tol"] - residual,
-                   residual <= tol["split_tol"]))
+    checks.append(("tauber_split_identity", residual, tol["split_tol"] - residual))
     return f.label(), alpha_val, checks
 
 
 def audit_members(members, cfg: ScenarioConfig) -> list:
     """``(label, alpha, checks)`` per member of the list ``members``, at the
-    settings of the inequality_audit config ``cfg``: ``checks`` lists
-    ``(name, value, margin, ok)``, and ``alpha`` is 0.0 below maximal growth.
+    settings of the inequality_audit config ``cfg``; ``alpha`` is 0.0 below
+    maximal growth.  ``checks`` lists ``(name, value, margin, ok)``: ``value``
+    is what the check measures, ``margin`` its bound, every allowance
+    included, minus that, and ``ok`` is ``margin >= 0`` for every check.
     One batched :func:`logmilin.prawitz_check` call covers every member, one
     :func:`hayman.hayman_index` call the maximal ones.
     """
@@ -521,21 +504,25 @@ def audit_members(members, cfg: ScenarioConfig) -> list:
     prawitz = logmilin.prawitz_check(members, (0.3, 0.5, 0.7, 0.9))
     maximal = [f for f in members if f.kind in families.MAXIMAL_GROWTH_KINDS]
     ests = iter(hayman.hayman_index(maximal) if maximal else [])
-    return [_audit_member(f, cfg, next(ests) if f.kind in families.MAXIMAL_GROWTH_KINDS
-                          else None, violations)
-            for f, (_, violations) in zip(members, prawitz)]
+    results = []
+    for f, (_, violations) in zip(members, prawitz):
+        est = next(ests) if f.kind in families.MAXIMAL_GROWTH_KINDS else None
+        label, alpha, checks = _audit_member(f, cfg, est, violations)
+        results.append((label, alpha, [(name, value, margin, bool(margin >= 0))
+                                       for name, value, margin in checks]))
+    return results
 
 
 def _run_audit(cfg: ScenarioConfig) -> ScenarioReport:
     corpus = families.standard_corpus(cfg.series_order)
-    cols = {k: [] for k in COLUMNS}
-    flags = {}
-    for m, (label, alpha_val, checks) in enumerate(audit_members(corpus, cfg), start=1):
-        for idx, (name, value, margin, ok) in enumerate(checks, start=1):
-            _append_row(cols, m, idx, value, alpha_val, margin, ok, name)
-            flags[f"{name}:{label}"] = bool(ok)
-    summary = {"labels": [f.label() for f in corpus], "flags": flags}
-    return ScenarioReport("inequality_audit", _columns(**cols), summary, _provenance(cfg))
+    results = audit_members(corpus, cfg)
+    rows = [(m, n, value, alpha, margin, "ok" if ok else "fail", name)
+            for m, (_, alpha, checks) in enumerate(results, start=1)
+            for n, (name, value, margin, ok) in enumerate(checks, start=1)]
+    summary = {"labels": [label for label, _, _ in results],
+               "flags": {f"{name}:{label}": ok
+                         for label, _, checks in results for name, _, _, ok in checks}}
+    return ScenarioReport("inequality_audit", _columns(*zip(*rows)), summary, _provenance(cfg))
 
 
 # -- the scenario table -------------------------------------------------------

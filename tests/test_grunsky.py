@@ -26,7 +26,7 @@ from schlichtlab.grunsky import (
     grunsky_matrix_direct,
     strong_grunsky_norm,
 )
-from schlichtlab.logmilin import log_data
+from schlichtlab.logmilin import bazilevich_gap, log_data
 
 from conftest import TRANSFORM_W, inverted_members
 
@@ -293,6 +293,17 @@ class TestEqualityResidual:
     def test_invalid_alpha(self, ledgers130):
         with pytest.raises(InvalidAlpha):
             bazilevich_equality_residual(ledgers130["koebe"], 0.0, 0.0, 8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), alpha=st.floats(0.0, 1.0, exclude_min=True),
+           theta=st.floats(-1e6, 1e6), n_terms=st.integers(1, 128))
+    def test_is_the_modulus_of_the_bazilevich_gap(self, ledgers130, data, alpha, theta,
+                                                    n_terms):
+        # one direction-weighted sum: the residual is |gap|, bit for bit (theta
+        # stays where k * theta cannot overflow)
+        ld = ledgers130[data.draw(st.sampled_from(sorted(ledgers130)))]
+        residual = bazilevich_equality_residual(ld, alpha, theta, n_terms)
+        assert residual.hex() == abs(bazilevich_gap(ld, alpha, theta, n_terms)[2]).hex()
 
 
 def parent_grunsky_matrix(g: SigmaFunction, n_order: int) -> np.ndarray:

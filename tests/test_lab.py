@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from schlichtlab import families, grunsky, hayman, lab, logmilin, tauber
 from schlichtlab.cli import main as cli_main
-from schlichtlab.errors import ConfigError
+from schlichtlab.errors import ConfigError, InvalidParameter
 from schlichtlab.families import make_schlicht
 from schlichtlab.lab import ScenarioConfig, export_report, run_scenario
 from schlichtlab.series import ComplexSeries
@@ -175,8 +177,9 @@ class TestConfig:
         ({"tail_n": True}, "tail_n"),
         ({"simultaneous_tail_n": 64.5}, "simultaneous_tail_n"),
         ([["tail_n", 100]], "tolerances"),
+        (None, "tolerances must map names to numbers"),
     ], ids=["typo", "string", "null", "list", "nan", "inf", "fractional cutoff",
-            "bool cutoff", "fractional other cutoff", "not a mapping"])
+            "bool cutoff", "fractional other cutoff", "not a mapping", "null mapping"])
     def test_bad_tolerances_rejected(self, tolerances, match):
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig.from_dict(dict(self.THEOREM1, tolerances=tolerances))
@@ -685,6 +688,37 @@ class TestAudit:
             assert math.copysign(1.0, rows["deviation"][i]) == 1.0
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order, grunsky_order",
+                             [(32, 32), (66, 32), (130, 32), (258, 32), (258, 128)])
+    def test_flag_is_ok_exactly_when_the_margin_is_nonnegative(self, order, grunsky_order):
+        # every row's deviation is its check's margin, and its flag and the
+        # summary's flag read margin >= 0 and nothing else
+        rep = run_scenario(ScenarioConfig(scenario="inequality_audit", series_order=order,
+                                          grunsky_order=grunsky_order))
+        rows, labels = rep.rows, rep.summary["labels"]
+        flags = {}
+        for m, margin, flag, check in zip(rows["m"].tolist(), rows["deviation"].tolist(),
+                                          rows["flag"], rows["check"]):
+            assert (flag == "ok") == (margin >= 0.0), (labels[m - 1], check, margin, flag)
+            flags[f"{check}:{labels[m - 1]}"] = flag == "ok"
+        assert rep.summary["flags"] == flags
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tag", ["dilation", "halfplane", "koebe", "koebe_transform",
+                                     "rotation"])
+    def test_cli_audit_prints_ok_on_the_nonnegative_margins(self, tag):
+        result = CliRunner().invoke(cli_main, ["audit", "--function", tag, "--order", "130"])
+        *lines, last = result.output.splitlines()
+        checks = json.loads(last)["checks"]
+        assert len(lines) == len(checks)
+        for line in lines:
+            flag, name, margin = re.fullmatch(r"(ok  |FAIL) (\w+): value=\S+ margin=(\S+)",
+                                              line).groups()
+            assert (flag == "ok  ") == (float(margin) >= 0.0) == checks[name]["ok"], line
+            assert checks[name]["ok"] == (checks[name]["margin"] >= 0.0)
+        assert result.exit_code == (0 if all(c["ok"] for c in checks.values()) else 1)
+
+    @pytest.mark.filterwarnings("error")
     def test_milin_flag_reads_its_tolerance(self, tmp_path):
         # the flag and the margin compare against the same milin_bound
         cfg = ScenarioConfig(scenario="inequality_audit", m_range=(1, 1), n_range=(1, 1),
@@ -755,6 +789,16 @@ class TestAudit:
         for f, est in zip(maximal, batched):
             assert alphas[f.label()] == hayman.hayman_index(f).alpha == est.alpha
         assert alphas["halfplane"] == alphas["dilation(r=0.9)"] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_maximal_member_without_a_direction_raises(self, corpus130, monkeypatch):
+        # no growth direction is an error, not an audit along theta = 0
+        estimate = hayman.hayman_index
+        monkeypatch.setattr(hayman, "hayman_index", lambda fs: [
+            dataclasses.replace(est, theta=None) for est in estimate(fs)])
+        cfg = ScenarioConfig(scenario="inequality_audit", series_order=130)
+        with pytest.raises(InvalidParameter, match="theta"):
+            lab.audit_members(corpus130, cfg)
 
     @pytest.mark.filterwarnings("error")
     def test_audit_members_needs_an_audit_config(self, corpus130):

@@ -12,7 +12,8 @@ The set is 42 files, every report written as CSV and JSON:
 Each config names the one relative ``out_dir`` below, because the report's
 provenance echoes it; the files themselves go under ``tmp_path``.  A change
 that moves a report updates ``DIGESTS`` in the same change and says which
-files moved, and why, in CHANGES.md.
+files moved, and why, in CHANGES.md; a failure lists each moved file's new
+``"group/file": "<sha256>",`` entry, ready to paste into ``DIGESTS``.
 
 The digests pin the numeric stack they were taken on (STACK): the last
 bits of the reports depend on numpy's loops and on the LAPACK behind
@@ -62,18 +63,18 @@ def report_set() -> dict:
 
 
 DIGESTS = {
-    "audit258/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit258/inequality_audit.json": "33e73669167c50d7c8622be6099ed0f0a304f9624b33682599e90fe08156066d",
-    "audit_grunsky-1/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit_grunsky-1/inequality_audit.json": "33e73669167c50d7c8622be6099ed0f0a304f9624b33682599e90fe08156066d",
+    "audit258/inequality_audit.csv": "06bb8f2c7a4a5f713f3b8e92c9064fb31320a939f680a6c593b852f6e6301afa",
+    "audit258/inequality_audit.json": "fe8d21aab416b1dc21b9bdefde512d0c36c36cfcc718af5a02181e903286a754",
+    "audit_grunsky-1/inequality_audit.csv": "06bb8f2c7a4a5f713f3b8e92c9064fb31320a939f680a6c593b852f6e6301afa",
+    "audit_grunsky-1/inequality_audit.json": "fe8d21aab416b1dc21b9bdefde512d0c36c36cfcc718af5a02181e903286a754",
     "audit_grunsky-1/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-1/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
-    "audit_grunsky-2/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit_grunsky-2/inequality_audit.json": "33e73669167c50d7c8622be6099ed0f0a304f9624b33682599e90fe08156066d",
+    "audit_grunsky-2/inequality_audit.csv": "06bb8f2c7a4a5f713f3b8e92c9064fb31320a939f680a6c593b852f6e6301afa",
+    "audit_grunsky-2/inequality_audit.json": "fe8d21aab416b1dc21b9bdefde512d0c36c36cfcc718af5a02181e903286a754",
     "audit_grunsky-2/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-2/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
-    "audit_grunsky-3/inequality_audit.csv": "58227ba3f5d0b2810e9f45229a77b4fd7b7d9c86d0de725ced6edae840af695f",
-    "audit_grunsky-3/inequality_audit.json": "33e73669167c50d7c8622be6099ed0f0a304f9624b33682599e90fe08156066d",
+    "audit_grunsky-3/inequality_audit.csv": "06bb8f2c7a4a5f713f3b8e92c9064fb31320a939f680a6c593b852f6e6301afa",
+    "audit_grunsky-3/inequality_audit.json": "fe8d21aab416b1dc21b9bdefde512d0c36c36cfcc718af5a02181e903286a754",
     "audit_grunsky-3/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-3/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
     "growth_index-1/theorem2.csv": "ac811e38c4ad3f8486bae67f749479d65345379e0bc687991fd5975295e9003d",
@@ -84,8 +85,8 @@ DIGESTS = {
     "growth_index-3/theorem2.json": "1363ca1d2008038c6ad77941d64c0c9e74295efaaf226e5a575b1c2c0e436ae8",
     "readme/counterexample.csv": "404e4a459dc2a1f0ea2c86295dcf9466aa4b97df1e5a9ea6d69a70b60b36e853",
     "readme/counterexample.json": "2b2bcfb32bd90791904cf5c9c1e294edcb7267a7848034e56e5f2cc319b7bb53",
-    "readme/inequality_audit.csv": "cfaf7519b34660887a352153f42d1a785059f10cf9520f16a0e43708fcd1c131",
-    "readme/inequality_audit.json": "b68800bed5f874a3a871edb89da40f94aaffc807bd627fbed5ae20695e854116",
+    "readme/inequality_audit.csv": "a410bd29118da2560da6e9ff6a180d022f2ed1585fe0090e7ca3b32a9f553d19",
+    "readme/inequality_audit.json": "d9192c93d023d3f72984d315574da49e368687adacb14db449c46cf5417f65a6",
     "readme/theorem1.csv": "5243e58b45071e040328ce61f37edfa85fddf9c070c7489df03490a896766ca2",
     "readme/theorem1.json": "1a7df35d9c0ef15806dccba8c66186cd372f83cd5bf5028a587d06eabc487272",
     "readme/theorem2.csv": "33f4df1a28d62a491adb1a712759b5ceeb34757bb3b24ba93036744135b1ec6f",
@@ -122,8 +123,10 @@ def test_reports_match_digests(group, configs, tmp_path):
     expected = {k: v for k, v in DIGESTS.items() if k.startswith(f"{group}/")}
     moved = sorted(k for k in expected.keys() | digests.keys()
                    if expected.get(k) != digests.get(k))
+    # each moved file's new entry, ready to paste into DIGESTS
+    entries = "".join(f'\n    "{k}": "{digests[k]}",' for k in moved if k in digests)
     assert not moved, (f"reports moved: {moved}; the digests were taken on {STACK}, "
-                       f"this run is on {_stack()}")
+                       f"this run is on {_stack()}; new DIGESTS entries:{entries}")
 
 
 def test_set_holds_42_files():
