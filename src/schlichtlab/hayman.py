@@ -131,21 +131,25 @@ def growth_profile(f: SchlichtFunction, radii: Sequence[float]) -> np.ndarray:
     return _growth_rows([f], radii)[0][0]
 
 
-def _check_single_direction(vals: np.ndarray) -> None:
-    """Raise :class:`AmbiguousDirection` unless one maximum of ``vals``, |f|
-    at the CIRCLE_ANGLES of one circle, dominates."""
-    local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
-    peaks = np.flatnonzero(local)
-    if len(peaks) > 1:
-        order = peaks[np.argsort(vals[peaks])[::-1]]
-        best, second = order[0], order[1]
-        sep = abs(math.remainder(CIRCLE_ANGLES[best] - CIRCLE_ANGLES[second], 2.0 * math.pi))
-        window = 4.0 * np.pi / CIRCLE_GRID
-        if vals[best] - vals[second] <= 1e-6 and sep > window:
-            raise AmbiguousDirection(
-                f"circle maxima at angles {CIRCLE_ANGLES[best]:.4f} and "
-                f"{CIRCLE_ANGLES[second]:.4f} agree in modulus; no single growth direction"
-            )
+def _ambiguities(circles: np.ndarray) -> list:
+    """For each row of ``circles``, |f| at the CIRCLE_ANGLES of one circle,
+    None when one maximum dominates, else the :class:`AmbiguousDirection`
+    message.  One np.roll pair marks the local maxima of every row."""
+    local = (circles >= np.roll(circles, 1, axis=1)) & (circles >= np.roll(circles, -1, axis=1))
+    out = []
+    for vals, mask in zip(circles, local):
+        peaks, message = np.flatnonzero(mask), None
+        if len(peaks) > 1:
+            order = peaks[np.argsort(vals[peaks])[::-1]]
+            best, second = order[0], order[1]
+            sep = abs(math.remainder(CIRCLE_ANGLES[best] - CIRCLE_ANGLES[second], 2.0 * math.pi))
+            window = 4.0 * np.pi / CIRCLE_GRID
+            if vals[best] - vals[second] <= 1e-6 and sep > window:
+                message = (f"circle maxima at angles {CIRCLE_ANGLES[best]:.4f} and "
+                           f"{CIRCLE_ANGLES[second]:.4f} agree in modulus; no single growth "
+                           "direction")
+        out.append(message)
+    return out
 
 
 def growth_direction(f: SchlichtFunction, r_probe: float) -> float:
@@ -159,7 +163,9 @@ def growth_direction(f: SchlichtFunction, r_probe: float) -> float:
     if not 0.9 <= finite_parameter(r_probe, "r_probe") < 1.0:
         raise InvalidParameter("r_probe must lie in [0.9, 1)")
     _, angles, last = max_modulus([f], r_probe)
-    _check_single_direction(last[0])
+    (ambiguity,) = _ambiguities(last)
+    if ambiguity is not None:
+        raise AmbiguousDirection(ambiguity)
     return float(angles[0])
 
 
@@ -178,7 +184,8 @@ def hayman_index(f):
     reported bracket.  Both final values are certified upper bounds for
     the true index.  All members' circles are searched in one
     :func:`max_modulus` call, whose grid stage on the last circle also
-    feeds the direction check, and all derivative profiles are one array
+    feeds the direction check (one np.roll pair marks the local maxima of
+    every member's circle), and all derivative profiles are one array
     evaluation.
     """
     members = batch(f)
@@ -192,13 +199,8 @@ def hayman_index(f):
     # the circle maximum drifts from the limiting direction by O(1-r), which
     # only stays harmless relative to the evaluation radius if both shrink
     # together
-    thetas = []
-    for i, circle in enumerate(last):
-        try:
-            _check_single_direction(circle)
-            thetas.append(float(angles[i, -1]))
-        except AmbiguousDirection:
-            thetas.append(None)
+    thetas = [None if ambiguity is not None else float(theta)
+              for ambiguity, theta in zip(_ambiguities(last), angles[:, -1])]
 
     alpha = upper.copy()
     found = [i for i, t in enumerate(thetas) if t is not None]

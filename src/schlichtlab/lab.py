@@ -60,16 +60,22 @@ indent=2)`` writes an object with the keys ``scenario``, ``summary``,
 Both writers stream the rows to disk in blocks of BLOCK_ROWS rows: each
 block's column slices are formatted in one pass instead of one record per
 row, written, and dropped, so the memory an export holds does not grow with
-the row count.  Within a block, a column whose entries are all equal (a
-float or int column: equal bits, after the CSV's normalisation of -0.0; a
+the row count.  The CSV writer spells each number column of a block in
+numpy (see _spell): an 8-decimal float whose digits the product x * 1e8
+fixes beyond doubt, and an int in 0 .. 9999, is read off a table of
+4-digit texts, and only the rest (NaN, infinities, |x| >= 1e4, near or
+exact ties) goes through Python's ``'%.8f'`` or ``'%d'``.  Each distinct
+scenario name and flag is spelled once, with its separator, and
+np.strings.add joins the fields of every row at once.  In the JSON, a
+column whose entries are all equal (a float or int column: equal bits; a
 str column: ==) is spelled once and put into the block's row format as
-literal text, so each row formats only the columns that vary there: the
-scenario name, ``alpha_m``, ``flag`` and ``check`` mostly repeat over a
-grid's rows.  The JSON writer also spells a column only once when another
-is bitwise equal to it (``deviation`` is ``value`` whenever every alpha is
-0).  Every file of one export is written under a temporary name beside it,
-and all are moved into place only once all are complete, so an export cut
-short leaves no partial report and no report newer than its sibling.
+literal text, so each row formats only the columns that vary there:
+``alpha_m``, ``flag`` and ``check`` mostly repeat over a grid's rows.  The
+JSON writer also spells a column only once when another is bitwise equal
+to it (``deviation`` is ``value`` whenever every alpha is 0).  Every file
+of one export is written under a temporary name beside it, and all are
+moved into place only once all are complete, so an export cut short leaves
+no partial report and no report newer than its sibling.
 """
 
 from __future__ import annotations
@@ -553,17 +559,18 @@ SCENARIOS = {
 
 CSV_HEADER = "scenario,m,n,value,alpha_m,deviation,flag"
 
-# a CSV row, one %s slot per field, and the spec that formats each field
-_ROW_CSV = ",".join(["%s"] * 7) + "\n"
-_CSV_SPECS = ("%s", "%d", "%d", "%.8f", "%.8f", "%.8f", "%s")
-
 # one row of the report JSON, keys sorted and indented as json.dumps(indent=2) does
 _ROW_JSON = "{\n" + ",\n".join(f'      "{k}": %s' for k in sorted(COLUMNS)) + "\n    }"
-_JSON_SPECS = ("%s",) * len(COLUMNS)
 
 # the writers format and write this many rows at a time, so the memory an
 # export holds does not grow with the report
 BLOCK_ROWS = 2048
+
+# 0 .. 9999 as 'S' text, zero-padded to four digits (_DIGITS4) and as %d spells them
+_DIGIT = np.frombuffer(b"0123456789", dtype="S1")
+_DIGITS4 = np.strings.add(*np.ix_(*[np.strings.add(*np.ix_(_DIGIT, _DIGIT)).ravel()] * 2)).ravel()
+_DIGITS = np.strings.lstrip(_DIGITS4, b"0")
+_DIGITS[0] = b"0"
 
 
 def _row_blocks(rows: dict):
@@ -583,35 +590,85 @@ def _constant(col) -> bool:
     return bool((bits == bits[0]).all())
 
 
-def _format_block(layout: str, specs, cells, size: int) -> list:
+def _format_block(layout: str, cells, size: int) -> list:
     """The text of each of the ``size`` rows of one block.
 
-    ``layout`` is a row with one ``%s`` slot per field and no other ``%``,
-    ``specs`` the format spec of each field.  ``cells`` holds each field's
-    entries over the block, a list, or its text, a str, when the field is
-    constant over the block.  A text fills its slot as literal text, every
-    ``%`` doubled, so each row formats only the fields that vary.
+    ``layout`` is a row with one ``%s`` slot per field and no other ``%``.
+    ``cells`` holds each field's entries over the block, a list, or its
+    text, a str, when the field is constant over the block.  A text fills
+    its slot as literal text, every ``%`` doubled, so each row formats only
+    the fields that vary.
     """
-    fmt = layout % tuple(cell.replace("%", "%%") if isinstance(cell, str) else spec
-                         for spec, cell in zip(specs, cells))
+    fmt = layout % tuple(cell.replace("%", "%%") if isinstance(cell, str) else "%s"
+                         for cell in cells)
     varying = [cell for cell in cells if not isinstance(cell, str)]
     if not varying:
         return [fmt % ()] * size
     return [fmt % row for row in zip(*varying)]
 
 
+def _spell(col: np.ndarray) -> np.ndarray:
+    """The text of each entry of a float64 or int64 column, as an 'S' array:
+    ``'%.8f' % x`` of each float x, ``'%d' % v`` of each int v.
+
+    An int 0 <= v < 10^4 is read off a table.  A float takes a = |x| and
+    y = a * 1e8, 1e8 being exact in binary.  When a < 1e4, y is a * 10^8
+    correctly rounded, so |y - a * 10^8| <= y * 2^-53 (or y is subnormal,
+    within 2^-1075 of it).  The nearest half-integer to y is floor(y) + 1/2;
+    every other one lies at least 1/2 > y * 2^-50 away, as y < 10^12.  When
+    also |(y - floor(y)) - 1/2| > y * 2^-50 (computed exactly: below 2^52
+    the fraction lies on y's grid, and a fraction under 1/4 passes anyway),
+    no half-integer lies between y and a * 10^8 or on either, so
+    q = rint(y) is a * 10^8 rounded to the nearest integer, with no tie to
+    break: the digits of Python's correctly rounded '%.8f'.  When q also
+    stays below 10^12, its integer part q // 10^8 is in the table, and the
+    sign (np.signbit, so -1e-12 gives -0.00000000 as '%.8f' does), the
+    integer part, ``.`` and the 8 digits of q % 10^8 (two gathers of 4)
+    are the text.  Every other entry, NaN, +-inf, a >= 1e4, an int off the
+    table, and each near or exact tie or carry to 10^4, is spelled by
+    Python's own format.
+    """
+    if col.dtype.kind == "f":
+        spec, a = "%.8f", np.abs(col)
+        y = np.where(a < 1e4, a, 0.0) * 1e8  # NaN compares False
+        q = np.rint(y)
+        fast = (a < 1e4) & (np.abs(y - np.floor(y) - 0.5) > y * 2.0 ** -50) & (q < 1e12)
+        whole, part = np.divmod(np.where(fast, q, 0.0).astype(np.int64), 10 ** 8)
+        text = np.strings.add(np.strings.add(_DIGITS[whole], b"."), _DIGITS4[part // 10 ** 4])
+        text = np.strings.add(text, _DIGITS4[part % 10 ** 4])
+        negative = np.signbit(col)
+        if negative.any():
+            text = np.strings.add(np.where(negative, b"-", b""), text)
+    else:
+        spec, fast = "%d", (col >= 0) & (col < 10 ** 4)
+        text = _DIGITS[np.where(fast, col, 0)]
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        spelled = np.array([(spec % v).encode("ascii") for v in col[slow].tolist()])
+        text = text.astype(np.result_type(text, spelled))
+        text[slow] = spelled
+    return text
+
+
+def _spell_texts(col: list, end: str) -> np.ndarray:
+    """``'%s' % s + end`` of each entry s of ``col`` in UTF-8, as an 'S' array;
+    each distinct entry is spelled once.  ``end`` keeps a trailing NUL of s
+    inside the text, where 'S' padding cannot eat it."""
+    index = {s: i for i, s in enumerate(dict.fromkeys(col))}
+    spelled = np.array([("%s" % (s,) + end).encode("utf-8") for s in index])
+    return spelled[np.fromiter(map(index.__getitem__, col), np.intp, len(col))]
+
+
 def _write_csv(rep: ScenarioReport, fh):
     fh.write(CSV_HEADER + "\n")
+    scenario = _spell_texts([rep.scenario], ",")  # one entry, broadcast over each block
     for c in _row_blocks(rep.rows):
+        rows = scenario
         # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
-        floats = [c[k] + 0.0 for k in ("value", "alpha_m", "deviation")]
-        cells = [rep.scenario]
-        for spec, col in zip(_CSV_SPECS[1:], [c["m"], c["n"], *floats, c["flag"]]):
-            if _constant(col):
-                cells.append(spec % (col[0],))
-            else:
-                cells.append(col if isinstance(col, list) else col.tolist())
-        fh.write("".join(_format_block(_ROW_CSV, _CSV_SPECS, cells, len(c["m"]))))
+        for col in (c["m"], c["n"], *(c[k] + 0.0 for k in ("value", "alpha_m", "deviation"))):
+            rows = np.strings.add(np.strings.add(rows, _spell(col)), b",")
+        rows = np.strings.add(rows, _spell_texts(c["flag"], "\n"))
+        fh.write(b"".join(rows.tolist()).decode("utf-8"))
 
 
 def _json_column(col, spelled: dict) -> list:
@@ -655,8 +712,7 @@ def _write_json(rep: ScenarioReport, fh):
         cells = [json.dumps(col[0] if isinstance(col, list) else col[0].item())
                  if _constant(col) else _json_column(col, spelled)
                  for col in (c[k] for k in sorted(COLUMNS))]
-        fh.write(sep + ",\n    ".join(_format_block(_ROW_JSON, _JSON_SPECS, cells,
-                                                     len(c["m"]))))
+        fh.write(sep + ",\n    ".join(_format_block(_ROW_JSON, cells, len(c["m"]))))
         sep = ",\n    "
     fh.write(("\n  ]" if len(rep.rows["m"]) else "]") + ',\n  "scenario": '
              + part(rep.scenario) + ',\n  "summary": ' + part(rep.summary) + "\n}\n")
@@ -669,9 +725,11 @@ def export_report(rep: ScenarioReport, fmt: str = "both",
     Output is byte-identical for identical config: CSV uses fixed
     8-decimal floats, JSON uses sorted keys and full precision.  Each file
     is opened once and its rows written BLOCK_ROWS at a time, so the memory
-    held does not grow with the report; a column constant over a block is
-    spelled once there, as literal text of the block's row format, with the
-    same bytes as row-by-row formatting gives.  Every file goes under a
+    held does not grow with the report.  The CSV spells each block's
+    numbers as whole columns in numpy, with the bytes of ``'%.8f'`` and
+    ``'%d'`` (see _spell); the JSON spells a column constant over a block
+    once, as literal text of the block's row format, with the same bytes as
+    row-by-row formatting gives.  Every file goes under a
     temporary name in the output directory, and the files are moved onto
     their report names (``<scenario>.csv`` and ``.json``) only once all are
     complete: an error mid-write removes the temporaries and leaves every

@@ -30,6 +30,7 @@ Zalcman coefficient functionals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,10 +185,18 @@ def milin_check(ld: LogData):
 
 
 def direction_weighted_sum(gamma: np.ndarray, theta: float, n_terms: int) -> float:
-    """sum_{k<=n} k |gamma_k - e^{-ik theta}/k|^2 (shared by several checks)."""
+    """sum_{k<=n} k |gamma_k - e^{-ik theta}/k|^2 (shared by several checks).
+
+    ``theta`` is taken as given, not reduced mod 2 pi; a NaN or infinite
+    ``theta``, or one whose ``n_terms * theta`` overflows, raises
+    :class:`InvalidParameter`.
+    """
     n_terms = integer_parameter(n_terms, "n_terms", 1)
     if n_terms > len(gamma) - 1:
         raise InvalidParameter("n_terms outside the ledger range")
+    theta = finite_parameter(theta, "theta")
+    if not math.isfinite(n_terms * theta):
+        raise InvalidParameter(f"n_terms * theta overflows: n_terms={n_terms}, theta={theta!r}")
     k = np.arange(1, n_terms + 1, dtype=float)
     target = np.exp(-1j * k * theta) / k
     return float(np.sum(k * np.abs(gamma[1 : n_terms + 1] - target) ** 2))
@@ -199,10 +208,10 @@ def bazilevich_gap(ld: LogData, alpha: float, theta: float, n_terms: int):
     Returns (lhs, rhs, gap) with gap = rhs - lhs; the inequality demands
     gap >= 0 for every truncation since the summands are non-negative.
     Only meaningful for maximal growth, hence alpha > 0; a NaN or infinite
-    ``alpha`` or ``theta`` raises :class:`InvalidParameter`.
+    ``alpha`` raises :class:`InvalidParameter`, and so does a ``theta``
+    that :func:`direction_weighted_sum` refuses.
     """
     alpha = finite_parameter(alpha, "alpha")
-    theta = finite_parameter(theta, "theta")
     if alpha <= 0.0:
         raise InvalidAlpha("the direction-weighted bound needs alpha > 0")
     lhs = direction_weighted_sum(ld.gamma, theta, n_terms)

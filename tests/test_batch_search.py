@@ -6,7 +6,9 @@ must not depend on its batch: every field equals the batch-of-one call bit
 for bit.  ``parent_hayman_index`` keeps the earlier single-member pipeline
 (a lockstep search over one member's radii with its scalar pair, the
 direction check evaluating the last circle again, one derivative profile
-per member) as the reference the theorem2 reports are pinned to.
+per member) as the reference the theorem2 reports are pinned to, and
+``parent_check_single_direction`` the per-circle direction check that
+``hayman._ambiguities`` runs on a whole batch of circles at once.
 """
 
 import cmath
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 
 from schlichtlab import hayman, lab
 from schlichtlab.errors import AmbiguousDirection, InvalidParameter
-from schlichtlab.families import CIRCLE_GRID, dilated, make_schlicht, max_modulus, rotated
+from schlichtlab.families import (CIRCLE_ANGLES, CIRCLE_GRID, dilated, make_schlicht,
+                                  max_modulus, rotated)
 from schlichtlab.hayman import HaymanEstimate, default_schedule, hayman_index
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -52,6 +55,23 @@ def parent_max_modulus(f, radii, grid=512):
     return circle_abs(radii, theta), theta
 
 
+def parent_check_single_direction(vals):
+    """The per-circle direction check: AmbiguousDirection unless one maximum of
+    ``vals``, |f| at the CIRCLE_ANGLES of one circle, dominates."""
+    local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+    peaks = np.flatnonzero(local)
+    if len(peaks) > 1:
+        order = peaks[np.argsort(vals[peaks])[::-1]]
+        best, second = order[0], order[1]
+        sep = abs(math.remainder(CIRCLE_ANGLES[best] - CIRCLE_ANGLES[second], 2.0 * math.pi))
+        window = 4.0 * np.pi / CIRCLE_GRID
+        if vals[best] - vals[second] <= 1e-6 and sep > window:
+            raise AmbiguousDirection(
+                f"circle maxima at angles {CIRCLE_ANGLES[best]:.4f} and "
+                f"{CIRCLE_ANGLES[second]:.4f} agree in modulus; no single growth direction"
+            )
+
+
 def parent_hayman_index(f, grid=512):
     radii = default_schedule(f)
     peaks, angles = parent_max_modulus(f, radii, grid)
@@ -60,7 +80,7 @@ def parent_hayman_index(f, grid=512):
     thetas = 2.0 * np.pi * np.arange(grid) / grid
     vals = np.abs(f.value(radii[-1] * np.exp(1j * thetas)))
     try:
-        hayman._check_single_direction(vals)
+        parent_check_single_direction(vals)
         theta = float(angles[-1])
     except AmbiguousDirection:
         return HaymanEstimate(alpha=upper, upper=upper, theta=None)
@@ -114,6 +134,38 @@ def test_batch_members_equal_batch_of_one(members):
         circle = np.abs(f.value(radii[-1] * np.exp(1j * thetas)))
         assert circle.tobytes() == last[i].tobytes(), f.label()
         assert _bits(hayman_index(f)) == _bits(estimates[i]), f.label()
+
+
+def _parent_ambiguity(vals):
+    try:
+        parent_check_single_direction(vals)
+    except AmbiguousDirection as exc:
+        return str(exc)
+    return None
+
+
+# a flat circle with a few bumps: one peak, equal or near-equal maxima at
+# neighbouring or distant angles, plateaus
+_BUMPS = st.lists(st.tuples(st.integers(0, CIRCLE_GRID - 1),
+                            st.sampled_from([1.0, 1.0 + 5e-7, 1.0 + 2e-6, 2.0])), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_BUMPS, min_size=1, max_size=4))
+def test_batched_direction_check_equals_per_circle_check(rows):
+    circles = np.zeros((len(rows), CIRCLE_GRID))
+    for circle, bumps in zip(circles, rows):
+        for at, level in bumps:
+            circle[at] = level
+    assert hayman._ambiguities(circles) == [_parent_ambiguity(v) for v in circles]
+
+
+def test_batched_direction_check_on_theorem2_circles():
+    members = [make_schlicht("koebe_transform", {"w": 0.3 * cmath.exp(1j / m)}, order=256)
+               for m in range(1, 17)]
+    members.append(make_schlicht("koebe", order=256))  # a dominant maximum
+    _, _, last = max_modulus(members, default_schedule(members[0])[-1])
+    assert hayman._ambiguities(last) == [_parent_ambiguity(v) for v in last]
 
 
 @pytest.mark.parametrize("m", [1, 7, 64])

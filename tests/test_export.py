@@ -9,6 +9,7 @@ file under a report's name.
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -395,3 +396,97 @@ def test_failed_json_leaves_both_earlier_reports(tmp_path):
                       out_dir=str(tmp_path))
     assert sorted(tmp_path.iterdir()) == paths  # no *.tmp left
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == before
+
+
+# -- the CSV's number kernel against Python's own format ----------------------
+
+
+def _float_bits(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+def _steps(x: float, steps: int) -> float:
+    """``x`` moved ``steps`` floats up (or down, when negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+_STEPS = st.integers(-3, 3)
+adversarial_floats = st.one_of(
+    # exact ties: x * 10^8 is an odd multiple of 1/2
+    st.integers(-512 * 10 ** 4 - 9, 512 * 10 ** 4 + 9).map(lambda k: k / 512),
+    # floats next to a tie (k + 1/2) / 10^8, where x * 1e8 may round onto it
+    st.builds(lambda k, s: _steps((k + 0.5) / 1e8, s), st.integers(0, 10 ** 12), _STEPS),
+    # carries into the next integer digit, up to 10^4
+    st.builds(lambda j, s, neg: (-1) ** neg * _steps(10 ** j - 5e-9, s),
+              st.integers(0, 4), _STEPS, st.booleans()),
+    st.builds(lambda s: _steps(1e4, s), st.integers(-40, 40)),
+    st.floats(9990.0, 10010.0),
+    # negatives that round to zero, subnormals and signed zeros
+    st.floats(-5e-9, 0.0),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf]),
+    # NaN of any payload and sign
+    st.builds(lambda p, neg: _float_bits((neg << 63) | 0x7FF0000000000000 | p),
+              st.integers(1, 2 ** 52 - 1), st.integers(0, 1)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(adversarial_floats, min_size=1, max_size=20))
+def test_float_text_is_percent_8f(values):
+    col = np.array(values, dtype=np.float64)
+    assert lab._spell(col).tolist() == [("%.8f" % x).encode() for x in values]
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from([-1, 0, 1, 9, 10, 9999, 10 ** 4, int(_INT64.min), int(_INT64.max)]),
+    st.integers(-20, 10 ** 4 + 20), st.integers(int(_INT64.min), int(_INT64.max))),
+    min_size=1, max_size=20))
+def test_int_text_is_percent_d(values):
+    col = np.array(values, dtype=np.int64)
+    assert lab._spell(col).tolist() == [("%d" % v).encode() for v in values]
+
+
+def test_every_table_entry_is_percent_d_and_8f():
+    ints = np.arange(10 ** 4, dtype=np.int64)
+    assert lab._spell(ints).tolist() == [b"%d" % v for v in range(10 ** 4)]
+    fractions = ints / 1e4 + ints / 1e8  # 0.vvvvvvvv: v in both 4-digit groups
+    assert lab._spell(fractions).tolist() == [("%.8f" % x).encode() for x in fractions.tolist()]
+
+
+_AWKWARD_TEXTS = ["ok\x00", "o\x00k", "\x00", "\x00\x00", "50%", "%s%%", "é∞ö", "", "ok"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", _AWKWARD_TEXTS)
+def test_awkward_flags_match_reference(text, tmp_path):
+    # the flag constant over the first block, mixed with others in the second
+    size = B + 4
+    flags = [text] * B + [text, "ok", "é∞ö", text]
+    assert_matches_reference(hand_built([0.5] * size, flags, ["c"] * size), tmp_path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", _AWKWARD_TEXTS)
+def test_awkward_scenario_names_match_reference(text):
+    # a NUL cannot stand in a file name, so the CSV is written to memory
+    rep = dataclasses.replace(hand_built([0.5, -1e-12], ["ok", text], ["c", "c"]),
+                              scenario=text)
+    out = io.StringIO()
+    lab._write_csv(rep, out)
+    assert out.getvalue() == reference_csv(rep)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "both"])
+def test_lone_surrogate_flag_raises_and_leaves_nothing(fmt, tmp_path):
+    rep = hand_built([0.5] * 3, ["ok", "\ud800", "ok"], ["c"] * 3)
+    with pytest.raises(UnicodeEncodeError):
+        export_report(rep, fmt=fmt, out_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -459,6 +460,11 @@ class TestBadInputs:
         "bazilevich alpha inf": lambda f, ld: bazilevich_gap(ld, math.inf, 0.0, 8),
         "bazilevich theta nan": lambda f, ld: bazilevich_gap(ld, 1.0, math.nan, 8),
         "bazilevich n_terms fractional": lambda f, ld: bazilevich_gap(ld, 1.0, 0.0, 2.5),
+        "bazilevich k theta overflows": lambda f, ld: bazilevich_gap(ld, 0.5, 1e308, 8),
+        "direction sum theta nan": lambda f, ld: direction_weighted_sum(ld.gamma, math.nan, 8),
+        "direction sum theta inf": lambda f, ld: direction_weighted_sum(ld.gamma, math.inf, 8),
+        "direction sum k theta overflows": lambda f, ld: direction_weighted_sum(
+            ld.gamma, -sys.float_info.max / 4, 8),
         "equality residual alpha nan": lambda f, ld: bazilevich_equality_residual(
             ld, math.nan, 0.0, 8),
         "equality residual theta nan": lambda f, ld: bazilevich_equality_residual(
@@ -472,6 +478,13 @@ class TestBadInputs:
     def test_raises_lab_error(self, case):
         with pytest.raises(SchlichtLabError):
             self.CASES[case](*self._koebe())
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_theta_accepted(self):
+        # n_terms * theta lands exactly on the largest float, so nothing overflows
+        f, ld = self._koebe()
+        lhs, rhs, gap = bazilevich_gap(ld, 0.5, sys.float_info.max / 8, 8)
+        assert all(math.isfinite(x) for x in (lhs, rhs, gap))
 
     @pytest.mark.filterwarnings("error")
     def test_smallest_indexes_accepted(self):
