@@ -66,13 +66,20 @@ fixes beyond doubt, and an int in 0 .. 9999, is read off a table of
 4-digit texts, and only the rest (NaN, infinities, |x| >= 1e4, near or
 exact ties) goes through Python's ``'%.8f'`` or ``'%d'``.  Each distinct
 scenario name and flag is spelled once, with its separator, and
-np.strings.add joins the fields of every row at once.  In the JSON, a
-column whose entries are all equal (a float or int column: equal bits; a
-str column: ==) is spelled once and put into the block's row format as
-literal text, so each row formats only the columns that vary there:
-``alpha_m``, ``flag`` and ``check`` mostly repeat over a grid's rows.  The
-JSON writer also spells a column only once when another is bitwise equal
-to it (``deviation`` is ``value`` whenever every alpha is 0).  Every file
+np.strings.add joins the fields of every row at once.  The JSON writer
+does the same with its own speller (see _json_float): a float's shortest
+round-trip digits, those of its repr, come from a double-double product
+with a table of powers of ten wherever they are decided beyond a margin,
+and only the rest (non-finite values, zeros, powers of two, |x| outside
+1e-128 .. 1e128, near ties) goes through json's own float text.  A column
+whose entries are all equal (a float or int column: equal bits; a str
+column: ==) is spelled once by json.dumps, into the literal text between
+the fields that vary: ``alpha_m``, ``flag`` and ``check`` mostly repeat
+over a grid's rows; and a column is spelled only once when another is
+bitwise equal to it (``deviation`` is ``value`` whenever every alpha is
+0).  The summary's lists of numbers (a grid's ``alpha``,
+``bracket_widths``, ``tail_n`` and ``tail_sup``) go through the same
+spellers.  Both files are written as bytes.  Every file
 of one export is written under a temporary name beside it, and all are
 moved into place only once all are complete, so an export cut short leaves
 no partial report and no report newer than its sibling.
@@ -559,8 +566,10 @@ SCENARIOS = {
 
 CSV_HEADER = "scenario,m,n,value,alpha_m,deviation,flag"
 
-# one row of the report JSON, keys sorted and indented as json.dumps(indent=2) does
-_ROW_JSON = "{\n" + ",\n".join(f'      "{k}": %s' for k in sorted(COLUMNS)) + "\n    }"
+# each report column with the text before its value in a row of the report JSON:
+# keys sorted and indented as json.dumps(indent=2) writes them
+_JSON_FIELDS = [(k, b'%s\n      "%s": ' % (b"," if i else b"{", k.encode()))
+                for i, k in enumerate(sorted(COLUMNS))]
 
 # the writers format and write this many rows at a time, so the memory an
 # export holds does not grow with the report
@@ -588,23 +597,6 @@ def _constant(col) -> bool:
         return col.count(col[0]) == len(col)
     bits = col.view(f"u{col.itemsize}")
     return bool((bits == bits[0]).all())
-
-
-def _format_block(layout: str, cells, size: int) -> list:
-    """The text of each of the ``size`` rows of one block.
-
-    ``layout`` is a row with one ``%s`` slot per field and no other ``%``.
-    ``cells`` holds each field's entries over the block, a list, or its
-    text, a str, when the field is constant over the block.  A text fills
-    its slot as literal text, every ``%`` doubled, so each row formats only
-    the fields that vary.
-    """
-    fmt = layout % tuple(cell.replace("%", "%%") if isinstance(cell, str) else "%s"
-                         for cell in cells)
-    varying = [cell for cell in cells if not isinstance(cell, str)]
-    if not varying:
-        return [fmt % ()] * size
-    return [fmt % row for row in zip(*varying)]
 
 
 def _spell(col: np.ndarray) -> np.ndarray:
@@ -650,72 +642,263 @@ def _spell(col: np.ndarray) -> np.ndarray:
     return text
 
 
-def _spell_texts(col: list, end: str) -> np.ndarray:
-    """``'%s' % s + end`` of each entry s of ``col`` in UTF-8, as an 'S' array;
-    each distinct entry is spelled once.  ``end`` keeps a trailing NUL of s
-    inside the text, where 'S' padding cannot eat it."""
+# The JSON speller's fast path takes 10^_E_LO <= |x| < 10^_E_HI.  For each k in
+# _E_LO .. 16 - _E_LO, _TEN_HI + _TEN_LO is 10^k within 10^k * 2^-104, _TEN_GE is
+# the least double >= 10^k, and _TEN_H + _TEN_L is _TEN_HI cut in two halves of
+# 26 bits (Veltkamp), all indexed by k - _E_LO.
+_E_LO, _E_HI = -128, 128
+
+
+def _powers_of_ten() -> tuple:
+    """``(hi, lo)`` over k = _E_LO .. 16 - _E_LO: 10^k = 2^k 5^k, 5^k exact in
+    Python ints, int -> float and int / int correctly rounded, and the sign
+    of lo that of 10^k - hi."""
+    hi, lo, five = {}, {}, 1
+    for k in range(17 - _E_LO):
+        h = float(five)
+        hi[k], lo[k] = math.ldexp(h, k), math.ldexp(float(five - int(h)), k)
+        if 0 < k <= -_E_LO:
+            h = 1 / five
+            num, den = h.as_integer_ratio()
+            hi[-k] = math.ldexp(h, -k)
+            lo[-k] = math.ldexp(float(den - num * five) / float(five), 1 - den.bit_length() - k)
+        five *= 5
+    ks = range(_E_LO, 17 - _E_LO)
+    return np.array([hi[k] for k in ks]), np.array([lo[k] for k in ks])
+
+
+_TEN_HI, _TEN_LO = _powers_of_ten()
+_TEN_GE = np.where(_TEN_LO > 0, np.nextafter(_TEN_HI, np.inf), _TEN_HI)
+_TEN_H = _TEN_HI * 134217729.0  # 2^27 + 1
+_TEN_H -= _TEN_H - _TEN_HI
+_TEN_L = _TEN_HI - _TEN_H
+_MARGIN = 2.0 ** -40
+_UNITS = np.array([[100], [10]])
+_D4 = _DIGITS4.view(np.uint32)  # each 4-digit text as one number, for a gather
+_AT = np.arange(18, dtype=np.uint8)[:, None]  # the row of each place
+_FLOAT_SIGN = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000",
+                        b"-", b"-0.", b"-0.0", b"-0.00", b"-0.000"])
+_FLOAT_EXP = np.array([b"" if -4 <= e < 16 else b"e%+03d" % e for e in range(_E_LO, _E_HI + 1)])
+
+
+def _shortest_digits(col: np.ndarray) -> tuple:
+    """``(fast, digits, e)`` for a float64 column: where ``fast`` holds,
+    repr(|x|) has the digits of the int64 ``digits`` (10^16 <= digits <
+    10^17) without their trailing zeros, times 10^(e - 16).  Elsewhere
+    digits is 10^16 and e is 0.
+
+    repr writes the shortest decimal that reads back as x, the nearest to x
+    when there are several.  Here they are found in fixed-width arithmetic,
+    the result behind Ryu (Adams, PLDI 2018), for each x with
+    10^_E_LO <= a = |x| < 10^_E_HI (where no product below over- or
+    underflows) whose mantissa is not a power of two.
+
+    With a = m * 2^q (2^52 <= m < 2^53), the doubles next to a lie 2^q away,
+    so the decimals that read back as a fill [Y - h, Y + h] and no more, in
+    units where Y = a * 10^k, h = 2^(q-1) * 10^k and k = 16 - e for the
+    decade 10^e <= a < 10^(e+1): e is floor((q + 52) log10 2), plus one when
+    a >= 10^(e+1) (_TEN_GE compares exactly).  Then 10^16 <= Y < 10^17 and
+    h = Y / 2m, so 0.55 < h < 11.2.  Y is the product p = fl(a * _TEN_HI)
+    plus y, which holds p's rounding error (Dekker's TwoProduct, no FMA)
+    and a * _TEN_LO; p + y is within 2^-46 of Y.  p, at least 2^53, is an
+    integer, so D = p + rint(y) and r = y - rint(y) are exact, and
+    D = round(Y) with Y - D = r within 2^-46 when |r| stays _MARGIN =
+    2^-40 short of 1/2.
+
+    First, at most one decimal of 15 significant digits or fewer lies
+    within h of Y: any such decimal there is a multiple of 100 (Y - h >
+    10^16 - 12, and below 10^16 the 15-digit decimals are multiples of 10,
+    at most 10^16 - 10), and two of those lie 100 > 2h apart.  So when the
+    multiple of 100 nearest Y lies within h, it is repr's digits, trailing
+    zeros dropped.  Second, when none does, the 16-digit candidates are the
+    multiples of 10, and the interval is symmetric about Y: when any lies
+    within h, the one nearest Y does, and repr picks it.  Otherwise repr
+    has 17 digits, the nearest being D, within h as |Y - D| <= 1/2 < h.
+
+    Each candidate is D + step, with step read off D's last digits and the
+    sign of r.  Its distance |step - r| is within 2^-45 of the exact one,
+    and h within 2^-49 of its value, so a candidate is taken or refused
+    only when the two differ by more than _MARGIN.  One within _MARGIN of h
+    (Python reads the boundary in only for an even mantissa), a tie
+    between two nearest multiples (repr keeps the even one), and a D in
+    doubt all go to the fallback, as do non-finite values, zeros, |x|
+    outside the range (subnormals too) and power-of-two mantissas, whose
+    lower neighbour lies only 2^(q-1) away.
+    """
+    a = np.abs(col)
+    fast = (a >= _TEN_GE[0]) & (a < _TEN_GE[_E_HI - _E_LO]) & (a.view(np.uint64) << 12 != 0)
+    a = np.where(fast, a, 1.0)
+    biased = (a.view(np.uint64) >> 52).astype(np.int64)
+    e = np.floor((biased - 1023) * 0.30102999566398120).astype(np.int64)
+    e += a >= _TEN_GE[e + 1 - _E_LO]
+    i = 16 - e - _E_LO
+    c = a * 134217729.0  # Veltkamp's split of a, then Dekker's product a * _TEN_HI
+    ah = c - (c - a)
+    al = a - ah
+    bh, bl = _TEN_H[i], _TEN_L[i]
+    p = a * _TEN_HI[i]
+    y = (al * bl - (((p - ah * bh) - al * bh) - ah * bl)) + a * _TEN_LO[i]
+    whole = np.rint(y)
+    r = y - whole
+    d = p.astype(np.int64) + whole.astype(np.int64)
+    h = _TEN_HI[i] * ((biased - 53) << 52).view(np.float64)
+    fast &= np.abs(r) < 0.5 - _MARGIN
+    # the multiples of 100 and of 10 nearest Y, D + step, one row each; half
+    # is 0 on a tie, which is never taken
+    rem = d % _UNITS
+    half = 2 * rem - _UNITS
+    step = ((half > 0) | (half == 0) & (r > 0)) * _UNITS - rem
+    far = np.abs(step - r)
+    inside = (far < h - _MARGIN) & ~((half == 0) & (np.abs(r) <= _MARGIN))
+    outside = far > h + _MARGIN
+    fast &= inside[0] | outside[0] & (inside[1] | outside[1])
+    digits = d + np.where(inside[0], step[0], np.where(inside[1], step[1], 0))
+    carry = digits == 10 ** 17  # the next decade's one digit 1
+    return fast, np.where(fast & ~carry, digits, 10 ** 16), np.where(fast, e + carry, 0)
+
+
+def _json_float(col: np.ndarray) -> np.ndarray:
+    """The text of each entry of a float64 column, as an 'S' array: the bytes
+    ``json.dumps(x)`` writes, which are ``repr(x)`` when x is finite.
+
+    _shortest_digits finds repr's digits d and decade e; repr writes them as
+    positional text (``.0`` when whole) for -4 <= e < 16, else as
+    ``d.ddde+XX`` or ``d.ddde-XX``.  The 17 digits go into an 18 x n byte
+    array, one row per place, where the point is put in and the trailing
+    zeros cut off; the sign, a leading ``0.0..`` and the exponent come from
+    tables.  Every entry off the fast path is spelled by json itself.
+    """
+    n = len(col)
+    fast, digits, e = _shortest_digits(col)
+    groups = np.empty((5, n), dtype=np.int64)  # the lead digit, then 4 digits at a time
+    for g in range(4, 0, -1):
+        groups[g - 1] = digits // 10 ** 4
+        groups[g] = digits - groups[g - 1] * 10 ** 4
+        digits = groups[g - 1]
+    place = np.zeros((18, n), dtype=np.uint8)  # the 17 digits and a NUL
+    place[0] = groups[0] + ord("0")
+    quads = _D4[groups[1:]].view(np.uint8).reshape(4, n, 4)  # 4 texts of 4 digits each
+    place[1:17].reshape(4, 4, n)[:] = quads.transpose(0, 2, 1)
+    count = ((place[:17] > ord("0")) * _AT[:17]).max(axis=0) + 1  # up to the last nonzero digit
+    positional = (e >= -4) & (e < 16)
+    point = np.where(positional, np.where(e < 0, 18, e + 1), 1).astype(np.uint8)  # 18: none
+    text = place * (_AT < point)
+    text[1:] += place[:-1] * (_AT[1:] > point)
+    text += (_AT == point) * np.uint8(ord("."))
+    keep = count + (count > point)
+    keep = np.where(positional & (e >= 0), np.maximum(keep, point + 2), keep)  # x.0
+    text *= _AT < keep
+    text = np.ascontiguousarray(text.T).view("S18").ravel()
+    sign = _FLOAT_SIGN[5 * np.signbit(col) + np.where(positional & (e < 0), -e, 0)]
+    text = np.strings.add(np.strings.add(sign, text), _FLOAT_EXP[e - _E_LO])
+    slow = np.flatnonzero(~fast)
+    if len(slow):  # each distinct value once: zeros and small powers of two repeat
+        bits, index = np.unique(col[slow].view(np.uint64), return_inverse=True)
+        spelled = np.array(json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "), dtype="S")
+        text = text.astype(np.result_type(text, spelled))
+        text[slow] = spelled[index]
+    return text
+
+
+def _spell_texts(col: list, spell: Callable) -> np.ndarray:
+    """``spell(s)`` of each entry s of ``col`` in UTF-8, as an 'S' array; each
+    distinct entry is spelled once.  'S' padding would eat a trailing NUL, so
+    the CSV's texts end in their separator, and json.dumps escapes NUL."""
     index = {s: i for i, s in enumerate(dict.fromkeys(col))}
-    spelled = np.array([("%s" % (s,) + end).encode("utf-8") for s in index])
+    spelled = np.array([spell(s).encode("utf-8") for s in index])
     return spelled[np.fromiter(map(index.__getitem__, col), np.intp, len(col))]
 
 
 def _write_csv(rep: ScenarioReport, fh):
-    fh.write(CSV_HEADER + "\n")
-    scenario = _spell_texts([rep.scenario], ",")  # one entry, broadcast over each block
+    fh.write(CSV_HEADER.encode() + b"\n")
+    # one entry, broadcast over each block
+    scenario = _spell_texts([rep.scenario], lambda s: "%s," % (s,))
     for c in _row_blocks(rep.rows):
         rows = scenario
         # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
         for col in (c["m"], c["n"], *(c[k] + 0.0 for k in ("value", "alpha_m", "deviation"))):
             rows = np.strings.add(np.strings.add(rows, _spell(col)), b",")
-        rows = np.strings.add(rows, _spell_texts(c["flag"], "\n"))
-        fh.write(b"".join(rows.tolist()).decode("utf-8"))
+        rows = np.strings.add(rows, _spell_texts(c["flag"], lambda s: "%s\n" % (s,)))
+        fh.write(b"".join(rows.tolist()))
 
 
-def _json_column(col, spelled: dict) -> list:
-    """The JSON text of each entry of one report column.
+def _json_rows(c: dict) -> list:
+    """The report JSON's text of each row of the block ``c``, as bytes.
 
-    ``spelled`` maps the (dtype, bytes) of each array column already spelled
-    to its text, which a bitwise equal column reuses (deviation is value when
-    every alpha is 0); bits, not ==, tell -0.0 from 0.0 and NaN from NaN.
+    A column whose entries all have the same bits (a list: all compare
+    equal) is spelled once by json.dumps, into the literal text between the
+    fields that vary.  Of those, the float columns go through one
+    _json_float call and the int columns through one _spell call, a column
+    bitwise equal to another once (deviation is value when every alpha is
+    0; bits, not ==, tell -0.0 from 0.0 and NaN from NaN), and each str
+    column through _spell_texts over json.dumps.  np.strings.add then joins
+    the fields of every row at once.
     """
-    if isinstance(col, list):
-        text = {s: json.dumps(s) for s in set(col)}
-        return [text[s] for s in col]
-    bits = (col.dtype.str, col.tobytes())
-    if bits not in spelled:
-        # one C-encoder call; it spells floats (NaN and Infinity too) as the
-        # pure-Python encoder behind indent=2 does, and no float contains ", "
-        spelled[bits] = (json.dumps(col.tolist())[1:-1].split(", ")
-                         if col.dtype.kind == "f" and len(col) else col.tolist())
-    return spelled[bits]
+    varying = {k: c[k] for k, _ in _JSON_FIELDS if not _constant(c[k])}
+    bits = {k: (col.dtype.kind, col.tobytes()) for k, col in varying.items()
+            if isinstance(col, np.ndarray)}
+    spelled = {}
+    for kind, spell in (("f", _json_float), ("i", _spell)):
+        cols = {b: varying[k] for k, b in bits.items() if b[0] == kind}
+        if cols:
+            spelled.update(zip(cols, np.split(spell(np.concatenate(list(cols.values()))),
+                                              len(cols))))
+    rows, text = b"", b""
+    for k, before in _JSON_FIELDS:
+        text += before
+        if k not in varying:
+            text += json.dumps(c[k][0] if isinstance(c[k], list) else c[k][0].item()).encode()
+            continue
+        field = spelled[bits[k]] if k in bits else _spell_texts(c[k], json.dumps)
+        rows, text = np.strings.add(np.strings.add(rows, text), field), b""
+    rows = np.strings.add(rows, text + b"\n    }")
+    return rows.tolist() if rows.ndim else [rows.item()] * len(c["m"])
+
+
+def _json_numbers(value) -> Optional[np.ndarray]:
+    """The JSON texts of a list of floats, or of ints within int64, as an 'S'
+    array, spelled in numpy; None for any other value."""
+    if type(value) is not list or not value:
+        return None
+    kinds = set(map(type, value))
+    if kinds == {float}:
+        return _json_float(np.array(value))
+    if kinds == {int} and -2 ** 63 <= min(value) and max(value) < 2 ** 63:
+        return _spell(np.array(value))
+    return None
 
 
 def _write_json(rep: ScenarioReport, fh):
-    """Write ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, where
-    ``report`` is the dict of ``rep``'s scenario, summary and provenance with
-    ``rows`` as a list of one dict per row (keys COLUMNS).
+    """Write ``json.dumps(report, sort_keys=True, indent=2) + "\\n"`` in UTF-8,
+    where ``report`` is the dict of ``rep``'s scenario, summary and
+    provenance with ``rows`` as a list of one dict per row (keys COLUMNS).
 
-    The top-level keys come in sorted order, ``rows`` one block at a time.
-    Within a block, a column whose entries all have the same bits (a list:
-    all compare equal) is spelled once, as literal text of the block's row
-    format; a column spelled bitwise equal to another reuses its text.
+    The top-level keys come in sorted order, ``rows`` one block at a time
+    (see _json_rows), into the binary file ``fh``.  A summary value that is
+    a list of floats, or of ints within int64 (a grid's ``alpha``,
+    ``bracket_widths``, ``tail_n`` and ``tail_sup``, one entry per m or per
+    cutoff), is spelled in numpy; every other value by json.dumps.
     """
-    def part(value) -> str:
-        # each top-level value sits one level deep, so its inner lines move two
-        # spaces right; JSON strings escape newlines, so every "\n" is layout
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+    def part(value, indent: str = "\n  ") -> bytes:
+        # a value one level deep moves its inner lines two spaces right, two
+        # levels deep four; JSON strings escape newlines, so every "\n" is layout
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", indent).encode()
 
-    fh.write('{\n  "provenance": ' + part(rep.provenance) + ',\n  "rows": [')
-    sep = "\n    "
+    fh.write(b'{\n  "provenance": ' + part(rep.provenance) + b',\n  "rows": [')
+    sep = b"\n    "
     for c in _row_blocks(rep.rows):
-        spelled = {}
-        cells = [json.dumps(col[0] if isinstance(col, list) else col[0].item())
-                 if _constant(col) else _json_column(col, spelled)
-                 for col in (c[k] for k in sorted(COLUMNS))]
-        fh.write(sep + ",\n    ".join(_format_block(_ROW_JSON, cells, len(c["m"]))))
-        sep = ",\n    "
-    fh.write(("\n  ]" if len(rep.rows["m"]) else "]") + ',\n  "scenario": '
-             + part(rep.scenario) + ',\n  "summary": ' + part(rep.summary) + "\n}\n")
+        fh.write(sep)
+        fh.write(b",\n    ".join(_json_rows(c)))
+        sep = b",\n    "
+    summary = []
+    for key, value in sorted(rep.summary.items()):
+        texts = _json_numbers(value)
+        summary.append(b"\n    " + json.dumps({key: 0})[1:-4].encode() + b": " + (
+            part(value, "\n    ") if texts is None
+            else b"[\n      " + b",\n      ".join(texts.tolist()) + b"\n    ]"))
+    fh.write((b"\n  ]" if len(rep.rows["m"]) else b"]") + b',\n  "scenario": '
+             + part(rep.scenario) + b',\n  "summary": '
+             + (b"{" + b",".join(summary) + b"\n  }" if summary else b"{}") + b"\n}\n")
 
 
 def export_report(rep: ScenarioReport, fmt: str = "both",
@@ -724,12 +907,13 @@ def export_report(rep: ScenarioReport, fmt: str = "both",
 
     Output is byte-identical for identical config: CSV uses fixed
     8-decimal floats, JSON uses sorted keys and full precision.  Each file
-    is opened once and its rows written BLOCK_ROWS at a time, so the memory
-    held does not grow with the report.  The CSV spells each block's
-    numbers as whole columns in numpy, with the bytes of ``'%.8f'`` and
-    ``'%d'`` (see _spell); the JSON spells a column constant over a block
-    once, as literal text of the block's row format, with the same bytes as
-    row-by-row formatting gives.  Every file goes under a
+    is opened once, in binary, and its rows written BLOCK_ROWS at a time,
+    so the memory held does not grow with the report.  Both spell each
+    block's numbers as whole columns in numpy, the CSV with the bytes of
+    ``'%.8f'`` and ``'%d'`` (see _spell), the JSON with those of
+    ``json.dumps`` (see _json_float), and join the fields of all rows with
+    np.strings.add; the JSON spells a column constant over a block once.
+    Every file goes under a
     temporary name in the output directory, and the files are moved onto
     their report names (``<scenario>.csv`` and ``.json``) only once all are
     complete: an error mid-write removes the temporaries and leaves every
@@ -745,7 +929,7 @@ def export_report(rep: ScenarioReport, fmt: str = "both",
     tmps = {path: path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in writers}
     try:
         for path, write in writers.items():
-            with open(tmps[path], "w", encoding="utf-8") as fh:
+            with open(tmps[path], "wb") as fh:
                 write(rep, fh)
         for path, tmp in tmps.items():
             os.replace(tmp, path)

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from schlichtlab.lab import (
 )
 
 from conftest import report_dict
+from test_report_digests import report_set
 
 
 def _fmt(x: float) -> str:
@@ -479,9 +481,9 @@ def test_awkward_scenario_names_match_reference(text):
     # a NUL cannot stand in a file name, so the CSV is written to memory
     rep = dataclasses.replace(hand_built([0.5, -1e-12], ["ok", text], ["c", "c"]),
                               scenario=text)
-    out = io.StringIO()
+    out = io.BytesIO()
     lab._write_csv(rep, out)
-    assert out.getvalue() == reference_csv(rep)
+    assert out.getvalue() == reference_csv(rep).encode("utf-8")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "both"])
@@ -490,3 +492,145 @@ def test_lone_surrogate_flag_raises_and_leaves_nothing(fmt, tmp_path):
     with pytest.raises(UnicodeEncodeError):
         export_report(rep, fmt=fmt, out_dir=str(tmp_path))
     assert list(tmp_path.iterdir()) == []
+
+
+# -- the JSON's float speller against json.dumps -------------------------------
+
+
+@st.composite
+def decimal_ties(draw):
+    """An odd multiple of 2^-s with 17 or 18 significant digits, the last a 5:
+    its 16- or 17-digit rounding is an exact tie."""
+    digits = draw(st.sampled_from([17, 18]))
+    s = draw(st.integers(digits - 16, 16))
+    lo, hi = 10 ** (digits - 1 - s) * 2 ** s, min(10 ** (digits - s), 2 ** (53 - s)) * 2 ** s
+    return (draw(st.integers(lo, hi - 1)) | 1) / 2 ** s
+
+
+json_floats = st.one_of(
+    # random bit patterns: subnormals, NaN payloads, +-inf and +-0.0 among them
+    st.integers(0, 2 ** 64 - 1).map(_float_bits),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, _NAN_PAYLOAD, 5e-324,
+                     -2.2250738585072014e-308, 1.7976931348623157e308]),
+    # powers of 2 and of 10 and their neighbours
+    st.builds(lambda e, s: _steps(2.0 ** e, s), st.integers(-1074, 1023), _STEPS),
+    st.builds(lambda e, s: _steps(float(f"1e{e}"), s), st.integers(-323, 308), _STEPS),
+    # the layout switches at 1e16, 1e-4 and 1e-5
+    st.builds(lambda x, s, neg: (-1) ** neg * _steps(x, s),
+              st.sampled_from([1e16, 1e-4, 1e-5]), st.integers(-60, 60), st.booleans()),
+    st.floats(9e15, 2e16), st.floats(5e-6, 2e-4),
+    decimal_ties(),
+    # values with 1 to 17 significant digits
+    st.builds(lambda k, e: float(f"{k}e{e}"),
+              st.integers(1, 17).flatmap(lambda d: st.integers(10 ** (d - 1), 10 ** d - 1)),
+              st.integers(-340, 300)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=600, deadline=None)
+@given(st.lists(json_floats, min_size=1, max_size=30))
+def test_json_float_text_is_json_dumps(values):
+    col = np.array(values, dtype=np.float64)
+    assert lab._json_float(col).tolist() == [json.dumps(v).encode() for v in values]
+
+
+def _near_17_digit_ties(rng, size: int) -> list:
+    """Floats x in 1e-7 .. 1e-5 with x * 10^k (10^16 <= x * 10^k < 10^17) a
+    few units of 2^-52 .. 2^-48 off a half-integer: near ties of the
+    17-digit rounding that are not ties.  With x = m * 2^q and s = -(q + k),
+    x * 10^k = m * 5^k / 2^s, so m = (2^(s-1) + delta) / 5^k mod 2^s."""
+    out = []
+    while len(out) < size:
+        e = int(rng.integers(-7, -5))
+        s, delta = int(rng.integers(48, 53)), int(rng.choice([-2, -1, 1, 2]))
+        k, q = 16 - e, e - 16 - s
+        base = (2 ** (s - 1) + delta) * pow(5 ** k, -1, 2 ** s) % 2 ** s
+        m = base + 2 ** s * int(rng.integers(-(-(2 ** 52 - base) // 2 ** s),
+                                             (2 ** 53 - 1 - base) // 2 ** s, endpoint=True))
+        x = math.ldexp(m, q)
+        if 10.0 ** e <= x < 10.0 ** (e + 1):
+            out.append(x)
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+def test_json_float_text_is_json_dumps_in_bulk():
+    # many draws of each kind: [0,1)^3, log-uniform over the table's range and
+    # beyond, random bit patterns, and near ties of the 17-digit rounding
+    rng = np.random.default_rng(20)
+    size = 20_000
+    col = np.concatenate([rng.random(size) ** 3,
+                          10.0 ** rng.uniform(-260, 260, size) * rng.choice([-1.0, 1.0], size),
+                          rng.integers(0, 2 ** 64, size, dtype=np.uint64).view(np.float64),
+                          _near_17_digit_ties(rng, 2_000)])
+    assert lab._json_float(col).tolist() == [json.dumps(v).encode() for v in col.tolist()]
+
+
+def _float_columns(rep: ScenarioReport) -> dict:
+    """The report's float columns and its summary's lists of floats."""
+    cols = {k: rep.rows[k] for k in ("value", "alpha_m", "deviation")}
+    cols.update((f"summary:{k}", np.array(v)) for k, v in rep.summary.items()
+                if isinstance(v, list) and v and all(type(x) is float for x in v))
+    return cols
+
+
+@pytest.fixture(scope="module")
+def digest_reports():
+    """The five scenarios at their digest config (the README's)."""
+    return [run_scenario(ScenarioConfig.from_dict(dict(data, out_dir="reports")))
+            for data in report_set()["readme"]]
+
+
+def test_digest_reports_read_back_bit_for_bit(digest_reports, tmp_path):
+    # an oracle independent of the writers: json.loads returns every float
+    # column bit for bit, and no float is spelled longer than repr spells it
+    for rep in digest_reports:
+        (path,) = export_report(rep, fmt="json", out_dir=str(tmp_path))
+        texts = []
+        loaded = json.loads(path.read_bytes(),
+                            parse_float=lambda s: texts.append(s) or float(s))
+        assert all(len(s) <= len(repr(float(s))) for s in texts)
+        read = {k: [r[k] for r in loaded["rows"]] for k in ("value", "alpha_m", "deviation")}
+        read.update((f"summary:{k}", v) for k, v in loaded["summary"].items())
+        for key, col in _float_columns(rep).items():
+            got = np.array(read[key], dtype=np.float64)
+            assert np.array_equal(np.isnan(got), np.isnan(col)), (rep.scenario, key)
+            same = ~np.isnan(col)
+            assert np.array_equal(got[same].view(np.uint64), col[same].view(np.uint64)), key
+
+
+def _named_fallback(x: float) -> bool:
+    """True when x is of a class _shortest_digits names for the fallback:
+    non-finite, zero, a power-of-two mantissa, |x| outside 10^_E_LO ..
+    10^_E_HI, or a near tie, checked here in exact rational arithmetic."""
+    a = abs(x)
+    if not math.isfinite(x) or a == 0.0 or math.frexp(a)[0] == 0.5:
+        return True
+    exact = Fraction(a)
+    if not Fraction(10) ** lab._E_LO <= exact < Fraction(10) ** lab._E_HI:
+        return True
+    e = math.floor(math.log10(a))
+    e += (exact >= Fraction(10) ** (e + 1)) - (exact < Fraction(10) ** e)
+    y = exact * Fraction(10) ** (16 - e)
+    h = Fraction(2) ** (math.frexp(a)[1] - 54) * Fraction(10) ** (16 - e)
+    near = Fraction(1, 2 ** 38)
+    if abs(abs(y - round(y)) - Fraction(1, 2)) <= near:  # the 17-digit rounding
+        return True
+    for unit in (100, 10):
+        low = y // unit * unit
+        if abs(y - low - Fraction(unit, 2)) <= near:  # between two candidates
+            return True
+        if any(abs(abs(m - y) - h) <= near for m in (low, low + unit)):  # on the boundary
+            return True
+    return False
+
+
+def test_digest_reports_fall_back_only_where_named(digest_reports):
+    # a later change that sends ordinary values through Python fails here
+    for rep in digest_reports:
+        for key, col in _float_columns(rep).items():
+            fast = lab._shortest_digits(col)[0]
+            odd = [x for x in col[~fast].tolist() if not _named_fallback(x)]
+            assert not odd, (rep.scenario, key, odd[:5])
