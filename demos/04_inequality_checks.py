@@ -19,7 +19,6 @@ from schlichtlab import (
     prawitz_check,
     standard_corpus,
 )
-from schlichtlab.families import MAXIMAL_GROWTH_KINDS
 
 corpus = standard_corpus(order=130)
 ledgers = {f.label(): log_data(f) for f in corpus}
@@ -34,7 +33,7 @@ print()
 print("bazilevich: sum k|gamma_k - e^{-ik t}/k|^2 <= -log(alpha)/2")
 print("-" * 70)
 for f in corpus:
-    if f.kind not in MAXIMAL_GROWTH_KINDS:
+    if not f.maximal_growth:
         continue
     est = hayman_index(f)
     lhs, rhs, gap = bazilevich_gap(ledgers[f.label()], est.alpha, est.theta, 128)

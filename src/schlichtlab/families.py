@@ -7,12 +7,17 @@ carries its truncated coefficient series.
 
 Every one of them, and every rotation or dilation of one, is the rational
 map ``f(z) = z(1 - rho z)/(1 - beta z)^2`` for a pair (beta, rho)
-(Pommerenke, *Univalent Functions*, 1975, ch. 1): a rotation by ``phi``
-multiplies the pair by ``e^{i phi}``, a dilation by ``r`` multiplies it by
-``r``.  A closed-form member stores its pair, and one evaluator gives its
-values and derivatives, so boundary-near evaluation stays honest.
-Series-only maps (``custom``) carry no pair and are evaluated from their
-partial sums.  ``max_modulus`` searches the circles of a whole batch of
+(Pommerenke, *Univalent Functions*, 1975, ch. 1).  The Koebe map (1, 0),
+the half-plane map (1, 1) and the transforms take their series from their
+pair, ``a_n = beta^{n-2} (n beta - (n-1) rho)``; a rotation by ``phi``
+multiplies the pair by the unit ``e^{i phi}`` and a_n by its powers, a
+dilation by ``r`` multiplies the pair by ``r`` and a_n by ``r^{n-1}``.
+The rotation and dilation kinds are the Koebe map rotated or dilated.  A
+closed-form member stores its pair, and one evaluator gives its values and
+derivatives, so boundary-near evaluation stays honest; the pair also gives
+its growth class (:attr:`SchlichtFunction.maximal_growth`).  Series-only
+maps (``custom``) carry no pair and are evaluated from their partial
+sums.  ``max_modulus`` searches the circles of a whole batch of
 members at once, each lane evaluating its own pair through that same
 evaluator.
 
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -45,10 +50,11 @@ MAX_ORDER = 4096
 KIND_PARAMETERS = {"koebe": (), "halfplane": (), "rotation": ("theta",), "dilation": ("r",),
                    "koebe_transform": ("w",), "custom": ("coeffs",)}
 
-#: members whose growth index is 1 or sits strictly inside (0, 1)
-MAXIMAL_GROWTH_KINDS = frozenset({"koebe", "rotation", "koebe_transform"})
+#: the pairs (beta, rho) of the Koebe and half-plane maps
+_BASE_PAIRS = {"koebe": (1.0, 0.0), "halfplane": (1.0, 1.0)}
 
 _NORM_TOL = 1e-12
+_UNIT_TOL = 4.0 * np.finfo(float).eps  # |beta| = 1 to 4 ulps: maximal growth
 _COEFF_SLACK = 1e-9  # |a_n| <= n + slack, used as a corpus sanity gate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -118,6 +124,21 @@ class SchlichtFunction:
         return closed_form_deriv(z, *self.beta_rho)
 
     @property
+    def maximal_growth(self) -> bool:
+        """Whether the growth index is positive, read from the pair.
+
+        A pair with |beta| = 1 and beta != rho has a_n ~ n beta^{n-2}
+        (beta - rho), so its growth index |beta - rho| lies in (0, 1]: the
+        Koebe map, its rotations and the transforms.  |beta| = 1 is tested to
+        within 4 ulps, so the dilations by the eight doubles r >= 1 - 4 eps
+        (numerically the Koebe map at every order up to MAX_ORDER) count as
+        maximal too.  The half-plane map (beta = rho), the other dilations
+        and series-only maps do not.
+        """
+        beta, rho = self.beta_rho or (0.0, 0.0)  # no pair: |beta| = 0 stands in
+        return abs(abs(beta) - 1.0) <= _UNIT_TOL and beta != rho
+
+    @property
     def order(self) -> int:
         return self.series.order
 
@@ -142,12 +163,17 @@ class SigmaFunction:
     order: int
 
     def __post_init__(self):
-        tail = np.asarray(self.tail, dtype=np.complex128)
+        b0 = finite_parameter(self.b0, "b0", complex)
+        try:
+            tail = np.asarray(self.tail, dtype=np.complex128)
+        except (TypeError, ValueError):
+            raise InvalidParameter("tail must be an array of numbers") from None
         if tail.shape != (self.order,):
             raise InvalidParameter("tail must hold exactly `order` coefficients")
-        if not (np.isfinite(self.b0) and np.all(np.isfinite(tail))):
+        if not np.all(np.isfinite(tail)):
             raise InvalidParameter("exterior coefficients must be finite")
         tail.setflags(write=False)
+        object.__setattr__(self, "b0", b0)
         object.__setattr__(self, "tail", tail)
 
 
@@ -182,19 +208,20 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
     """Construct a corpus member by family tag.
 
     kind, and the parameter names it reads (``KIND_PARAMETERS[kind]``):
-      * ``koebe``           -- none: a_n = n; (beta, rho) = (1, 0)
-      * ``rotation``        -- ``theta`` (default 0): e^{-it} k(e^{it} z),
-                               a_n = n e^{i(n-1)t}; (beta, rho) = (e^{it}, 0)
-      * ``dilation``        -- ``r`` in (0,1): the Koebe map's ``dilated(k, r)``,
-                               a_n = n r^{n-1}; (beta, rho) = (r, 0)
-      * ``halfplane``       -- none: z/(1-z), a_n = 1; (beta, rho) = (1, 1)
+      * ``koebe``           -- none: k(z) = z/(1-z)^2; (beta, rho) = (1, 0)
+      * ``rotation``        -- ``theta`` (default 0): the Koebe map's
+                               ``rotated(k, theta)``, e^{-it} k(e^{it} z)
+      * ``dilation``        -- ``r`` in (0,1): the Koebe map's ``dilated(k, r)``
+      * ``halfplane``       -- none: z/(1-z); (beta, rho) = (1, 1)
       * ``koebe_transform`` -- ``w`` with |w| < 1 (default 0): the renormalized
                                composite
                                (k((z+w)/(1+conj(w) z)) - k(w)) / ((1-|w|^2) k'(w)),
-                               with beta = (1-conj(w))/(1-w),
-                               rho = (w-conj(w))/(1-w^2) and
-                               a_n = n beta^{n-1} - (n-1) rho beta^{n-2}
+                               with beta = (1-conj(w))/(1-w) and
+                               rho = (w-conj(w))/(1-w^2)
       * ``custom``          -- ``coeffs``: explicit coefficient array (series only)
+
+    Every kind but ``custom`` takes its series from its pair, through
+    :func:`rotated` and :func:`dilated` for the rotation and the dilation.
 
     An unknown kind, or a key of ``params`` the kind does not read, raises
     :class:`InvalidParameter` before anything is built.  ``order`` must be
@@ -212,22 +239,13 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
                                f"it reads {list(KIND_PARAMETERS[kind])}")
     order = integer_parameter(order, "order", 2, MAX_ORDER)
 
-    if kind == "koebe":
-        coeffs = np.arange(order + 1, dtype=np.complex128)
-        return SchlichtFunction(ComplexSeries(coeffs), kind, {}, (1.0, 0.0))
-
-    if kind == "halfplane":
-        coeffs = np.ones(order + 1, dtype=np.complex128)
-        coeffs[0] = 0.0
-        return SchlichtFunction(ComplexSeries(coeffs), kind, {}, (1.0, 1.0))
+    if kind in _BASE_PAIRS:
+        return _pair_member(*_BASE_PAIRS[kind], order, kind, {})
 
     if kind == "rotation":
         theta = finite_parameter(params.get("theta", 0.0), "rotation theta")
-        n = np.arange(order + 1)
-        coeffs = n * np.exp(1j * (n - 1) * theta)
-        coeffs[0] = 0.0
-        return SchlichtFunction(ComplexSeries(coeffs), kind, {"theta": theta},
-                                (cmath.exp(1j * theta), 0.0))
+        return replace(rotated(make_schlicht("koebe", order=order), theta),
+                       kind=kind, params={"theta": theta})
 
     if kind == "dilation":
         return dilated(make_schlicht("koebe", order=order), params.get("r"))
@@ -236,7 +254,10 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
         w = finite_parameter(params.get("w", 0.0), "koebe_transform w", complex)
         if abs(w) >= 1.0:
             raise InvalidParameter("koebe_transform needs |w| < 1")
-        return _koebe_transform(w, order)
+        # (k(phi) - k(w)) / ((1-|w|^2) k'(w)) with phi = (z+w)/(1+conj(w) z)
+        wc = w.conjugate()
+        return _pair_member((1.0 - wc) / (1.0 - w), (w - wc) / (1.0 - w * w), order, kind,
+                            {"w": w})
 
     try:
         coeffs = np.asarray(params.get("coeffs"), dtype=np.complex128)
@@ -248,19 +269,15 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
     return SchlichtFunction(ComplexSeries(coeffs), kind, {})
 
 
-def _koebe_transform(w: complex, order: int) -> SchlichtFunction:
-    # (k(phi) - k(w)) / ((1-|w|^2) k'(w)) with phi = (z+w)/(1+conj(w) z)
-    # is z(1 - rho z)/(1 - beta z)^2, and |beta| = 1
-    wc = w.conjugate()
-    beta = (1.0 - wc) / (1.0 - w)
-    rho = (w - wc) / (1.0 - w * w)
+def _pair_member(beta, rho, order: int, kind: str, params: dict) -> SchlichtFunction:
+    """The member ``z(1 - rho z)/(1 - beta z)^2`` of order ``order``, with
+    a_1 = 1 and a_n = beta^{n-2} (n beta - (n-1) rho) for n >= 2."""
     n = np.arange(1, order + 1)
     coeffs = np.zeros(order + 1, dtype=np.complex128)
     coeffs[1:] = beta ** (n - 2.0) * (n * beta - (n - 1.0) * rho)
     coeffs[1] = 1.0  # beta^{-1} beta, up to rounding
-    _check_class_s(coeffs, "koebe_transform")
-    return SchlichtFunction(ComplexSeries(coeffs), "koebe_transform", {"w": w},
-                            (beta, rho))
+    _check_class_s(coeffs, kind)
+    return SchlichtFunction(ComplexSeries(coeffs), kind, params, (beta, rho))
 
 
 def _scaled_pair(f: SchlichtFunction, c):
@@ -272,14 +289,21 @@ def _scaled_pair(f: SchlichtFunction, c):
 
 
 def rotated(f: SchlichtFunction, phi: float) -> SchlichtFunction:
-    """Rotate any corpus member: ``e^{-i phi} f(e^{i phi} z)`` (stays normalized)."""
+    """Rotate any corpus member: ``e^{-i phi} f(e^{i phi} z)``, a_n -> a_n
+    e^{i(n-1) phi} (stays normalized).
+
+    ``phi`` may be any finite number; anything else raises
+    :class:`InvalidParameter`.  The pair is scaled by the unit
+    ``u = e^{i phi}``, and the coefficients by the powers
+    e^{i(n-1) phase(u)}: the angle is reduced to (-pi, pi] before it is
+    multiplied, so series and pair stay one map at every ``phi``.
+    """
     phi = finite_parameter(phi, "rotation angle phi")
-    n = np.arange(f.order + 1)
-    coeffs = f.series.coeffs * np.exp(1j * (n - 1) * phi)
-    coeffs[0] = 0.0
+    unit = cmath.exp(1j * phi)
+    coeffs = np.zeros(f.order + 1, dtype=np.complex128)
+    coeffs[1:] = f.series.coeffs[1:] * np.exp(1j * cmath.phase(unit) * np.arange(f.order))
     return SchlichtFunction(ComplexSeries(coeffs), "custom",
-                            {"rotated_from": f.kind, "phi": phi},
-                            _scaled_pair(f, cmath.exp(1j * phi)))
+                            {"rotated_from": f.kind, "phi": phi}, _scaled_pair(f, unit))
 
 
 def dilated(f: SchlichtFunction, r: float) -> SchlichtFunction:

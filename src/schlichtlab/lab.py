@@ -506,20 +506,22 @@ def _audit_member(f, cfg: ScenarioConfig, est, violations: int):
 def audit_members(members, cfg: ScenarioConfig) -> list:
     """``(label, alpha, checks)`` per member of the list ``members``, at the
     settings of the inequality_audit config ``cfg``; ``alpha`` is 0.0 below
-    maximal growth.  ``checks`` lists ``(name, value, margin, ok)``: ``value``
-    is what the check measures, ``margin`` its bound, every allowance
-    included, minus that, and ``ok`` is ``margin >= 0`` for every check.
+    maximal growth, which each member's pair decides, whatever its kind
+    (:attr:`families.SchlichtFunction.maximal_growth`).  ``checks`` lists
+    ``(name, value, margin, ok)``: ``value`` is what the check measures,
+    ``margin`` its bound, every allowance included, minus that, and ``ok``
+    is ``margin >= 0`` for every check.
     One batched :func:`logmilin.prawitz_check` call covers every member, one
     :func:`hayman.hayman_index` call the maximal ones.
     """
     if cfg.scenario != "inequality_audit":
         raise ConfigError("audit_members needs an inequality_audit config")
     prawitz = logmilin.prawitz_check(members, (0.3, 0.5, 0.7, 0.9))
-    maximal = [f for f in members if f.kind in families.MAXIMAL_GROWTH_KINDS]
+    maximal = [f for f in members if f.maximal_growth]
     ests = iter(hayman.hayman_index(maximal) if maximal else [])
     results = []
     for f, (_, violations) in zip(members, prawitz):
-        est = next(ests) if f.kind in families.MAXIMAL_GROWTH_KINDS else None
+        est = next(ests) if f.maximal_growth else None
         label, alpha, checks = _audit_member(f, cfg, est, violations)
         results.append((label, alpha, [(name, value, margin, bool(margin >= 0))
                                        for name, value, margin in checks]))

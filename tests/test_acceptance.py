@@ -31,7 +31,6 @@ from schlichtlab import (
     strong_grunsky_norm,
     weighted_mean,
 )
-from schlichtlab.families import MAXIMAL_GROWTH_KINDS
 from schlichtlab.logmilin import (
     MILIN_CONSTANT_BOUND,
     gamma_recurrence_unweighted,
@@ -152,7 +151,7 @@ def test_05_inequality_audit(corpus130, ledgers130):
         _, violations = prawitz_check(f, (0.3, 0.5, 0.7, 0.9))
         ok &= violations == 0
 
-        if f.kind in MAXIMAL_GROWTH_KINDS:
+        if f.maximal_growth:
             est = hayman_index(f)
             aligned = rotated(f, est.theta) if abs(est.theta) > 1e-12 else f
             s_sq = float(np.max(np.abs(log_data(aligned).s) ** 2))

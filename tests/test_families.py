@@ -12,6 +12,7 @@ from schlichtlab.families import (
     CIRCLE_GRID,
     KIND_PARAMETERS,
     MAX_ORDER,
+    SigmaFunction,
     dilated,
     eval_certified,
     deriv_certified,
@@ -326,6 +327,15 @@ class TestBadInputs:
                                  lambda: make_schlicht("custom", {"coeffs": [[0, 1], [2]]}, 16)),
         "derivative profile theta nan": (InvalidParameter, lambda: _derivative_rows(
             [_koebe16()], np.array([0.5, 0.75]), [math.nan])),
+        "sigma b0 str": (InvalidParameter,
+                         lambda: SigmaFunction(b0="x", tail=np.zeros(2), order=2)),
+        "sigma b0 None": (InvalidParameter,
+                          lambda: SigmaFunction(b0=None, tail=np.zeros(2), order=2)),
+        "sigma b0 inf": (InvalidParameter,
+                         lambda: SigmaFunction(b0=complex(0, math.inf), tail=np.zeros(2), order=2)),
+        "sigma tail str": (InvalidParameter, lambda: SigmaFunction(b0=0j, tail="x", order=2)),
+        "sigma tail ragged": (InvalidParameter,
+                              lambda: SigmaFunction(b0=0j, tail=[[0, 1], [2]], order=2)),
     }
 
     @pytest.mark.filterwarnings("error")

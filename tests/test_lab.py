@@ -780,7 +780,7 @@ class TestAudit:
     @pytest.mark.filterwarnings("error")
     def test_batched_estimates_equal_single_member_calls(self, corpus130):
         cfg = ScenarioConfig(scenario="inequality_audit", series_order=130, grunsky_order=32)
-        maximal = [f for f in corpus130 if f.kind in families.MAXIMAL_GROWTH_KINDS]
+        maximal = [f for f in corpus130 if f.maximal_growth]
         assert len(maximal) == 3
         batched = hayman.hayman_index(maximal)
         assert batched == [hayman.hayman_index(f) for f in maximal]
@@ -799,6 +799,21 @@ class TestAudit:
         cfg = ScenarioConfig(scenario="inequality_audit", series_order=130)
         with pytest.raises(InvalidParameter, match="theta"):
             lab.audit_members(corpus130, cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rotated_koebe_is_audited_as_the_rotation(self):
+        # the growth class comes from the pair, not the kind tag: a rotated
+        # Koebe map is audited as maximal, with its growth index and the
+        # Bazilevich checks, exactly as the rotation kind at the same angle
+        cfg = ScenarioConfig(scenario="inequality_audit", series_order=130)
+        koebe = make_schlicht("koebe", order=130)
+        [(_, alpha, checks)] = lab.audit_members([families.rotated(koebe, 0.5)], cfg)
+        [(_, alpha_kind, checks_kind)] = lab.audit_members(
+            [make_schlicht("rotation", {"theta": 0.5}, order=130)], cfg)
+        assert alpha == alpha_kind > 0.99
+        assert checks == checks_kind
+        assert all(ok for _, _, _, ok in checks)
+        assert "non_full_defect_positive" not in [name for name, _, _, _ in checks]
 
     @pytest.mark.filterwarnings("error")
     def test_audit_members_needs_an_audit_config(self, corpus130):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from schlichtlab.errors import InvalidAlpha, QuadratureUnconverged, SchlichtLabError
 from schlichtlab import logmilin
 from schlichtlab.families import (
-    MAXIMAL_GROWTH_KINDS,
     dilated,
     make_schlicht,
     rotated,
@@ -242,7 +241,7 @@ class TestBazilevich:
 
     def test_partial_sums_monotone_and_bounded(self, corpus130, ledgers130):
         for f in corpus130:
-            if f.kind not in MAXIMAL_GROWTH_KINDS:
+            if not f.maximal_growth:
                 continue
             ld = ledgers130[f.label()]
             est = hayman_index(f)
@@ -431,7 +430,7 @@ def test_increment_bound_on_growth_aligned_members(corpus130):
     # |a_{n+1} - a_n|^2 <= exp(2 * 0.312)/alpha once the growth direction
     # is rotated onto the positive axis
     for f in corpus130:
-        if f.kind not in MAXIMAL_GROWTH_KINDS:
+        if not f.maximal_growth:
             continue
         est = hayman_index(f)
         aligned = rotated(f, est.theta) if abs(est.theta) > 1e-12 else f
