@@ -469,12 +469,13 @@ def max_modulus(f, r):
     is one radius or a 1-D array of radii, shared by every member.  The
     search has two stages.  The grid stage evaluates |f| at the
     CIRCLE_GRID (512) uniform angles CIRCLE_ANGLES on every circle, one
-    array evaluation per member with its own pair, and keeps each circle's
-    best cell.  Golden-section refinement then pins every angle of every
-    member to 1e-10 in lockstep, with ``np.where`` choosing each lane's
-    side and each lane evaluating its member's pair.  Every evaluation goes
-    through the same array arithmetic, so a lane's result depends neither
-    on the other radii nor on the other members in the call.
+    array evaluation per member with its own pair, at points formed once
+    per call, and keeps each circle's best cell.  Golden-section refinement
+    then pins every angle of every member to 1e-10 in lockstep, with
+    ``np.where`` choosing each lane's side and each lane evaluating its
+    member's pair.  Every evaluation goes through the same array
+    arithmetic, so a lane's result depends neither on the other radii nor
+    on the other members in the call.
 
     For one member, returns ``(M, theta)``: floats for a scalar ``r``,
     arrays otherwise, with each angle wrapped to (-pi, pi].  For a
@@ -493,9 +494,10 @@ def max_modulus(f, r):
 
     best = np.empty((len(members), len(lanes)))
     last = np.empty((len(members), CIRCLE_GRID))
+    grid = lanes[:, None] * _CIRCLE_RAY  # the (radii, grid) points, shared by every member
     for i, g in enumerate(members):
         # one (radii, grid) evaluation per member, with its own pair
-        cells = np.abs(g.value(lanes[:, None] * _CIRCLE_RAY))
+        cells = np.abs(g.value(grid))
         best[i] = CIRCLE_ANGLES[np.argmax(cells, axis=1)]
         last[i] = cells[-1]
     # the lanes: every radius of each member in turn

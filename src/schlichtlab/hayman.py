@@ -134,21 +134,20 @@ def growth_profile(f: SchlichtFunction, radii: Sequence[float]) -> np.ndarray:
 def _ambiguities(circles: np.ndarray) -> list:
     """For each row of ``circles``, |f| at the CIRCLE_ANGLES of one circle,
     None when one maximum dominates, else the :class:`AmbiguousDirection`
-    message.  One np.roll pair marks the local maxima of every row."""
+    message.  One np.roll pair marks the local maxima of every row; only a
+    row with two or more of them (a plateau counts each of its cells) is
+    compared in Python."""
     local = (circles >= np.roll(circles, 1, axis=1)) & (circles >= np.roll(circles, -1, axis=1))
-    out = []
-    for vals, mask in zip(circles, local):
-        peaks, message = np.flatnonzero(mask), None
-        if len(peaks) > 1:
-            order = peaks[np.argsort(vals[peaks])[::-1]]
-            best, second = order[0], order[1]
-            sep = abs(math.remainder(CIRCLE_ANGLES[best] - CIRCLE_ANGLES[second], 2.0 * math.pi))
-            window = 4.0 * np.pi / CIRCLE_GRID
-            if vals[best] - vals[second] <= 1e-6 and sep > window:
-                message = (f"circle maxima at angles {CIRCLE_ANGLES[best]:.4f} and "
-                           f"{CIRCLE_ANGLES[second]:.4f} agree in modulus; no single growth "
-                           "direction")
-        out.append(message)
+    out, window = [None] * len(circles), 4.0 * np.pi / CIRCLE_GRID
+    for i in np.flatnonzero(np.count_nonzero(local, axis=1) > 1).tolist():
+        vals, peaks = circles[i], np.flatnonzero(local[i])
+        order = peaks[np.argsort(vals[peaks])[::-1]]
+        best, second = order[0], order[1]
+        sep = abs(math.remainder(CIRCLE_ANGLES[best] - CIRCLE_ANGLES[second], 2.0 * math.pi))
+        if vals[best] - vals[second] <= 1e-6 and sep > window:
+            out[i] = (f"circle maxima at angles {CIRCLE_ANGLES[best]:.4f} and "
+                      f"{CIRCLE_ANGLES[second]:.4f} agree in modulus; no single growth "
+                      "direction")
     return out
 
 

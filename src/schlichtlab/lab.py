@@ -65,24 +65,26 @@ numpy (see _spell): an 8-decimal float whose digits the product x * 1e8
 fixes beyond doubt, and an int in 0 .. 9999, is read off a table of
 4-digit texts, and only the rest (NaN, infinities, |x| >= 1e4, near or
 exact ties) goes through Python's ``'%.8f'`` or ``'%d'``.  Each distinct
-scenario name and flag is spelled once, with its separator, and
-np.strings.add joins the fields of every row at once.  The JSON writer
-does the same with its own speller (see _json_float): a float's shortest
-round-trip digits, those of its repr, come from a double-double product
-with a table of powers of ten wherever they are decided beyond a margin,
-and only the rest (non-finite values, zeros, powers of two, |x| outside
-1e-128 .. 1e128, near ties) goes through json's own float text.  A column
-whose entries are all equal (a float or int column: equal bits; a str
-column: ==) is spelled once by json.dumps, into the literal text between
-the fields that vary: ``alpha_m``, ``flag`` and ``check`` mostly repeat
-over a grid's rows; and a column is spelled only once when another is
-bitwise equal to it (``deviation`` is ``value`` whenever every alpha is
-0).  The summary's lists of numbers (a grid's ``alpha``,
-``bracket_widths``, ``tail_n`` and ``tail_sup``) go through the same
-spellers.  Both files are written as bytes.  Every file
-of one export is written under a temporary name beside it, and all are
-moved into place only once all are complete, so an export cut short leaves
-no partial report and no report newer than its sibling.
+scenario name and flag is spelled once, with its separator.  The JSON
+writer does the same with its own speller (see _json_float): a float's
+shortest round-trip digits, those of its repr, come from a double-double
+product with a table of powers of ten wherever they are decided beyond a
+margin, and only the rest (non-finite values, zeros, powers of two, |x|
+outside 1e-128 .. 1e128, near ties) goes through json's own float text.
+Both build a block's rows through one helper (see _block_rows) with the
+same column rules: a column whose entries are all equal (a float or int
+column: equal bits; a str column: ==) is spelled once, into the literal
+text between the fields that vary (``alpha_m``, ``flag`` and ``check``
+mostly repeat over a grid's rows); a column bitwise equal to an earlier one
+reuses its text (``deviation`` is ``value`` whenever every alpha is 0); and
+each run of bitwise-equal neighbours in a number column is spelled once
+(``m``, and theorem2's ``alpha_m``, hold one run per m).  np.strings.add
+then joins the fields of every row at once, pairwise.  The summary's lists
+of numbers (a grid's ``alpha``, ``bracket_widths``, ``tail_n`` and
+``tail_sup``) go through the same spellers.  Both files are written as
+bytes.  Every file of one export is written under a temporary name beside
+it, and all are moved into place only once all are complete, so an export
+cut short leaves no partial report and no report newer than its sibling.
 """
 
 from __future__ import annotations
@@ -348,8 +350,8 @@ def _diagonal_cells(cfg: ScenarioConfig) -> range:
 
 def _run_counterexample(cfg: ScenarioConfig) -> ScenarioReport:
     tol = cfg.tolerances
-    members = _build_members(cfg, lambda m: families.make_schlicht(
-        "dilation", {"r": 1.0 - 1.0 / m}, cfg.series_order))
+    base = families.make_schlicht("koebe", order=cfg.series_order)
+    members = _build_members(cfg, lambda m: families.dilated(base, 1.0 - 1.0 / m))
     zeros = [0.0] * len(members)  # dilations of bounded-coefficient maps
     _, d, rows, summary, _ = _ratio_grid(cfg, members, zeros, zeros)
     (m_lo, m_hi), (n_lo, n_hi) = cfg.m_range, cfg.n_range
@@ -568,20 +570,19 @@ SCENARIOS = {
 
 CSV_HEADER = "scenario,m,n,value,alpha_m,deviation,flag"
 
-# each report column with the text before its value in a row of the report JSON:
-# keys sorted and indented as json.dumps(indent=2) writes them
-_JSON_FIELDS = [(k, b'%s\n      "%s": ' % (b"," if i else b"{", k.encode()))
-                for i, k in enumerate(sorted(COLUMNS))]
-
 # the writers format and write this many rows at a time, so the memory an
 # export holds does not grow with the report
 BLOCK_ROWS = 2048
 
-# 0 .. 9999 as 'S' text, zero-padded to four digits (_DIGITS4) and as %d spells them
+# 0 .. 9999 as 'S' text: zero-padded to four digits (_DIGITS4, and _D4 with each
+# text as one number, for a gather), as %d spells them (_DIGITS), and so with a
+# point after (_DIGITS_POINT)
 _DIGIT = np.frombuffer(b"0123456789", dtype="S1")
 _DIGITS4 = np.strings.add(*np.ix_(*[np.strings.add(*np.ix_(_DIGIT, _DIGIT)).ravel()] * 2)).ravel()
+_D4 = _DIGITS4.view(np.uint32)
 _DIGITS = np.strings.lstrip(_DIGITS4, b"0")
 _DIGITS[0] = b"0"
+_DIGITS_POINT = np.strings.add(_DIGITS, b".")
 
 
 def _row_blocks(rows: dict):
@@ -589,16 +590,6 @@ def _row_blocks(rows: dict):
     (the last one shorter), each a dict of column slices."""
     for lo in range(0, len(rows["m"]), BLOCK_ROWS):
         yield {k: col[lo : lo + BLOCK_ROWS] for k, col in rows.items()}
-
-
-def _constant(col) -> bool:
-    """True when every entry of the block column ``col`` equals its first: a
-    list by ==, an array by its bits (so -0.0 is not 0.0, and NaN is NaN only
-    with the same payload)."""
-    if isinstance(col, list):
-        return col.count(col[0]) == len(col)
-    bits = col.view(f"u{col.itemsize}")
-    return bool((bits == bits[0]).all())
 
 
 def _spell(col: np.ndarray) -> np.ndarray:
@@ -615,12 +606,13 @@ def _spell(col: np.ndarray) -> np.ndarray:
     no half-integer lies between y and a * 10^8 or on either, so
     q = rint(y) is a * 10^8 rounded to the nearest integer, with no tie to
     break: the digits of Python's correctly rounded '%.8f'.  When q also
-    stays below 10^12, its integer part q // 10^8 is in the table, and the
-    sign (np.signbit, so -1e-12 gives -0.00000000 as '%.8f' does), the
-    integer part, ``.`` and the 8 digits of q % 10^8 (two gathers of 4)
-    are the text.  Every other entry, NaN, +-inf, a >= 1e4, an int off the
-    table, and each near or exact tie or carry to 10^4, is spelled by
-    Python's own format.
+    stays below 10^12, its integer part q // 10^8 is below 10^4, and the
+    text is the sign (np.signbit, so -1e-12 gives -0.00000000 as '%.8f'
+    does), the integer part and its ``.`` off _DIGITS_POINT, and the 8
+    digits of q % 10^8: two _D4 words side by side, viewed as one 8-byte
+    text, so a single np.strings.add joins the parts.  Every other entry,
+    NaN, +-inf, a >= 1e4, an int off the table, and each near or exact tie
+    or carry to 10^4, is spelled by Python's own format.
     """
     if col.dtype.kind == "f":
         spec, a = "%.8f", np.abs(col)
@@ -628,8 +620,8 @@ def _spell(col: np.ndarray) -> np.ndarray:
         q = np.rint(y)
         fast = (a < 1e4) & (np.abs(y - np.floor(y) - 0.5) > y * 2.0 ** -50) & (q < 1e12)
         whole, part = np.divmod(np.where(fast, q, 0.0).astype(np.int64), 10 ** 8)
-        text = np.strings.add(np.strings.add(_DIGITS[whole], b"."), _DIGITS4[part // 10 ** 4])
-        text = np.strings.add(text, _DIGITS4[part % 10 ** 4])
+        decimals = np.stack([_D4[part // 10 ** 4], _D4[part % 10 ** 4]], axis=-1).view("S8")
+        text = np.strings.add(_DIGITS_POINT[whole], decimals[:, 0])
         negative = np.signbit(col)
         if negative.any():
             text = np.strings.add(np.where(negative, b"-", b""), text)
@@ -676,7 +668,6 @@ _TEN_H -= _TEN_H - _TEN_HI
 _TEN_L = _TEN_HI - _TEN_H
 _MARGIN = 2.0 ** -40
 _UNITS = np.array([[100], [10]])
-_D4 = _DIGITS4.view(np.uint32)  # each 4-digit text as one number, for a gather
 _AT = np.arange(18, dtype=np.uint8)[:, None]  # the row of each place
 _FLOAT_SIGN = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000",
                         b"-", b"-0.", b"-0.0", b"-0.00", b"-0.000"])
@@ -729,6 +720,8 @@ def _shortest_digits(col: np.ndarray) -> tuple:
     """
     a = np.abs(col)
     fast = (a >= _TEN_GE[0]) & (a < _TEN_GE[_E_HI - _E_LO]) & (a.view(np.uint64) << 12 != 0)
+    if not fast.any():
+        return fast, np.full(len(col), 10 ** 16), np.zeros(len(col), dtype=np.int64)
     a = np.where(fast, a, 1.0)
     biased = (a.view(np.uint64) >> 52).astype(np.int64)
     e = np.floor((biased - 1023) * 0.30102999566398120).astype(np.int64)
@@ -772,6 +765,8 @@ def _json_float(col: np.ndarray) -> np.ndarray:
     """
     n = len(col)
     fast, digits, e = _shortest_digits(col)
+    if not fast.any():  # zeros, say: no layout to build
+        return _json_dumps(col)
     groups = np.empty((5, n), dtype=np.int64)  # the lead digit, then 4 digits at a time
     for g in range(4, 0, -1):
         groups[g - 1] = digits // 10 ** 4
@@ -794,12 +789,20 @@ def _json_float(col: np.ndarray) -> np.ndarray:
     sign = _FLOAT_SIGN[5 * np.signbit(col) + np.where(positional & (e < 0), -e, 0)]
     text = np.strings.add(np.strings.add(sign, text), _FLOAT_EXP[e - _E_LO])
     slow = np.flatnonzero(~fast)
-    if len(slow):  # each distinct value once: zeros and small powers of two repeat
-        bits, index = np.unique(col[slow].view(np.uint64), return_inverse=True)
-        spelled = np.array(json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "), dtype="S")
+    if len(slow):
+        spelled = _json_dumps(col[slow])
         text = text.astype(np.result_type(text, spelled))
-        text[slow] = spelled[index]
+        text[slow] = spelled
     return text
+
+
+def _json_dumps(col: np.ndarray) -> np.ndarray:
+    """``json.dumps(x)`` of each entry x of a float64 column, as an 'S' array;
+    each distinct value (by its bits) once: zeros and small powers of two
+    repeat."""
+    bits, index = np.unique(col.view(np.uint64), return_inverse=True)
+    return np.array(json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "),
+                    dtype="S")[index]
 
 
 def _spell_texts(col: list, spell: Callable) -> np.ndarray:
@@ -811,50 +814,115 @@ def _spell_texts(col: list, spell: Callable) -> np.ndarray:
     return spelled[np.fromiter(map(index.__getitem__, col), np.intp, len(col))]
 
 
+def _join(pieces: list):
+    """np.strings.add of ``pieces`` in order, each bytes or an 'S' array,
+    added pairwise: the first to the second, the third to the fourth and so
+    on, then the sums alike, so each row's text is copied about
+    log2(len(pieces)) times instead of once for every piece after it.  The
+    list is reduced in place, so the caller holds no piece afterwards."""
+    while len(pieces) > 1:
+        pieces[:] = [np.strings.add(*pieces[i : i + 2]) if i + 1 < len(pieces) else pieces[i]
+                     for i in range(0, len(pieces), 2)]
+    return pieces[0]
+
+
+def _block_rows(c: dict, fields, end: bytes) -> list:
+    """The text of each row of the block ``c``, as bytes: for each field
+    ``(before, key, spell)`` in turn, the literal ``before`` and the text of
+    the row's entry of column ``c[key]``, then ``end``.  Both writers build
+    their rows here.
+
+    ``spell`` maps a column, or a part of one, to the 'S' array of its
+    entries' texts; a text that could end in NUL, which 'S' padding would
+    eat, carries the separator after it.  Three rules decide which entries
+    are spelled:
+
+    * a column constant over the block (an array: every entry with the
+      first one's bits, so -0.0 is not 0.0 and NaN is NaN only with the same
+      payload; a list: ==) is spelled once, into the literal text between
+      the fields that vary;
+    * an array column bitwise equal to an earlier one reuses its text;
+    * each run of bitwise-equal neighbours in an array column is spelled
+      once, at its head, and the text repeated over the run.
+
+    The run heads of all arrays with one speller and dtype go through one
+    call of it.  A field's text takes the literal before it while it is
+    still one entry per run, and _join adds the fields of every row at
+    once.  A float column on the grids thus spells 2048 entries, 8
+    (``alpha_m`` on theorem2) or 1 (``alpha_m`` of 0.0 on the other two),
+    and ``deviation`` none where it is ``value``.
+    """
+    size = len(c[fields[0][1]])
+    found, heads, groups = [], {}, {}
+    for _, key, spell in fields:
+        col = c[key]
+        if isinstance(col, list):
+            found.append(col[:1] if col.count(col[0]) == size else col)
+            continue
+        bits = (spell, col.dtype.kind, col.tobytes())
+        if bits not in heads:
+            word = col.view(f"u{col.itemsize}")
+            heads[bits] = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
+            groups.setdefault(bits[:2], {})[bits] = col[heads[bits]]
+        found.append(bits)
+    texts = {}
+    for (spell, _), group in groups.items():
+        cut = np.cumsum([len(part) for part in group.values()])[:-1]
+        texts.update(zip(group, np.split(spell(np.concatenate(list(group.values()))), cut)))
+    pieces, literal = [], b""
+    for (before, _, spell), col in zip(fields, found):
+        text, at = (spell(col), None) if isinstance(col, list) else (texts[col], heads[col])
+        literal += before
+        if len(text) == 1:
+            literal += text[0]
+            continue
+        text = np.strings.add(literal, text)  # on the run heads, before they repeat
+        pieces.append(text if at is None or len(at) == size
+                      else np.repeat(text, np.diff(at, append=size)))
+        literal = b""
+    pieces.append(literal + end)
+    rows = _join(pieces)
+    return [rows] * size if isinstance(rows, bytes) else rows.tolist()
+
+
+def _csv_flag(col: list) -> np.ndarray:
+    """The CSV's text of each flag with the newline that ends its row."""
+    return _spell_texts(col, lambda s: "%s\n" % (s,))
+
+
 def _write_csv(rep: ScenarioReport, fh):
     fh.write(CSV_HEADER.encode() + b"\n")
-    # one entry, broadcast over each block
-    scenario = _spell_texts([rep.scenario], lambda s: "%s," % (s,))
+    fields = [(("%s," % (rep.scenario,)).encode(), "m", _spell), (b",", "n", _spell),
+              *((b",", k, _spell) for k in ("value", "alpha_m", "deviation")),
+              (b",", "flag", _csv_flag)]
     for c in _row_blocks(rep.rows):
-        rows = scenario
         # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
-        for col in (c["m"], c["n"], *(c[k] + 0.0 for k in ("value", "alpha_m", "deviation"))):
-            rows = np.strings.add(np.strings.add(rows, _spell(col)), b",")
-        rows = np.strings.add(rows, _spell_texts(c["flag"], lambda s: "%s\n" % (s,)))
-        fh.write(b"".join(rows.tolist()))
+        c.update((k, c[k] + 0.0) for k in ("value", "alpha_m", "deviation"))
+        fh.write(b"".join(_block_rows(c, fields, b"")))
+
+
+def _json_text(col: list) -> np.ndarray:
+    """The report JSON's text of each str entry of ``col``."""
+    return _spell_texts(col, json.dumps)
+
+
+# each report column with the text before its value in a row of the report JSON,
+# keys sorted and indented as json.dumps(indent=2) writes them, and its speller
+_JSON_FIELDS = [(b'%s\n      "%s": ' % (b"," if i else b"{", k.encode()), k,
+                 {"m": _spell, "n": _spell, "flag": _json_text, "check": _json_text}.get(
+                     k, _json_float))
+                for i, k in enumerate(sorted(COLUMNS))]
 
 
 def _json_rows(c: dict) -> list:
-    """The report JSON's text of each row of the block ``c``, as bytes.
-
-    A column whose entries all have the same bits (a list: all compare
-    equal) is spelled once by json.dumps, into the literal text between the
-    fields that vary.  Of those, the float columns go through one
-    _json_float call and the int columns through one _spell call, a column
-    bitwise equal to another once (deviation is value when every alpha is
-    0; bits, not ==, tell -0.0 from 0.0 and NaN from NaN), and each str
-    column through _spell_texts over json.dumps.  np.strings.add then joins
-    the fields of every row at once.
+    """The report JSON's text of each row of the block ``c``, as bytes, by
+    _block_rows's column rules: the float columns through _json_float, the
+    int columns through _spell (``'%d'`` is json's int text) and the str
+    columns through _spell_texts over json.dumps.  On the grids, ``flag``
+    and ``check`` are one literal text, ``alpha_m`` too or one text per m,
+    and ``deviation`` is ``value``'s text whenever every alpha is 0.
     """
-    varying = {k: c[k] for k, _ in _JSON_FIELDS if not _constant(c[k])}
-    bits = {k: (col.dtype.kind, col.tobytes()) for k, col in varying.items()
-            if isinstance(col, np.ndarray)}
-    spelled = {}
-    for kind, spell in (("f", _json_float), ("i", _spell)):
-        cols = {b: varying[k] for k, b in bits.items() if b[0] == kind}
-        if cols:
-            spelled.update(zip(cols, np.split(spell(np.concatenate(list(cols.values()))),
-                                              len(cols))))
-    rows, text = b"", b""
-    for k, before in _JSON_FIELDS:
-        text += before
-        if k not in varying:
-            text += json.dumps(c[k][0] if isinstance(c[k], list) else c[k][0].item()).encode()
-            continue
-        field = spelled[bits[k]] if k in bits else _spell_texts(c[k], json.dumps)
-        rows, text = np.strings.add(np.strings.add(rows, text), field), b""
-    rows = np.strings.add(rows, text + b"\n    }")
-    return rows.tolist() if rows.ndim else [rows.item()] * len(c["m"])
+    return _block_rows(c, _JSON_FIELDS, b"\n    }")
 
 
 def _json_numbers(value) -> Optional[np.ndarray]:
@@ -913,13 +981,14 @@ def export_report(rep: ScenarioReport, fmt: str = "both",
     so the memory held does not grow with the report.  Both spell each
     block's numbers as whole columns in numpy, the CSV with the bytes of
     ``'%.8f'`` and ``'%d'`` (see _spell), the JSON with those of
-    ``json.dumps`` (see _json_float), and join the fields of all rows with
-    np.strings.add; the JSON spells a column constant over a block once.
-    Every file goes under a
-    temporary name in the output directory, and the files are moved onto
-    their report names (``<scenario>.csv`` and ``.json``) only once all are
-    complete: an error mid-write removes the temporaries and leaves every
-    earlier report there as it was.
+    ``json.dumps`` (see _json_float), and both by the column rules of
+    _block_rows: a column constant over a block is spelled once, a column
+    bitwise equal to an earlier one not again, and a run of bitwise-equal
+    entries once.  Every file goes under a temporary name in the output
+    directory, and the files are moved onto their report names
+    (``<scenario>.csv`` and ``.json``) only once all are complete: an error
+    mid-write removes the temporaries and leaves every earlier report there
+    as it was.
     """
     if fmt not in ("csv", "json", "both"):
         raise ConfigError(f"unknown export format {fmt!r}")

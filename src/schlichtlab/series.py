@@ -80,7 +80,10 @@ class ComplexSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        arr = np.array(coeffs, dtype=np.complex128)
+        try:
+            arr = np.array(coeffs, dtype=np.complex128)
+        except (TypeError, ValueError):
+            raise InvalidParameter("coefficients must be a sequence of numbers") from None
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidParameter("coefficients must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr)):

@@ -160,6 +160,41 @@ def test_batched_direction_check_equals_per_circle_check(rows):
     assert hayman._ambiguities(circles) == [_parent_ambiguity(v) for v in circles]
 
 
+def _circle(*bumps):
+    """A flat circle of 0.5 with ``(at, level)`` bumps."""
+    circle = np.full(CIRCLE_GRID, 0.5)
+    for at, level in bumps:
+        circle[at] = level
+    return circle
+
+
+_TWO = np.cos(2.0 * CIRCLE_ANGLES)  # two equal maxima, half a turn apart
+_PLATEAU = np.minimum(np.cos(CIRCLE_ANGLES), 0.9)  # one plateau of about 70 cells
+
+
+@pytest.mark.parametrize("circle", [
+    np.full(CIRCLE_GRID, math.nan),  # no local maximum: NaN compares False
+    np.cos(CIRCLE_ANGLES - 1.0),  # one
+    _TWO,
+    _TWO + 2e-7 * np.cos(CIRCLE_ANGLES),  # two within 1e-6
+    _TWO + 1e-5 * np.cos(CIRCLE_ANGLES),  # two, one dominant
+    np.cos(CIRCLE_ANGLES - 3.5 * 2.0 * np.pi / CIRCLE_GRID),  # two neighbours, one peak
+    _circle((3, 2.0), (300, 2.0)),  # many: the flat cells count too
+    _circle((7, 2.0)),
+    _PLATEAU,
+    np.maximum(_PLATEAU, 0.9 * np.cos(CIRCLE_ANGLES - 3.0)),  # a plateau and a far peak
+    np.full(CIRCLE_GRID, 1.0),  # every cell a maximum
+], ids=["none", "one", "two", "two_near_equal", "two_dominant", "two_neighbours",
+        "bumps_on_flat", "bump_on_flat", "plateau", "plateau_and_peak", "flat"])
+def test_direction_check_by_number_of_local_maxima(circle):
+    # each circle alone and beside a circle with a single maximum, which the
+    # batched check passes over
+    one = np.cos(CIRCLE_ANGLES)
+    circles = np.stack([one, circle, one])
+    assert hayman._ambiguities(circles) == [_parent_ambiguity(v) for v in circles]
+    assert hayman._ambiguities(circle[None]) == [_parent_ambiguity(circle)]
+
+
 def test_batched_direction_check_on_theorem2_circles():
     members = [make_schlicht("koebe_transform", {"w": 0.3 * cmath.exp(1j / m)}, order=256)
                for m in range(1, 17)]

@@ -316,6 +316,96 @@ def test_runs_of_repeated_values_match_reference(rep, block, tmp_path):
         assert_matches_reference(rep, tmp_path)
 
 
+@st.composite
+def long_runs(draw, values, size):
+    """``size`` entries as runs of 1 to BLOCK_ROWS + 1 repeats of a value from
+    ``values``, so that runs cross block edges."""
+    out = []
+    while len(out) < size:
+        out += [draw(values)] * draw(st.one_of(st.integers(1, 4), st.integers(1, B + 1)))
+    return out[:size]
+
+
+@st.composite
+def long_run_reports(draw):
+    """A report of up to three blocks, each column made of long and short runs."""
+    size = draw(st.integers(1, 2 * B + 2))
+    floats = st.sampled_from(_PRINTABLE_FLOATS)
+    rows = {
+        "m": np.array(draw(long_runs(st.integers(-3, 3), size)), dtype=np.int64),
+        "n": np.array(draw(long_runs(st.integers(0, 20_000), size)), dtype=np.int64),
+        "value": np.array(draw(long_runs(floats, size))),
+        "alpha_m": np.array(draw(long_runs(floats, size))),
+        "deviation": np.array(draw(long_runs(floats, size))),
+        "flag": draw(long_runs(st.sampled_from(_TEXTS), size)),
+        "check": draw(long_runs(st.sampled_from(_TEXTS), size)),
+    }
+    return dataclasses.replace(hand_built([], [], []), rows=rows)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(rep=long_run_reports())
+def test_runs_across_block_edges_match_reference(rep, tmp_path):
+    assert_matches_reference(rep, tmp_path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("equal_blocks", [(0,), (1,), (0, 2), (1, 2)])
+def test_column_equal_to_value_in_some_blocks_only_matches_reference(equal_blocks, tmp_path):
+    # value runs in fours; deviation is bitwise value in the listed blocks and
+    # differs from it by a sign bit or a last bit in the others
+    size = 3 * B - 5
+    value = np.repeat(np.random.default_rng(3).standard_normal(-(-size // 4)), 4)[:size]
+    deviation = np.where(np.arange(size) % 2, -value, np.nextafter(value, np.inf))
+    for block in equal_blocks:
+        deviation[block * B : (block + 1) * B] = value[block * B : (block + 1) * B]
+    rep = hand_built([0.0] * size, ["ok"] * size, ["c"] * size)
+    rep.rows.update(value=value, alpha_m=np.repeat([0.5, -0.0], [B + 3, size - B - 3]),
+                    deviation=deviation)
+    assert_matches_reference(rep, tmp_path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_constant_flag_next_to_a_mixed_one_matches_reference(tmp_path):
+    # flag is constant and check mixed in the first block, the other way round
+    # in the second, and both constant, with different texts, in the third
+    size = 2 * B + 7
+    flags = ["ok"] * B + ["ok" if i % 3 else "fail" for i in range(B)] + ["fail"] * 7
+    checks = [f"check_{i % 5}" for i in range(B)] + ["milin_bound"] * B + ["c%"] * 7
+    rep = hand_built(np.linspace(-1.0, 1.0, size).tolist(), flags, checks)
+    assert_matches_reference(rep, tmp_path)
+
+
+_SLOW_HEADS = [
+    1 / 512,  # an exact tie of '%.8f': x * 10^8 = 195312.5
+    -3 / 512,
+    math.nextafter(0.5e-8, 1.0), math.nextafter(2.5e-8, 0.0),  # next to a tie
+    1e4, -12345.678, 1e300,  # |x| >= 1e4
+    math.nan, _NAN_PAYLOAD, -math.nan, math.inf,
+    0.0, -0.0,  # one CSV text after + 0.0, two JSON texts
+    5e-324, 2.0 ** -600, 0.1,
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run", [1, 2, 7, B - 1, B + 1])
+def test_runs_with_slow_path_heads_match_reference(run, tmp_path):
+    # every run's head goes to Python's format or json's; the runs of -0.0
+    # next to 0.0 are two runs in the JSON and one text in the CSV
+    heads = np.array(_SLOW_HEADS * (3 if run < 8 else 1))  # long runs: the heads once
+    order = np.random.default_rng(run).permutation(len(heads))
+    value = np.repeat(heads, run)
+    size = len(value)
+    rep = hand_built([0.0] * size, ["ok"] * size, ["c"] * size)
+    rep.rows.update(value=value, alpha_m=np.repeat(heads[order], run),
+                    deviation=np.repeat(heads[::-1].copy(), run))
+    rep.rows["n"] = np.repeat(np.arange(len(heads)) * 9_999, run)  # ints off the table too
+    assert_matches_reference(rep, tmp_path)
+
+
 def _export_peak(rep: ScenarioReport, out_dir) -> int:
     """tracemalloc's peak, in bytes, while ``rep`` is exported as CSV and JSON."""
     export_report(rep, out_dir=str(out_dir))  # warm: the measured call overwrites

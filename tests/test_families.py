@@ -336,6 +336,9 @@ class TestBadInputs:
         "sigma tail str": (InvalidParameter, lambda: SigmaFunction(b0=0j, tail="x", order=2)),
         "sigma tail ragged": (InvalidParameter,
                               lambda: SigmaFunction(b0=0j, tail=[[0, 1], [2]], order=2)),
+        "series coeffs str": (InvalidParameter, lambda: ComplexSeries("x")),
+        "series coeffs str log": (InvalidParameter, lambda: ComplexSeries("x").log()),
+        "series coeffs ragged": (InvalidParameter, lambda: ComplexSeries([[0, 1], [2]])),
     }
 
     @pytest.mark.filterwarnings("error")
