@@ -38,13 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameter, OutsideDisk
-from .series import ComplexSeries, integer_parameter
-
-#: the largest series order a member may have.  Each order-N member feeds
-#: O(N^2) work and memory (series log and sqrt, the audit's Grunsky table of
-#: (N/2 + 1) x N complex entries, 134 MB at N = 4096), so a larger order is
-#: refused up front instead of failing inside numpy's allocator.
-MAX_ORDER = 4096
+from .series import MAX_ORDER, ComplexSeries, integer_parameter
 
 #: the parameter names each kind of make_schlicht reads; any other key is refused
 KIND_PARAMETERS = {"koebe": (), "halfplane": (), "rotation": ("theta",), "dilation": ("r",),

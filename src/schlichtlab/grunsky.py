@@ -23,12 +23,14 @@ Entries with ``n + k - 1`` beyond ``g.order`` implicitly use a zero tail;
 supply ``g.order >= 2N - 1`` when the full N x N section must be faithful.
 The recurrence convolves and sums over b's span only: the b_m up to the
 last one of modulus above NEGLIGIBLE_B (1e-200), the rest read as zero.
-The span is 1 for every pair with rho = 0, and a tail with no such b_m
-gives the zero table at once.  For univalent g the cut moves no entry by
-more than 1.4e-188 (:func:`grunsky_matrix` has the proof).  It keeps the
-b_m of a geometric tail, which fall below 1e-300 past m ~ 750 for
-|rho| ~ 0.4, out of the products with gamma, whose subnormal results made
-the build at N = 512 about 2.5 times slower.  A smaller section of the
+For univalent g the cut moves no entry by more than 1.4e-188
+(:func:`grunsky_matrix` has the proof).  It keeps the b_m of a geometric
+tail, which fall below 1e-300 past m ~ 750 for |rho| ~ 0.4, out of the
+products with gamma, whose subnormal results made the build at N = 512
+about 2.5 times slower.  A span of at most 1 (every pair with rho = 0:
+Koebe, rotations, dilations, and the half-plane's zero tail) runs no
+recurrence at all: the table is then exactly diagonal, gamma_kk =
+b_1^k / k, and is filled at once.  A smaller section of the
 same map is a slice of a larger table (:meth:`GrunskyTable.section`), not
 a second recurrence.
 
@@ -36,9 +38,11 @@ The weighted matrix ``sqrt(nk) gamma_{nk}`` has operator norm at most 1
 for univalent ``g`` (strong Grunsky inequality); equality together with a
 vanishing row-sum defect at interior points characterizes full mappings
 (complement of measure zero), which is what the defect diagnostics probe.
-The norm has one routine, :func:`strong_grunsky_norm`: the top eigenvalue
+The norm has one routine, :func:`strong_grunsky_norm`: max_k |k gamma_kk|
+for a diagonal table, with one rounding, and otherwise the top eigenvalue
 of the dense Gram matrix, which works on the clustered spectra of full
-mappings.  :func:`fullness_defect` gives the defect alone;
+mappings, with an error of order N machine epsilons.
+:func:`fullness_defect` gives the defect alone;
 :func:`full_mapping_defect` adds the identity residual against the
 logarithmic ledger.
 """
@@ -113,11 +117,27 @@ def grunsky_matrix(g: SigmaFunction, n_order: int) -> GrunskyTable:
     (N+1) x 2N array; each new row costs one convolution and one
     vector-matrix product, both taken over b's span only: the b_m with
     m <= s, s the last index of a b_m with |b_m| > NEGLIGIBLE_B (within the
-    2N - 1 the section reads), every later b_m read as zero.  A pair has
-    b_m = rho^{m-1} (rho - beta)^2, so s = 1 whenever rho = 0 (Koebe,
-    rotations, their dilations) and each row then costs O(N).  A tail with
-    no b_m above NEGLIGIBLE_B (the half-plane map: all zero) gives the zero
-    table without running the recurrence.
+    2N - 1 the section reads), every later b_m read as zero.
+
+    A span s <= 1 runs no recurrence: the table is diagonal,
+    gamma_kk = b_1^k / k, with b_1 read after the cut (zero when s = 0).  A
+    pair has b_m = rho^{m-1} (rho - beta)^2, so s = 1 whenever rho = 0
+    (Koebe, rotations, their dilations), and the half-plane's tail is zero.
+    Proof, by induction on n, that gamma_nk = delta_nk b_1^n / n when b_1 is
+    the only nonzero b_m: row 1 is gamma_1k = b_k = delta_1k b_1, and in the
+    recurrence for row n + 1 (n + k >= 2, so b_{n+k} = 0) only j = k - 1
+    and m = 1 survive:
+
+        (n+1) gamma_{n+1,k} = n gamma_{n,k+1} + n b_1 gamma_{n,k-1}
+                              - (n-1) b_1 gamma_{n-1,k}.
+
+    Under the hypothesis the right side is b_1^n [k = n-1]
+    + b_1^{n+1} [k = n+1] - b_1^n [k = n-1] = b_1^{n+1} [k = n+1]: every
+    off-diagonal entry is exactly 0, and gamma_{n+1,n+1} = b_1^{n+1}/(n+1).
+    The diagonal is one running product and one division per entry, so
+    gamma_kk lies within about (1.2 (k-1) + 0.5) machine epsilons of the
+    exact b_1^k / k of the double b_1 (sqrt(5)/2 epsilons per complex
+    product, half of one per division), short of underflow.
 
     The cut is harmless.  The table built is the section of
     g~ = g - h, h(z) = sum_{s < m < 2N} b_m z^{-m}, every |b_m| <= eps =
@@ -154,11 +174,14 @@ def grunsky_matrix(g: SigmaFunction, n_order: int) -> GrunskyTable:
     avail = min(g.order, width - 1)
     b[1 : avail + 1] = g.tail[:avail]
     kept = np.flatnonzero(np.abs(b) > NEGLIGIBLE_B)
-    gam = np.zeros((n_order + 1, width), dtype=np.complex128)
-    if not len(kept):
-        return GrunskyTable(order=n_order, gamma_nk=gam[:, : n_order + 1].copy())
-    span = int(kept[-1])  # the b_m past it are read as zero
+    span = int(kept[-1]) if len(kept) else 0  # the b_m past it are read as zero
     b[span + 1 :] = 0.0
+    if span <= 1:  # diagonal: gamma_kk = b_1^k / k
+        diag = np.zeros((n_order + 1, n_order + 1), dtype=np.complex128)
+        k = np.arange(1, n_order + 1)
+        diag[k, k] = np.cumprod(np.full(n_order, b[1])) / k
+        return GrunskyTable(order=n_order, gamma_nk=diag)
+    gam = np.zeros((n_order + 1, width), dtype=np.complex128)
     gam[1, 1:] = b[1:]
     for n in range(1, n_order):
         top = width - n  # row n + 1 is needed through column top - 1
@@ -208,16 +231,21 @@ def grunsky_matrix_direct(g: SigmaFunction, n_order: int) -> GrunskyTable:
 def strong_grunsky_norm(t: GrunskyTable) -> float:
     """Largest singular value of the weighted matrix sqrt(nk) gamma_{nk}.
 
-    The square root of the top eigenvalue of the Hermitian Gram matrix
-    B^H B, B = ``t.weighted()``.  Sections of full mappings pile their
-    singular values up at 1, which no iterative method mixes through
-    cheaply; the dense route does not care, and its relative error in the
-    top singular value is of order N machine epsilons.  Univalence keeps
-    the result <= 1 up to that rounding.
+    A diagonal table (no nonzero gamma_nk off the diagonal: every table of
+    span <= 1, the zero table included) makes B = ``t.weighted()`` diagonal
+    with the singular values |B_kk| = |k gamma_kk|, and the result is their
+    maximum, one rounding from the exact norm of B.  Any other B takes the
+    square root of the top eigenvalue of the Hermitian Gram matrix B^H B.
+    Sections of full mappings pile their singular values up at 1, which no
+    iterative method mixes through cheaply; the dense route does not care,
+    and its relative error in the top singular value is of order N machine
+    epsilons.  Univalence keeps the result <= 1 up to that rounding.
     """
+    gam = t.gamma_nk[1:, 1:]
+    diag = np.diagonal(gam)
+    if np.count_nonzero(gam) == np.count_nonzero(diag):
+        return float(np.max(np.abs(np.arange(1, t.order + 1) * diag)))
     b = t.weighted()
-    if not np.any(b):
-        return 0.0
     return float(np.sqrt(np.linalg.eigvalsh(b.conj().T @ b)[-1]))
 
 

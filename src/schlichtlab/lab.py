@@ -457,6 +457,12 @@ def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
     return ScenarioReport("zalcman_scan", rows, summary, _provenance(cfg))
 
 
+def _section_order(cfg: ScenarioConfig) -> int:
+    """The order of the audit's Grunsky section: grunsky_order, cut to the
+    (series_order - 2) // 2 whose section the inverted series keeps faithful."""
+    return min(cfg.grunsky_order, (cfg.series_order - 2) // 2)
+
+
 def _audit_member(f, cfg: ScenarioConfig, est, violations: int):
     """``(label, alpha, checks)`` of one member, ``checks`` listing each
     check's ``(name, value, margin)``; ``est`` is its growth-index estimate
@@ -464,7 +470,7 @@ def _audit_member(f, cfg: ScenarioConfig, est, violations: int):
     Prawitz violation count."""
     tol = cfg.tolerances
     order = cfg.series_order
-    gN = min(cfg.grunsky_order, (order - 2) // 2)
+    gN = _section_order(cfg)
     ld = logmilin.log_data(f)
     _, max_partial, _ = logmilin.milin_check(ld)
     a_abs, b_sum, rhs = logmilin.lebedev_milin_check(f, ld, min(32, order - 2))
@@ -539,7 +545,9 @@ def _run_audit(cfg: ScenarioConfig) -> ScenarioReport:
     summary = {"labels": [label for label, _, _ in results],
                "flags": {f"{name}:{label}": ok
                          for label, _, checks in results for name, _, _, ok in checks}}
-    return ScenarioReport("inequality_audit", _columns(*zip(*rows)), summary, _provenance(cfg))
+    provenance = _provenance(cfg)
+    provenance["config"]["grunsky_order"] = _section_order(cfg)  # the section run
+    return ScenarioReport("inequality_audit", _columns(*zip(*rows)), summary, provenance)
 
 
 # -- the scenario table -------------------------------------------------------
@@ -988,10 +996,14 @@ def export_report(rep: ScenarioReport, fmt: str = "both",
     directory, and the files are moved onto their report names
     (``<scenario>.csv`` and ``.json``) only once all are complete: an error
     mid-write removes the temporaries and leaves every earlier report there
-    as it was.
+    as it was.  A ``fmt`` other than "csv", "json" and "both", or an
+    ``out_dir`` that is neither a string nor a path, raises
+    :class:`ConfigError` before any directory or file is made.
     """
-    if fmt not in ("csv", "json", "both"):
+    if not isinstance(fmt, str) or fmt not in ("csv", "json", "both"):
         raise ConfigError(f"unknown export format {fmt!r}")
+    if out_dir is not None and not isinstance(out_dir, (str, os.PathLike)):
+        raise ConfigError(f"out_dir must be a string or a path, got {out_dir!r}")
     out = Path(out_dir if out_dir is not None else rep.provenance["config"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     writers = {out / f"{rep.scenario}.{ext}": write

@@ -37,6 +37,11 @@ from .errors import (
 NORMALIZED_TOL = 1e-12
 # constant terms below this are treated as exactly zero by compose().
 _ZERO_TOL = 1e-14
+#: the largest series order a member may have.  Each order-N member feeds
+#: O(N^2) work and memory (series log and sqrt, the audit's Grunsky table of
+#: (N/2 + 1) x N complex entries, 134 MB at N = 4096), so a larger order is
+#: refused up front instead of failing inside numpy's allocator.
+MAX_ORDER = 4096
 
 
 def integer_parameter(value, name: str, minimum: Optional[int] = None,
@@ -100,7 +105,8 @@ class ComplexSeries:
 
     @classmethod
     def one(cls, order: int) -> "ComplexSeries":
-        c = np.zeros(integer_parameter(order, "order", 0) + 1, dtype=np.complex128)
+        """The series 1 of order ``order``, an integer from 0 to MAX_ORDER."""
+        c = np.zeros(integer_parameter(order, "order", 0, MAX_ORDER) + 1, dtype=np.complex128)
         c[0] = 1.0
         return cls(c)
 

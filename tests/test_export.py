@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from schlichtlab import lab
+from schlichtlab.errors import SchlichtLabError
 from schlichtlab.lab import (
     BLOCK_ROWS,
     COLUMNS,
@@ -582,6 +583,30 @@ def test_lone_surrogate_flag_raises_and_leaves_nothing(fmt, tmp_path):
     with pytest.raises(UnicodeEncodeError):
         export_report(rep, fmt=fmt, out_dir=str(tmp_path))
     assert list(tmp_path.iterdir()) == []
+
+
+class TestBadInputs:
+    """Bad export arguments raise a SchlichtLabError before any file is made."""
+
+    CASES = {
+        "out_dir int": {"out_dir": 5},
+        "out_dir list": {"out_dir": ["reports"]},
+        "fmt array": {"fmt": np.array([1.0, 2.0])},
+        "fmt None": {"fmt": None},
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_lab_error_and_writes_nothing(self, case, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where the report's own out_dir would go
+        with pytest.raises(SchlichtLabError):
+            export_report(hand_built([0.5], ["ok"], ["c"]), **self.CASES[case])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_path_is_an_out_dir(self, tmp_path):
+        (path,) = export_report(hand_built([0.5], ["ok"], ["c"]), fmt="csv",
+                                out_dir=tmp_path / "out")
+        assert path == tmp_path / "out" / "edge_case.csv" and path.is_file()
 
 
 # -- the JSON's float speller against json.dumps -------------------------------

@@ -339,6 +339,9 @@ class TestBadInputs:
         "series coeffs str": (InvalidParameter, lambda: ComplexSeries("x")),
         "series coeffs str log": (InvalidParameter, lambda: ComplexSeries("x").log()),
         "series coeffs ragged": (InvalidParameter, lambda: ComplexSeries([[0, 1], [2]])),
+        "series one order 1e30": (InvalidParameter, lambda: ComplexSeries.one(10**30)),
+        "series one order past the ceiling": (InvalidParameter,
+                                              lambda: ComplexSeries.one(MAX_ORDER + 1)),
     }
 
     @pytest.mark.filterwarnings("error")

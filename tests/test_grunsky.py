@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -372,6 +373,34 @@ def exterior_maps(draw, max_order: int):
     return f"tail span {span}", SigmaFunction(b0=0.0, tail=tail, order=order), n_order
 
 
+EPS = float(np.finfo(float).eps)
+# allowance for underflow: the running product b_1^k of a b_1 of modulus
+# below 1 loses at most a few subnormal units in all
+TINY = 2.0 ** -1070
+
+
+def assert_exact_diagonal(table: np.ndarray, b1: complex, label: str):
+    """``table`` is the diagonal of gamma_kk = b1^k / k, b1 the double read
+    after the NEGLIGIBLE_B cut: zero off the diagonal (row and column 0
+    included), and each gamma_kk within 2 k eps |b1^k / k| + TINY of the
+    exact value, taken in rationals.  The builder's running product costs at
+    most sqrt(5)/2 eps per complex product and half an eps for the division
+    (:func:`grunsky.grunsky_matrix`), under 2 k eps."""
+    assert not np.any(table - np.diag(np.diag(table))), label
+    assert table[0, 0] == 0, label
+    if abs(b1) <= NEGLIGIBLE_B:
+        b1 = 0j
+    re, im = Fraction(b1.real), Fraction(b1.imag)
+    power_re, power_im = Fraction(1), Fraction(0)
+    for k in range(1, table.shape[0]):
+        power_re, power_im = power_re * re - power_im * im, power_re * im + power_im * re
+        exact_re, exact_im = power_re / k, power_im / k
+        got = table[k, k]
+        err_sq = (Fraction(got.real) - exact_re) ** 2 + (Fraction(got.imag) - exact_im) ** 2
+        allowed_sq = (Fraction(2 * k) * Fraction(EPS)) ** 2 * (exact_re ** 2 + exact_im ** 2)
+        assert err_sq <= allowed_sq + Fraction(TINY) ** 2, (label, k, got)
+
+
 class TestNonzeroSpan:
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=150, deadline=None)
@@ -381,11 +410,16 @@ class TestNonzeroSpan:
         ref = parent_grunsky_matrix(g, n_order)
         table = grunsky_matrix(g, n_order).gamma_nk
         read = g.tail[: 2 * n_order - 1]  # the b_m the section reads
-        nonzero = read[read != 0]
+        where = np.flatnonzero(read)
+        nonzero = read[where]
         lone = len(nonzero) == 1 and abs(nonzero[0]) > NEGLIGIBLE_B
-        if lone and nonzero[0].imag == 0.0:
-            # one real b_m the builder keeps: every product the two loops
-            # differ by is a zero
+        if lone and where[0] == 0:
+            # b_1 alone: the diagonal table, against the exact one; the
+            # full-width loop leaves rounding noise off the diagonal
+            assert_exact_diagonal(table, complex(nonzero[0]), label)
+        elif lone and nonzero[0].imag == 0.0:
+            # one real b_m, m >= 2, the builder keeps: every product the two
+            # loops differ by is a zero
             np.testing.assert_array_equal(table, ref, err_msg=label)
         else:
             scale = max(1.0, float(np.max(np.abs(ref))))
@@ -396,25 +430,101 @@ class TestNonzeroSpan:
 
     @pytest.mark.filterwarnings("error")
     def test_corpus_at_the_audit_orders(self):
-        # Koebe and the dilation have one real b_m, so they match bit for bit;
-        # the rotation's one b_m is complex, where the matrix-vector product
-        # over n - 1 rows may fuse its one nonzero product differently from a
-        # product over one row, so it matches to rounding
+        # the rho = 0 members (Koebe, the rotation and the dilation) and the
+        # half-plane's zero tail have span <= 1: the exact diagonal table; the
+        # transform's dense table matches the full-width loop to rounding
         for order, n_order in ((34, 16), (130, 64), (258, 128)):
             for f in standard_corpus(order):
                 g = invert_to_sigma(f, order - 2)
-                ref = parent_grunsky_matrix(g, n_order)
                 table = grunsky_matrix(g, n_order).gamma_nk
-                if f.kind in ("koebe", "halfplane", "dilation"):
-                    assert table.tobytes() == ref.tobytes(), (order, f.label())
-                np.testing.assert_allclose(table, ref, rtol=1e-13, atol=1e-15,
-                                           err_msg=f.label())
+                if f.beta_rho[1] == 0 or f.kind == "halfplane":
+                    assert_exact_diagonal(table, complex(g.tail[0]), f"{order} {f.label()}")
+                else:
+                    np.testing.assert_allclose(table, parent_grunsky_matrix(g, n_order),
+                                               rtol=1e-13, atol=1e-15, err_msg=f.label())
+
+    @staticmethod
+    def _diagonal_members():
+        return [make_schlicht("halfplane", order=66), make_schlicht("koebe", order=66),
+                make_schlicht("rotation", {"theta": 2.5}, order=66),
+                make_schlicht("dilation", {"r": 0.7}, order=66)]
 
     def test_zero_tail_skips_the_recurrence(self, monkeypatch):
-        g = invert_to_sigma(make_schlicht("halfplane", order=66), 64)
+        # span <= 1: the diagonal is filled with no row of the recurrence
         monkeypatch.setattr(np, "convolve", None)  # any row built would fail
-        t = grunsky_matrix(g, 32)
-        assert t.order == 32 and t.gamma_nk.shape == (33, 33) and not np.any(t.gamma_nk)
+        for f in self._diagonal_members():
+            t = grunsky_matrix(invert_to_sigma(f, 64), 32)
+            assert t.order == 32 and t.gamma_nk.shape == (33, 33), f.label()
+            gam = t.gamma_nk
+            assert not np.any(gam - np.diag(np.diag(gam))), f.label()
+            assert np.any(gam) == (f.kind != "halfplane"), f.label()
+
+    def test_diagonal_tables_skip_the_eigen_solve(self, monkeypatch):
+        # a diagonal table's norm is its largest |k gamma_kk|, with no Gram matrix
+        tables = [grunsky_matrix(invert_to_sigma(f, 64), 32) for f in self._diagonal_members()]
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # the dense route would fail
+        norms = [strong_grunsky_norm(t) for t in tables]
+        assert norms[:2] == [0.0, 1.0]
+        assert abs(norms[2] - 1.0) <= 4 * 32 * EPS
+        assert abs(norms[3] - 0.49) <= 2 * math.ulp(0.49)
+
+
+@st.composite
+def rho_zero_members(draw, max_order: int):
+    """(member, its kind and parameters before nesting, nested ops, N):
+    Koebe, a rotation at any finite theta or a dilation at any r in (0, 1),
+    then up to three nested rotations and dilations, each with rho = 0; the
+    member reaches order 2N + 2."""
+    n_order = draw(st.integers(1, max_order))
+    kind = draw(st.sampled_from(["koebe", "rotation", "dilation"]))
+    angle = st.floats(allow_nan=False, allow_infinity=False)
+    radius = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    params = {"koebe": {}, "rotation": {"theta": draw(angle)},
+              "dilation": {"r": draw(radius)}}[kind]
+    f = make_schlicht(kind, params, 2 * n_order + 2)
+    ops = draw(st.lists(st.sampled_from(["rotated", "dilated"]), max_size=3))
+    for op in ops:
+        f = rotated(f, draw(angle)) if op == "rotated" else dilated(f, draw(radius))
+    return f, kind, params, ops, n_order
+
+
+class TestRhoZeroNorm:
+    """The rho = 0 facts: the weighted norm of the diagonal table is
+    |b_1| = |beta|^2 (1 for Koebe and rotations, r^2 for a dilation)."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=150, deadline=None)
+    @given(member=rho_zero_members(max_order=24))
+    def test_norm_is_the_exact_diagonal_norm(self, member):
+        f, kind, params, ops, n_order = member
+        label = f"{f.label()} {kind} {params} {ops}"
+        g = invert_to_sigma(f, 2 * n_order)
+        t = grunsky_matrix(g, n_order)
+        norm = strong_grunsky_norm(t)
+        oracle = float(np.linalg.svd(t.weighted(), compute_uv=False)[0])
+        assert abs(norm - oracle) <= n_order * EPS * max(1.0, oracle), label
+        # the exact norm of the table of the double b_1 is max(|b_1|, |b_1|^N);
+        # the diagonal loses under 2 N eps, the weighting and the modulus one
+        # rounding each
+        b1 = complex(g.tail[0]) if abs(g.tail[0]) > NEGLIGIBLE_B else 0j
+        size_sq = Fraction(b1.real) ** 2 + Fraction(b1.imag) ** 2
+        exact_sq = max(size_sq, size_sq ** n_order)
+        slack = Fraction(2 * n_order + 2) * Fraction(EPS)
+        assert (1 - slack) ** 2 * exact_sq <= Fraction(norm) ** 2 <= (1 + slack) ** 2 * exact_sq, \
+            label
+        if ops:
+            return
+        if kind == "koebe":
+            assert norm == 1.0, label
+        elif kind == "dilation":
+            # b_1 = fl(r^2), read as zero at or below NEGLIGIBLE_B
+            r = params["r"]
+            expect = Fraction(r) ** 2 if r * r > NEGLIGIBLE_B else Fraction(0)
+            assert abs(Fraction(norm) - expect) <= 2 * Fraction(math.ulp(float(expect))), label
+        else:
+            # |b_1| = |e^{i theta}|^2 is 1 to a few eps, and its N-th power
+            # drifts by at most about N of them more
+            assert abs(norm - 1.0) <= 4 * n_order * EPS, label
 
 
 @st.composite

@@ -665,6 +665,19 @@ class TestAudit:
         flags = run_scenario(cfg).summary["flags"]
         assert {k for k, ok in flags.items() if not ok} == set()
 
+    @pytest.mark.filterwarnings("error")
+    def test_provenance_echoes_the_section_order_run(self, monkeypatch):
+        # series order 64 keeps a 31 x 31 section faithful, so a grunsky_order
+        # of 128 runs 31, and the provenance names the 31
+        orders = []
+        build = grunsky.grunsky_matrix
+        monkeypatch.setattr(grunsky, "grunsky_matrix",
+                            lambda g, n: orders.append(n) or build(g, n))
+        cfg = ScenarioConfig.from_dict({"scenario": "inequality_audit", "series_order": 64,
+                                        "grunsky_order": 128})
+        rep = run_scenario(cfg)
+        assert cfg.grunsky_order == 128 and set(orders) == {31}
+        assert rep.provenance["config"]["grunsky_order"] == 31
 
     @pytest.mark.filterwarnings("error")
     def test_order_32_compares_sections(self, tmp_path):
