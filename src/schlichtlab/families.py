@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameter, OutsideDisk
-from .series import MAX_ORDER, ComplexSeries, integer_parameter
+from .series import MAX_ORDER, ComplexSeries, evaluation_point, integer_parameter
 
 #: the parameter names each kind of make_schlicht reads; any other key is refused
 KIND_PARAMETERS = {"koebe": (), "halfplane": (), "rotation": ("theta",), "dilation": ("r",),
@@ -93,7 +93,9 @@ class SchlichtFunction:
     ``series`` is the truncated coefficient series.  ``beta_rho`` is the
     pair (beta, rho) of the closed form ``z(1 - rho z)/(1 - beta z)^2``, or
     None for a series-only function.  :meth:`value` and :meth:`deriv`
-    accept scalars or numpy arrays.
+    accept a number or a numeric numpy array, and raise
+    :class:`InvalidParameter` for anything else
+    (:func:`series.evaluation_point`).
     """
 
     series: ComplexSeries
@@ -109,13 +111,13 @@ class SchlichtFunction:
         """f(z): the closed form, or the partial sum of a series-only map."""
         if self.beta_rho is None:
             return self.series(z)
-        return closed_form_value(z, *self.beta_rho)
+        return closed_form_value(evaluation_point(z), *self.beta_rho)
 
     def deriv(self, z):
         """f'(z): the closed form, or the derivative's partial sum."""
         if self.beta_rho is None:
             return self.series.deriv()(z)
-        return closed_form_deriv(z, *self.beta_rho)
+        return closed_form_deriv(evaluation_point(z), *self.beta_rho)
 
     @property
     def maximal_growth(self) -> bool:

@@ -23,9 +23,11 @@ claim honest.
                     array arithmetic.
   inequality_audit  every scalar inequality check over the whole corpus.
                     One Grunsky table and one ledger per member; the
-                    identity link takes log f' from the member's pair,
-                    not from a series logarithm, and the fullness
-                    comparison reads a leading section of the table.
+                    ledger's gamma_k = (beta^k - rho^k/2)/k and the
+                    identity link's log f' come from the member's pair,
+                    so the audit takes no series logarithm, and the
+                    fullness comparison reads a leading section of the
+                    table.
                     One batched prawitz_check call searches every
                     member's circles, and one batched hayman_index call
                     gives the maximal members' growth indexes

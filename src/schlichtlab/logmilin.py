@@ -11,11 +11,13 @@ For a normalized univalent ``f`` the ledger collects, in one pass:
 * ``sigma``        -- sigma_n = a_{n+1}/(n+1) (Cesaro means of ``s``)
 * ``delta``        -- delta_n = s_n - sigma_n
 
-gamma comes from the series logarithm.  A frequently mis-stated textbook
-recurrence for gamma omits an index weight and is kept here only as a
-diagnostic (`gamma_recurrence_unweighted`); the weighted derivative
-recurrence (`gamma_via_derivative_recurrence`) is the independent
-cross-check that agrees with the series logarithm.  The same pattern
+gamma of a member with a pair (beta, rho) comes from the pair,
+gamma_k = (beta^k - rho^k / 2) / k, and that of a series-only map from the
+series logarithm.  A frequently mis-stated textbook recurrence for gamma
+omits an index weight and is kept here only as a diagnostic
+(`gamma_recurrence_unweighted`); the weighted derivative recurrence
+(`gamma_via_derivative_recurrence`) is the independent cross-check that
+agrees with the series logarithm of the same series.  The same pattern
 repeats for the ``f_coeffs`` exponential recurrence.
 
 The ledger holds what more than one check reads.  The square-root
@@ -51,8 +53,9 @@ class LogData:
     Arrays are indexed by the natural subscript: ``gamma[n]`` is gamma_n
     (entry 0 unused, kept zero), ``lam`` runs like ``gamma``, and
     ``f_coeffs``/``s``/``sigma``/``delta`` run over 0..N-1 where N is the
-    source series order.  One series logarithm fills ``gamma`` and
-    ``lam``; the other rows are coefficient arithmetic.
+    source series order.  ``gamma`` and ``lam`` come from the pair of a
+    closed-form member, or from one series logarithm for a series-only map;
+    the other rows are coefficient arithmetic on the series.
     """
 
     gamma: np.ndarray
@@ -68,14 +71,34 @@ class LogData:
 
 
 def log_data(f: SchlichtFunction) -> LogData:
-    """Populate the full ledger from the truncated series of ``f``."""
-    a = f.series.coeffs
-    p = ComplexSeries(a[1:])  # f(z)/z, constant term 1
-    m = p.order  # ledger top index
+    """Populate the full ledger of ``f``: gamma from its pair when it has
+    one, everything else from its truncated series.
 
-    half_log = 0.5 * p.log().coeffs
-    gamma = half_log.copy()
-    gamma[0] = 0.0
+    A member with a pair (beta, rho) has log(f(z)/z) = log(1 - rho z)
+    - 2 log(1 - beta z), so gamma_k = (beta^k - rho^k / 2) / k for
+    k = 1..N-1, N the series order, with no series logarithm.  The powers
+    are two running products (``np.cumprod``), each within about
+    1.2 (k-1) machine epsilons of the exact beta^k and rho^k of the
+    doubles (sqrt(5)/2 epsilons per complex product); halving is exact,
+    and the difference and the division by k round once each.  So gamma_k
+    lies within about (1.2 (k-1) + 1) eps (|beta|^k + |rho|^k / 2) / k of
+    the exact value, short of underflow, and the Koebe map's 1/k and the
+    half-plane's 1/(2k) come out correctly rounded.  The series route
+    would carry the gap between the member's series and its pair, which
+    the logarithm amplifies (1.9e-9 / k at order 258 on the corpus
+    rotation).  A series-only map takes half the series logarithm of
+    f(z)/z.
+    """
+    a = f.series.coeffs
+    m = f.order - 1  # ledger top index
+    if f.has_closed_form:
+        beta, rho = f.beta_rho
+        gamma = np.zeros(m + 1, dtype=np.complex128)
+        gamma[1:] = (np.cumprod(np.full(m, beta, dtype=np.complex128))
+                     - 0.5 * np.cumprod(np.full(m, rho, dtype=np.complex128))) / np.arange(1, m + 1)
+    else:
+        gamma = 0.5 * ComplexSeries(a[1:]).log().coeffs  # f(z)/z, constant term 1
+        gamma[0] = 0.0
 
     n = np.arange(m + 1, dtype=float)
     lam = np.zeros(m + 1, dtype=np.complex128)

@@ -64,6 +64,37 @@ def integer_parameter(value, name: str, minimum: Optional[int] = None,
     return out
 
 
+# the scalar types an operand or an evaluation point may have (a bool is refused)
+_SCALARS = (int, float, complex, np.number)
+
+
+def _number(value) -> complex:
+    """The non-series operand ``value`` as one complex number.
+
+    One type test, no scan: an int, float, complex or numpy number passes,
+    a bool, an array, a string or anything else raises
+    :class:`InvalidParameter`, and so does an int beyond double range.
+    """
+    if isinstance(value, bool) or not isinstance(value, _SCALARS):
+        raise InvalidParameter(f"a series operand must be a series or one number, got {value!r}")
+    try:
+        return complex(value)
+    except OverflowError:
+        raise InvalidParameter(f"the operand {value!r} lies beyond double range") from None
+
+
+def evaluation_point(z):
+    """``z`` checked to be a number (not a bool) or a numeric array, by one
+    type or dtype test with no scan of the elements; anything else raises
+    :class:`InvalidParameter`."""
+    if isinstance(z, np.ndarray):
+        if z.dtype.kind in "iufc":
+            return z
+    elif isinstance(z, _SCALARS) and not isinstance(z, bool):
+        return z
+    raise InvalidParameter(f"an evaluation point must be a number or a numeric array, got {z!r}")
+
+
 def _quiet(op):
     """``op`` with numpy's floating-point warnings off, entered once per call."""
     @functools.wraps(op)
@@ -77,12 +108,16 @@ class ComplexSeries:
     """Power series ``c[0] + c[1] z + ... + c[N] z^N`` truncated at order N.
 
     The coefficient array is complex128, read-only, and guaranteed finite.
-    Arithmetic operators accept another series or a scalar.  Calling the
-    series evaluates the plain partial sum at a point (no tail estimate;
-    certified evaluation lives with the function families).
+    Arithmetic operators accept another series or one number (see
+    :func:`_number`).  Calling the series evaluates the plain partial sum
+    at a point (no tail estimate; certified evaluation lives with the
+    function families).
     """
 
     __slots__ = ("coeffs",)
+    # numpy defers to the reflected operator, so an array on the left is
+    # refused too instead of becoming an object array of series
+    __array_ufunc__ = None
 
     def __init__(self, coeffs):
         try:
@@ -118,7 +153,7 @@ class ComplexSeries:
             n = min(self.order, other.order)
             return ComplexSeries(self.coeffs[: n + 1] + other.coeffs[: n + 1])
         c = self.coeffs.copy()
-        c[0] += other
+        c[0] += _number(other)
         return ComplexSeries(c)
 
     __radd__ = __add__
@@ -127,7 +162,7 @@ class ComplexSeries:
         return ComplexSeries(-self.coeffs)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, ComplexSeries) else -complex(other))
+        return self + (-other if isinstance(other, ComplexSeries) else -_number(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -137,14 +172,14 @@ class ComplexSeries:
         if isinstance(other, ComplexSeries):
             n = min(self.order, other.order)
             return ComplexSeries(np.convolve(self.coeffs, other.coeffs)[: n + 1])
-        return ComplexSeries(self.coeffs * other)
+        return ComplexSeries(self.coeffs * _number(other))
 
     __rmul__ = __mul__
 
     @_quiet
     def __truediv__(self, other):
         if not isinstance(other, ComplexSeries):
-            return ComplexSeries(self.coeffs / other)
+            return ComplexSeries(self.coeffs / _number(other))
         if other.coeffs[0] == 0:
             raise DivisionByZeroConstantTerm("divisor has zero constant term")
         n = min(self.order, other.order)
@@ -156,7 +191,7 @@ class ComplexSeries:
 
     def __rtruediv__(self, other):
         num = np.zeros(self.order + 1, dtype=np.complex128)
-        num[0] = other
+        num[0] = _number(other)
         return ComplexSeries(num) / self
 
     # -- transcendental maps ---------------------------------------------
@@ -219,9 +254,11 @@ class ComplexSeries:
     def __call__(self, z):
         """Partial sum at ``z`` (scalar or array), by Horner's rule.
 
-        Raises :class:`InvalidParameter` where the sum is not finite.
+        Raises :class:`InvalidParameter` for a point that is not a number
+        or a numeric array (:func:`evaluation_point`), and where the sum is
+        not finite.
         """
-        out = np.polyval(self.coeffs[::-1], z)
+        out = np.polyval(self.coeffs[::-1], evaluation_point(z))
         if not np.all(np.isfinite(out)):
             raise InvalidParameter("the partial sum is not finite at the given point")
         return out

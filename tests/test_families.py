@@ -342,6 +342,26 @@ class TestBadInputs:
         "series one order 1e30": (InvalidParameter, lambda: ComplexSeries.one(10**30)),
         "series one order past the ceiling": (InvalidParameter,
                                               lambda: ComplexSeries.one(MAX_ORDER + 1)),
+        "series times array": (InvalidParameter, lambda: _koebe16().series * np.array([1., 2.])),
+        "series over array": (InvalidParameter, lambda: _koebe16().series / np.array([1., 2.])),
+        "series plus empty list": (InvalidParameter, lambda: _koebe16().series + []),
+        "array times series": (InvalidParameter, lambda: np.array([1., 2.]) * _koebe16().series),
+        "array plus series": (InvalidParameter, lambda: np.array([1., 2.]) + _koebe16().series),
+        "series times str": (InvalidParameter, lambda: _koebe16().series * "x"),
+        "series plus str": (InvalidParameter, lambda: _koebe16().series + "x"),
+        "series minus str": (InvalidParameter, lambda: _koebe16().series - "1"),
+        "str over series": (InvalidParameter, lambda: "x" / _koebe16().series),
+        "series times bool": (InvalidParameter, lambda: _koebe16().series * True),
+        "series times int past double range": (InvalidParameter,
+                                               lambda: _koebe16().series * 10**400),
+        "series at None": (InvalidParameter, lambda: _koebe16().series(None)),
+        "series at str": (InvalidParameter, lambda: _koebe16().series("x")),
+        "series at bool array": (InvalidParameter,
+                                 lambda: _koebe16().series(np.array([True, False]))),
+        "value at str": (InvalidParameter, lambda: _koebe16().value("x")),
+        "value at str series-only": (InvalidParameter, lambda: _series_only16().value("x")),
+        "deriv at None": (InvalidParameter, lambda: _koebe16().deriv(None)),
+        "deriv at None series-only": (InvalidParameter, lambda: _series_only16().deriv(None)),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -350,6 +370,22 @@ class TestBadInputs:
         error, call = self.CASES[case]
         with pytest.raises(error):
             call()
+
+    @pytest.mark.filterwarnings("error")
+    def test_numbers_and_numeric_arrays_still_accepted(self):
+        # a number operand gives the bits it gave before the type test
+        s = rotated(_koebe16(), 2.0).series
+        for x in (2, 2.5, 0.5 - 1j, np.float64(2.5), np.complex128(0.5 - 1j), np.int64(3)):
+            assert (s * x).coeffs.tobytes() == (s.coeffs * x).tobytes()
+            assert (s / x).coeffs.tobytes() == (s.coeffs / x).tobytes()
+            assert (s + x).coeffs[0] == complex(x) and (s - x).coeffs[0] == -complex(x)
+            assert (x * s).coeffs.tobytes() == (s * x).coeffs.tobytes()
+        z = np.array([0.1, -0.2])
+        for point in (0.25, 0, 0.1j, np.float32(0.25), np.int64(0), z, z.astype(np.float32),
+                      np.array([0, 0]), z + 0.1j):
+            for f in (_koebe16(), _series_only16()):
+                for out in (f.value(point), f.deriv(point), f.series(point)):
+                    assert np.shape(out) == np.shape(point) and np.all(np.isfinite(out))
 
     # numbers that once escaped as a bare TypeError or with a message naming
     # another parameter; each now goes through the shared checks

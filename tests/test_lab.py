@@ -587,8 +587,10 @@ class TestTheorem1:
         rep = run_scenario(small_cfg("theorem1", tmp_path, tolerances={"tail_n": 40.0}))
         assert "tauber_harness" in rep.summary
         assert calls == Counter()
-        # the counters count; the ledger itself takes no square root
-        logmilin.log_data(make_schlicht("halfplane", order=16))
+        # the counters count; the ledger of a series-only map takes the
+        # series logarithm and no square root
+        coeffs = make_schlicht("halfplane", order=16).series.coeffs
+        logmilin.log_data(make_schlicht("custom", {"coeffs": coeffs}, order=16))
         assert calls == Counter(log_data=1, log=1)
 
 

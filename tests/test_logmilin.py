@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -190,6 +191,106 @@ class TestRecurrenceAdjudication:
             via_exp = f_coeffs_via_exp_recurrence(ld)
             np.testing.assert_allclose(via_exp, ld.f_coeffs, atol=1e-10,
                                        err_msg=f.label())
+
+
+EPS = float(np.finfo(float).eps)
+# allowance for underflow: the running products of a beta or rho of small
+# modulus lose at most a few subnormal units in all
+TINY = 2.0 ** -1070
+
+
+def exact_pair_gammas(beta: complex, rho: complex, top: int):
+    """(2 beta^k - rho^k) / (2k), k = 1..top, exact in rationals from the
+    doubles beta and rho, as (real, imaginary) pairs of Fractions."""
+    br, bi, rr, ri = (Fraction(x) for x in (beta.real, beta.imag, rho.real, rho.imag))
+    pr, pi, qr, qi = Fraction(1), Fraction(0), Fraction(1), Fraction(0)
+    out = []
+    for k in range(1, top + 1):
+        pr, pi = pr * br - pi * bi, pr * bi + pi * br
+        qr, qi = qr * rr - qi * ri, qr * ri + qi * rr
+        out.append(((2 * pr - qr) / (2 * k), (2 * pi - qi) / (2 * k)))
+    return out
+
+
+def gamma_errors(ld, beta: complex, rho: complex, top: int) -> np.ndarray:
+    """|gamma_k - exact| for k = 1..top, as doubles."""
+    return np.array([math.sqrt((Fraction(g.real) - re) ** 2 + (Fraction(g.imag) - im) ** 2)
+                     for g, (re, im) in zip(ld.gamma[1:], exact_pair_gammas(beta, rho, top))])
+
+
+@st.composite
+def pair_members(draw):
+    """(member, label): Koebe, the half-plane, a rotation at any finite
+    theta, a dilation at any r in (0, 1) or a Koebe transform with
+    |w| <= 0.95, then up to three nested rotations and dilations; order
+    2..65, so the ledger reaches gamma_64."""
+    order = draw(st.integers(2, 65))
+    kind = draw(st.sampled_from(["koebe", "halfplane", "rotation", "dilation",
+                                 "koebe_transform"]))
+    angle = st.floats(allow_nan=False, allow_infinity=False)
+    radius = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    if kind == "rotation":
+        params = {"theta": draw(angle)}
+    elif kind == "dilation":
+        params = {"r": draw(radius)}
+    elif kind == "koebe_transform":
+        params = {"w": cmath.rect(draw(st.floats(0.0, 0.95)), draw(st.floats(-math.pi, math.pi)))}
+    else:
+        params = {}
+    f = make_schlicht(kind, params, order)
+    ops = draw(st.lists(st.sampled_from(["rotated", "dilated"]), max_size=3))
+    for op in ops:
+        f = rotated(f, draw(angle)) if op == "rotated" else dilated(f, draw(radius))
+    return f, f"{kind} {params} {ops} beta_rho={f.beta_rho}"
+
+
+class TestPairLedger:
+    """A member with a pair takes gamma_k = (beta^k - rho^k / 2) / k from it."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=150, deadline=None)
+    @given(member=pair_members())
+    def test_gamma_within_the_bound_of_the_exact_value(self, member):
+        f, label = member
+        beta, rho = (complex(x) for x in f.beta_rho)
+        ld = log_data(f)
+        top = ld.top_index
+        assert top == f.order - 1 and ld.gamma[0] == 0, label
+        k = np.arange(1, top + 1)
+        # log_data's bound: (1.2 (k-1) + 1) eps (|beta|^k + |rho|^k / 2) / k
+        bound = (1.2 * (k - 1) + 1) * EPS * (abs(beta) ** k + abs(rho) ** k / 2) / k
+        err = gamma_errors(ld, beta, rho, top)
+        assert np.all(err <= bound + TINY), (label, int(np.argmax(err - bound)) + 1)
+
+    def test_koebe_and_halfplane_correctly_rounded(self):
+        k = np.arange(1, 258)
+        assert log_data(make_schlicht("koebe", order=258)).gamma[1:].tobytes() == \
+            (1.0 / k).astype(complex).tobytes()
+        assert log_data(make_schlicht("halfplane", order=258)).gamma[1:].tobytes() == \
+            (1.0 / (2 * k)).astype(complex).tobytes()
+
+    def test_corpus_at_order_258(self):
+        # the series logarithm was off by 1.9e-9 / k on the rotation and
+        # 8.4e-10 / k on the transform, the gap between series and pair
+        for f in standard_corpus(258):
+            beta, rho = (complex(x) for x in f.beta_rho)
+            err = gamma_errors(log_data(f), beta, rho, 257)
+            assert np.max(np.arange(1, 258) * err) <= 1e-14, f.label()
+
+    def test_pair_members_take_no_series_log(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("series logarithm taken")
+
+        coeffs = make_schlicht("halfplane", order=34).series.coeffs
+        custom = make_schlicht("custom", {"coeffs": coeffs}, 34)
+        transform = make_schlicht("koebe_transform", {"w": 0.5j}, 34)
+        monkeypatch.setattr(ComplexSeries, "log", refused)
+        for f in standard_corpus(34) + [rotated(dilated(transform, 0.8), 2.0)]:
+            assert log_data(f).top_index == 33, f.label()
+        with pytest.raises(AssertionError, match="series logarithm taken"):
+            log_data(custom)
+        with pytest.raises(AssertionError, match="series logarithm taken"):
+            log_data(rotated(custom, 1.0))
 
 
 class TestMilin:

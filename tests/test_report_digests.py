@@ -63,18 +63,18 @@ def report_set() -> dict:
 
 
 DIGESTS = {
-    "audit258/inequality_audit.csv": "06bb8f2c7a4a5f713f3b8e92c9064fb31320a939f680a6c593b852f6e6301afa",
-    "audit258/inequality_audit.json": "c8237f5354befa9c95ce2b45fde9b7bbcad411f42596bbf14fb2cba30a5c3019",
-    "audit_grunsky-1/inequality_audit.csv": "06bb8f2c7a4a5f713f3b8e92c9064fb31320a939f680a6c593b852f6e6301afa",
-    "audit_grunsky-1/inequality_audit.json": "c8237f5354befa9c95ce2b45fde9b7bbcad411f42596bbf14fb2cba30a5c3019",
+    "audit258/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
+    "audit258/inequality_audit.json": "61e36b2633c1f244bb0d6b72c479251f6b2c0c021763abd2b9b728323088540f",
+    "audit_grunsky-1/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
+    "audit_grunsky-1/inequality_audit.json": "61e36b2633c1f244bb0d6b72c479251f6b2c0c021763abd2b9b728323088540f",
     "audit_grunsky-1/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-1/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
-    "audit_grunsky-2/inequality_audit.csv": "06bb8f2c7a4a5f713f3b8e92c9064fb31320a939f680a6c593b852f6e6301afa",
-    "audit_grunsky-2/inequality_audit.json": "c8237f5354befa9c95ce2b45fde9b7bbcad411f42596bbf14fb2cba30a5c3019",
+    "audit_grunsky-2/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
+    "audit_grunsky-2/inequality_audit.json": "61e36b2633c1f244bb0d6b72c479251f6b2c0c021763abd2b9b728323088540f",
     "audit_grunsky-2/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-2/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
-    "audit_grunsky-3/inequality_audit.csv": "06bb8f2c7a4a5f713f3b8e92c9064fb31320a939f680a6c593b852f6e6301afa",
-    "audit_grunsky-3/inequality_audit.json": "c8237f5354befa9c95ce2b45fde9b7bbcad411f42596bbf14fb2cba30a5c3019",
+    "audit_grunsky-3/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
+    "audit_grunsky-3/inequality_audit.json": "61e36b2633c1f244bb0d6b72c479251f6b2c0c021763abd2b9b728323088540f",
     "audit_grunsky-3/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-3/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
     "growth_index-1/theorem2.csv": "ac811e38c4ad3f8486bae67f749479d65345379e0bc687991fd5975295e9003d",
@@ -85,8 +85,8 @@ DIGESTS = {
     "growth_index-3/theorem2.json": "1363ca1d2008038c6ad77941d64c0c9e74295efaaf226e5a575b1c2c0e436ae8",
     "readme/counterexample.csv": "404e4a459dc2a1f0ea2c86295dcf9466aa4b97df1e5a9ea6d69a70b60b36e853",
     "readme/counterexample.json": "2b2bcfb32bd90791904cf5c9c1e294edcb7267a7848034e56e5f2cc319b7bb53",
-    "readme/inequality_audit.csv": "a410bd29118da2560da6e9ff6a180d022f2ed1585fe0090e7ca3b32a9f553d19",
-    "readme/inequality_audit.json": "5d13d9ad0b943980d312b36b7cf6e4ce3583b1da2507362fd79489cca5cc77cf",
+    "readme/inequality_audit.csv": "06e85da7aabadad9ba058b1fdf43b221cce34c9aa8462d03a69d83a09fdfcac6",
+    "readme/inequality_audit.json": "e476dbee1ad7f66de9c35dcc247bb91b5a722950277f4307909b5afd57d78879",
     "readme/theorem1.csv": "5243e58b45071e040328ce61f37edfa85fddf9c070c7489df03490a896766ca2",
     "readme/theorem1.json": "1a7df35d9c0ef15806dccba8c66186cd372f83cd5bf5028a587d06eabc487272",
     "readme/theorem2.csv": "33f4df1a28d62a491adb1a712759b5ceeb34757bb3b24ba93036744135b1ec6f",
