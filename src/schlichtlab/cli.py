@@ -15,15 +15,19 @@ Subcommands:
       and the fullness diagnostics at z; the norm passes within the
       audit's default norm_slack.
 
-Exit code 0 iff every pass/fail flag is ok.
+Exit codes: 0 when every pass/fail flag is ok; 1 on a failed flag, or on a
+:class:`SchlichtLabError`, which prints one ``Error: <msg>`` line on stderr
+and no traceback; 2 on a usage error (argparse's own message).
+
+``main(argv, standalone_mode=False)`` lets a ``SchlichtLabError`` propagate
+instead of printing it; every other outcome still ends in ``SystemExit``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
-
-import click
 
 from . import families, grunsky, lab, logmilin
 from .errors import SchlichtLabError
@@ -36,82 +40,88 @@ def _member(tag: str, order: int) -> families.SchlichtFunction:
     return next(f for f in families.standard_corpus(order) if f.kind == tag)
 
 
-@click.group()
-def main():
-    """Numerical laboratory for coefficient growth of schlicht functions."""
-
-
-@main.command("run")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", default="both",
-              type=click.Choice(["csv", "json", "both"]))
-def run_cmd(config_path, fmt):
-    """Run the scenario described by a JSON config file."""
+def _point(text: str) -> complex:
+    """The evaluation point ``re,im`` of ``--z``."""
     try:
-        cfg = lab.ScenarioConfig.from_json(config_path)
-        report = lab.run_scenario(cfg)
-        paths = lab.export_report(report, fmt=fmt)
-    except SchlichtLabError as exc:
-        raise click.ClickException(str(exc)) from exc
-    for p in paths:
-        click.echo(f"wrote {p}")
+        re_s, im_s = text.split(",")
+        return complex(float(re_s), float(im_s))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"could not parse {text!r} as re,im") from None
+
+
+def run_cmd(config: str, fmt: str) -> int:
+    """Run the scenario described by a JSON config file."""
+    report = lab.run_scenario(lab.ScenarioConfig.from_json(config))
+    for p in lab.export_report(report, fmt=fmt):
+        print(f"wrote {p}")
     flags = report.summary["flags"]
     for name in sorted(flags):
-        click.echo(f"{'ok  ' if flags[name] else 'FAIL'} {name}")
-    sys.exit(0 if report.all_ok() else 1)
+        print(f"{'ok  ' if flags[name] else 'FAIL'} {name}")
+    return 0 if report.all_ok() else 1
 
 
-@main.command("audit")
-@click.option("--function", "tag", required=True, type=click.Choice(_FUNCTION_TAGS))
-@click.option("--order", default=128, show_default=True, type=int)
-def audit_cmd(tag, order):
+def audit_cmd(function: str, order: int) -> int:
     """Inequality audit of a single corpus member."""
-    try:
-        f = _member(tag, order)
-        cfg = lab.ScenarioConfig(scenario="inequality_audit", series_order=order)
-        label, alpha_val, checks = lab.audit_members([f], cfg)[0]
-    except SchlichtLabError as exc:
-        raise click.ClickException(str(exc)) from exc
+    f = _member(function, order)
+    cfg = lab.ScenarioConfig(scenario="inequality_audit", series_order=order)
+    label, alpha_val, checks = lab.audit_members([f], cfg)[0]
     payload = {"function": label, "alpha": alpha_val, "checks": {}}
-    ok_all = True
     for name, value, margin, ok in checks:
         payload["checks"][name] = {"value": float(value), "margin": float(margin),
                                    "ok": bool(ok)}
-        ok_all = ok_all and bool(ok)
-        click.echo(f"{'ok  ' if ok else 'FAIL'} {name}: value={value:.6g} margin={margin:.3g}")
-    click.echo(json.dumps(payload, sort_keys=True))
-    sys.exit(0 if ok_all else 1)
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: value={value:.6g} margin={margin:.3g}")
+    print(json.dumps(payload, sort_keys=True))
+    return 0 if all(c["ok"] for c in payload["checks"].values()) else 1
 
 
-@main.command("grunsky")
-@click.option("--function", "tag", required=True, type=click.Choice(_FUNCTION_TAGS))
-@click.option("--order", default=32, show_default=True, type=int)
-@click.option("--z", "z_str", default="0.5,0.0", show_default=True,
-              help="evaluation point re,im inside the unit disk")
-def grunsky_cmd(tag, order, z_str):
+def grunsky_cmd(function: str, order: int, z: complex) -> int:
     """Grunsky section diagnostics of an inverted corpus member."""
-    try:
-        re_s, im_s = z_str.split(",")
-        z = complex(float(re_s), float(im_s))
-    except ValueError as exc:
-        raise click.ClickException(f"could not parse --z {z_str!r}") from exc
-    try:
-        f = _member(tag, 2 * order + 2)
-        g = families.invert_to_sigma(f, 2 * order)
-        table = grunsky.grunsky_matrix(g, order)
-        norm = grunsky.strong_grunsky_norm(table)
-        ld = logmilin.log_data(f)
-        defect, identity = grunsky.full_mapping_defect(table, ld, f, z)
-    except SchlichtLabError as exc:
-        raise click.ClickException(str(exc)) from exc
+    f = _member(function, 2 * order + 2)
+    table = grunsky.grunsky_matrix(families.invert_to_sigma(f, 2 * order), order)
+    norm = grunsky.strong_grunsky_norm(table)
+    defect, identity = grunsky.full_mapping_defect(table, logmilin.log_data(f), f, z)
     ok = norm <= 1.0 + lab.SCENARIOS["inequality_audit"].tolerances["norm_slack"]
-    click.echo(f"function           {f.label()}")
-    click.echo(f"table order        {order}")
-    click.echo(f"strong norm        {norm:.12f}  ({'ok' if ok else 'FAIL'})")
-    click.echo(f"fullness defect    {defect:.3e} at z={z}")
-    click.echo(f"identity residual  {identity:.3e}")
-    sys.exit(0 if ok else 1)
+    print(f"function           {f.label()}")
+    print(f"table order        {order}")
+    print(f"strong norm        {norm:.12f}  ({'ok' if ok else 'FAIL'})")
+    print(f"fullness defect    {defect:.3e} at z={z}")
+    print(f"identity residual  {identity:.3e}")
+    return 0 if ok else 1
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="schlicht-lab", description="Numerical laboratory"
+                                     " for coefficient growth of schlicht functions.")
+    commands = parser.add_subparsers(dest="command", required=True)
+    run = commands.add_parser("run", help=run_cmd.__doc__)
+    run.add_argument("--config", required=True)
+    run.add_argument("--format", dest="fmt", default="both", choices=("csv", "json", "both"))
+    run.set_defaults(func=run_cmd)
+    for name, func, order in (("audit", audit_cmd, 128), ("grunsky", grunsky_cmd, 32)):
+        sub = commands.add_parser(name, help=func.__doc__)
+        sub.add_argument("--function", required=True, choices=_FUNCTION_TAGS)
+        sub.add_argument("--order", default=order, type=int, help="default %(default)s")
+        sub.set_defaults(func=func)
+        if func is grunsky_cmd:
+            sub.add_argument("--z", default="0.5,0.0", type=_point,
+                             help="evaluation point re,im inside the unit disk (default %(default)s)")
+    return parser
+
+
+def main(argv=None, standalone_mode: bool = True):
+    """Parse ``argv`` (default ``sys.argv[1:]``), run the subcommand and exit
+    with its code; see the module docstring for the codes."""
+    args = vars(_parser().parse_args(argv))
+    del args["command"]
+    func = args.pop("func")
+    try:
+        code = func(**args)
+    except SchlichtLabError as exc:
+        if not standalone_mode:
+            raise
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -197,13 +197,15 @@ def _check_class_s(coeffs: np.ndarray, what: str) -> None:
 def finite_parameter(value, name: str, kind=float):
     """``value`` converted by ``kind`` (float or complex), checked to be finite.
 
-    Raises :class:`InvalidParameter` for values ``kind`` cannot convert
-    and for NaN or infinite results.
+    Raises :class:`InvalidParameter` for values ``kind`` cannot convert,
+    for ints beyond double range and for NaN or infinite results.
     """
     try:
         out = kind(value)
     except (TypeError, ValueError):
         raise InvalidParameter(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise InvalidParameter(f"{name} lies beyond double range") from None
     if not cmath.isfinite(out):
         raise InvalidParameter(f"{name} must be finite, got {value!r}")
     return out

@@ -240,11 +240,14 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
-        """The config in the UTF-8 JSON file ``path``; a file that does not
-        decode or parse raises :class:`ConfigError`."""
+        """The config in the UTF-8 JSON file ``path``; a path that cannot be
+        read (missing, a directory) and a file that does not decode or parse
+        raise :class:`ConfigError`."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path} is not a UTF-8 JSON file: {exc}") from exc
         return cls.from_dict(data)

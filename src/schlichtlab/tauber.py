@@ -38,11 +38,16 @@ T_GRID = (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
 # -- means ---------------------------------------------------------------
 
 
+def _numeric(a: np.ndarray) -> bool:
+    """True for an array of numbers (not bools, strings or objects)."""
+    return np.issubdtype(a.dtype, np.number)
+
+
 def _check_index(coeffs, n: int):
-    """``coeffs`` as a 1-D array and ``n`` as an integer index into it."""
+    """``coeffs`` as a 1-D numeric array and ``n`` as an integer index into it."""
     coeffs = np.asarray(coeffs)
-    if coeffs.ndim != 1:
-        raise InvalidParameter("coefficients must be 1-D")
+    if coeffs.ndim != 1 or not _numeric(coeffs):
+        raise InvalidParameter("coefficients must be a 1-D array of numbers")
     n = integer_parameter(n, "mean index")
     if not 0 <= n < len(coeffs):
         raise IndexOutOfRange(f"mean index {n} outside 0..{len(coeffs) - 1}")
@@ -78,13 +83,16 @@ class DoubleFamily:
     alpha: np.ndarray
 
     def __post_init__(self):
-        m_values = np.asarray(self.m_values, dtype=int)
+        m_values = np.asarray(self.m_values)
         rows = np.asarray(self.coeff_rows)
         alpha = np.asarray(self.alpha)
         if rows.ndim != 2 or len(m_values) != rows.shape[0] or len(alpha) != rows.shape[0]:
             raise InvalidParameter("need one coefficient row and one alpha per m")
         if len(m_values) == 0:
             raise InvalidParameter("family must not be empty")
+        if not (np.issubdtype(m_values.dtype, np.integer) and _numeric(rows) and _numeric(alpha)):
+            raise InvalidParameter("m_values must be integers, rows and alpha numbers")
+        m_values = m_values.astype(int)
         if np.any(np.diff(m_values) <= 0):
             raise InvalidParameter("m_values must be strictly increasing")
         if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(rows))):
@@ -247,7 +255,7 @@ def euler_bracket(n: int):
     ``n`` is an integer >= 1; anything else raises :class:`InvalidParameter`.
     """
     n = integer_parameter(n, "n", 1)
-    base = 1.0 - 1.0 / (n + 1)
+    base = 1.0 - 1.0 / finite_parameter(n + 1, "n + 1")
     lower = base ** (n + 1)
     upper = base ** n
     ok = lower < np.exp(-1.0) < upper

@@ -3,17 +3,22 @@
 ``bench/tracer.py`` wraps every ``(module, attribute)`` in its ``LAYERS``
 and ``bench/worker.py`` calls single layers by name, so a rename in the
 package would break a traced benchmark run without failing any other test.
-The benchmark files are read here, never changed.
+The traced round also calls ``cli.main`` and reads its exit code and lines,
+which is pinned here too.  The benchmark files are read here, never changed.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from schlichtlab import families, grunsky
+from schlichtlab import cli, families, grunsky, lab
+from schlichtlab.errors import ConfigError
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -64,3 +69,48 @@ def test_tracer_records_one_span_per_norm_call():
     with tracer.installed():
         grunsky.strong_grunsky_norm(table)
     assert [span[3] for span in tracer.spans] == ["grunsky.strong_grunsky_norm"]
+
+
+def _zalcman_config(tmp_path, **changes) -> str:
+    data = {"scenario": "zalcman_scan", "m_range": [1, 5], "n_range": [2, 8],
+            "series_order": 32, "out_dir": str(tmp_path / "rep"), **changes}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _bench_cli_call(config_path: str, fmt: str) -> tuple:
+    """``worker.run_cli_pass``'s call of ``cli.main``: the stdout lines and the exit code."""
+    assert "standalone_mode=False" in (BENCH / "worker.py").read_text(encoding="utf-8")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--config", config_path, "--format", fmt], standalone_mode=False)
+    return buf.getvalue().splitlines(), exit_info.value.code
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+def test_cli_run_as_the_traced_round_reads_it(fmt, tmp_path):
+    config_path = _zalcman_config(tmp_path)
+    lines, code = _bench_cli_call(config_path, fmt)
+    paths = [Path(line[len("wrote "):]) for line in lines if line.startswith("wrote ")]
+    flags = {line[5:]: line.startswith("ok") for line in lines
+             if line[:4] in ("ok  ", "FAIL")}
+    assert code == 0
+    assert sorted(p.suffix for p in paths) == {"csv": [".csv"], "json": [".json"],
+                                               "both": [".csv", ".json"]}[fmt]
+    assert all(p.is_file() for p in paths)
+    summary_flags = lab.run_scenario(lab.ScenarioConfig.from_json(config_path)).summary["flags"]
+    assert flags == summary_flags and len(lines) == len(paths) + len(summary_flags)
+
+
+def test_bad_config_raises_only_outside_standalone_mode(tmp_path, capsys):
+    config_path = _zalcman_config(tmp_path, n_range=[8, 2])
+    with pytest.raises(ConfigError):
+        _bench_cli_call(config_path, "csv")
+    assert capsys.readouterr() == ("", "")
+    # the console script's default prints it as one line instead
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--config", config_path, "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 1 and out == ""
+    assert err.startswith("Error: ") and err.count("\n") == 1, err

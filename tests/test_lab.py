@@ -6,7 +6,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +17,14 @@ from schlichtlab.lab import ScenarioConfig, export_report, run_scenario
 from schlichtlab.series import ComplexSeries
 
 from conftest import report_dict
+
+
+def run_cli(args, capsys):
+    """The exit code, stdout and stderr of ``schlicht-lab`` on ``args``."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(args)
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
 
 
 def small_cfg(scenario, tmp_path, **kw):
@@ -527,12 +534,11 @@ class TestMalformedConfigFile:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_json(self._path(case, tmp_path))
 
-    def test_cli_prints_an_error_line(self, case, tmp_path):
-        result = CliRunner().invoke(cli_main, ["run", "--config",
-                                               str(self._path(case, tmp_path))])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert result.output.startswith("Error: "), result.output
-        assert "Traceback" not in result.output and result.output.count("\n") == 1
+    def test_cli_prints_an_error_line(self, case, tmp_path, capsys):
+        code, out, err = run_cli(["run", "--config", str(self._path(case, tmp_path))], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("Error: "), err
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 class TestCounterexample:
@@ -721,9 +727,9 @@ class TestAudit:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tag", ["dilation", "halfplane", "koebe", "koebe_transform",
                                      "rotation"])
-    def test_cli_audit_prints_ok_on_the_nonnegative_margins(self, tag):
-        result = CliRunner().invoke(cli_main, ["audit", "--function", tag, "--order", "130"])
-        *lines, last = result.output.splitlines()
+    def test_cli_audit_prints_ok_on_the_nonnegative_margins(self, tag, capsys):
+        code, out, _ = run_cli(["audit", "--function", tag, "--order", "130"], capsys)
+        *lines, last = out.splitlines()
         checks = json.loads(last)["checks"]
         assert len(lines) == len(checks)
         for line in lines:
@@ -731,7 +737,7 @@ class TestAudit:
                                               line).groups()
             assert (flag == "ok  ") == (float(margin) >= 0.0) == checks[name]["ok"], line
             assert checks[name]["ok"] == (checks[name]["margin"] >= 0.0)
-        assert result.exit_code == (0 if all(c["ok"] for c in checks.values()) else 1)
+        assert code == (0 if all(c["ok"] for c in checks.values()) else 1)
 
     @pytest.mark.filterwarnings("error")
     def test_milin_flag_reads_its_tolerance(self, tmp_path):
@@ -883,52 +889,61 @@ class TestExport:
 
 
 class TestCli:
-    def test_run_subcommand(self, tmp_path):
+    def test_run_subcommand(self, tmp_path, capsys):
         cfg = {"scenario": "zalcman_scan", "m_range": [1, 5], "n_range": [2, 8],
                "series_order": 32, "out_dir": str(tmp_path / "rep")}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        result = CliRunner().invoke(cli_main, ["run", "--config", str(cfg_path)])
-        assert result.exit_code == 0, result.output
+        code, out, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert code == 0, err
         assert (tmp_path / "rep" / "zalcman_scan.csv").exists()
-        assert "zalcman_ceiling" in result.output
+        assert "zalcman_ceiling" in out
 
-    def test_run_rejects_bad_config_without_files(self, tmp_path):
+    def test_run_rejects_bad_config_without_files(self, tmp_path, capsys):
         cfg = {"scenario": "zalcman_scan", "m_range": [1, 5], "n_range": [8, 2],
                "series_order": 32, "out_dir": str(tmp_path / "rep")}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        result = CliRunner().invoke(cli_main, ["run", "--config", str(cfg_path)])
-        assert result.exit_code != 0
+        code, _, _ = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert code != 0
         assert not (tmp_path / "rep").exists()
 
-    def test_audit_subcommand(self):
-        result = CliRunner().invoke(cli_main,
-                                    ["audit", "--function", "koebe", "--order", "64"])
-        assert result.exit_code == 0, result.output
-        assert "milin_bound" in result.output
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_path(self, kind, tmp_path, capsys):
+        # argparse checks no path: the loader refuses it like any bad config
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(ConfigError, match="cannot read"):
+            ScenarioConfig.from_json(path)
+        code, out, err = run_cli(["run", "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("Error: cannot read ") and err.count("\n") == 1, err
 
-    def test_grunsky_subcommand(self):
-        result = CliRunner().invoke(
-            cli_main, ["grunsky", "--function", "koebe", "--order", "16",
-                       "--z", "0.5,0.0"])
-        assert result.exit_code == 0, result.output
-        assert "strong norm" in result.output
+    def test_audit_subcommand(self, capsys):
+        code, out, err = run_cli(["audit", "--function", "koebe", "--order", "64"], capsys)
+        assert code == 0, err
+        assert "milin_bound" in out
+
+    def test_grunsky_subcommand(self, capsys):
+        code, out, err = run_cli(["grunsky", "--function", "koebe", "--order", "16",
+                                  "--z", "0.5,0.0"], capsys)
+        assert code == 0, err
+        assert "strong norm" in out
 
     @pytest.mark.parametrize("tag,order", [
         pytest.param(tag, order, id=tag if order == "32" else f"{tag}-{order}")
         for order in ("32", "64", "128")
         for tag in ("dilation", "halfplane", "koebe", "koebe_transform", "rotation")
     ])
-    def test_grunsky_subcommand_every_member(self, tag, order):
+    def test_grunsky_subcommand_every_member(self, tag, order, capsys):
         # full mappings cluster their singular values at 1, where power
         # iteration stalls; the dense norm of an exact section stays within
         # the 1e-9 slack at every order (order-32 cases keep the bare ids)
-        result = CliRunner().invoke(
-            cli_main, ["grunsky", "--function", tag, "--order", order,
-                       "--z", "0.5,0.0"])
-        assert result.exit_code == 0, result.output
-        assert "(ok)" in result.output
+        code, out, err = run_cli(["grunsky", "--function", tag, "--order", order,
+                                  "--z", "0.5,0.0"], capsys)
+        assert code == 0, err
+        assert "(ok)" in out
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args", [
@@ -937,14 +952,13 @@ class TestCli:
         ["audit", "--function", "koebe", "--order", str(10**20)],
         ["audit", "--function", "koebe_transform", "--order", str(families.MAX_ORDER + 1)],
     ], ids=["grunsky-1e17", "grunsky-ceiling", "audit-1e20", "audit-ceiling"])
-    def test_orders_past_the_ceiling_print_one_error_line(self, args):
-        result = CliRunner().invoke(cli_main, args)
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert result.output.startswith("Error: ") and result.output.count("\n") == 1
-        assert f"at most {families.MAX_ORDER}" in result.output
+    def test_orders_past_the_ceiling_print_one_error_line(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("Error: ") and err.count("\n") == 1
+        assert f"at most {families.MAX_ORDER}" in err
 
-    def test_grunsky_bad_point(self):
-        result = CliRunner().invoke(
-            cli_main, ["grunsky", "--function", "koebe", "--order", "16",
-                       "--z", "oops"])
-        assert result.exit_code != 0
+    def test_grunsky_bad_point(self, capsys):
+        code, _, _ = run_cli(["grunsky", "--function", "koebe", "--order", "16",
+                              "--z", "oops"], capsys)
+        assert code != 0

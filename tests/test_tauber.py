@@ -250,7 +250,7 @@ class TestEulerBracket:
 
 
 class TestBadInputs:
-    """Bad indexes and radii raise a SchlichtLabError, never a bare error."""
+    """Bad indexes, radii and coefficients raise a SchlichtLabError, never a bare error."""
 
     CASES = {
         "cesaro index fractional": (InvalidParameter, lambda ld: cesaro_mean(np.ones(4), 2.5)),
@@ -269,6 +269,11 @@ class TestBadInputs:
         "euler n nan": (InvalidParameter, lambda ld: euler_bracket(np.nan)),
         "euler n str": (InvalidParameter, lambda ld: euler_bracket("3")),
         "euler n fractional": (InvalidParameter, lambda ld: euler_bracket(2.5)),
+        "euler n beyond double range": (InvalidParameter, lambda ld: euler_bracket(10**400)),
+        "weighted coefficients str": (InvalidParameter, lambda ld: weighted_mean(["x"], 0)),
+        "cesaro coefficients str": (InvalidParameter, lambda ld: cesaro_mean(["x", "y"], 1)),
+        "family m_values str": (InvalidParameter,
+                                lambda ld: DoubleFamily(["a"], [[1.0]], [0.0])),
     }
 
     @pytest.mark.filterwarnings("error")
