@@ -434,7 +434,7 @@ def batch(f) -> list:
     only, or exactly one series-only member; anything else raises
     :class:`InvalidParameter`.
     """
-    members = [f] if isinstance(f, SchlichtFunction) else list(f)
+    members = [f] if isinstance(f, SchlichtFunction) else list(f) if np.iterable(f) else []
     if not members or not all(isinstance(g, SchlichtFunction) for g in members):
         raise InvalidParameter("a batch needs one or more SchlichtFunction members")
     if len(members) > 1 and not all(g.has_closed_form for g in members):

@@ -89,6 +89,8 @@ def log_data(f: SchlichtFunction) -> LogData:
     rotation).  A series-only map takes half the series logarithm of
     f(z)/z.
     """
+    if not isinstance(f, SchlichtFunction):
+        raise InvalidParameter(f"log_data needs a SchlichtFunction, got {type(f).__name__}")
     a = f.series.coeffs
     m = f.order - 1  # ledger top index
     if f.has_closed_form:
@@ -200,6 +202,8 @@ def milin_check(ld: LogData):
     Returns (partial_sums, max_partial, passes); partial_sums[j] covers
     k <= j+1.
     """
+    if not isinstance(ld, LogData):
+        raise InvalidParameter(f"milin_check needs a LogData, got {type(ld).__name__}")
     k = np.arange(1, ld.top_index + 1, dtype=float)
     terms = 2.0 * (np.real(ld.gamma[1:]) - 1.0 / k)
     partial = np.cumsum(terms)
@@ -314,17 +318,25 @@ def prawitz_check(f, radii):
     return results[0] if isinstance(f, SchlichtFunction) else results
 
 
-def coefficient_functionals(f: SchlichtFunction, n: int):
+def coefficient_functionals(f: SchlichtFunction, n):
     """Bieberbach ratio |a_n|/n and the Zalcman functional |a_n^2 - a_{2n-1}|.
 
     Returns (bieberbach_ratio, zalcman, zalcman_bound) where the bound is
     the conjectured ceiling (n-1)^2, attained by the Koebe map.  ``n`` is
-    an integer >= 1 with 2n - 1 within the series order.
+    an integer >= 1 with 2n - 1 within the series order, giving three
+    floats, or a non-empty 1-D integer array of them, giving three arrays.
+    Either is spelled in real arithmetic as numpy's complex scalars do it
+    (a^2 as a*a, abs as hypot), so an array entry has its int's bits.
     """
-    n = integer_parameter(n, "n", 1)
-    if 2 * n - 1 > f.order:
-        raise InvalidParameter("need 2n - 1 within the series order")
+    many = isinstance(n, np.ndarray) and n.ndim > 0
+    if many and not (n.ndim == 1 and n.size and n.dtype.kind in "iu"):
+        raise InvalidParameter("n must be an integer or a non-empty 1-D integer array")
+    # int64, so 2n - 1 and (n-1)^2 do not wrap in a narrower dtype
+    ns = n.astype(np.int64) if many else integer_parameter(n, "n")
+    if np.min(ns) < 1 or np.max(ns) > (f.order + 1) // 2:
+        raise InvalidParameter("need n >= 1 with 2n - 1 within the series order")
     a = f.series.coeffs
-    ratio = abs(a[n]) / n
-    zalcman = abs(a[n] ** 2 - a[2 * n - 1])
-    return float(ratio), float(zalcman), float((n - 1) ** 2)
+    x, y, b = a[ns].real, a[ns].imag, a[2 * ns - 1]
+    zalcman = np.hypot(x * x - y * y - b.real, x * y + y * x - b.imag)
+    out = np.hypot(x, y) / ns, zalcman, (ns - 1) ** 2 * 1.0
+    return out if many else tuple(map(float, out))

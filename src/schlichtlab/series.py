@@ -276,6 +276,8 @@ def compose(outer: ComplexSeries, inner: ComplexSeries) -> ComplexSeries:
     rounding noise and zeroed).  The result is exact through the common
     truncation order ``min(outer.order, inner.order)``.
     """
+    if not (isinstance(outer, ComplexSeries) and isinstance(inner, ComplexSeries)):
+        raise InvalidParameter("compose needs two ComplexSeries")
     c0 = inner.coeffs[0]
     if abs(c0) > _ZERO_TOL:
         raise InnerConstantTermNonzero(

@@ -166,8 +166,11 @@ def simultaneous_tauber_harness(fam: DoubleFamily) -> TauberHarnessReport:
 
     Complex rows are rejected outright (imaginary parts above 1e-14)
     rather than silently projected: the machinery is only valid for real
-    coefficients.
+    coefficients.  Real parts are taken into a contiguous array, so equal
+    rows give equal bits whether held as real or as complex.
     """
+    if not isinstance(fam, DoubleFamily):
+        raise InvalidParameter(f"the harness needs a DoubleFamily, got {type(fam).__name__}")
     rows = np.asarray(fam.coeff_rows)
     if np.iscomplexobj(rows):
         worst = float(np.max(np.abs(rows.imag)))
@@ -175,7 +178,7 @@ def simultaneous_tauber_harness(fam: DoubleFamily) -> TauberHarnessReport:
             raise ComplexCoefficients(
                 f"rows carry imaginary parts up to {worst:.3g}; the harness needs real data"
             )
-        rows = rows.real
+        rows = np.ascontiguousarray(rows.real)  # a strided view takes another BLAS path
     alpha = np.asarray(fam.alpha, dtype=float)
 
     partial = np.cumsum(rows, axis=1)

@@ -593,6 +593,7 @@ class TestBadInputs:
         "out_dir list": {"out_dir": ["reports"]},
         "fmt array": {"fmt": np.array([1.0, 2.0])},
         "fmt None": {"fmt": None},
+        "report None": {"rep": None},
     }
 
     @pytest.mark.filterwarnings("error")
@@ -600,7 +601,7 @@ class TestBadInputs:
     def test_raises_lab_error_and_writes_nothing(self, case, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # where the report's own out_dir would go
         with pytest.raises(SchlichtLabError):
-            export_report(hand_built([0.5], ["ok"], ["c"]), **self.CASES[case])
+            export_report(**{"rep": hand_built([0.5], ["ok"], ["c"]), **self.CASES[case]})
         assert list(tmp_path.iterdir()) == []
 
     def test_a_path_is_an_out_dir(self, tmp_path):

@@ -23,7 +23,7 @@ from schlichtlab.families import (
 )
 from schlichtlab.hayman import _derivative_rows, growth_direction, growth_profile, hayman_index
 from schlichtlab.logmilin import PRAWITZ_NODES, prawitz_check
-from schlichtlab.series import ComplexSeries
+from schlichtlab.series import ComplexSeries, compose
 
 from conftest import TRANSFORM_W
 
@@ -336,6 +336,14 @@ class TestBadInputs:
         "sigma tail str": (InvalidParameter, lambda: SigmaFunction(b0=0j, tail="x", order=2)),
         "sigma tail ragged": (InvalidParameter,
                               lambda: SigmaFunction(b0=0j, tail=[[0, 1], [2]], order=2)),
+        "sigma tail wrong length": (InvalidParameter,
+                                    lambda: SigmaFunction(b0=0j, tail=np.zeros(3), order=2)),
+        "sigma tail nan": (InvalidParameter,
+                           lambda: SigmaFunction(b0=0j, tail=[0.0, math.nan], order=2)),
+        "series coeffs empty": (InvalidParameter, lambda: ComplexSeries([])),
+        "compose inner int": (InvalidParameter, lambda: compose(_koebe16().series, 3)),
+        "compose outer None": (InvalidParameter, lambda: compose(None, _koebe16().series)),
+        "hayman index of an int": (InvalidParameter, lambda: hayman_index(3)),
         "series coeffs str": (InvalidParameter, lambda: ComplexSeries("x")),
         "series coeffs str log": (InvalidParameter, lambda: ComplexSeries("x").log()),
         "series coeffs ragged": (InvalidParameter, lambda: ComplexSeries([[0, 1], [2]])),

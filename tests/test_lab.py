@@ -94,6 +94,10 @@ class TestConfig:
             ScenarioConfig.from_dict({"scenario": "theorem1", "m_range": [2, 4],
                                       "n_range": [1, 8], "seed": 0})
 
+    def test_empty_object_is_malformed(self):
+        with pytest.raises(ConfigError, match="malformed config"):
+            ScenarioConfig.from_dict({})
+
     @pytest.mark.parametrize("data", ["abc", [["scenario", "theorem1"]], None, 3])
     def test_top_level_must_be_an_object(self, data):
         with pytest.raises(ConfigError, match="must be an object"):
@@ -516,6 +520,7 @@ MALFORMED_CONFIGS = {
         "{" + _COUNTEREXAMPLE + ', "tolerances": {"tail_n": 5, "zalcman_slack": 3}}').encode(),
     "grunsky_order outside the audit": (
         "{" + _COUNTEREXAMPLE + ', "grunsky_order": 9}').encode(),
+    "empty object": b"{}",
     "m_range beyond the ceiling": (
         b'{"scenario": "theorem1", "m_range": [1000000, 1000000], "n_range": [1, 8], '
         b'"series_order": 8}'),

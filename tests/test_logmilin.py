@@ -553,6 +553,22 @@ class TestBadInputs:
         "functionals n zero": lambda f, ld: coefficient_functionals(f, 0),
         "functionals n fractional": lambda f, ld: coefficient_functionals(f, 1.5),
         "functionals n too large": lambda f, ld: coefficient_functionals(f, 9),
+        "functionals n bool array": lambda f, ld: coefficient_functionals(f, np.array([True])),
+        "functionals n float array": lambda f, ld: coefficient_functionals(f, np.array([2.0])),
+        "functionals n 2-D array": lambda f, ld: coefficient_functionals(f, np.array([[2]])),
+        "functionals n empty array": lambda f, ld: coefficient_functionals(
+            f, np.array([], dtype=int)),
+        "functionals n array entry zero": lambda f, ld: coefficient_functionals(
+            f, np.array([2, 0])),
+        "functionals n array entry too large": lambda f, ld: coefficient_functionals(
+            f, np.array([2, 9])),
+        "derivative recurrence n_max at the order": lambda f, ld: (
+            gamma_via_derivative_recurrence(f, f.order)),
+        "unweighted recurrence n zero": lambda f, ld: gamma_recurrence_unweighted(f, ld, 0),
+        "direction sum n_terms past the ledger": lambda f, ld: direction_weighted_sum(
+            ld.gamma, 0.0, len(ld.gamma)),
+        "log_data of a float": lambda f, ld: log_data(0.5),
+        "milin_check of None": lambda f, ld: milin_check(None),
         "lebedev n negative": lambda f, ld: lebedev_milin_check(f, ld, -1),
         "lebedev n fractional": lambda f, ld: lebedev_milin_check(f, ld, 2.5),
         "lebedev n too large": lambda f, ld: lebedev_milin_check(f, ld, 16),
@@ -580,6 +596,14 @@ class TestBadInputs:
             self.CASES[case](*self._koebe())
 
     @pytest.mark.filterwarnings("error")
+    def test_narrow_integer_arrays_of_n_do_not_wrap(self):
+        # in uint8, 2n - 1 and (n-1)^2 would wrap for n = 200 and 255
+        f = make_schlicht("koebe_transform", {"w": 0.3 + 0.2j}, 512)
+        cols = coefficient_functionals(f, np.array([200, 255], dtype=np.uint8))
+        assert [tuple(float(c[i]) for c in cols) for i in range(2)] == [
+            coefficient_functionals(f, 200), coefficient_functionals(f, 255)]
+
+    @pytest.mark.filterwarnings("error")
     def test_largest_theta_accepted(self):
         # n_terms * theta lands exactly on the largest float, so nothing overflows
         f, ld = self._koebe()
@@ -591,4 +615,10 @@ class TestBadInputs:
         f, ld = self._koebe()
         assert coefficient_functionals(f, 1) == (1.0, 0.0, 0.0)
         assert coefficient_functionals(f, np.int64(5)) == coefficient_functionals(f, 5)
+        # an array of n: the int's floats, entry by entry, for int and uint arrays
+        for ns in (np.array([1, 5, 8]), np.array([8, 1], dtype=np.uint8)):
+            cols = coefficient_functionals(f, ns)
+            assert all(isinstance(c, np.ndarray) and c.shape == ns.shape for c in cols)
+            assert [tuple(float(c[i]) for c in cols) for i in range(len(ns))] == [
+                coefficient_functionals(f, int(n)) for n in ns]
         assert lebedev_milin_check(f, ld, 0) == (1.0, 1.0, 1.0)

@@ -9,7 +9,7 @@ from schlichtlab.errors import (
     InvalidParameter,
 )
 from schlichtlab.families import dilated, make_schlicht
-from schlichtlab.logmilin import log_data
+from schlichtlab.logmilin import boundary_mean_coeffs, log_data
 from schlichtlab.tauber import (
     DoubleFamily,
     cesaro_mean,
@@ -111,6 +111,22 @@ class TestHarness:
                            alpha=np.zeros(2))
         with pytest.raises(ComplexCoefficients):
             simultaneous_tauber_harness(fam)
+
+    @pytest.mark.filterwarnings("error")
+    def test_complex_held_rows_give_the_real_rows_bits(self):
+        # theorem1's boundary-mean rows (m 2..33, order 256), as float rows and
+        # as complex rows with zero imaginary parts: the strided real view once
+        # took another BLAS path and moved uniform_gap in its last digits
+        base = make_schlicht("halfplane", order=256)
+        ms = np.arange(2, 34)
+        rows = np.array([boundary_mean_coeffs(dilated(base, 1.0 - 1.0 / m)) for m in ms])
+        assert not rows.imag.any()
+        real, held = (simultaneous_tauber_harness(DoubleFamily(ms, r, np.zeros(len(ms))))
+                      for r in (rows.real.copy(), rows))
+        assert real.uniform_gap == held.uniform_gap
+        assert real.l_observed == held.l_observed
+        assert real.deviation.tobytes() == held.deviation.tobytes()
+        assert real.tail_sup.tobytes() == held.tail_sup.tobytes()
 
     def test_tail_supremum_clamps_and_decreases(self):
         rng = np.random.default_rng(3)
@@ -274,6 +290,15 @@ class TestBadInputs:
         "cesaro coefficients str": (InvalidParameter, lambda ld: cesaro_mean(["x", "y"], 1)),
         "family m_values str": (InvalidParameter,
                                 lambda ld: DoubleFamily(["a"], [[1.0]], [0.0])),
+        "family lengths mismatched": (InvalidParameter,
+                                      lambda ld: DoubleFamily([1, 2], [[1.0]], [0.0])),
+        "family without rows": (InvalidParameter, lambda ld: DoubleFamily(
+            np.array([], dtype=int), np.zeros((0, 3)), np.zeros(0))),
+        "family m_values not increasing": (InvalidParameter, lambda ld: DoubleFamily(
+            [2, 2], [[1.0], [1.0]], [0.0, 0.0])),
+        "family rows nan": (InvalidParameter,
+                            lambda ld: DoubleFamily([1], [[np.nan]], [0.0])),
+        "harness of a list": (InvalidParameter, lambda ld: simultaneous_tauber_harness([])),
     }
 
     @pytest.mark.filterwarnings("error")
