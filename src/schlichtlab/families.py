@@ -9,7 +9,8 @@ Every one of them, and every rotation or dilation of one, is the rational
 map ``f(z) = z(1 - rho z)/(1 - beta z)^2`` for a pair (beta, rho)
 (Pommerenke, *Univalent Functions*, 1975, ch. 1).  The Koebe map (1, 0),
 the half-plane map (1, 1) and the transforms take their series from their
-pair, ``a_n = beta^{n-2} (n beta - (n-1) rho)``; a rotation by ``phi``
+pair, ``a_n = beta^{n-2} (n beta - (n-1) rho)``, the powers by one running
+product (:func:`_pair_member` bounds the rounding); a rotation by ``phi``
 multiplies the pair by the unit ``e^{i phi}`` and a_n by its powers, a
 dilation by ``r`` multiplies the pair by ``r`` and a_n by ``r^{n-1}``.
 The rotation and dilation kinds are the Koebe map rotated or dilated.  A
@@ -19,13 +20,15 @@ its growth class (:attr:`SchlichtFunction.maximal_growth`).  Series-only
 maps (``custom``) carry no pair and are evaluated from their partial
 sums.  ``max_modulus`` searches the circles of a whole batch of
 members at once, each lane evaluating its own pair through that same
-evaluator.
+evaluator; on a closed form's inner circles its grid stage evaluates only
+the arc of cells that a bound on |f| leaves able to hold the maximum.
 
 ``invert_to_sigma`` passes from a normalized map ``f`` on the disk to the
 exterior map ``g(z) = 1/f(1/z) = z + b0 + b1/z + ...``; the exterior
 coefficients feed the Grunsky machinery.  For a pair they are exact,
-``b0 = rho - 2 beta`` and ``b_m = rho^{m-1} (rho - beta)^2``; series-only
-maps go through a series reciprocal.
+``b0 = rho - 2 beta`` and ``b_m = rho^{m-1} (rho - beta)^2``, the powers
+again by running product; series-only maps go through a series
+reciprocal.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameter, OutsideDisk
-from .series import MAX_ORDER, ComplexSeries, evaluation_point, integer_parameter
+from .series import (MAX_ORDER, ComplexSeries, array_parameter, evaluation_point,
+                     require_instance, integer_parameter)
 
 #: the parameter names each kind of make_schlicht reads; any other key is refused
 KIND_PARAMETERS = {"koebe": (), "halfplane": (), "rotation": ("theta",), "dilation": ("r",),
@@ -62,6 +66,8 @@ _CIRCLE_RAY = np.exp(1j * CIRCLE_ANGLES)
 _GRID_STEP = 2.0 * np.pi / CIRCLE_GRID
 # one golden-section step count for every lane, from the nominal bracket width 2h
 _GOLDEN_STEPS = int(math.ceil(math.log(_ANGLE_TOL / (2.0 * _GRID_STEP)) / math.log(_INV_PHI)))
+_ARC_MARGIN = 1.01  # a grid cell is skipped only when its bound is below L / 1.01
+_ARC_GUARD = 2.0 ** -20  # a circle with r |beta| or 1 - r |beta| below this is searched whole
 
 
 def closed_form_value(z, beta, rho):
@@ -95,7 +101,9 @@ class SchlichtFunction:
     None for a series-only function.  :meth:`value` and :meth:`deriv`
     accept a number or a numeric numpy array, and raise
     :class:`InvalidParameter` for anything else
-    (:func:`series.evaluation_point`).
+    (:func:`series.evaluation_point`).  A closed form evaluates with
+    numpy's floating-point warnings off, so a NaN point or the pole gives
+    NaN or inf in an array as it does for a Python number.
     """
 
     series: ComplexSeries
@@ -111,13 +119,15 @@ class SchlichtFunction:
         """f(z): the closed form, or the partial sum of a series-only map."""
         if self.beta_rho is None:
             return self.series(z)
-        return closed_form_value(evaluation_point(z), *self.beta_rho)
+        with np.errstate(all="ignore"):
+            return closed_form_value(evaluation_point(z), *self.beta_rho)
 
     def deriv(self, z):
         """f'(z): the closed form, or the derivative's partial sum."""
         if self.beta_rho is None:
             return self.series.deriv()(z)
-        return closed_form_deriv(evaluation_point(z), *self.beta_rho)
+        with np.errstate(all="ignore"):
+            return closed_form_deriv(evaluation_point(z), *self.beta_rho)
 
     @property
     def maximal_growth(self) -> bool:
@@ -169,17 +179,19 @@ class SigmaFunction:
 
     def __post_init__(self):
         b0 = finite_parameter(self.b0, "b0", complex)
+        order = integer_parameter(self.order, "exterior order", 0)
         try:
             tail = np.asarray(self.tail, dtype=np.complex128)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidParameter("tail must be an array of numbers") from None
-        if tail.shape != (self.order,):
+        if tail.shape != (order,):
             raise InvalidParameter("tail must hold exactly `order` coefficients")
         if not np.all(np.isfinite(tail)):
             raise InvalidParameter("exterior coefficients must be finite")
         tail.setflags(write=False)
         object.__setattr__(self, "b0", b0)
         object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "order", order)
 
 
 def _check_class_s(coeffs: np.ndarray, what: str) -> None:
@@ -276,13 +288,37 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
     return SchlichtFunction(ComplexSeries(coeffs), kind, {})
 
 
+def _powers(x, count: int) -> np.ndarray:
+    """x^0 .. x^{count-1} as complex numbers, by one running product."""
+    powers = np.ones(count, dtype=np.complex128)
+    powers[1:] = np.cumprod(np.full(max(count - 1, 0), x, dtype=np.complex128))
+    return powers
+
+
 def _pair_member(beta, rho, order: int, kind: str, params: dict) -> SchlichtFunction:
     """The member ``z(1 - rho z)/(1 - beta z)^2`` of order ``order``, with
-    a_1 = 1 and a_n = beta^{n-2} (n beta - (n-1) rho) for n >= 2."""
-    n = np.arange(1, order + 1)
+    a_1 = 1 and a_n = beta^{n-2} (n beta - (n-1) rho) for n >= 2.
+
+    beta^{n-2} is a running product (:func:`_powers`), within about
+    1.2 (n-3) machine epsilons of the exact power of the double beta for
+    n >= 3 (sqrt(5)/2 epsilons per complex product), and exact for n = 2.
+    The factor n beta - (n-1) rho rounds its two products and the
+    difference: within eps/2 (n |beta| + (n-1) |rho|) + eps/2 |factor| of
+    the exact value, which is far more than eps |factor| when the two terms
+    cancel.  The last product rounds once more.  So, with
+    s_n = |beta|^{n-2} (n |beta| + (n-1) |rho|), a_n lies within about
+
+        eps ((1.2 (n-2) + 4) |a_n| + s_n / 2)
+
+    of the exact value of the double pair, short of underflow.  The Koebe
+    and half-plane maps (beta = 1) come out exact.  ``beta ** (n - 2)``,
+    which numpy hands to libm's ``cpow`` from a power of 100 up, was off by
+    up to 430 eps relative at w = 0.99 e^{0.3i}.
+    """
+    n = np.arange(2, order + 1)
     coeffs = np.zeros(order + 1, dtype=np.complex128)
-    coeffs[1:] = beta ** (n - 2.0) * (n * beta - (n - 1.0) * rho)
-    coeffs[1] = 1.0  # beta^{-1} beta, up to rounding
+    coeffs[1] = 1.0
+    coeffs[2:] = _powers(beta, order - 1) * (n * beta - (n - 1.0) * rho)
     _check_class_s(coeffs, kind)
     return SchlichtFunction(ComplexSeries(coeffs), kind, params, (beta, rho))
 
@@ -305,6 +341,7 @@ def rotated(f: SchlichtFunction, phi: float) -> SchlichtFunction:
     e^{i(n-1) phase(u)}: the angle is reduced to (-pi, pi] before it is
     multiplied, so series and pair stay one map at every ``phi``.
     """
+    require_instance(f, SchlichtFunction, "rotated")
     phi = finite_parameter(phi, "rotation angle phi")
     unit = cmath.exp(1j * phi)
     coeffs = np.zeros(f.order + 1, dtype=np.complex128)
@@ -320,6 +357,7 @@ def dilated(f: SchlichtFunction, r: float) -> SchlichtFunction:
     :class:`InvalidParameter`.  The powers r^{n-1} are taken for n >= 1 only,
     so a tiny ``r`` underflows them quietly instead of overflowing r^{-1}.
     """
+    require_instance(f, SchlichtFunction, "dilated")
     r = finite_parameter(r, "dilation r")
     if not 0.0 < r < 1.0:
         raise InvalidParameter("dilation needs r in (0, 1)")
@@ -332,12 +370,14 @@ def invert_to_sigma(f: SchlichtFunction, order: int) -> SigmaFunction:
     """Exterior coefficients of ``g(z) = 1/f(1/z)``.
 
     For a closed form, ``g(z) = (z - beta)^2 sum_j rho^j z^{-j-1}``, so
-    ``b0 = rho - 2 beta`` and ``b_m = rho^{m-1} (rho - beta)^2`` exactly.
+    ``b0 = rho - 2 beta`` and ``b_m = rho^{m-1} (rho - beta)^2`` exactly,
+    the powers rho^{m-1} taken by running product (:func:`_powers`).
     For a series-only map, with ``P(u) = f(u)/u`` (constant term 1), the
     reciprocal ``Q = 1/P`` gives ``g(z) = z * Q(1/z) = z + q_1 + q_2/z + ...``,
     so ``b_n = q_{n+1}``.  Either way the series must reach ``order + 2``,
     which the reciprocal needs to be exact through the exterior order.
     """
+    require_instance(f, SchlichtFunction, "invert_to_sigma")
     order = integer_parameter(order, "exterior order", 0)
     if f.order < order + 2:
         raise InvalidParameter(
@@ -346,7 +386,7 @@ def invert_to_sigma(f: SchlichtFunction, order: int) -> SigmaFunction:
     if f.has_closed_form:
         beta, rho = f.beta_rho
         return SigmaFunction(b0=complex(rho - 2.0 * beta),
-                             tail=rho ** np.arange(order) * (rho - beta) ** 2,
+                             tail=_powers(rho, order) * (rho - beta) ** 2,
                              order=order)
     p = ComplexSeries(f.series.coeffs[1:])  # f(u)/u
     q = 1.0 / p
@@ -381,6 +421,8 @@ def _disk_modulus(z) -> float:
         x = float(abs(z))
     except (TypeError, ValueError):
         raise InvalidParameter(f"the point must be one number, got {z!r}") from None
+    except OverflowError:
+        raise InvalidParameter(f"the point {z!r:.40} lies beyond double range") from None
     if not x < 1.0:  # NaN fails here too
         raise OutsideDisk(f"|z| = {x:.6g} is not inside the unit disk")
     return x
@@ -393,6 +435,7 @@ def eval_certified(f: SchlichtFunction, z: complex):
     partial sum plus the tail bound sum_{n>N} n |z|^n, valid for every
     normalized univalent function by the coefficient bound |a_n| <= n.
     """
+    require_instance(f, SchlichtFunction, "eval_certified")
     x = _disk_modulus(z)
     bound = 0.0 if f.has_closed_form else _tail_linear(f.order, x)
     return f.value(z), bound
@@ -403,6 +446,7 @@ def deriv_certified(f: SchlichtFunction, z: complex):
 
     The series tail bound is sum_{n>N} n^2 |z|^{n-1}, again from |a_n| <= n.
     """
+    require_instance(f, SchlichtFunction, "deriv_certified")
     x = _disk_modulus(z)
     bound = 0.0 if f.has_closed_form or x == 0.0 else _tail_quadratic(f.order, x) / x
     return f.deriv(z), bound
@@ -417,7 +461,7 @@ def radius_grid(radii) -> np.ndarray:
     Raises :class:`InvalidParameter` unless ``radii`` is a non-empty 1-D
     real array, strictly increasing inside (0, 1); NaN and infinities fail.
     """
-    grid = np.asarray(radii)
+    grid = array_parameter(radii, "radii")
     if grid.dtype.kind not in "iuf" or grid.ndim != 1 or grid.size == 0:
         raise InvalidParameter("radii must be a non-empty 1-D grid")
     grid = grid.astype(float)
@@ -460,20 +504,78 @@ def batch_evaluator(members, lanes: int, derivative: bool = False):
     return lambda z: closed_form(z, beta, rho)
 
 
+def _arcs(members, radii: np.ndarray, grid: np.ndarray):
+    """The cells of each circle that the grid stage of :func:`max_modulus`
+    evaluates on the inner circles, all but the last: ``count`` cells from
+    grid index ``first`` on, mod CIRCLE_GRID, both of shape
+    ``(members, radii - 1)``.
+
+    A closed-form member's inner circle keeps the arc where its bound can
+    reach L / 1.01, widened by one cell on each side, L the member's |f|
+    at the cell nearest -arg beta.  A series-only member, a circle where
+    r |beta| or 1 - r |beta| lies below 2^-20 (beta = 0 among them) and an
+    arc that covers the circle keep all CIRCLE_GRID cells.
+    """
+    first = np.zeros((len(members), len(radii) - 1), dtype=np.int64)
+    count = np.full(first.shape, CIRCLE_GRID)
+    if len(radii) < 2 or not members[0].has_closed_form:  # a batch of one series-only map
+        return first, count
+    pairs = np.array([g.beta_rho for g in members], dtype=np.complex128)
+    centre = -np.angle(pairs[:, :1])
+    nearest = np.rint(centre[:, 0] / _GRID_STEP).astype(np.int64) % CIRCLE_GRID
+    low = np.array([np.abs(g.value(grid[:-1, j])) for g, j in zip(members, nearest.tolist())])
+    r, size, spread = radii[:-1], np.abs(pairs[:, :1]), np.abs(pairs[:, 1:])
+    gap = 1.0 - r * size
+    with np.errstate(all="ignore"):  # low = 0 or beta = 0 give s = inf or NaN: the whole circle
+        # the bound reaches low / margin where sin^2((theta - centre)/2) <= s
+        s = (_ARC_MARGIN * r * (1.0 + r * spread) / low - gap * gap) / (4.0 * r * size)
+        half = 2.0 * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
+        lo = np.ceil((centre - half) / _GRID_STEP) - 1.0
+        width = np.floor((centre + half) / _GRID_STEP) + 2.0 - lo
+    arc = (r * size >= _ARC_GUARD) & (gap >= _ARC_GUARD) & (s < 1.0) & (width < CIRCLE_GRID)
+    first[:] = np.where(arc, lo % CIRCLE_GRID, 0)
+    count[:] = np.where(arc, width, CIRCLE_GRID)
+    return first, count
+
+
 def max_modulus(f, r):
     """Maximum of |f| on the circles |z| = r and the maximizing angles.
 
     ``f`` is one member or a sequence of members (see :func:`batch`); ``r``
     is one radius or a 1-D array of radii, shared by every member.  The
-    search has two stages.  The grid stage evaluates |f| at the
-    CIRCLE_GRID (512) uniform angles CIRCLE_ANGLES on every circle, one
-    array evaluation per member with its own pair, at points formed once
-    per call, and keeps each circle's best cell.  Golden-section refinement
-    then pins every angle of every member to 1e-10 in lockstep, with
-    ``np.where`` choosing each lane's side and each lane evaluating its
-    member's pair.  Every evaluation goes through the same array
-    arithmetic, so a lane's result depends neither on the other radii nor
-    on the other members in the call.
+    search has two stages.  The grid stage finds each circle's best cell
+    among the CIRCLE_GRID (512) uniform angles CIRCLE_ANGLES, at points
+    formed once per call, with one evaluation per member of its own pair.
+    Golden-section refinement then pins every angle of every member to
+    1e-10 in lockstep, with ``np.where`` choosing each lane's side and each
+    lane evaluating its member's pair.  Every evaluation goes through the
+    same array arithmetic, so a lane's result depends neither on the other
+    radii nor on the other members in the call.
+
+    On each inner circle of a closed-form member the grid stage evaluates
+    only an arc (:func:`_arcs`), and still picks the cell the whole grid
+    picks.  On |z| = r, with theta' = theta + arg beta,
+
+        |f(r e^{i theta})| <= U(theta)
+            = r (1 + r |rho|) / ((1 - r |beta|)^2 + 4 r |beta| sin^2(theta'/2)),
+
+    since |1 - beta z|^2 = (1 - r |beta|)^2 + 4 r |beta| sin^2(theta'/2).
+    U falls with the distance of theta from -arg beta, so the cells where
+    U reaches L / 1.01 form one arc about -arg beta, L the computed |f| at
+    the cell nearest it; the arc is widened by one cell on each side, far
+    more than the rounding of its ends, and holds that cell.  An arc is
+    only taken where r |beta| >= 2^-20, so nothing that matters underflows,
+    and 1 - r |beta| >= 2^-20.  In floating point |1 - beta z| then loses
+    at most about 2 eps to rounding and is at least 1 - r |beta|, and
+    |1 - rho z| <= 1 + r |rho| gains at most a few eps, so a computed |f|
+    exceeds U by a relative 20 eps / (1 - r |beta|) < 5e-9 at most.  A
+    dropped cell's computed |f| is therefore below (1 + 5e-9) L / 1.01 < L,
+    below the arc's maximum.  The arc's cells are the whole grid's points,
+    evaluated with the pair as Python scalars by the same elementwise
+    arithmetic, so they have the same bits, and they are taken in grid
+    order: the first cell holding the arc's maximum (``np.argmax``'s
+    choice, a NaN first) is the whole grid's.  The last circle stays whole,
+    since its |f| is returned and read by the direction check.
 
     For one member, returns ``(M, theta)``: floats for a scalar ``r``,
     arrays otherwise, with each angle wrapped to (-pi, pi].  For a
@@ -482,7 +584,7 @@ def max_modulus(f, r):
     ``(members, CIRCLE_GRID)``.
     """
     members = batch(f)
-    radii = np.asarray(r)
+    radii = array_parameter(r, "radii")
     if radii.dtype.kind not in "iuf" or radii.ndim > 1 or radii.size == 0:
         raise InvalidParameter("radii must be one real number or a non-empty 1-D array")
     radii = radii.astype(float)
@@ -490,14 +592,25 @@ def max_modulus(f, r):
         raise OutsideDisk(f"radius {r!r} is not inside (0, 1)")
     lanes = np.atleast_1d(radii)
 
-    best = np.empty((len(members), len(lanes)))
-    last = np.empty((len(members), CIRCLE_GRID))
     grid = lanes[:, None] * _CIRCLE_RAY  # the (radii, grid) points, shared by every member
-    for i, g in enumerate(members):
-        # one (radii, grid) evaluation per member, with its own pair
-        cells = np.abs(g.value(grid))
-        best[i] = CIRCLE_ANGLES[np.argmax(cells, axis=1)]
-        last[i] = cells[-1]
+    first, count = _arcs(members, lanes, grid)
+    sizes, first, count = count.sum(axis=1), first.ravel(), count.ravel()
+    starts = np.cumsum(count) - count
+    pos = np.arange(np.sum(count)) - np.repeat(starts, count)
+    # an arc past the last cell is taken in grid order: 0 .. wrap-1, then first on
+    wrap = np.repeat(np.maximum(first + count - CIRCLE_GRID, 0), count)
+    cell = np.where(pos < wrap, pos, pos + np.repeat(first, count) - wrap)
+    arcs = np.split(grid[np.repeat(np.tile(np.arange(len(lanes) - 1), len(members)), count), cell],
+                    np.cumsum(sizes)[:-1])
+    # one evaluation per member, with its own pair: its arcs, then its last circle whole
+    cells = [np.abs(g.value(np.concatenate((points, grid[-1])))) for g, points in zip(members, arcs)]
+    last = np.array([c[len(c) - CIRCLE_GRID :] for c in cells])
+    cells = np.concatenate([c[: len(c) - CIRCLE_GRID] for c in cells])
+    peak = np.repeat(np.maximum.reduceat(cells, starts), count)
+    hits = np.flatnonzero((cells == peak) | np.isnan(cells))
+    best = np.empty((len(members), len(lanes)))
+    best[:, :-1] = CIRCLE_ANGLES[cell[hits[np.searchsorted(hits, starts)]]].reshape(len(members), -1)
+    best[:, -1] = CIRCLE_ANGLES[np.argmax(last, axis=1)]
     # the lanes: every radius of each member in turn
     a, b = best.ravel() - _GRID_STEP, best.ravel() + _GRID_STEP
 

@@ -57,6 +57,7 @@ from .errors import InvalidParameter
 from .families import (SchlichtFunction, SigmaFunction, _disk_modulus, closed_form_log_deriv,
                        integer_parameter)
 from .logmilin import LogData, bazilevich_gap
+from .series import require_instance
 
 # grunsky_matrix reads every b_m of modulus at most this as zero
 NEGLIGIBLE_B = 1e-200
@@ -94,7 +95,8 @@ class GrunskyTable:
 
 
 def _table_order(g: SigmaFunction, n_order) -> int:
-    """``n_order`` checked to be an integer in 1..g.order."""
+    """``n_order`` checked to be an integer in 1..g.order, ``g`` a SigmaFunction."""
+    require_instance(g, SigmaFunction, "a Grunsky table")
     n_order = integer_parameter(n_order, "table order")
     if n_order < 1:
         raise InvalidParameter("table order must be positive")
@@ -241,6 +243,7 @@ def strong_grunsky_norm(t: GrunskyTable) -> float:
     and its relative error in the top singular value is of order N machine
     epsilons.  Univalence keeps the result <= 1 up to that rounding.
     """
+    require_instance(t, GrunskyTable, "strong_grunsky_norm")
     gam = t.gamma_nk[1:, 1:]
     diag = np.diagonal(gam)
     if np.count_nonzero(gam) == np.count_nonzero(diag):
@@ -265,6 +268,7 @@ def row_polynomials(t: GrunskyTable, z: complex) -> np.ndarray:
 
 def _rows_and_defect(t: GrunskyTable, z: complex):
     """The row polynomials A_n(z) and the fullness defect they give."""
+    require_instance(t, GrunskyTable, "the fullness defect")
     x = _disk_modulus(z)
     n = np.arange(t.order + 1, dtype=float)
     a_vals = row_polynomials(t, z)
@@ -295,6 +299,8 @@ def full_mapping_defect(t: GrunskyTable, ld: LogData, f: SchlichtFunction, z: co
     evaluated once and serve both; a caller that needs only the defect calls
     :func:`fullness_defect`.  Both check ``z``.
     """
+    require_instance(ld, LogData, "full_mapping_defect")
+    require_instance(f, SchlichtFunction, "full_mapping_defect")
     a_vals, defect = _rows_and_defect(t, z)
     zn = z ** np.arange(t.order + 1)
     lhs = np.sum(a_vals * zn)

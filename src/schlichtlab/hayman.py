@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AmbiguousDirection, InvalidParameter, NonMonotoneProfile
+from .series import require_instance
 from .families import (
     CIRCLE_ANGLES,
     CIRCLE_GRID,
@@ -71,6 +72,7 @@ class HaymanEstimate:
 
 def default_schedule(f: SchlichtFunction) -> np.ndarray:
     """Radii 1 - 2^{-j}; closed forms go to j = 14, pure series stop at 8."""
+    require_instance(f, SchlichtFunction, "default_schedule")
     jmax = 14 if f.has_closed_form else 8
     return 1.0 - 2.0 ** -np.arange(1, jmax + 1)
 

@@ -109,7 +109,8 @@ import numpy as np
 
 from . import __version__
 from . import families, grunsky, hayman, logmilin, tauber
-from .errors import ConfigError, InvalidParameter, SchlichtLabError
+from .errors import ConfigError, SchlichtLabError
+from .series import require_instance
 
 # report columns, in CSV order with the scenario name first and check last
 COLUMNS = ("m", "n", "value", "alpha_m", "deviation", "flag", "check")
@@ -245,9 +246,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
-        """The config in the UTF-8 JSON file ``path``; a path that cannot be
-        read (missing, a directory) and a file that does not decode or parse
-        raise :class:`ConfigError`."""
+        """The config in the UTF-8 JSON file ``path``; a path that is not a
+        string or path object (an int would name an open file descriptor), a
+        path that cannot be read (missing, a directory) and a file that does
+        not decode or parse raise :class:`ConfigError`."""
+        if not isinstance(path, (str, bytes, os.PathLike)):
+            raise ConfigError(f"a config path must be a string or a path, got {path!r:.60}")
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -299,6 +303,7 @@ def _provenance(cfg: ScenarioConfig) -> dict:
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
+    require_instance(cfg, ScenarioConfig, "run_scenario")
     return SCENARIOS[cfg.scenario].run(cfg)
 
 
@@ -957,8 +962,7 @@ def export_report(rep: ScenarioReport, fmt: str = "both",
     ``out_dir`` that is neither a string nor a path, raises
     :class:`ConfigError` before any directory or file is made.
     """
-    if not isinstance(rep, ScenarioReport):
-        raise InvalidParameter(f"export_report needs a ScenarioReport, got {type(rep).__name__}")
+    require_instance(rep, ScenarioReport, "export_report")
     if not isinstance(fmt, str) or fmt not in ("csv", "json", "both"):
         raise ConfigError(f"unknown export format {fmt!r}")
     if out_dir is not None and not isinstance(out_dir, (str, os.PathLike)):

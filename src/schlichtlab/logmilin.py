@@ -40,7 +40,7 @@ import numpy as np
 from .errors import InvalidAlpha, InvalidParameter, QuadratureUnconverged
 from .families import (SchlichtFunction, batch, finite_parameter, integer_parameter,
                        max_modulus, radius_grid)
-from .series import ComplexSeries
+from .series import ComplexSeries, require_instance
 
 #: numeric bound for Milin's constant used by the partial-sum check
 MILIN_CONSTANT_BOUND = 0.312
@@ -89,8 +89,7 @@ def log_data(f: SchlichtFunction) -> LogData:
     rotation).  A series-only map takes half the series logarithm of
     f(z)/z.
     """
-    if not isinstance(f, SchlichtFunction):
-        raise InvalidParameter(f"log_data needs a SchlichtFunction, got {type(f).__name__}")
+    require_instance(f, SchlichtFunction, "log_data")
     a = f.series.coeffs
     m = f.order - 1  # ledger top index
     if f.has_closed_form:
@@ -202,8 +201,7 @@ def milin_check(ld: LogData):
     Returns (partial_sums, max_partial, passes); partial_sums[j] covers
     k <= j+1.
     """
-    if not isinstance(ld, LogData):
-        raise InvalidParameter(f"milin_check needs a LogData, got {type(ld).__name__}")
+    require_instance(ld, LogData, "milin_check")
     k = np.arange(1, ld.top_index + 1, dtype=float)
     terms = 2.0 * (np.real(ld.gamma[1:]) - 1.0 / k)
     partial = np.cumsum(terms)
@@ -238,6 +236,7 @@ def bazilevich_gap(ld: LogData, alpha: float, theta: float, n_terms: int):
     ``alpha`` raises :class:`InvalidParameter`, and so does a ``theta``
     that :func:`direction_weighted_sum` refuses.
     """
+    require_instance(ld, LogData, "bazilevich_gap")
     alpha = finite_parameter(alpha, "alpha")
     if alpha <= 0.0:
         raise InvalidAlpha("the direction-weighted bound needs alpha > 0")
@@ -256,6 +255,8 @@ def lebedev_milin_check(f: SchlichtFunction, ld: LogData, n: int):
     ``n`` is an integer >= 0 with n + 1 within the series order and n
     within the ledger.  Returns (a_abs, b_sum, rhs).
     """
+    require_instance(f, SchlichtFunction, "lebedev_milin_check")
+    require_instance(ld, LogData, "lebedev_milin_check")
     n = integer_parameter(n, "n", 0)
     if n + 1 > f.order or n > ld.top_index:
         raise InvalidParameter("need n + 1 within the series order and n within the ledger")
@@ -328,6 +329,7 @@ def coefficient_functionals(f: SchlichtFunction, n):
     Either is spelled in real arithmetic as numpy's complex scalars do it
     (a^2 as a*a, abs as hypot), so an array entry has its int's bits.
     """
+    require_instance(f, SchlichtFunction, "coefficient_functionals")
     many = isinstance(n, np.ndarray) and n.ndim > 0
     if many and not (n.ndim == 1 and n.size and n.dtype.kind in "iu"):
         raise InvalidParameter("n must be an integer or a non-empty 1-D integer array")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import sys
 from typing import Optional
 
 import numpy as np
@@ -64,8 +65,25 @@ def integer_parameter(value, name: str, minimum: Optional[int] = None,
     return out
 
 
+def require_instance(value, kind, caller: str) -> None:
+    """Raise :class:`InvalidParameter`, naming ``caller``, unless ``value``
+    is an instance of the class ``kind``."""
+    if not isinstance(value, kind):
+        raise InvalidParameter(f"{caller} needs a {kind.__name__}, got {type(value).__name__}")
+
+
+def array_parameter(values, name: str) -> np.ndarray:
+    """``np.asarray(values)``; a ragged nest of lists raises
+    :class:`InvalidParameter` naming ``name``."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise InvalidParameter(f"{name} must be a regular array, not a ragged nest") from None
+
+
 # the scalar types an operand or an evaluation point may have (a bool is refused)
 _SCALARS = (int, float, complex, np.number)
+_INT_LIMIT = int(sys.float_info.max)  # the largest int a double holds
 
 
 def _number(value) -> complex:
@@ -85,12 +103,14 @@ def _number(value) -> complex:
 
 def evaluation_point(z):
     """``z`` checked to be a number (not a bool) or a numeric array, by one
-    type or dtype test with no scan of the elements; anything else raises
-    :class:`InvalidParameter`."""
+    type or dtype test with no scan of the elements; anything else, and an
+    int beyond double range, raises :class:`InvalidParameter`."""
     if isinstance(z, np.ndarray):
         if z.dtype.kind in "iufc":
             return z
     elif isinstance(z, _SCALARS) and not isinstance(z, bool):
+        if isinstance(z, int) and not -_INT_LIMIT <= z <= _INT_LIMIT:
+            raise InvalidParameter(f"the point {z!r:.40} lies beyond double range")
         return z
     raise InvalidParameter(f"an evaluation point must be a number or a numeric array, got {z!r}")
 
@@ -122,7 +142,7 @@ class ComplexSeries:
     def __init__(self, coeffs):
         try:
             arr = np.array(coeffs, dtype=np.complex128)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidParameter("coefficients must be a sequence of numbers") from None
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidParameter("coefficients must be a non-empty 1-D sequence")
@@ -276,8 +296,8 @@ def compose(outer: ComplexSeries, inner: ComplexSeries) -> ComplexSeries:
     rounding noise and zeroed).  The result is exact through the common
     truncation order ``min(outer.order, inner.order)``.
     """
-    if not (isinstance(outer, ComplexSeries) and isinstance(inner, ComplexSeries)):
-        raise InvalidParameter("compose needs two ComplexSeries")
+    require_instance(outer, ComplexSeries, "compose")
+    require_instance(inner, ComplexSeries, "compose")
     c0 = inner.coeffs[0]
     if abs(c0) > _ZERO_TOL:
         raise InnerConstantTermNonzero(

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .families import finite_parameter, integer_parameter
 from .logmilin import LogData
+from .series import array_parameter, require_instance
 
 T_GRID = (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
 
@@ -45,7 +46,7 @@ def _numeric(a: np.ndarray) -> bool:
 
 def _check_index(coeffs, n: int):
     """``coeffs`` as a 1-D numeric array and ``n`` as an integer index into it."""
-    coeffs = np.asarray(coeffs)
+    coeffs = array_parameter(coeffs, "coefficients")
     if coeffs.ndim != 1 or not _numeric(coeffs):
         raise InvalidParameter("coefficients must be a 1-D array of numbers")
     n = integer_parameter(n, "mean index")
@@ -83,10 +84,11 @@ class DoubleFamily:
     alpha: np.ndarray
 
     def __post_init__(self):
-        m_values = np.asarray(self.m_values)
-        rows = np.asarray(self.coeff_rows)
-        alpha = np.asarray(self.alpha)
-        if rows.ndim != 2 or len(m_values) != rows.shape[0] or len(alpha) != rows.shape[0]:
+        m_values = array_parameter(self.m_values, "m_values")
+        rows = array_parameter(self.coeff_rows, "coefficient rows")
+        alpha = array_parameter(self.alpha, "alpha")
+        if (rows.ndim != 2 or m_values.ndim != 1 or alpha.ndim != 1
+                or len(m_values) != rows.shape[0] or len(alpha) != rows.shape[0]):
             raise InvalidParameter("need one coefficient row and one alpha per m")
         if len(m_values) == 0:
             raise InvalidParameter("family must not be empty")
@@ -169,8 +171,7 @@ def simultaneous_tauber_harness(fam: DoubleFamily) -> TauberHarnessReport:
     coefficients.  Real parts are taken into a contiguous array, so equal
     rows give equal bits whether held as real or as complex.
     """
-    if not isinstance(fam, DoubleFamily):
-        raise InvalidParameter(f"the harness needs a DoubleFamily, got {type(fam).__name__}")
+    require_instance(fam, DoubleFamily, "the harness")
     rows = np.asarray(fam.coeff_rows)
     if np.iscomplexobj(rows):
         worst = float(np.max(np.abs(rows.imag)))
@@ -231,6 +232,7 @@ def tauber_decomposition_check(ld: LogData, n: int, r: float) -> float:
     K grows.  Tests algebra, not analysis.  ``n`` is an integer and ``r``
     a number; anything else raises :class:`InvalidParameter`.
     """
+    require_instance(ld, LogData, "tauber_decomposition_check")
     r = finite_parameter(r, "r")
     if not 0.0 < r < 1.0:
         raise InvalidParameter("r must lie in (0, 1)")

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schlichtlab import hayman, lab
+from schlichtlab import families, hayman, lab
 from schlichtlab.errors import AmbiguousDirection, InvalidParameter
 from schlichtlab.families import (CIRCLE_ANGLES, CIRCLE_GRID, dilated, make_schlicht,
                                   max_modulus, rotated)
@@ -134,6 +134,72 @@ def test_batch_members_equal_batch_of_one(members):
         circle = np.abs(f.value(radii[-1] * np.exp(1j * thetas)))
         assert circle.tobytes() == last[i].tobytes(), f.label()
         assert _bits(hayman_index(f)) == _bits(estimates[i]), f.label()
+
+
+@st.composite
+def any_pair_members(draw):
+    """Koebe maps, half-planes and transforms up to |w| = 0.99, each
+    optionally rotated and dilated by r up to 1 - 1e-6."""
+    order = draw(st.sampled_from([16, 64]))
+    kind = draw(st.sampled_from(["koebe", "halfplane", "koebe_transform"]))
+    w = cmath.rect(draw(st.floats(0.0, 0.99)), draw(st.floats(-math.pi, math.pi)))
+    f = make_schlicht(kind, {"w": w} if kind == "koebe_transform" else {}, order=order)
+    if draw(st.booleans()):
+        f = rotated(f, draw(st.floats(-math.pi, math.pi)))
+    if draw(st.booleans()):
+        f = dilated(f, draw(st.floats(1e-3, 1.0 - 1e-6)))
+    return f
+
+
+# random radii, radii whose 1 - r|beta| falls below the 2^-20 guard, and the
+# Prawitz radii
+radius_grids = st.one_of(
+    st.lists(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       st.floats(1.0 - 2.0 ** -19, 1.0 - 2.0 ** -40)),
+             min_size=1, max_size=8, unique=True).map(sorted),
+    st.just([0.3, 0.5, 0.7, 0.9]),
+    st.just([0.3, 0.5, 0.7]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(any_pair_members(), min_size=1, max_size=4), radius_grids)
+def test_arcs_pick_the_whole_grids_cells(members, radii):
+    radii = np.array(radii)
+    peaks, angles, last = max_modulus(members, radii)
+    circle = radii[-1] * np.exp(1j * CIRCLE_ANGLES)
+    for i, f in enumerate(members):
+        m0, t0 = parent_max_modulus(f, radii)
+        assert m0.tobytes() == peaks[i].tobytes(), (f.label(), f.beta_rho)
+        assert t0.tobytes() == angles[i].tobytes(), (f.label(), f.beta_rho)
+        assert np.abs(f.value(circle)).tobytes() == last[i].tobytes(), f.label()
+
+
+def test_theorem2_inner_circles_keep_arcs_only():
+    members = [make_schlicht("koebe_transform", {"w": 0.3 * cmath.exp(1j / m)}, order=256)
+               for m in range(1, 65)]
+    radii = default_schedule(members[0])
+    first, count = families._arcs(members, radii, radii[:, None] * np.exp(1j * CIRCLE_ANGLES))
+    assert count.shape == (64, 13)
+    assert np.all(count[:, 3:] < 16) and np.sum(count) < 0.02 * count.size * CIRCLE_GRID
+
+
+@pytest.mark.parametrize("f, radii", [
+    (make_schlicht("koebe", order=16), [0.5, 1.0 - 2.0 ** -21, 1.0 - 2.0 ** -30]),  # 1 - r|beta|
+    # r |beta|: at a subnormal radius rounding can lift L past 1.01 r, and an
+    # arc would drop the whole grid's best cell
+    (rotated(make_schlicht("koebe", order=16), -3.0), [2.0 ** -21, 1e-300, 1e-322, 0.5]),
+    (dilated(make_schlicht("koebe", order=16), 2.0 ** -22), [0.5, 0.9, 0.99]),
+    (make_schlicht("custom", {"coeffs": np.arange(17)}, order=16), [0.5, 0.9, 0.99]),
+], ids=["near_one", "tiny_radius", "tiny_beta", "series_only"])
+def test_guarded_circles_are_searched_whole(f, radii):
+    radii = np.sort(radii)
+    _, count = families._arcs([f], radii, radii[:, None] * np.exp(1j * CIRCLE_ANGLES))
+    small = radii[:-1] * abs(f.beta_rho[0]) < 2.0 ** -20 if f.has_closed_form else True
+    near = 1.0 - radii[:-1] * abs(f.beta_rho[0]) < 2.0 ** -20 if f.has_closed_form else True
+    assert np.all(count[0][small | near] == CIRCLE_GRID)
+    m, t = max_modulus(f, radii)
+    m0, t0 = parent_max_modulus(f, radii)
+    assert (m.tobytes(), t.tobytes()) == (m0.tobytes(), t0.tobytes())
 
 
 def _parent_ambiguity(vals):

@@ -10,6 +10,7 @@ products, at any finite angle and after nested rotations and dilations.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,6 +200,40 @@ def test_series_is_the_pairs_series(member):
     gap = np.abs(f.series.coeffs - pair_coefficients(*f.beta_rho, f.order))
     assert np.all(gap <= PAIR_BOUND * n * n * EPS), (f.label(), f.beta_rho)
     assert f.maximal_growth or not maximal, (f.label(), f.beta_rho)
+
+
+def exact_pair_errors(f):
+    """For n = 2..N, |a_n - exact| of ``f``'s series, the exact a_n of its
+    pair of doubles taken in Gaussian integers (beta and rho times 2^e are
+    integers), with |exact a_n| and the cancellation scale
+    |beta|^{n-2} (n |beta| + (n-1) |rho|); all three as floats."""
+    beta, rho = f.beta_rho
+    parts = [Fraction(x) for x in (beta.real, beta.imag, rho.real, rho.imag)]
+    e = max(p.denominator for p in parts).bit_length() - 1
+    br, bi, rr, ri = (int(p * (1 << e)) for p in parts)
+    power, rows = (1, 0), []
+    for n in range(2, f.order + 1):
+        factor = (n * br - (n - 1) * rr, n * bi - (n - 1) * ri)
+        den = 1 << (e * (n - 1))
+        exact_re = Fraction(power[0] * factor[0] - power[1] * factor[1], den)
+        exact_im = Fraction(power[0] * factor[1] + power[1] * factor[0], den)
+        got = f.series.coeffs[n]
+        err = math.hypot(float(Fraction(got.real) - exact_re), float(Fraction(got.imag) - exact_im))
+        scale = abs(beta) ** (n - 2) * (n * abs(beta) + (n - 1) * abs(rho))
+        rows.append((n, err, math.hypot(float(exact_re), float(exact_im)), scale))
+        power = (power[0] * br - power[1] * bi, power[0] * bi + power[1] * br)
+    return rows
+
+
+@pytest.mark.parametrize("w", [0.99 * cmath.exp(0.3j), 0.3 * cmath.exp(1j), 0.9j, 0.99j,
+                               0.999 * cmath.exp(1.5j), -0.95 * cmath.exp(2j), 0.5])
+def test_pair_coefficients_within_the_documented_bound(w):
+    # _pair_member's docstring: a_n within eps ((1.2 (n-2) + 4) |a_n| + scale / 2).
+    # libm's cpow, behind the earlier beta ** (n - 2), left 27 coefficients of
+    # w = 0.99 e^{0.3i} beyond this bound, the worst 430.6 eps from a_244
+    f = make_schlicht("koebe_transform", {"w": w}, order=256)
+    for n, err, size, scale in exact_pair_errors(f):
+        assert err <= EPS * ((1.2 * (n - 2) + 4.0) * size + 0.5 * scale), (w, n, err / EPS)
 
 
 # -- the growth class comes from the pair -------------------------------------

@@ -21,7 +21,8 @@ from schlichtlab.families import (
     max_modulus,
     rotated,
 )
-from schlichtlab.hayman import _derivative_rows, growth_direction, growth_profile, hayman_index
+from schlichtlab.hayman import (_derivative_rows, default_schedule, growth_direction,
+                               growth_profile, hayman_index)
 from schlichtlab.logmilin import PRAWITZ_NODES, prawitz_check
 from schlichtlab.series import ComplexSeries, compose
 
@@ -370,6 +371,30 @@ class TestBadInputs:
         "value at str series-only": (InvalidParameter, lambda: _series_only16().value("x")),
         "deriv at None": (InvalidParameter, lambda: _koebe16().deriv(None)),
         "deriv at None series-only": (InvalidParameter, lambda: _series_only16().deriv(None)),
+        "rotated of a series": (InvalidParameter, lambda: rotated(_koebe16().series, 0.5)),
+        "dilated of None": (InvalidParameter, lambda: dilated(None, 0.5)),
+        "invert_to_sigma of a float": (InvalidParameter, lambda: invert_to_sigma(0.5, 4)),
+        "eval_certified of a series": (InvalidParameter,
+                                       lambda: eval_certified(_koebe16().series, 0.5)),
+        "deriv_certified of a str": (InvalidParameter, lambda: deriv_certified("koebe", 0.5)),
+        "default_schedule of None": (InvalidParameter, lambda: default_schedule(None)),
+        "eval point int past double range": (InvalidParameter,
+                                             lambda: eval_certified(_koebe16(), 10**400)),
+        "value at int past double range": (InvalidParameter, lambda: _koebe16().value(10**400)),
+        "series at int past double range": (InvalidParameter,
+                                            lambda: _koebe16().series(-10**400)),
+        "series coeffs int past double range": (InvalidParameter,
+                                                lambda: ComplexSeries([0, 1, 10**400])),
+        "sigma order past double range": (InvalidParameter,
+                                          lambda: SigmaFunction(0.0, np.zeros(2), 10**400)),
+        "sigma order empty array": (InvalidParameter,
+                                    lambda: SigmaFunction(0.0, np.zeros(2), np.array([]))),
+        "sigma tail int past double range": (InvalidParameter,
+                                             lambda: SigmaFunction(0.0, [0, 10**400], 2)),
+        "max_modulus radii ragged": (InvalidParameter,
+                                     lambda: max_modulus(_koebe16(), [[0.5, 0.6], [0.7]])),
+        "growth_profile radii ragged": (InvalidParameter,
+                                        lambda: growth_profile(_koebe16(), [[0.5], [0.6, 0.7]])),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -378,6 +403,12 @@ class TestBadInputs:
         error, call = self.CASES[case]
         with pytest.raises(error):
             call()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_nan_point_gives_nan_without_a_warning(self):
+        z = np.array([math.nan, 0.5, 1.0])  # 1 is the Koebe map's pole
+        for out in (_koebe16().value(z), _koebe16().deriv(z)):
+            assert np.isnan(out[0]) and np.isfinite(out[1]) and not np.isfinite(out[2])
 
     @pytest.mark.filterwarnings("error")
     def test_numbers_and_numeric_arrays_still_accepted(self):

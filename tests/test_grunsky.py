@@ -725,6 +725,20 @@ class TestBadInputs:
         "direct order fractional": (InvalidParameter,
                                     lambda f, g, ld: grunsky_matrix_direct(g, 2.5)),
         "direct order str": (InvalidParameter, lambda f, g, ld: grunsky_matrix_direct(g, "3")),
+        "matrix of a member": (InvalidParameter, lambda f, g, ld: grunsky_matrix(f, 4)),
+        "direct of None": (InvalidParameter, lambda f, g, ld: grunsky_matrix_direct(None, 4)),
+        "norm of a sigma": (InvalidParameter, lambda f, g, ld: strong_grunsky_norm(g)),
+        "fullness of a ledger": (InvalidParameter, lambda f, g, ld: fullness_defect(ld, 0.3)),
+        "fullness point int past double range": (InvalidParameter, lambda f, g, ld: (
+            fullness_defect(grunsky_matrix(g, 16), 10**400))),
+        "full mapping table None": (InvalidParameter,
+                                    lambda f, g, ld: full_mapping_defect(None, ld, f, 0.3)),
+        "full mapping ledger a member": (InvalidParameter, lambda f, g, ld: full_mapping_defect(
+            grunsky_matrix(g, 16), f, f, 0.3)),
+        "full mapping member a sigma": (InvalidParameter, lambda f, g, ld: full_mapping_defect(
+            grunsky_matrix(g, 16), ld, g, 0.3)),
+        "equality residual of a member": (InvalidParameter, lambda f, g, ld: (
+            bazilevich_equality_residual(f, 0.5, 0.0, 8))),
     }
 
     @pytest.mark.filterwarnings("error")

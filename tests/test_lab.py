@@ -546,6 +546,25 @@ class TestMalformedConfigFile:
         assert "Traceback" not in err and err.count("\n") == 1
 
 
+class TestBadInputs:
+    """A wrong kind of object raises a SchlichtLabError at the lab's boundary."""
+
+    CASES = {
+        # an int names an open file descriptor: from_json(True) once closed stdout
+        "from_json of an int": (ConfigError, lambda: ScenarioConfig.from_json(True)),
+        "from_json of None": (ConfigError, lambda: ScenarioConfig.from_json(None)),
+        "run_scenario of a dict": (InvalidParameter,
+                                   lambda: run_scenario({"scenario": "theorem2"})),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_lab_error(self, case):
+        error, call = self.CASES[case]
+        with pytest.raises(error):
+            call()
+
+
 class TestCounterexample:
     def test_diagonal_and_rows(self, tmp_path):
         cfg = small_cfg("counterexample", tmp_path, m_range=(2, 32),

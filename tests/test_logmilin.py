@@ -587,6 +587,10 @@ class TestBadInputs:
             ld, 1.0, math.nan, 8),
         "equality residual theta inf": lambda f, ld: bazilevich_equality_residual(
             ld, 1.0, -math.inf, 8),
+        "bazilevich of a member": lambda f, ld: bazilevich_gap(f, 0.5, 0.0, 8),
+        "lebedev member a ledger": lambda f, ld: lebedev_milin_check(ld, ld, 4),
+        "lebedev ledger None": lambda f, ld: lebedev_milin_check(f, None, 4),
+        "functionals of a series": lambda f, ld: coefficient_functionals(f.series, 3),
     }
 
     @pytest.mark.filterwarnings("error")

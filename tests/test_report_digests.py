@@ -64,35 +64,35 @@ def report_set() -> dict:
 
 DIGESTS = {
     "audit258/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
-    "audit258/inequality_audit.json": "61e36b2633c1f244bb0d6b72c479251f6b2c0c021763abd2b9b728323088540f",
+    "audit258/inequality_audit.json": "0af875e837aaab45c2cd51e30654de737ebd71f685b76f9404218d166bc70934",
     "audit_grunsky-1/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
-    "audit_grunsky-1/inequality_audit.json": "61e36b2633c1f244bb0d6b72c479251f6b2c0c021763abd2b9b728323088540f",
+    "audit_grunsky-1/inequality_audit.json": "0af875e837aaab45c2cd51e30654de737ebd71f685b76f9404218d166bc70934",
     "audit_grunsky-1/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "audit_grunsky-1/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
+    "audit_grunsky-1/zalcman_scan.json": "40e40d5c00ff8ae75ce2c0d864054afc11861b97d17454118bc8e60c670a7b12",
     "audit_grunsky-2/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
-    "audit_grunsky-2/inequality_audit.json": "61e36b2633c1f244bb0d6b72c479251f6b2c0c021763abd2b9b728323088540f",
+    "audit_grunsky-2/inequality_audit.json": "0af875e837aaab45c2cd51e30654de737ebd71f685b76f9404218d166bc70934",
     "audit_grunsky-2/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "audit_grunsky-2/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
+    "audit_grunsky-2/zalcman_scan.json": "40e40d5c00ff8ae75ce2c0d864054afc11861b97d17454118bc8e60c670a7b12",
     "audit_grunsky-3/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
-    "audit_grunsky-3/inequality_audit.json": "61e36b2633c1f244bb0d6b72c479251f6b2c0c021763abd2b9b728323088540f",
+    "audit_grunsky-3/inequality_audit.json": "0af875e837aaab45c2cd51e30654de737ebd71f685b76f9404218d166bc70934",
     "audit_grunsky-3/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "audit_grunsky-3/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
+    "audit_grunsky-3/zalcman_scan.json": "40e40d5c00ff8ae75ce2c0d864054afc11861b97d17454118bc8e60c670a7b12",
     "growth_index-1/theorem2.csv": "ac811e38c4ad3f8486bae67f749479d65345379e0bc687991fd5975295e9003d",
-    "growth_index-1/theorem2.json": "665c093630a5dc72ba465da5aced317c6782e9e8b65e5e7a6c485685ddee0339",
+    "growth_index-1/theorem2.json": "97ba992bb9a2f991441be2ead38573ed9ae4fbad3b8a478a03951210ebd30efe",
     "growth_index-2/theorem2.csv": "924980045476136e87ec9a750a9a77bbc6f2cb75609cccbdd43dea39eec403a8",
-    "growth_index-2/theorem2.json": "4610215cac6ae37c1dadc9029e8757f7109209386eee96c0af29e9c9b4137b9f",
+    "growth_index-2/theorem2.json": "1819e9f5cd0e0c0b95b46a17f7a6efaf9629e571a6a564761b68ab1c4b5f80fc",
     "growth_index-3/theorem2.csv": "869390ccf3a3393e02c9699dd3751492c0a8b1f4931be8bb255998704e9c069c",
-    "growth_index-3/theorem2.json": "1363ca1d2008038c6ad77941d64c0c9e74295efaaf226e5a575b1c2c0e436ae8",
+    "growth_index-3/theorem2.json": "b483c4b36620ea6cfac1e4d28a19fd8a81f9de3223530c8b77f7cde7a7f27058",
     "readme/counterexample.csv": "404e4a459dc2a1f0ea2c86295dcf9466aa4b97df1e5a9ea6d69a70b60b36e853",
     "readme/counterexample.json": "2b2bcfb32bd90791904cf5c9c1e294edcb7267a7848034e56e5f2cc319b7bb53",
     "readme/inequality_audit.csv": "06e85da7aabadad9ba058b1fdf43b221cce34c9aa8462d03a69d83a09fdfcac6",
-    "readme/inequality_audit.json": "e476dbee1ad7f66de9c35dcc247bb91b5a722950277f4307909b5afd57d78879",
+    "readme/inequality_audit.json": "d0bd95d9946a21861b33217936af739d714711d1168733ab60f5da117458162a",
     "readme/theorem1.csv": "5243e58b45071e040328ce61f37edfa85fddf9c070c7489df03490a896766ca2",
     "readme/theorem1.json": "1a7df35d9c0ef15806dccba8c66186cd372f83cd5bf5028a587d06eabc487272",
     "readme/theorem2.csv": "33f4df1a28d62a491adb1a712759b5ceeb34757bb3b24ba93036744135b1ec6f",
-    "readme/theorem2.json": "24246e1f6dda06ec3f819c1f90b67f38450287928fcf7a10405f4eb7518e74ff",
+    "readme/theorem2.json": "b1b4eba5a9f9ff12bcaec01412209386ff94342dd580e58fb3d575cdf4750d40",
     "readme/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "readme/zalcman_scan.json": "842cfd328cd8a6143bec0a905e0a5ec89b96a7d4f74ae7aeae48d16c2323be5f",
+    "readme/zalcman_scan.json": "40e40d5c00ff8ae75ce2c0d864054afc11861b97d17454118bc8e60c670a7b12",
     "report_grid-1/counterexample.csv": "91d993cff0c8cbbe3efdbd8c6199a329f16e32b5a9aef6cdc217c7f14537e40e",
     "report_grid-1/counterexample.json": "808d79587231da3018da611ccfd82e7f87b21bd68168240eac9f983200cb57e6",
     "report_grid-1/theorem1.csv": "1bcdd3b1984598d5a2ae7dffeae5bdcfc71933ed466ab9e6cdbca2c7a65e9efe",

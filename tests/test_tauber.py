@@ -299,6 +299,15 @@ class TestBadInputs:
         "family rows nan": (InvalidParameter,
                             lambda ld: DoubleFamily([1], [[np.nan]], [0.0])),
         "harness of a list": (InvalidParameter, lambda ld: simultaneous_tauber_harness([])),
+        "decomposition of a member": (InvalidParameter, lambda ld: tauber_decomposition_check(
+            make_schlicht("koebe", order=16), 4, 0.5)),
+        "family m_values a number": (InvalidParameter,
+                                     lambda ld: DoubleFamily(1, [[1.0]], [0.0])),
+        "family alpha a number": (InvalidParameter, lambda ld: DoubleFamily([1], [[1.0]], 0.0)),
+        "family rows ragged": (InvalidParameter,
+                               lambda ld: DoubleFamily([1, 2], [[1.0, 2.0], [1.0]], [0.0, 0.0])),
+        "cesaro coefficients ragged": (InvalidParameter,
+                                       lambda ld: cesaro_mean([[1.0, 2.0], [1.0]], 0)),
     }
 
     @pytest.mark.filterwarnings("error")
