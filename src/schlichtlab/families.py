@@ -41,8 +41,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameter, OutsideDisk
-from .series import (MAX_ORDER, ComplexSeries, array_parameter, evaluation_point,
-                     require_instance, integer_parameter)
+from .series import (MAX_ORDER, ComplexSeries, array_parameter, coefficient_array,
+                     evaluation_point, finite_parameter, integer_parameter, is_number,
+                     require_instance)
 
 #: the parameter names each kind of make_schlicht reads; any other key is refused
 KIND_PARAMETERS = {"koebe": (), "halfplane": (), "rotation": ("theta",), "dilation": ("r",),
@@ -71,13 +72,22 @@ _ARC_GUARD = 2.0 ** -20  # a circle with r |beta| or 1 - r |beta| below this is 
 
 
 def closed_form_value(z, beta, rho):
-    """``z(1 - rho z)/(1 - beta z)^2``; the pair may be scalars or arrays."""
-    return z * (1.0 - rho * z) / (1.0 - beta * z) ** 2
+    """``z(1 - rho z)/(1 - beta z)^2``; the pair may be scalars or arrays.
+
+    Spelled with ufunc calls, as :func:`closed_form_deriv` is, not with
+    operators: under an operator numpy reuses a temporary of 256 KiB or more
+    (16,384 complex128 entries) in place, and the in-place complex product
+    rounds differently, so a lane's bits would depend on the size of its
+    batch.  A scalar point gives an ``np.complex128``.
+    """
+    return np.divide(np.multiply(z, np.subtract(1.0, np.multiply(rho, z))),
+                     np.square(np.subtract(1.0, np.multiply(beta, z))))
 
 
 def closed_form_deriv(z, beta, rho):
     """``(1 + (beta - 2 rho) z)/(1 - beta z)^3``, the derivative of the closed form."""
-    return (1.0 + (beta - 2.0 * rho) * z) / (1.0 - beta * z) ** 3
+    return np.divide(np.add(1.0, np.multiply(np.subtract(beta, np.multiply(2.0, rho)), z)),
+                     np.power(np.subtract(1.0, np.multiply(beta, z)), 3))
 
 
 def closed_form_log_deriv(z, beta, rho):
@@ -103,7 +113,8 @@ class SchlichtFunction:
     :class:`InvalidParameter` for anything else
     (:func:`series.evaluation_point`).  A closed form evaluates with
     numpy's floating-point warnings off, so a NaN point or the pole gives
-    NaN or inf in an array as it does for a Python number.
+    NaN or inf in an array as it does for a Python number, and gives an
+    ``np.complex128`` for a scalar point.
     """
 
     series: ComplexSeries
@@ -180,15 +191,9 @@ class SigmaFunction:
     def __post_init__(self):
         b0 = finite_parameter(self.b0, "b0", complex)
         order = integer_parameter(self.order, "exterior order", 0)
-        try:
-            tail = np.asarray(self.tail, dtype=np.complex128)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidParameter("tail must be an array of numbers") from None
+        tail = coefficient_array(self.tail, "tail")
         if tail.shape != (order,):
             raise InvalidParameter("tail must hold exactly `order` coefficients")
-        if not np.all(np.isfinite(tail)):
-            raise InvalidParameter("exterior coefficients must be finite")
-        tail.setflags(write=False)
         object.__setattr__(self, "b0", b0)
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "order", order)
@@ -204,23 +209,6 @@ def _check_class_s(coeffs: np.ndarray, what: str) -> None:
         raise InvalidParameter(
             f"{what}: |a_{j}| = {abs(coeffs[j]):.6g} exceeds the coefficient bound {j}"
         )
-
-
-def finite_parameter(value, name: str, kind=float):
-    """``value`` converted by ``kind`` (float or complex), checked to be finite.
-
-    Raises :class:`InvalidParameter` for values ``kind`` cannot convert,
-    for ints beyond double range and for NaN or infinite results.
-    """
-    try:
-        out = kind(value)
-    except (TypeError, ValueError):
-        raise InvalidParameter(f"{name} must be a number, got {value!r}") from None
-    except OverflowError:
-        raise InvalidParameter(f"{name} lies beyond double range") from None
-    if not cmath.isfinite(out):
-        raise InvalidParameter(f"{name} must be finite, got {value!r}")
-    return out
 
 
 def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) -> SchlichtFunction:
@@ -278,11 +266,8 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
         return _pair_member((1.0 - wc) / (1.0 - w), (w - wc) / (1.0 - w * w), order, kind,
                             {"w": w})
 
-    try:
-        coeffs = np.asarray(params.get("coeffs"), dtype=np.complex128)
-    except (TypeError, ValueError):
-        raise InvalidParameter("custom needs an array of numbers as coeffs") from None
-    if coeffs.ndim != 1 or len(coeffs) != order + 1:
+    coeffs = coefficient_array(params.get("coeffs"), "custom coeffs")
+    if len(coeffs) != order + 1:
         raise InvalidParameter("custom needs a coefficient array of length order+1")
     _check_class_s(coeffs, "custom")
     return SchlichtFunction(ComplexSeries(coeffs), kind, {})
@@ -416,11 +401,12 @@ def _tail_quadratic(n_order: int, x: float) -> float:
 
 
 def _disk_modulus(z) -> float:
-    """|z| of one point, checked to lie inside the unit disk."""
+    """|z| of one point, a number (:func:`series.is_number`), checked to lie
+    inside the unit disk; NaN raises :class:`OutsideDisk`."""
+    if not is_number(z):
+        raise InvalidParameter(f"the point must be one number, got {z!r:.60}")
     try:
         x = float(abs(z))
-    except (TypeError, ValueError):
-        raise InvalidParameter(f"the point must be one number, got {z!r}") from None
     except OverflowError:
         raise InvalidParameter(f"the point {z!r:.40} lies beyond double range") from None
     if not x < 1.0:  # NaN fails here too

@@ -53,11 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter
-from .families import (SchlichtFunction, SigmaFunction, _disk_modulus, closed_form_log_deriv,
-                       integer_parameter)
+from .families import SchlichtFunction, SigmaFunction, _disk_modulus, closed_form_log_deriv
 from .logmilin import LogData, bazilevich_gap
-from .series import require_instance
+from .series import integer_parameter, require_instance
 
 # grunsky_matrix reads every b_m of modulus at most this as zero
 NEGLIGIBLE_B = 1e-200
@@ -87,9 +85,7 @@ class GrunskyTable:
         only the b_m with m <= 2 n_order - 1, which the larger table used
         too.
         """
-        n_order = integer_parameter(n_order, "section order")
-        if not 1 <= n_order <= self.order:
-            raise InvalidParameter("section order must lie in 1..table order")
+        n_order = integer_parameter(n_order, "section order", 1, self.order)
         return GrunskyTable(order=n_order,
                             gamma_nk=self.gamma_nk[: n_order + 1, : n_order + 1].copy())
 
@@ -97,12 +93,7 @@ class GrunskyTable:
 def _table_order(g: SigmaFunction, n_order) -> int:
     """``n_order`` checked to be an integer in 1..g.order, ``g`` a SigmaFunction."""
     require_instance(g, SigmaFunction, "a Grunsky table")
-    n_order = integer_parameter(n_order, "table order")
-    if n_order < 1:
-        raise InvalidParameter("table order must be positive")
-    if n_order > g.order:
-        raise InvalidParameter("table order exceeds the stored exterior order")
-    return n_order
+    return integer_parameter(n_order, "table order", 1, g.order)
 
 
 def grunsky_matrix(g: SigmaFunction, n_order: int) -> GrunskyTable:
@@ -260,7 +251,13 @@ def grunsky_norm_dense(t: GrunskyTable) -> float:
 
 
 def row_polynomials(t: GrunskyTable, z: complex) -> np.ndarray:
-    """A_n(z) = sum_k gamma_{nk} z^k for n = 1..N (index 0 unused)."""
+    """A_n(z) = sum_k gamma_{nk} z^k for n = 1..N (index 0 unused).
+
+    A point that is not one number inside the unit disk (NaN included)
+    raises :class:`InvalidParameter` or :class:`OutsideDisk`.
+    """
+    require_instance(t, GrunskyTable, "row_polynomials")
+    _disk_modulus(z)
     zpow = z ** np.arange(t.order + 1)
     zpow[0] = 0.0
     return t.gamma_nk @ zpow
@@ -268,10 +265,8 @@ def row_polynomials(t: GrunskyTable, z: complex) -> np.ndarray:
 
 def _rows_and_defect(t: GrunskyTable, z: complex):
     """The row polynomials A_n(z) and the fullness defect they give."""
-    require_instance(t, GrunskyTable, "the fullness defect")
-    x = _disk_modulus(z)
-    n = np.arange(t.order + 1, dtype=float)
     a_vals = row_polynomials(t, z)
+    n, x = np.arange(t.order + 1, dtype=float), float(abs(z))
     return a_vals, float(abs(float(np.sum(n * np.abs(a_vals) ** 2)) + np.log1p(-x ** 2)))
 
 

@@ -31,17 +31,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AmbiguousDirection, InvalidParameter, NonMonotoneProfile
-from .series import require_instance
 from .families import (
     CIRCLE_ANGLES,
     CIRCLE_GRID,
     SchlichtFunction,
     batch,
     batch_evaluator,
-    finite_parameter,
     max_modulus,
     radius_grid,
 )
+from .series import finite_parameter, require_instance
 
 #: beyond this radius pure-series evaluation is refused: at order 256 the
 #: universal coefficient-bound tail already exceeds the profile tolerance.

@@ -110,7 +110,7 @@ import numpy as np
 from . import __version__
 from . import families, grunsky, hayman, logmilin, tauber
 from .errors import ConfigError, SchlichtLabError
-from .series import require_instance
+from .series import MAX_ORDER, finite_parameter, integer_parameter, require_instance
 
 # report columns, in CSV order with the scenario name first and check last
 COLUMNS = ("m", "n", "value", "alpha_m", "deviation", "flag", "check")
@@ -139,20 +139,11 @@ class Scenario:
     check: Callable = lambda cfg: None
 
 
-def _finite_number(value) -> bool:
-    """True for an int or float, not a bool, that is finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
+def _config_value(check, value, name: str, *args):
+    """``check(value, name, *args)``, a check of :mod:`~schlichtlab.series`,
+    raising ConfigError instead of its error."""
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _config_integer(value, name: str, *bounds) -> int:
-    """``families.integer_parameter(value, name, *bounds)``, raising ConfigError."""
-    try:
-        return families.integer_parameter(value, name, *bounds)
+        return check(value, name, *args)
     except SchlichtLabError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -181,16 +172,16 @@ class ScenarioConfig:
                 continue  # a range the scenario does not read may be left out
             if not isinstance(rng, (list, tuple)) or len(rng) != 2:
                 raise ConfigError(f"{name} must be a non-empty [lo, hi] pair")
-            lo, hi = (_config_integer(x, name) for x in rng)
+            lo, hi = (_config_value(integer_parameter, x, name) for x in rng)
             if lo > hi:
                 raise ConfigError(f"{name} must be a non-empty [lo, hi] pair")
             object.__setattr__(self, name, (lo, hi))
-        if self.m_range and self.m_range[1] > families.MAX_ORDER:
+        if self.m_range and self.m_range[1] > MAX_ORDER:
             raise ConfigError(f"m_range must end at or below families.MAX_ORDER "
-                              f"({families.MAX_ORDER}), got {self.m_range[1]}")
+                              f"({MAX_ORDER}), got {self.m_range[1]}")
         for key, floor in (("series_order", None), ("grunsky_order", 8)):
-            object.__setattr__(self, key, _config_integer(getattr(self, key), key, floor,
-                                                          families.MAX_ORDER))
+            object.__setattr__(self, key, _config_value(integer_parameter, getattr(self, key),
+                                                        key, floor, MAX_ORDER))
         if self.series_order < row.min_order:
             raise ConfigError(f"{self.scenario} needs series_order >= {row.min_order}")
         if "grunsky_order" not in row.reads and self.grunsky_order != 32:
@@ -216,8 +207,10 @@ class ScenarioConfig:
                                   f"0..{last}")
 
     def _overrides(self, row: Scenario) -> dict:
-        """The tolerance overrides, keys of ``row.tolerances`` with finite real
-        values: checked, not converted, so the provenance echoes them as given."""
+        """The tolerance overrides: keys of ``row.tolerances`` whose values are
+        JSON numbers (an int or a float, which json.dumps writes into the
+        provenance) and finite (series.finite_parameter); checked, not
+        converted, so the provenance echoes them as given."""
         overrides = self.tolerances
         if not isinstance(overrides, dict):
             raise ConfigError("tolerances must map names to numbers")
@@ -226,8 +219,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown tolerance keys for {self.scenario}: "
                               f"{sorted(unknown, key=str)}; it reads {list(row.tolerances)}")
         for key, value in overrides.items():
-            if not _finite_number(value):
-                raise ConfigError(f"tolerance {key} must be a finite number, got {value!r}")
+            if not isinstance(value, (int, float)):
+                raise ConfigError(f"tolerance {key} must be a JSON number, got {value!r}")
+            _config_value(finite_parameter, value, f"tolerance {key}")
         return overrides
 
     @classmethod
@@ -522,7 +516,8 @@ def _audit_member(f, cfg: ScenarioConfig, est, violations: int):
 
 
 def audit_members(members, cfg: ScenarioConfig) -> list:
-    """``(label, alpha, checks)`` per member of the list ``members``, at the
+    """``(label, alpha, checks)`` per member of the batch ``members``
+    (:func:`families.batch`: one member, or a list of them), at the
     settings of the inequality_audit config ``cfg``; ``alpha`` is 0.0 below
     maximal growth, which each member's pair decides, whatever its kind
     (:attr:`families.SchlichtFunction.maximal_growth`).  ``checks`` lists
@@ -532,8 +527,10 @@ def audit_members(members, cfg: ScenarioConfig) -> list:
     One batched :func:`logmilin.prawitz_check` call covers every member, one
     :func:`hayman.hayman_index` call the maximal ones.
     """
+    require_instance(cfg, ScenarioConfig, "audit_members")
     if cfg.scenario != "inequality_audit":
         raise ConfigError("audit_members needs an inequality_audit config")
+    members = families.batch(members)
     prawitz = logmilin.prawitz_check(members, (0.3, 0.5, 0.7, 0.9))
     maximal = [f for f in members if f.maximal_growth]
     ests = iter(hayman.hayman_index(maximal) if maximal else [])

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAlpha, InvalidParameter, QuadratureUnconverged
-from .families import (SchlichtFunction, batch, finite_parameter, integer_parameter,
-                       max_modulus, radius_grid)
-from .series import ComplexSeries, require_instance
+from .families import SchlichtFunction, batch, max_modulus, radius_grid
+from .series import (ComplexSeries, coefficient_array, finite_parameter, integer_parameter,
+                     require_instance)
 
 #: numeric bound for Milin's constant used by the partial-sum check
 MILIN_CONSTANT_BOUND = 0.312
@@ -120,6 +120,7 @@ def boundary_mean_coeffs(f: SchlichtFunction) -> np.ndarray:
     series logarithm, so a caller that reads only these rows needs no
     ledger.
     """
+    require_instance(f, SchlichtFunction, "boundary_mean_coeffs")
     p = ComplexSeries(f.series.coeffs[1:])  # f(z)/z, constant term 1
     m = p.order
     square = np.zeros(m + 1, dtype=np.complex128)
@@ -137,11 +138,12 @@ def boundary_mean_coeffs(f: SchlichtFunction) -> np.ndarray:
 def gamma_via_derivative_recurrence(f: SchlichtFunction, n_max: int) -> np.ndarray:
     """gamma_1..gamma_{n_max} from (n-1) a_n = 2 sum_{k<n} k gamma_k a_{n-k}.
 
-    Independent of the series logarithm; the two must agree.
+    Independent of the series logarithm; the two must agree.  ``n_max`` is
+    an integer from 1 to the series order less one.
     """
+    require_instance(f, SchlichtFunction, "gamma_via_derivative_recurrence")
+    n_max = integer_parameter(n_max, "n_max", 1, f.order - 1)
     a = f.series.coeffs
-    if n_max + 1 > len(a) - 1:
-        raise InvalidParameter("series too short for the requested gamma range")
     gamma = np.zeros(n_max + 1, dtype=np.complex128)
     gamma[1] = a[2] / 2.0
     for n in range(3, n_max + 2):
@@ -155,11 +157,13 @@ def gamma_recurrence_unweighted(f: SchlichtFunction, ld: LogData, n: int) -> com
     """The mis-stated form a_n = n gamma_n + sum_{k<n} k gamma_k a_{n-k+1}.
 
     Solved for gamma_n given the true lower-order gammas.  Diagnostic
-    only: on the Koebe map at n = 2 it yields 0 instead of 1/2.
+    only: on the Koebe map at n = 2 it yields 0 instead of 1/2.  ``n`` is
+    an integer from 1 to the series order, with n - 1 within the ledger.
     """
+    require_instance(f, SchlichtFunction, "gamma_recurrence_unweighted")
+    require_instance(ld, LogData, "gamma_recurrence_unweighted")
+    n = integer_parameter(n, "n", 1, min(f.order, ld.top_index + 1))
     a = f.series.coeffs
-    if n < 1 or n > f.order or n - 1 > ld.top_index:
-        raise InvalidParameter("index outside the ledger range")
     acc = sum(k * ld.gamma[k] * a[n - k + 1] for k in range(1, n))
     return (a[n] - acc) / n
 
@@ -170,6 +174,7 @@ def f_coeffs_via_exp_recurrence(ld: LogData) -> np.ndarray:
     Follows from (1-z)^2 f(z)/z = exp(sum lam_k z^k); cross-checks the
     polynomial-product path used by :func:`log_data`.
     """
+    require_instance(ld, LogData, "f_coeffs_via_exp_recurrence")
     m = ld.top_index
     b = np.zeros(m + 1, dtype=np.complex128)
     b[0] = 1.0
@@ -184,6 +189,7 @@ def f_coeffs_recurrence_unweighted(ld: LogData) -> np.ndarray:
 
     Diagnostic only; on the half-plane map it already fails at n = 2.
     """
+    require_instance(ld, LogData, "f_coeffs_recurrence_unweighted")
     m = ld.top_index
     b = np.zeros(m + 1, dtype=np.complex128)
     b[0] = 1.0
@@ -212,13 +218,13 @@ def milin_check(ld: LogData):
 def direction_weighted_sum(gamma: np.ndarray, theta: float, n_terms: int) -> float:
     """sum_{k<=n} k |gamma_k - e^{-ik theta}/k|^2 (shared by several checks).
 
-    ``theta`` is taken as given, not reduced mod 2 pi; a NaN or infinite
-    ``theta``, or one whose ``n_terms * theta`` overflows, raises
-    :class:`InvalidParameter`.
+    ``gamma`` is a :func:`series.coefficient_array` and ``n_terms`` an
+    integer from 1 to its last index.  ``theta`` is taken as given, not
+    reduced mod 2 pi; a NaN or infinite ``theta``, or one whose
+    ``n_terms * theta`` overflows, raises :class:`InvalidParameter`.
     """
-    n_terms = integer_parameter(n_terms, "n_terms", 1)
-    if n_terms > len(gamma) - 1:
-        raise InvalidParameter("n_terms outside the ledger range")
+    gamma = coefficient_array(gamma, "gamma")
+    n_terms = integer_parameter(n_terms, "n_terms", 1, len(gamma) - 1)
     theta = finite_parameter(theta, "theta")
     if not math.isfinite(n_terms * theta):
         raise InvalidParameter(f"n_terms * theta overflows: n_terms={n_terms}, theta={theta!r}")
@@ -257,9 +263,7 @@ def lebedev_milin_check(f: SchlichtFunction, ld: LogData, n: int):
     """
     require_instance(f, SchlichtFunction, "lebedev_milin_check")
     require_instance(ld, LogData, "lebedev_milin_check")
-    n = integer_parameter(n, "n", 0)
-    if n + 1 > f.order or n > ld.top_index:
-        raise InvalidParameter("need n + 1 within the series order and n within the ledger")
+    n = integer_parameter(n, "n", 0, min(f.order - 1, ld.top_index))
     a = f.series.coeffs
     a_abs = abs(a[n + 1])
     root = ComplexSeries(a[1 : n + 2]).sqrt().coeffs  # b_0 .. b_n

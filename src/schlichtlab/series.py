@@ -16,10 +16,26 @@ coefficient, which the constructor rejects.  Every operation in which numpy
 could warn of one runs with its floating-point warnings off, so a result
 beyond double range raises :class:`~schlichtlab.errors.InvalidParameter`
 and never a numpy warning.
+
+The module also holds the one definition of a number that every entry
+point of the lab checks its inputs against, each check raising
+:class:`~schlichtlab.errors.InvalidParameter` naming the parameter:
+
+* :func:`is_number`, the one type test: an int, float, complex or numpy
+  number, never a bool, a timedelta64, a string, an array or anything else;
+* :func:`finite_parameter`, one finite real or complex number;
+* :func:`integer_parameter`, one integer within optional bounds;
+* :func:`numeric_array`, an array of a numeric dtype (not bool, str or
+  object) and of a given number of dimensions, and
+  :func:`coefficient_array`, such a vector as finite complex coefficients;
+* :func:`evaluation_point`, a number or a numeric array;
+* :func:`require_instance`, an object of one class, and
+  :func:`array_parameter`, any array that is not a ragged nest.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import operator
 import sys
@@ -45,21 +61,58 @@ _ZERO_TOL = 1e-14
 MAX_ORDER = 4096
 
 
+# the scalar types of a number; a bool (an int) and a timedelta64 (a numpy
+# integer) are refused apart, as numeric_array refuses their dtypes
+_SCALARS = (int, float, complex, np.number)
+_INT_LIMIT = int(sys.float_info.max)  # the largest int a double holds
+
+
+def is_number(value) -> bool:
+    """The one type test for a number: an int, float, complex or numpy
+    number, never a bool, a timedelta64, a string, an array or any other
+    object."""
+    return isinstance(value, _SCALARS) and not isinstance(value, (bool, np.timedelta64))
+
+
+def finite_parameter(value, name: str, kind=float):
+    """``value``, one number (:func:`is_number`), converted by ``kind``
+    (float or complex) and checked to be finite.
+
+    A complex value (Python or numpy) for ``kind=float`` is refused before
+    conversion, so no imaginary part is dropped and numpy does not warn.
+    Anything but a number, an int beyond double range and a NaN or infinite
+    value raise :class:`InvalidParameter` too.
+    """
+    if not is_number(value):
+        raise InvalidParameter(f"{name} must be a number, got {value!r:.60}")
+    if kind is float and isinstance(value, (complex, np.complexfloating)):
+        raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+    try:
+        out = kind(value)
+    except OverflowError:
+        raise InvalidParameter(f"{name} lies beyond double range") from None
+    if not cmath.isfinite(out):
+        raise InvalidParameter(f"{name} must be finite, got {value!r}")
+    return out
+
+
 def integer_parameter(value, name: str, minimum: Optional[int] = None,
                       maximum: Optional[int] = None) -> int:
     """``value`` as an int, within ``minimum`` and ``maximum`` when given.
 
     Raises :class:`InvalidParameter` for bools, for floats (fractional,
-    NaN or not), for strings and for anything else that is not an integer.
+    NaN or not), for strings and for anything else that is not an integer,
+    and for an integer out of bounds; a minimum of 1 reads "must be positive".
     """
     if isinstance(value, bool):
         raise InvalidParameter(f"{name} must be an integer, got {value!r}")
     try:
         out = operator.index(value)
     except TypeError:
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+        raise InvalidParameter(f"{name} must be an integer, got {value!r:.60}") from None
     if minimum is not None and out < minimum:
-        raise InvalidParameter(f"{name} must be at least {minimum}")
+        least = "positive" if minimum == 1 else f"at least {minimum}"
+        raise InvalidParameter(f"{name} must be {least}")
     if maximum is not None and out > maximum:
         raise InvalidParameter(f"{name} must be at most {maximum}, got {out}")
     return out
@@ -81,34 +134,37 @@ def array_parameter(values, name: str) -> np.ndarray:
         raise InvalidParameter(f"{name} must be a regular array, not a ragged nest") from None
 
 
-# the scalar types an operand or an evaluation point may have (a bool is refused)
-_SCALARS = (int, float, complex, np.number)
-_INT_LIMIT = int(sys.float_info.max)  # the largest int a double holds
+def numeric_array(values, name: str, ndim: int = 1) -> np.ndarray:
+    """``values`` as an ``ndim``-dimensional array of ints, floats or complex
+    numbers, unconverted; a ragged nest, another shape and a bool, string
+    or object array (an int beyond int64 makes one) raise
+    :class:`InvalidParameter`.  One dtype test, no scan of the elements."""
+    arr = array_parameter(values, name)
+    if arr.dtype.kind not in "iufc" or arr.ndim != ndim:
+        raise InvalidParameter(f"{name} must be a {ndim}-D array of numbers")
+    return arr
 
 
-def _number(value) -> complex:
-    """The non-series operand ``value`` as one complex number.
-
-    One type test, no scan: an int, float, complex or numpy number passes,
-    a bool, an array, a string or anything else raises
-    :class:`InvalidParameter`, and so does an int beyond double range.
-    """
-    if isinstance(value, bool) or not isinstance(value, _SCALARS):
-        raise InvalidParameter(f"a series operand must be a series or one number, got {value!r}")
-    try:
-        return complex(value)
-    except OverflowError:
-        raise InvalidParameter(f"the operand {value!r} lies beyond double range") from None
+def coefficient_array(values, name: str) -> np.ndarray:
+    """``values``, a :func:`numeric_array` vector, as a read-only complex128
+    copy, checked to be finite; anything else raises :class:`InvalidParameter`.
+    A long double beyond double range becomes inf in the copy, quietly."""
+    with np.errstate(over="ignore"):
+        arr = numeric_array(values, name).astype(np.complex128)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameter(f"{name} must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 def evaluation_point(z):
-    """``z`` checked to be a number (not a bool) or a numeric array, by one
-    type or dtype test with no scan of the elements; anything else, and an
-    int beyond double range, raises :class:`InvalidParameter`."""
+    """``z`` checked to be a number (:func:`is_number`) or a numeric array,
+    by one type or dtype test with no scan of the elements; anything else,
+    and an int beyond double range, raises :class:`InvalidParameter`."""
     if isinstance(z, np.ndarray):
         if z.dtype.kind in "iufc":
             return z
-    elif isinstance(z, _SCALARS) and not isinstance(z, bool):
+    elif is_number(z):
         if isinstance(z, int) and not -_INT_LIMIT <= z <= _INT_LIMIT:
             raise InvalidParameter(f"the point {z!r:.40} lies beyond double range")
         return z
@@ -128,10 +184,11 @@ class ComplexSeries:
     """Power series ``c[0] + c[1] z + ... + c[N] z^N`` truncated at order N.
 
     The coefficient array is complex128, read-only, and guaranteed finite.
-    Arithmetic operators accept another series or one number (see
-    :func:`_number`).  Calling the series evaluates the plain partial sum
-    at a point (no tail estimate; certified evaluation lives with the
-    function families).
+    The constructor takes any non-empty :func:`coefficient_array`, and the
+    arithmetic operators another series or one finite number
+    (:func:`finite_parameter`).  Calling the series evaluates the plain
+    partial sum at a point (no tail estimate; certified evaluation lives
+    with the function families).
     """
 
     __slots__ = ("coeffs",)
@@ -140,15 +197,9 @@ class ComplexSeries:
     __array_ufunc__ = None
 
     def __init__(self, coeffs):
-        try:
-            arr = np.array(coeffs, dtype=np.complex128)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidParameter("coefficients must be a sequence of numbers") from None
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvalidParameter("coefficients must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidParameter("coefficients must be finite")
-        arr.setflags(write=False)
+        arr = coefficient_array(coeffs, "coefficients")
+        if arr.size == 0:
+            raise InvalidParameter("coefficients must not be empty")
         object.__setattr__(self, "coeffs", arr)
 
     def __setattr__(self, name, value):
@@ -173,7 +224,7 @@ class ComplexSeries:
             n = min(self.order, other.order)
             return ComplexSeries(self.coeffs[: n + 1] + other.coeffs[: n + 1])
         c = self.coeffs.copy()
-        c[0] += _number(other)
+        c[0] += finite_parameter(other, "a series operand", complex)
         return ComplexSeries(c)
 
     __radd__ = __add__
@@ -182,7 +233,9 @@ class ComplexSeries:
         return ComplexSeries(-self.coeffs)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, ComplexSeries) else -_number(other))
+        if isinstance(other, ComplexSeries):
+            return self + (-other)
+        return self + -finite_parameter(other, "a series operand", complex)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -192,14 +245,14 @@ class ComplexSeries:
         if isinstance(other, ComplexSeries):
             n = min(self.order, other.order)
             return ComplexSeries(np.convolve(self.coeffs, other.coeffs)[: n + 1])
-        return ComplexSeries(self.coeffs * _number(other))
+        return ComplexSeries(self.coeffs * finite_parameter(other, "a series operand", complex))
 
     __rmul__ = __mul__
 
     @_quiet
     def __truediv__(self, other):
         if not isinstance(other, ComplexSeries):
-            return ComplexSeries(self.coeffs / _number(other))
+            return ComplexSeries(self.coeffs / finite_parameter(other, "a series operand", complex))
         if other.coeffs[0] == 0:
             raise DivisionByZeroConstantTerm("divisor has zero constant term")
         n = min(self.order, other.order)
@@ -211,7 +264,7 @@ class ComplexSeries:
 
     def __rtruediv__(self, other):
         num = np.zeros(self.order + 1, dtype=np.complex128)
-        num[0] = _number(other)
+        num[0] = finite_parameter(other, "a series operand", complex)
         return ComplexSeries(num) / self
 
     # -- transcendental maps ---------------------------------------------

@@ -29,9 +29,8 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
 )
-from .families import finite_parameter, integer_parameter
 from .logmilin import LogData
-from .series import array_parameter, require_instance
+from .series import finite_parameter, integer_parameter, numeric_array, require_instance
 
 T_GRID = (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
 
@@ -39,16 +38,9 @@ T_GRID = (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
 # -- means ---------------------------------------------------------------
 
 
-def _numeric(a: np.ndarray) -> bool:
-    """True for an array of numbers (not bools, strings or objects)."""
-    return np.issubdtype(a.dtype, np.number)
-
-
 def _check_index(coeffs, n: int):
     """``coeffs`` as a 1-D numeric array and ``n`` as an integer index into it."""
-    coeffs = array_parameter(coeffs, "coefficients")
-    if coeffs.ndim != 1 or not _numeric(coeffs):
-        raise InvalidParameter("coefficients must be a 1-D array of numbers")
+    coeffs = numeric_array(coeffs, "coefficients")
     n = integer_parameter(n, "mean index")
     if not 0 <= n < len(coeffs):
         raise IndexOutOfRange(f"mean index {n} outside 0..{len(coeffs) - 1}")
@@ -84,19 +76,13 @@ class DoubleFamily:
     alpha: np.ndarray
 
     def __post_init__(self):
-        m_values = array_parameter(self.m_values, "m_values")
-        rows = array_parameter(self.coeff_rows, "coefficient rows")
-        alpha = array_parameter(self.alpha, "alpha")
-        if (rows.ndim != 2 or m_values.ndim != 1 or alpha.ndim != 1
-                or len(m_values) != rows.shape[0] or len(alpha) != rows.shape[0]):
+        rows = numeric_array(self.coeff_rows, "coefficient rows", 2)
+        alpha = numeric_array(self.alpha, "alpha")
+        if len(alpha) != rows.shape[0]:
             raise InvalidParameter("need one coefficient row and one alpha per m")
-        if len(m_values) == 0:
+        if len(alpha) == 0:
             raise InvalidParameter("family must not be empty")
-        if not (np.issubdtype(m_values.dtype, np.integer) and _numeric(rows) and _numeric(alpha)):
-            raise InvalidParameter("m_values must be integers, rows and alpha numbers")
-        m_values = m_values.astype(int)
-        if np.any(np.diff(m_values) <= 0):
-            raise InvalidParameter("m_values must be strictly increasing")
+        m_values = _m_values(self.m_values, len(alpha))
         if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(rows))):
             raise InvalidParameter("family data must be finite")
         object.__setattr__(self, "m_values", m_values)
@@ -126,14 +112,25 @@ class TauberHarnessReport:
     iii_bounded: bool
 
 
+def _m_values(m_values, count: int) -> np.ndarray:
+    """``m_values`` as ``count`` strictly increasing ints, one per row."""
+    m_values = numeric_array(m_values, "m_values")
+    if m_values.dtype.kind not in "iu" or len(m_values) != count:
+        raise InvalidParameter("need one integer m value per row")
+    if np.any(np.diff(m_values) <= 0):
+        raise InvalidParameter("m_values must be strictly increasing")
+    return m_values.astype(int)
+
+
 def tail_cutoffs(max_m: int, n_count: int) -> int:
     """How many cutoffs N = 0, 1, ... the tail grid of :func:`tail_supremum`
     holds for a surface with ``n_count`` columns whose last row is ``m = max_m``.
 
     The config check of :mod:`~schlichtlab.lab` reads the same count, so a
-    cutoff it accepts always lies on the grid.
+    cutoff it accepts always lies on the grid.  Both are integers, ``n_count``
+    positive.
     """
-    return max(max_m, n_count - 1)
+    return max(integer_parameter(max_m, "max_m"), integer_parameter(n_count, "n_count", 1) - 1)
 
 
 def tail_supremum(d: np.ndarray, m_values: np.ndarray):
@@ -143,14 +140,10 @@ def tail_supremum(d: np.ndarray, m_values: np.ndarray):
     strictly (the rule :class:`DoubleFamily` enforces).  Returns
     (N_grid, sup array); see :class:`TauberHarnessReport`.
     """
-    d = np.asarray(d)
-    m_values = np.asarray(m_values, dtype=int)
-    if d.ndim != 2 or d.size == 0:
-        raise InvalidParameter("the surface must be a non-empty 2-D array")
-    if m_values.shape != (d.shape[0],):
-        raise InvalidParameter("need one m value per surface row")
-    if np.any(np.diff(m_values) <= 0):
-        raise InvalidParameter("m_values must be strictly increasing")
+    d = numeric_array(d, "the surface", 2)
+    if d.size == 0 or d.dtype.kind == "c":
+        raise InvalidParameter("the surface must be a non-empty real 2-D array")
+    m_values = _m_values(m_values, d.shape[0])
     max_m = int(m_values[-1])
     max_n = d.shape[1] - 1
     # suffix maxima along n, then along m: corner[i, j] = max d[i:, j:]

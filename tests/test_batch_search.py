@@ -136,6 +136,18 @@ def test_batch_members_equal_batch_of_one(members):
         assert _bits(hayman_index(f)) == _bits(estimates[i]), f.label()
 
 
+def test_a_batch_past_numpys_elision_size_equals_batch_of_one():
+    # 1,200 members at 14 radii make 16,800 golden-section lanes; under an
+    # operator numpy reuses a temporary of 16,384 complex128 entries or more in
+    # place, and the in-place complex product rounds differently
+    members = [make_schlicht("koebe_transform", {"w": 0.3 * cmath.exp(1j / m)}, 8)
+               for m in range(1, 1201)]
+    estimates = hayman_index(members)
+    assert len(members) * len(default_schedule(members[0])) >= 16384
+    for f, est in zip(members, estimates):
+        assert _bits(hayman_index(f)) == _bits(est), f.label()
+
+
 @st.composite
 def any_pair_members(draw):
     """Koebe maps, half-planes and transforms up to |w| = 0.99, each

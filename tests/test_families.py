@@ -395,6 +395,29 @@ class TestBadInputs:
                                      lambda: max_modulus(_koebe16(), [[0.5, 0.6], [0.7]])),
         "growth_profile radii ragged": (InvalidParameter,
                                         lambda: growth_profile(_koebe16(), [[0.5], [0.6, 0.7]])),
+        # one definition of a number: a numeric string, a bool or a complex
+        # for a real parameter is not a number
+        "dilated r numeric str": (InvalidParameter, lambda: dilated(_koebe16(), "0.5")),
+        "rotated phi bool": (InvalidParameter, lambda: rotated(_koebe16(), True)),
+        "rotated phi numpy complex": (InvalidParameter,
+                                      lambda: rotated(_koebe16(), np.complex64(0.5 + 3j))),
+        "rotated phi timedelta": (InvalidParameter,
+                                  lambda: rotated(_koebe16(), np.timedelta64(1))),
+        "rotation theta numeric str": (InvalidParameter,
+                                       lambda: make_schlicht("rotation", {"theta": "1e-1"})),
+        "transform w numeric str": (InvalidParameter,
+                                    lambda: make_schlicht("koebe_transform", {"w": "0.3"})),
+        "sigma b0 numeric str": (InvalidParameter, lambda: SigmaFunction("1", [], 0)),
+        "series coeffs numeric strs": (InvalidParameter, lambda: ComplexSeries(["0", "1"])),
+        "series coeffs bools": (InvalidParameter, lambda: ComplexSeries([True, False])),
+        "custom coeffs numeric strs": (InvalidParameter, lambda: make_schlicht(
+            "custom", {"coeffs": ["0", "1", "0"]}, 2)),
+        "sigma tail numeric strs": (InvalidParameter,
+                                    lambda: SigmaFunction(0.0, ["1", "2"], 2)),
+        "custom coeffs int past double range": (InvalidParameter, lambda: make_schlicht(
+            "custom", {"coeffs": [0, 1, 10**400]}, 2)),
+        "series coeffs long double past double range": (InvalidParameter, lambda: ComplexSeries(
+            np.array([0, 1, np.longdouble("1e4000")], dtype=np.clongdouble))),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -437,6 +460,9 @@ class TestBadInputs:
                                            lambda: invert_to_sigma(_koebe16(), -1)),
         "growth_direction r_probe str": ("r_probe must be a number",
                                          lambda: growth_direction(_koebe16(), "x")),
+        # once passed its own check, then failed in max_modulus naming the radii
+        "growth_direction r_probe numeric str": ("r_probe must be a number",
+                                                 lambda: growth_direction(_koebe16(), "0.95")),
         "series one order nan": ("order must be an integer",
                                  lambda: ComplexSeries.one(math.nan)),
     }

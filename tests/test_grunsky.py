@@ -739,6 +739,8 @@ class TestBadInputs:
             grunsky_matrix(g, 16), ld, g, 0.3)),
         "equality residual of a member": (InvalidParameter, lambda f, g, ld: (
             bazilevich_equality_residual(f, 0.5, 0.0, 8))),
+        "row polynomials of None": (InvalidParameter,
+                                    lambda f, g, ld: grunsky.row_polynomials(None, 0.3)),
     }
 
     @pytest.mark.filterwarnings("error")

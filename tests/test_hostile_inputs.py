@@ -7,9 +7,19 @@ by every value of HOSTILE, and the property by a value drawn from a wider
 strategy; either way the call must return a result or raise a
 :class:`SchlichtLabError`, with every warning an error.
 
+MODULE_CALLS does the same for the module functions outside ``__all__``
+that the acceptance suite, the README or the benchmark reach.
+
 Hostile values: NaN, +-inf, +-1e308, 1e30, 10^30 and +-10^400, True, None,
 1+1j, strings, empty and wrong-shaped lists and arrays, arrays of the wrong
 dtype, and an object of every other public type.
+
+One definition of a number holds at every boundary (``series.is_number``):
+PARAMETERS lists each real scalar, complex scalar and coefficient-array
+parameter, and a property checks that a bool, a numeric string, a
+timedelta64, a numpy complex scalar for a real parameter, and a string,
+bool or object array for an array parameter, raise InvalidParameter and are
+never taken as numbers.
 
 Scope.  A wrong kind of object is in scope wherever a caller passes it
 (README, numerical-policy paragraph).  The result records
@@ -42,7 +52,8 @@ from schlichtlab import (ComplexSeries, DoubleFamily, ScenarioConfig, SigmaFunct
                          prawitz_check, rotated, run_scenario, simultaneous_tauber_harness,
                          standard_corpus, strong_grunsky_norm, tauber_decomposition_check,
                          weighted_mean)
-from schlichtlab.errors import SchlichtLabError
+from schlichtlab import families, grunsky, lab, logmilin, tauber
+from schlichtlab.errors import InvalidParameter, SchlichtLabError
 
 F = make_schlicht("koebe_transform", {"w": 0.3 + 0.2j}, order=18)
 SERIES = F.series
@@ -113,6 +124,29 @@ CALLS = {
     "export_report": (export_report, (REPORT, "csv", "out")),
 }
 
+# the module functions outside __all__ that the acceptance suite, README or bench call
+AUDIT_CONFIG = ScenarioConfig("inequality_audit", series_order=32)
+AUDIT_MEMBER = make_schlicht("koebe_transform", {"w": 0.3 + 0.2j}, order=32)
+MODULE_CALLS = {
+    "logmilin.gamma_via_derivative_recurrence": (logmilin.gamma_via_derivative_recurrence,
+                                                 (F, 4)),
+    "logmilin.gamma_recurrence_unweighted": (logmilin.gamma_recurrence_unweighted,
+                                             (F, LEDGER, 3)),
+    "logmilin.f_coeffs_via_exp_recurrence": (logmilin.f_coeffs_via_exp_recurrence, (LEDGER,)),
+    "logmilin.f_coeffs_recurrence_unweighted": (logmilin.f_coeffs_recurrence_unweighted,
+                                                (LEDGER,)),
+    "logmilin.boundary_mean_coeffs": (logmilin.boundary_mean_coeffs, (F,)),
+    "logmilin.direction_weighted_sum": (logmilin.direction_weighted_sum,
+                                        (LEDGER.gamma, 0.3, 4)),
+    "grunsky.row_polynomials": (grunsky.row_polynomials, (TABLE, 0.3)),
+    "grunsky.grunsky_norm_dense": (grunsky.grunsky_norm_dense, (TABLE,)),
+    "tauber.tail_supremum": (tauber.tail_supremum, (np.ones((2, 3)), np.array([1, 2]))),
+    "tauber.tail_cutoffs": (tauber.tail_cutoffs, (2, 3)),
+    "families.batch": (families.batch, ([F, F],)),
+    "lab.audit_members": (lab.audit_members, ([AUDIT_MEMBER], AUDIT_CONFIG)),
+}
+ALL_CALLS = {**CALLS, **MODULE_CALLS}
+
 # the methods with no argument but their object, called on library-built objects
 NO_ARGUMENTS = {
     "ComplexSeries.__neg__": lambda: -SERIES,
@@ -139,9 +173,9 @@ HOSTILE = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e30, 10**30, 10**400, 
 
 
 def _call(name, position, value):
-    """``CALLS[name]`` with argument ``position`` replaced by ``value``:
+    """``ALL_CALLS[name]`` with argument ``position`` replaced by ``value``:
     a result or a SchlichtLabError, with every warning an error."""
-    fn, args = CALLS[name]
+    fn, args = ALL_CALLS[name]
     args = list(args)
     args[position] = value
     with warnings.catch_warnings():
@@ -173,16 +207,16 @@ def test_methods_on_library_built_objects(name):
         NO_ARGUMENTS[name]()
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("name", sorted(ALL_CALLS))
 def test_valid_calls_succeed(name):
-    fn, args = CALLS[name]
+    fn, args = ALL_CALLS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fn(*args)
 
 
-@pytest.mark.parametrize("name, position", [(name, i) for name in sorted(CALLS)
-                                            for i in range(len(CALLS[name][1]))])
+@pytest.mark.parametrize("name, position", [(name, i) for name in sorted(ALL_CALLS)
+                                            for i in range(len(ALL_CALLS[name][1]))])
 def test_hostile_argument_sweep(name, position):
     for value in HOSTILE:
         try:
@@ -201,7 +235,88 @@ hostile_values = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(CALLS)), st.data())
+@given(st.sampled_from(sorted(ALL_CALLS)), st.data())
 def test_hostile_argument_property(name, data):
-    position = data.draw(st.integers(0, len(CALLS[name][1]) - 1))
+    position = data.draw(st.integers(0, len(ALL_CALLS[name][1]) - 1))
     _call(name, position, data.draw(hostile_values))
+
+
+# -- one definition of a number ------------------------------------------------
+
+
+def _at(name, position):
+    """``ALL_CALLS[name]`` as a function of its argument ``position`` alone."""
+    fn, args = ALL_CALLS[name]
+    return lambda value: fn(*args[:position], value, *args[position + 1:])
+
+
+REAL, COMPLEX, ARRAY = "real", "complex", "array"
+# each real scalar, complex scalar and coefficient-array parameter: (its kind,
+# the call as a function of it, a valid value, so an array's shape is known)
+PARAMETERS = {
+    **{f"{name}[{i}]": (REAL, _at(name, i), ALL_CALLS[name][1][i]) for name, i in [
+        ("rotated", 1), ("dilated", 1), ("growth_direction", 1), ("bazilevich_gap", 1),
+        ("bazilevich_gap", 2), ("bazilevich_equality_residual", 1),
+        ("bazilevich_equality_residual", 2), ("tauber_decomposition_check", 2),
+        ("logmilin.direction_weighted_sum", 1)]},
+    **{f"{name}[{i}]": (COMPLEX, _at(name, i), ALL_CALLS[name][1][i]) for name, i in [
+        ("ComplexSeries.__add__", 0), ("ComplexSeries.__radd__", 0),
+        ("ComplexSeries.__sub__", 0), ("ComplexSeries.__rsub__", 0),
+        ("ComplexSeries.__mul__", 0), ("ComplexSeries.__rmul__", 0),
+        ("ComplexSeries.__truediv__", 0), ("ComplexSeries.__rtruediv__", 0),
+        ("ComplexSeries.__call__", 0), ("SchlichtFunction.value", 0),
+        ("SchlichtFunction.deriv", 0), ("SigmaFunction", 0), ("eval_certified", 1),
+        ("deriv_certified", 1), ("fullness_defect", 1), ("full_mapping_defect", 3),
+        ("grunsky.row_polynomials", 1)]},
+    **{f"{name}[{i}]": (ARRAY, _at(name, i), ALL_CALLS[name][1][i]) for name, i in [
+        ("ComplexSeries", 0), ("SigmaFunction", 1), ("DoubleFamily", 0), ("DoubleFamily", 1),
+        ("DoubleFamily", 2), ("cesaro_mean", 0), ("weighted_mean", 0), ("max_modulus", 1),
+        ("growth_profile", 1), ("prawitz_check", 1), ("logmilin.direction_weighted_sum", 0),
+        ("tauber.tail_supremum", 0), ("tauber.tail_supremum", 1)]},
+    "make_schlicht rotation theta": (
+        REAL, lambda v: make_schlicht("rotation", {"theta": v}, 16), 0.5),
+    "make_schlicht dilation r": (REAL, lambda v: make_schlicht("dilation", {"r": v}, 16), 0.5),
+    "make_schlicht koebe_transform w": (
+        COMPLEX, lambda v: make_schlicht("koebe_transform", {"w": v}, 16), 0.3),
+    "make_schlicht custom coeffs": (
+        ARRAY, lambda v: make_schlicht("custom", {"coeffs": v}, 2), np.array([0.0, 1.0, 0.0])),
+}
+
+numeric_strings = st.one_of(st.sampled_from(["0.5", "1", "1e-1", "0.3+0.1j"]),
+                            st.floats().map(str), st.integers().map(str))
+not_numbers = {
+    COMPLEX: st.one_of(st.booleans(), numeric_strings, st.integers(-5, 5).map(np.timedelta64)),
+    REAL: st.one_of(st.booleans(), numeric_strings, st.integers(-5, 5).map(np.timedelta64),
+                    st.complex_numbers(max_magnitude=2.0).flatmap(
+                        lambda c: st.sampled_from([np.complex128(c), np.complex64(c)]))),
+}
+array_entries = st.one_of(st.booleans(), numeric_strings, st.sampled_from([0.5, None, 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(PARAMETERS)), st.data())
+def test_one_definition_of_a_number(name, data):
+    kind, call, valid = PARAMETERS[name]
+    if kind == ARRAY:
+        entry = data.draw(array_entries)
+        # a bool or str array, or an object array even of numbers
+        dtype = {bool: bool, str: str}.get(type(entry), object)
+        value = np.full(np.shape(valid), entry, dtype=dtype)
+    else:
+        value = data.draw(not_numbers[kind])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter):
+            call(value)
+
+
+@pytest.mark.parametrize("name, position", [
+    (name, i) for name in sorted(ALL_CALLS) for i, arg in enumerate(ALL_CALLS[name][1])
+    if type(arg) in (int, float, complex)])
+def test_numpy_scalars_still_accepted(name, position):
+    # np.int64, np.float64 and np.complex128 pass wherever int, float and complex do
+    value = ALL_CALLS[name][1][position]
+    numpy_value = {int: np.int64, float: np.float64, complex: np.complex128}[type(value)](value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _at(name, position)(numpy_value)

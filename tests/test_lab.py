@@ -189,11 +189,21 @@ class TestConfig:
         ({"simultaneous_tail_n": 64.5}, "simultaneous_tail_n"),
         ([["tail_n", 100]], "tolerances"),
         (None, "tolerances must map names to numbers"),
+        ({"tail_bound": True}, "tail_bound"),
+        ({"tail_bound": "0.01"}, "tail_bound"),
+        ({"tail_bound": np.float32(0.01)}, "tail_bound"),
     ], ids=["typo", "string", "null", "list", "nan", "inf", "fractional cutoff",
-            "bool cutoff", "fractional other cutoff", "not a mapping", "null mapping"])
+            "bool cutoff", "fractional other cutoff", "not a mapping", "null mapping",
+            "bool", "numeric string", "float32"])
     def test_bad_tolerances_rejected(self, tolerances, match):
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig.from_dict(dict(self.THEOREM1, tolerances=tolerances))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [0.02, np.float64(0.02), 1])
+    def test_json_number_tolerances_accepted(self, value):
+        cfg = ScenarioConfig.from_dict(dict(self.THEOREM1, tolerances={"tail_bound": value}))
+        assert cfg.tolerances["tail_bound"] is value
 
     @pytest.mark.filterwarnings("error")
     def test_valid_tolerances_are_echoed_as_given(self, tmp_path):

@@ -591,6 +591,21 @@ class TestBadInputs:
         "lebedev member a ledger": lambda f, ld: lebedev_milin_check(ld, ld, 4),
         "lebedev ledger None": lambda f, ld: lebedev_milin_check(f, None, 4),
         "functionals of a series": lambda f, ld: coefficient_functionals(f.series, 3),
+        "bazilevich alpha and theta numeric strs": lambda f, ld: bazilevich_gap(
+            ld, "0.5", "0.1", 4),
+        "derivative recurrence n_max fractional": lambda f, ld: (
+            gamma_via_derivative_recurrence(f, 3.5)),
+        "derivative recurrence n_max negative": lambda f, ld: (
+            gamma_via_derivative_recurrence(f, -3)),
+        "derivative recurrence of None": lambda f, ld: gamma_via_derivative_recurrence(None, 3),
+        "unweighted recurrence n fractional": lambda f, ld: (
+            gamma_recurrence_unweighted(f, ld, 2.5)),
+        "unweighted recurrence ledger None": lambda f, ld: (
+            gamma_recurrence_unweighted(f, None, 2)),
+        "exp recurrence of None": lambda f, ld: f_coeffs_via_exp_recurrence(None),
+        "unweighted exp recurrence of None": lambda f, ld: f_coeffs_recurrence_unweighted(None),
+        "boundary means of None": lambda f, ld: boundary_mean_coeffs(None),
+        "direction sum of None": lambda f, ld: direction_weighted_sum(None, 0.1, 3),
     }
 
     @pytest.mark.filterwarnings("error")

@@ -308,6 +308,15 @@ class TestBadInputs:
                                lambda ld: DoubleFamily([1, 2], [[1.0, 2.0], [1.0]], [0.0, 0.0])),
         "cesaro coefficients ragged": (InvalidParameter,
                                        lambda ld: cesaro_mean([[1.0, 2.0], [1.0]], 0)),
+        "decomposition r numeric str": (InvalidParameter,
+                                        lambda ld: tauber_decomposition_check(ld, 4, "0.5")),
+        "tail surface ragged": (InvalidParameter,
+                                lambda ld: tail_supremum([[1.0, 2.0], [1.0]], [1, 2])),
+        "tail surface str": (InvalidParameter,
+                             lambda ld: tail_supremum(np.array([["a", "b"]]), [1])),
+        "tail m_values fractional": (InvalidParameter,
+                                     lambda ld: tail_supremum(np.ones((2, 3)), [1.5, 2.7])),
+        "tail cutoffs of None": (InvalidParameter, lambda ld: tail_cutoffs(None, 3)),
     }
 
     @pytest.mark.filterwarnings("error")
