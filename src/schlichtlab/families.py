@@ -23,6 +23,11 @@ members at once, each lane evaluating its own pair through that same
 evaluator; on a closed form's inner circles its grid stage evaluates only
 the arc of cells that a bound on |f| leaves able to hold the maximum.
 
+One private factory, :func:`_member`, makes every member, called by the
+builders alone (:func:`make_schlicht`, :func:`rotated`, :func:`dilated`);
+:class:`SchlichtFunction` refuses a direct call, so no member carries a
+pair that is not its series' pair.
+
 ``invert_to_sigma`` passes from a normalized map ``f`` on the disk to the
 exterior map ``g(z) = 1/f(1/z) = z + b0 + b1/z + ...``; the exterior
 coefficients feed the Grunsky machinery.  For a pair they are exact,
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,7 +48,7 @@ import numpy as np
 from .errors import InvalidParameter, OutsideDisk
 from .series import (MAX_ORDER, ComplexSeries, array_parameter, coefficient_array,
                      evaluation_point, finite_parameter, integer_parameter, is_number,
-                     require_instance)
+                     numeric_array, require_instance)
 
 #: the parameter names each kind of make_schlicht reads; any other key is refused
 KIND_PARAMETERS = {"koebe": (), "halfplane": (), "rotation": ("theta",), "dilation": ("r",),
@@ -115,12 +120,21 @@ class SchlichtFunction:
     numpy's floating-point warnings off, so a NaN point or the pole gives
     NaN or inf in an array as it does for a Python number, and gives an
     ``np.complex128`` for a scalar point.
+
+    Only the builders make one (:func:`make_schlicht`, :func:`rotated`,
+    :func:`dilated`, all through :func:`_member`), so a member's pair is
+    its series' pair; a direct call, and so ``dataclasses.replace``, raises
+    :class:`InvalidParameter`.
     """
 
     series: ComplexSeries
     kind: str
     params: dict
     beta_rho: Optional[tuple] = None
+
+    def __post_init__(self):
+        raise InvalidParameter("a SchlichtFunction is built by make_schlicht, rotated or "
+                               "dilated, not by hand")
 
     @property
     def has_closed_form(self) -> bool:
@@ -178,6 +192,17 @@ class SchlichtFunction:
 
         bits = ",".join(f"{k}={short(v)}" for k, v in sorted(self.params.items()))
         return f"{self.kind}({bits})" if bits else self.kind
+
+
+def _member(coeffs, kind: str, params: dict, pair) -> SchlichtFunction:
+    """The one factory of :class:`SchlichtFunction`: the member with the
+    series of ``coeffs`` (a_0 .. a_N, copied once by :class:`ComplexSeries`)
+    and the pair ``pair``, or None for a series-only map.  It passes by the
+    constructor's gate, so each caller gives a pair whose series is
+    ``coeffs``."""
+    f = object.__new__(SchlichtFunction)
+    vars(f).update(series=ComplexSeries(coeffs), kind=kind, params=params, beta_rho=pair)
+    return f
 
 
 @dataclass(frozen=True)
@@ -251,8 +276,7 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
 
     if kind == "rotation":
         theta = finite_parameter(params.get("theta", 0.0), "rotation theta")
-        return replace(rotated(make_schlicht("koebe", order=order), theta),
-                       kind=kind, params={"theta": theta})
+        return _rotated(make_schlicht("koebe", order=order), theta, kind, {"theta": theta})
 
     if kind == "dilation":
         return dilated(make_schlicht("koebe", order=order), params.get("r"))
@@ -270,7 +294,7 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
     if len(coeffs) != order + 1:
         raise InvalidParameter("custom needs a coefficient array of length order+1")
     _check_class_s(coeffs, "custom")
-    return SchlichtFunction(ComplexSeries(coeffs), kind, {})
+    return _member(coeffs, kind, {}, None)
 
 
 def _powers(x, count: int) -> np.ndarray:
@@ -301,19 +325,16 @@ def _pair_member(beta, rho, order: int, kind: str, params: dict) -> SchlichtFunc
     up to 430 eps relative at w = 0.99 e^{0.3i}.
     """
     n = np.arange(2, order + 1)
-    coeffs = np.zeros(order + 1, dtype=np.complex128)
-    coeffs[1] = 1.0
-    coeffs[2:] = _powers(beta, order - 1) * (n * beta - (n - 1.0) * rho)
+    coeffs = np.concatenate(([0.0, 1.0], _powers(beta, order - 1) * (n * beta - (n - 1.0) * rho)))
     _check_class_s(coeffs, kind)
-    return SchlichtFunction(ComplexSeries(coeffs), kind, params, (beta, rho))
+    return _member(coeffs, kind, params, (beta, rho))
 
 
-def _scaled_pair(f: SchlichtFunction, c):
-    """The pair of ``f(c z)/c``: (c beta, c rho), or None for a series-only map."""
-    if f.beta_rho is None:
-        return None
-    beta, rho = f.beta_rho
-    return beta * c, rho * c
+def _scaled(f: SchlichtFunction, c, powers: np.ndarray, kind: str, params: dict):
+    """The member ``f(c z)/c`` as ``kind``: a_0 = 0, a_n powers[n-1] for
+    n >= 1 (powers[j] = c^j), and the pair (c beta, c rho) of a closed form."""
+    pair = None if f.beta_rho is None else (f.beta_rho[0] * c, f.beta_rho[1] * c)
+    return _member(np.concatenate(([0.0], f.series.coeffs[1:] * powers)), kind, params, pair)
 
 
 def rotated(f: SchlichtFunction, phi: float) -> SchlichtFunction:
@@ -328,11 +349,13 @@ def rotated(f: SchlichtFunction, phi: float) -> SchlichtFunction:
     """
     require_instance(f, SchlichtFunction, "rotated")
     phi = finite_parameter(phi, "rotation angle phi")
+    return _rotated(f, phi, "custom", {"rotated_from": f.kind, "phi": phi})
+
+
+def _rotated(f: SchlichtFunction, phi: float, kind: str, params: dict) -> SchlichtFunction:
+    """``rotated(f, phi)``, a float ``phi``, as a member of ``kind`` with ``params``."""
     unit = cmath.exp(1j * phi)
-    coeffs = np.zeros(f.order + 1, dtype=np.complex128)
-    coeffs[1:] = f.series.coeffs[1:] * np.exp(1j * cmath.phase(unit) * np.arange(f.order))
-    return SchlichtFunction(ComplexSeries(coeffs), "custom",
-                            {"rotated_from": f.kind, "phi": phi}, _scaled_pair(f, unit))
+    return _scaled(f, unit, np.exp(1j * cmath.phase(unit) * np.arange(f.order)), kind, params)
 
 
 def dilated(f: SchlichtFunction, r: float) -> SchlichtFunction:
@@ -346,9 +369,7 @@ def dilated(f: SchlichtFunction, r: float) -> SchlichtFunction:
     r = finite_parameter(r, "dilation r")
     if not 0.0 < r < 1.0:
         raise InvalidParameter("dilation needs r in (0, 1)")
-    coeffs = np.zeros(f.order + 1, dtype=np.complex128)
-    coeffs[1:] = f.series.coeffs[1:] * r ** np.arange(f.order, dtype=float)
-    return SchlichtFunction(ComplexSeries(coeffs), "dilation", {"r": r}, _scaled_pair(f, r))
+    return _scaled(f, r, r ** np.arange(f.order, dtype=float), "dilation", {"r": r})
 
 
 def invert_to_sigma(f: SchlichtFunction, order: int) -> SigmaFunction:
@@ -447,10 +468,9 @@ def radius_grid(radii) -> np.ndarray:
     Raises :class:`InvalidParameter` unless ``radii`` is a non-empty 1-D
     real array, strictly increasing inside (0, 1); NaN and infinities fail.
     """
-    grid = array_parameter(radii, "radii")
-    if grid.dtype.kind not in "iuf" or grid.ndim != 1 or grid.size == 0:
+    grid = numeric_array(radii, "radii", 1, "iuf").astype(float)
+    if grid.size == 0:
         raise InvalidParameter("radii must be a non-empty 1-D grid")
-    grid = grid.astype(float)
     # the range test goes first: NaN fails it, and np.diff never meets an inf
     if not np.all((grid > 0.0) & (grid < 1.0)) or np.any(np.diff(grid) <= 0.0):
         raise InvalidParameter("radii must be strictly increasing inside (0, 1)")
@@ -571,12 +591,11 @@ def max_modulus(f, r):
     """
     members = batch(f)
     radii = array_parameter(r, "radii")
-    if radii.dtype.kind not in "iuf" or radii.ndim > 1 or radii.size == 0:
+    lanes = numeric_array(np.atleast_1d(radii), "radii", 1, "iuf").astype(float)
+    if lanes.size == 0:
         raise InvalidParameter("radii must be one real number or a non-empty 1-D array")
-    radii = radii.astype(float)
-    if not np.all((radii > 0.0) & (radii < 1.0)):  # NaN fails here too
+    if not np.all((lanes > 0.0) & (lanes < 1.0)):  # NaN fails here too
         raise OutsideDisk(f"radius {r!r} is not inside (0, 1)")
-    lanes = np.atleast_1d(radii)
 
     grid = lanes[:, None] * _CIRCLE_RAY  # the (radii, grid) points, shared by every member
     first, count = _arcs(members, lanes, grid)

@@ -32,7 +32,9 @@ Koebe, rotations, dilations, and the half-plane's zero tail) runs no
 recurrence at all: the table is then exactly diagonal, gamma_kk =
 b_1^k / k, and is filled at once.  A smaller section of the
 same map is a slice of a larger table (:meth:`GrunskyTable.section`), not
-a second recurrence.
+a second recurrence.  One private factory, :func:`_table`, makes every
+table, called by those builders alone; :class:`GrunskyTable` refuses a
+direct call.
 
 The weighted matrix ``sqrt(nk) gamma_{nk}`` has operator norm at most 1
 for univalent ``g`` (strong Grunsky inequality); equality together with a
@@ -53,7 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import SchlichtFunction, SigmaFunction, _disk_modulus, closed_form_log_deriv
+from .errors import InvalidParameter
+from .families import (SchlichtFunction, SigmaFunction, _disk_modulus, _powers,
+                       closed_form_log_deriv)
 from .logmilin import LogData, bazilevich_gap
 from .series import integer_parameter, require_instance
 
@@ -67,10 +71,18 @@ class GrunskyTable:
 
     ``gamma_nk`` is stored as an (N+1) x (N+1) array with row/column 0
     zero so ``gamma_nk[n, k]`` reads with natural subscripts.
+
+    Only the builders make one (:func:`grunsky_matrix`,
+    :func:`grunsky_matrix_direct` and :meth:`section`, all through
+    :func:`_table`); a direct call, and so ``dataclasses.replace``, raises
+    :class:`InvalidParameter`.
     """
 
     order: int
     gamma_nk: np.ndarray
+
+    def __post_init__(self):
+        raise InvalidParameter("a GrunskyTable is built by grunsky_matrix, not by hand")
 
     def weighted(self) -> np.ndarray:
         """The matrix sqrt(n k) gamma_{nk}, n, k = 1..N."""
@@ -86,8 +98,14 @@ class GrunskyTable:
         too.
         """
         n_order = integer_parameter(n_order, "section order", 1, self.order)
-        return GrunskyTable(order=n_order,
-                            gamma_nk=self.gamma_nk[: n_order + 1, : n_order + 1].copy())
+        return _table(n_order, self.gamma_nk[: n_order + 1, : n_order + 1].copy())
+
+
+def _table(order: int, gamma_nk: np.ndarray) -> GrunskyTable:
+    """The one factory of :class:`GrunskyTable`, past the constructor's gate."""
+    t = object.__new__(GrunskyTable)
+    vars(t).update(order=order, gamma_nk=gamma_nk)
+    return t
 
 
 def _table_order(g: SigmaFunction, n_order) -> int:
@@ -172,8 +190,8 @@ def grunsky_matrix(g: SigmaFunction, n_order: int) -> GrunskyTable:
     if span <= 1:  # diagonal: gamma_kk = b_1^k / k
         diag = np.zeros((n_order + 1, n_order + 1), dtype=np.complex128)
         k = np.arange(1, n_order + 1)
-        diag[k, k] = np.cumprod(np.full(n_order, b[1])) / k
-        return GrunskyTable(order=n_order, gamma_nk=diag)
+        diag[k, k] = _powers(b[1], n_order + 1)[1:] / k
+        return _table(n_order, diag)
     gam = np.zeros((n_order + 1, width), dtype=np.complex128)
     gam[1, 1:] = b[1:]
     for n in range(1, n_order):
@@ -186,7 +204,7 @@ def grunsky_matrix(g: SigmaFunction, n_order: int) -> GrunskyTable:
             + n * np.convolve(b[: min(span, top - 1) + 1], gam[n, :top])[1:top]
             - weights @ gam[low:n, 1:top]
         ) / (n + 1)
-    return GrunskyTable(order=n_order, gamma_nk=gam[:, : n_order + 1].copy())
+    return _table(n_order, gam[:, : n_order + 1].copy())
 
 
 def grunsky_matrix_direct(g: SigmaFunction, n_order: int) -> GrunskyTable:
@@ -218,7 +236,7 @@ def grunsky_matrix_direct(g: SigmaFunction, n_order: int) -> GrunskyTable:
     for m in range(1, n_order + 1):
         total += power / m
         power = bivar_mul(power, b_mat)
-    return GrunskyTable(order=n_order, gamma_nk=total)
+    return _table(n_order, total)
 
 
 def strong_grunsky_norm(t: GrunskyTable) -> float:

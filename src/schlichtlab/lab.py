@@ -342,10 +342,10 @@ def _ratio_grid(cfg: ScenarioConfig, members, alphas, widths):
     return ms, d, rows, summary, (tail_n, tail_sup)
 
 
-def _tail_at_cutoff(cfg: ScenarioConfig, tail_n, tail_sup) -> tuple:
-    """The tail supremum at the scenario's cutoff, and tail_sup_non_increasing."""
+def _tail_at_cutoff(cfg: ScenarioConfig, tail_n, tail_sup) -> float:
+    """The tail supremum at the scenario's cutoff."""
     cut = int(cfg.tolerances[SCENARIOS[cfg.scenario].cutoff])
-    return float(tail_sup[tail_n == cut][0]), bool(np.all(np.diff(tail_sup) <= 1e-12))
+    return float(tail_sup[tail_n == cut][0])
 
 
 def _diagonal_cells(cfg: ScenarioConfig) -> range:
@@ -371,7 +371,6 @@ def _run_counterexample(cfg: ScenarioConfig) -> ScenarioReport:
         "diagonal_above_e_inv_floor": min(diag[m] for m in _diagonal_cells(cfg))
                                       > tol["diagonal_floor"],
         "rows_vanish_in_n": float(np.max(d[:, -1])) <= tol["row_vanish"],
-        "corner_m_dominates_near_one": float(d[-1, 0]) >= 0.9,
         "corner_n_dominates_near_zero": float(d[0, -1]) <= tol["row_vanish"],
     }
     return ScenarioReport("counterexample", rows, summary, _provenance(cfg))
@@ -383,7 +382,7 @@ def _run_theorem1(cfg: ScenarioConfig) -> ScenarioReport:
     members = _build_members(cfg, lambda m: families.dilated(base, 1.0 - 1.0 / m))
     zeros = [0.0] * len(members)  # bounded image: slow growth
     ms, _, rows, summary, tail = _ratio_grid(cfg, members, zeros, zeros)
-    at_cut, non_increasing = _tail_at_cutoff(cfg, *tail)
+    at_cut = _tail_at_cutoff(cfg, *tail)
 
     # deeper machinery: the weighted-mean harness over the boundary-mean rows
     rows_b = np.array([logmilin.boundary_mean_coeffs(f) for f in members])
@@ -398,7 +397,6 @@ def _run_theorem1(cfg: ScenarioConfig) -> ScenarioReport:
     }
     summary["flags"] = {
         "uniform_tail_bound": at_cut <= tol["tail_bound"],
-        "tail_sup_non_increasing": non_increasing,
         "tauber_hypothesis_iii": harness.iii_bounded,
         "abel_uniform_gap_small": harness.uniform_gap <= 0.02,
     }
@@ -415,11 +413,10 @@ def _run_theorem2(cfg: ScenarioConfig) -> ScenarioReport:
         _annotate(exc, f"{cfg.m_range[0]}..{cfg.m_range[1]}")
     widths = [h.bracket_width for h in ests]
     _, _, rows, summary, tail = _ratio_grid(cfg, members, [h.alpha for h in ests], widths)
-    at_cut, non_increasing = _tail_at_cutoff(cfg, *tail)
+    at_cut = _tail_at_cutoff(cfg, *tail)
     allowance = tol["simultaneous_tail_bound"] + max(widths)
     summary["tail_allowance"] = allowance
     summary["flags"] = {
-        "tail_sup_non_increasing": non_increasing,
         "simultaneous_tail_bound": at_cut <= allowance,
     }
     return ScenarioReport("theorem2", rows, summary, _provenance(cfg))

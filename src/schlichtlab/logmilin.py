@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAlpha, InvalidParameter, QuadratureUnconverged
-from .families import SchlichtFunction, batch, max_modulus, radius_grid
+from .families import SchlichtFunction, _powers, batch, max_modulus, radius_grid
 from .series import (ComplexSeries, coefficient_array, finite_parameter, integer_parameter,
-                     require_instance)
+                     numeric_array, require_instance)
 
 #: numeric bound for Milin's constant used by the partial-sum check
 MILIN_CONSTANT_BOUND = 0.312
@@ -77,7 +77,7 @@ def log_data(f: SchlichtFunction) -> LogData:
     A member with a pair (beta, rho) has log(f(z)/z) = log(1 - rho z)
     - 2 log(1 - beta z), so gamma_k = (beta^k - rho^k / 2) / k for
     k = 1..N-1, N the series order, with no series logarithm.  The powers
-    are two running products (``np.cumprod``), each within about
+    are two running products (:func:`families._powers`), each within about
     1.2 (k-1) machine epsilons of the exact beta^k and rho^k of the
     doubles (sqrt(5)/2 epsilons per complex product); halving is exact,
     and the difference and the division by k round once each.  So gamma_k
@@ -95,8 +95,7 @@ def log_data(f: SchlichtFunction) -> LogData:
     if f.has_closed_form:
         beta, rho = f.beta_rho
         gamma = np.zeros(m + 1, dtype=np.complex128)
-        gamma[1:] = (np.cumprod(np.full(m, beta, dtype=np.complex128))
-                     - 0.5 * np.cumprod(np.full(m, rho, dtype=np.complex128))) / np.arange(1, m + 1)
+        gamma[1:] = (_powers(beta, m + 1)[1:] - 0.5 * _powers(rho, m + 1)[1:]) / np.arange(1, m + 1)
     else:
         gamma = 0.5 * ComplexSeries(a[1:]).log().coeffs  # f(z)/z, constant term 1
         gamma[0] = 0.0
@@ -335,10 +334,10 @@ def coefficient_functionals(f: SchlichtFunction, n):
     """
     require_instance(f, SchlichtFunction, "coefficient_functionals")
     many = isinstance(n, np.ndarray) and n.ndim > 0
-    if many and not (n.ndim == 1 and n.size and n.dtype.kind in "iu"):
-        raise InvalidParameter("n must be an integer or a non-empty 1-D integer array")
     # int64, so 2n - 1 and (n-1)^2 do not wrap in a narrower dtype
-    ns = n.astype(np.int64) if many else integer_parameter(n, "n")
+    ns = numeric_array(n, "n", 1, "iu").astype(np.int64) if many else integer_parameter(n, "n")
+    if np.size(ns) == 0:
+        raise InvalidParameter("n must be an integer or a non-empty 1-D integer array")
     if np.min(ns) < 1 or np.max(ns) > (f.order + 1) // 2:
         raise InvalidParameter("need n >= 1 with 2n - 1 within the series order")
     a = f.series.coeffs

@@ -26,7 +26,8 @@ point of the lab checks its inputs against, each check raising
 * :func:`finite_parameter`, one finite real or complex number;
 * :func:`integer_parameter`, one integer within optional bounds;
 * :func:`numeric_array`, an array of a numeric dtype (not bool, str or
-  object) and of a given number of dimensions, and
+  object; real or integer where asked) and of a given number of
+  dimensions, and
   :func:`coefficient_array`, such a vector as finite complex coefficients;
 * :func:`evaluation_point`, a number or a numeric array;
 * :func:`require_instance`, an object of one class, and
@@ -134,14 +135,16 @@ def array_parameter(values, name: str) -> np.ndarray:
         raise InvalidParameter(f"{name} must be a regular array, not a ragged nest") from None
 
 
-def numeric_array(values, name: str, ndim: int = 1) -> np.ndarray:
+def numeric_array(values, name: str, ndim: int = 1, kinds: str = "iufc") -> np.ndarray:
     """``values`` as an ``ndim``-dimensional array of ints, floats or complex
-    numbers, unconverted; a ragged nest, another shape and a bool, string
+    numbers, unconverted; a ragged nest, another shape, a dtype kind outside
+    ``kinds`` (``"iuf"`` real numbers, ``"iu"`` integers) and a bool, string
     or object array (an int beyond int64 makes one) raise
     :class:`InvalidParameter`.  One dtype test, no scan of the elements."""
     arr = array_parameter(values, name)
-    if arr.dtype.kind not in "iufc" or arr.ndim != ndim:
-        raise InvalidParameter(f"{name} must be a {ndim}-D array of numbers")
+    if arr.dtype.kind not in kinds or arr.ndim != ndim:
+        what = {"iuf": "real numbers", "iu": "integers"}.get(kinds, "numbers")
+        raise InvalidParameter(f"{name} must be a {ndim}-D array of {what}")
     return arr
 
 
@@ -204,6 +207,10 @@ class ComplexSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexSeries is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the coefficients, not by setting the slot
+        return ComplexSeries, (self.coeffs,)
 
     @property
     def order(self) -> int:

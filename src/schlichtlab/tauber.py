@@ -114,8 +114,8 @@ class TauberHarnessReport:
 
 def _m_values(m_values, count: int) -> np.ndarray:
     """``m_values`` as ``count`` strictly increasing ints, one per row."""
-    m_values = numeric_array(m_values, "m_values")
-    if m_values.dtype.kind not in "iu" or len(m_values) != count:
+    m_values = numeric_array(m_values, "m_values", 1, "iu")
+    if len(m_values) != count:
         raise InvalidParameter("need one integer m value per row")
     if np.any(np.diff(m_values) <= 0):
         raise InvalidParameter("m_values must be strictly increasing")
@@ -140,8 +140,8 @@ def tail_supremum(d: np.ndarray, m_values: np.ndarray):
     strictly (the rule :class:`DoubleFamily` enforces).  Returns
     (N_grid, sup array); see :class:`TauberHarnessReport`.
     """
-    d = numeric_array(d, "the surface", 2)
-    if d.size == 0 or d.dtype.kind == "c":
+    d = numeric_array(d, "the surface", 2, "iuf")
+    if d.size == 0:
         raise InvalidParameter("the surface must be a non-empty real 2-D array")
     m_values = _m_values(m_values, d.shape[0])
     max_m = int(m_values[-1])

@@ -4,7 +4,8 @@
 and ``bench/worker.py`` calls single layers by name, so a rename in the
 package would break a traced benchmark run without failing any other test.
 The traced round also calls ``cli.main`` and reads its exit code and lines,
-which is pinned here too.  The benchmark files are read here, never changed.
+which is pinned here too, and every config ``bench/workloads.py`` draws must
+load.  The benchmark files are read here, never changed.
 """
 
 import contextlib
@@ -28,6 +29,13 @@ def _tracer():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def _tracer_layers() -> dict:
@@ -114,3 +122,20 @@ def test_bad_config_raises_only_outside_standalone_mode(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert exit_info.value.code == 1 and out == ""
     assert err.startswith("Error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("tiny", [
+    False,
+    pytest.param(True, marks=pytest.mark.xfail(strict=True, reason="ROADMAP 0a")),
+], ids=["full", "tiny"])
+def test_every_workload_config_loads(tiny):
+    # the --tiny grids keep the default cutoffs, which lie off their tail grids
+    workloads, refused = _workloads(), []
+    for name in workloads.NAMES:
+        for seed in range(40):
+            for data in workloads.scenario_configs(name, seed, tiny):
+                try:
+                    lab.ScenarioConfig.from_dict(data)
+                except ConfigError as exc:
+                    refused.append(f"{name} seed {seed} {data['scenario']}: {exc}")
+    assert not refused, f"{len(refused)} configs refused, the first: {refused[0]}"

@@ -1,6 +1,8 @@
 import cmath
+import copy
 import inspect
 import math
+import pickle
 import re
 import warnings
 
@@ -12,6 +14,7 @@ from schlichtlab.families import (
     CIRCLE_GRID,
     KIND_PARAMETERS,
     MAX_ORDER,
+    SchlichtFunction,
     SigmaFunction,
     dilated,
     eval_certified,
@@ -134,6 +137,36 @@ class TestConstruction:
         bad[5] = 7.0  # |a_5| > 5
         with pytest.raises(InvalidParameter):
             make_schlicht("custom", {"coeffs": bad}, order=8)
+
+
+COPIERS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda f: pickle.loads(pickle.dumps(f))}
+COPIED = {
+    "transform": make_schlicht("koebe_transform", {"w": TRANSFORM_W}, order=16),
+    "rotated dilation": rotated(make_schlicht("dilation", {"r": 0.5}, order=16), 0.3),
+    "custom": make_schlicht("custom", {"coeffs": [-1e-13, 1.0, 0.5]}, order=2),
+}
+
+
+class TestBuiltMembers:
+    @pytest.mark.parametrize("copier", sorted(COPIERS))
+    @pytest.mark.parametrize("name", sorted(COPIED))
+    def test_a_copy_is_the_member(self, name, copier):
+        # a copy or an unpickled member skips the constructor's gate: it is a builder's member
+        f = COPIED[name]
+        g = COPIERS[copier](f)
+        assert type(g) is SchlichtFunction
+        assert (g.kind, g.params, g.beta_rho) == (f.kind, f.params, f.beta_rho)
+        np.testing.assert_array_equal(g.series.coeffs, f.series.coeffs)
+        assert not g.series.coeffs.flags.writeable
+        assert g.value(0.3) == f.value(0.3)
+
+    def test_custom_keeps_its_a0_and_the_scalings_zero_it(self):
+        f = COPIED["custom"]
+        assert f.series.coeffs[0] == -1e-13
+        for g in (rotated(f, 2.5), dilated(f, 0.5)):
+            a0 = g.series.coeffs[0]
+            assert a0 == 0.0 and not np.signbit(a0.real) and not np.signbit(a0.imag)
 
 
 class TestInversion:

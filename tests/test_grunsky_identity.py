@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from schlichtlab.families import SigmaFunction, invert_to_sigma, make_schlicht
-from schlichtlab.grunsky import GrunskyTable, grunsky_matrix
+from schlichtlab.grunsky import grunsky_matrix
 
 from conftest import TRANSFORM_W, inverted_members
 
@@ -65,7 +65,8 @@ def reference_grunsky_matrix(g: SigmaFunction, n_order: int) -> np.ndarray:
 
 def assert_agrees(g: SigmaFunction, n_order: int):
     got = grunsky_matrix(g, n_order).weighted()
-    ref = GrunskyTable(n_order, reference_grunsky_matrix(g, n_order)).weighted()
+    n = np.arange(1, n_order + 1, dtype=float)
+    ref = np.sqrt(np.outer(n, n)) * reference_grunsky_matrix(g, n_order)[1:, 1:]
     scale = max(1.0, float(np.max(np.abs(ref))))
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 

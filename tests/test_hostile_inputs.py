@@ -22,16 +22,19 @@ bool or object array for an array parameter, raise InvalidParameter and are
 never taken as numbers.
 
 Scope.  A wrong kind of object is in scope wherever a caller passes it
-(README, numerical-policy paragraph).  The result records
-(``HaymanEstimate``, ``LogData``, ``TauberHarnessReport``,
-``ScenarioReport``) and the objects only the library's own builders make
-(``SchlichtFunction`` by ``make_schlicht``, ``rotated`` and ``dilated``;
-``GrunskyTable`` by ``grunsky_matrix``) are not: their constructors store
-what they are given, unchecked, so ``HaymanEstimate(None, None, None)
-.bracket_width`` raises ``TypeError``.  Their methods are in scope, called
-on objects the library built.
+(README, numerical-policy paragraph).  The objects only the library's own
+builders make (``SchlichtFunction`` by ``make_schlicht``, ``rotated`` and
+``dilated``; ``GrunskyTable`` by ``grunsky_matrix``, ``grunsky_matrix_direct``
+and ``GrunskyTable.section``) refuse a direct call and a
+``dataclasses.replace`` with ``InvalidParameter``, whatever the arguments.
+The result records (``HaymanEstimate``, ``LogData``,
+``TauberHarnessReport``, ``ScenarioReport``) are out of scope: their
+constructors store what they are given, unchecked, so
+``HaymanEstimate(None, None, None).bracket_width`` raises ``TypeError``.
+Every method is in scope, called on objects the library built.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -42,16 +45,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schlichtlab
-from schlichtlab import (ComplexSeries, DoubleFamily, ScenarioConfig, SigmaFunction,
-                         bazilevich_equality_residual, bazilevich_gap, cesaro_mean,
-                         coefficient_functionals, compose, default_schedule, deriv_certified,
-                         dilated, euler_bracket, eval_certified, export_report,
-                         full_mapping_defect, fullness_defect, growth_direction, growth_profile,
-                         grunsky_matrix, grunsky_matrix_direct, hayman_index, invert_to_sigma,
-                         lebedev_milin_check, log_data, make_schlicht, max_modulus, milin_check,
-                         prawitz_check, rotated, run_scenario, simultaneous_tauber_harness,
-                         standard_corpus, strong_grunsky_norm, tauber_decomposition_check,
-                         weighted_mean)
+from schlichtlab import (ComplexSeries, DoubleFamily, GrunskyTable, ScenarioConfig,
+                         SchlichtFunction, SigmaFunction, bazilevich_equality_residual,
+                         bazilevich_gap, cesaro_mean, coefficient_functionals, compose,
+                         default_schedule, deriv_certified, dilated, euler_bracket, eval_certified,
+                         export_report, full_mapping_defect, fullness_defect, growth_direction,
+                         growth_profile, grunsky_matrix, grunsky_matrix_direct, hayman_index,
+                         invert_to_sigma, lebedev_milin_check, log_data, make_schlicht, max_modulus,
+                         milin_check, prawitz_check, rotated, run_scenario,
+                         simultaneous_tauber_harness, standard_corpus, strong_grunsky_norm,
+                         tauber_decomposition_check, weighted_mean)
 from schlichtlab import families, grunsky, lab, logmilin, tauber
 from schlichtlab.errors import InvalidParameter, SchlichtLabError
 
@@ -195,8 +198,8 @@ def in_scratch_dir(tmp_path, monkeypatch):
 
 def test_every_public_name_is_called():
     called = {name.split(".")[0] for name in (*CALLS, *NO_ARGUMENTS)}
-    unchecked_constructors = {"HaymanEstimate", "LogData", "GrunskyTable", "ScenarioReport",
-                              "TauberHarnessReport", "SchlichtFunction"}
+    unchecked_constructors = {"HaymanEstimate", "LogData", "ScenarioReport",
+                              "TauberHarnessReport"}
     assert set(schlichtlab.__all__) - {"errors"} <= called | unchecked_constructors
 
 
@@ -239,6 +242,46 @@ hostile_values = st.one_of(
 def test_hostile_argument_property(name, data):
     position = data.draw(st.integers(0, len(ALL_CALLS[name][1]) - 1))
     _call(name, position, data.draw(hostile_values))
+
+
+# -- only the builders make a member or a Grunsky table ---------------------------
+
+# each gated type, with an object of it that a builder made
+BUILT = {"SchlichtFunction": F, "GrunskyTable": TABLE}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_direct_construction_raises(name, data):
+    # any arguments, the built object's own fields among them, and any replaced fields
+    built = BUILT[name]
+    fields = [field.name for field in dataclasses.fields(built)]
+    values = {field: data.draw(st.one_of(st.just(getattr(built, field)), hostile_values))
+              for field in fields}
+    changes = {field: value for field, value in values.items() if data.draw(st.booleans())}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter):
+            type(built)(**values)
+        with pytest.raises(InvalidParameter):
+            dataclasses.replace(built, **changes)
+
+
+def test_a_hand_built_pair_is_refused():
+    # this Koebe series with the pair (2, 0) read value(0.25) = 1.0 against the
+    # series' 0.444, and hayman_index certified 3.4e-13 and 3.7e-9 for index 1
+    k = make_schlicht("koebe", order=16)
+    with pytest.raises(InvalidParameter):
+        SchlichtFunction(k.series, "koebe", {}, (2.0, 0.0))
+    with pytest.raises(InvalidParameter):
+        dataclasses.replace(k, beta_rho=(2.0, 0.0))
+
+
+def test_a_hand_built_grunsky_table_is_refused():
+    # this table read a strong Grunsky norm of 0.0
+    with pytest.raises(InvalidParameter):
+        GrunskyTable(3, np.zeros((2, 2)))
 
 
 # -- one definition of a number ------------------------------------------------

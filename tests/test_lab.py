@@ -643,7 +643,7 @@ class TestTheorem2:
         rep = run_scenario(cfg)
         ts = np.asarray(rep.summary["tail_sup"])
         assert np.all(np.diff(ts) <= 1e-12)
-        assert rep.summary["flags"]["tail_sup_non_increasing"]
+        assert rep.summary["flags"] == {"simultaneous_tail_bound": True}
         assert max(rep.summary["bracket_widths"]) < 1e-6
 
 

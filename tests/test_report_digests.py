@@ -78,33 +78,33 @@ DIGESTS = {
     "audit_grunsky-3/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-3/zalcman_scan.json": "40e40d5c00ff8ae75ce2c0d864054afc11861b97d17454118bc8e60c670a7b12",
     "growth_index-1/theorem2.csv": "ac811e38c4ad3f8486bae67f749479d65345379e0bc687991fd5975295e9003d",
-    "growth_index-1/theorem2.json": "97ba992bb9a2f991441be2ead38573ed9ae4fbad3b8a478a03951210ebd30efe",
+    "growth_index-1/theorem2.json": "40aff9b4999010f42c0f976b92b035bad6e437f975f928d20247d203c84bcb03",
     "growth_index-2/theorem2.csv": "924980045476136e87ec9a750a9a77bbc6f2cb75609cccbdd43dea39eec403a8",
-    "growth_index-2/theorem2.json": "1819e9f5cd0e0c0b95b46a17f7a6efaf9629e571a6a564761b68ab1c4b5f80fc",
+    "growth_index-2/theorem2.json": "8e06825f7a14c09ff093c2439ba2bbabe4e2ac1f086b944a698d3c35bc2a4da9",
     "growth_index-3/theorem2.csv": "869390ccf3a3393e02c9699dd3751492c0a8b1f4931be8bb255998704e9c069c",
-    "growth_index-3/theorem2.json": "b483c4b36620ea6cfac1e4d28a19fd8a81f9de3223530c8b77f7cde7a7f27058",
+    "growth_index-3/theorem2.json": "ecd26442c209f2e467654c35449897941926e6e1452e7229a2b2eda31d6a94d4",
     "readme/counterexample.csv": "404e4a459dc2a1f0ea2c86295dcf9466aa4b97df1e5a9ea6d69a70b60b36e853",
-    "readme/counterexample.json": "2b2bcfb32bd90791904cf5c9c1e294edcb7267a7848034e56e5f2cc319b7bb53",
+    "readme/counterexample.json": "7bae6c5abfa5a35948012beba7a270fdaae00a144ea82723c43a16e52c11755e",
     "readme/inequality_audit.csv": "06e85da7aabadad9ba058b1fdf43b221cce34c9aa8462d03a69d83a09fdfcac6",
     "readme/inequality_audit.json": "d0bd95d9946a21861b33217936af739d714711d1168733ab60f5da117458162a",
     "readme/theorem1.csv": "5243e58b45071e040328ce61f37edfa85fddf9c070c7489df03490a896766ca2",
-    "readme/theorem1.json": "1a7df35d9c0ef15806dccba8c66186cd372f83cd5bf5028a587d06eabc487272",
+    "readme/theorem1.json": "326aec60db2c785ee0a99748b1b1e61e5e3f43c672e254aa5a6ad0971e5588be",
     "readme/theorem2.csv": "33f4df1a28d62a491adb1a712759b5ceeb34757bb3b24ba93036744135b1ec6f",
-    "readme/theorem2.json": "b1b4eba5a9f9ff12bcaec01412209386ff94342dd580e58fb3d575cdf4750d40",
+    "readme/theorem2.json": "1d782d9fe64c0885af1e778b17bad24aba3078c48d0369efb0b220fc56d42332",
     "readme/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "readme/zalcman_scan.json": "40e40d5c00ff8ae75ce2c0d864054afc11861b97d17454118bc8e60c670a7b12",
     "report_grid-1/counterexample.csv": "91d993cff0c8cbbe3efdbd8c6199a329f16e32b5a9aef6cdc217c7f14537e40e",
-    "report_grid-1/counterexample.json": "808d79587231da3018da611ccfd82e7f87b21bd68168240eac9f983200cb57e6",
+    "report_grid-1/counterexample.json": "051bc7cefa98e111fdfcbcfc46c49775c588c354cdf7b63bf95932c9da3cf508",
     "report_grid-1/theorem1.csv": "1bcdd3b1984598d5a2ae7dffeae5bdcfc71933ed466ab9e6cdbca2c7a65e9efe",
-    "report_grid-1/theorem1.json": "85e5dd039ea97ffb0259f748e822684b1ffda84ec6ca3fa6dc62b2afe5e89a33",
+    "report_grid-1/theorem1.json": "cdca426e6f2b175b91c66471c9599009cc16425a22466f31aec5fd7798cd9932",
     "report_grid-2/counterexample.csv": "5c74664759d3783f0f3c6588b28c9373562978563a276f3d5a22ca75121bca15",
-    "report_grid-2/counterexample.json": "d493263d73bb63d7e118f186f5b89d8fb9fa0c15521fa147f607afa99ffc5fd3",
+    "report_grid-2/counterexample.json": "495970c06dc3a407ff54770e6b559ce46ed105af4910cc3e582e83ce7bfeff9a",
     "report_grid-2/theorem1.csv": "ea1e03d121d255c74482a9f3bc8ba7f7e7a72dc9af291905f549fbdf9466eb4c",
-    "report_grid-2/theorem1.json": "c6792257167750b15bf0db27cd16a079a73826300b92f92f76973d770d12e196",
+    "report_grid-2/theorem1.json": "9d0b0db94b4ce4f6f50b0bce68ea4912b682e97f8e1e5d451977a06abfc13053",
     "report_grid-3/counterexample.csv": "da288ed6c805b9be09ee686ca3455b43fb9e133974ca2861f6add3ad8f702bc3",
-    "report_grid-3/counterexample.json": "14d7360bb31d5ca030b0e690ee752cedd21a6865507e03c99b673b06014ec023",
+    "report_grid-3/counterexample.json": "48cc06b6866341fae4f412cf7231dd38f8b02ce25331b4914de6fc0818bce22a",
     "report_grid-3/theorem1.csv": "d9bef195a07cdcdebaf7e672bcd3425a4dd5eafc47712bb18fb41b9119d9791b",
-    "report_grid-3/theorem1.json": "7559e8267944fb2c967602bc989fa9e790f2451cbb766ea4b229aa9f26538584",
+    "report_grid-3/theorem1.json": "3c3f1bdaffe841fa3ad70bcee06b9c8bf75438b50ad154accd6cd0c1c6daea24",
 }
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -42,6 +44,17 @@ class TestArith:
         a = ComplexSeries([1.0, 0.3, -0.2, 0.1, 0.05])
         b = ComplexSeries([2.0, -1.0, 0.5, 0.25, -0.125])
         np.testing.assert_allclose(((a * b) / b).coeffs, a.coeffs, atol=1e-14)
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                     lambda s: pickle.loads(pickle.dumps(s))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_series_copies_and_pickles(copier):
+    s = ComplexSeries([0, 1, 2])
+    t = copier(s)
+    assert type(t) is ComplexSeries
+    np.testing.assert_array_equal(t.coeffs, s.coeffs)
+    assert not t.coeffs.flags.writeable
 
 
 class TestTranscend:
