@@ -10,7 +10,7 @@ map ``f(z) = z(1 - rho z)/(1 - beta z)^2`` for a pair (beta, rho)
 (Pommerenke, *Univalent Functions*, 1975, ch. 1).  The Koebe map (1, 0),
 the half-plane map (1, 1) and the transforms take their series from their
 pair, ``a_n = beta^{n-2} (n beta - (n-1) rho)``, the powers by one running
-product (:func:`_pair_member` bounds the rounding); a rotation by ``phi``
+product (:func:`_pair_window` bounds the rounding); a rotation by ``phi``
 multiplies the pair by the unit ``e^{i phi}`` and a_n by its powers, a
 dilation by ``r`` multiplies the pair by ``r`` and a_n by ``r^{n-1}``.
 The rotation and dilation kinds are the Koebe map rotated or dilated.  A
@@ -18,15 +18,29 @@ closed-form member stores its pair, and one evaluator gives its values and
 derivatives, so boundary-near evaluation stays honest; the pair also gives
 its growth class (:attr:`SchlichtFunction.maximal_growth`).  Series-only
 maps (``custom``) carry no pair and are evaluated from their partial
-sums.  ``max_modulus`` searches the circles of a whole batch of
-members at once, each lane evaluating its own pair through that same
-evaluator; on a closed form's inner circles its grid stage evaluates only
-the arc of cells that a bound on |f| leaves able to hold the maximum.
+sums.
 
-One private factory, :func:`_member`, makes every member, called by the
-builders alone (:func:`make_schlicht`, :func:`rotated`, :func:`dilated`);
+Members are built a window at a time: :func:`_transforms` and
+:func:`_dilations` give one member per parameter, the coefficients of all
+of them one 2-D block, a running product along its rows or one power
+table, checked whole and made read-only; each member's series is a row of
+the block, a view.  A single member is a window of one row, built by the
+same code.  One private factory, :func:`_member`, makes every member from
+such a row, called through :func:`_window` by the builders alone
+(:func:`make_schlicht`, :func:`rotated`, :func:`dilated` and the two
+window builders); a caller's coefficients reach it only as a copy, and
 :class:`SchlichtFunction` refuses a direct call, so no member carries a
 pair that is not its series' pair.
+
+``max_modulus`` searches the circles of a whole batch of members at once,
+in a number of array evaluations that does not grow with the batch but
+on its last circle.  One (members x radii) broadcast gives the reference
+cell of every inner circle; one flat array holds the arcs of cells that a
+bound on |f| leaves able to hold each inner circle's maximum, each
+member's pair repeated over its cells; each golden-section step evaluates
+every lane at once.  The last circle, searched whole, is one evaluation
+per member, so it holds one circle's memory at a time.  A series-only
+member, a batch of one, is evaluated by its partial sums throughout.
 
 ``invert_to_sigma`` passes from a normalized map ``f`` on the disk to the
 exterior map ``g(z) = 1/f(1/z) = z + b0 + b1/z + ...``; the exterior
@@ -60,6 +74,8 @@ _BASE_PAIRS = {"koebe": (1.0, 0.0), "halfplane": (1.0, 1.0)}
 _NORM_TOL = 1e-12
 _UNIT_TOL = 4.0 * np.finfo(float).eps  # |beta| = 1 to 4 ulps: maximal growth
 _COEFF_SLACK = 1e-9  # |a_n| <= n + slack, used as a corpus sanity gate
+# the bound of each coefficient's column: |a_0|, |a_1 - 1| <= _NORM_TOL, |a_n| <= n + slack
+_BOUNDS = np.concatenate(([_NORM_TOL, _NORM_TOL], np.arange(2, MAX_ORDER + 1) + _COEFF_SLACK))
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -122,15 +138,19 @@ class SchlichtFunction:
     ``np.complex128`` for a scalar point.
 
     Only the builders make one (:func:`make_schlicht`, :func:`rotated`,
-    :func:`dilated`, all through :func:`_member`), so a member's pair is
-    its series' pair; a direct call, and so ``dataclasses.replace``, raises
-    :class:`InvalidParameter`.
+    :func:`dilated` and the window builders, all through :func:`_member`),
+    so a member's pair is its series' pair; a direct call, and so
+    ``dataclasses.replace``, raises :class:`InvalidParameter`.  Two members
+    are equal when their series (coefficient arrays), kinds, params and
+    pairs are, so a copy equals its original; a member does not hash.
     """
 
     series: ComplexSeries
     kind: str
     params: dict
     beta_rho: Optional[tuple] = None
+
+    __hash__ = None  # the params dict does not hash; say so under the class's name
 
     def __post_init__(self):
         raise InvalidParameter("a SchlichtFunction is built by make_schlicht, rotated or "
@@ -194,15 +214,32 @@ class SchlichtFunction:
         return f"{self.kind}({bits})" if bits else self.kind
 
 
-def _member(coeffs, kind: str, params: dict, pair) -> SchlichtFunction:
+def _member(coeffs: np.ndarray, kind: str, params: dict, pair) -> SchlichtFunction:
     """The one factory of :class:`SchlichtFunction`: the member with the
-    series of ``coeffs`` (a_0 .. a_N, copied once by :class:`ComplexSeries`)
-    and the pair ``pair``, or None for a series-only map.  It passes by the
-    constructor's gate, so each caller gives a pair whose series is
-    ``coeffs``."""
+    series of ``coeffs`` (a_0 .. a_N) and the pair ``pair``, or None for a
+    series-only map.  ``coeffs`` is a row of a block that :func:`_window`
+    checked and made read-only, taken as it is; a caller's array reaches it
+    only as a copy.  It passes by the constructor's gate, so each builder
+    gives a pair whose series is ``coeffs``."""
     f = object.__new__(SchlichtFunction)
-    vars(f).update(series=ComplexSeries(coeffs), kind=kind, params=params, beta_rho=pair)
+    # one attribute at a time: Python 3.11 then keeps the values inline and
+    # makes no instance dict, which a freed member would leave on a free list
+    object.__setattr__(f, "series", ComplexSeries._of(coeffs))
+    object.__setattr__(f, "kind", kind)
+    object.__setattr__(f, "params", params)
+    object.__setattr__(f, "beta_rho", pair)
     return f
+
+
+def _window(block: np.ndarray, kind: str, params: list, pairs: list) -> list:
+    """The members of the rows of ``block``, a 2-D complex128 array that no
+    caller holds: checked whole (:func:`_check_class_s`), made read-only,
+    and row i made the series of a ``kind`` member with ``params[i]`` and
+    ``pairs[i]`` by :func:`_member`.  Every builder ends here, a single
+    member as a block of one row."""
+    _check_class_s(block, kind)
+    block.setflags(write=False)
+    return [_member(row, kind, p, pair) for row, p, pair in zip(block, params, pairs)]
 
 
 @dataclass(frozen=True)
@@ -224,16 +261,21 @@ class SigmaFunction:
         object.__setattr__(self, "order", order)
 
 
-def _check_class_s(coeffs: np.ndarray, what: str) -> None:
-    if abs(coeffs[0]) > _NORM_TOL or abs(coeffs[1] - 1.0) > _NORM_TOL:
+def _check_class_s(block: np.ndarray, kind: str) -> None:
+    """Raise :class:`InvalidParameter` for the first row of ``block`` that
+    is not normalized (a_0 = 0, a_1 = 1) or breaks |a_n| <= n + slack,
+    naming its first such coefficient.  One comparison with the column
+    bounds tests the whole block; a NaN or an infinity fails it too."""
+    size = np.abs(block)
+    size[:, 1] = np.abs(block[:, 1] - 1.0)
+    good = size <= _BOUNDS[: block.shape[1]]
+    if good.all():
+        return
+    i, j = divmod(int(good.argmin()), block.shape[1])
+    what = kind if len(block) == 1 else f"{kind} (row {i} of its window)"
+    if j < 2:
         raise InvalidParameter(f"{what}: series is not normalized (a0=0, a1=1)")
-    n = np.arange(len(coeffs))
-    bad = np.abs(coeffs[2:]) > n[2:] + _COEFF_SLACK
-    if np.any(bad):
-        j = int(np.argmax(bad)) + 2
-        raise InvalidParameter(
-            f"{what}: |a_{j}| = {abs(coeffs[j]):.6g} exceeds the coefficient bound {j}"
-        )
+    raise InvalidParameter(f"{what}: |a_{j}| = {size[i, j]:.6g} exceeds the coefficient bound {j}")
 
 
 def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) -> SchlichtFunction:
@@ -252,8 +294,9 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
                                rho = (w-conj(w))/(1-w^2)
       * ``custom``          -- ``coeffs``: explicit coefficient array (series only)
 
-    Every kind but ``custom`` takes its series from its pair, through
-    :func:`rotated` and :func:`dilated` for the rotation and the dilation.
+    Every kind but ``custom`` takes its series from its pair, the rotation
+    and the dilation by the code of :func:`rotated` and :func:`dilated`,
+    each a block of one row (:func:`_window`), as a custom series is.
 
     An unknown kind, or a key of ``params`` the kind does not read, raises
     :class:`InvalidParameter` before anything is built.  ``order`` must be
@@ -272,29 +315,24 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
     order = integer_parameter(order, "order", 2, MAX_ORDER)
 
     if kind in _BASE_PAIRS:
-        return _pair_member(*_BASE_PAIRS[kind], order, kind, {})
+        return _pair_window([_BASE_PAIRS[kind]], order, kind, [{}])[1][0]
 
     if kind == "rotation":
         theta = finite_parameter(params.get("theta", 0.0), "rotation theta")
         return _rotated(make_schlicht("koebe", order=order), theta, kind, {"theta": theta})
 
     if kind == "dilation":
-        return dilated(make_schlicht("koebe", order=order), params.get("r"))
+        r = finite_parameter(params.get("r"), "dilation r")
+        return _dilations(make_schlicht("koebe", order=order), [r])[1][0]
 
     if kind == "koebe_transform":
         w = finite_parameter(params.get("w", 0.0), "koebe_transform w", complex)
-        if abs(w) >= 1.0:
-            raise InvalidParameter("koebe_transform needs |w| < 1")
-        # (k(phi) - k(w)) / ((1-|w|^2) k'(w)) with phi = (z+w)/(1+conj(w) z)
-        wc = w.conjugate()
-        return _pair_member((1.0 - wc) / (1.0 - w), (w - wc) / (1.0 - w * w), order, kind,
-                            {"w": w})
+        return _transforms([w], order)[1][0]
 
     coeffs = coefficient_array(params.get("coeffs"), "custom coeffs")
     if len(coeffs) != order + 1:
         raise InvalidParameter("custom needs a coefficient array of length order+1")
-    _check_class_s(coeffs, "custom")
-    return _member(coeffs, kind, {}, None)
+    return _window(coeffs[None], kind, [{}], [None])[0]
 
 
 def _powers(x, count: int) -> np.ndarray:
@@ -304,37 +342,67 @@ def _powers(x, count: int) -> np.ndarray:
     return powers
 
 
-def _pair_member(beta, rho, order: int, kind: str, params: dict) -> SchlichtFunction:
-    """The member ``z(1 - rho z)/(1 - beta z)^2`` of order ``order``, with
-    a_1 = 1 and a_n = beta^{n-2} (n beta - (n-1) rho) for n >= 2.
+def _transforms(ws, order: int) -> tuple:
+    """``(block, members)``: ``make_schlicht("koebe_transform", {"w": w},
+    order)`` for each complex ``w`` of ``ws``, each member's series a row
+    of the one block; any |w| >= 1 raises :class:`InvalidParameter`.
 
-    beta^{n-2} is a running product (:func:`_powers`), within about
-    1.2 (n-3) machine epsilons of the exact power of the double beta for
-    n >= 3 (sqrt(5)/2 epsilons per complex product), and exact for n = 2.
-    The factor n beta - (n-1) rho rounds its two products and the
-    difference: within eps/2 (n |beta| + (n-1) |rho|) + eps/2 |factor| of
-    the exact value, which is far more than eps |factor| when the two terms
-    cancel.  The last product rounds once more.  So, with
-    s_n = |beta|^{n-2} (n |beta| + (n-1) |rho|), a_n lies within about
+    The composite (k(phi) - k(w)) / ((1-|w|^2) k'(w)), phi = (z+w)/(1+conj(w) z),
+    is the pair member of beta = (1-conj(w))/(1-w), rho = (w-conj(w))/(1-w^2).
+    """
+    if any(abs(w) >= 1.0 for w in ws):
+        raise InvalidParameter("koebe_transform needs |w| < 1")
+    pairs = [((1.0 - w.conjugate()) / (1.0 - w), (w - w.conjugate()) / (1.0 - w * w)) for w in ws]
+    return _pair_window(pairs, order, "koebe_transform", [{"w": w} for w in ws])
+
+
+def _pair_window(pairs, order: int, kind: str, params: list) -> tuple:
+    """``(block, members)``: the members ``z(1 - rho z)/(1 - beta z)^2`` of
+    order ``order``, one per (beta, rho) of ``pairs``, as the rows of one
+    block: a_1 = 1 and a_n = beta^{n-2} (n beta - (n-1) rho) for n >= 2.
+
+    beta^{n-2} is a running product along each row (as :func:`_powers`
+    takes it), within about 1.2 (n-3) machine epsilons of the exact power
+    of the double beta for n >= 3 (sqrt(5)/2 epsilons per complex product),
+    and exact for n = 2.  The factor n beta - (n-1) rho rounds its two
+    products and the difference: within eps/2 (n |beta| + (n-1) |rho|) +
+    eps/2 |factor| of the exact value, which is far more than eps |factor|
+    when the two terms cancel.  The last product rounds once more.  So,
+    with s_n = |beta|^{n-2} (n |beta| + (n-1) |rho|), a_n lies within about
 
         eps ((1.2 (n-2) + 4) |a_n| + s_n / 2)
 
     of the exact value of the double pair, short of underflow.  The Koebe
     and half-plane maps (beta = 1) come out exact.  ``beta ** (n - 2)``,
     which numpy hands to libm's ``cpow`` from a power of 100 up, was off by
-    up to 430 eps relative at w = 0.99 e^{0.3i}.
+    up to 430 eps relative at w = 0.99 e^{0.3i}.  The products are ufunc
+    calls with the array operand first, whose bits do not depend on the
+    size of the block: numpy's product of a scalar and an array rounds
+    differently from that of the array and the scalar, and an operator on a
+    temporary of 16,384 entries or more can swap the two.
     """
+    beta, rho = np.array(pairs, dtype=np.complex128).T[:, :, None]
     n = np.arange(2, order + 1)
-    coeffs = np.concatenate(([0.0, 1.0], _powers(beta, order - 1) * (n * beta - (n - 1.0) * rho)))
-    _check_class_s(coeffs, kind)
-    return _member(coeffs, kind, params, (beta, rho))
+    block = np.empty((len(pairs), order + 1), dtype=np.complex128)
+    block[:, :3] = (0.0, 1.0, 1.0)  # a_0, a_1, and beta^0 for a_2
+    block[:, 3:] = beta.repeat(order - 2, axis=1).cumprod(axis=1)  # beta^1 .. beta^{N-2}
+    factor = np.multiply(n, beta)
+    np.subtract(factor, np.multiply(n - 1.0, rho), out=factor)
+    np.multiply(block[:, 2:], factor, out=block[:, 2:])
+    return block, _window(block, kind, params, pairs)
 
 
-def _scaled(f: SchlichtFunction, c, powers: np.ndarray, kind: str, params: dict):
-    """The member ``f(c z)/c`` as ``kind``: a_0 = 0, a_n powers[n-1] for
-    n >= 1 (powers[j] = c^j), and the pair (c beta, c rho) of a closed form."""
-    pair = None if f.beta_rho is None else (f.beta_rho[0] * c, f.beta_rho[1] * c)
-    return _member(np.concatenate(([0.0], f.series.coeffs[1:] * powers)), kind, params, pair)
+def _scaled(f: SchlichtFunction, scales: list, powers: np.ndarray, kind: str,
+            params: list) -> tuple:
+    """``(block, members)``: the members ``f(c z)/c`` of ``kind`` for each c
+    of ``scales``, row i with a_0 = 0 and a_n = a_n(f) powers[i, n-1] for
+    n >= 1 (powers[i, j] = c^j), and the pair (c beta, c rho) of a closed form."""
+    block = np.empty((len(scales), f.order + 1), dtype=np.complex128)
+    block[:, 0] = 0.0
+    np.multiply(f.series.coeffs[1:], powers, out=block[:, 1:])
+    pairs = [None if f.beta_rho is None else (f.beta_rho[0] * c, f.beta_rho[1] * c)
+             for c in scales]
+    return block, _window(block, kind, params, pairs)
 
 
 def rotated(f: SchlichtFunction, phi: float) -> SchlichtFunction:
@@ -355,21 +423,37 @@ def rotated(f: SchlichtFunction, phi: float) -> SchlichtFunction:
 def _rotated(f: SchlichtFunction, phi: float, kind: str, params: dict) -> SchlichtFunction:
     """``rotated(f, phi)``, a float ``phi``, as a member of ``kind`` with ``params``."""
     unit = cmath.exp(1j * phi)
-    return _scaled(f, unit, np.exp(1j * cmath.phase(unit) * np.arange(f.order)), kind, params)
+    powers = np.exp(1j * cmath.phase(unit) * np.arange(f.order))
+    return _scaled(f, [unit], powers[None], kind, [params])[1][0]
 
 
 def dilated(f: SchlichtFunction, r: float) -> SchlichtFunction:
     """Dilate any corpus member: ``f(r z)/r``, a_n -> a_n r^{n-1} (stays normalized).
 
     ``r`` must be a number in (0, 1); anything else raises
-    :class:`InvalidParameter`.  The powers r^{n-1} are taken for n >= 1 only,
-    so a tiny ``r`` underflows them quietly instead of overflowing r^{-1}.
+    :class:`InvalidParameter`.  Like :func:`rotated`, the member records
+    where it came from: its kind is ``custom`` and its params hold
+    ``dilated_from`` (``f``'s kind) and ``r``.
     """
     require_instance(f, SchlichtFunction, "dilated")
     r = finite_parameter(r, "dilation r")
-    if not 0.0 < r < 1.0:
+    return _dilations(f, [r], {"dilated_from": f.kind})[1][0]
+
+
+def _dilations(f: SchlichtFunction, radii: list, origin: Optional[dict] = None) -> tuple:
+    """``(block, members)``: ``f(r z)/r`` for each float ``r`` of ``radii``,
+    checked to lie in (0, 1), each member's series a row of the one block.
+
+    Without ``origin`` the members are of kind ``dilation`` with params
+    ``{"r": r}``; with it, of kind ``custom`` with ``origin`` and ``r``.
+    The powers r^{n-1} are taken for n >= 1 only, so a tiny ``r``
+    underflows them quietly instead of overflowing r^{-1}.
+    """
+    if not all(0.0 < r < 1.0 for r in radii):
         raise InvalidParameter("dilation needs r in (0, 1)")
-    return _scaled(f, r, r ** np.arange(f.order, dtype=float), "dilation", {"r": r})
+    powers = np.array(radii, dtype=float)[:, None] ** np.arange(f.order, dtype=float)
+    kind = "dilation" if origin is None else "custom"
+    return _scaled(f, radii, powers, kind, [dict(origin or {}, r=r) for r in radii])
 
 
 def invert_to_sigma(f: SchlichtFunction, order: int) -> SigmaFunction:
@@ -518,7 +602,8 @@ def _arcs(members, radii: np.ndarray, grid: np.ndarray):
 
     A closed-form member's inner circle keeps the arc where its bound can
     reach L / 1.01, widened by one cell on each side, L the member's |f|
-    at the cell nearest -arg beta.  A series-only member, a circle where
+    at the cell nearest -arg beta, every member's and circle's L from one
+    ``(members, radii - 1)`` broadcast.  A series-only member, a circle where
     r |beta| or 1 - r |beta| lies below 2^-20 (beta = 0 among them) and an
     arc that covers the circle keep all CIRCLE_GRID cells.
     """
@@ -529,7 +614,9 @@ def _arcs(members, radii: np.ndarray, grid: np.ndarray):
     pairs = np.array([g.beta_rho for g in members], dtype=np.complex128)
     centre = -np.angle(pairs[:, :1])
     nearest = np.rint(centre[:, 0] / _GRID_STEP).astype(np.int64) % CIRCLE_GRID
-    low = np.array([np.abs(g.value(grid[:-1, j])) for g, j in zip(members, nearest.tolist())])
+    # every member's reference cells, (members, radii - 1), in one evaluation
+    with np.errstate(all="ignore"):
+        low = np.abs(closed_form_value(grid[:-1, nearest].T, pairs[:, :1], pairs[:, 1:]))
     r, size, spread = radii[:-1], np.abs(pairs[:, :1]), np.abs(pairs[:, 1:])
     gap = 1.0 - r * size
     with np.errstate(all="ignore"):  # low = 0 or beta = 0 give s = inf or NaN: the whole circle
@@ -551,12 +638,16 @@ def max_modulus(f, r):
     is one radius or a 1-D array of radii, shared by every member.  The
     search has two stages.  The grid stage finds each circle's best cell
     among the CIRCLE_GRID (512) uniform angles CIRCLE_ANGLES, at points
-    formed once per call, with one evaluation per member of its own pair.
-    Golden-section refinement then pins every angle of every member to
-    1e-10 in lockstep, with ``np.where`` choosing each lane's side and each
-    lane evaluating its member's pair.  Every evaluation goes through the
-    same array arithmetic, so a lane's result depends neither on the other
-    radii nor on the other members in the call.
+    formed once per call: the arc cells of every member's inner circles in
+    one flat evaluation, each member's pair repeated over its cells, and
+    the last circle in one evaluation per member.  Golden-section
+    refinement then pins every angle of every member to 1e-10 in lockstep,
+    with ``np.where`` choosing each lane's side and each lane evaluating
+    its member's pair.  Every evaluation goes through the same array
+    arithmetic, with the pair as the first operand of each product, where
+    a scalar and an array repeating it round alike, so a lane's result
+    depends neither on the other radii nor on the other members in the
+    call.  A series-only member, a batch of one, uses its partial sums.
 
     On each inner circle of a closed-form member the grid stage evaluates
     only an arc (:func:`_arcs`), and still picks the cell the whole grid
@@ -577,11 +668,11 @@ def max_modulus(f, r):
     exceeds U by a relative 20 eps / (1 - r |beta|) < 5e-9 at most.  A
     dropped cell's computed |f| is therefore below (1 + 5e-9) L / 1.01 < L,
     below the arc's maximum.  The arc's cells are the whole grid's points,
-    evaluated with the pair as Python scalars by the same elementwise
-    arithmetic, so they have the same bits, and they are taken in grid
-    order: the first cell holding the arc's maximum (``np.argmax``'s
-    choice, a NaN first) is the whole grid's.  The last circle stays whole,
-    since its |f| is returned and read by the direction check.
+    evaluated by the elementwise arithmetic of :meth:`SchlichtFunction.value`,
+    so they have the same bits, and they are taken in grid order: the first
+    cell holding the arc's maximum (``np.argmax``'s choice, a NaN first) is
+    the whole grid's.  The last circle stays whole, since its |f| is
+    returned and read by the direction check.
 
     For one member, returns ``(M, theta)``: floats for a scalar ``r``,
     arrays otherwise, with each angle wrapped to (-pi, pi].  For a
@@ -605,12 +696,12 @@ def max_modulus(f, r):
     # an arc past the last cell is taken in grid order: 0 .. wrap-1, then first on
     wrap = np.repeat(np.maximum(first + count - CIRCLE_GRID, 0), count)
     cell = np.where(pos < wrap, pos, pos + np.repeat(first, count) - wrap)
-    arcs = np.split(grid[np.repeat(np.tile(np.arange(len(lanes) - 1), len(members)), count), cell],
-                    np.cumsum(sizes)[:-1])
-    # one evaluation per member, with its own pair: its arcs, then its last circle whole
-    cells = [np.abs(g.value(np.concatenate((points, grid[-1])))) for g, points in zip(members, arcs)]
-    last = np.array([c[len(c) - CIRCLE_GRID :] for c in cells])
-    cells = np.concatenate([c[: len(c) - CIRCLE_GRID] for c in cells])
+    # every member's arc cells in one evaluation, each member's pair repeated
+    # over its cells; the last circle whole, one evaluation per member
+    points = grid[np.repeat(np.tile(np.arange(len(lanes) - 1), len(members)), count), cell]
+    with np.errstate(all="ignore"):
+        cells = np.abs(batch_evaluator(members, sizes)(points))
+    last = np.array([np.abs(g.value(grid[-1])) for g in members])
     peak = np.repeat(np.maximum.reduceat(cells, starts), count)
     hits = np.flatnonzero((cells == peak) | np.isnan(cells))
     best = np.empty((len(members), len(lanes)))
@@ -631,13 +722,12 @@ def max_modulus(f, r):
     for _ in range(_GOLDEN_STEPS):
         # left lanes keep [a, d] and probe a new c; the others keep [c, b]
         left = yc > yd
-        kept, y_kept = np.where(left, c, d), np.where(left, yc, yd)
         a, b = np.where(left, a, c), np.where(left, d, b)
         width = width * _INV_PHI
         t = a + np.where(left, _INV_PHI2, _INV_PHI) * width
         y = circle_abs(t)
-        c, yc = np.where(left, t, kept), np.where(left, y, y_kept)
-        d, yd = np.where(left, kept, t), np.where(left, y_kept, y)
+        c, d = np.where(left, t, d), np.where(left, c, t)
+        yc, yd = np.where(left, y, yd), np.where(left, yc, y)
     # wrap to (-pi, pi]
     theta = np.array([math.remainder(t, 2.0 * math.pi) for t in (0.5 * (a + b)).tolist()])
     vals = circle_abs(theta).reshape(len(members), -1)

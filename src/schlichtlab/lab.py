@@ -45,9 +45,11 @@ ScenarioConfig checks a config against its scenario's row only, raising
 ConfigError, and run_scenario calls the row's runner.  The provenance
 echoes the config's own fields and tolerances, overrides as given.
 
-The three grid scenarios build one member per m, an error naming its m,
-and share the coefficient-ratio grid (rows, deviations and joint tail
-suprema); each runner then sets its own flags.
+The three grid scenarios build their m window at once, one member per m
+whose series is a row of one coefficient block (families._transforms,
+families._dilations), an error naming the window.  They share the
+coefficient-ratio grid (rows, deviations and joint tail suprema), read off
+the block in one operation; each runner then sets its own flags.
 
 A ScenarioReport keeps its rows as columns (see COLUMNS): ``m`` and ``n``
 are int64 arrays, ``value``, ``alpha_m`` and ``deviation`` float64 arrays,
@@ -304,29 +306,38 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
 # -- coefficient-ratio scenarios ------------------------------------------
 
 
-def _build_members(cfg: ScenarioConfig, build) -> list:
-    """``build(m)`` for each m of ``cfg.m_range``; an error names its m."""
-    members = []
-    for m in range(cfg.m_range[0], cfg.m_range[1] + 1):
-        try:
-            members.append(build(m))
-        except SchlichtLabError as exc:
-            _annotate(exc, m)
-    return members
+def _window(cfg: ScenarioConfig, build) -> tuple:
+    """``(block, members)`` from ``build(ms)``, ms the m of ``cfg.m_range``:
+    one member per m, each member's series a row of the one coefficient
+    block; an error names the window."""
+    ms = range(cfg.m_range[0], cfg.m_range[1] + 1)
+    try:
+        return build(ms)
+    except SchlichtLabError as exc:
+        _annotate(exc, f"{ms[0]}..{ms[-1]}")
 
 
-def _ratio_grid(cfg: ScenarioConfig, members, alphas, widths):
+def _dilation_window(cfg: ScenarioConfig, kind: str) -> tuple:
+    """The window of the ``kind`` map's dilations by r_m = 1 - 1/m."""
+    base = families.make_schlicht(kind, order=cfg.series_order)
+    return _window(cfg, lambda ms: families._dilations(base, [1.0 - 1.0 / m for m in ms]))
+
+
+def _ratio_grid(cfg: ScenarioConfig, block, alphas, widths):
     """Shared grid machinery: value = |a_n^(m)|/n, deviation = |value - alpha_m|.
 
-    ``members`` holds one member per m of ``cfg.m_range``, ``alphas`` and
-    ``widths`` their growth indexes and bracket widths.  Returns ``ms``, the
-    deviations ``d`` (one row per m), the report rows, the summary, to which
-    the runner adds its flags, and the tail suprema ``(tail_n, tail_sup)``.
+    ``block`` holds the coefficients of one member per m of ``cfg.m_range``,
+    one row each, so the values are one array operation; ``alphas`` and
+    ``widths`` are the members' growth indexes and bracket widths.  Returns
+    ``ms``, the deviations ``d`` (one row per m), the report rows, the
+    summary, to which the runner adds its flags, and the tail suprema
+    ``(tail_n, tail_sup)``.
     """
     ms = np.arange(cfg.m_range[0], cfg.m_range[1] + 1)
     ns = np.arange(cfg.n_range[0], cfg.n_range[1] + 1)
     alphas = np.asarray(alphas, dtype=np.float64)
-    ratios = np.array([np.abs(f.series.coeffs[ns]) / ns for f in members])
+    ratios = np.abs(block[:, ns[0] : ns[-1] + 1])
+    np.divide(ratios, ns, out=ratios)
     d = np.abs(ratios - alphas[:, None])
     size = d.size
     rows = _columns(np.repeat(ms, len(ns)), np.tile(ns, len(ms)), ratios.ravel(),
@@ -359,10 +370,9 @@ def _diagonal_cells(cfg: ScenarioConfig) -> range:
 
 def _run_counterexample(cfg: ScenarioConfig) -> ScenarioReport:
     tol = cfg.tolerances
-    base = families.make_schlicht("koebe", order=cfg.series_order)
-    members = _build_members(cfg, lambda m: families.dilated(base, 1.0 - 1.0 / m))
-    zeros = [0.0] * len(members)  # dilations of bounded-coefficient maps
-    _, d, rows, summary, _ = _ratio_grid(cfg, members, zeros, zeros)
+    block, _ = _dilation_window(cfg, "koebe")
+    zeros = [0.0] * len(block)  # dilations of bounded-coefficient maps
+    _, d, rows, summary, _ = _ratio_grid(cfg, block, zeros, zeros)
     (m_lo, m_hi), (n_lo, n_hi) = cfg.m_range, cfg.n_range
     diag = {m: float(d[m - m_lo, m - n_lo])
             for m in range(max(m_lo, n_lo), min(m_hi, n_hi) + 1)}
@@ -378,10 +388,9 @@ def _run_counterexample(cfg: ScenarioConfig) -> ScenarioReport:
 
 def _run_theorem1(cfg: ScenarioConfig) -> ScenarioReport:
     tol = cfg.tolerances
-    base = families.make_schlicht("halfplane", order=cfg.series_order)
-    members = _build_members(cfg, lambda m: families.dilated(base, 1.0 - 1.0 / m))
+    block, members = _dilation_window(cfg, "halfplane")
     zeros = [0.0] * len(members)  # bounded image: slow growth
-    ms, _, rows, summary, tail = _ratio_grid(cfg, members, zeros, zeros)
+    ms, _, rows, summary, tail = _ratio_grid(cfg, block, zeros, zeros)
     at_cut = _tail_at_cutoff(cfg, *tail)
 
     # deeper machinery: the weighted-mean harness over the boundary-mean rows
@@ -405,14 +414,14 @@ def _run_theorem1(cfg: ScenarioConfig) -> ScenarioReport:
 
 def _run_theorem2(cfg: ScenarioConfig) -> ScenarioReport:
     tol = cfg.tolerances
-    members = _build_members(cfg, lambda m: families.make_schlicht(
-        "koebe_transform", {"w": 0.3 * cmath.exp(1j / m)}, cfg.series_order))
+    block, members = _window(cfg, lambda ms: families._transforms(
+        [0.3 * cmath.exp(1j / m) for m in ms], cfg.series_order))
     try:
         ests = hayman.hayman_index(members)  # one batched search over every circle
     except SchlichtLabError as exc:
         _annotate(exc, f"{cfg.m_range[0]}..{cfg.m_range[1]}")
     widths = [h.bracket_width for h in ests]
-    _, _, rows, summary, tail = _ratio_grid(cfg, members, [h.alpha for h in ests], widths)
+    _, _, rows, summary, tail = _ratio_grid(cfg, block, [h.alpha for h in ests], widths)
     at_cut = _tail_at_cutoff(cfg, *tail)
     allowance = tol["simultaneous_tail_bound"] + max(widths)
     summary["tail_allowance"] = allowance

@@ -191,7 +191,8 @@ class ComplexSeries:
     arithmetic operators another series or one finite number
     (:func:`finite_parameter`).  Calling the series evaluates the plain
     partial sum at a point (no tail estimate; certified evaluation lives
-    with the function families).
+    with the function families).  Two series are equal when their
+    coefficient arrays are; a series does not hash.
     """
 
     __slots__ = ("coeffs",)
@@ -199,14 +200,30 @@ class ComplexSeries:
     # refused too instead of becoming an object array of series
     __array_ufunc__ = None
 
+    __hash__ = None  # __eq__ compares the coefficient arrays, which do not hash
+
     def __init__(self, coeffs):
         arr = coefficient_array(coeffs, "coefficients")
         if arr.size == 0:
             raise InvalidParameter("coefficients must not be empty")
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def _of(cls, coeffs: np.ndarray) -> "ComplexSeries":
+        """The series of ``coeffs`` as it is, no copy and no check: a
+        non-empty, finite, read-only complex128 vector that the caller made."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("ComplexSeries is immutable")
+
+    def __eq__(self, other):
+        """Two series are equal when their coefficient arrays are."""
+        if not isinstance(other, ComplexSeries):
+            return NotImplemented
+        return bool(np.array_equal(self.coeffs, other.coeffs))
 
     def __reduce__(self):
         # copy and pickle rebuild from the coefficients, not by setting the slot

@@ -109,7 +109,23 @@ def closed_form_members(draw):
     return f
 
 
-batches = st.lists(closed_form_members(), min_size=1, max_size=6)
+@st.composite
+def window_members(draw):
+    """One to three members of a transform or Koebe dilation window, built
+    as the grid scenarios build theirs: each series a row of one block."""
+    order = draw(st.sampled_from([16, 64, 130]))
+    count = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        ws = [cmath.rect(draw(st.floats(0.0, 0.6)), draw(st.floats(-math.pi, math.pi)))
+              for _ in range(count)]
+        return families._transforms(ws, order)[1]
+    radii = [draw(st.floats(0.1, 0.99)) for _ in range(count)]
+    return families._dilations(make_schlicht("koebe", order=order), radii)[1]
+
+
+# single members and window rows, mixed in one batch
+batches = st.lists(st.one_of(closed_form_members().map(lambda f: [f]), window_members()),
+                   min_size=1, max_size=4).map(lambda groups: sum(groups, []))
 
 
 def _bits(est):

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from schlichtlab import families
 from schlichtlab.errors import InvalidParameter, OutsideDisk
 from schlichtlab.families import (
     CIRCLE_GRID,
@@ -167,6 +168,104 @@ class TestBuiltMembers:
         for g in (rotated(f, 2.5), dilated(f, 0.5)):
             a0 = g.series.coeffs[0]
             assert a0 == 0.0 and not np.signbit(a0.real) and not np.signbit(a0.imag)
+
+
+class TestEquality:
+    def test_a_copy_equals_its_original(self):
+        k = make_schlicht("koebe", order=8)
+        assert copy.deepcopy(k) == k and copy.deepcopy(k.series) == k.series
+        assert k == make_schlicht("koebe", order=8)
+        assert k != make_schlicht("halfplane", order=8)
+        assert k != dilated(k, 0.5) and k.series != 1.0
+
+    def test_hash_names_the_class(self):
+        k = make_schlicht("koebe", order=8)
+        with pytest.raises(TypeError, match="'SchlichtFunction'"):
+            hash(k)
+        with pytest.raises(TypeError, match="'ComplexSeries'"):
+            hash(k.series)
+
+    def test_an_unpickled_window_member_owns_its_coefficients(self):
+        block, members = families._transforms([0.3, 0.3j, -0.2], 16)
+        for f in members:
+            g = pickle.loads(pickle.dumps(f))
+            assert g == f
+            assert g.series.coeffs.flags.owndata and not g.series.coeffs.flags.writeable
+            assert not np.shares_memory(g.series.coeffs, block)
+
+
+class TestLabels:
+    def test_dilated_records_where_it_came_from(self):
+        # one map, two provenances: pairs (0.478+0.148i, 0) and (0.5, 0)
+        k = make_schlicht("koebe", order=8)
+        g = dilated(rotated(k, 0.3), 0.5)
+        assert g.label() == "custom(dilated_from=custom,r=0.5)"
+        assert make_schlicht("dilation", {"r": 0.5}, 8).label() == "dilation(r=0.5)"
+        assert dilated(k, 0.5).params == {"dilated_from": "koebe", "r": 0.5}
+
+    def test_windows_keep_the_dilation_label(self):
+        _, members = families._dilations(make_schlicht("halfplane", order=8), [0.5, 0.75])
+        assert [f.label() for f in members] == ["dilation(r=0.5)", "dilation(r=0.75)"]
+
+
+def _bits(f):
+    """A member's coefficients, pair and params, floats spelled exactly."""
+    return f.series.coeffs.tobytes(), repr(f.beta_rho), f.kind, repr(f.params)
+
+
+class TestWindows:
+    # 1,200 rows of order 16 make blocks of 20,400 entries, past the 16,384
+    # complex128 entries from which numpy reuses an operator's temporary in place
+    ORDER = 16
+    ELISION = 16384
+
+    def test_a_transform_window_equals_its_members_built_one_by_one(self):
+        ws = [0.3 * cmath.exp(1j / m) for m in range(1, 1201)] + [0.99j, -0.7 + 0.1j]
+        block, members = families._transforms(ws, self.ORDER)
+        assert block.size >= self.ELISION and len(members) == len(ws)
+        for w, f in zip(ws, members):
+            single = make_schlicht("koebe_transform", {"w": w}, self.ORDER)
+            assert _bits(f) == _bits(single) and f == single
+
+    @pytest.mark.parametrize("kind", ["koebe", "halfplane"])
+    def test_a_dilation_window_equals_its_members_built_one_by_one(self, kind):
+        base = make_schlicht(kind, order=self.ORDER)
+        radii = [1.0 - 1.0 / m for m in range(2, 1202)] + [1e-300, 5e-324]
+        block, members = families._dilations(base, radii)
+        assert block.size >= self.ELISION
+        for r, f in zip(radii, members):
+            single = dilated(base, r)
+            assert f.series.coeffs.tobytes() == single.series.coeffs.tobytes()
+            assert (f.beta_rho, f.kind, f.params) == (single.beta_rho, "dilation", {"r": r})
+        if kind == "koebe":
+            assert members[5] == make_schlicht("dilation", {"r": radii[5]}, self.ORDER)
+
+    def test_window_rows_are_read_only_views(self):
+        block, members = families._transforms([0.3, 0.1j], 8)
+        assert not block.flags.writeable
+        for i, f in enumerate(members):
+            assert f.series.coeffs.base is block and np.shares_memory(f.series.coeffs, block[i])
+            with pytest.raises(ValueError, match="read-only"):
+                f.series.coeffs[3] = 0.0
+        with pytest.raises(InvalidParameter, match="by make_schlicht"):
+            SchlichtFunction(members[0].series, "koebe_transform", {"w": 0.3}, members[0].beta_rho)
+
+    def test_a_bad_window_names_its_row(self):
+        with pytest.raises(InvalidParameter, match=r"needs \|w\| < 1"):
+            families._transforms([0.3, 1.0], 8)
+        with pytest.raises(InvalidParameter, match=r"needs r in \(0, 1\)"):
+            families._dilations(make_schlicht("koebe", order=8), [0.5, 1.0])
+        block = np.zeros((3, 6), dtype=np.complex128)
+        block[:, 1] = 1.0
+        block[1, 4] = 4.5
+        with pytest.raises(InvalidParameter, match=r"x \(row 1 of its window\): \|a_4\| = 4.5"):
+            families._check_class_s(block, "x")
+        block[1, 4], block[2, 0] = np.nan, 1e-11
+        with pytest.raises(InvalidParameter, match=r"row 1 .*: \|a_4\| = nan exceeds"):
+            families._check_class_s(block, "x")
+        block[1, 4] = 0.0
+        with pytest.raises(InvalidParameter, match=r"row 2 .*: series is not normalized"):
+            families._check_class_s(block, "x")
 
 
 class TestInversion:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -996,3 +997,23 @@ class TestCli:
         code, _, _ = run_cli(["grunsky", "--function", "koebe", "--order", "16",
                               "--z", "oops"], capsys)
         assert code != 0
+
+
+# tracemalloc's peak of one theorem2 run at the README config (m 2..64, n 1..256,
+# order 256): 1.46 MB on Python 3.11.7 and numpy 2.4.6.  The pin leaves 19%
+# headroom; evaluating every member's last circle of the circle search in one
+# broadcast, not one circle at a time, lifts the peak to 3.7 MB.
+THEOREM2_RUN_PEAK = 1_750_000
+
+
+def test_theorem2_run_peak_stays_under_its_pin():
+    cfg = ScenarioConfig(scenario="theorem2", m_range=(2, 64), n_range=(1, 256),
+                         series_order=256)
+    run_scenario(cfg)  # warm: the measured run allocates no first-call state
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < THEOREM2_RUN_PEAK, peak
