@@ -33,14 +33,14 @@ window builders); a caller's coefficients reach it only as a copy, and
 pair that is not its series' pair.
 
 ``max_modulus`` searches the circles of a whole batch of members at once,
-in a number of array evaluations that does not grow with the batch but
-on its last circle.  One (members x radii) broadcast gives the reference
-cell of every inner circle; one flat array holds the arcs of cells that a
-bound on |f| leaves able to hold each inner circle's maximum, each
-member's pair repeated over its cells; each golden-section step evaluates
-every lane at once.  The last circle, searched whole, is one evaluation
-per member, so it holds one circle's memory at a time.  A series-only
-member, a batch of one, is evaluated by its partial sums throughout.
+in a number of array evaluations that does not grow with the batch.  One
+(members x radii) broadcast gives the reference cell of every circle; one
+flat array holds the arcs of cells that a bound on |f| leaves able to hold
+each circle's maximum, each member's pair repeated over its cells; each
+golden-section step evaluates every lane at once.  The direction check,
+:func:`_ambiguities`, reads the last circle's arc cells and gives one
+verdict per member.  A series-only member, a batch of one, is evaluated by
+its partial sums throughout.
 
 ``invert_to_sigma`` passes from a normalized map ``f`` on the disk to the
 exterior map ``g(z) = 1/f(1/z) = z + b0 + b1/z + ...``; the exterior
@@ -596,28 +596,27 @@ def batch_evaluator(members, lanes: int, derivative: bool = False):
 
 def _arcs(members, radii: np.ndarray, grid: np.ndarray):
     """The cells of each circle that the grid stage of :func:`max_modulus`
-    evaluates on the inner circles, all but the last: ``count`` cells from
-    grid index ``first`` on, mod CIRCLE_GRID, both of shape
-    ``(members, radii - 1)``.
+    evaluates: ``count`` cells from grid index ``first`` on, mod
+    CIRCLE_GRID, both of shape ``(members, radii)``.
 
-    A closed-form member's inner circle keeps the arc where its bound can
-    reach L / 1.01, widened by one cell on each side, L the member's |f|
-    at the cell nearest -arg beta, every member's and circle's L from one
-    ``(members, radii - 1)`` broadcast.  A series-only member, a circle where
+    A closed-form member's circle keeps the arc where its bound can reach
+    L / 1.01, widened by one cell on each side, L the member's |f| at the
+    cell nearest -arg beta, every member's and circle's L from one
+    ``(members, radii)`` broadcast.  A series-only member, a circle where
     r |beta| or 1 - r |beta| lies below 2^-20 (beta = 0 among them) and an
     arc that covers the circle keep all CIRCLE_GRID cells.
     """
-    first = np.zeros((len(members), len(radii) - 1), dtype=np.int64)
+    first = np.zeros((len(members), len(radii)), dtype=np.int64)
     count = np.full(first.shape, CIRCLE_GRID)
-    if len(radii) < 2 or not members[0].has_closed_form:  # a batch of one series-only map
+    if not members[0].has_closed_form:  # a batch of one series-only map
         return first, count
     pairs = np.array([g.beta_rho for g in members], dtype=np.complex128)
     centre = -np.angle(pairs[:, :1])
     nearest = np.rint(centre[:, 0] / _GRID_STEP).astype(np.int64) % CIRCLE_GRID
-    # every member's reference cells, (members, radii - 1), in one evaluation
+    # every member's reference cells, (members, radii), in one evaluation
     with np.errstate(all="ignore"):
-        low = np.abs(closed_form_value(grid[:-1, nearest].T, pairs[:, :1], pairs[:, 1:]))
-    r, size, spread = radii[:-1], np.abs(pairs[:, :1]), np.abs(pairs[:, 1:])
+        low = np.abs(closed_form_value(grid[:, nearest].T, pairs[:, :1], pairs[:, 1:]))
+    r, size, spread = radii, np.abs(pairs[:, :1]), np.abs(pairs[:, 1:])
     gap = 1.0 - r * size
     with np.errstate(all="ignore"):  # low = 0 or beta = 0 give s = inf or NaN: the whole circle
         # the bound reaches low / margin where sin^2((theta - centre)/2) <= s
@@ -638,20 +637,20 @@ def max_modulus(f, r):
     is one radius or a 1-D array of radii, shared by every member.  The
     search has two stages.  The grid stage finds each circle's best cell
     among the CIRCLE_GRID (512) uniform angles CIRCLE_ANGLES, at points
-    formed once per call: the arc cells of every member's inner circles in
-    one flat evaluation, each member's pair repeated over its cells, and
-    the last circle in one evaluation per member.  Golden-section
-    refinement then pins every angle of every member to 1e-10 in lockstep,
-    with ``np.where`` choosing each lane's side and each lane evaluating
-    its member's pair.  Every evaluation goes through the same array
-    arithmetic, with the pair as the first operand of each product, where
-    a scalar and an array repeating it round alike, so a lane's result
-    depends neither on the other radii nor on the other members in the
-    call.  A series-only member, a batch of one, uses its partial sums.
+    formed once per call: the arc cells of every member's circles in one
+    flat evaluation, each member's pair repeated over its cells.
+    Golden-section refinement then pins every angle of every member to
+    1e-10 in lockstep, with ``np.where`` choosing each lane's side and each
+    lane evaluating its member's pair.  Every evaluation goes through the
+    same array arithmetic, with the pair as the first operand of each
+    product, where a scalar and an array repeating it round alike, so a
+    lane's result depends neither on the other radii nor on the other
+    members in the call.  A series-only member, a batch of one, uses its
+    partial sums.
 
-    On each inner circle of a closed-form member the grid stage evaluates
-    only an arc (:func:`_arcs`), and still picks the cell the whole grid
-    picks.  On |z| = r, with theta' = theta + arg beta,
+    On each circle of a closed-form member the grid stage evaluates only an
+    arc (:func:`_arcs`), and still picks the cell the whole grid picks.  On
+    |z| = r, with theta' = theta + arg beta,
 
         |f(r e^{i theta})| <= U(theta)
             = r (1 + r |rho|) / ((1 - r |beta|)^2 + 4 r |beta| sin^2(theta'/2)),
@@ -671,14 +670,29 @@ def max_modulus(f, r):
     evaluated by the elementwise arithmetic of :meth:`SchlichtFunction.value`,
     so they have the same bits, and they are taken in grid order: the first
     cell holding the arc's maximum (``np.argmax``'s choice, a NaN first) is
-    the whole grid's.  The last circle stays whole, since its |f| is
-    returned and read by the direction check.
+    the whole grid's.
+
+    The direction check (:func:`_ambiguities`) reads the last circle's
+    evaluated cells, with NaN in every skipped cell, so neither a skipped
+    cell nor an arc's end cell is a local maximum; its verdict is still the
+    whole circle's.  An arc is kept only where s < 1 in :func:`_arcs`, that
+    is where L > 1.01 r (1 + r |rho|) / (1 + r |beta|)^2; as L is at most
+    (1 + 5e-9) r (1 + r |rho|) / (1 - r |beta|)^2, this forces
+    (1 + r |beta|)^2 / (1 - r |beta|)^2 > 1.01 / (1 + 5e-9), so
+    r |beta| > 0.0024, and with |beta| <= 1, L > 1.01 r / (1 + r)^2 > 0.0024.
+    Every skipped cell lies below (1 + 5e-9) L / 1.01, and each end cell
+    below the same bound up to the rounding of the arc's ends, so those
+    cells sit more than 2e-5 under the circle's maximum, far beyond the
+    check's 1e-6 tolerance.  Hence both cells the check compares lie
+    strictly inside the arc, with the whole grid's bits and the whole
+    grid's neighbours.
 
     For one member, returns ``(M, theta)``: floats for a scalar ``r``,
     arrays otherwise, with each angle wrapped to (-pi, pi].  For a
-    sequence, both gain a leading member axis, and a third array holds the
-    grid stage's |f| on each member's last circle, shape
-    ``(members, CIRCLE_GRID)``.
+    sequence, both gain a leading member axis, and a third item is the
+    list of verdicts on each member's last circle: None when one maximum
+    dominates, else the :class:`~schlichtlab.errors.AmbiguousDirection`
+    message.
     """
     members = batch(f)
     radii = array_parameter(r, "radii")
@@ -697,18 +711,15 @@ def max_modulus(f, r):
     wrap = np.repeat(np.maximum(first + count - CIRCLE_GRID, 0), count)
     cell = np.where(pos < wrap, pos, pos + np.repeat(first, count) - wrap)
     # every member's arc cells in one evaluation, each member's pair repeated
-    # over its cells; the last circle whole, one evaluation per member
-    points = grid[np.repeat(np.tile(np.arange(len(lanes) - 1), len(members)), count), cell]
+    # over its cells
+    member, ring = np.divmod(np.repeat(np.arange(count.size), count), len(lanes))
     with np.errstate(all="ignore"):
-        cells = np.abs(batch_evaluator(members, sizes)(points))
-    last = np.array([np.abs(g.value(grid[-1])) for g in members])
+        cells = np.abs(batch_evaluator(members, sizes)(grid[ring, cell]))
     peak = np.repeat(np.maximum.reduceat(cells, starts), count)
     hits = np.flatnonzero((cells == peak) | np.isnan(cells))
-    best = np.empty((len(members), len(lanes)))
-    best[:, :-1] = CIRCLE_ANGLES[cell[hits[np.searchsorted(hits, starts)]]].reshape(len(members), -1)
-    best[:, -1] = CIRCLE_ANGLES[np.argmax(last, axis=1)]
+    best = CIRCLE_ANGLES[cell[hits[np.searchsorted(hits, starts)]]]
     # the lanes: every radius of each member in turn
-    a, b = best.ravel() - _GRID_STEP, best.ravel() + _GRID_STEP
+    a, b = best - _GRID_STEP, best + _GRID_STEP
 
     rad = np.tile(lanes, len(members))
     value = batch_evaluator(members, len(lanes))
@@ -734,11 +745,33 @@ def max_modulus(f, r):
     theta = theta.reshape(vals.shape)
     if radii.ndim == 0:
         vals, theta = vals[:, 0], theta[:, 0]
-    if not isinstance(f, SchlichtFunction):
-        return vals, theta, last
-    if radii.ndim == 0:
-        return float(vals[0]), float(theta[0])
-    return vals[0], theta[0]
+    if isinstance(f, SchlichtFunction):
+        return (float(vals[0]), float(theta[0])) if radii.ndim == 0 else (vals[0], theta[0])
+    on_last = ring == len(lanes) - 1
+    last = np.full((len(members), CIRCLE_GRID), np.nan)
+    last[member[on_last], cell[on_last]] = cells[on_last]
+    return vals, theta, _ambiguities(last)
+
+
+def _ambiguities(circles: np.ndarray) -> list:
+    """For each row of ``circles``, |f| at the CIRCLE_ANGLES of one circle
+    (NaN in a cell left unevaluated), None when one maximum dominates, else
+    the :class:`~schlichtlab.errors.AmbiguousDirection` message.  One
+    np.roll pair marks the local maxima of every row, NaN comparing False;
+    only a row with two or more of them (a plateau counts each of its cells)
+    is compared in Python."""
+    local = (circles >= np.roll(circles, 1, axis=1)) & (circles >= np.roll(circles, -1, axis=1))
+    out, window = [None] * len(circles), 4.0 * np.pi / CIRCLE_GRID
+    for i in np.flatnonzero(np.count_nonzero(local, axis=1) > 1).tolist():
+        vals, peaks = circles[i], np.flatnonzero(local[i])
+        order = peaks[np.argsort(vals[peaks])[::-1]]
+        best, second = order[0], order[1]
+        sep = abs(math.remainder(CIRCLE_ANGLES[best] - CIRCLE_ANGLES[second], 2.0 * math.pi))
+        if vals[best] - vals[second] <= 1e-6 and sep > window:
+            out[i] = (f"circle maxima at angles {CIRCLE_ANGLES[best]:.4f} and "
+                      f"{CIRCLE_ANGLES[second]:.4f} agree in modulus; no single growth "
+                      "direction")
+    return out
 
 
 def standard_corpus(order: int = 128):

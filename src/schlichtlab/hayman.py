@@ -24,22 +24,13 @@ not depend on the rest of its batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import AmbiguousDirection, InvalidParameter, NonMonotoneProfile
-from .families import (
-    CIRCLE_ANGLES,
-    CIRCLE_GRID,
-    SchlichtFunction,
-    batch,
-    batch_evaluator,
-    max_modulus,
-    radius_grid,
-)
+from .families import SchlichtFunction, batch, batch_evaluator, max_modulus, radius_grid
 from .series import finite_parameter, require_instance
 
 #: beyond this radius pure-series evaluation is refused: at order 256 the
@@ -100,10 +91,10 @@ def _growth_rows(members, radii: np.ndarray):
     """Growth profiles of a batch from one :func:`max_modulus` call.
 
     Returns the ``(members, radii)`` profile values and angles, and the
-    grid stage's |f| on each member's last circle.
+    direction check's verdict on each member's last circle.
     """
-    peaks, angles, last = max_modulus(members, radii)
-    return _monotone(members, (1.0 - radii) ** 2 / radii * peaks, "growth"), angles, last
+    peaks, angles, verdicts = max_modulus(members, radii)
+    return _monotone(members, (1.0 - radii) ** 2 / radii * peaks, "growth"), angles, verdicts
 
 
 def _derivative_rows(members, radii: np.ndarray, thetas) -> np.ndarray:
@@ -132,38 +123,17 @@ def growth_profile(f: SchlichtFunction, radii: Sequence[float]) -> np.ndarray:
     return _growth_rows([f], radii)[0][0]
 
 
-def _ambiguities(circles: np.ndarray) -> list:
-    """For each row of ``circles``, |f| at the CIRCLE_ANGLES of one circle,
-    None when one maximum dominates, else the :class:`AmbiguousDirection`
-    message.  One np.roll pair marks the local maxima of every row; only a
-    row with two or more of them (a plateau counts each of its cells) is
-    compared in Python."""
-    local = (circles >= np.roll(circles, 1, axis=1)) & (circles >= np.roll(circles, -1, axis=1))
-    out, window = [None] * len(circles), 4.0 * np.pi / CIRCLE_GRID
-    for i in np.flatnonzero(np.count_nonzero(local, axis=1) > 1).tolist():
-        vals, peaks = circles[i], np.flatnonzero(local[i])
-        order = peaks[np.argsort(vals[peaks])[::-1]]
-        best, second = order[0], order[1]
-        sep = abs(math.remainder(CIRCLE_ANGLES[best] - CIRCLE_ANGLES[second], 2.0 * math.pi))
-        if vals[best] - vals[second] <= 1e-6 and sep > window:
-            out[i] = (f"circle maxima at angles {CIRCLE_ANGLES[best]:.4f} and "
-                      f"{CIRCLE_ANGLES[second]:.4f} agree in modulus; no single growth "
-                      "direction")
-    return out
-
-
 def growth_direction(f: SchlichtFunction, r_probe: float) -> float:
     """Angle of the circle maximum of |f| near the boundary.
 
     Raises :class:`AmbiguousDirection` when two local grid maxima agree in
     modulus to 1e-6 but sit further apart than the refinement window:
     either the function is symmetric or it has no dominant direction.  The
-    check reads the grid stage of the same :func:`max_modulus` call.
+    verdict comes from the same :func:`max_modulus` call as the angle.
     """
     if not 0.9 <= finite_parameter(r_probe, "r_probe") < 1.0:
         raise InvalidParameter("r_probe must lie in [0.9, 1)")
-    _, angles, last = max_modulus([f], r_probe)
-    (ambiguity,) = _ambiguities(last)
+    _, angles, (ambiguity,) = max_modulus([f], r_probe)
     if ambiguity is not None:
         raise AmbiguousDirection(ambiguity)
     return float(angles[0])
@@ -183,16 +153,15 @@ def hayman_index(f):
     derivative profile along that ray runs too and the pair forms the
     reported bracket.  Both final values are certified upper bounds for
     the true index.  All members' circles are searched in one
-    :func:`max_modulus` call, whose grid stage on the last circle also
-    feeds the direction check (one np.roll pair marks the local maxima of
-    every member's circle), and all derivative profiles are one array
+    :func:`max_modulus` call, which also gives each member's direction
+    verdict on the last circle, and all derivative profiles are one array
     evaluation.
     """
     members = batch(f)
     # no series-reach check: a batch holds closed forms only, or one
     # series-only member, whose schedule stops at SERIES_RADIUS_LIMIT
     radii = default_schedule(members[0])
-    growth, angles, last = _growth_rows(members, radii)
+    growth, angles, verdicts = _growth_rows(members, radii)
     upper = growth[:, -1]
 
     # the direction is read on the last circle, of radius at least 1 - 2^-8:
@@ -200,7 +169,7 @@ def hayman_index(f):
     # only stays harmless relative to the evaluation radius if both shrink
     # together
     thetas = [None if ambiguity is not None else float(theta)
-              for ambiguity, theta in zip(_ambiguities(last), angles[:, -1])]
+              for ambiguity, theta in zip(verdicts, angles[:, -1])]
 
     alpha = upper.copy()
     found = [i for i, t in enumerate(thetas) if t is not None]

@@ -306,10 +306,9 @@ def prawitz_check(f, radii):
     later = np.arange(len(radii)) > np.arange(len(inner))[:, None]  # the pairs j > i
     results = []
     for g, peaks in zip(members, maxima):
-        # one evaluation per circle serves both rules
-        moduli = [np.abs(g.value(r * _DOUBLED_RAY)) for r in radii]
-        coarse = np.array([float(np.mean(v[::2])) for v in moduli])
-        means = np.array([float(np.mean(v)) for v in moduli])
+        # one evaluation of every circle serves both rules
+        moduli = np.abs(g.value(radii[:, None] * _DOUBLED_RAY))
+        coarse, means = moduli[:, ::2].mean(axis=1), moduli.mean(axis=1)
         drift = float(np.max(np.abs(means - coarse)))
         if drift > 1e-9:
             raise QuadratureUnconverged(

@@ -8,7 +8,9 @@ for bit.  ``parent_hayman_index`` keeps the earlier single-member pipeline
 direction check evaluating the last circle again, one derivative profile
 per member) as the reference the theorem2 reports are pinned to, and
 ``parent_check_single_direction`` the per-circle direction check that
-``hayman._ambiguities`` runs on a whole batch of circles at once.
+``families._ambiguities`` runs on a whole batch of circles at once.  The
+reference check reads the whole last circle; ``max_modulus`` evaluates only
+an arc of it, and its verdicts must be the same.
 """
 
 import cmath
@@ -70,6 +72,19 @@ def parent_check_single_direction(vals):
                 f"circle maxima at angles {CIRCLE_ANGLES[best]:.4f} and "
                 f"{CIRCLE_ANGLES[second]:.4f} agree in modulus; no single growth direction"
             )
+
+
+def _parent_ambiguity(vals):
+    try:
+        parent_check_single_direction(vals)
+    except AmbiguousDirection as exc:
+        return str(exc)
+    return None
+
+
+def _whole_circle_verdict(f, r):
+    """The reference verdict on the whole circle |z| = r."""
+    return _parent_ambiguity(np.abs(f.value(r * np.exp(1j * CIRCLE_ANGLES))))
 
 
 def parent_hayman_index(f, grid=512):
@@ -138,17 +153,15 @@ def _bits(est):
 @given(batches)
 def test_batch_members_equal_batch_of_one(members):
     radii = default_schedule(members[0])
-    peaks, angles, last = max_modulus(members, radii)
+    peaks, angles, verdicts = max_modulus(members, radii)
     estimates = hayman_index(members)
-    assert len(estimates) == len(members)
-    thetas = 2.0 * np.pi * np.arange(512) / 512
+    assert len(estimates) == len(members) == len(verdicts)
     for i, f in enumerate(members):
         m1, t1 = max_modulus(f, radii)
         assert m1.tobytes() == peaks[i].tobytes(), f.label()
         assert t1.tobytes() == angles[i].tobytes(), f.label()
-        # the grid stage's last circle, as the direction check evaluated it alone
-        circle = np.abs(f.value(radii[-1] * np.exp(1j * thetas)))
-        assert circle.tobytes() == last[i].tobytes(), f.label()
+        assert max_modulus([f], radii)[2] == [verdicts[i]], f.label()
+        assert verdicts[i] == _whole_circle_verdict(f, radii[-1]), f.label()
         assert _bits(hayman_index(f)) == _bits(estimates[i]), f.label()
 
 
@@ -179,12 +192,14 @@ def any_pair_members(draw):
     return f
 
 
-# random radii, radii whose 1 - r|beta| falls below the 2^-20 guard, and the
-# Prawitz radii
+# random radii, radii whose 1 - r|beta| falls below the 2^-20 guard, radii
+# in growth_direction's range [0.9, 1), and the Prawitz radii
 radius_grids = st.one_of(
     st.lists(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                        st.floats(1.0 - 2.0 ** -19, 1.0 - 2.0 ** -40)),
              min_size=1, max_size=8, unique=True).map(sorted),
+    st.lists(st.floats(0.9, 1.0, exclude_max=True), min_size=1, max_size=8,
+             unique=True).map(sorted),
     st.just([0.3, 0.5, 0.7, 0.9]),
     st.just([0.3, 0.5, 0.7]))
 
@@ -193,21 +208,22 @@ radius_grids = st.one_of(
 @given(st.lists(any_pair_members(), min_size=1, max_size=4), radius_grids)
 def test_arcs_pick_the_whole_grids_cells(members, radii):
     radii = np.array(radii)
-    peaks, angles, last = max_modulus(members, radii)
-    circle = radii[-1] * np.exp(1j * CIRCLE_ANGLES)
+    peaks, angles, verdicts = max_modulus(members, radii)
     for i, f in enumerate(members):
         m0, t0 = parent_max_modulus(f, radii)
         assert m0.tobytes() == peaks[i].tobytes(), (f.label(), f.beta_rho)
         assert t0.tobytes() == angles[i].tobytes(), (f.label(), f.beta_rho)
-        assert np.abs(f.value(circle)).tobytes() == last[i].tobytes(), f.label()
+        assert verdicts[i] == _whole_circle_verdict(f, radii[-1]), (f.label(), f.beta_rho)
 
 
 def test_theorem2_inner_circles_keep_arcs_only():
+    # every circle of the theorem2 window, the last one included, keeps an arc
     members = [make_schlicht("koebe_transform", {"w": 0.3 * cmath.exp(1j / m)}, order=256)
                for m in range(1, 65)]
     radii = default_schedule(members[0])
     first, count = families._arcs(members, radii, radii[:, None] * np.exp(1j * CIRCLE_ANGLES))
-    assert count.shape == (64, 13)
+    assert count.shape == (64, 14)
+    assert np.all(count < CIRCLE_GRID)
     assert np.all(count[:, 3:] < 16) and np.sum(count) < 0.02 * count.size * CIRCLE_GRID
 
 
@@ -222,20 +238,13 @@ def test_theorem2_inner_circles_keep_arcs_only():
 def test_guarded_circles_are_searched_whole(f, radii):
     radii = np.sort(radii)
     _, count = families._arcs([f], radii, radii[:, None] * np.exp(1j * CIRCLE_ANGLES))
-    small = radii[:-1] * abs(f.beta_rho[0]) < 2.0 ** -20 if f.has_closed_form else True
-    near = 1.0 - radii[:-1] * abs(f.beta_rho[0]) < 2.0 ** -20 if f.has_closed_form else True
+    small = radii * abs(f.beta_rho[0]) < 2.0 ** -20 if f.has_closed_form else True
+    near = 1.0 - radii * abs(f.beta_rho[0]) < 2.0 ** -20 if f.has_closed_form else True
     assert np.all(count[0][small | near] == CIRCLE_GRID)
     m, t = max_modulus(f, radii)
     m0, t0 = parent_max_modulus(f, radii)
     assert (m.tobytes(), t.tobytes()) == (m0.tobytes(), t0.tobytes())
-
-
-def _parent_ambiguity(vals):
-    try:
-        parent_check_single_direction(vals)
-    except AmbiguousDirection as exc:
-        return str(exc)
-    return None
+    assert max_modulus([f], radii)[2] == [_whole_circle_verdict(f, radii[-1])]
 
 
 # a flat circle with a few bumps: one peak, equal or near-equal maxima at
@@ -251,7 +260,7 @@ def test_batched_direction_check_equals_per_circle_check(rows):
     for circle, bumps in zip(circles, rows):
         for at, level in bumps:
             circle[at] = level
-    assert hayman._ambiguities(circles) == [_parent_ambiguity(v) for v in circles]
+    assert families._ambiguities(circles) == [_parent_ambiguity(v) for v in circles]
 
 
 def _circle(*bumps):
@@ -285,16 +294,17 @@ def test_direction_check_by_number_of_local_maxima(circle):
     # batched check passes over
     one = np.cos(CIRCLE_ANGLES)
     circles = np.stack([one, circle, one])
-    assert hayman._ambiguities(circles) == [_parent_ambiguity(v) for v in circles]
-    assert hayman._ambiguities(circle[None]) == [_parent_ambiguity(circle)]
+    assert families._ambiguities(circles) == [_parent_ambiguity(v) for v in circles]
+    assert families._ambiguities(circle[None]) == [_parent_ambiguity(circle)]
 
 
 def test_batched_direction_check_on_theorem2_circles():
     members = [make_schlicht("koebe_transform", {"w": 0.3 * cmath.exp(1j / m)}, order=256)
                for m in range(1, 17)]
     members.append(make_schlicht("koebe", order=256))  # a dominant maximum
-    _, _, last = max_modulus(members, default_schedule(members[0])[-1])
-    assert hayman._ambiguities(last) == [_parent_ambiguity(v) for v in last]
+    r = default_schedule(members[0])[-1]
+    _, _, verdicts = max_modulus(members, r)
+    assert verdicts == [_whole_circle_verdict(f, r) for f in members]
 
 
 @pytest.mark.parametrize("m", [1, 7, 64])
@@ -305,9 +315,29 @@ def test_theorem2_member_matches_parent_pipeline(m):
 
 def test_scalar_radius_batch_shapes():
     members = [make_schlicht("koebe", order=16), make_schlicht("halfplane", order=16)]
-    peaks, angles, last = max_modulus(members, 0.5)
-    assert peaks.shape == angles.shape == (2,) and last.shape == (2, CIRCLE_GRID)
+    peaks, angles, verdicts = max_modulus(members, 0.5)
+    assert peaks.shape == angles.shape == (2,) and verdicts == [None, None]
     assert abs(peaks[0] - 2.0) < 1e-12 and abs(peaks[1] - 1.0) < 1e-12
+
+
+def test_closed_form_batch_search_makes_no_member_call(monkeypatch):
+    # every circle of a closed-form batch goes through the one flat evaluation;
+    # a series-only member evaluates its partial sums through its own value
+    calls = []
+    value = families.SchlichtFunction.value
+
+    def counted(self, z):
+        calls.append(self.kind)
+        return value(self, z)
+
+    monkeypatch.setattr(families.SchlichtFunction, "value", counted)
+    members = [make_schlicht("koebe_transform", {"w": 0.3 * cmath.exp(1j / m)}, order=64)
+               for m in range(1, 9)]
+    max_modulus(members, default_schedule(members[0]))
+    assert calls == []
+    series_only = make_schlicht("custom", {"coeffs": members[0].series.coeffs}, order=64)
+    max_modulus([series_only], default_schedule(series_only))
+    assert calls and set(calls) == {"custom"}
 
 
 def test_series_only_member_is_a_batch_of_one():

@@ -1001,8 +1001,9 @@ class TestCli:
 
 # tracemalloc's peak of one theorem2 run at the README config (m 2..64, n 1..256,
 # order 256): 1.46 MB on Python 3.11.7 and numpy 2.4.6.  The pin leaves 19%
-# headroom; evaluating every member's last circle of the circle search in one
-# broadcast, not one circle at a time, lifts the peak to 3.7 MB.
+# headroom.  The circle search evaluates an arc of every circle, the last one
+# included, about 4,800 cells for the whole window; evaluating every member's
+# whole last circle in one broadcast lifted the peak to 3.7 MB.
 THEOREM2_RUN_PEAK = 1_750_000
 
 
