@@ -490,15 +490,11 @@ def invert_to_sigma(f: SchlichtFunction, order: int) -> SigmaFunction:
 
 def _tail_linear(n_order: int, x: float) -> float:
     """sum_{n > N} n x^n, closed form; the universal coefficient-bound tail."""
-    if x == 0.0:
-        return 0.0
     return x ** (n_order + 1) * ((n_order + 1) * (1.0 - x) + x) / (1.0 - x) ** 2
 
 
 def _tail_quadratic(n_order: int, x: float) -> float:
     """sum_{n > N} n^2 x^n, closed form (for derivative tails)."""
-    if x == 0.0:
-        return 0.0
     n = n_order
     u = x ** (n + 1) * ((n + 1) * (n + 2) * (1.0 - x) ** 2
                         + 2.0 * x * ((n + 2) - (n + 1) * x)) / (1.0 - x) ** 3

@@ -6,7 +6,8 @@ For a normalized univalent ``f`` the ledger collects, in one pass:
 * ``lam``          -- lam_n = 2 (gamma_n - 1/n)
 * ``f_coeffs``     -- coefficients of (1-z)^2 f(z)/z (the boundary-mean series),
                       from :func:`boundary_mean_coeffs`, which also serves
-                      callers that need these rows and nothing else
+                      callers that need these rows and nothing else: the
+                      second difference of the coefficients of f(z)/z
 * ``s``            -- s_n = a_{n+1} - a_n (partial sums of ``f_coeffs``)
 * ``sigma``        -- sigma_n = a_{n+1}/(n+1) (Cesaro means of ``s``)
 * ``delta``        -- delta_n = s_n - sigma_n
@@ -115,20 +116,30 @@ def log_data(f: SchlichtFunction) -> LogData:
 def boundary_mean_coeffs(f: SchlichtFunction) -> np.ndarray:
     """Coefficients 0..N-1 of (1-z)^2 f(z)/z, N the series order of ``f``.
 
-    The one place the ledger's ``f_coeffs`` are computed; it runs no
-    series logarithm, so a caller that reads only these rows needs no
-    ledger.
+    The one place the ledger's ``f_coeffs`` are computed, by
+    :func:`_times_square` on f(z)/z; it runs no series logarithm, so a
+    caller that reads only these rows needs no ledger.
     """
     require_instance(f, SchlichtFunction, "boundary_mean_coeffs")
-    p = ComplexSeries(f.series.coeffs[1:])  # f(z)/z, constant term 1
-    m = p.order
-    square = np.zeros(m + 1, dtype=np.complex128)
-    square[0] = 1.0
-    if m >= 1:
-        square[1] = -2.0
-    if m >= 2:
-        square[2] = 1.0
-    return (ComplexSeries(square) * p).coeffs
+    return _times_square(f.series.coeffs[1:])  # f(z)/z, constant term 1
+
+
+def _times_square(p: np.ndarray) -> np.ndarray:
+    """(1-z)^2 p(z), truncated to p's length, for coefficient rows ``p``
+    along the last axis: the second difference p_k - 2 p_{k-1} + p_{k-2}
+    (p_{-1} = p_{-2} = 0), taken as two first differences.
+
+    Each subtraction rounds at most once, by a factor within u/(1+u) of 1,
+    u = 2^-53, and a subtraction never underflows inexactly.  So each real
+    and imaginary part lies within 2u (|x_k| + 2 |x_{k-1}| + |x_{k-2}|) of
+    its exact value, x that part of p: the bound the three-tap product
+    has.  By Sterbenz's lemma a subtraction is exact wherever its two
+    operands lie within a factor 2 of each other.  A theorem1 row holds
+    the powers r^k of r = 1 - 1/m >= 1/2, whose neighbours, and those of
+    their first differences, lie that close: every entry from k = 2 on is
+    exact, and only k = 1, (r - 1) - 1, may round.
+    """
+    return np.diff(np.diff(p, prepend=0.0), prepend=0.0)
 
 
 # -- recurrence adjudication -------------------------------------------
@@ -171,7 +182,8 @@ def f_coeffs_via_exp_recurrence(ld: LogData) -> np.ndarray:
     """Boundary-mean coefficients from n b_n = sum_k k lam_k b_{n-k}.
 
     Follows from (1-z)^2 f(z)/z = exp(sum lam_k z^k); cross-checks the
-    polynomial-product path used by :func:`log_data`.
+    second differences that :func:`log_data` takes
+    (:func:`boundary_mean_coeffs`).
     """
     require_instance(ld, LogData, "f_coeffs_via_exp_recurrence")
     m = ld.top_index

@@ -335,6 +335,14 @@ class TestCertifiedEval:
         val2, err2 = deriv_certified(g, 0.5)
         assert err2 == 0.0 and abs(val2 - 12.0) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [0.0, -0.0, 0j, 0])
+    def test_series_tail_bounds_vanish_at_the_origin(self, z):
+        # both closed-form tails give 0.0 at x = 0 with no guard of their own
+        f = make_schlicht("custom", {"coeffs": np.arange(129)}, order=128)
+        assert eval_certified(f, z) == (0.0, 0.0)
+        assert deriv_certified(f, z) == (1.0, 0.0)
+
 
 class TestMaxModulus:
     def test_koebe(self):
@@ -456,6 +464,8 @@ class TestBadInputs:
         "custom coeffs str": (InvalidParameter,
                               lambda: make_schlicht("custom", {"coeffs": "abc"}, 16)),
         "custom coeffs missing": (InvalidParameter, lambda: make_schlicht("custom", {}, 16)),
+        "custom coeffs wrong length": (InvalidParameter, lambda: make_schlicht(
+            "custom", {"coeffs": np.arange(16)}, 16)),
         "custom coeffs ragged": (InvalidParameter,
                                  lambda: make_schlicht("custom", {"coeffs": [[0, 1], [2]]}, 16)),
         "derivative profile theta nan": (InvalidParameter, lambda: _derivative_rows(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from schlichtlab import families, grunsky, hayman, lab, logmilin, tauber
 from schlichtlab.cli import main as cli_main
-from schlichtlab.errors import ConfigError, InvalidParameter
+from schlichtlab.errors import AmbiguousDirection, ConfigError, InvalidParameter
 from schlichtlab.families import make_schlicht
 from schlichtlab.lab import ScenarioConfig, export_report, run_scenario
 from schlichtlab.series import ComplexSeries
@@ -646,6 +646,40 @@ class TestTheorem2:
         assert np.all(np.diff(ts) <= 1e-12)
         assert rep.summary["flags"] == {"simultaneous_tail_bound": True}
         assert max(rep.summary["bracket_widths"]) < 1e-6
+
+
+class TestWindowErrors:
+    """An error inside a grid scenario's window names the window's m range."""
+
+    @staticmethod
+    def _raise(*args):
+        raise InvalidParameter("bad member")
+
+    @pytest.mark.parametrize("scenario, builder, cutoff", [
+        ("counterexample", "_dilations", {}),
+        ("theorem1", "_dilations", {"tail_n": 0.0}),
+        ("theorem2", "_transforms", {"simultaneous_tail_n": 0.0}),
+    ])
+    def test_a_failed_window_build_names_the_window(self, scenario, builder, cutoff, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(families, builder, self._raise)
+        cfg = small_cfg(scenario, tmp_path, m_range=(2, 9), tolerances=cutoff)
+        with pytest.raises(InvalidParameter, match=r"^\(m=2\.\.9\) bad member$") as info:
+            run_scenario(cfg)
+        assert type(info.value.__cause__) is InvalidParameter
+        assert str(info.value.__cause__) == "bad member"
+
+    def test_a_failed_growth_index_names_the_window(self, tmp_path, monkeypatch):
+        def hayman_fail(members):
+            raise AmbiguousDirection(f"no direction on {len(members)} members")
+
+        monkeypatch.setattr(hayman, "hayman_index", hayman_fail)
+        cfg = small_cfg("theorem2", tmp_path, m_range=(3, 7),
+                        tolerances={"simultaneous_tail_n": 0.0})
+        with pytest.raises(AmbiguousDirection,
+                           match=r"^\(m=3\.\.7\) no direction on 5 members$") as info:
+            run_scenario(cfg)
+        assert type(info.value.__cause__) is AmbiguousDirection
 
 
 class TestZalcman:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schlichtlab.errors import InvalidAlpha, QuadratureUnconverged, SchlichtLabError
-from schlichtlab import logmilin
+from schlichtlab import families, logmilin
 from schlichtlab.families import (
     dilated,
     make_schlicht,
@@ -162,6 +162,49 @@ class TestBoundaryMeanCoeffs:
         scale = max(1.0, float(np.max(np.abs(f.series.coeffs))))
         np.testing.assert_allclose(f_coeffs_via_exp_recurrence(ld), fast, rtol=0,
                                    atol=1e-10 * scale, err_msg=f.label())
+
+    @staticmethod
+    def _exact(p: np.ndarray, k: int, part: str):
+        """The exact p_k - 2 p_{k-1} + p_{k-2} of one part of the stored
+        doubles, and the bound 2u (|x_k| + 2 |x_{k-1}| + |x_{k-2}|)."""
+        x = [Fraction(getattr(complex(p[j]), part)) if j >= 0 else Fraction(0)
+             for j in (k, k - 1, k - 2)]
+        bound = Fraction(2, 2 ** 53) * (abs(x[0]) + 2 * abs(x[1]) + abs(x[2]))
+        return x[0] - 2 * x[1] + x[2], bound
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=40, deadline=None)
+    @given(f=ledger_members())
+    def test_within_the_docstring_bound_of_the_exact_product(self, f):
+        p = f.series.coeffs[1:]
+        rows = boundary_mean_coeffs(f)
+        for k in range(len(p)):
+            for part in ("real", "imag"):
+                exact, bound = self._exact(p, k, part)
+                assert abs(Fraction(getattr(complex(rows[k]), part)) - exact) <= bound, (
+                    f.label(), k, part)
+
+    def test_theorem1_windows_are_exact_but_at_k_1(self):
+        # r_m = 1 - 1/m >= 1/2: by Sterbenz's lemma both differences are exact
+        order = 256
+        base = make_schlicht("halfplane", order=order)
+        block, _ = families._dilations(base, [1.0 - 1.0 / m for m in range(2, 72)])
+        rows = logmilin._times_square(block[:, 1:])
+        assert rows.shape == (70, order)
+        for p, row in zip(block[:, 1:], rows):
+            for k in (0, *range(2, order)):
+                for part in ("real", "imag"):
+                    exact, _ = self._exact(p, k, part)
+                    assert Fraction(getattr(complex(row[k]), part)) == exact, (p[1], k, part)
+
+    @pytest.mark.parametrize("kind", ["koebe", "halfplane"])
+    def test_a_window_takes_the_rows_of_its_members_bit_for_bit(self, kind):
+        radii = [1.0 - 1.0 / m for m in range(2, 1202)]
+        block, members = families._dilations(make_schlicht(kind, order=24), radii)
+        rows = logmilin._times_square(block[:, 1:])
+        assert rows.dtype == np.complex128 and rows.shape == (1200, 24)
+        for f, row in zip(members, rows):
+            assert row.tobytes() == boundary_mean_coeffs(f).tobytes()
 
 
 class TestRecurrenceAdjudication:

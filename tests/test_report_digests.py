@@ -64,17 +64,17 @@ def report_set() -> dict:
 
 DIGESTS = {
     "audit258/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
-    "audit258/inequality_audit.json": "0af875e837aaab45c2cd51e30654de737ebd71f685b76f9404218d166bc70934",
+    "audit258/inequality_audit.json": "0c520505ff73825623dcf49c9dc69a4b3b0296901e19d7d27177cfba6babfeaf",
     "audit_grunsky-1/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
-    "audit_grunsky-1/inequality_audit.json": "0af875e837aaab45c2cd51e30654de737ebd71f685b76f9404218d166bc70934",
+    "audit_grunsky-1/inequality_audit.json": "0c520505ff73825623dcf49c9dc69a4b3b0296901e19d7d27177cfba6babfeaf",
     "audit_grunsky-1/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-1/zalcman_scan.json": "40e40d5c00ff8ae75ce2c0d864054afc11861b97d17454118bc8e60c670a7b12",
     "audit_grunsky-2/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
-    "audit_grunsky-2/inequality_audit.json": "0af875e837aaab45c2cd51e30654de737ebd71f685b76f9404218d166bc70934",
+    "audit_grunsky-2/inequality_audit.json": "0c520505ff73825623dcf49c9dc69a4b3b0296901e19d7d27177cfba6babfeaf",
     "audit_grunsky-2/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-2/zalcman_scan.json": "40e40d5c00ff8ae75ce2c0d864054afc11861b97d17454118bc8e60c670a7b12",
     "audit_grunsky-3/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
-    "audit_grunsky-3/inequality_audit.json": "0af875e837aaab45c2cd51e30654de737ebd71f685b76f9404218d166bc70934",
+    "audit_grunsky-3/inequality_audit.json": "0c520505ff73825623dcf49c9dc69a4b3b0296901e19d7d27177cfba6babfeaf",
     "audit_grunsky-3/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "audit_grunsky-3/zalcman_scan.json": "40e40d5c00ff8ae75ce2c0d864054afc11861b97d17454118bc8e60c670a7b12",
     "growth_index-1/theorem2.csv": "ac811e38c4ad3f8486bae67f749479d65345379e0bc687991fd5975295e9003d",
@@ -84,27 +84,27 @@ DIGESTS = {
     "growth_index-3/theorem2.csv": "869390ccf3a3393e02c9699dd3751492c0a8b1f4931be8bb255998704e9c069c",
     "growth_index-3/theorem2.json": "ecd26442c209f2e467654c35449897941926e6e1452e7229a2b2eda31d6a94d4",
     "readme/counterexample.csv": "404e4a459dc2a1f0ea2c86295dcf9466aa4b97df1e5a9ea6d69a70b60b36e853",
-    "readme/counterexample.json": "7bae6c5abfa5a35948012beba7a270fdaae00a144ea82723c43a16e52c11755e",
+    "readme/counterexample.json": "2dea300d3bdf74bb3163b47b6f49e36f06929a300e172caf3eb92dca71060c2e",
     "readme/inequality_audit.csv": "06e85da7aabadad9ba058b1fdf43b221cce34c9aa8462d03a69d83a09fdfcac6",
-    "readme/inequality_audit.json": "d0bd95d9946a21861b33217936af739d714711d1168733ab60f5da117458162a",
+    "readme/inequality_audit.json": "526f8869c40313fd381b669c40e1c9c2a83003b0d5311e723025cd559073acae",
     "readme/theorem1.csv": "5243e58b45071e040328ce61f37edfa85fddf9c070c7489df03490a896766ca2",
-    "readme/theorem1.json": "326aec60db2c785ee0a99748b1b1e61e5e3f43c672e254aa5a6ad0971e5588be",
+    "readme/theorem1.json": "c2d5e35b55b34dd0f9e02037c58d4c2ff16468cf1493a67b6ff74c6f78f61aab",
     "readme/theorem2.csv": "33f4df1a28d62a491adb1a712759b5ceeb34757bb3b24ba93036744135b1ec6f",
     "readme/theorem2.json": "1d782d9fe64c0885af1e778b17bad24aba3078c48d0369efb0b220fc56d42332",
     "readme/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
     "readme/zalcman_scan.json": "40e40d5c00ff8ae75ce2c0d864054afc11861b97d17454118bc8e60c670a7b12",
     "report_grid-1/counterexample.csv": "91d993cff0c8cbbe3efdbd8c6199a329f16e32b5a9aef6cdc217c7f14537e40e",
-    "report_grid-1/counterexample.json": "051bc7cefa98e111fdfcbcfc46c49775c588c354cdf7b63bf95932c9da3cf508",
+    "report_grid-1/counterexample.json": "c37d3fdb055d2b0e5e18b55513a8b49fed8ec5124d0391f64ebf1edc6507cda4",
     "report_grid-1/theorem1.csv": "1bcdd3b1984598d5a2ae7dffeae5bdcfc71933ed466ab9e6cdbca2c7a65e9efe",
-    "report_grid-1/theorem1.json": "cdca426e6f2b175b91c66471c9599009cc16425a22466f31aec5fd7798cd9932",
+    "report_grid-1/theorem1.json": "1675f2e2f271c8d936856a746455f573a16fc359a75d3503a04b529e0cdead03",
     "report_grid-2/counterexample.csv": "5c74664759d3783f0f3c6588b28c9373562978563a276f3d5a22ca75121bca15",
-    "report_grid-2/counterexample.json": "495970c06dc3a407ff54770e6b559ce46ed105af4910cc3e582e83ce7bfeff9a",
+    "report_grid-2/counterexample.json": "603454cf7a38c7ef643135e1d41b47dbf8802f1de898faca886e931567d2cd0c",
     "report_grid-2/theorem1.csv": "ea1e03d121d255c74482a9f3bc8ba7f7e7a72dc9af291905f549fbdf9466eb4c",
-    "report_grid-2/theorem1.json": "9d0b0db94b4ce4f6f50b0bce68ea4912b682e97f8e1e5d451977a06abfc13053",
+    "report_grid-2/theorem1.json": "4c528661d712e6a68dd0cc262e5943ec0cd6be915d25d2331ed7d972f4f6ed0a",
     "report_grid-3/counterexample.csv": "da288ed6c805b9be09ee686ca3455b43fb9e133974ca2861f6add3ad8f702bc3",
-    "report_grid-3/counterexample.json": "48cc06b6866341fae4f412cf7231dd38f8b02ce25331b4914de6fc0818bce22a",
+    "report_grid-3/counterexample.json": "8a8f20717448669868caedd5575a29adad7b41c88f66a79f261d2c23e3e57908",
     "report_grid-3/theorem1.csv": "d9bef195a07cdcdebaf7e672bcd3425a4dd5eafc47712bb18fb41b9119d9791b",
-    "report_grid-3/theorem1.json": "3c3f1bdaffe841fa3ad70bcee06b9c8bf75438b50ad154accd6cd0c1c6daea24",
+    "report_grid-3/theorem1.json": "379dde36532707177700100e2be91ac688b4fe49eebde6a703cb87243eef8f0a",
 }
 
 
