@@ -20,16 +20,16 @@ its growth class (:attr:`SchlichtFunction.maximal_growth`).  Series-only
 maps (``custom``) carry no pair and are evaluated from their partial
 sums.
 
-Members are built a window at a time: :func:`_transforms` and
-:func:`_dilations` give one member per parameter, the coefficients of all
-of them one 2-D block, a running product along its rows or one power
-table, checked whole and made read-only; each member's series is a row of
-the block, a view.  A single member is a window of one row, built by the
-same code.  One private factory, :func:`_member`, makes every member from
-such a row, called through :func:`_window` by the builders alone
-(:func:`make_schlicht`, :func:`rotated`, :func:`dilated` and the two
-window builders); a caller's coefficients reach it only as a copy, and
-:class:`SchlichtFunction` refuses a direct call, so no member carries a
+Coefficients are built a window at a time: one 2-D block, one row per
+parameter, its powers one :func:`_powers` table, checked whole and made
+read-only (:func:`_checked`).  :func:`_transforms` gives a member per row,
+each member's series a row of the block, a view; :func:`_dilations` gives
+the block alone, which the grid scenarios read.  A single member is a
+window of one row, built by the same code.  One private factory,
+:func:`_member`, makes every member from such a row, called by the
+builders alone (:func:`make_schlicht`, :func:`rotated`, :func:`dilated`
+and :func:`_transforms`); a caller's coefficients reach it only as a copy,
+and :class:`SchlichtFunction` refuses a direct call, so no member carries a
 pair that is not its series' pair.
 
 ``max_modulus`` searches the circles of a whole batch of members at once,
@@ -138,7 +138,7 @@ class SchlichtFunction:
     ``np.complex128`` for a scalar point.
 
     Only the builders make one (:func:`make_schlicht`, :func:`rotated`,
-    :func:`dilated` and the window builders, all through :func:`_member`),
+    :func:`dilated` and :func:`_transforms`, all through :func:`_member`),
     so a member's pair is its series' pair; a direct call, and so
     ``dataclasses.replace``, raises :class:`InvalidParameter`.  Two members
     are equal when their series (coefficient arrays), kinds, params and
@@ -217,7 +217,7 @@ class SchlichtFunction:
 def _member(coeffs: np.ndarray, kind: str, params: dict, pair) -> SchlichtFunction:
     """The one factory of :class:`SchlichtFunction`: the member with the
     series of ``coeffs`` (a_0 .. a_N) and the pair ``pair``, or None for a
-    series-only map.  ``coeffs`` is a row of a block that :func:`_window`
+    series-only map.  ``coeffs`` is a row of a block that :func:`_checked`
     checked and made read-only, taken as it is; a caller's array reaches it
     only as a copy.  It passes by the constructor's gate, so each builder
     gives a pair whose series is ``coeffs``."""
@@ -235,11 +235,18 @@ def _window(block: np.ndarray, kind: str, params: list, pairs: list) -> list:
     """The members of the rows of ``block``, a 2-D complex128 array that no
     caller holds: checked whole (:func:`_check_class_s`), made read-only,
     and row i made the series of a ``kind`` member with ``params[i]`` and
-    ``pairs[i]`` by :func:`_member`.  Every builder ends here, a single
-    member as a block of one row."""
+    ``pairs[i]`` by :func:`_member`: a pair window, or a custom series as a
+    block of one row.  A rotation or a dilation is a block of one row too,
+    checked by :func:`_scaled` (:func:`_scaled_member`)."""
+    return [_member(row, kind, p, pair)
+            for row, p, pair in zip(_checked(block, kind), params, pairs)]
+
+
+def _checked(block: np.ndarray, kind: str) -> np.ndarray:
+    """``block``, checked whole (:func:`_check_class_s`) and made read-only."""
     _check_class_s(block, kind)
     block.setflags(write=False)
-    return [_member(row, kind, p, pair) for row, p, pair in zip(block, params, pairs)]
+    return block
 
 
 @dataclass(frozen=True)
@@ -323,7 +330,7 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
 
     if kind == "dilation":
         r = finite_parameter(params.get("r"), "dilation r")
-        return _dilations(make_schlicht("koebe", order=order), [r])[1][0]
+        return _dilated(make_schlicht("koebe", order=order), r, kind, {"r": r})
 
     if kind == "koebe_transform":
         w = finite_parameter(params.get("w", 0.0), "koebe_transform w", complex)
@@ -336,9 +343,27 @@ def make_schlicht(kind: str, params: Optional[dict] = None, order: int = 128) ->
 
 
 def _powers(x, count: int) -> np.ndarray:
-    """x^0 .. x^{count-1} as complex numbers, by one running product."""
-    powers = np.ones(count, dtype=np.complex128)
-    powers[1:] = np.cumprod(np.full(max(count - 1, 0), x, dtype=np.complex128))
+    """x^0 .. x^{count-1} along the last axis, by one running product: the
+    package's one table of powers.
+
+    ``x`` is a number, or a 1-D array that gives one row per entry; a real
+    ``x`` gives a float64 table and a complex one a complex128 table.  The
+    entry x^k (k >= 1) is x times k - 1 rounded products, each within a
+    relative u = eps/2 for real x, and within sqrt(5) u for complex x
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, sec. 3.1 and 3.6).  So, short of underflow, the computed x^k lies
+    within gamma_{k-1} |x|^k of the exact power of the double x for real x,
+    gamma_j = j u / (1 - j u), about (k-1) u, and within about
+    1.2 (k-1) eps of it for complex x; x^0 = 1 and x^1 = x are exact.  A
+    real product is correctly rounded whichever SIMD kernel numpy picks, so
+    a real table's bits do not depend on the CPU; ``x ** k`` goes through
+    libm or numpy's vector ``pow``, whose last bits do.  numpy's complex
+    products need not be kernel-free: its elementwise one rounds otherwise
+    without AVX2 (x86-64-v2).
+    """
+    x = np.asarray(x, dtype=np.result_type(x, np.float64))
+    powers = np.ones((*x.shape, count), dtype=x.dtype)
+    powers[..., 1:] = np.cumprod(np.broadcast_to(x[..., None], powers[..., 1:].shape), axis=-1)
     return powers
 
 
@@ -361,13 +386,13 @@ def _pair_window(pairs, order: int, kind: str, params: list) -> tuple:
     order ``order``, one per (beta, rho) of ``pairs``, as the rows of one
     block: a_1 = 1 and a_n = beta^{n-2} (n beta - (n-1) rho) for n >= 2.
 
-    beta^{n-2} is a running product along each row (as :func:`_powers`
-    takes it), within about 1.2 (n-3) machine epsilons of the exact power
-    of the double beta for n >= 3 (sqrt(5)/2 epsilons per complex product),
-    and exact for n = 2.  The factor n beta - (n-1) rho rounds its two
-    products and the difference: within eps/2 (n |beta| + (n-1) |rho|) +
-    eps/2 |factor| of the exact value, which is far more than eps |factor|
-    when the two terms cancel.  The last product rounds once more.  So,
+    beta^{n-2} is :func:`_powers`' running product along each row, within
+    about 1.2 (n-3) machine epsilons of the exact power of the double beta
+    for n >= 3 (sqrt(5)/2 epsilons per complex product), and exact for
+    n = 2.  The factor n beta - (n-1) rho rounds its two products and the
+    difference: within eps/2 (n |beta| + (n-1) |rho|) + eps/2 |factor| of
+    the exact value, which is far more than eps |factor| when the two terms
+    cancel.  The last product rounds once more.  So,
     with s_n = |beta|^{n-2} (n |beta| + (n-1) |rho|), a_n lies within about
 
         eps ((1.2 (n-2) + 4) |a_n| + s_n / 2)
@@ -384,25 +409,30 @@ def _pair_window(pairs, order: int, kind: str, params: list) -> tuple:
     beta, rho = np.array(pairs, dtype=np.complex128).T[:, :, None]
     n = np.arange(2, order + 1)
     block = np.empty((len(pairs), order + 1), dtype=np.complex128)
-    block[:, :3] = (0.0, 1.0, 1.0)  # a_0, a_1, and beta^0 for a_2
-    block[:, 3:] = beta.repeat(order - 2, axis=1).cumprod(axis=1)  # beta^1 .. beta^{N-2}
+    block[:, :2] = (0.0, 1.0)  # a_0, a_1
+    block[:, 2:] = _powers(beta[:, 0], order - 1)  # beta^0 .. beta^{N-2}
     factor = np.multiply(n, beta)
     np.subtract(factor, np.multiply(n - 1.0, rho), out=factor)
     np.multiply(block[:, 2:], factor, out=block[:, 2:])
     return block, _window(block, kind, params, pairs)
 
 
-def _scaled(f: SchlichtFunction, scales: list, powers: np.ndarray, kind: str,
-            params: list) -> tuple:
-    """``(block, members)``: the members ``f(c z)/c`` of ``kind`` for each c
-    of ``scales``, row i with a_0 = 0 and a_n = a_n(f) powers[i, n-1] for
-    n >= 1 (powers[i, j] = c^j), and the pair (c beta, c rho) of a closed form."""
-    block = np.empty((len(scales), f.order + 1), dtype=np.complex128)
-    block[:, 0] = 0.0
+def _scaled(f: SchlichtFunction, powers: np.ndarray, kind: str) -> np.ndarray:
+    """The checked, read-only block (:func:`_checked`) of the maps
+    ``f(c z)/c`` of ``kind``, one per row of ``powers`` (powers[i, j] =
+    c_i^j): row i holds a_0 = 0 and a_n = a_n(f) powers[i, n-1] for n >= 1."""
+    block = np.zeros((len(powers), f.order + 1), dtype=np.complex128)
     np.multiply(f.series.coeffs[1:], powers, out=block[:, 1:])
-    pairs = [None if f.beta_rho is None else (f.beta_rho[0] * c, f.beta_rho[1] * c)
-             for c in scales]
-    return block, _window(block, kind, params, pairs)
+    return _checked(block, kind)
+
+
+def _scaled_member(f: SchlichtFunction, c, row: np.ndarray, kind: str,
+                   params: dict) -> SchlichtFunction:
+    """The member ``f(c z)/c`` of ``kind`` with ``params``: its series
+    ``row``, a row of a block from :func:`_scaled`, and the pair
+    (c beta, c rho) of a closed form."""
+    pair = None if f.beta_rho is None else (f.beta_rho[0] * c, f.beta_rho[1] * c)
+    return _member(row, kind, params, pair)
 
 
 def rotated(f: SchlichtFunction, phi: float) -> SchlichtFunction:
@@ -423,8 +453,10 @@ def rotated(f: SchlichtFunction, phi: float) -> SchlichtFunction:
 def _rotated(f: SchlichtFunction, phi: float, kind: str, params: dict) -> SchlichtFunction:
     """``rotated(f, phi)``, a float ``phi``, as a member of ``kind`` with ``params``."""
     unit = cmath.exp(1j * phi)
+    # complex exp, not _powers(unit): its bits do not depend on the SIMD kernel,
+    # and unit^k by running product lets |a_n| drift from 1 by k ulps
     powers = np.exp(1j * cmath.phase(unit) * np.arange(f.order))
-    return _scaled(f, [unit], powers[None], kind, [params])[1][0]
+    return _scaled_member(f, unit, _scaled(f, powers[None], kind)[0], kind, params)
 
 
 def dilated(f: SchlichtFunction, r: float) -> SchlichtFunction:
@@ -437,23 +469,27 @@ def dilated(f: SchlichtFunction, r: float) -> SchlichtFunction:
     """
     require_instance(f, SchlichtFunction, "dilated")
     r = finite_parameter(r, "dilation r")
-    return _dilations(f, [r], {"dilated_from": f.kind})[1][0]
+    return _dilated(f, r, "custom", {"dilated_from": f.kind, "r": r})
 
 
-def _dilations(f: SchlichtFunction, radii: list, origin: Optional[dict] = None) -> tuple:
-    """``(block, members)``: ``f(r z)/r`` for each float ``r`` of ``radii``,
-    checked to lie in (0, 1), each member's series a row of the one block.
+def _dilated(f: SchlichtFunction, r: float, kind: str, params: dict) -> SchlichtFunction:
+    """``f(r z)/r``, a float ``r``, as a member of ``kind`` with ``params``:
+    the one row of the block :func:`_dilations` builds."""
+    return _scaled_member(f, r, _dilations(f, [r], kind)[0], kind, params)
 
-    Without ``origin`` the members are of kind ``dilation`` with params
-    ``{"r": r}``; with it, of kind ``custom`` with ``origin`` and ``r``.
-    The powers r^{n-1} are taken for n >= 1 only, so a tiny ``r``
-    underflows them quietly instead of overflowing r^{-1}.
+
+def _dilations(f: SchlichtFunction, radii: list, kind: str = "dilation") -> np.ndarray:
+    """The checked, read-only coefficient block of ``f(r z)/r`` for each
+    float ``r`` of ``radii``, checked to lie in (0, 1), one row per ``r``;
+    a window that needs no member, and the row of :func:`dilated`.
+
+    The powers r^{n-1} are :func:`_powers`' real table, taken for n >= 1
+    only, so a tiny ``r`` underflows them quietly instead of overflowing
+    r^{-1}.
     """
     if not all(0.0 < r < 1.0 for r in radii):
         raise InvalidParameter("dilation needs r in (0, 1)")
-    powers = np.array(radii, dtype=float)[:, None] ** np.arange(f.order, dtype=float)
-    kind = "dilation" if origin is None else "custom"
-    return _scaled(f, radii, powers, kind, [dict(origin or {}, r=r) for r in radii])
+    return _scaled(f, _powers(np.array(radii, dtype=float), f.order), kind)
 
 
 def invert_to_sigma(f: SchlichtFunction, order: int) -> SigmaFunction:

@@ -51,6 +51,7 @@ logarithmic ledger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,16 +277,14 @@ def row_polynomials(t: GrunskyTable, z: complex) -> np.ndarray:
     """
     require_instance(t, GrunskyTable, "row_polynomials")
     _disk_modulus(z)
-    zpow = z ** np.arange(t.order + 1)
-    zpow[0] = 0.0
-    return t.gamma_nk @ zpow
+    return t.gamma_nk @ _powers(z, t.order + 1)  # column 0 of the table is zero
 
 
 def _rows_and_defect(t: GrunskyTable, z: complex):
     """The row polynomials A_n(z) and the fullness defect they give."""
     a_vals = row_polynomials(t, z)
     n, x = np.arange(t.order + 1, dtype=float), float(abs(z))
-    return a_vals, float(abs(float(np.sum(n * np.abs(a_vals) ** 2)) + np.log1p(-x ** 2)))
+    return a_vals, float(abs(float(np.sum(n * np.abs(a_vals) ** 2)) + math.log1p(-x * x)))
 
 
 def fullness_defect(t: GrunskyTable, z: complex) -> float:
@@ -315,10 +314,10 @@ def full_mapping_defect(t: GrunskyTable, ld: LogData, f: SchlichtFunction, z: co
     require_instance(ld, LogData, "full_mapping_defect")
     require_instance(f, SchlichtFunction, "full_mapping_defect")
     a_vals, defect = _rows_and_defect(t, z)
-    zn = z ** np.arange(t.order + 1)
-    lhs = np.sum(a_vals * zn)
     m = min(ld.top_index, f.order - 1)
-    log_fz = 2.0 * np.dot(ld.gamma[: m + 1], z ** np.arange(m + 1))  # log(f/z) partial sum
+    zn = _powers(z, max(t.order, m) + 1)  # one table for both sums
+    lhs = np.sum(a_vals * zn[: t.order + 1])
+    log_fz = 2.0 * np.dot(ld.gamma[: m + 1], zn[: m + 1])  # log(f/z) partial sum
     if f.has_closed_form:
         log_fp = closed_form_log_deriv(z, *f.beta_rho)
     else:

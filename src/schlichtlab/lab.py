@@ -47,11 +47,13 @@ ScenarioConfig checks a config against its scenario's row only, raising
 ConfigError, and run_scenario calls the row's runner.  The provenance
 echoes the config's own fields and tolerances, overrides as given.
 
-The three grid scenarios build their m window at once, one member per m
-whose series is a row of one coefficient block (families._transforms,
-families._dilations), an error naming the window.  They share the
-coefficient-ratio grid (rows, deviations and joint tail suprema), read off
-the block in one operation; each runner then sets its own flags.
+The three grid scenarios build their m window at once, one coefficient
+block with a row per m, an error naming the window: theorem2 takes a
+member per row (families._transforms), for the growth-index search, and
+counterexample and theorem1 the block alone (families._dilations).  They
+share the coefficient-ratio grid (rows, deviations and joint tail
+suprema), read off the block in one operation; each runner then sets its
+own flags.
 
 A ScenarioReport keeps its rows as columns (see COLUMNS): ``m`` and ``n``
 are int64 arrays, ``value``, ``alpha_m`` and ``deviation`` float64 arrays,
@@ -308,10 +310,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
 # -- coefficient-ratio scenarios ------------------------------------------
 
 
-def _window(cfg: ScenarioConfig, build) -> tuple:
-    """``(block, members)`` from ``build(ms)``, ms the m of ``cfg.m_range``:
-    one member per m, each member's series a row of the one coefficient
-    block; an error names the window."""
+def _window(cfg: ScenarioConfig, build):
+    """``build(ms)``, ms the m of ``cfg.m_range``: one coefficient block with
+    a row per m, and its members where ``build`` makes them; an error names
+    the window."""
     ms = range(cfg.m_range[0], cfg.m_range[1] + 1)
     try:
         return build(ms)
@@ -319,8 +321,9 @@ def _window(cfg: ScenarioConfig, build) -> tuple:
         _annotate(exc, f"{ms[0]}..{ms[-1]}")
 
 
-def _dilation_window(cfg: ScenarioConfig, kind: str) -> tuple:
-    """The window of the ``kind`` map's dilations by r_m = 1 - 1/m."""
+def _dilation_window(cfg: ScenarioConfig, kind: str) -> np.ndarray:
+    """The checked, read-only coefficient block of the ``kind`` map's
+    dilations by r_m = 1 - 1/m, one row per m; no member is built."""
     base = families.make_schlicht(kind, order=cfg.series_order)
     return _window(cfg, lambda ms: families._dilations(base, [1.0 - 1.0 / m for m in ms]))
 
@@ -372,7 +375,7 @@ def _diagonal_cells(cfg: ScenarioConfig) -> range:
 
 def _run_counterexample(cfg: ScenarioConfig) -> ScenarioReport:
     tol = cfg.tolerances
-    block, _ = _dilation_window(cfg, "koebe")
+    block = _dilation_window(cfg, "koebe")
     zeros = [0.0] * len(block)  # dilations of bounded-coefficient maps
     _, d, rows, summary, _ = _ratio_grid(cfg, block, zeros, zeros)
     (m_lo, m_hi), (n_lo, n_hi) = cfg.m_range, cfg.n_range
@@ -389,7 +392,7 @@ def _run_counterexample(cfg: ScenarioConfig) -> ScenarioReport:
 
 def _run_theorem1(cfg: ScenarioConfig) -> ScenarioReport:
     tol = cfg.tolerances
-    block, _ = _dilation_window(cfg, "halfplane")
+    block = _dilation_window(cfg, "halfplane")
     zeros = [0.0] * len(block)  # bounded image: slow growth
     ms, _, rows, summary, tail = _ratio_grid(cfg, block, zeros, zeros)
     at_cut = _tail_at_cutoff(cfg, *tail)

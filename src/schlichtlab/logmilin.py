@@ -258,8 +258,8 @@ def bazilevich_gap(ld: LogData, alpha: float, theta: float, n_terms: int):
     if alpha <= 0.0:
         raise InvalidAlpha("the direction-weighted bound needs alpha > 0")
     lhs = direction_weighted_sum(ld.gamma, theta, n_terms)
-    rhs = -0.5 * np.log(alpha)
-    return lhs, float(rhs), float(rhs) - lhs
+    rhs = -0.5 * math.log(alpha)
+    return lhs, rhs, rhs - lhs
 
 
 def lebedev_milin_check(f: SchlichtFunction, ld: LogData, n: int):
@@ -282,7 +282,7 @@ def lebedev_milin_check(f: SchlichtFunction, ld: LogData, n: int):
     k = np.arange(1, n + 1, dtype=float)
     weights = (n + 1) - k
     expo = np.sum(weights * (k * np.abs(ld.gamma[1 : n + 1]) ** 2 - 1.0 / k))
-    rhs = (n + 1) * float(np.exp(expo / (n + 1)))
+    rhs = (n + 1) * math.exp(expo / (n + 1))
     return float(a_abs), b_sum, rhs
 
 

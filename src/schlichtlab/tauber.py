@@ -29,6 +29,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
 )
+from .families import _powers
 from .logmilin import LogData
 from .series import finite_parameter, integer_parameter, numeric_array, require_instance
 
@@ -161,8 +162,10 @@ def simultaneous_tauber_harness(fam: DoubleFamily) -> TauberHarnessReport:
 
     Complex rows are rejected outright (imaginary parts above 1e-14)
     rather than silently projected: the machinery is only valid for real
-    coefficients.  Real parts are taken into a contiguous array, so equal
-    rows give equal bits whether held as real or as complex.
+    coefficients.  The Abel sums are numpy's own sums of elementwise
+    products with one :func:`families._powers` table, not a BLAS product, so
+    equal rows give equal bits whether held as real or as complex, and
+    whichever BLAS kernel is loaded.
     """
     require_instance(fam, DoubleFamily, "the harness")
     rows = np.asarray(fam.coeff_rows)
@@ -172,7 +175,7 @@ def simultaneous_tauber_harness(fam: DoubleFamily) -> TauberHarnessReport:
             raise ComplexCoefficients(
                 f"rows carry imaginary parts up to {worst:.3g}; the harness needs real data"
             )
-        rows = np.ascontiguousarray(rows.real)  # a strided view takes another BLAS path
+        rows = rows.real
     alpha = np.asarray(fam.alpha, dtype=float)
 
     partial = np.cumsum(rows, axis=1)
@@ -182,12 +185,10 @@ def simultaneous_tauber_harness(fam: DoubleFamily) -> TauberHarnessReport:
     l_half = float(np.max(partial[:, : half + 1] - alpha[:, None]))
     iii_bounded = l_observed <= max(1.25 * l_half, l_half + 1e-9) + 1e-9
 
-    abel_vals = np.empty((rows.shape[0], len(T_GRID)))
-    for j, t in enumerate(T_GRID):
-        if t >= 1.0:
-            abel_vals[:, j] = alpha  # continuity extension at the endpoint
-        else:
-            abel_vals[:, j] = rows @ (t ** np.arange(rows.shape[1]))
+    # Abel sums at every t < 1 from one power table; at t = 1 the targets,
+    # the continuity extension at the endpoint
+    powers = _powers(np.array(T_GRID[:-1]), rows.shape[1])
+    abel_vals = np.column_stack((np.sum(rows[:, None] * powers, axis=2), alpha))
     uniform_gap = (
         float(np.max(np.abs(abel_vals[-1] - abel_vals[-2])))
         if rows.shape[0] >= 2 else 0.0
@@ -235,7 +236,7 @@ def tauber_decomposition_check(ld: LogData, n: int, r: float) -> float:
         raise IndexOutOfRange(f"n must lie in 2..{k_top}")
     b = ld.f_coeffs
     delta = ld.delta
-    rk = r ** np.arange(k_top + 1)
+    rk = _powers(r, k_top + 1)
 
     lhs = np.dot(b, rk) - ld.sigma[n]
     ks = np.arange(1, k_top + 1, dtype=float)

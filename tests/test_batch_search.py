@@ -126,16 +126,16 @@ def closed_form_members(draw):
 
 @st.composite
 def window_members(draw):
-    """One to three members of a transform or Koebe dilation window, built
-    as the grid scenarios build theirs: each series a row of one block."""
+    """One to three members of a transform window, each series a row of one
+    block as theorem2 builds its window, or one to three Koebe dilations."""
     order = draw(st.sampled_from([16, 64, 130]))
     count = draw(st.integers(1, 3))
     if draw(st.booleans()):
         ws = [cmath.rect(draw(st.floats(0.0, 0.6)), draw(st.floats(-math.pi, math.pi)))
               for _ in range(count)]
         return families._transforms(ws, order)[1]
-    radii = [draw(st.floats(0.1, 0.99)) for _ in range(count)]
-    return families._dilations(make_schlicht("koebe", order=order), radii)[1]
+    return [make_schlicht("dilation", {"r": draw(st.floats(0.1, 0.99))}, order)
+            for _ in range(count)]
 
 
 # single members and window rows, mixed in one batch

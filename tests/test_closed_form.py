@@ -79,9 +79,12 @@ def reference_rotated(coeffs, phi):
 
 
 def reference_dilated(coeffs, r):
-    n = np.arange(len(coeffs))
-    out = coeffs * r ** (n - 1.0)
-    out[0] = 0.0
+    # a_n r^{n-1}, the powers by Python float products: r^0 = 1, r^k = r^{k-1} r
+    powers = [1.0]
+    for _ in range(len(coeffs) - 2):
+        powers.append(powers[-1] * r)
+    out = np.zeros_like(coeffs)
+    out[1:] = coeffs[1:] * np.array(powers)
     return out
 
 

@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -203,10 +204,6 @@ class TestLabels:
         assert make_schlicht("dilation", {"r": 0.5}, 8).label() == "dilation(r=0.5)"
         assert dilated(k, 0.5).params == {"dilated_from": "koebe", "r": 0.5}
 
-    def test_windows_keep_the_dilation_label(self):
-        _, members = families._dilations(make_schlicht("halfplane", order=8), [0.5, 0.75])
-        assert [f.label() for f in members] == ["dilation(r=0.5)", "dilation(r=0.75)"]
-
 
 def _bits(f):
     """A member's coefficients, pair and params, floats spelled exactly."""
@@ -231,14 +228,27 @@ class TestWindows:
     def test_a_dilation_window_equals_its_members_built_one_by_one(self, kind):
         base = make_schlicht(kind, order=self.ORDER)
         radii = [1.0 - 1.0 / m for m in range(2, 1202)] + [1e-300, 5e-324]
-        block, members = families._dilations(base, radii)
-        assert block.size >= self.ELISION
-        for r, f in zip(radii, members):
+        block = families._dilations(base, radii)
+        assert block.size >= self.ELISION and not block.flags.writeable
+        beta, rho = base.beta_rho
+        for r, row in zip(radii, block):
             single = dilated(base, r)
-            assert f.series.coeffs.tobytes() == single.series.coeffs.tobytes()
-            assert (f.beta_rho, f.kind, f.params) == (single.beta_rho, "dilation", {"r": r})
-        if kind == "koebe":
-            assert members[5] == make_schlicht("dilation", {"r": radii[5]}, self.ORDER)
+            assert row.tobytes() == single.series.coeffs.tobytes()
+            assert single.beta_rho == (beta * r, rho * r)
+            if kind == "koebe":
+                f = make_schlicht("dilation", {"r": r}, self.ORDER)
+                assert row.tobytes() == f.series.coeffs.tobytes()
+                assert (f.beta_rho, f.kind, f.params) == (single.beta_rho, "dilation", {"r": r})
+
+    def test_a_dilation_window_builds_no_member(self, monkeypatch):
+        def no_member(*args):
+            raise AssertionError("a dilation window built a member")
+
+        base = make_schlicht("halfplane", order=8)
+        monkeypatch.setattr(families, "_member", no_member)
+        block = families._dilations(base, [0.5, 0.75])
+        assert type(block) is np.ndarray and block.shape == (2, 9)
+        assert not block.flags.writeable
 
     def test_window_rows_are_read_only_views(self):
         block, members = families._transforms([0.3, 0.1j], 8)
@@ -266,6 +276,57 @@ class TestWindows:
         block[1, 4] = 0.0
         with pytest.raises(InvalidParameter, match=r"row 2 .*: series is not normalized"):
             families._check_class_s(block, "x")
+
+
+class TestPowers:
+    """``families._powers`` against the exact powers of the double x, in Fractions."""
+
+    U = Fraction(1, 2 ** 53)  # the unit roundoff, eps / 2
+
+    def _real_within_bound(self, x, table):
+        # x^k within gamma_{k-1} |x|^k, gamma_j = j u / (1 - j u); x^0, x^1 exact
+        exact = Fraction(1)
+        for k, p in enumerate(table.tolist()):
+            j = max(k - 1, 0)
+            assert abs(Fraction(p) - exact) <= j * self.U / (1 - j * self.U) * exact, (x, k)
+            exact *= Fraction(x)
+
+    def test_real_tables_lie_within_their_bound(self):
+        radii = [1.0 - 1.0 / m for m in range(2, 72)]
+        table = families._powers(np.array(radii), 256)
+        assert table.dtype == np.float64 and table.shape == (70, 256)
+        # the half-plane map's dilation rows (a_n = 1) are the table itself
+        block = families._dilations(make_schlicht("halfplane", order=256), radii)
+        assert block[:, 1:].real.tobytes() == table.tobytes() and not block.imag.any()
+        for r, row in zip(radii, table):
+            self._real_within_bound(r, row)
+        single = families._powers(0.9, 258)
+        corpus = dilated(make_schlicht("halfplane", order=258), 0.9).series.coeffs[1:]
+        assert single.shape == (258,) and single.tobytes() == corpus.real.tobytes()
+        self._real_within_bound(0.9, single)
+
+    def test_complex_tables_lie_within_their_bound(self):
+        # each complex product within c = sqrt(5) u (2.237 u here, rounded up),
+        # so x^k within j c / (1 - j c) relative, j = k - 1: about 1.2 (k-1) eps
+        betas = [(1.0 - w.conjugate()) / (1.0 - w) for w in (0.3 * cmath.exp(1j / 7), 0.99j)]
+        betas.append(0.6 + 0.7j)
+        table = families._powers(np.array(betas), 130)
+        assert table.dtype == np.complex128 and table.shape == (3, 130)
+        c = Fraction(2237, 1000) * self.U
+        for x, row in zip(betas, table):
+            xr, xi = Fraction(x.real), Fraction(x.imag)
+            er, ei = Fraction(1), Fraction(0)
+            for k, p in enumerate(row.tolist()):
+                j = max(k - 1, 0)
+                dr, di = Fraction(p.real) - er, Fraction(p.imag) - ei
+                assert dr * dr + di * di <= (j * c / (1 - j * c)) ** 2 * (er * er + ei * ei), (x, k)
+                er, ei = er * xr - ei * xi, er * xi + ei * xr
+
+    def test_takes_a_number_or_one_row_per_entry(self):
+        assert families._powers(2, 4).tolist() == [1.0, 2.0, 4.0, 8.0]
+        assert families._powers(1j, 3).tolist() == [1, 1j, -1]
+        assert families._powers(0.5, 0).shape == (0,) and families._powers(0.5, 1).tolist() == [1.0]
+        assert families._powers(np.array([0.5, 2.0]), 3).tolist() == [[1, 0.5, 0.25], [1, 2, 4]]
 
 
 class TestInversion:
@@ -680,11 +741,15 @@ class TestInvariants:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("r", [5e-324, 1e-320, 1e-200, 1e-30])
     def test_tiny_dilation_keeps_its_bits_without_a_warning(self, r):
-        # r^{n-1} for n >= 1 only: r^{-1} would overflow, and a_0 is 0 anyway
+        # r^{n-1} for n >= 1 only: r^{-1} would overflow, and a_0 is 0 anyway;
+        # the powers are Python float products, which 1e-30 takes through
+        # subnormals to zero
         f = make_schlicht("dilation", {"r": r}, order=64)
-        with np.errstate(all="ignore"):
-            n = np.arange(65)
-            expect = np.arange(65, dtype=np.complex128) * r ** (n - 1.0)
+        powers = [1.0]
+        for _ in range(63):
+            powers.append(powers[-1] * r)
+        expect = np.zeros(65, dtype=np.complex128)
+        expect[1:] = np.arange(1, 65) * np.array(powers)
         assert f.series.coeffs[0] == 0
         assert f.series.coeffs[1:].tobytes() == expect[1:].tobytes()
         assert f.beta_rho == (r, 0.0)

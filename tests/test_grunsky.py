@@ -11,6 +11,7 @@ from schlichtlab import grunsky
 from schlichtlab.errors import InvalidAlpha, InvalidParameter, OutsideDisk
 from schlichtlab.families import (
     SigmaFunction,
+    _powers,
     closed_form_log_deriv,
     dilated,
     invert_to_sigma,
@@ -233,12 +234,14 @@ class TestDefect:
     @pytest.mark.filterwarnings("error")
     def test_row_polynomials_evaluated_once(self, corpus130, ledgers130, monkeypatch):
         # the defect and the identity sum share one evaluation of A_n(z), and
-        # both numbers equal the earlier two-evaluation route bit for bit
+        # both numbers equal the earlier two-evaluation route bit for bit; the
+        # identity's two sums share one table of z's powers, whose running
+        # product makes each shorter table its prefix
         def two_evaluations(t, ld, f, z):
             defect = fullness_defect(t, z)
-            lhs = np.sum(grunsky.row_polynomials(t, z) * z ** np.arange(t.order + 1))
+            lhs = np.sum(grunsky.row_polynomials(t, z) * _powers(z, t.order + 1))
             m = min(ld.top_index, f.order - 1)
-            log_fz = 2.0 * np.dot(ld.gamma[: m + 1], z ** np.arange(m + 1))
+            log_fz = 2.0 * np.dot(ld.gamma[: m + 1], _powers(z, m + 1))
             if f.has_closed_form:
                 log_fp = closed_form_log_deriv(z, *f.beta_rho)
             else:
