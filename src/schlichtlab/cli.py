@@ -13,7 +13,7 @@ Subcommands:
       build the Grunsky section of the inverted member, print its norm
       (dense, which also works on the clustered spectra of full mappings)
       and the fullness diagnostics at z; the norm passes within the
-      audit's default norm_slack.
+      audit's rounding slack lab.NORM_SLACK.
 
 Exit codes: 0 when every pass/fail flag is ok; 1 on a failed flag, or on a
 :class:`SchlichtLabError`, which prints one ``Error: <msg>`` line on stderr
@@ -80,7 +80,7 @@ def grunsky_cmd(function: str, order: int, z: complex) -> int:
     table = grunsky.grunsky_matrix(families.invert_to_sigma(f, 2 * order), order)
     norm = grunsky.strong_grunsky_norm(table)
     defect, identity = grunsky.full_mapping_defect(table, logmilin.log_data(f), f, z)
-    ok = norm <= 1.0 + lab.SCENARIOS["inequality_audit"].tolerances["norm_slack"]
+    ok = norm <= 1.0 + lab.NORM_SLACK
     print(f"function           {f.label()}")
     print(f"table order        {order}")
     print(f"strong norm        {norm:.12f}  ({'ok' if ok else 'FAIL'})")

@@ -45,7 +45,10 @@ claim honest.
 One table, SCENARIOS, holds each scenario's rules as a Scenario row.
 ScenarioConfig checks a config against its scenario's row only, raising
 ConfigError, and run_scenario calls the row's runner.  The provenance
-echoes the config's own fields and tolerances, overrides as given.
+echoes the config's own fields and tolerances, overrides as given.  The
+slacks that only absorb rounding (NORM_SLACK, IDENTITY_TOL, SPLIT_TOL and
+ZALCMAN_SLACK) are module constants, not tolerance keys, so a config that
+names one is refused as naming an unknown key.
 
 The three grid scenarios build their m window at once, one coefficient
 block with a row per m, an error naming the window: theorem2 takes a
@@ -120,6 +123,14 @@ from .series import MAX_ORDER, finite_parameter, integer_parameter, require_inst
 
 # report columns, in CSV order with the scenario name first and check last
 COLUMNS = ("m", "n", "value", "alpha_m", "deviation", "flag", "check")
+
+# the rounding slack of four checks: the audit's grunsky_norm_bound (norm <= 1 +
+# NORM_SLACK), log_identity_link and tauber_split_identity (residual <= IDENTITY_TOL,
+# SPLIT_TOL), and the scan's zalcman_ceiling (|a_n^2 - a_{2n-1}| - (n-1)^2 <= ZALCMAN_SLACK)
+NORM_SLACK = 1e-9
+IDENTITY_TOL = 1e-8
+SPLIT_TOL = 1e-10
+ZALCMAN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -439,7 +450,6 @@ def _run_theorem2(cfg: ScenarioConfig) -> ScenarioReport:
 
 
 def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
-    tol = cfg.tolerances
     corpus = families.standard_corpus(cfg.series_order)
     ns = np.arange(cfg.n_range[0], cfg.n_range[1] + 1)
     # |a_n| / n, |a_n^2 - a_{2n-1}| and (n-1)^2, one row per member
@@ -456,14 +466,14 @@ def _run_zalcman(cfg: ScenarioConfig) -> ScenarioReport:
     size = slack.size
     rows = _columns(np.repeat(np.arange(len(corpus)) + 1, len(ns)), np.tile(ns, len(corpus)),
                     zal.ravel(), np.zeros(size), slack.ravel(),
-                    np.where(slack.ravel() <= tol["zalcman_slack"], "ok", "fail").tolist(),
+                    np.where(slack.ravel() <= ZALCMAN_SLACK, "ok", "fail").tolist(),
                     ["zalcman_ceiling"] * size)
     summary = {
         "labels": [f.label() for f in corpus],
         "worst_zalcman_slack": worst_slack,
         "max_bieberbach_ratio": max_ratio,
         "flags": {
-            "zalcman_ceiling": worst_slack <= tol["zalcman_slack"],
+            "zalcman_ceiling": worst_slack <= ZALCMAN_SLACK,
             "extremal_at_koebe_or_rotation": extremal_ok,
             "bieberbach_ratio_bound": max_ratio <= 1.0 + 1e-12,
         },
@@ -496,8 +506,8 @@ def _audit_member(f, cfg: ScenarioConfig, est, violations: int):
         ("lebedev_milin_chain", rhs - a_abs,
          min(b_sum - a_abs, rhs - b_sum) + 1e-9 * max(1.0, rhs)),
         ("prawitz_integral", float(violations), float(-violations)),
-        ("grunsky_norm_bound", norm, 1.0 + tol["norm_slack"] - norm),
-        ("log_identity_link", identity, tol["identity_tol"] - identity),
+        ("grunsky_norm_bound", norm, 1.0 + NORM_SLACK - norm),
+        ("log_identity_link", identity, IDENTITY_TOL - identity),
     ]
 
     alpha_val = 0.0
@@ -521,7 +531,7 @@ def _audit_member(f, cfg: ScenarioConfig, est, violations: int):
 
     n_split = min(16, ld.top_index)
     residual = tauber.tauber_decomposition_check(ld, n_split, 1.0 - 1.0 / n_split)
-    checks.append(("tauber_split_identity", residual, tol["split_tol"] - residual))
+    checks.append(("tauber_split_identity", residual, SPLIT_TOL - residual))
     return f.label(), alpha_val, checks
 
 
@@ -571,7 +581,7 @@ def _run_audit(cfg: ScenarioConfig) -> ScenarioReport:
 
 # m floors: dilation radii 1 - 1/m > 0, transforms 0.3 e^{i/m}.  The audit's Grunsky
 # section, of order (series_order - 2) // 2, must hold its order-8 comparison section
-# (order 18), and its truncation at z = 0.5, about 0.5^order, meets identity_tol from 30
+# (order 18), and its truncation at z = 0.5, about 0.5^order, meets IDENTITY_TOL from 30
 SCENARIOS = {
     "counterexample": Scenario(("m_range", "n_range"),
                                {"row_vanish": 0.05, "diagonal_floor": 0.36},
@@ -581,12 +591,10 @@ SCENARIOS = {
     "theorem2": Scenario(("m_range", "n_range"),
                          {"simultaneous_tail_n": 128.0, "simultaneous_tail_bound": 0.05},
                          _run_theorem2, cutoff="simultaneous_tail_n"),
-    "zalcman_scan": Scenario(("n_range",), {"zalcman_slack": 1e-9}, _run_zalcman,
-                             n_floor=2, n_reach=2),
+    "zalcman_scan": Scenario(("n_range",), {}, _run_zalcman, n_floor=2, n_reach=2),
     "inequality_audit": Scenario(("grunsky_order",),
                                  {"milin_bound": logmilin.MILIN_CONSTANT_BOUND,
-                                  "direction_tol": 5e-3, "identity_tol": 1e-8,
-                                  "split_tol": 1e-10, "norm_slack": 1e-9},
+                                  "direction_tol": 5e-3},
                                  _run_audit, min_order=32),
 }
 

@@ -162,7 +162,8 @@ def simultaneous_tauber_harness(fam: DoubleFamily) -> TauberHarnessReport:
 
     Complex rows are rejected outright (imaginary parts above 1e-14)
     rather than silently projected: the machinery is only valid for real
-    coefficients.  The Abel sums are numpy's own sums of elementwise
+    coefficients.  The Abel sums, taken of the last two rows alone, which
+    are all that ``uniform_gap`` reads, are numpy's own sums of elementwise
     products with one :func:`families._powers` table, not a BLAS product, so
     equal rows give equal bits whether held as real or as complex, and
     whichever BLAS kernel is loaded.
@@ -185,14 +186,13 @@ def simultaneous_tauber_harness(fam: DoubleFamily) -> TauberHarnessReport:
     l_half = float(np.max(partial[:, : half + 1] - alpha[:, None]))
     iii_bounded = l_observed <= max(1.25 * l_half, l_half + 1e-9) + 1e-9
 
-    # Abel sums at every t < 1 from one power table; at t = 1 the targets,
-    # the continuity extension at the endpoint
-    powers = _powers(np.array(T_GRID[:-1]), rows.shape[1])
-    abel_vals = np.column_stack((np.sum(rows[:, None] * powers, axis=2), alpha))
-    uniform_gap = (
-        float(np.max(np.abs(abel_vals[-1] - abel_vals[-2])))
-        if rows.shape[0] >= 2 else 0.0
-    )
+    # Abel sums of the last two rows at every t < 1 from one power table; at
+    # t = 1 the targets, the continuity extension at the endpoint
+    uniform_gap = 0.0
+    if rows.shape[0] >= 2:
+        powers = _powers(np.array(T_GRID[:-1]), rows.shape[1])
+        abel = np.column_stack((np.sum(rows[-2:, None] * powers, axis=2), alpha[-2:]))
+        uniform_gap = float(np.max(np.abs(abel[1] - abel[0])))
 
     weighted = np.cumsum(partial, axis=1) / np.arange(1, rows.shape[1] + 1)
     d = np.abs(alpha[:, None] - weighted)

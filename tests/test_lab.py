@@ -152,7 +152,7 @@ class TestConfig:
         # the audit's Grunsky section, of order (series_order - 2) // 2, must
         # hold the order-8 section its fullness_defect_decreasing flag reads
         # (order 18), and its log_identity_link residual at z = 0.5 must meet
-        # identity_tol (order 30, with margin from 32)
+        # lab.IDENTITY_TOL (order 30, with margin from 32)
         data = {"scenario": "inequality_audit", "m_range": [1, 1], "n_range": [1, 1],
                 "series_order": order}
         if ok:
@@ -293,6 +293,11 @@ class TestConfig:
 # defaults against the README's table
 ALL_KEYS = sorted(k for row in lab.SCENARIOS.values() for k in row.tolerances)
 
+# the rounding slacks that were tolerance keys, each with the scenario that read
+# it; they are lab constants now, and a config that names one is refused
+RETIRED_KEYS = {"norm_slack": "inequality_audit", "identity_tol": "inequality_audit",
+                "split_tol": "inequality_audit", "zalcman_slack": "zalcman_scan"}
+
 # a small config per scenario whose flags all hold at its defaults; theorem2's
 # tail bound is tightened so that its cutoff decides a flag (at the default
 # 0.05 every cutoff of this family passes, from 0 on)
@@ -342,27 +347,38 @@ CROSSINGS = {
     "simultaneous_tail_n": lambda rep, tol: _last_cut_above(rep, rep.summary["tail_allowance"]),
     "simultaneous_tail_bound": lambda rep, tol: 0.5 * (
         _at_cut(rep, tol["simultaneous_tail_n"]) - max(rep.summary["bracket_widths"])),
-    # zalcman_ceiling: the worst slack <= zalcman_slack
-    "zalcman_slack": lambda rep, tol: _below(rep.summary["worst_zalcman_slack"]),
     # the audit's checks, each against its own row values
     "milin_bound": lambda rep, tol: _below(max(_checked(rep, "milin_bound"))),
     "direction_tol": lambda rep, tol: _below(max(_checked(rep, "bazilevich_equality_residual"))),
-    "identity_tol": lambda rep, tol: _below(max(_checked(rep, "log_identity_link"))),
-    "split_tol": lambda rep, tol: _below(max(_checked(rep, "tauber_split_identity"))),
-    # grunsky_norm_bound: norm <= 1 + norm_slack; half the excess still rounds above 1
-    "norm_slack": lambda rep, tol: 0.5 * (max(_checked(rep, "grunsky_norm_bound")) - 1.0),
+}
+
+# For each rounding-slack constant of lab: its scenario, the flag it decides and
+# the value that crosses, in the failing direction, what the flag's check
+# observed in the default run ``rep`` of the scenario's FLAG_CONFIGS.
+SLACK_CROSSINGS = {
+    # zalcman_ceiling: the worst slack <= ZALCMAN_SLACK
+    "ZALCMAN_SLACK": ("zalcman_scan", "zalcman_ceiling",
+                      lambda rep: _below(rep.summary["worst_zalcman_slack"])),
+    "IDENTITY_TOL": ("inequality_audit", "log_identity_link",
+                     lambda rep: _below(max(_checked(rep, "log_identity_link")))),
+    "SPLIT_TOL": ("inequality_audit", "tauber_split_identity",
+                  lambda rep: _below(max(_checked(rep, "tauber_split_identity")))),
+    # grunsky_norm_bound: norm <= 1 + NORM_SLACK; half the excess still rounds above 1
+    "NORM_SLACK": ("inequality_audit", "grunsky_norm_bound",
+                   lambda rep: 0.5 * (max(_checked(rep, "grunsky_norm_bound")) - 1.0)),
 }
 
 
 class TestScenarioTolerances:
     def test_each_key_sits_in_one_scenario(self):
-        assert len(ALL_KEYS) == len(set(ALL_KEYS)) == 12
+        assert len(ALL_KEYS) == len(set(ALL_KEYS)) == 8
         assert sorted(CROSSINGS) == ALL_KEYS
+        assert not set(RETIRED_KEYS) & set(ALL_KEYS)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scenario, key", [
-        (s, k) for s, row in lab.SCENARIOS.items() for k in ALL_KEYS
-        if k not in row.tolerances])
+        (s, k) for s, row in lab.SCENARIOS.items() for k in ALL_KEYS + sorted(RETIRED_KEYS)
+        if k not in row.tolerances and RETIRED_KEYS.get(k) != s])
     def test_key_outside_the_entry_is_rejected(self, scenario, key):
         data = dict(FLAG_CONFIGS[scenario], scenario=scenario)
         data["tolerances"] = dict(data.get("tolerances", {}), **{key: 1.0})
@@ -383,6 +399,28 @@ class TestScenarioTolerances:
         crossed = run_scenario(ScenarioConfig.from_dict(dict(data, tolerances=tolerances)))
         assert crossed.summary["flags"] != rep.summary["flags"], (key, crossing)
         assert not crossed.all_ok()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+    def test_retired_key_is_refused_where_it_was_read(self, key):
+        scenario = RETIRED_KEYS[key]
+        data = dict(FLAG_CONFIGS[scenario], scenario=scenario, tolerances={key: 1e-9})
+        with pytest.raises(ConfigError, match=rf"unknown tolerance keys for {scenario}: "
+                                              rf"\['{key}'\]"):
+            ScenarioConfig.from_dict(data)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(SLACK_CROSSINGS))
+    def test_rounding_slack_flips_its_flag(self, name, monkeypatch):
+        # each constant, moved across the value its check observed, turns its
+        # flag false, and only that flag
+        scenario, flag, crossing = SLACK_CROSSINGS[name]
+        cfg = ScenarioConfig.from_dict(dict(FLAG_CONFIGS[scenario], scenario=scenario))
+        rep = run_scenario(cfg)
+        assert rep.all_ok(), rep.summary["flags"]
+        monkeypatch.setattr(lab, name, crossing(rep))
+        failed = {k for k, ok in run_scenario(cfg).summary["flags"].items() if not ok}
+        assert failed and {k.split(":")[0] for k in failed} == {flag}, (name, failed)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scenario", [s for s in lab.SCENARIOS if s != "inequality_audit"])
@@ -418,15 +456,16 @@ class TestScenarioTolerances:
             assert echoed["tolerances"] == dict(lab.SCENARIOS[scenario].tolerances,
                                                 **data.get("tolerances", {}))
         # overrides are echoed as given
-        cfg = ScenarioConfig.from_dict({"scenario": "zalcman_scan", "n_range": [2, 8],
-                                        "series_order": 32,
-                                        "tolerances": {"zalcman_slack": 1},
-                                        "out_dir": str(tmp_path)})
+        tolerances = {"tail_n": 4, "tail_bound": 1}
+        cfg = ScenarioConfig.from_dict({"scenario": "theorem1", "m_range": [2, 12],
+                                        "n_range": [1, 16], "series_order": 16,
+                                        "tolerances": tolerances, "out_dir": str(tmp_path)})
         _, json_path = export_report(run_scenario(cfg))
         echoed = json.loads(json_path.read_text())["provenance"]["config"]
-        assert echoed == {"scenario": "zalcman_scan", "n_range": [2, 8], "series_order": 32,
-                          "tolerances": {"zalcman_slack": 1}, "out_dir": str(tmp_path)}
-        assert type(echoed["tolerances"]["zalcman_slack"]) is int
+        assert echoed == {"scenario": "theorem1", "m_range": [2, 12], "n_range": [1, 16],
+                          "series_order": 16, "tolerances": tolerances,
+                          "out_dir": str(tmp_path)}
+        assert type(echoed["tolerances"]["tail_bound"]) is int
 
 
 # a config per scenario that loads, from which each load rule of the scenario's
@@ -524,11 +563,11 @@ MALFORMED_CONFIGS = {
     "not utf-8": ("{" + _ZALCMAN + ', "out_dir": "r').encode() + b'\xe9"}',  # a latin-1 byte
     "array of pairs": b'[["scenario", "zalcman_scan"], ["m_range", [1, 5]]]',
     "tolerance beyond float range": (
-        "{" + _ZALCMAN + ', "tolerances": {"zalcman_slack": 1' + "0" * 400 + "}}").encode(),
+        "{" + _COUNTEREXAMPLE + ', "tolerances": {"row_vanish": 1' + "0" * 400 + "}}").encode(),
     "series_order beyond the ceiling": (
         "{" + _ZALCMAN.replace(": 32", ": 1" + "0" * 30) + "}").encode(),
     "tolerances of other scenarios": (
-        "{" + _COUNTEREXAMPLE + ', "tolerances": {"tail_n": 5, "zalcman_slack": 3}}').encode(),
+        "{" + _COUNTEREXAMPLE + ', "tolerances": {"tail_n": 5, "direction_tol": 3}}').encode(),
     "grunsky_order outside the audit": (
         "{" + _COUNTEREXAMPLE + ', "grunsky_order": 9}').encode(),
     "empty object": b"{}",
@@ -735,7 +774,7 @@ class TestAudit:
 
     def test_order_128_flags(self, tmp_path):
         # the audit_grunsky benchmark's scale; with exact exterior coefficients
-        # every section's norm stays inside the 1e-9 norm_slack
+        # every section's norm stays inside the 1e-9 lab.NORM_SLACK
         cfg = ScenarioConfig(scenario="inequality_audit", m_range=(1, 1),
                              n_range=(1, 1), series_order=258, grunsky_order=128,
                              out_dir=str(tmp_path))

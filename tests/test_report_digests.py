@@ -75,19 +75,19 @@ def report_set() -> dict:
 
 DIGESTS = {
     "audit258/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
-    "audit258/inequality_audit.json": "43d5488d404824f7764413cd2d3fdea4b95c33e5776cfe19e97a78785724c3ac",
+    "audit258/inequality_audit.json": "b9aac7e70cdcb2e4ff8ec9ddf9197aa6ef53cb1f04dfe1f49c5e55941e827b5f",
     "audit_grunsky-1/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
-    "audit_grunsky-1/inequality_audit.json": "43d5488d404824f7764413cd2d3fdea4b95c33e5776cfe19e97a78785724c3ac",
+    "audit_grunsky-1/inequality_audit.json": "b9aac7e70cdcb2e4ff8ec9ddf9197aa6ef53cb1f04dfe1f49c5e55941e827b5f",
     "audit_grunsky-1/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "audit_grunsky-1/zalcman_scan.json": "cb3e4a4b2c3353c33ade5e92657c99983a707e2fc70cd3ed34c8d6a7dff7bc02",
+    "audit_grunsky-1/zalcman_scan.json": "01882a529929ad396e1284ba3ef5cc4d9f51f8b9220a34e7a0e9f7805397dee6",
     "audit_grunsky-2/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
-    "audit_grunsky-2/inequality_audit.json": "43d5488d404824f7764413cd2d3fdea4b95c33e5776cfe19e97a78785724c3ac",
+    "audit_grunsky-2/inequality_audit.json": "b9aac7e70cdcb2e4ff8ec9ddf9197aa6ef53cb1f04dfe1f49c5e55941e827b5f",
     "audit_grunsky-2/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "audit_grunsky-2/zalcman_scan.json": "cb3e4a4b2c3353c33ade5e92657c99983a707e2fc70cd3ed34c8d6a7dff7bc02",
+    "audit_grunsky-2/zalcman_scan.json": "01882a529929ad396e1284ba3ef5cc4d9f51f8b9220a34e7a0e9f7805397dee6",
     "audit_grunsky-3/inequality_audit.csv": "cdf47847b18b61d12289354ffd1ff9ab563dd24b7e35b35f673e9e952dabe185",
-    "audit_grunsky-3/inequality_audit.json": "43d5488d404824f7764413cd2d3fdea4b95c33e5776cfe19e97a78785724c3ac",
+    "audit_grunsky-3/inequality_audit.json": "b9aac7e70cdcb2e4ff8ec9ddf9197aa6ef53cb1f04dfe1f49c5e55941e827b5f",
     "audit_grunsky-3/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "audit_grunsky-3/zalcman_scan.json": "cb3e4a4b2c3353c33ade5e92657c99983a707e2fc70cd3ed34c8d6a7dff7bc02",
+    "audit_grunsky-3/zalcman_scan.json": "01882a529929ad396e1284ba3ef5cc4d9f51f8b9220a34e7a0e9f7805397dee6",
     "growth_index-1/theorem2.csv": "ac811e38c4ad3f8486bae67f749479d65345379e0bc687991fd5975295e9003d",
     "growth_index-1/theorem2.json": "40aff9b4999010f42c0f976b92b035bad6e437f975f928d20247d203c84bcb03",
     "growth_index-2/theorem2.csv": "924980045476136e87ec9a750a9a77bbc6f2cb75609cccbdd43dea39eec403a8",
@@ -97,13 +97,13 @@ DIGESTS = {
     "readme/counterexample.csv": "404e4a459dc2a1f0ea2c86295dcf9466aa4b97df1e5a9ea6d69a70b60b36e853",
     "readme/counterexample.json": "9bf53806f37fb9f629c296a2bd2d8e0ad5143da3bc3ddca542ea98e8b6ad4b0c",
     "readme/inequality_audit.csv": "06e85da7aabadad9ba058b1fdf43b221cce34c9aa8462d03a69d83a09fdfcac6",
-    "readme/inequality_audit.json": "77cd4061ed2c74f88d809769b0627acfea36742aaf181cad48d2d6c74f42ef14",
+    "readme/inequality_audit.json": "11c5d7f10abe33090780c99f2180eb4a54b42e9deff2e5b77c3233d0556bf046",
     "readme/theorem1.csv": "5243e58b45071e040328ce61f37edfa85fddf9c070c7489df03490a896766ca2",
     "readme/theorem1.json": "2efc1775dce55daaa14b57244f0e57eb077e96949e74dbd8100aca0aaa4ea3f0",
     "readme/theorem2.csv": "33f4df1a28d62a491adb1a712759b5ceeb34757bb3b24ba93036744135b1ec6f",
     "readme/theorem2.json": "1d782d9fe64c0885af1e778b17bad24aba3078c48d0369efb0b220fc56d42332",
     "readme/zalcman_scan.csv": "b51b52092833549e291c9719307eec7ee4c915424cba3b4ecc75e25b71a2ed89",
-    "readme/zalcman_scan.json": "cb3e4a4b2c3353c33ade5e92657c99983a707e2fc70cd3ed34c8d6a7dff7bc02",
+    "readme/zalcman_scan.json": "01882a529929ad396e1284ba3ef5cc4d9f51f8b9220a34e7a0e9f7805397dee6",
     "report_grid-1/counterexample.csv": "91d993cff0c8cbbe3efdbd8c6199a329f16e32b5a9aef6cdc217c7f14537e40e",
     "report_grid-1/counterexample.json": "a550df8dc7459c91ec057dad66b7f6c677d32cdc53f83b3397d5e3217082d467",
     "report_grid-1/theorem1.csv": "1bcdd3b1984598d5a2ae7dffeae5bdcfc71933ed466ab9e6cdbca2c7a65e9efe",

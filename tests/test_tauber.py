@@ -8,9 +8,10 @@ from schlichtlab.errors import (
     IndexOutOfRange,
     InvalidParameter,
 )
-from schlichtlab.families import dilated, make_schlicht
+from schlichtlab.families import _powers, dilated, make_schlicht
 from schlichtlab.logmilin import boundary_mean_coeffs, log_data
 from schlichtlab.tauber import (
+    T_GRID,
     DoubleFamily,
     cesaro_mean,
     euler_bracket,
@@ -127,6 +128,21 @@ class TestHarness:
         assert real.l_observed == held.l_observed
         assert real.deviation.tobytes() == held.deviation.tobytes()
         assert real.tail_sup.tobytes() == held.tail_sup.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_uniform_gap_reads_the_last_two_rows_alone(self):
+        # a theorem1-sized window: the gap of the whole family is that of its
+        # last two rows, bit for bit, and that of the Abel sums of every row
+        rng = np.random.default_rng(5)
+        rows, alpha, ms = rng.normal(size=(63, 256)), rng.normal(size=63), np.arange(2, 65)
+        whole = simultaneous_tauber_harness(DoubleFamily(ms, rows, alpha))
+        last_two = simultaneous_tauber_harness(DoubleFamily(ms[-2:], rows[-2:], alpha[-2:]))
+        assert whole.uniform_gap == last_two.uniform_gap
+        sums = np.column_stack((np.sum(rows[:, None] * _powers(np.array(T_GRID[:-1]), 256),
+                                       axis=2), alpha))
+        assert whole.uniform_gap == float(np.max(np.abs(sums[-1] - sums[-2])))
+        one = simultaneous_tauber_harness(DoubleFamily(ms[:1], rows[:1], alpha[:1]))
+        assert one.uniform_gap == 0.0
 
     def test_tail_supremum_clamps_and_decreases(self):
         rng = np.random.default_rng(3)
